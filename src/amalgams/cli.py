@@ -152,7 +152,10 @@ def _decl_ring(session, rest, n):
     variables = []
     for tok in _split_list(var_part):
         vname, _, w = tok.partition(":")
-        weight = int(w) if w else 1
+        try:
+            weight = int(w) if w else 1
+        except ValueError:
+            raise ParseError(n, f"weight of {vname.strip()!r} must be an integer")
         variables.append((vname.strip(), weight))
     if not variables:
         raise ParseError(n, "ring needs at least one variable")

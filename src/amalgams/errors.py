@@ -13,6 +13,10 @@ class ZeroPolynomial(AlgebraError):
     """Operation requires a nonzero polynomial."""
 
 
+class InvalidRing(AlgebraError):
+    """Variable names or weights do not define a polynomial ring."""
+
+
 class ContextMismatch(AlgebraError):
     """Operands live in different ambient polynomial rings."""
 

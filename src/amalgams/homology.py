@@ -3,7 +3,8 @@
 All homological algebra happens over the ambient polynomial ring: depth via
 the Auslander-Buchsbaum identity (#vars - projective dimension), canonical
 modules and the classification predicates via Ext against the ambient ring
-and graded local duality.
+and graded local duality.  Hilbert series are read off leading monomials
+and need no resolution.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from itertools import combinations
 from .errors import ZeroModule
 from .gb import (
     DEFAULT_DEGREE_CAP,
-    GroebnerBasis,
     IdealBasis,
     buchberger,
     ideal_member,
@@ -23,13 +23,23 @@ from .gb import (
 from .modules import (
     FPModule,
     FreeModule,
+    ModOrder,
     ModVec,
+    leading_mod_term,
     minimal_generators,
+    module_groebner,
     syzygies,
 )
 from .poly import GREVLEX, leading_term
 from .ring import IdealHandle, PresentedRing
-from .series import HilbertSeries, lp_add, lp_monomial, lp_neg, lp_zero
+from .series import (
+    HilbertSeries,
+    lp_add,
+    lp_monomial,
+    lp_mul,
+    lp_zero,
+    monomial_kpoly,
+)
 
 
 class FreeResolution:
@@ -91,27 +101,38 @@ def free_resolution(obj, degree_cap=DEFAULT_DEGREE_CAP):
 
 
 def hilbert_series(obj, degree_cap=DEFAULT_DEGREE_CAP):
-    """Exact rational Hilbert series from the minimal free resolution."""
+    """Exact rational Hilbert series read off leading monomials.
+
+    A ring S/I has the series of S/in(I), and a module F/U that of
+    F/in(U), taken componentwise; the numerators come from Bigatti's
+    recursion (`monomial_kpoly`).  No resolution is built.
+    """
     if isinstance(obj, IdealHandle):
         # Series of the image of the ideal inside its quotient ring.
         R = obj.ring
-        big = PresentedRing(R.ambient, list(R.defining.elements) + obj.generators)
+        big = PresentedRing(
+            R.ambient, list(R.defining.elements) + obj.generators, degree_cap
+        )
         return hilbert_series(R, degree_cap) - hilbert_series(big, degree_cap)
     if isinstance(obj, IdealBasis):
         trivial = PresentedRing(obj.ring, [])
         return hilbert_series(IdealHandle(trivial, obj.gens), degree_cap)
-    res = free_resolution(obj, degree_cap)
-    num = lp_zero()
-    for i, tw in enumerate(res.twists):
-        block = lp_zero()
-        for t in tw:
-            block = lp_add(block, lp_monomial(t))
-        num = lp_add(num, block if i % 2 == 0 else lp_neg(block))
-    return HilbertSeries(num, weights=res.ring.weights)
-
-
-def module_hilbert_function(obj, d, degree_cap=DEFAULT_DEGREE_CAP):
-    return hilbert_series(obj, degree_cap).coefficient(d)
+    if isinstance(obj, PresentedRing):
+        num = monomial_kpoly(obj.defining.leading_monomials(), obj.weights)
+        return HilbertSeries(num, weights=obj.weights)
+    if isinstance(obj, FPModule):
+        weights = obj.ring.weights
+        order = ModOrder(weights)
+        leads = [[] for _ in obj.twists]
+        for g in module_groebner(obj.relations, degree_cap=degree_cap):
+            comp, mono = leading_mod_term(g, order)[0]
+            leads[comp].append(mono)
+        num = lp_zero()
+        for twist, lead in zip(obj.twists, leads):
+            part = monomial_kpoly(lead, weights)
+            num = lp_add(num, lp_mul(lp_monomial(twist), part))
+        return HilbertSeries(num, weights=weights)
+    raise TypeError(f"no Hilbert series for a {type(obj).__name__}")
 
 
 def _dim_of_leading_monomials(nvars, lead):

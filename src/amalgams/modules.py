@@ -10,7 +10,7 @@ caller in this package produces.
 
 from __future__ import annotations
 
-from .errors import DegreeCapExceeded
+from .errors import DegreeCapExceeded, NotHomogeneous
 from .gb import DEFAULT_DEGREE_CAP
 from .poly import Polynomial, _grevlex_key
 
@@ -123,7 +123,7 @@ class ModVec:
             self.ring.mono_degree(m) + self.free.twists[i] for (i, m) in self.terms
         }
         if len(degs) > 1:
-            raise ValueError("inhomogeneous module vector")
+            raise NotHomogeneous("inhomogeneous module vector")
         return degs.pop()
 
     def max_mono_degree(self):

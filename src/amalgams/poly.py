@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from .errors import (
     ContextMismatch,
+    InvalidRing,
     NotPrime,
     ParseError,
     ZeroInverse,
@@ -156,11 +157,11 @@ class PolyRing:
             weights = (1,) * len(self.names)
         self.weights = tuple(int(w) for w in weights)
         if len(self.weights) != len(self.names):
-            raise ValueError("one weight per variable")
+            raise InvalidRing("one weight per variable")
         if any(w < 1 for w in self.weights):
-            raise ValueError("weights must be positive")
+            raise InvalidRing("weights must be positive")
         if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate variable names")
+            raise InvalidRing("duplicate variable names")
         self.nvars = len(self.names)
         self._index = {n: i for i, n in enumerate(self.names)}
 

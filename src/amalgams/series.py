@@ -82,6 +82,52 @@ def denominator_poly(weights):
     return out
 
 
+def _minimal_monomials(gens):
+    """Minimal generators of the monomial ideal spanned by exponent tuples."""
+    out = []
+    for m in sorted(set(gens), key=sum):
+        if not any(all(a <= b for a, b in zip(g, m)) for g in out):
+            out.append(m)
+    return out
+
+
+def monomial_kpoly(gens, weights):
+    """Numerator of HS(S/I) over prod(1 - t^w) for a monomial ideal I.
+
+    `gens` are exponent tuples generating I in S = k[x_1..x_n] with the
+    given variable weights.  Bigatti's pivot recursion: for a pivot x_i^e
+    the exact sequence 0 -> S/(I : x_i^e)(-e*w_i) -> S/I -> S/(I + x_i^e)
+    -> 0 gives K(I) = K(I + (x_i^e)) + t^(e*w_i) * K(I : x_i^e).  The pivot
+    variable is one occurring in the most generators and e is the lower
+    median of its positive exponents; with at least two of them e lies
+    below any pure power x_i^b in I, so both ideals grow strictly and the
+    recursion ends.  Once no two generators share a variable, K(I) is
+    prod(1 - t^deg(m)).
+    """
+    gens = _minimal_monomials(gens)
+    n = len(weights)
+    counts = [0] * n
+    for m in gens:
+        for i, e in enumerate(m):
+            if e:
+                counts[i] += 1
+    i = max(range(n), key=counts.__getitem__, default=0)
+    if n == 0 or counts[i] < 2:
+        out = lp_const(1)
+        for m in gens:
+            deg = sum(e * w for e, w in zip(m, weights))
+            out = lp_mul(out, lp_sub(lp_const(1), lp_monomial(deg)))
+        return out
+    exps = sorted(m[i] for m in gens if m[i])
+    e = exps[(len(exps) - 1) // 2]
+    pivot = tuple(e if j == i else 0 for j in range(n))
+    colon = [m[:i] + (max(m[i] - e, 0),) + m[i + 1:] for m in gens]
+    return lp_add(
+        monomial_kpoly(gens + [pivot], weights),
+        lp_mul(lp_monomial(e * weights[i]), monomial_kpoly(colon, weights)),
+    )
+
+
 class HilbertSeries:
     """numerator / denominator with integer Laurent polynomial parts.
 
@@ -100,10 +146,6 @@ class HilbertSeries:
     @classmethod
     def zero(cls):
         return cls(lp_zero(), lp_const(1))
-
-    @classmethod
-    def of_free_ring(cls, weights):
-        return cls(lp_const(1), weights=weights)
 
     def __add__(self, other):
         if self.den == other.den:

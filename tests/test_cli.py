@@ -151,6 +151,28 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main([str(missing), "present", "W"]) == 1
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("ring A vars x:0\n", 1, "weights must be positive"),
+        ("ring A vars x, x\n", 1, "duplicate variable names"),
+        ("ring A vars x:a\n", 1, "weight of 'x' must be an integer"),
+        (
+            "field p=101\nring A vars x\n"
+            "trivext T : A, module gens 1, 2 relations x*e1 + x*e2\n",
+            3,
+            "inhomogeneous module vector",
+        ),
+    ],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, text, line, message):
+    bad = tmp_path / "bad.alg"
+    bad.write_text(text)
+    assert main([str(bad), "present", "T"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"parse error: line {line}: {message}\n"
+
+
 def test_main_flags(tmp_path):
     f = tmp_path / "serre.alg"
     f.write_text("ring R vars a, b, c, d ideal: a*c, a*d, b*c, b*d\n")

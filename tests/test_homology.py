@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 
 from amalgams.errors import ZeroModule
@@ -12,10 +14,13 @@ from amalgams.homology import (
     hom_modules,
     krull_dim,
 )
+from amalgams.amalgam import amalgam_present, duplication
+from amalgams.cli import parse_input
 from amalgams.modules import FPModule
 from amalgams.poly import PolyRing, parse_poly
 from amalgams.ring import IdealHandle, hilbert_function, make_ring
 from amalgams.series import HilbertSeries, lp_const, lp_monomial
+from conftest import resolution_series
 
 
 def intersection_ring(p=101):
@@ -92,6 +97,43 @@ def test_hilbert_series_matches_function():
         hs = hilbert_series(R)
         for d in range(9):
             assert hs.coefficient(d) == hilbert_function(R, d)
+
+
+def assert_same_series(obj):
+    # The numerator over prod(1 - t^w) is unique, so equal series print alike.
+    assert repr(hilbert_series(obj)) == repr(resolution_series(obj))
+
+
+def test_series_matches_resolution_on_rings_and_ideals():
+    cubic = ["b^2 - a*c", "b*c - a*d", "c^2 - b*d"]
+    cone = make_ring(101, ["a", "b", "c", "d"], cubic)
+    k3 = make_ring(101, ["x1", "x2", "x3"])
+    cases = [
+        (k3, ["x1", "x2", "x3"]),
+        (k3, ["x1^2", "x2^2", "x3^2"]),
+        (cone, ["a", "b"]),
+        (intersection_ring(), ["x"]),
+    ]
+    for A, gens in cases:
+        I = IdealHandle(A, gens)
+        P = amalgam_present(duplication(A, I))
+        for obj in (A, I, P.ring):
+            assert_same_series(obj)
+    assert_same_series(make_ring(101, [("x", 2), ("y", 3)], ["x^3 - y^2"]))
+    assert_same_series(IdealHandle(cone, ["a*c", "d^2"]))
+
+
+def test_series_matches_resolution_on_modules():
+    session = parse_input(
+        resources.files("amalgams").joinpath("fixtures", "serre.alg").read_text()
+    )
+    for kind, R in session.decls.values():
+        assert kind == "ring"
+        assert_same_series(canonical_module(R))
+        for j in range(R.ambient.nvars + 1):
+            ext = ext_module(R, j)
+            if not ext.minimal_presentation().is_zero_presentation():
+                assert_same_series(ext)
 
 
 def test_series_arithmetic_and_witness():

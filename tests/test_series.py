@@ -1,0 +1,75 @@
+"""Property tests for Hilbert series read off leading monomials.
+
+Monomial ideals are checked against a brute-force count of standard
+monomials, and duplications against the additivity HS(C/K) = HS(A) + HS(J)
+of the split sequence 0 -> J -> A ⋈ J -> A -> 0.
+"""
+
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from amalgams.amalgam import amalgam_present, duplication
+from amalgams.homology import hilbert_series
+from amalgams.ring import IdealHandle, make_ring
+from amalgams.series import HilbertSeries, monomial_kpoly
+
+TOP = 8
+
+
+@st.composite
+def monomial_ideals(draw):
+    n = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    exponent = st.tuples(*[st.integers(0, 3)] * n)
+    gens = draw(st.lists(exponent, max_size=6))
+    return weights, gens
+
+
+def standard_monomial_count(weights, gens, d):
+    """Monomials of weighted degree d divisible by no generator."""
+    ranges = [range(d // w + 1) for w in weights]
+    count = 0
+    for m in product(*ranges):
+        if sum(e * w for e, w in zip(m, weights)) != d:
+            continue
+        if not any(all(a <= b for a, b in zip(g, m)) for g in gens):
+            count += 1
+    return count
+
+
+@given(monomial_ideals())
+def test_monomial_series_counts_standard_monomials(ideal):
+    weights, gens = ideal
+    hs = HilbertSeries(monomial_kpoly(gens, weights), weights=weights)
+    coeffs = hs.coefficients(TOP)
+    for d in range(TOP + 1):
+        assert coeffs.get(d, 0) == standard_monomial_count(weights, gens, d)
+
+
+def test_monomial_kpoly_small_cases():
+    assert monomial_kpoly([], [1, 1]) == {0: 1}
+    assert monomial_kpoly([(0, 0)], [1, 1]) == {}
+    # (x^2, xy, y^2): 1 - 3t^2 + 2t^3
+    assert monomial_kpoly([(2, 0), (1, 1), (0, 2)], [1, 1]) == {0: 1, 2: -3, 3: 2}
+    # principal ideal (x^3) in k[x:2, y:3]: 1 - t^6
+    assert monomial_kpoly([(3, 0)], [2, 3]) == {0: 1, 6: -1}
+
+
+@settings(max_examples=25)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)).filter(
+            any
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_duplication_series_is_additive(exponents):
+    A = make_ring(101, ["x1", "x2", "x3"])
+    gens = [A.ambient.monomial(e) for e in exponents]
+    I = IdealHandle(A, gens)
+    P = amalgam_present(duplication(A, I))
+    assert hilbert_series(P.ring) == hilbert_series(A) + hilbert_series(I)
