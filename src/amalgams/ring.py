@@ -223,7 +223,7 @@ def contract_ideal(f, J, degree_cap=DEFAULT_DEGREE_CAP):
     return IdealHandle(f.source, gens)
 
 
-def hilbert_function(obj, d, degree_cap=DEFAULT_DEGREE_CAP):
+def hilbert_function(obj, d):
     """dim_k of the degree-d piece of a ring or of an ideal handle.
 
     For an ideal handle J in R = ambient/I this is the dimension of the
@@ -236,11 +236,11 @@ def hilbert_function(obj, d, degree_cap=DEFAULT_DEGREE_CAP):
     if isinstance(obj, IdealHandle):
         R = obj.ring
         big = PresentedRing(
-            R.ambient, list(R.defining.elements) + obj.generators, degree_cap
+            R.ambient, list(R.defining.elements) + obj.generators
         )
         return len(R.standard_monomials(d)) - len(big.standard_monomials(d))
     if isinstance(obj, IdealBasis):
         trivial = PresentedRing(obj.ring, [])
         handle = IdealHandle(trivial, obj.gens)
-        return hilbert_function(handle, d, degree_cap)
+        return hilbert_function(handle, d)
     raise TypeError(f"cannot take a Hilbert function of {type(obj).__name__}")

@@ -5,9 +5,6 @@ The oracle works degree by degree: the span of a homogeneous ideal in
 degree d is the row space of all (monomial) x (generator) products of
 that degree, so ranks and membership can be checked by Gaussian
 elimination independently of any Groebner machinery.
-
-`resolution_series` is the second, independent route to Hilbert series:
-the alternating sum of the twists of a minimal free resolution.
 """
 
 import random
@@ -15,10 +12,7 @@ import random
 import pytest
 from hypothesis import settings
 
-from amalgams.homology import free_resolution
 from amalgams.poly import PolyRing
-from amalgams.ring import IdealHandle, PresentedRing
-from amalgams.series import HilbertSeries, lp_add, lp_monomial, lp_neg, lp_zero
 
 # Reproducible property tests with no per-example deadline: example run
 # times vary a lot on a loaded machine.
@@ -42,22 +36,6 @@ def random_homogeneous(ring, rng, degree, terms=3):
     for _ in range(terms):
         out = out + ring.monomial(rng.choice(monos), rng.randrange(1, ring.p))
     return out
-
-
-def resolution_series(obj):
-    """Hilbert series from the Betti twists of a minimal free resolution."""
-    if isinstance(obj, IdealHandle):
-        R = obj.ring
-        big = PresentedRing(R.ambient, list(R.defining.elements) + obj.generators)
-        return resolution_series(R) - resolution_series(big)
-    res = free_resolution(obj)
-    num = lp_zero()
-    for i, tw in enumerate(res.twists):
-        block = lp_zero()
-        for t in tw:
-            block = lp_add(block, lp_monomial(t))
-        num = lp_add(num, block if i % 2 == 0 else lp_neg(block))
-    return HilbertSeries(num, weights=res.ring.weights)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from amalgams.modules import FPModule
 from amalgams.poly import PolyRing, parse_poly
 from amalgams.ring import IdealHandle, hilbert_function, make_ring
 from amalgams.series import HilbertSeries, lp_const, lp_monomial
-from conftest import resolution_series
+from oracles import resolution_series
 
 
 def intersection_ring(p=101):
