@@ -92,13 +92,12 @@ class Session:
         self.decls[name] = (kind, obj)
 
     def get(self, name, kind, line_no=None):
+        where = f"line {line_no}: " if line_no is not None else ""
         if name not in self.decls:
-            raise UnknownReference(f"line {line_no}: unknown name {name!r}")
+            raise UnknownReference(f"{where}unknown name {name!r}")
         k, obj = self.decls[name]
         if k != kind:
-            raise UnknownReference(
-                f"line {line_no}: {name!r} is a {k}, expected {kind}"
-            )
+            raise UnknownReference(f"{where}{name!r} is a {k}, expected {kind}")
         return obj
 
 
@@ -246,8 +245,10 @@ def _parse_module_block(session, A, body, n):
     e_names = [f"e{i}" for i in range(1, len(degs) + 1)]
     if set(e_names) & set(A.names):
         raise ParseError(n, "ambient variables may not be named e1, e2, ...")
+    # Only for parsing: weight 1 on the e's admits generator degrees below
+    # 1, and FPModule checks homogeneity against the real twists.
     aux = PolyRing(
-        session.field, list(A.names) + e_names, list(A.weights) + degs
+        session.field, list(A.names) + e_names, list(A.weights) + [1] * len(degs)
     )
     nA = A.ambient.nvars
     relations = []

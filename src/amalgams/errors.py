@@ -52,6 +52,13 @@ class DegreeMismatch(AlgebraError):
     """A ring homomorphism violates the weighted grading."""
 
 
+class ResolutionTooLong(AlgebraError):
+    """A free resolution ran past Hilbert's syzygy bound (#variables).
+
+    Signals a fault in the computation, never a property of the input.
+    """
+
+
 class ZeroModule(AlgebraError):
     """Operation requires a nonzero module."""
 

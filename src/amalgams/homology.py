@@ -3,8 +3,9 @@
 All homological algebra happens over the ambient polynomial ring: depth via
 the Auslander-Buchsbaum identity (#vars - projective dimension), canonical
 modules and the classification predicates via Ext against the ambient ring
-and graded local duality.  Hilbert series are read off leading monomials
-and need no resolution.
+and graded local duality.  `classify` builds one resolution and takes the
+Betti numbers, depth, canonical module and every higher Ext from it.
+Hilbert series are read off leading monomials and need no resolution.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import ZeroModule
+from .errors import ResolutionTooLong, ZeroModule
 from .gb import (
     DEFAULT_DEGREE_CAP,
     IdealBasis,
@@ -92,11 +93,13 @@ def free_resolution(obj, degree_cap=DEFAULT_DEGREE_CAP):
     diffs = []
     current = minimal_generators(M.relations, degree_cap)
     while current:
+        if len(diffs) == ring.nvars:
+            raise ResolutionTooLong(
+                f"resolution longer than the syzygy bound {ring.nvars}"
+            )
         diffs.append(current)
         twists.append([v.degree() for v in current])
         current = minimal_generators(syzygies(current, degree_cap), degree_cap)
-    if len(diffs) > ring.nvars:
-        raise AssertionError("resolution longer than the syzygy bound")
     return FreeResolution(ring, twists, diffs)
 
 
@@ -212,10 +215,14 @@ def _subquotient(ring, free_twists, ker_gens, im_gens, degree_cap):
 def ext_module(obj, j, degree_cap=DEFAULT_DEGREE_CAP):
     """Ext^j against the ambient polynomial ring, as a presented module."""
     M = _as_module(obj)
-    ring = M.ring
-    if j < 0 or j > ring.nvars:
+    if j < 0 or j > M.ring.nvars:
         raise ValueError("cohomological degree out of range")
-    res = free_resolution(M, degree_cap)
+    return _ext_from_resolution(free_resolution(M, degree_cap), j, degree_cap)
+
+
+def _ext_from_resolution(res, j, degree_cap=DEFAULT_DEGREE_CAP):
+    """Ext^j as the cohomology of the dual of the resolution `res`."""
+    ring = res.ring
     c = res.length
     if j > c or not res.twists[j]:
         return FPModule.zero(ring)
@@ -392,7 +399,9 @@ def classify(R, assume_equidimensional=False, degree_cap=DEFAULT_DEGREE_CAP):
     is_cm = dim == depth
     is_gorenstein = is_cm and rtype == 1
 
-    omega = canonical_module(R, degree_cap)
+    # One resolution serves the Betti numbers, depth, the canonical module
+    # and every Ext^j above the codimension.
+    omega = _ext_from_resolution(res, codim, degree_cap).shift(sum(ring.weights))
     mu_omega = len(omega.twists)
     if mu_omega == 1:
         ann = annihilator(omega, degree_cap)
@@ -404,7 +413,7 @@ def classify(R, assume_equidimensional=False, degree_cap=DEFAULT_DEGREE_CAP):
     # modules impose no condition.
     ext_dims = {}
     for j in range(codim + 1, n + 1):
-        ext = ext_module(M, j, degree_cap)
+        ext = _ext_from_resolution(res, j, degree_cap)
         if not ext.minimal_presentation(degree_cap).is_zero_presentation():
             ext_dims[j] = krull_dim(ext, degree_cap)
     gcm = all(d <= 0 for d in ext_dims.values())

@@ -104,12 +104,6 @@ class ModVec:
             terms[(i, self.ring.mono_mul(m, mono))] = (c * coeff) % p
         return ModVec(self.free, terms)
 
-    def poly_mul(self, f):
-        out = self.free.zero()
-        for m, c in f.terms.items():
-            out = out + self.term_mul(m, c)
-        return out
-
     def component_poly(self, i):
         return Polynomial(
             self.ring, {m: c for (j, m), c in self.terms.items() if j == i}
@@ -158,21 +152,21 @@ def leading_mod_term(v, order):
     return k, v.terms[k]
 
 
-def _mod_reduce(v, gens, order, degree_cap=None):
-    """Full normal form of a vector against module GB elements."""
+def _mod_reduce(v, gens, leads, order, degree_cap=None):
+    """Full normal form of a vector against monic module GB elements.
+
+    leads[i] is the leading (component, monomial) of gens[i] under `order`.
+    """
     ring = v.ring
-    field = ring.field
-    lead = [leading_mod_term(g, order) for g in gens]
     rem = v.free.zero()
     h = v
     while not h.is_zero():
         if degree_cap is not None and h.max_mono_degree() > degree_cap:
             raise DegreeCapExceeded("module reduction exceeded the degree cap")
         (comp, mono), c = leading_mod_term(h, order)
-        for g, ((gc_comp, gm), gcoef) in zip(gens, lead):
+        for g, (gc_comp, gm) in zip(gens, leads):
             if gc_comp == comp and ring.mono_divides(gm, mono):
-                q = ring.mono_div(mono, gm)
-                h = h - g.term_mul(q, c * field.inverse(gcoef))
+                h = h - g.term_mul(ring.mono_div(mono, gm), c)
                 break
         else:
             t = ModVec(h.free, {(comp, mono): c})
@@ -181,24 +175,33 @@ def _mod_reduce(v, gens, order, degree_cap=None):
     return rem
 
 
-def module_groebner(vecs, split=0, degree_cap=DEFAULT_DEGREE_CAP):
-    """Groebner basis of the submodule generated by `vecs`."""
-    ring = vecs[0].ring if vecs else None
-    if not vecs:
-        return []
-    order = ModOrder(ring.weights, split)
-    G = [v for v in vecs if not v.is_zero()]
-    G = [
-        v.scale(ring.field.inverse(leading_mod_term(v, order)[1])) for v in G
-    ]
-    G.sort(key=lambda v: order.key(leading_mod_term(v, order)[0]))
-    leads = [leading_mod_term(g, order)[0] for g in G]
-    pairs = {
-        (i, j)
-        for i in range(len(G))
-        for j in range(i + 1, len(G))
-        if leads[i][0] == leads[j][0]
-    }
+def _monic(v, order):
+    """v scaled to leading coefficient 1, with its leading (comp, mono)."""
+    lead, c = leading_mod_term(v, order)
+    return v.scale(v.ring.field.inverse(c)), lead
+
+
+def _extend(G, leads, new, order, degree_cap):
+    """Complete the monic GB G (leading terms `leads`) after adding `new`.
+
+    `new` holds (monic vector, leading term) pairs.  Appends them, then
+    runs Buchberger's loop over the pairs that involve them, the pair of
+    least lcm degree first (ties broken by index).  G and leads are
+    extended in place.
+    """
+    pairs = set()
+
+    def append(g, lead):
+        G.append(g)
+        leads.append(lead)
+        n = len(G) - 1
+        pairs.update((k, n) for k in range(n) if leads[k][0] == lead[0])
+
+    for g, lead in new:
+        append(g, lead)
+    if not G:
+        return G
+    ring = G[0].ring
 
     def pair_deg(pr):
         i, j = pr
@@ -212,24 +215,20 @@ def module_groebner(vecs, split=0, degree_cap=DEFAULT_DEGREE_CAP):
         s = G[i].term_mul(ring.mono_div(lcm, mi), 1) - G[j].term_mul(
             ring.mono_div(lcm, mj), 1
         )
-        h = _mod_reduce(s, G, order, degree_cap)
-        if h.is_zero():
-            continue
-        h = h.scale(ring.field.inverse(leading_mod_term(h, order)[1]))
-        G.append(h)
-        leads.append(leading_mod_term(h, order)[0])
-        n = len(G) - 1
-        pairs.update((k, n) for k in range(n) if leads[k][0] == leads[n][0])
+        h = _mod_reduce(s, G, leads, order, degree_cap)
+        if not h.is_zero():
+            append(*_monic(h, order))
     return G
 
 
-def module_member(v, gb, split=0):
-    if v.is_zero():
-        return True
-    if not gb:
-        return False
-    order = ModOrder(v.ring.weights, split)
-    return _mod_reduce(v, gb, order).is_zero()
+def module_groebner(vecs, split=0, degree_cap=DEFAULT_DEGREE_CAP):
+    """Groebner basis of the submodule generated by `vecs`."""
+    if not vecs:
+        return []
+    order = ModOrder(vecs[0].ring.weights, split)
+    new = [_monic(v, order) for v in vecs if not v.is_zero()]
+    new.sort(key=lambda gl: order.key(gl[1]))
+    return _extend([], [], new, order, degree_cap)
 
 
 def syzygies(vecs, degree_cap=DEFAULT_DEGREE_CAP, twists=None):
@@ -269,17 +268,23 @@ def minimal_generators(vecs, degree_cap=DEFAULT_DEGREE_CAP):
     """Minimal generating subset of a list of homogeneous vectors.
 
     Processes generators by increasing degree and keeps one exactly when it
-    is not a combination of those already kept (graded Nakayama).
+    is not a combination of those already kept (graded Nakayama).  One GB
+    of the kept vectors is extended by each vector kept.
     """
     vecs = [v for v in vecs if not v.is_zero()]
     vecs.sort(key=lambda v: (v.degree(), sorted(v.terms.items())))
+    if not vecs:
+        return []
+    order = ModOrder(vecs[0].ring.weights)
     kept = []
     gb = []
+    leads = []
     for v in vecs:
-        if kept and module_member(v, gb):
+        h = _mod_reduce(v, gb, leads, order)
+        if h.is_zero():
             continue
         kept.append(v)
-        gb = module_groebner(kept, degree_cap=degree_cap)
+        _extend(gb, leads, [_monic(h, order)], order, degree_cap)
     return kept
 
 

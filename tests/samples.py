@@ -1,0 +1,50 @@
+"""Rings shared by several test modules: the `serre.alg` fixture rings,
+duplications of k[x1..x3], and a hypothesis strategy for random monomial
+and binomial ideals of k[x, y, z]."""
+
+from importlib import resources
+from itertools import product
+
+from hypothesis import strategies as st
+
+from amalgams.amalgam import amalgam_present, duplication
+from amalgams.cli import parse_input
+from amalgams.poly import PolyRing
+from amalgams.ring import IdealHandle, PresentedRing, make_ring
+
+
+def serre_rings():
+    text = resources.files("amalgams").joinpath("fixtures", "serre.alg").read_text()
+    return [R for _kind, R in parse_input(text).decls.values()]
+
+
+def k3_duplications():
+    """The rings C/K of k[x1..x3] duplicated along m and along the squares."""
+    A = make_ring(101, ["x1", "x2", "x3"])
+    return [
+        amalgam_present(duplication(A, IdealHandle(A, gens))).ring
+        for gens in (["x1", "x2", "x3"], ["x1^2", "x2^2", "x3^2"])
+    ]
+
+
+VARS = ["x", "y", "z"]
+
+
+def _monomials(d):
+    return [e for e in product(range(d + 1), repeat=len(VARS)) if sum(e) == d]
+
+
+@st.composite
+def binomial_or_monomial_rings(draw):
+    """k[x, y, z] over GF(101) modulo generators x^a - c*x^b of one degree,
+    which are monomials x^a when c = 0."""
+    S = PolyRing(101, VARS)
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.integers(1, 3))
+        a, b = draw(
+            st.lists(st.sampled_from(_monomials(d)), min_size=2, max_size=2, unique=True)
+        )
+        c = draw(st.integers(0, 100))
+        gens.append(S.monomial(a) - S.monomial(b, c))
+    return PresentedRing(S, gens)

@@ -1,5 +1,6 @@
 import pytest
 
+from amalgams import homology
 from amalgams.cli import (
     Options,
     cmd_dispatch,
@@ -9,7 +10,12 @@ from amalgams.cli import (
     socle_dimension,
     verify_paper,
 )
-from amalgams.errors import ParseError, UnknownReference
+from amalgams.errors import (
+    AlgebraError,
+    ParseError,
+    ResolutionTooLong,
+    UnknownReference,
+)
 from amalgams.ring import make_ring
 
 INTERSECTION = """\
@@ -163,6 +169,12 @@ def test_main_exit_codes(tmp_path, capsys):
             3,
             "inhomogeneous module vector",
         ),
+        (
+            "field p=101\nring A vars x\n"
+            "trivext T : A, module gens 0, 1 relations x*e1 + x*e2\n",
+            3,
+            "inhomogeneous module vector",
+        ),
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, text, line, message):
@@ -171,6 +183,36 @@ def test_malformed_input_exits_2(tmp_path, capsys, text, line, message):
     assert main([str(bad), "present", "T"]) == 2
     err = capsys.readouterr().err
     assert err == f"parse error: line {line}: {message}\n"
+
+
+def test_trivext_generator_degree_below_one(tmp_path, capsys):
+    # trivial_extension shifts the module so its lowest generator sits in
+    # degree 1, so degree 0 presents the same ring as degree 1.
+    f = tmp_path / "t.alg"
+    f.write_text(
+        "field p=101\nring A vars x\ntrivext T : A, module gens 0 relations x*e1\n"
+    )
+    assert main([str(f), "present", "T"]) == 0
+    assert capsys.readouterr().out == "K = x*z1, z1^2\ncertificate = Certified\n"
+
+
+def test_unknown_name_in_command(tmp_path, capsys):
+    f = tmp_path / "a.alg"
+    f.write_text("ring A vars x\n")
+    assert main([str(f), "present", "T"]) == 2
+    assert capsys.readouterr().err == "error: unknown name 'T'\n"
+
+
+def test_resolution_bound_exits_1(tmp_path, capsys, monkeypatch):
+    assert issubclass(ResolutionTooLong, AlgebraError)
+    # Syzygies that never vanish make the resolution overrun its bound.
+    monkeypatch.setattr(homology, "syzygies", lambda vecs, cap: vecs)
+    f = tmp_path / "h.alg"
+    f.write_text("ring H vars x, z ideal: z^2\n")
+    assert main([str(f), "classify", "H"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ResolutionTooLong: ")
+    assert err.count("\n") == 1
 
 
 def test_main_flags(tmp_path):

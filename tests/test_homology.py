@@ -1,9 +1,12 @@
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
 
+from amalgams import homology
 from amalgams.errors import ZeroModule
 from amalgams.homology import (
+    _ext_from_resolution,
     annihilator,
     canonical_module,
     classify,
@@ -21,6 +24,7 @@ from amalgams.poly import PolyRing, parse_poly
 from amalgams.ring import IdealHandle, hilbert_function, make_ring
 from amalgams.series import HilbertSeries, lp_const, lp_monomial
 from oracles import resolution_series
+from samples import binomial_or_monomial_rings, k3_duplications, serre_rings
 
 
 def intersection_ring(p=101):
@@ -333,3 +337,39 @@ def test_weighted_ring_invariants():
     hs = hilbert_series(R)
     for d in range(9):
         assert hs.coefficient(d) == hilbert_function(R, d)
+
+
+def test_ext_from_one_resolution_matches_ext_module():
+    for R in serre_rings() + k3_duplications():
+        M = FPModule.quotient_ring(R)
+        res = free_resolution(M)
+        for j in range(R.ambient.nvars + 1):
+            a = _ext_from_resolution(res, j)
+            b = ext_module(M, j)
+            assert a.twists == b.twists
+            assert a.relations == b.relations
+
+
+def test_classify_builds_one_resolution(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return free_resolution(*args)
+
+    monkeypatch.setattr(homology, "free_resolution", counted)
+    rep = classify(intersection_ring())
+    assert len(calls) == 1
+    assert rep.betti == [1, 2, 1]
+
+
+@settings(max_examples=25)
+@given(binomial_or_monomial_rings())
+def test_depth_and_betti_numbers_against_series(R):
+    rep = classify(R)
+    assert rep.depth <= rep.dim
+    # The Betti twists give the numerator of the Hilbert series over
+    # prod(1 - t^w), so at t = 1 it is the alternating Betti sum.
+    num = hilbert_series(R).num
+    assert sum(num.values()) == sum((-1) ** i * b for i, b in enumerate(rep.betti))
+    assert_same_series(R)
