@@ -97,7 +97,8 @@ class Session:
             raise UnknownReference(f"{where}unknown name {name!r}")
         k, obj = self.decls[name]
         if k != kind:
-            raise UnknownReference(f"{where}{name!r} is a {k}, expected {kind}")
+            article = "an" if k[0] in "aeiou" else "a"
+            raise UnknownReference(f"{where}{name!r} is {article} {k}, expected {kind}")
         return obj
 
 
@@ -397,19 +398,23 @@ def cmd_present(session, name, options):
     return report
 
 
-def cmd_classify(session, name, options):
-    report = Report()
+def _ring_or_presented(session, name, options, report):
+    """The ring `name`, or the presented ring C/K of the amalgam `name`."""
     kind, obj = session.decls.get(name, (None, None))
     if kind == "ring":
-        ring = obj
-    elif kind == "amalgam":
+        return obj
+    if kind == "amalgam":
         P = _present(session, obj, options)
         if not P.certificate.is_certified():
             report.note(f"presentation not certified: {P.certificate!r}")
             report.status = 1
-        ring = P.ring
-    else:
-        raise UnknownReference(f"unknown ring or amalgam {name!r}")
+        return P.ring
+    raise UnknownReference(f"unknown ring or amalgam {name!r}")
+
+
+def cmd_classify(session, name, options):
+    report = Report()
+    ring = _ring_or_presented(session, name, options, report)
     rep = classify(
         ring,
         assume_equidimensional=(name in options.assume_equidim),
@@ -421,7 +426,7 @@ def cmd_classify(session, name, options):
 
 def cmd_canonical(session, name, options):
     report = Report()
-    ring = session.get(name, "ring")
+    ring = _ring_or_presented(session, name, options, report)
     w = canonical_module(ring, options.degree_cap).minimal_presentation(
         options.degree_cap
     )
@@ -449,11 +454,9 @@ def cmd_hom_into(session, name, options):
 def cmd_finite_check(session, name, options):
     report = Report()
     W = session.get(name, "famalgam")
-    labels, verdict = classify_primes(W)
+    labels, verdict, spectrum = classify_primes(W)
     report.add("order", W.order)
-    from .finite import enumerate_primes
-
-    report.add("primes", len(enumerate_primes(W.ring)))
+    report.add("primes", len(spectrum))
     report.add("candidates", len({l.elements for l in labels}))
     report.add("cardinality", "ok" if W.order == W.A.n * len(W.J) else "mismatch")
     report.add("classification", "match" if verdict else "mismatch")
@@ -700,12 +703,12 @@ def _item_finite_spectrum(p, cap):
         W = s.get(name, "famalgam")
         if W.order != W.A.n * len(W.J):
             return False
-        _, verdict = classify_primes(W)
+        _, verdict, _ = classify_primes(W)
         if not verdict:
             return False
     # J = 0 degenerates to A itself, up to relabeling
     W0 = s.get("W0", "famalgam")
-    _, v0 = classify_primes(W0)
+    _, v0, _ = classify_primes(W0)
     return v0 and find_isomorphism(W0.ring, W0.A) is not None
 
 

@@ -60,24 +60,22 @@ class FiniteRing:
             if not np.array_equal(mul[a, add[b, c]], add[mul[a, b], mul[a, c]]):
                 raise NotARing("distributivity fails")
         else:
+            add, mul = add.tolist(), mul.tolist()
             rng = random.Random(0)
             for _ in range(RANDOM_CHECK_SAMPLES):
                 a = rng.randrange(n)
                 b = rng.randrange(n)
                 c = rng.randrange(n)
-                if add[add[a, b], c] != add[a, add[b, c]]:
+                if add[add[a][b]][c] != add[a][add[b][c]]:
                     raise NotARing("addition is not associative")
-                if mul[mul[a, b], c] != mul[a, mul[b, c]]:
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
                     raise NotARing("multiplication is not associative")
-                if mul[a, add[b, c]] != add[mul[a, b], mul[a, c]]:
+                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
                     raise NotARing("distributivity fails")
 
     @property
     def one(self):
         return 1 if self.n > 1 else 0
-
-    def neg(self, a):
-        return int(np.nonzero(self.add[a] == 0)[0][0])
 
     def __repr__(self):
         return self.name or f"FiniteRing(order {self.n})"
@@ -126,10 +124,6 @@ class ProductRing(FiniteRing):
 
     def pair_index(self, a, b):
         return int(self._perm[a * self.factors[1].n + b])
-
-    def unpair(self, idx):
-        raw = int(np.nonzero(self._perm == idx)[0][0])
-        return raw // self.factors[1].n, raw % self.factors[1].n
 
 
 def quotient_ring(R, I, name=None):
@@ -189,39 +183,50 @@ class FiniteIdeal:
         return "{" + ", ".join(str(e) for e in sorted(self.elements)) + "}"
 
 
+def _ideal_sum(add, I, P):
+    """I + P for an ideal I and an additive subgroup P, given the addition
+    table as nested lists: the union of the cosets x + P over x in I.  An
+    x already in the union adds nothing new, since its coset is there."""
+    S = set()
+    for x in I:
+        if x not in S:
+            row = add[x]
+            S.update([row[y] for y in P])
+    return frozenset(S)
+
+
 def ideal_generated_by(R, gens):
-    """Smallest ideal containing the given elements."""
-    elems = set()
+    """Smallest ideal containing the given elements: the sum of the R*g."""
+    add, mul = R.add.tolist(), R.mul.tolist()
+    elems = frozenset([0])
     for g in gens:
-        for r in range(R.n):
-            elems.add(int(R.mul[r, g]))
-    elems.add(0)
-    # additive closure (multiples are already closed under scaling)
-    frontier = True
-    while frontier:
-        frontier = False
-        for a in list(elems):
-            for b in list(elems):
-                s = int(R.add[a, b])
-                if s not in elems:
-                    elems.add(s)
-                    frontier = True
+        if g not in elems:
+            elems = _ideal_sum(add, elems, mul[g])
     return FiniteIdeal(R, elems, check=False)
 
 
 def all_ideals(R):
-    """The ideal lattice, as the join-closure of all principal ideals."""
-    principals = {ideal_generated_by(R, [a]).elements for a in range(R.n)}
+    """The ideal lattice: every sum of principal ideals, in sorted order.
+
+    Row a of the multiplication table is the principal ideal R*a, and the
+    join of two ideals is their sum, so the lattice is the closure of the
+    principal ideals under I -> I + R*a.
+    """
+    add = R.add.tolist()
+    # principal ideal -> one generator; R*a lies in I iff a does
+    principals = {frozenset(row): a for a, row in enumerate(R.mul.tolist())}
     lattice = set(principals)
-    frontier = set(principals)
+    frontier = list(principals)
     while frontier:
-        new = set()
+        new = []
         for I in frontier:
-            for P in principals:
-                J = ideal_generated_by(R, I | P).elements
-                if J not in lattice:
-                    lattice.add(J)
-                    new.add(J)
+            for P, a in principals.items():
+                if a in I:
+                    continue
+                S = _ideal_sum(add, I, P)
+                if S not in lattice:
+                    lattice.add(S)
+                    new.append(S)
         frontier = new
     return [FiniteIdeal(R, e, check=False) for e in sorted(lattice, key=sorted)]
 
@@ -230,14 +235,14 @@ def enumerate_primes(R):
     """All prime ideals (= maximal ideals in a finite commutative ring)."""
     if R.n > SPECTRUM_SIZE_CAP:
         raise SizeCap(f"|R| = {R.n} exceeds the spectrum cap {SPECTRUM_SIZE_CAP}")
+    mul = R.mul.tolist()
     primes = []
     for I in all_ideals(R):
         if not I.is_proper():
             continue
-        outside = [a for a in range(R.n) if a not in I.elements]
-        if all(
-            int(R.mul[a, b]) not in I.elements for a in outside for b in outside
-        ):
+        E = I.elements
+        outside = [a for a in range(R.n) if a not in E]
+        if all(E.isdisjoint(map(mul[a].__getitem__, outside)) for a in outside):
             primes.append(I)
     return primes
 
@@ -249,11 +254,13 @@ def check_hom(A, B, images):
         raise NotAHom("one image per element")
     if f[0] != 0 or f[A.one] != B.one:
         raise NotAHom("does not preserve 0 and 1")
+    Aadd, Amul = A.add.tolist(), A.mul.tolist()
+    Badd, Bmul = B.add.tolist(), B.mul.tolist()
     for a in range(A.n):
         for b in range(A.n):
-            if f[int(A.add[a, b])] != int(B.add[f[a], f[b]]):
+            if f[Aadd[a][b]] != Badd[f[a]][f[b]]:
                 raise NotAHom(f"additivity fails at ({a}, {b})")
-            if f[int(A.mul[a, b])] != int(B.mul[f[a], f[b]]):
+            if f[Amul[a][b]] != Bmul[f[a]][f[b]]:
                 raise NotAHom(f"multiplicativity fails at ({a}, {b})")
     return f
 
@@ -283,31 +290,31 @@ class FiniteAmalgam:
         self.B = B
         self.f = check_hom(A, B, f)
         self.J = J
-        pairs = sorted(
-            {(a, int(B.add[self.f[a], j])) for a in range(A.n) for j in J.elements}
-        )
+        f, nB = self.f, B.n
+        Badd = B.add.tolist()
+        pairs = sorted({(a, Badd[f[a]][j]) for a in range(A.n) for j in J.elements})
         if len(pairs) != A.n * len(J.elements):
             raise NotARing(
                 "amalgam cardinality differs from |A| * |J|; construction invalid"
             )
         self.pairs = pairs
-        index = {p: i for i, p in enumerate(pairs)}
         m = len(pairs)
-        add = np.zeros((m, m), dtype=np.int64)
-        mul = np.zeros((m, m), dtype=np.int64)
-        for i, (a1, b1) in enumerate(pairs):
-            for k, (a2, b2) in enumerate(pairs):
-                s = (int(A.add[a1, a2]), int(B.add[b1, b2]))
-                t = (int(A.mul[a1, a2]), int(B.mul[b1, b2]))
-                if s not in index or t not in index:
-                    raise NotARing("amalgam subset is not closed in A x B")
-                add[i, k] = index[s]
-                mul[i, k] = index[t]
-        one_idx = index[(A.one, B.one)]
+        a = np.array([p[0] for p in pairs], dtype=np.int64)
+        b = np.array([p[1] for p in pairs], dtype=np.int64)
+        # pair code a * |B| + b -> index in `pairs`, -1 off the subset
+        lookup = np.full(A.n * nB, -1, dtype=np.int64)
+        lookup[a * nB + b] = np.arange(m)
+        ai, ak = a[:, None], a[None, :]
+        bi, bk = b[:, None], b[None, :]
+        add = lookup[A.add[ai, ak] * nB + B.add[bi, bk]]
+        mul = lookup[A.mul[ai, ak] * nB + B.mul[bi, bk]]
+        if (add < 0).any() or (mul < 0).any():
+            raise NotARing("amalgam subset is not closed in A x B")
+        one_idx = int(lookup[A.one * nB + B.one])
         (add, mul), perm = _normalize_one(add, mul, one_idx)
         self._perm = perm
         self.ring = FiniteRing(add, mul, name="amalgam")
-        self.index = {p: int(perm[i]) for p, i in index.items()}
+        self.index = {p: int(perm[i]) for i, p in enumerate(pairs)}
 
     @property
     def order(self):
@@ -328,17 +335,15 @@ class FiniteAmalgam:
         )
 
 
-def build_amalgam(A, B, f, J):
-    return FiniteAmalgam(A, B, f, J)
-
-
 def classify_primes(W):
     """Compare brute-force Spec(W) with the pullback candidates.
 
     Candidates are p'^f for p in Spec(A) and q^bar^f for q in Spec(B) not
-    containing J; the verdict is exact set equality.
+    containing J; the verdict is exact set equality.  Returns the labels,
+    the verdict and Spec(W) itself, as the list of W.ring's primes.
     """
-    actual = {P.elements for P in enumerate_primes(W.ring)}
+    spectrum = enumerate_primes(W.ring)
+    actual = {P.elements for P in spectrum}
     labels = []
     candidates = set()
     for p in enumerate_primes(W.A):
@@ -352,7 +357,7 @@ def classify_primes(W):
         labels.append(PrimeLabel(PrimeLabel.FROM_B, q.elements, s))
         candidates.add(s)
     verdict = candidates == actual
-    return labels, verdict
+    return labels, verdict, spectrum
 
 
 def find_isomorphism(R, S):

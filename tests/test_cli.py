@@ -89,6 +89,30 @@ def test_canonical_report():
     assert report.lines[0] == "mu = 2"
 
 
+def test_canonical_of_amalgam_presents_it_first():
+    # W24 presents as C/K with C = k[x, z1, z2] (see test_present_report)
+    presented = "field p=101\nring C vars x, z1, z2 ideal: x*z1 - z1^2, x*z2 - z1*z2\n"
+    report = dispatch(INTERSECTION, ["canonical", "W24"])
+    assert report.status == 0
+    assert report.lines == dispatch(presented, ["canonical", "C"]).lines
+    assert report.lines[:3] == ["mu = 1", "twists = 2", "relations = 1"]
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["present", "A"], "'A' is a ring, expected amalgam"),
+        (["hom-into", "J"], "'J' is an ideal, expected amalgam"),
+        (["finite", "check", "W24"], "'W24' is an amalgam, expected famalgam"),
+    ],
+)
+def test_kind_mismatch_message(tmp_path, capsys, command, message):
+    f = tmp_path / "w.alg"
+    f.write_text(INTERSECTION)
+    assert main([str(f)] + command) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_hom_into_report():
     text = "field p=101\nring A vars x\nideal I in A : x\nduplication D : A, I\n"
     report = dispatch(text, ["hom-into", "D"])

@@ -1,6 +1,11 @@
+from importlib import resources
+from math import gcd
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from amalgams.cli import parse_input
 from amalgams.errors import NotAHom, NotARing, SizeCap
 from amalgams.finite import (
     FiniteAmalgam,
@@ -15,6 +20,11 @@ from amalgams.finite import (
     ideal_generated_by,
     quotient_ring,
     zmod,
+)
+from oracles import (
+    all_ideals_closure,
+    amalgam_tables_loop,
+    ideal_generated_by_closure,
 )
 
 
@@ -114,9 +124,10 @@ def test_amalgam_cardinality():
 def test_classify_primes_duplication_z6():
     Z6 = zmod(6)
     W = FiniteAmalgam(Z6, Z6, list(range(6)), ideal_generated_by(Z6, [3]))
-    labels, verdict = classify_primes(W)
+    labels, verdict, spectrum = classify_primes(W)
     assert verdict
     assert len(enumerate_primes(W.ring)) == 3
+    assert spectrum == enumerate_primes(W.ring)
     tags = sorted(l.tag for l in labels)
     assert tags == ["FromA", "FromA", "FromB"]
 
@@ -124,7 +135,7 @@ def test_classify_primes_duplication_z6():
 def test_classify_primes_reduction():
     Z8, Z4 = zmod(8), zmod(4)
     W = FiniteAmalgam(Z8, Z4, [a % 4 for a in range(8)], ideal_generated_by(Z4, [2]))
-    labels, verdict = classify_primes(W)
+    labels, verdict, _ = classify_primes(W)
     assert verdict
     assert len(enumerate_primes(W.ring)) == 1
 
@@ -134,7 +145,7 @@ def test_classify_primes_product_fixture():
     J = ideal_generated_by(P, [P.pair_index(2, 0)])
     W = FiniteAmalgam(P, P, list(range(P.n)), J)
     assert W.order == P.n * len(J)
-    labels, verdict = classify_primes(W)
+    labels, verdict, _ = classify_primes(W)
     assert verdict
 
 
@@ -143,7 +154,7 @@ def test_zero_ideal_amalgam_isomorphic_to_A():
     W = FiniteAmalgam(Z6, Z6, list(range(6)), ideal_generated_by(Z6, [0]))
     assert W.order == 6
     assert find_isomorphism(W.ring, Z6) is not None
-    labels, verdict = classify_primes(W)
+    labels, verdict, _ = classify_primes(W)
     assert verdict
     # only FromA candidates: V(J) is everything when J = 0
     assert all(l.tag == "FromA" for l in labels)
@@ -163,3 +174,96 @@ def test_embedding_and_retraction():
         # the first coordinate recovers a: P_A(iota_A(a)) = a
         if b == W.f[a]:
             assert (a, b) in W.pairs
+
+
+def fixture_amalgams():
+    text = resources.files("amalgams").joinpath("fixtures", "finite.alg").read_text()
+    return [W for kind, W in parse_input(text).decls.values() if kind == "famalgam"]
+
+
+def reduction_amalgam(n, m, d):
+    """Z/n -> Z/m, reduction mod m, along J = (d): the benchmark's shapes."""
+    Zm = zmod(m)
+    Zn = Zm if n == m else zmod(n)
+    return FiniteAmalgam(Zn, Zm, [a % m for a in range(n)], ideal_generated_by(Zm, [d]))
+
+
+BENCH_SHAPES = [(12, 12, 6), (18, 18, 6), (30, 30, 15), (60, 60, 30), (24, 12, 6), (48, 24, 12)]
+
+
+def small_rings():
+    P42 = ProductRing(zmod(4), zmod(2))
+    P46 = ProductRing(zmod(4), zmod(6))
+    return [
+        P42,
+        P46,
+        ProductRing(zmod(2), zmod(2)),
+        ProductRing(ProductRing(zmod(2), zmod(2)), zmod(3)),
+        quotient_ring(zmod(12), ideal_generated_by(zmod(12), [4])),
+        quotient_ring(P46, ideal_generated_by(P46, [P46.pair_index(2, 3)])),
+        quotient_ring(P42, ideal_generated_by(P42, [P42.pair_index(0, 1)])),
+    ]
+
+
+def assert_ideals_match_closure(R):
+    assert [I.elements for I in all_ideals(R)] == [
+        I.elements for I in all_ideals_closure(R)
+    ]
+    for gens in ([], [0], [R.one], [R.n - 1], list(range(R.n)), [R.n // 2, R.n // 3]):
+        assert ideal_generated_by(R, gens) == ideal_generated_by_closure(R, gens)
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 60), st.data())
+def test_zmod_ideals_match_closure(n, data):
+    R = zmod(n)
+    assert_ideals_match_closure(R)
+    gens = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
+    assert ideal_generated_by(R, gens) == ideal_generated_by_closure(R, gens)
+
+
+def test_product_and_quotient_ideals_match_closure():
+    for R in small_rings():
+        assert_ideals_match_closure(R)
+
+
+def test_fixture_amalgam_ideals_match_closure():
+    for W in fixture_amalgams():
+        assert_ideals_match_closure(W.ring)
+
+
+def test_zmod_ideal_count_is_divisor_count():
+    for n in range(1, 61):
+        divisors = sum(1 for d in range(1, n + 1) if n % d == 0)
+        assert len(all_ideals(zmod(n))) == divisors
+
+
+@given(st.integers(1, 60), st.data())
+def test_zmod_two_generators_give_gcd(n, data):
+    a = data.draw(st.integers(0, n - 1))
+    b = data.draw(st.integers(0, n - 1))
+    g = gcd(gcd(a, b), n)
+    assert ideal_generated_by(zmod(n), [a, b]).elements == set(range(0, n, g))
+
+
+def test_amalgam_tables_match_loop():
+    amalgams = fixture_amalgams() + [reduction_amalgam(*s) for s in BENCH_SHAPES]
+    for W in amalgams:
+        add, mul = amalgam_tables_loop(W.A, W.B, W.f, W.J)
+        assert np.array_equal(W.ring.add, add)
+        assert np.array_equal(W.ring.mul, mul)
+
+
+def test_amalgam_of_non_ideal_rejected():
+    Z6 = zmod(6)
+    # {0, 2} is not closed under addition
+    J = FiniteIdeal(Z6, [0, 2], check=False)
+    # the additive subgroup generated by (1, 1) in Z/4 x Z/2 is no ideal:
+    # (1, 0) * (1, 1) = (1, 0) lies outside it
+    P = ProductRing(zmod(4), zmod(2))
+    S = FiniteIdeal(P, [P.pair_index(k % 4, k % 2) for k in range(4)], check=False)
+    for A, f, J in [(Z6, list(range(6)), J), (P, list(range(P.n)), S)]:
+        with pytest.raises(NotARing, match="not closed"):
+            FiniteAmalgam(A, A, f, J)
+        with pytest.raises(NotARing, match="not closed"):
+            amalgam_tables_loop(A, A, f, J)
