@@ -152,6 +152,8 @@ class FiniteIdeal:
         self.ring = ring
         self.elements = frozenset(int(e) for e in elements)
         if check:
+            if not all(0 <= e < ring.n for e in self.elements):
+                raise NotARing(f"ideal labels must lie in 0..{ring.n - 1}")
             if 0 not in self.elements:
                 raise NotARing("ideal must contain 0")
             for a in self.elements:
@@ -252,6 +254,8 @@ def check_hom(A, B, images):
     f = [int(x) for x in images]
     if len(f) != A.n:
         raise NotAHom("one image per element")
+    if not all(0 <= x < B.n for x in f):
+        raise NotAHom(f"image labels must lie in 0..{B.n - 1}")
     if f[0] != 0 or f[A.one] != B.one:
         raise NotAHom("does not preserve 0 and 1")
     Aadd, Amul = A.add.tolist(), A.mul.tolist()

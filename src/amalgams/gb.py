@@ -1,14 +1,27 @@
-"""Buchberger engine and derived ideal operations.
+"""Ideals as rank-1 submodules of the one Groebner engine in `modules`.
 
-Everything here is deterministic: the S-pair selection uses the normal
-strategy (minimal lcm weighted degree, ties by smallest pair index), and
-reduced Groebner bases are unique for a fixed ideal and order, so rerunning
-the engine reproduces them element for element.
+`buchberger` is the module Groebner basis of the rank-1 vectors,
+minimalized and tail-reduced; `normal_form` is the module reducer;
+`intersect` and `colon` are syzygy computations; `eliminate` and
+`kernel_of_map` run the same engine under a block order.  Everything here
+is deterministic: the S-pair selection uses the normal strategy (minimal
+lcm weighted degree, ties by smallest pair index), and reduced Groebner
+bases are unique for a fixed ideal and order, so rerunning the engine
+reproduces them element for element.
 """
 
 from __future__ import annotations
 
-from .errors import ContextMismatch, DegreeCapExceeded
+from .errors import ContextMismatch
+from .modules import (
+    DEFAULT_DEGREE_CAP,
+    FreeModule,
+    ModOrder,
+    _mod_reduce,
+    leading_mod_term,
+    module_groebner,
+    syzygies,
+)
 from .poly import (
     GREVLEX,
     BlockOrder,
@@ -16,8 +29,6 @@ from .poly import (
     Polynomial,
     leading_term,
 )
-
-DEFAULT_DEGREE_CAP = 64
 
 
 class IdealBasis:
@@ -29,10 +40,6 @@ class IdealBasis:
         for g in self.gens:
             if g.ring != ring:
                 raise ContextMismatch("generator in wrong ring")
-
-    @property
-    def homogeneous(self):
-        return all(g.is_homogeneous() for g in self.gens)
 
     def is_zero(self):
         return not self.gens
@@ -50,7 +57,7 @@ class GroebnerBasis:
         self.ring = ring
         self.elements = elements
         self.order = order
-        self.reduced = True
+        self._vectors = None
 
     def is_zero(self):
         return not self.elements
@@ -61,129 +68,54 @@ class GroebnerBasis:
     def leading_monomials(self):
         return [leading_term(g, self.order)[0] for g in self.elements]
 
+    def _as_vectors(self):
+        """(rank-1 vectors, their leading terms, module order): the form
+        `normal_form` reduces against, built on first use."""
+        if self._vectors is None:
+            leads = [(0, m) for m in self.leading_monomials()]
+            order = ModOrder(self.ring.weights, order=self.order)
+            self._vectors = (_rank_one(self.ring, self.elements), leads, order)
+        return self._vectors
+
     def __repr__(self):
         if not self.elements:
             return "GB<0>"
         return "GB<" + ", ".join(str(g) for g in self.elements) + ">"
 
 
-def _reduce_full(f, gens, order, degree_cap=None):
-    """Full normal form of f against a list of nonzero polynomials."""
-    ring = f.ring
-    field = ring.field
-    lead = [leading_term(g, order) for g in gens]
-    remainder = ring.zero()
-    h = f
-    while not h.is_zero():
-        if degree_cap is not None and h.degree() > degree_cap:
-            raise DegreeCapExceeded(
-                f"intermediate degree {h.degree()} exceeds cap {degree_cap}"
-            )
-        m, c = leading_term(h, order)
-        for g, (gm, gc) in zip(gens, lead):
-            if ring.mono_divides(gm, m):
-                q = ring.monomial(ring.mono_div(m, gm), c * field.inverse(gc))
-                h = h - q * g
-                break
-        else:
-            t = ring.monomial(m, c)
-            remainder = remainder + t
-            h = h - t
-    return remainder
-
-
-def _spoly(f, g, order):
-    ring = f.ring
-    field = ring.field
-    fm, fc = leading_term(f, order)
-    gm, gc = leading_term(g, order)
-    lcm = ring.mono_lcm(fm, gm)
-    uf = ring.monomial(ring.mono_div(lcm, fm), field.inverse(fc))
-    ug = ring.monomial(ring.mono_div(lcm, gm), field.inverse(gc))
-    return uf * f - ug * g
+def _rank_one(ring, polys):
+    """The polynomials as vectors of the free module S^1."""
+    free = FreeModule(ring, [0])
+    return [free.from_polys([f]) for f in polys]
 
 
 def buchberger(basis, order=GREVLEX, degree_cap=DEFAULT_DEGREE_CAP):
-    """Reduced Groebner basis of the ideal generated by `basis`."""
+    """Reduced Groebner basis of the ideal generated by `basis`: the module
+    engine's basis of the rank-1 submodule, minimalized and tail-reduced."""
     ring = basis.ring
-    field = ring.field
-    G = []
-    for g in sorted(
-        basis.gens, key=lambda g: order.key(leading_term(g, order)[0], ring.weights)
-    ):
-        if not g.is_zero():
-            _, c = leading_term(g, order)
-            G.append(g.scale(field.inverse(c)))
-    if not G:
-        return GroebnerBasis(ring, [], order)
-
-    lms = [leading_term(g, order)[0] for g in G]
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
-
-    def lcm_deg(pair):
-        i, j = pair
-        return ring.mono_degree(ring.mono_lcm(lms[i], lms[j]))
-
-    while pairs:
-        i, j = min(pairs, key=lambda pr: (lcm_deg(pr), pr))
-        pairs.discard((i, j))
-        lcm = ring.mono_lcm(lms[i], lms[j])
-        # Buchberger's first criterion: coprime leading monomials.
-        if lcm == ring.mono_mul(lms[i], lms[j]):
-            continue
-        # Second (chain) criterion.
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if ring.mono_divides(lms[k], lcm):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a not in pairs and b not in pairs:
-                    skip = True
-                    break
-        if skip:
-            continue
-        h = _reduce_full(_spoly(G[i], G[j], order), G, order, degree_cap)
-        if h.is_zero():
-            continue
-        if h.degree() > degree_cap:
-            raise DegreeCapExceeded(
-                f"basis element degree {h.degree()} exceeds cap {degree_cap}"
-            )
-        _, c = leading_term(h, order)
-        h = h.scale(field.inverse(c))
-        G.append(h)
-        lms.append(leading_term(h, order)[0])
-        n = len(G) - 1
-        pairs.update((k, n) for k in range(n))
-
+    morder = ModOrder(ring.weights, order=order)
+    G = module_groebner(_rank_one(ring, basis.gens), morder, degree_cap)
+    lms = [leading_mod_term(g, morder)[0][1] for g in G]
     # Minimalize: drop elements whose leading monomial is divisible by
     # another one.
-    minimal = []
-    for idx in range(len(G)):
-        lm = lms[idx]
-        dominated = False
-        for k in range(len(G)):
-            if k == idx:
-                continue
-            if ring.mono_divides(lms[k], lm) and (lms[k] != lm or k < idx):
-                dominated = True
-                break
-        if not dominated:
-            minimal.append(G[idx])
+    minimal = [
+        idx
+        for idx, lm in enumerate(lms)
+        if not any(
+            k != idx and ring.mono_divides(lms[k], lm) and (lms[k] != lm or k < idx)
+            for k in range(len(G))
+        )
+    ]
     # Tail-reduce each survivor against the others.
     reduced = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        if others:
-            g = _reduce_full(g, others, order)
-        _, c = leading_term(g, order)
-        reduced.append(g.scale(field.inverse(c)))
-    reduced.sort(
-        key=lambda g: order.key(leading_term(g, order)[0], ring.weights), reverse=True
-    )
-    return GroebnerBasis(ring, reduced, order)
+    for idx in minimal:
+        others = [k for k in minimal if k != idx]
+        g = _mod_reduce(
+            G[idx], [G[k] for k in others], [(0, lms[k]) for k in others], morder
+        )
+        reduced.append((order.key(lms[idx], ring.weights), g.component_poly(0)))
+    reduced.sort(key=lambda kg: kg[0], reverse=True)
+    return GroebnerBasis(ring, [g for _, g in reduced], order)
 
 
 def normal_form(f, G):
@@ -192,7 +124,9 @@ def normal_form(f, G):
         raise ContextMismatch("polynomial and basis in different rings")
     if not G.elements:
         return f
-    return _reduce_full(f, G.elements, G.order)
+    vecs, leads, morder = G._as_vectors()
+    (v,) = _rank_one(f.ring, [f])
+    return _mod_reduce(v, vecs, leads, morder).component_poly(0)
 
 
 def ideal_member(f, G):
@@ -250,59 +184,34 @@ def eliminate(basis, front_vars, degree_cap=DEFAULT_DEGREE_CAP):
     return IdealBasis(sub_ring, survivors)
 
 
-def _extend_ring(ring, extra_names, extra_weights, front=True):
-    """New ring with extra variables prepended (front) or appended."""
-    if front:
-        names = list(extra_names) + list(ring.names)
-        weights = list(extra_weights) + list(ring.weights)
-        slot = {i: i + len(extra_names) for i in range(ring.nvars)}
-    else:
-        names = list(ring.names) + list(extra_names)
-        weights = list(ring.weights) + list(extra_weights)
-        slot = {i: i for i in range(ring.nvars)}
-    return PolyRing(ring.field, names, weights), slot
+def syzygy_ideal(vecs, twists, degree_cap=DEFAULT_DEGREE_CAP):
+    """The ideal of first coordinates of the syzygies of `vecs`."""
+    syz = syzygies(vecs, degree_cap, twists=twists)
+    return IdealBasis(vecs[0].ring, [v.component_poly(0) for v in syz])
 
 
 def intersect(I, J, degree_cap=DEFAULT_DEGREE_CAP):
-    """Generators of the intersection of two ideals (t-trick + elimination)."""
+    """Generators of the intersection of two ideals: a*(1, 1) + sum b*(f, 0)
+    + sum c*(0, g) = 0 exactly when a lies in both."""
     if I.ring != J.ring:
         raise ContextMismatch("ideals in different rings")
     ring = I.ring
     if I.is_zero() or J.is_zero():
         return IdealBasis(ring, [])
-    ext, slot = _extend_ring(ring, ["@t"], [1], front=True)
-    t = ext.var("@t")
-    gens = [t * _map_exponents(g, ext, slot) for g in I.gens]
-    gens += [(ext.one() - t) * _map_exponents(g, ext, slot) for g in J.gens]
-    contracted = eliminate(IdealBasis(ext, gens), ["@t"], degree_cap)
-    # The eliminated subring has the same variables as the original ring.
-    back = [
-        Polynomial(ring, dict(g.terms)) for g in contracted.gens
-    ]
-    G = buchberger(IdealBasis(ring, back), GREVLEX, degree_cap)
+    free = FreeModule(ring, [0, 0])
+    zero = ring.zero()
+    vecs = [free.from_polys([ring.one(), ring.one()])]
+    vecs += [free.from_polys([f, zero]) for f in I.gens]
+    vecs += [free.from_polys([zero, g]) for g in J.gens]
+    twists = [0] + [f.degree() for f in I.gens + J.gens]
+    meet = syzygy_ideal(vecs, twists, degree_cap)
+    G = buchberger(meet, GREVLEX, degree_cap)
     return IdealBasis(ring, G.elements)
 
 
-def _exact_div(h, g, order=GREVLEX):
-    """Quotient h / g for exact division; raises on nonzero remainder."""
-    ring = h.ring
-    field = ring.field
-    gm, gc = leading_term(g, order)
-    gc_inv = field.inverse(gc)
-    q = ring.zero()
-    r = h
-    while not r.is_zero():
-        m, c = leading_term(r, order)
-        if not ring.mono_divides(gm, m):
-            raise ArithmeticError("division is not exact")
-        piece = ring.monomial(ring.mono_div(m, gm), c * gc_inv)
-        q = q + piece
-        r = r - piece * g
-    return q
-
-
 def colon(I, J, degree_cap=DEFAULT_DEGREE_CAP):
-    """The quotient ideal (I : J) = {f | f*J inside I}."""
+    """The quotient ideal (I : J) = {f | f*J inside I}, the intersection of
+    the (I : g), each the first coordinates of the syzygies of [g] + I."""
     if I.ring != J.ring:
         raise ContextMismatch("ideals in different rings")
     ring = I.ring
@@ -310,9 +219,10 @@ def colon(I, J, degree_cap=DEFAULT_DEGREE_CAP):
         return IdealBasis(ring, [ring.one()])
     result = None
     for g in J.gens:
-        meet = intersect(I, IdealBasis(ring, [g]), degree_cap)
-        quots = [_exact_div(h, g) for h in meet.gens]
-        part = IdealBasis(ring, quots)
+        polys = [g] + I.gens
+        part = syzygy_ideal(
+            _rank_one(ring, polys), [f.degree() for f in polys], degree_cap
+        )
         result = part if result is None else intersect(result, part, degree_cap)
     G = buchberger(result, GREVLEX, degree_cap)
     return IdealBasis(ring, G.elements)

@@ -20,6 +20,7 @@ from .gb import (
     buchberger,
     ideal_member,
     intersect,
+    syzygy_ideal,
 )
 from .modules import (
     FPModule,
@@ -326,10 +327,7 @@ def annihilator(obj, degree_cap=DEFAULT_DEGREE_CAP):
     for i in range(len(M.twists)):
         combined = [M.free.basis_vector(i)] + list(M.relations)
         twists = [M.twists[i]] + [r.degree() for r in M.relations]
-        syz = syzygies(combined, degree_cap, twists=twists)
-        gens = [v.component_poly(0) for v in syz]
-        gens = [g for g in gens if not g.is_zero()]
-        part = IdealBasis(ring, gens)
+        part = syzygy_ideal(combined, twists, degree_cap)
         if result is None:
             result = part
         else:

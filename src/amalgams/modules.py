@@ -1,18 +1,23 @@
-"""Graded free modules, module Groebner bases, and syzygies.
+"""Graded free modules and the package's one Groebner engine.
 
 Vectors in a free module S^s are sparse maps (component, monomial) -> coeff.
-The module order is grevlex on the monomial with a position tie-break, and
-supports a dominant front block of components; computing syzygies is
-elimination with the front block dominant.  All input vectors are assumed
-homogeneous with respect to the component twists, which is what every
-caller in this package produces.
+The module order takes a monomial order (grevlex or a block order) with a
+position tie-break, and supports a dominant front block of components;
+computing syzygies is elimination with the front block dominant.  One
+Buchberger loop (`_extend`) and one reducer (`_mod_reduce`) run over module
+vectors; `amalgams.gb` runs ideals through them as rank-1 submodules.
+Callers in this package pass vectors homogeneous with respect to the
+component twists; the engine itself only needs that for `degree()`.
 """
 
 from __future__ import annotations
 
+from operator import add
+
 from .errors import DegreeCapExceeded, NotHomogeneous
-from .gb import DEFAULT_DEGREE_CAP
-from .poly import Polynomial, _grevlex_key
+from .poly import GREVLEX, Polynomial
+
+DEFAULT_DEGREE_CAP = 64
 
 
 class FreeModule:
@@ -51,11 +56,12 @@ class FreeModule:
 class ModVec:
     """Sparse element of a free module."""
 
-    __slots__ = ("free", "terms")
+    __slots__ = ("free", "terms", "_max_deg")
 
     def __init__(self, free, terms):
         self.free = free
         self.terms = terms
+        self._max_deg = None
 
     @property
     def ring(self):
@@ -121,9 +127,12 @@ class ModVec:
         return degs.pop()
 
     def max_mono_degree(self):
-        if not self.terms:
-            return -1
-        return max(self.ring.mono_degree(m) for (_, m) in self.terms)
+        """Largest monomial degree among the terms (-1 for zero), kept
+        after the first call: a vector's terms never change."""
+        if self._max_deg is None:
+            degree = self.ring.mono_degree
+            self._max_deg = max((degree(m) for (_, m) in self.terms), default=-1)
+        return self._max_deg
 
     def __repr__(self):
         polys = [str(self.component_poly(i)) for i in range(self.free.rank)]
@@ -131,18 +140,20 @@ class ModVec:
 
 
 class ModOrder:
-    """Module term order: front block of components dominates, then grevlex
-    on the monomial, then smaller component index wins."""
+    """Module term order: front block of components dominates, then the
+    monomial order (grevlex or a block order) on the monomial, then the
+    smaller component index wins."""
 
-    def __init__(self, weights, split=0):
+    def __init__(self, weights, split=0, order=GREVLEX):
         self.weights = weights
         self.split = split
+        self.order = order
 
     def key(self, term):
         comp, mono = term
         return (
             1 if comp < self.split else 0,
-            _grevlex_key(mono, self.weights),
+            self.order.key(mono, self.weights),
             -comp,
         )
 
@@ -152,27 +163,47 @@ def leading_mod_term(v, order):
     return k, v.terms[k]
 
 
+def _check_cap(degree, degree_cap):
+    if degree_cap is not None and degree > degree_cap:
+        raise DegreeCapExceeded(
+            f"intermediate degree {degree} exceeds cap {degree_cap}"
+        )
+
+
 def _mod_reduce(v, gens, leads, order, degree_cap=None):
     """Full normal form of a vector against monic module GB elements.
 
     leads[i] is the leading (component, monomial) of gens[i] under `order`.
+    One working dict is reduced in place.  With a `degree_cap`, raises as
+    soon as a term of higher monomial degree appears.
     """
     ring = v.ring
-    rem = v.free.zero()
-    h = v
-    while not h.is_zero():
-        if degree_cap is not None and h.max_mono_degree() > degree_cap:
-            raise DegreeCapExceeded("module reduction exceeded the degree cap")
-        (comp, mono), c = leading_mod_term(h, order)
+    p = ring.p
+    if degree_cap is not None:
+        _check_cap(v.max_mono_degree(), degree_cap)
+    h = dict(v.terms)
+    rem = {}
+    while h:
+        lead = max(h, key=order.key)
+        comp, mono = lead
+        c = h[lead]
         for g, (gc_comp, gm) in zip(gens, leads):
             if gc_comp == comp and ring.mono_divides(gm, mono):
-                h = h - g.term_mul(ring.mono_div(mono, gm), c)
+                q = ring.mono_div(mono, gm)
+                if degree_cap is not None:
+                    _check_cap(ring.mono_degree(q) + g.max_mono_degree(), degree_cap)
+                for (i, m), gcoef in g.terms.items():
+                    k = (i, tuple(map(add, m, q)))
+                    s = (h.get(k, 0) - c * gcoef) % p
+                    if s:
+                        h[k] = s
+                    else:
+                        del h[k]
                 break
         else:
-            t = ModVec(h.free, {(comp, mono): c})
-            rem = rem + t
-            h = h - t
-    return rem
+            rem[lead] = c
+            del h[lead]
+    return ModVec(v.free, rem)
 
 
 def _monic(v, order):
@@ -186,8 +217,9 @@ def _extend(G, leads, new, order, degree_cap):
 
     `new` holds (monic vector, leading term) pairs.  Appends them, then
     runs Buchberger's loop over the pairs that involve them, the pair of
-    least lcm degree first (ties broken by index).  G and leads are
-    extended in place.
+    least lcm degree first (ties broken by index).  A pair is skipped by
+    the chain criterion, and in rank 1 also by the product criterion.
+    G and leads are extended in place.
     """
     pairs = set()
 
@@ -202,16 +234,38 @@ def _extend(G, leads, new, order, degree_cap):
     if not G:
         return G
     ring = G[0].ring
+    rank_one = G[0].free.rank == 1
 
     def pair_deg(pr):
         i, j = pr
         return ring.mono_degree(ring.mono_lcm(leads[i][1], leads[j][1]))
 
+    def done(a, b):
+        return (min(a, b), max(a, b)) not in pairs
+
     while pairs:
         i, j = min(pairs, key=lambda pr: (pair_deg(pr), pr))
         pairs.discard((i, j))
-        mi, mj = leads[i][1], leads[j][1]
+        comp, mi = leads[i]
+        mj = leads[j][1]
         lcm = ring.mono_lcm(mi, mj)
+        # The product criterion is for ideals only: in S^2 the leads of
+        # (x, y) and (y, z) are coprime, yet their S-vector reduces to
+        # (y^2 - x*z) e_2.
+        if rank_one and lcm == ring.mono_mul(mi, mj):
+            continue
+        # Chain criterion: a lead k dividing the lcm whose pairs with i
+        # and j are both done makes the pair (i, j) redundant.
+        if any(
+            k != i
+            and k != j
+            and kc == comp
+            and ring.mono_divides(km, lcm)
+            and done(i, k)
+            and done(j, k)
+            for k, (kc, km) in enumerate(leads)
+        ):
+            continue
         s = G[i].term_mul(ring.mono_div(lcm, mi), 1) - G[j].term_mul(
             ring.mono_div(lcm, mj), 1
         )
@@ -221,11 +275,13 @@ def _extend(G, leads, new, order, degree_cap):
     return G
 
 
-def module_groebner(vecs, split=0, degree_cap=DEFAULT_DEGREE_CAP):
-    """Groebner basis of the submodule generated by `vecs`."""
+def module_groebner(vecs, order=None, degree_cap=DEFAULT_DEGREE_CAP):
+    """Groebner basis of the submodule generated by `vecs` under the
+    ModOrder `order` (plain grevlex over positions by default)."""
     if not vecs:
         return []
-    order = ModOrder(vecs[0].ring.weights, split)
+    if order is None:
+        order = ModOrder(vecs[0].ring.weights)
     new = [_monic(v, order) for v in vecs if not v.is_zero()]
     new.sort(key=lambda gl: order.key(gl[1]))
     return _extend([], [], new, order, degree_cap)
@@ -250,7 +306,7 @@ def syzygies(vecs, degree_cap=DEFAULT_DEGREE_CAP, twists=None):
         terms = {(i, m): c for (i, m), c in v.terms.items()}
         terms[(free.rank + idx, ring.one_mono())] = 1
         lifted.append(ModVec(ext, terms))
-    gb = module_groebner(lifted, split=free.rank, degree_cap=degree_cap)
+    gb = module_groebner(lifted, ModOrder(ring.weights, free.rank), degree_cap)
     syz_free = FreeModule(ring, list(twists))
     out = []
     for g in gb:

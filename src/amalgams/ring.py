@@ -46,7 +46,6 @@ class PresentedRing:
         self.defining = buchberger(IdealBasis(ambient, gens), GREVLEX, degree_cap)
         if self.defining.contains_one():
             raise UnitIdeal("1 lies in the defining ideal")
-        self.homogeneous = True
 
     @property
     def p(self):
@@ -66,9 +65,6 @@ class PresentedRing:
     def reduce(self, f):
         """Canonical representative of f modulo the defining ideal."""
         return normal_form(f, self.defining)
-
-    def is_polynomial_ring(self):
-        return self.defining.is_zero()
 
     def standard_monomials(self, d):
         """Monomial k-basis of the degree-d graded piece of the quotient."""
@@ -117,9 +113,6 @@ class IdealHandle:
 
     def is_zero(self):
         return not self.generators
-
-    def generator_degrees(self):
-        return [g.degree() for g in self.generators]
 
     def with_defining(self):
         """IdealBasis of defining ideal + handle generators in the ambient."""

@@ -199,6 +199,12 @@ def test_main_exit_codes(tmp_path, capsys):
             3,
             "inhomogeneous module vector",
         ),
+        (
+            "zring Z6 n=6\nfhom f Z6 -> Z6 : 0, 1, 2, 3, 4, 9\n",
+            2,
+            "image labels must lie in 0..5",
+        ),
+        ("zring Z6 n=6\nfideal J in Z6 : 0, 9\n", 2, "ideal labels must lie in 0..5"),
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, text, line, message):

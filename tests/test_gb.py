@@ -1,6 +1,9 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amalgams.errors import DegreeCapExceeded
 from amalgams.gb import (
@@ -12,7 +15,8 @@ from amalgams.gb import (
     kernel_of_map,
     normal_form,
 )
-from amalgams.poly import GREVLEX, PolyRing, parse_poly
+from amalgams.modules import FreeModule, syzygies
+from amalgams.poly import GREVLEX, PolyRing, leading_monomial, parse_poly
 from conftest import (
     ideal_degree_dim,
     ideal_degree_rows,
@@ -250,7 +254,23 @@ def test_kernel_elements_map_to_zero(kxy, rng):
         assert out.is_zero()
 
 
-def test_degree_cap():
+def _capped_runs(run, caps):
+    """Run under each cap: every run raises DegreeCapExceeded or returns the
+    uncapped result, and both outcomes occur over `caps`."""
+    exact = run(64)
+    outcomes = set()
+    for cap in caps:
+        try:
+            got = run(cap)
+        except DegreeCapExceeded:
+            outcomes.add("raised")
+            continue
+        assert got == exact, f"cap {cap} changed the result"
+        outcomes.add("exact")
+    assert outcomes == {"raised", "exact"}
+
+
+def test_degree_cap(kxyz):
     ring = PolyRing(101, ["x", "y"])
     with pytest.raises(DegreeCapExceeded):
         buchberger(
@@ -259,6 +279,29 @@ def test_degree_cap():
             degree_cap=4,
         )
 
+    def ideal(*gens):
+        return IdealBasis(kxyz, [parse_poly(kxyz, g) for g in gens])
+
+    # Every operation under a cap raises or returns the uncapped result.
+    I = ideal("x*y", "z^2")
+    J = ideal("x^2 - y*z", "y^3")
+    _capped_runs(lambda cap: intersect(I, J, cap).gens, range(1, 7))
+    Q = ideal("x^2*y", "y^3 - x*z^2")
+    _capped_runs(lambda cap: colon(Q, ideal("x*y", "z"), cap).gens, range(1, 7))
+    free = FreeModule(kxyz, [0])
+    vecs = [
+        free.from_polys([parse_poly(kxyz, g)])
+        for g in ("x^2", "x*y", "y^2 - x*z", "z^3")
+    ]
+    _capped_runs(lambda cap: syzygies(vecs, cap), range(1, 7))
+    src = PolyRing(101, ["a", "b", "c", "d"], [3, 3, 3, 3])
+    tgt = PolyRing(101, ["s", "t"])
+    cubic = [parse_poly(tgt, m) for m in ("s^3", "s^2*t", "s*t^2", "t^3")]
+    _capped_runs(
+        lambda cap: kernel_of_map(src, cubic, IdealBasis(tgt, []), cap).gens,
+        range(1, 10),
+    )
+
 
 def test_zero_ideal():
     ring = PolyRing(101, ["x"])
@@ -266,3 +309,79 @@ def test_zero_ideal():
     assert G.is_zero()
     f = parse_poly(ring, "x^2 + 1")
     assert normal_form(f, G) == f
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    """A prime and 2-3 homogeneous generators of degree 1-3 in k[x, y, z],
+    each with 2-4 terms."""
+    p = draw(st.sampled_from([101, 32003]))
+    ring = PolyRing(p, ["x", "y", "z"])
+    gens = []
+    for _ in range(draw(st.integers(2, 3))):
+        d = draw(st.integers(1, 3))
+        monos = [e for e in product(range(d + 1), repeat=3) if sum(e) == d]
+        support = draw(
+            st.lists(st.sampled_from(monos), min_size=2, max_size=4, unique=True)
+        )
+        coeffs = draw(st.lists(st.integers(1, p - 1), min_size=4, max_size=4))
+        gens.append(ring.from_terms(zip(support, coeffs)))
+    return ring, gens
+
+
+def _sympy_basis(sympy, ring, polys, gens, order):
+    """sympy's reduced basis over GF(p) as polynomials of `ring`, the
+    symmetric residues sympy prints taken to least non-negative ones."""
+    syms = sympy.symbols(list(ring.names))
+    exprs = [
+        sum(c * sympy.prod(s**e for s, e in zip(syms, m)) for m, c in f.terms.items())
+        for f in polys
+    ]
+    index = [ring.names.index(g) for g in gens]
+    basis = sympy.groebner(
+        exprs, *[syms[i] for i in index], modulus=ring.p, order=order
+    )
+    out = []
+    for poly in basis.polys:
+        terms = []
+        for expts, c in poly.terms():
+            full = [0] * ring.nvars
+            for i, e in zip(index, expts):
+                full[i] = e
+            terms.append((full, int(c) % ring.p))
+        out.append(ring.from_terms(terms))
+    return out
+
+
+def _by_leading_term(polys):
+    """The polynomials by falling grevlex leading monomial, as `buchberger`
+    lists its basis."""
+    return sorted(
+        polys,
+        key=lambda f: GREVLEX.key(leading_monomial(f), f.ring.weights),
+        reverse=True,
+    )
+
+
+@settings(max_examples=40)
+@given(homogeneous_ideals())
+def test_buchberger_and_eliminate_match_sympy(sample):
+    sympy = pytest.importorskip("sympy")
+    ring, gens = sample
+    G = buchberger(IdealBasis(ring, gens))
+    expected = _by_leading_term(
+        _sympy_basis(sympy, ring, gens, ["x", "y", "z"], "grevlex")
+    )
+    assert [g.terms for g in G.elements] == [g.terms for g in expected]
+    # The x-free elements of a lex basis generate I cap k[y, z].
+    lex = _sympy_basis(sympy, ring, gens, ["x", "y", "z"], "lex")
+    free_of_x = [g for g in lex if all(m[0] == 0 for m in g.terms)]
+    E = eliminate(IdealBasis(ring, gens), ["x"])
+    expected = []
+    if free_of_x:
+        expected = _by_leading_term(
+            _sympy_basis(sympy, ring, free_of_x, ["y", "z"], "grevlex")
+        )
+    assert [g.terms for g in E.gens] == [
+        {m[1:]: c for m, c in g.terms.items()} for g in expected
+    ]
