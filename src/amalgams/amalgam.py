@@ -19,6 +19,7 @@ from __future__ import annotations
 from .errors import JUnit, NotHomogeneous, UnitIdeal
 from .gb import (
     DEFAULT_DEGREE_CAP,
+    GroebnerBasis,
     IdealBasis,
     buchberger,
     colon,
@@ -141,8 +142,10 @@ def amalgam_present(spec, degree_cap=DEFAULT_DEGREE_CAP):
     images = [B.reduce(img) for img in f.images] + jgens
     K_B = kernel_of_map(C, images, IdealBasis(B.ambient, B.defining.elements), degree_cap)
 
+    # intersect returns the reduced grevlex basis of K, so it is passed on
+    # as one instead of being computed again.
     K = intersect(K_A, K_B, degree_cap)
-    presented = PresentedRing(C, K.gens, degree_cap)
+    presented = PresentedRing(C, GroebnerBasis(C, K.gens, GREVLEX), degree_cap)
     return AmalgamPresentation(spec, presented, K_A, K_B, z_names, images)
 
 

@@ -36,7 +36,13 @@ from .amalgam import (
     trivial_extension,
     verify_presentation,
 )
-from .errors import AlgebraError, ParseError, UnknownReference
+from .errors import (
+    AlgebraError,
+    DegreeCapExceeded,
+    ParseError,
+    ResolutionTooLong,
+    UnknownReference,
+)
 from .finite import (
     FiniteAmalgam,
     FiniteIdeal,
@@ -121,6 +127,10 @@ def parse_input(text, prime=None, degree_cap=DEFAULT_DEGREE_CAP):
             raise ParseError(line_no, exc.message)
         except UnknownReference:
             raise
+        except (DegreeCapExceeded, ResolutionTooLong) as exc:
+            # A computation that stopped is not a parse error: it keeps its
+            # type, so the CLI exits 1, and names the declaration's line.
+            raise type(exc)(f"line {line_no}: {exc}") from exc
         except AlgebraError as exc:
             raise ParseError(line_no, str(exc))
     return session

@@ -191,8 +191,9 @@ def syzygy_ideal(vecs, twists, degree_cap=DEFAULT_DEGREE_CAP):
 
 
 def intersect(I, J, degree_cap=DEFAULT_DEGREE_CAP):
-    """Generators of the intersection of two ideals: a*(1, 1) + sum b*(f, 0)
-    + sum c*(0, g) = 0 exactly when a lies in both."""
+    """The reduced grevlex Groebner basis of the intersection of two ideals,
+    in `buchberger`'s order: a*(1, 1) + sum b*(f, 0) + sum c*(0, g) = 0
+    exactly when a lies in both."""
     if I.ring != J.ring:
         raise ContextMismatch("ideals in different rings")
     ring = I.ring

@@ -6,13 +6,24 @@ position tie-break, and supports a dominant front block of components;
 computing syzygies is elimination with the front block dominant.  One
 Buchberger loop (`_extend`) and one reducer (`_mod_reduce`) run over module
 vectors; `amalgams.gb` runs ideals through them as rank-1 submodules.
+Both of the engine's choices are heap pops.  The loop computes each
+S-pair's lcm degree once, when the pair is made, and pops the next pair
+from a heap of (degree, i, j).  The reducer pops the leading term of its
+working dict from a heap of (order key, term), skipping popped terms that
+have left the dict.  `ModOrder` keeps each monomial's key, one flat tuple
+of ints, in a dict on the instance, so a key is built once per engine
+call.  Pairs come out in (lcm degree, i, j) order and terms in falling
+module order, as a scan for the least pair and the largest term would
+pick them.
 Callers in this package pass vectors homogeneous with respect to the
 component twists; the engine itself only needs that for `degree()`.
 """
 
 from __future__ import annotations
 
-from operator import add
+from collections import defaultdict
+from heapq import heapify, heappop, heappush
+from operator import add, le, neg, sub
 
 from .errors import DegreeCapExceeded, NotHomogeneous
 from .poly import GREVLEX, Polynomial
@@ -142,24 +153,35 @@ class ModVec:
 class ModOrder:
     """Module term order: front block of components dominates, then the
     monomial order (grevlex or a block order) on the monomial, then the
-    smaller component index wins."""
+    smaller component index wins.
+
+    `key` is one flat tuple of ints, negated, so the biggest term has the
+    smallest key and a `heapq` pops leading terms first.  The monomial
+    part of each key is computed once per instance and kept in a dict that
+    lives as long as the instance.
+    """
 
     def __init__(self, weights, split=0, order=GREVLEX):
         self.weights = weights
         self.split = split
         self.order = order
+        self._mono_keys = {}
 
     def key(self, term):
         comp, mono = term
-        return (
-            1 if comp < self.split else 0,
-            self.order.key(mono, self.weights),
-            -comp,
-        )
+        k = self._mono_keys.get(mono)
+        if k is None:
+            k = self.order.key(mono, self.weights)
+            # A block key is two grevlex keys, each of fixed length for a
+            # given ring, so joining them keeps the order.
+            if isinstance(k[0], tuple):
+                k = k[0] + k[1]
+            k = self._mono_keys[mono] = tuple(map(neg, k))
+        return (-1 if comp < self.split else 0, *k, comp)
 
 
 def leading_mod_term(v, order):
-    k = max(v.terms, key=order.key)
+    k = min(v.terms, key=order.key)
     return k, v.terms[k]
 
 
@@ -174,31 +196,49 @@ def _mod_reduce(v, gens, leads, order, degree_cap=None):
     """Full normal form of a vector against monic module GB elements.
 
     leads[i] is the leading (component, monomial) of gens[i] under `order`.
-    One working dict is reduced in place.  With a `degree_cap`, raises as
-    soon as a term of higher monomial degree appears.
+    One working dict is reduced in place.  Its leading term is popped from
+    a min-heap of (order key, term): a term is pushed when it enters the
+    dict, and a popped term no longer in the dict is skipped.  The
+    divisors are grouped by component once per call, in the order of
+    `gens`, so the first divisor found is the first one in `gens`.  With
+    a `degree_cap`, raises as soon as a term of higher monomial degree
+    appears.
     """
     ring = v.ring
     p = ring.p
     if degree_cap is not None:
         _check_cap(v.max_mono_degree(), degree_cap)
+    divisors = defaultdict(list)
+    for g, (comp, gm) in zip(gens, leads):
+        divisors[comp].append((g, gm))
+    key = order.key
     h = dict(v.terms)
+    heap = [(key(t), t) for t in h]
+    heapify(heap)
     rem = {}
-    while h:
-        lead = max(h, key=order.key)
+    while heap:
+        lead = heappop(heap)[1]
+        c = h.get(lead)
+        if c is None:
+            continue
         comp, mono = lead
-        c = h[lead]
-        for g, (gc_comp, gm) in zip(gens, leads):
-            if gc_comp == comp and ring.mono_divides(gm, mono):
-                q = ring.mono_div(mono, gm)
+        for g, gm in divisors.get(comp, ()):
+            if all(map(le, gm, mono)):
+                q = tuple(map(sub, mono, gm))
                 if degree_cap is not None:
                     _check_cap(ring.mono_degree(q) + g.max_mono_degree(), degree_cap)
                 for (i, m), gcoef in g.terms.items():
                     k = (i, tuple(map(add, m, q)))
-                    s = (h.get(k, 0) - c * gcoef) % p
-                    if s:
-                        h[k] = s
+                    old = h.get(k)
+                    if old is None:
+                        h[k] = (-c * gcoef) % p
+                        heappush(heap, (key(k), k))
                     else:
-                        del h[k]
+                        s = (old - c * gcoef) % p
+                        if s:
+                            h[k] = s
+                        else:
+                            del h[k]
                 break
         else:
             rem[lead] = c
@@ -217,34 +257,40 @@ def _extend(G, leads, new, order, degree_cap):
 
     `new` holds (monic vector, leading term) pairs.  Appends them, then
     runs Buchberger's loop over the pairs that involve them, the pair of
-    least lcm degree first (ties broken by index).  A pair is skipped by
-    the chain criterion, and in rank 1 also by the product criterion.
-    G and leads are extended in place.
+    least lcm degree first (ties broken by index).  Each pair's lcm degree
+    is computed once, when the pair is made, and the next pair is popped
+    from a heap of (degree, i, j); the set `pairs` holds the same open
+    pairs for the chain criterion.  A pair is skipped by the chain
+    criterion, and in rank 1 also by the product criterion.  G and leads
+    are extended in place.
     """
+    if not G and not new:
+        return G
+    free = (G[0] if G else new[0][0]).free
+    ring = free.ring
+    rank_one = free.rank == 1
     pairs = set()
+    heap = []
 
     def append(g, lead):
         G.append(g)
         leads.append(lead)
         n = len(G) - 1
-        pairs.update((k, n) for k in range(n) if leads[k][0] == lead[0])
+        comp, mono = lead
+        for k in range(n):
+            kc, km = leads[k]
+            if kc == comp:
+                pairs.add((k, n))
+                heappush(heap, (ring.mono_degree(ring.mono_lcm(km, mono)), k, n))
 
     for g, lead in new:
         append(g, lead)
-    if not G:
-        return G
-    ring = G[0].ring
-    rank_one = G[0].free.rank == 1
-
-    def pair_deg(pr):
-        i, j = pr
-        return ring.mono_degree(ring.mono_lcm(leads[i][1], leads[j][1]))
 
     def done(a, b):
         return (min(a, b), max(a, b)) not in pairs
 
-    while pairs:
-        i, j = min(pairs, key=lambda pr: (pair_deg(pr), pr))
+    while heap:
+        _, i, j = heappop(heap)
         pairs.discard((i, j))
         comp, mi = leads[i]
         mj = leads[j][1]
@@ -283,7 +329,7 @@ def module_groebner(vecs, order=None, degree_cap=DEFAULT_DEGREE_CAP):
     if order is None:
         order = ModOrder(vecs[0].ring.weights)
     new = [_monic(v, order) for v in vecs if not v.is_zero()]
-    new.sort(key=lambda gl: order.key(gl[1]))
+    new.sort(key=lambda gl: order.key(gl[1]), reverse=True)
     return _extend([], [], new, order, degree_cap)
 
 

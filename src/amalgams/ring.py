@@ -28,22 +28,32 @@ from .poly import GREVLEX, PolyRing, parse_poly
 
 
 class PresentedRing:
-    """Quotient of a weighted polynomial ring by a homogeneous ideal."""
+    """Quotient of a weighted polynomial ring by a homogeneous ideal.
+
+    `generators` are polynomials or strings, or a GroebnerBasis the caller
+    knows to be the reduced grevlex basis of a homogeneous ideal, which is
+    kept as it is instead of being computed again.
+    """
 
     def __init__(self, ambient, generators, degree_cap=DEFAULT_DEGREE_CAP):
         self.ambient = ambient
-        gens = []
-        for g in generators:
-            if isinstance(g, str):
-                g = parse_poly(ambient, g)
-            if g.ring != ambient:
-                raise ContextMismatch("generator in wrong ambient ring")
-            if g.is_zero():
-                continue
-            if not g.is_homogeneous():
-                raise NotHomogeneous(f"generator {g} mixes weighted degrees")
-            gens.append(g)
-        self.defining = buchberger(IdealBasis(ambient, gens), GREVLEX, degree_cap)
+        if isinstance(generators, GroebnerBasis):
+            if generators.ring != ambient:
+                raise ContextMismatch("basis in wrong ambient ring")
+            self.defining = generators
+        else:
+            gens = []
+            for g in generators:
+                if isinstance(g, str):
+                    g = parse_poly(ambient, g)
+                if g.ring != ambient:
+                    raise ContextMismatch("generator in wrong ambient ring")
+                if g.is_zero():
+                    continue
+                if not g.is_homogeneous():
+                    raise NotHomogeneous(f"generator {g} mixes weighted degrees")
+                gens.append(g)
+            self.defining = buchberger(IdealBasis(ambient, gens), GREVLEX, degree_cap)
         if self.defining.contains_one():
             raise UnitIdeal("1 lies in the defining ideal")
 

@@ -5,19 +5,29 @@ twists of a minimal free resolution, where
 `amalgams.homology.hilbert_series` reads them off leading monomials.
 `minimal_generators_rebuild` builds a new module GB from scratch after
 every kept vector, where `amalgams.modules.minimal_generators` extends one.
+`module_groebner_scan` is the module engine with every choice made by a
+scan: the next S-pair by `min` over the open pairs, each leading term by
+`max` over the terms with a freshly built order key, and each divisor by a
+pass over all of G, where `amalgams.modules` pops pairs and terms from
+heaps; it takes the same S-pairs in the same order, so its output is the
+same list, term for term.
 `ideal_generated_by_closure` and `all_ideals_closure` close a finite ring's
 multiples under addition until nothing changes, where `amalgams.finite`
 adds principal ideals coset by coset; `amalgam_tables_loop` fills a finite
 amalgam's tables one pair at a time, where `FiniteAmalgam` indexes them.
 """
 
+from operator import add
+
 import numpy as np
 
-from amalgams.errors import NotARing
+from amalgams.errors import DegreeCapExceeded, NotARing
 from amalgams.finite import FiniteIdeal, _normalize_one
 from amalgams.homology import free_resolution
 from amalgams.modules import (
+    DEFAULT_DEGREE_CAP,
     ModOrder,
+    ModVec,
     _mod_reduce,
     leading_mod_term,
     module_groebner,
@@ -57,6 +67,126 @@ def minimal_generators_rebuild(vecs):
         kept.append(v)
         gb = module_groebner(kept)
     return kept
+
+
+def _scan_key(order, term):
+    """ModOrder's comparison as a nested tuple, built afresh on every call."""
+    comp, mono = term
+    return (
+        1 if comp < order.split else 0,
+        order.order.key(mono, order.weights),
+        -comp,
+    )
+
+
+def _check_cap_scan(degree, degree_cap):
+    if degree_cap is not None and degree > degree_cap:
+        raise DegreeCapExceeded(
+            f"intermediate degree {degree} exceeds cap {degree_cap}"
+        )
+
+
+def monic_scan(v, order):
+    """v scaled to leading coefficient 1, with its leading term, by `max`."""
+    lead = max(v.terms, key=lambda t: _scan_key(order, t))
+    return v.scale(v.ring.field.inverse(v.terms[lead])), lead
+
+
+def mod_reduce_scan(v, gens, leads, order, degree_cap=None):
+    """Full normal form: the leading term by `max` over the working dict,
+    the divisor by a pass over all of `gens`."""
+    ring = v.ring
+    p = ring.p
+    if degree_cap is not None:
+        _check_cap_scan(v.max_mono_degree(), degree_cap)
+    h = dict(v.terms)
+    rem = {}
+    while h:
+        lead = max(h, key=lambda t: _scan_key(order, t))
+        comp, mono = lead
+        c = h[lead]
+        for g, (gc_comp, gm) in zip(gens, leads):
+            if gc_comp == comp and ring.mono_divides(gm, mono):
+                q = ring.mono_div(mono, gm)
+                if degree_cap is not None:
+                    _check_cap_scan(
+                        ring.mono_degree(q) + g.max_mono_degree(), degree_cap
+                    )
+                for (i, m), gcoef in g.terms.items():
+                    k = (i, tuple(map(add, m, q)))
+                    s = (h.get(k, 0) - c * gcoef) % p
+                    if s:
+                        h[k] = s
+                    else:
+                        del h[k]
+                break
+        else:
+            rem[lead] = c
+            del h[lead]
+    return ModVec(v.free, rem)
+
+
+def extend_scan(G, leads, new, order, degree_cap):
+    """Buchberger's loop with the next pair by `min` over the open pairs of
+    (lcm degree, (i, j)), the degree recomputed at every step."""
+    pairs = set()
+
+    def append(g, lead):
+        G.append(g)
+        leads.append(lead)
+        n = len(G) - 1
+        pairs.update((k, n) for k in range(n) if leads[k][0] == lead[0])
+
+    for g, lead in new:
+        append(g, lead)
+    if not G:
+        return G
+    ring = G[0].ring
+    rank_one = G[0].free.rank == 1
+
+    def pair_deg(pr):
+        i, j = pr
+        return ring.mono_degree(ring.mono_lcm(leads[i][1], leads[j][1]))
+
+    def done(a, b):
+        return (min(a, b), max(a, b)) not in pairs
+
+    while pairs:
+        i, j = min(pairs, key=lambda pr: (pair_deg(pr), pr))
+        pairs.discard((i, j))
+        comp, mi = leads[i]
+        mj = leads[j][1]
+        lcm = ring.mono_lcm(mi, mj)
+        if rank_one and lcm == ring.mono_mul(mi, mj):
+            continue
+        if any(
+            k != i
+            and k != j
+            and kc == comp
+            and ring.mono_divides(km, lcm)
+            and done(i, k)
+            and done(j, k)
+            for k, (kc, km) in enumerate(leads)
+        ):
+            continue
+        s = G[i].term_mul(ring.mono_div(lcm, mi), 1) - G[j].term_mul(
+            ring.mono_div(lcm, mj), 1
+        )
+        h = mod_reduce_scan(s, G, leads, order, degree_cap)
+        if not h.is_zero():
+            append(*monic_scan(h, order))
+    return G
+
+
+def module_groebner_scan(vecs, order=None, degree_cap=DEFAULT_DEGREE_CAP):
+    """`module_groebner` with every choice made by a scan."""
+    if not vecs:
+        return []
+    if order is None:
+        order = ModOrder(vecs[0].ring.weights)
+    new = [monic_scan(v, order) for v in vecs if not v.is_zero()]
+    new.sort(key=lambda gl: _scan_key(order, gl[1]))
+    return extend_scan([], [], new, order, degree_cap)
 
 
 def ideal_generated_by_closure(R, gens):

@@ -1,6 +1,6 @@
 """Rings shared by several test modules: the `serre.alg` fixture rings,
 duplications of k[x1..x3], and a hypothesis strategy for random monomial
-and binomial ideals of k[x, y, z]."""
+and binomial ideals of k[x, y, z] over GF(p)."""
 
 from importlib import resources
 from itertools import product
@@ -35,16 +35,16 @@ def _monomials(d):
 
 
 @st.composite
-def binomial_or_monomial_rings(draw):
-    """k[x, y, z] over GF(101) modulo generators x^a - c*x^b of one degree,
+def binomial_or_monomial_rings(draw, p=101):
+    """k[x, y, z] over GF(p) modulo generators x^a - c*x^b of one degree,
     which are monomials x^a when c = 0."""
-    S = PolyRing(101, VARS)
+    S = PolyRing(p, VARS)
     gens = []
     for _ in range(draw(st.integers(1, 4))):
         d = draw(st.integers(1, 3))
         a, b = draw(
             st.lists(st.sampled_from(_monomials(d)), min_size=2, max_size=2, unique=True)
         )
-        c = draw(st.integers(0, 100))
+        c = draw(st.integers(0, p - 1))
         gens.append(S.monomial(a) - S.monomial(b, c))
     return PresentedRing(S, gens)

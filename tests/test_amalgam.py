@@ -1,5 +1,6 @@
 import pytest
 
+from amalgams import ring as ring_module
 from amalgams.amalgam import (
     AmalgamSpec,
     CertStatus,
@@ -11,9 +12,10 @@ from amalgams.amalgam import (
     verify_presentation,
 )
 from amalgams.errors import JUnit
+from amalgams.gb import buchberger
 from amalgams.homology import classify, free_resolution, hilbert_series
 from amalgams.modules import FPModule
-from amalgams.ring import IdealHandle, RingHom, hom_check, make_ring
+from amalgams.ring import IdealHandle, PresentedRing, RingHom, hom_check, make_ring
 from amalgams.series import HilbertSeries, lp_const, lp_monomial
 from conftest import oracle_member
 
@@ -49,6 +51,32 @@ def test_duplication_along_x():
     assert verify_presentation(P).is_certified()
     # HS(C/K) = (1+t)/(1-t)
     assert hilbert_series(P.ring) == HilbertSeries({0: 1, 1: 1}, weights=[1])
+
+
+def test_presentation_keeps_the_basis_intersect_returns(monkeypatch):
+    # intersect already returns the reduced basis of K, so building C/K
+    # runs no Buchberger on C, and the basis is the one a rerun gives.
+    rings = []
+
+    def recording(basis, *args):
+        rings.append(basis.ring)
+        return buchberger(basis, *args)
+
+    monkeypatch.setattr(ring_module, "buchberger", recording)
+    A = make_ring(101, ["x1", "x2", "x3"])
+    L = line_ring()
+    specs = [
+        intersection_spec()[0],
+        intersection_spec(p=32003, drop_generator=True)[0],
+        duplication(A, IdealHandle(A, ["x1", "x2", "x3"])),
+        duplication(A, IdealHandle(A, ["x1^2", "x2*x3"])),
+        trivial_extension(L, FPModule.free_module(L.ambient, [1])),
+    ]
+    for spec in specs:
+        rings.clear()
+        P = amalgam_present(spec)
+        assert P.ambient not in rings
+        assert P.K.elements == PresentedRing(P.ambient, P.K.elements).defining.elements
 
 
 def test_trivial_extension_by_free_module():

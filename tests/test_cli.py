@@ -245,6 +245,34 @@ def test_resolution_bound_exits_1(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+GORENSTEIN_TRIVEXT = (
+    "ring A0 vars x, y ideal: x^2, x*y, y^2\ntrivext G : A0, module canonical\n"
+)
+
+
+def test_degree_cap_while_parsing_exits_1(tmp_path, capsys):
+    # The canonical module of A0 is computed while line 2 is parsed, and at
+    # cap 2 its resolution reaches degree 3.  That is a computation that
+    # stopped, not a parse error.
+    f = tmp_path / "g.alg"
+    f.write_text(GORENSTEIN_TRIVEXT)
+    assert main(["--degree-cap", "2", str(f), "classify", "A0"]) == 1
+    assert capsys.readouterr().err == (
+        "error: DegreeCapExceeded: line 2: intermediate degree 3 exceeds cap 2\n"
+    )
+    assert main(["--degree-cap", "3", str(f), "classify", "A0"]) == 0
+
+
+def test_resolution_bound_while_parsing_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(homology, "syzygies", lambda vecs, cap: vecs)
+    f = tmp_path / "g.alg"
+    f.write_text(GORENSTEIN_TRIVEXT)
+    assert main([str(f), "classify", "A0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ResolutionTooLong: line 2: ")
+    assert err.count("\n") == 1
+
+
 def test_main_flags(tmp_path):
     f = tmp_path / "serre.alg"
     f.write_text("ring R vars a, b, c, d ideal: a*c, a*d, b*c, b*d\n")

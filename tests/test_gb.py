@@ -16,7 +16,7 @@ from amalgams.gb import (
     normal_form,
 )
 from amalgams.modules import FreeModule, syzygies
-from amalgams.poly import GREVLEX, PolyRing, leading_monomial, parse_poly
+from amalgams.poly import GREVLEX, BlockOrder, PolyRing, leading_monomial, parse_poly
 from conftest import (
     ideal_degree_dim,
     ideal_degree_rows,
@@ -312,10 +312,10 @@ def test_zero_ideal():
 
 
 @st.composite
-def homogeneous_ideals(draw):
+def homogeneous_ideals(draw, primes=(101, 32003)):
     """A prime and 2-3 homogeneous generators of degree 1-3 in k[x, y, z],
     each with 2-4 terms."""
-    p = draw(st.sampled_from([101, 32003]))
+    p = draw(st.sampled_from(primes))
     ring = PolyRing(p, ["x", "y", "z"])
     gens = []
     for _ in range(draw(st.integers(2, 3))):
@@ -385,3 +385,19 @@ def test_buchberger_and_eliminate_match_sympy(sample):
     assert [g.terms for g in E.gens] == [
         {m[1:]: c for m, c in g.terms.items()} for g in expected
     ]
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_reduced_basis_invariant_under_permutation_and_scaling(p, data):
+    ring, gens = data.draw(homogeneous_ideals((p,)))
+    order_of = data.draw(st.permutations(range(len(gens))))
+    scales = data.draw(
+        st.lists(st.integers(1, p - 1), min_size=len(gens), max_size=len(gens))
+    )
+    moved = [gens[i].scale(c) for i, c in zip(order_of, scales)]
+    for order in (GREVLEX, BlockOrder(1)):
+        G = buchberger(IdealBasis(ring, gens), order)
+        H = buchberger(IdealBasis(ring, moved), order)
+        assert [g.terms for g in H.elements] == [g.terms for g in G.elements]

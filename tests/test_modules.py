@@ -1,11 +1,18 @@
 """The module Groebner engine: minimal generators from one incrementally
 extended module GB agree with the from-scratch route of
-`oracles.minimal_generators_rebuild`; the product criterion is kept to
-rank 1; the reducer stops at the degree cap."""
+`oracles.minimal_generators_rebuild`; the heap-driven engine returns what
+the scan-driven `oracles.module_groebner_scan` returns, element for
+element and in order, also under degree caps; the product criterion is
+kept to rank 1; the reducer stops at the degree cap."""
+
+from contextlib import ExitStack
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from amalgams import modules
 from amalgams.errors import DegreeCapExceeded
 from amalgams.modules import (
     FPModule,
@@ -17,8 +24,14 @@ from amalgams.modules import (
     module_groebner,
     syzygies,
 )
-from amalgams.poly import BlockOrder, PolyRing, parse_poly
-from oracles import minimal_generators_rebuild
+from amalgams.poly import GREVLEX, BlockOrder, PolyRing, parse_poly
+from oracles import (
+    extend_scan,
+    minimal_generators_rebuild,
+    mod_reduce_scan,
+    module_groebner_scan,
+    monic_scan,
+)
 from samples import binomial_or_monomial_rings, k3_duplications, serre_rings
 
 
@@ -75,3 +88,105 @@ def test_reduction_stops_at_the_degree_cap():
     assert _mod_reduce(v, [g], lead, order, degree_cap=4) == F.from_polys(
         [parse_poly(S, "y^3*z")]
     )
+
+
+def scan_engine():
+    """A context in which `modules`' own syzygies and minimal_generators
+    run on the scan-driven oracle engine."""
+    stack = ExitStack()
+    for name, oracle in [
+        ("module_groebner", module_groebner_scan),
+        ("_extend", extend_scan),
+        ("_mod_reduce", mod_reduce_scan),
+        ("_monic", monic_scan),
+    ]:
+        stack.enter_context(patch.object(modules, name, oracle))
+    return stack
+
+
+def engine_orders(vecs):
+    """Grevlex and a block order, and for rank >= 2 a dominant front block
+    of one component under each; fresh instances for every call."""
+    w = vecs[0].ring.weights
+    orders = [lambda: ModOrder(w), lambda: ModOrder(w, order=BlockOrder(1))]
+    if vecs[0].free.rank >= 2:
+        orders += [
+            lambda: ModOrder(w, split=1),
+            lambda: ModOrder(w, split=1, order=BlockOrder(1)),
+        ]
+    return orders
+
+
+def assert_engine_matches_scan(R):
+    """module_groebner, syzygies and minimal_generators against the scan
+    engine on the relations of R and every syzygy module after them."""
+    vecs = FPModule.quotient_ring(R).relations
+    for _ in range(R.ambient.nvars + 1):
+        if not vecs:
+            return
+        for order in engine_orders(vecs):
+            assert module_groebner(vecs, order()) == module_groebner_scan(
+                vecs, order()
+            )
+        kept = minimal_generators(vecs)
+        syz = syzygies(kept)
+        with scan_engine():
+            assert minimal_generators(vecs) == kept
+            assert syzygies(kept) == syz
+        vecs = syz
+    raise AssertionError("resolution longer than the syzygy bound")
+
+
+def test_engine_matches_scan_on_fixtures():
+    for R in serre_rings() + k3_duplications():
+        assert_engine_matches_scan(R)
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_engine_matches_scan_on_random_ideals(p, data):
+    assert_engine_matches_scan(data.draw(binomial_or_monomial_rings(p)))
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+def test_engine_and_scan_agree_under_degree_caps(p):
+    # At each cap both engines either raise DegreeCapExceeded or return
+    # their uncapped result, and both do the same; over the caps, both
+    # outcomes occur for every computation.
+    S = PolyRing(p, ["x", "y", "z"])
+    F = FreeModule(S, [0])
+    vecs = [
+        F.from_polys([parse_poly(S, f)])
+        for f in ("x^2 - 2*y*z", "y^2 - 3*x*z", "z^2 - 5*x*y + x*z")
+    ]
+
+    def scan_syzygies(cap):
+        with scan_engine():
+            return syzygies(vecs, cap)
+
+    def groebner(engine, order):
+        return lambda cap: engine(vecs, ModOrder(S.weights, order=order), cap)
+
+    runs = [
+        (groebner(module_groebner, order), groebner(module_groebner_scan, order))
+        for order in (GREVLEX, BlockOrder(1))
+    ]
+    runs.append((lambda cap: syzygies(vecs, cap), scan_syzygies))
+
+    def outcome(run, cap):
+        try:
+            return run(cap)
+        except DegreeCapExceeded:
+            return None
+
+    for heap_run, scan_run in runs:
+        full = heap_run(None)
+        assert scan_run(None) == full
+        stopped = set()
+        for cap in range(1, 9):
+            got = outcome(heap_run, cap)
+            assert got in (None, full)
+            assert outcome(scan_run, cap) == got
+            stopped.add(got is None)
+        assert stopped == {True, False}
