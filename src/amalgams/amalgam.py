@@ -85,9 +85,10 @@ def _fresh_names(base, count, taken):
 class AmalgamPresentation:
     """The presented ring C/K plus the bookkeeping maps."""
 
-    def __init__(self, spec, ring, K_A, K_B, z_names, images):
+    def __init__(self, spec, ring, K_A, K_B, z_names, images, B_mod_J):
         self.spec = spec
         self.ring = ring  # PresentedRing C/K
+        self.B_mod_J = B_mod_J  # PresentedRing B/(I_B + J)
         self.K = ring.defining
         self.K_A = K_A
         self.K_B = K_B
@@ -123,7 +124,9 @@ def amalgam_present(spec, degree_cap=DEFAULT_DEGREE_CAP):
     jgens = [B.reduce(g) for g in J.generators]
     jgens = [g for g in jgens if not g.is_zero()]
     try:
-        PresentedRing(B.ambient, list(B.defining.elements) + jgens, degree_cap)
+        B_mod_J = PresentedRing(
+            B.ambient, list(B.defining.elements) + jgens, degree_cap
+        )
     except UnitIdeal:
         raise JUnit("the listed generators generate the unit ideal of B")
     m = len(jgens)
@@ -146,7 +149,7 @@ def amalgam_present(spec, degree_cap=DEFAULT_DEGREE_CAP):
     # as one instead of being computed again.
     K = intersect(K_A, K_B, degree_cap)
     presented = PresentedRing(C, GroebnerBasis(C, K.gens, GREVLEX), degree_cap)
-    return AmalgamPresentation(spec, presented, K_A, K_B, z_names, images)
+    return AmalgamPresentation(spec, presented, K_A, K_B, z_names, images, B_mod_J)
 
 
 def verify_presentation(P, target=None, degree_cap=DEFAULT_DEGREE_CAP):
@@ -156,13 +159,18 @@ def verify_presentation(P, target=None, degree_cap=DEFAULT_DEGREE_CAP):
     (e.g. the intended J when the listed generators are suspected to miss
     part of it).  On inequality the smallest degree where the graded
     dimensions differ is reported; the presented ring is then the proper
-    subring generated by the images, not the full amalgam.
+    subring generated by the images, not the full amalgam.  HS(J) is
+    HS(B) - HS(B/J), from the ring B/J that `amalgam_present` built.
     """
     spec = P.spec
-    J = target if target is not None else spec.J
     hs_left = hilbert_series(P.ring, degree_cap)
     hs_A = hilbert_series(spec.A, degree_cap)
-    hs_J = hilbert_series(J, degree_cap)
+    if target is None:
+        hs_J = hilbert_series(spec.B, degree_cap) - hilbert_series(
+            P.B_mod_J, degree_cap
+        )
+    else:
+        hs_J = hilbert_series(target, degree_cap)
     hs_right = hs_A + hs_J
     witness = hs_left.first_difference(hs_right)
     if witness is None:

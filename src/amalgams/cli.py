@@ -437,9 +437,7 @@ def cmd_classify(session, name, options):
 def cmd_canonical(session, name, options):
     report = Report()
     ring = _ring_or_presented(session, name, options, report)
-    w = canonical_module(ring, options.degree_cap).minimal_presentation(
-        options.degree_cap
-    )
+    w = canonical_module(ring, options.degree_cap)
     report.add("mu", len(w.twists))
     report.add("twists", ";".join(str(t) for t in w.twists) or "-")
     report.add("relations", len(w.relations))
@@ -648,7 +646,7 @@ def _item_canonical_gorenstein(p, cap):
     rep0 = classify(A0, degree_cap=cap)
     if not (rep0.is_cm and not rep0.is_gorenstein and rep0.type == 2):
         return False
-    w = canonical_module(A0, cap).minimal_presentation(cap)
+    w = canonical_module(A0, cap)
     if len(w.twists) != socle_dimension(A0):
         return False
     P = _certified(s.get("G", "amalgam"), cap)

@@ -317,7 +317,9 @@ class FiniteAmalgam:
         one_idx = int(lookup[A.one * nB + B.one])
         (add, mul), perm = _normalize_one(add, mul, one_idx)
         self._perm = perm
-        self.ring = FiniteRing(add, mul, name="amalgam")
+        # A finite subset of the checked ring A x B that holds 0 and 1 and
+        # is closed under + and * is a subring: the axioms need no check.
+        self.ring = FiniteRing(add, mul, name="amalgam", check=False)
         self.index = {p: int(perm[i]) for i, p in enumerate(pairs)}
 
     @property

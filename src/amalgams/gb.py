@@ -2,7 +2,8 @@
 
 `buchberger` is the module Groebner basis of the rank-1 vectors,
 minimalized and tail-reduced; `normal_form` is the module reducer;
-`intersect` and `colon` are syzygy computations; `eliminate` and
+`intersect` and `colon` are quotients (U : v) of a submodule U by one
+vector v, computed as the syzygies of v modulo U; `eliminate` and
 `kernel_of_map` run the same engine under a block order.  Everything here
 is deterministic: the S-pair selection uses the normal strategy (minimal
 lcm weighted degree, ties by smallest pair index), and reduced Groebner
@@ -95,6 +96,12 @@ def buchberger(basis, order=GREVLEX, degree_cap=DEFAULT_DEGREE_CAP):
     ring = basis.ring
     morder = ModOrder(ring.weights, order=order)
     G = module_groebner(_rank_one(ring, basis.gens), morder, degree_cap)
+    return _reduced(ring, G, morder)
+
+
+def _reduced(ring, G, morder):
+    """The reduced basis of the ideal whose Groebner basis under `morder`
+    is G, a list of monic rank-1 vectors."""
     lms = [leading_mod_term(g, morder)[0][1] for g in G]
     # Minimalize: drop elements whose leading monomial is divisible by
     # another one.
@@ -107,6 +114,7 @@ def buchberger(basis, order=GREVLEX, degree_cap=DEFAULT_DEGREE_CAP):
         )
     ]
     # Tail-reduce each survivor against the others.
+    order = morder.order
     reduced = []
     for idx in minimal:
         others = [k for k in minimal if k != idx]
@@ -184,16 +192,19 @@ def eliminate(basis, front_vars, degree_cap=DEFAULT_DEGREE_CAP):
     return IdealBasis(sub_ring, survivors)
 
 
-def syzygy_ideal(vecs, twists, degree_cap=DEFAULT_DEGREE_CAP):
-    """The ideal of first coordinates of the syzygies of `vecs`."""
-    syz = syzygies(vecs, degree_cap, twists=twists)
-    return IdealBasis(vecs[0].ring, [v.component_poly(0) for v in syz])
+def quotient_ideal(v, rels, degree_cap=DEFAULT_DEGREE_CAP):
+    """The reduced grevlex basis of the quotient (U : v) = {a | a*v in U},
+    U the submodule generated by `rels`: the syzygies of v modulo U, which
+    the engine returns as a grevlex Groebner basis, so they are only
+    minimalized and tail-reduced."""
+    ring = v.ring
+    syz = syzygies([v], degree_cap, modulo=rels)
+    return IdealBasis(ring, _reduced(ring, syz, ModOrder(ring.weights)).elements)
 
 
 def intersect(I, J, degree_cap=DEFAULT_DEGREE_CAP):
     """The reduced grevlex Groebner basis of the intersection of two ideals,
-    in `buchberger`'s order: a*(1, 1) + sum b*(f, 0) + sum c*(0, g) = 0
-    exactly when a lies in both."""
+    in `buchberger`'s order: the quotient of (1, 1) modulo I+0 and 0+J."""
     if I.ring != J.ring:
         raise ContextMismatch("ideals in different rings")
     ring = I.ring
@@ -201,32 +212,24 @@ def intersect(I, J, degree_cap=DEFAULT_DEGREE_CAP):
         return IdealBasis(ring, [])
     free = FreeModule(ring, [0, 0])
     zero = ring.zero()
-    vecs = [free.from_polys([ring.one(), ring.one()])]
-    vecs += [free.from_polys([f, zero]) for f in I.gens]
-    vecs += [free.from_polys([zero, g]) for g in J.gens]
-    twists = [0] + [f.degree() for f in I.gens + J.gens]
-    meet = syzygy_ideal(vecs, twists, degree_cap)
-    G = buchberger(meet, GREVLEX, degree_cap)
-    return IdealBasis(ring, G.elements)
+    rels = [free.from_polys([f, zero]) for f in I.gens]
+    rels += [free.from_polys([zero, g]) for g in J.gens]
+    return quotient_ideal(free.from_polys([ring.one(), ring.one()]), rels, degree_cap)
 
 
 def colon(I, J, degree_cap=DEFAULT_DEGREE_CAP):
-    """The quotient ideal (I : J) = {f | f*J inside I}, the intersection of
-    the (I : g), each the first coordinates of the syzygies of [g] + I."""
+    """The quotient ideal (I : J) = {f | f*J inside I}, as the quotient of
+    (g_1..g_m), the generators of J, modulo I^m; component i has twist
+    -deg g_i, so the vector has degree 0."""
     if I.ring != J.ring:
         raise ContextMismatch("ideals in different rings")
     ring = I.ring
     if J.is_zero():
         return IdealBasis(ring, [ring.one()])
-    result = None
-    for g in J.gens:
-        polys = [g] + I.gens
-        part = syzygy_ideal(
-            _rank_one(ring, polys), [f.degree() for f in polys], degree_cap
-        )
-        result = part if result is None else intersect(result, part, degree_cap)
-    G = buchberger(result, GREVLEX, degree_cap)
-    return IdealBasis(ring, G.elements)
+    free = FreeModule(ring, [-g.degree() for g in J.gens])
+    zero = ring.zero()
+    rels = [free.from_polys([zero] * i + [f]) for i in range(free.rank) for f in I.gens]
+    return quotient_ideal(free.from_polys(J.gens), rels, degree_cap)
 
 
 def kernel_of_map(source_ring, images, target_basis, degree_cap=DEFAULT_DEGREE_CAP):

@@ -5,6 +5,9 @@ the Auslander-Buchsbaum identity (#vars - projective dimension), canonical
 modules and the classification predicates via Ext against the ambient ring
 and graded local duality.  `classify` builds one resolution and takes the
 Betti numbers, depth, canonical module and every higher Ext from it.
+Ext, Hom and annihilators are kernels into quotient modules, each taken
+as syzygies modulo the relations (`modules.syzygies(modulo=)`), and each
+module is minimalized once.
 Hilbert series are read off leading monomials and need no resolution.
 """
 
@@ -14,14 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ResolutionTooLong, ZeroModule
-from .gb import (
-    DEFAULT_DEGREE_CAP,
-    IdealBasis,
-    buchberger,
-    ideal_member,
-    intersect,
-    syzygy_ideal,
-)
+from .gb import DEFAULT_DEGREE_CAP, IdealBasis, ideal_member, quotient_ideal
 from .modules import (
     FPModule,
     FreeModule,
@@ -75,8 +71,7 @@ def _as_module(obj):
         return FPModule.quotient_ring(obj)
     if isinstance(obj, IdealHandle):
         gens = [obj.ring.reduce(g) for g in obj.generators]
-        base = FPModule.from_ideal(obj.ring.ambient, gens)
-        return base
+        return FPModule.from_ideal(obj.ring.ambient, gens)
     if isinstance(obj, FPModule):
         return obj
     raise TypeError(f"cannot resolve a {type(obj).__name__}")
@@ -86,13 +81,14 @@ def free_resolution(obj, degree_cap=DEFAULT_DEGREE_CAP):
     """Minimal free resolution by iterated syzygies of minimal generators.
 
     Every stage uses a minimal generating set, so no differential carries a
-    unit entry and the result is minimal (graded Nakayama).
+    unit entry and the result is minimal (graded Nakayama).  The relations
+    of the minimal presentation are the first stage as they are.
     """
     M = _as_module(obj).minimal_presentation(degree_cap)
     ring = M.ring
     twists = [list(M.twists)]
     diffs = []
-    current = minimal_generators(M.relations, degree_cap)
+    current = M.relations
     while current:
         if len(diffs) == ring.nvars:
             raise ResolutionTooLong(
@@ -162,21 +158,19 @@ def krull_dim(obj, degree_cap=DEFAULT_DEGREE_CAP):
         return _dim_of_leading_monomials(
             obj.ambient.nvars, obj.defining.leading_monomials()
         )
-    M = _as_module(obj).minimal_presentation(degree_cap)
-    if M.is_zero_presentation():
-        return -1
-    ann = annihilator(M, degree_cap)
-    G = buchberger(ann, GREVLEX, degree_cap)
-    return _dim_of_leading_monomials(M.ring.nvars, G.leading_monomials())
+    # The annihilator is a reduced grevlex basis, and the unit ideal of a
+    # zero module has dimension -1.
+    ann = annihilator(obj, degree_cap)
+    lead = [leading_term(g, GREVLEX)[0] for g in ann.gens]
+    return _dim_of_leading_monomials(ann.ring.nvars, lead)
 
 
 def depth_ab(obj, degree_cap=DEFAULT_DEGREE_CAP):
     """Depth via Auslander-Buchsbaum: #vars - projective dimension."""
-    M = _as_module(obj).minimal_presentation(degree_cap)
-    if M.is_zero_presentation():
+    res = free_resolution(obj, degree_cap)
+    if not res.twists[0]:
         raise ZeroModule("depth of the zero module is undefined")
-    res = free_resolution(M, degree_cap)
-    return M.ring.nvars - res.length
+    return res.ring.nvars - res.length
 
 
 def _dual_columns(res, j):
@@ -193,24 +187,15 @@ def _dual_columns(res, j):
     return cols
 
 
-def _subquotient(ring, free_twists, ker_gens, im_gens, degree_cap):
-    """Present ker/im inside a free module with the given twists."""
+def _subquotient(ring, ker_gens, im_gens, degree_cap):
+    """Present ker/im, both given by generators in one free module: the
+    relations are the syzygies of ker's minimal generators modulo im."""
     gens = minimal_generators(ker_gens, degree_cap)
     if not gens:
         return FPModule.zero(ring)
-    combined = list(gens) + list(im_gens)
-    twists = [g.degree() for g in gens] + [g.degree() for g in im_gens]
-    syz = syzygies(combined, degree_cap, twists=twists)
-    quot_free = FreeModule(ring, [g.degree() for g in gens])
-    rels = []
-    for s in syz:
-        proj = ModVec(
-            quot_free,
-            {(i, m): c for (i, m), c in s.terms.items() if i < len(gens)},
-        )
-        if not proj.is_zero():
-            rels.append(proj)
-    return FPModule(ring, quot_free.twists, rels).minimal_presentation(degree_cap)
+    rels = syzygies(gens, degree_cap, modulo=im_gens)
+    twists = [g.degree() for g in gens]
+    return FPModule(ring, twists, rels).minimal_presentation(degree_cap)
 
 
 def ext_module(obj, j, degree_cap=DEFAULT_DEGREE_CAP):
@@ -234,20 +219,8 @@ def _ext_from_resolution(res, j, degree_cap=DEFAULT_DEGREE_CAP):
     else:
         cols = _dual_columns(res, j)
         ker_gens = syzygies(cols, degree_cap, twists=dual_twists)
-    if j == 0:
-        im_gens = []
-    else:
-        dual_free_j = FreeModule(ring, dual_twists)
-        im_gens = []
-        for a in range(len(res.twists[j - 1])):
-            polys = [
-                res.diffs[j - 1][b].component_poly(a)
-                for b in range(len(res.twists[j]))
-            ]
-            v = dual_free_j.from_polys(polys)
-            if not v.is_zero():
-                im_gens.append(v)
-    return _subquotient(ring, dual_twists, ker_gens, im_gens, degree_cap)
+    im_gens = _dual_columns(res, j - 1) if j else []
+    return _subquotient(ring, ker_gens, im_gens, degree_cap)
 
 
 def canonical_module(R, degree_cap=DEFAULT_DEGREE_CAP):
@@ -298,44 +271,36 @@ def hom_modules(M, N, degree_cap=DEFAULT_DEGREE_CAP):
                     (k * u + i, m): c for (i, m), c in rel.terms.items()
                 }
                 shifted_rels.append(ModVec(tgt_free, terms))
-        combined = cols + shifted_rels
-        twists = list(src_twists) + [v.degree() for v in shifted_rels]
-        syz = syzygies(combined, degree_cap, twists=twists)
-        W = []
-        for v in syz:
-            proj = ModVec(
-                src_free,
-                {(i, m): c for (i, m), c in v.terms.items() if i < len(cols)},
-            )
-            if not proj.is_zero():
-                W.append(proj)
+        W = syzygies(cols, degree_cap, twists=src_twists, modulo=shifted_rels)
     im_gens = []
     for i in range(s):
         for rel in N.relations:
             terms = {(i * u + jj, m): c for (jj, m), c in rel.terms.items()}
             im_gens.append(ModVec(src_free, terms))
-    return _subquotient(ring, src_twists, W, im_gens, degree_cap)
+    return _subquotient(ring, W, im_gens, degree_cap)
 
 
 def annihilator(obj, degree_cap=DEFAULT_DEGREE_CAP):
-    """The exact annihilator ideal (0 : M) in the ambient polynomial ring."""
-    M = _as_module(obj).minimal_presentation(degree_cap)
+    """The exact annihilator ideal (0 : M) of M = F/U in the ambient
+    polynomial ring, as a reduced grevlex basis.
+
+    (0 : M) is the intersection of the (U : e_i), so it is the quotient of
+    (e_1, ..., e_s) in F^s modulo U^s.  Block i of F^s is F shifted by
+    -twist_i, so the vector has degree 0.
+    """
+    M = _as_module(obj)
     ring = M.ring
     if M.is_zero_presentation():
         return IdealBasis(ring, [ring.one()])
-    result = None
-    for i in range(len(M.twists)):
-        combined = [M.free.basis_vector(i)] + list(M.relations)
-        twists = [M.twists[i]] + [r.degree() for r in M.relations]
-        part = syzygy_ideal(combined, twists, degree_cap)
-        if result is None:
-            result = part
-        else:
-            result = intersect(result, part, degree_cap)
-        if result.is_zero():
-            return result
-    G = buchberger(result, GREVLEX, degree_cap)
-    return IdealBasis(ring, G.elements)
+    s = len(M.twists)
+    free = FreeModule(ring, [t - u for u in M.twists for t in M.twists])
+    v = ModVec(free, {(i * s + i, ring.one_mono()): 1 for i in range(s)})
+    rels = [
+        ModVec(free, {(i * s + j, m): c for (j, m), c in r.terms.items()})
+        for i in range(s)
+        for r in M.relations
+    ]
+    return quotient_ideal(v, rels, degree_cap)
 
 
 @dataclass
@@ -412,7 +377,7 @@ def classify(R, assume_equidimensional=False, degree_cap=DEFAULT_DEGREE_CAP):
     ext_dims = {}
     for j in range(codim + 1, n + 1):
         ext = _ext_from_resolution(res, j, degree_cap)
-        if not ext.minimal_presentation(degree_cap).is_zero_presentation():
+        if not ext.is_zero_presentation():
             ext_dims[j] = krull_dim(ext, degree_cap)
     gcm = all(d <= 0 for d in ext_dims.values())
     serre = 0

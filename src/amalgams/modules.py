@@ -3,7 +3,9 @@
 Vectors in a free module S^s are sparse maps (component, monomial) -> coeff.
 The module order takes a monomial order (grevlex or a block order) with a
 position tie-break, and supports a dominant front block of components;
-computing syzygies is elimination with the front block dominant.  One
+computing syzygies is elimination with the front block dominant, and
+syzygies modulo a submodule U lift U's generators with a zero tail, which
+makes them the one kernel primitive of the package.  One
 Buchberger loop (`_extend`) and one reducer (`_mod_reduce`) run over module
 vectors; `amalgams.gb` runs ideals through them as rank-1 submodules.
 Both of the engine's choices are heap pops.  The loop computes each
@@ -333,12 +335,17 @@ def module_groebner(vecs, order=None, degree_cap=DEFAULT_DEGREE_CAP):
     return _extend([], [], new, order, degree_cap)
 
 
-def syzygies(vecs, degree_cap=DEFAULT_DEGREE_CAP, twists=None):
-    """Generators of the syzygy module of the given homogeneous vectors.
+def syzygies(vecs, degree_cap=DEFAULT_DEGREE_CAP, twists=None, modulo=()):
+    """Generators of the syzygies of `vecs` modulo the submodule <modulo>:
+    the a with sum a_i*vecs[i] in <modulo> (the plain syzygies by default).
 
     Returns vectors in a free module of rank len(vecs) whose twists are the
     degrees of the inputs (pass `twists` explicitly when some inputs are
-    zero vectors, whose degree is ambiguous).
+    zero vectors, whose degree is ambiguous).  Each vecs[i] is lifted with
+    the unit vector e_i as its tail and each relation with a zero tail; the
+    elements of the lifted vectors' Groebner basis with a zero first block
+    are the syzygies, and they form a Groebner basis under the plain
+    grevlex module order.
     """
     if not vecs:
         return []
@@ -347,11 +354,12 @@ def syzygies(vecs, degree_cap=DEFAULT_DEGREE_CAP, twists=None):
     if twists is None:
         twists = [v.degree() for v in vecs]
     ext = FreeModule(ring, list(free.twists) + list(twists))
-    lifted = []
-    for idx, v in enumerate(vecs):
-        terms = {(i, m): c for (i, m), c in v.terms.items()}
-        terms[(free.rank + idx, ring.one_mono())] = 1
-        lifted.append(ModVec(ext, terms))
+    one = ring.one_mono()
+    lifted = [
+        ModVec(ext, {**v.terms, (free.rank + idx, one): 1})
+        for idx, v in enumerate(vecs)
+    ]
+    lifted += [ModVec(ext, r.terms) for r in modulo]
     gb = module_groebner(lifted, ModOrder(ring.weights, free.rank), degree_cap)
     syz_free = FreeModule(ring, list(twists))
     out = []

@@ -1,0 +1,51 @@
+"""The fixture commands whose outputs `golden_outputs.json` records.
+
+Every declared name of every bundled fixture gets each command that
+applies to its kind, at p = 101 and p = 32003: `present`, `classify`,
+`canonical` and `hom-into` on amalgams, `classify` and `canonical` on
+rings, `finite check` on finite amalgams.  `run` makes one call through
+`amalgams.cli.main` and returns its exit code, stdout and stderr.
+"""
+
+import contextlib
+import io
+from importlib import resources
+from pathlib import Path
+
+from amalgams.cli import main, parse_input
+
+GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
+PRIMES = (101, 32003)
+COMMANDS = {
+    "amalgam": (["present"], ["classify"], ["canonical"], ["hom-into"]),
+    "ring": (["classify"], ["canonical"]),
+    "famalgam": (["finite", "check"],),
+}
+
+
+def fixture_path(name):
+    return resources.files("amalgams").joinpath("fixtures", name)
+
+
+def fixture_commands():
+    """(fixture file, command words, prime) for every recorded command."""
+    out = []
+    for fixture in sorted(
+        f.name for f in resources.files("amalgams").joinpath("fixtures").iterdir()
+        if f.name.endswith(".alg")
+    ):
+        session = parse_input(fixture_path(fixture).read_text())
+        for name, (kind, _obj) in session.decls.items():
+            for words in COMMANDS.get(kind, ()):
+                for p in PRIMES:
+                    out.append((fixture, words + [name], p))
+    return out
+
+
+def run(fixture, words, prime):
+    """(exit code, stdout, stderr) of one CLI call on a bundled fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["--prime", str(prime), str(fixture_path(fixture))] + list(words)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()

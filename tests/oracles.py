@@ -15,6 +15,14 @@ same list, term for term.
 multiples under addition until nothing changes, where `amalgams.finite`
 adds principal ideals coset by coset; `amalgam_tables_loop` fills a finite
 amalgam's tables one pair at a time, where `FiniteAmalgam` indexes them.
+`syzygies_then_project` finds the syzygies of vectors modulo a submodule
+as the syzygies of the vectors and the relations together, cut down to the
+vectors' coordinates, where `amalgams.modules.syzygies(modulo=)` lifts the
+relations with a zero tail.  `intersect_project`, `colon_loop`,
+`annihilator_loop` and `ext_project` are the routes built on it: the
+intersection as first coordinates of syzygies, the colon and the
+annihilator as intersections of one quotient per generator, and Ext with
+its relations cut down from syzygies.
 """
 
 from operator import add
@@ -23,15 +31,21 @@ import numpy as np
 
 from amalgams.errors import DegreeCapExceeded, NotARing
 from amalgams.finite import FiniteIdeal, _normalize_one
-from amalgams.homology import free_resolution
+from amalgams.gb import IdealBasis, buchberger
+from amalgams.homology import _dual_columns, free_resolution
 from amalgams.modules import (
     DEFAULT_DEGREE_CAP,
+    FPModule,
+    FreeModule,
     ModOrder,
     ModVec,
     _mod_reduce,
     leading_mod_term,
+    minimal_generators,
     module_groebner,
+    syzygies,
 )
+from amalgams.poly import GREVLEX
 from amalgams.ring import IdealHandle, PresentedRing
 from amalgams.series import HilbertSeries, lp_add, lp_monomial, lp_neg, lp_zero
 
@@ -244,3 +258,102 @@ def amalgam_tables_loop(A, B, f, J):
             mul[i, k] = index[t]
     (add, mul), _ = _normalize_one(add, mul, index[(A.one, B.one)])
     return add, mul
+
+
+def syzygies_then_project(vecs, twists, modulo):
+    """The a with sum a_i*vecs[i] in <modulo>: the syzygies of vecs and the
+    nonzero relations together, each cut down to its first len(vecs)
+    coordinates."""
+    modulo = [r for r in modulo if not r.is_zero()]
+    syz = syzygies(
+        list(vecs) + modulo, twists=list(twists) + [r.degree() for r in modulo]
+    )
+    free = FreeModule(vecs[0].ring, twists)
+    out = []
+    for s in syz:
+        terms = {(i, m): c for (i, m), c in s.terms.items() if i < len(vecs)}
+        proj = ModVec(free, terms)
+        if not proj.is_zero():
+            out.append(proj)
+    return out
+
+
+def _first_coordinates(vecs, twists):
+    """The ideal of first coordinates of the syzygies of `vecs`."""
+    return IdealBasis(
+        vecs[0].ring, [v.component_poly(0) for v in syzygies(vecs, twists=twists)]
+    )
+
+
+def _reduced(ideal):
+    return IdealBasis(ideal.ring, buchberger(ideal, GREVLEX).elements)
+
+
+def intersect_project(I, J):
+    """I cap J: the first coordinates of the syzygies of (1, 1), the
+    (f, 0) and the (0, g), reduced by a Buchberger run."""
+    ring = I.ring
+    if I.is_zero() or J.is_zero():
+        return IdealBasis(ring, [])
+    free = FreeModule(ring, [0, 0])
+    zero = ring.zero()
+    vecs = [free.from_polys([ring.one(), ring.one()])]
+    vecs += [free.from_polys([f, zero]) for f in I.gens]
+    vecs += [free.from_polys([zero, g]) for g in J.gens]
+    twists = [0] + [f.degree() for f in I.gens + J.gens]
+    return _reduced(_first_coordinates(vecs, twists))
+
+
+def colon_loop(I, J):
+    """(I : J) as the intersection of the (I : g) over the generators g of
+    J, each the first coordinates of the syzygies of [g] + I."""
+    ring = I.ring
+    if J.is_zero():
+        return IdealBasis(ring, [ring.one()])
+    free = FreeModule(ring, [0])
+    result = None
+    for g in J.gens:
+        polys = [g] + I.gens
+        part = _first_coordinates(
+            [free.from_polys([f]) for f in polys], [f.degree() for f in polys]
+        )
+        result = part if result is None else intersect_project(result, part)
+    return _reduced(result)
+
+
+def annihilator_loop(M):
+    """(0 : M) as the intersection of the (U : e_i) over the generators of
+    a minimal presentation F/U, each the first coordinates of the syzygies
+    of [e_i] + U."""
+    M = M.minimal_presentation()
+    ring = M.ring
+    if M.is_zero_presentation():
+        return IdealBasis(ring, [ring.one()])
+    result = None
+    for i in range(len(M.twists)):
+        vecs = [M.free.basis_vector(i)] + list(M.relations)
+        twists = [M.twists[i]] + [r.degree() for r in M.relations]
+        part = _first_coordinates(vecs, twists)
+        result = part if result is None else intersect_project(result, part)
+    return _reduced(result)
+
+
+def ext_project(res, j):
+    """Ext^j from the resolution `res` as the cohomology of its dual, the
+    relations of ker/im cut down from syzygies of ker's generators and im."""
+    ring = res.ring
+    if j > res.length or not res.twists[j]:
+        return FPModule.zero(ring)
+    dual_twists = [-t for t in res.twists[j]]
+    if j == res.length:
+        free = FreeModule(ring, dual_twists)
+        ker_gens = [free.basis_vector(i) for i in range(free.rank)]
+    else:
+        ker_gens = syzygies(_dual_columns(res, j), twists=dual_twists)
+    im_gens = _dual_columns(res, j - 1) if j else []
+    gens = minimal_generators(ker_gens)
+    if not gens:
+        return FPModule.zero(ring)
+    twists = [g.degree() for g in gens]
+    rels = syzygies_then_project(gens, twists, im_gens)
+    return FPModule(ring, twists, rels).minimal_presentation()

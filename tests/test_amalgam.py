@@ -79,6 +79,34 @@ def test_presentation_keeps_the_basis_intersect_returns(monkeypatch):
         assert P.K.elements == PresentedRing(P.ambient, P.K.elements).defining.elements
 
 
+def test_verification_reuses_the_ring_B_mod_J(monkeypatch):
+    # amalgam_present builds B/(I_B + J) to rule out J = B, and the
+    # certificate reads HS(J) = HS(B) - HS(B/J) off that ring, so it runs
+    # no Buchberger of its own.
+    rings = []
+
+    def recording(basis, *args):
+        rings.append(basis.ring)
+        return buchberger(basis, *args)
+
+    monkeypatch.setattr(ring_module, "buchberger", recording)
+    A = make_ring(101, ["x1", "x2", "x3"])
+    specs = [
+        intersection_spec()[0],
+        intersection_spec(p=32003, drop_generator=True)[0],
+        duplication(A, IdealHandle(A, ["x1^2", "x2*x3"])),
+        trivial_extension(line_ring(), FPModule.free_module(line_ring().ambient, [1])),
+    ]
+    for spec in specs:
+        P = amalgam_present(spec)
+        rings.clear()
+        verify_presentation(P)
+        assert rings == []
+        assert hilbert_series(spec.B) - hilbert_series(P.B_mod_J) == hilbert_series(
+            spec.J
+        )
+
+
 def test_trivial_extension_by_free_module():
     A = line_ring()
     M = FPModule.free_module(A.ambient, [1])

@@ -267,3 +267,10 @@ def test_amalgam_of_non_ideal_rejected():
             FiniteAmalgam(A, A, f, J)
         with pytest.raises(NotARing, match="not closed"):
             amalgam_tables_loop(A, A, f, J)
+
+
+def test_amalgam_rings_satisfy_the_unchecked_axioms():
+    # FiniteAmalgam builds its ring without the axiom check: the axioms
+    # follow from those of A x B and from the closure check.
+    for W in fixture_amalgams() + [reduction_amalgam(*s) for s in BENCH_SHAPES]:
+        W.ring._check_axioms()

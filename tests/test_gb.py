@@ -329,13 +329,20 @@ def homogeneous_ideals(draw, primes=(101, 32003)):
     return ring, gens
 
 
+def _as_expr(sympy, syms, f):
+    return sum(
+        c * sympy.prod(s**e for s, e in zip(syms, m)) for m, c in f.terms.items()
+    )
+
+
 def _sympy_basis(sympy, ring, polys, gens, order):
     """sympy's reduced basis over GF(p) as polynomials of `ring`, the
-    symmetric residues sympy prints taken to least non-negative ones."""
+    symmetric residues sympy prints taken to least non-negative ones.
+    `polys` are polynomials of `ring` or sympy expressions in its
+    variables."""
     syms = sympy.symbols(list(ring.names))
     exprs = [
-        sum(c * sympy.prod(s**e for s, e in zip(syms, m)) for m, c in f.terms.items())
-        for f in polys
+        f if isinstance(f, sympy.Expr) else _as_expr(sympy, syms, f) for f in polys
     ]
     index = [ring.names.index(g) for g in gens]
     basis = sympy.groebner(
@@ -351,6 +358,17 @@ def _sympy_basis(sympy, ring, polys, gens, order):
             terms.append((full, int(c) % ring.p))
         out.append(ring.from_terms(terms))
     return out
+
+
+def _sympy_intersection(sympy, ring, F, G):
+    """Generators of (F) cap (G) as sympy expressions: the t-free part of
+    sympy's lex basis of t*F + (1 - t)*G, t the largest variable."""
+    syms = sympy.symbols(list(ring.names))
+    t = sympy.Dummy("t")
+    exprs = [t * _as_expr(sympy, syms, f) for f in F]
+    exprs += [(1 - t) * _as_expr(sympy, syms, g) for g in G]
+    lex = sympy.groebner(exprs, t, *syms, modulus=ring.p, order="lex")
+    return [q.as_expr() for q in lex.polys if q.degree(t) == 0]
 
 
 def _by_leading_term(polys):
@@ -401,3 +419,29 @@ def test_reduced_basis_invariant_under_permutation_and_scaling(p, data):
         G = buchberger(IdealBasis(ring, gens), order)
         H = buchberger(IdealBasis(ring, moved), order)
         assert [g.terms for g in H.elements] == [g.terms for g in G.elements]
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+@settings(max_examples=8)
+@given(data=st.data())
+def test_intersect_and_colon_match_sympy(p, data):
+    sympy = pytest.importorskip("sympy")
+    ring, F = data.draw(homogeneous_ideals((p,)))
+    _, G = data.draw(homogeneous_ideals((p,)))
+    names = list(ring.names)
+    meet = _sympy_intersection(sympy, ring, F, G)
+    expected = _by_leading_term(_sympy_basis(sympy, ring, meet, names, "grevlex"))
+    got = intersect(IdealBasis(ring, F), IdealBasis(ring, G))
+    assert [g.terms for g in got.gens] == [g.terms for g in expected]
+    # (F : g) = ((F) cap (g)) / g
+    g = G[0]
+    syms = sympy.symbols(names)
+    divisor = sympy.Poly(_as_expr(sympy, syms, g), *syms, modulus=p)
+    quotients = []
+    for h in _sympy_intersection(sympy, ring, F, [g]):
+        q, r = sympy.div(sympy.Poly(h, *syms, modulus=p), divisor)
+        assert r.is_zero
+        quotients.append(q.as_expr())
+    expected = _by_leading_term(_sympy_basis(sympy, ring, quotients, names, "grevlex"))
+    got = colon(IdealBasis(ring, F), IdealBasis(ring, [g]))
+    assert [f.terms for f in got.gens] == [f.terms for f in expected]
