@@ -24,6 +24,7 @@ failure, 2 parse error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from importlib import resources
 
@@ -830,8 +831,16 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = report.render()
-    if out:
-        print(out)
+    try:
+        if out:
+            print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (`amalgams FILE classify T | head -1`): send
+        # what is left to the null device, so the flush at exit is quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return report.status
 
 

@@ -103,7 +103,8 @@ def zmod(n, name=None):
     i = np.arange(n)
     add = (i[:, None] + i[None, :]) % n
     mul = (i[:, None] * i[None, :]) % n
-    return FiniteRing(add, mul, name=name or f"Z/{n}")
+    # Tables built by formula from the integers need no axiom check.
+    return FiniteRing(add, mul, name=name or f"Z/{n}", check=False)
 
 
 class ProductRing(FiniteRing):
@@ -120,7 +121,8 @@ class ProductRing(FiniteRing):
         (add, mul), perm = _normalize_one(add, mul, one_raw)
         self.factors = (A, B)
         self._perm = perm  # raw pair index -> label
-        super().__init__(add, mul, name=name or f"{A} x {B}")
+        # The axioms hold componentwise, since A and B satisfy them.
+        super().__init__(add, mul, name=name or f"{A} x {B}", check=False)
 
     def pair_index(self, a, b):
         return int(self._perm[a * self.factors[1].n + b])

@@ -237,6 +237,8 @@ def kernel_of_map(source_ring, images, target_basis, degree_cap=DEFAULT_DEGREE_C
 
     Computed in a joint ring (target variables in the elimination block,
     source variables retained) from target_ideal + <source_i - image_i>.
+    The block order restricts to grevlex on the source variables, so the
+    survivors are already the reduced grevlex basis, in `buchberger`'s order.
     """
     target_ring = target_basis.ring
     if len(images) != source_ring.nvars:
@@ -258,6 +260,6 @@ def kernel_of_map(source_ring, images, target_basis, degree_cap=DEFAULT_DEGREE_C
             - _map_exponents(img, joint, t_slot)
         )
     contracted = eliminate(IdealBasis(joint, gens), tnames, degree_cap)
-    back = [Polynomial(source_ring, dict(g.terms)) for g in contracted.gens]
-    G = buchberger(IdealBasis(source_ring, back), GREVLEX, degree_cap)
-    return IdealBasis(source_ring, G.elements)
+    return IdealBasis(
+        source_ring, [Polynomial(source_ring, dict(g.terms)) for g in contracted.gens]
+    )

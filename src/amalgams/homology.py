@@ -6,8 +6,9 @@ modules and the classification predicates via Ext against the ambient ring
 and graded local duality.  `classify` builds one resolution and takes the
 Betti numbers, depth, canonical module and every higher Ext from it.
 Ext, Hom and annihilators are kernels into quotient modules, each taken
-as syzygies modulo the relations (`modules.syzygies(modulo=)`), and each
-module is minimalized once.
+as syzygies modulo the relations (`modules.syzygies(modulo=)`); Ext and
+Hom are presented by `modules.subquotient`, the one minimalization rule,
+and each module is minimalized once.
 Hilbert series are read off leading monomials and need no resolution.
 """
 
@@ -26,6 +27,7 @@ from .modules import (
     leading_mod_term,
     minimal_generators,
     module_groebner,
+    subquotient,
     syzygies,
 )
 from .poly import GREVLEX, leading_term
@@ -187,17 +189,6 @@ def _dual_columns(res, j):
     return cols
 
 
-def _subquotient(ring, ker_gens, im_gens, degree_cap):
-    """Present ker/im, both given by generators in one free module: the
-    relations are the syzygies of ker's minimal generators modulo im."""
-    gens = minimal_generators(ker_gens, degree_cap)
-    if not gens:
-        return FPModule.zero(ring)
-    rels = syzygies(gens, degree_cap, modulo=im_gens)
-    twists = [g.degree() for g in gens]
-    return FPModule(ring, twists, rels).minimal_presentation(degree_cap)
-
-
 def ext_module(obj, j, degree_cap=DEFAULT_DEGREE_CAP):
     """Ext^j against the ambient polynomial ring, as a presented module."""
     M = _as_module(obj)
@@ -220,7 +211,7 @@ def _ext_from_resolution(res, j, degree_cap=DEFAULT_DEGREE_CAP):
         cols = _dual_columns(res, j)
         ker_gens = syzygies(cols, degree_cap, twists=dual_twists)
     im_gens = _dual_columns(res, j - 1) if j else []
-    return _subquotient(ring, ker_gens, im_gens, degree_cap)
+    return subquotient(ring, ker_gens, im_gens, degree_cap)
 
 
 def canonical_module(R, degree_cap=DEFAULT_DEGREE_CAP):
@@ -247,37 +238,30 @@ def hom_modules(M, N, degree_cap=DEFAULT_DEGREE_CAP):
         N.twists[jj] - M.twists[i] for i in range(s) for jj in range(u)
     ]
     src_free = FreeModule(ring, src_twists)
-    if r == 0:
-        W = [src_free.basis_vector(k) for k in range(src_free.rank)]
-    else:
-        tgt_twists = [
-            N.twists[jj] - rel_degs[k] for k in range(r) for jj in range(u)
-        ]
-        tgt_free = FreeModule(ring, tgt_twists)
-        cols = []
-        for i in range(s):
-            for jj in range(u):
-                # the hom e_i -> eta_jj composes with the relations of M
-                terms = {}
-                for k in range(r):
-                    phi = M.relations[k].component_poly(i)
-                    for m, c in phi.terms.items():
-                        terms[(k * u + jj, m)] = c
-                cols.append(ModVec(tgt_free, terms))
-        shifted_rels = []
-        for k in range(r):
-            for rel in N.relations:
-                terms = {
-                    (k * u + i, m): c for (i, m), c in rel.terms.items()
-                }
-                shifted_rels.append(ModVec(tgt_free, terms))
-        W = syzygies(cols, degree_cap, twists=src_twists, modulo=shifted_rels)
+    tgt_twists = [N.twists[jj] - rel_degs[k] for k in range(r) for jj in range(u)]
+    tgt_free = FreeModule(ring, tgt_twists)
+    cols = []
+    for i in range(s):
+        for jj in range(u):
+            # the hom e_i -> eta_jj composes with the relations of M
+            terms = {}
+            for k in range(r):
+                phi = M.relations[k].component_poly(i)
+                for m, c in phi.terms.items():
+                    terms[(k * u + jj, m)] = c
+            cols.append(ModVec(tgt_free, terms))
+    shifted_rels = []
+    for k in range(r):
+        for rel in N.relations:
+            terms = {(k * u + i, m): c for (i, m), c in rel.terms.items()}
+            shifted_rels.append(ModVec(tgt_free, terms))
+    W = syzygies(cols, degree_cap, twists=src_twists, modulo=shifted_rels)
     im_gens = []
     for i in range(s):
         for rel in N.relations:
             terms = {(i * u + jj, m): c for (jj, m), c in rel.terms.items()}
             im_gens.append(ModVec(src_free, terms))
-    return _subquotient(ring, W, im_gens, degree_cap)
+    return subquotient(ring, W, im_gens, degree_cap)
 
 
 def annihilator(obj, degree_cap=DEFAULT_DEGREE_CAP):

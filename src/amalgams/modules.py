@@ -5,7 +5,10 @@ The module order takes a monomial order (grevlex or a block order) with a
 position tie-break, and supports a dominant front block of components;
 computing syzygies is elimination with the front block dominant, and
 syzygies modulo a submodule U lift U's generators with a zero tail, which
-makes them the one kernel primitive of the package.  One
+makes them the one kernel primitive of the package.  Graded Nakayama is
+the one minimalization rule: `minimal_generators(modulo=)` keeps what the
+relations and the vectors kept so far do not span, and `subquotient`, built
+on it, presents Ext, Hom and every module with a unit relation entry.  One
 Buchberger loop (`_extend`) and one reducer (`_mod_reduce`) run over module
 vectors; `amalgams.gb` runs ideals through them as rank-1 submodules.
 Both of the engine's choices are heap pops.  The loop computes each
@@ -374,21 +377,28 @@ def syzygies(vecs, degree_cap=DEFAULT_DEGREE_CAP, twists=None, modulo=()):
     return out
 
 
-def minimal_generators(vecs, degree_cap=DEFAULT_DEGREE_CAP):
-    """Minimal generating subset of a list of homogeneous vectors.
+def minimal_generators(vecs, degree_cap=DEFAULT_DEGREE_CAP, modulo=()):
+    """Minimal generating subset of a list of homogeneous vectors, modulo
+    the submodule <modulo> (nothing by default).
 
     Processes generators by increasing degree and keeps one exactly when it
-    is not a combination of those already kept (graded Nakayama).  One GB
-    of the kept vectors is extended by each vector kept.
+    is not in <modulo> + <kept> (graded Nakayama).  One GB, seeded with the
+    relations of degree at most the largest candidate's (no other relation
+    reaches a candidate), is extended by each vector kept.
     """
     vecs = [v for v in vecs if not v.is_zero()]
     vecs.sort(key=lambda v: (v.degree(), sorted(v.terms.items())))
     if not vecs:
         return []
     order = ModOrder(vecs[0].ring.weights)
+    top = vecs[-1].degree()
+    seeds = [
+        _monic(r, order) for r in modulo if not r.is_zero() and r.degree() <= top
+    ]
     kept = []
     gb = []
     leads = []
+    _extend(gb, leads, seeds, order, degree_cap)
     for v in vecs:
         h = _mod_reduce(v, gb, leads, order)
         if h.is_zero():
@@ -457,67 +467,30 @@ class FPModule:
         return not self.twists
 
     def minimal_presentation(self, degree_cap=DEFAULT_DEGREE_CAP):
-        """Prune unit relation entries, then minimalize the relation set."""
-        ring = self.ring
-        twists = list(self.twists)
-        rels = [dict(r.terms) for r in self.relations if not r.is_zero()]
-
-        def find_unit():
-            one = ring.one_mono()
-            for ri, terms in enumerate(rels):
-                for (i, m), c in terms.items():
-                    if m == one:
-                        return ri, i, c
-            return None
-
-        while True:
-            hit = find_unit()
-            if hit is None:
-                break
-            ri, comp, c = hit
-            inv = ring.field.normalize(-pow(c, ring.p - 2, ring.p))
-            # e_comp = inv * (relation without its comp entry)
-            expr = {
-                (i, m): (v * inv) % ring.p
-                for (i, m), v in rels[ri].items()
-                if i != comp
-            }
-            new_rels = []
-            for rj, terms in enumerate(rels):
-                if rj == ri:
-                    continue
-                out = {k: v for k, v in terms.items() if k[0] != comp}
-                for (i, m), v in terms.items():
-                    if i != comp:
-                        continue
-                    for (i2, m2), v2 in expr.items():
-                        k = (i2, ring.mono_mul(m, m2))
-                        s = (out.get(k, 0) + v * v2) % ring.p
-                        if s:
-                            out[k] = s
-                        else:
-                            out.pop(k, None)
-                if out:
-                    new_rels.append(out)
-            # reindex components above `comp`
-            remap = {}
-            for i in range(len(twists)):
-                if i < comp:
-                    remap[i] = i
-                elif i > comp:
-                    remap[i] = i - 1
-            twists.pop(comp)
-            rels = [
-                {(remap[i], m): v for (i, m), v in terms.items()}
-                for terms in new_rels
-            ]
-
-        free = FreeModule(ring, twists)
-        vecs = [ModVec(free, terms) for terms in rels]
-        vecs = minimal_generators(vecs, degree_cap)
-        return FPModule(ring, twists, vecs)
+        """A minimal presentation of the same module.  With no constant
+        relation entry the generators are already minimal (graded
+        Nakayama) and only the relations are minimalized; otherwise it is
+        the subquotient of the basis modulo the relations."""
+        one = self.ring.one_mono()
+        if all(m != one for r in self.relations for (_, m) in r.terms):
+            rels = minimal_generators(self.relations, degree_cap)
+            return FPModule(self.ring, self.twists, rels)
+        basis = [self.free.basis_vector(i) for i in range(len(self.twists))]
+        return subquotient(self.ring, basis, self.relations, degree_cap)
 
     def __repr__(self):
         return (
             f"FPModule(twists={self.twists}, {len(self.relations)} relations)"
         )
+
+
+def subquotient(ring, gens, rels, degree_cap=DEFAULT_DEGREE_CAP):
+    """Minimal presentation of (<gens> + <rels>)/<rels>, both given by
+    vectors of one free module.  The generators are the minimal generators
+    of `gens` modulo `rels`, the relations the minimal generators of their
+    syzygies modulo `rels`.  No kept generator lies in the span of the
+    others and `rels`, so no relation has a unit entry."""
+    kept = minimal_generators(gens, degree_cap, modulo=rels)
+    syz = syzygies(kept, degree_cap, modulo=rels)
+    twists = [g.degree() for g in kept]
+    return FPModule(ring, twists, minimal_generators(syz, degree_cap))

@@ -22,7 +22,10 @@ relations with a zero tail.  `intersect_project`, `colon_loop`,
 `annihilator_loop` and `ext_project` are the routes built on it: the
 intersection as first coordinates of syzygies, the colon and the
 annihilator as intersections of one quotient per generator, and Ext with
-its relations cut down from syzygies.
+its relations cut down from syzygies; they minimalize with
+`minimal_presentation_substitute`, which substitutes unit relation
+entries away one at a time, where `FPModule.minimal_presentation` takes
+the subquotient of the basis modulo the relations.
 """
 
 from operator import add
@@ -325,7 +328,7 @@ def annihilator_loop(M):
     """(0 : M) as the intersection of the (U : e_i) over the generators of
     a minimal presentation F/U, each the first coordinates of the syzygies
     of [e_i] + U."""
-    M = M.minimal_presentation()
+    M = minimal_presentation_substitute(M)
     ring = M.ring
     if M.is_zero_presentation():
         return IdealBasis(ring, [ring.one()])
@@ -356,4 +359,56 @@ def ext_project(res, j):
         return FPModule.zero(ring)
     twists = [g.degree() for g in gens]
     rels = syzygies_then_project(gens, twists, im_gens)
-    return FPModule(ring, twists, rels).minimal_presentation()
+    return minimal_presentation_substitute(FPModule(ring, twists, rels))
+
+
+def minimal_presentation_substitute(M, degree_cap=DEFAULT_DEGREE_CAP):
+    """A minimal presentation of M: while a relation has a unit entry,
+    solve it for that generator and substitute the solution into the other
+    relations, then minimalize the relations that remain."""
+    ring = M.ring
+    p = ring.p
+    one = ring.one_mono()
+    twists = list(M.twists)
+    rels = [dict(r.terms) for r in M.relations if not r.is_zero()]
+    while True:
+        hit = next(
+            (
+                (ri, i, c)
+                for ri, terms in enumerate(rels)
+                for (i, m), c in terms.items()
+                if m == one
+            ),
+            None,
+        )
+        if hit is None:
+            break
+        ri, comp, c = hit
+        inv = (-pow(c, p - 2, p)) % p
+        # e_comp = inv * (the relation without its comp entry)
+        expr = {(i, m): v * inv % p for (i, m), v in rels[ri].items() if i != comp}
+        new_rels = []
+        for rj, terms in enumerate(rels):
+            if rj == ri:
+                continue
+            out = {k: v for k, v in terms.items() if k[0] != comp}
+            for (i, m), v in terms.items():
+                if i != comp:
+                    continue
+                for (i2, m2), v2 in expr.items():
+                    k = (i2, ring.mono_mul(m, m2))
+                    s = (out.get(k, 0) + v * v2) % p
+                    if s:
+                        out[k] = s
+                    else:
+                        out.pop(k, None)
+            if out:
+                new_rels.append(out)
+        twists.pop(comp)
+        rels = [
+            {(i - (i > comp), m): v for (i, m), v in terms.items()}
+            for terms in new_rels
+        ]
+    free = FreeModule(ring, twists)
+    vecs = minimal_generators([ModVec(free, t) for t in rels], degree_cap)
+    return FPModule(ring, twists, vecs)

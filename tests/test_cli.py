@@ -1,3 +1,9 @@
+import errno
+import io
+import os
+import subprocess
+import sys
+
 import pytest
 
 from amalgams import homology
@@ -224,6 +230,78 @@ def test_trivext_generator_degree_below_one(tmp_path, capsys):
     )
     assert main([str(f), "present", "T"]) == 0
     assert capsys.readouterr().out == "K = x*z1, z1^2\ncertificate = Certified\n"
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "gens 1, 1 relations e1 - e2",
+        "gens 1, 2 relations e2 - x*e1",
+        "gens 2, 1, 1 relations e1 - x*e2; e2 - e3",
+    ],
+)
+def test_trivext_with_unit_relations_is_the_one_generator_module(module):
+    # Each module is free of rank one on a generator of degree 1, so the
+    # trivial extension is the same ring as for `gens 1`.
+    def lines(body, command):
+        text = f"field p=101\nring A vars x, y\ntrivext T : A, module {body}\n"
+        return dispatch(text, [command, "T"]).lines
+
+    for command in ("present", "classify"):
+        assert lines(module, command) == lines("gens 1", command)
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout on file descriptor `fd` whose reader has gone, as under
+    `amalgams ... | head -1`."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def fileno(self):
+        return self.fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_closed_stdout_is_quiet(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "a.alg"
+    f.write_text(INTERSECTION)
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        assert main([str(f), "classify", "W24"]) == 0
+        # stdout's descriptor now points at the null device.
+        os.write(fd, b"dropped")
+    finally:
+        os.close(fd)
+    assert (tmp_path / "stdout").read_bytes() == b""
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_exits_quietly(tmp_path):
+    # The command writes into a pipe whose read end is already closed.
+    f = tmp_path / "a.alg"
+    f.write_text(INTERSECTION)
+    src = os.path.dirname(os.path.dirname(homology.__file__))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "amalgams.cli", str(f), "classify", "W24"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, b"")
 
 
 def test_unknown_name_in_command(tmp_path, capsys):

@@ -274,3 +274,19 @@ def test_amalgam_rings_satisfy_the_unchecked_axioms():
     # follow from those of A x B and from the closure check.
     for W in fixture_amalgams() + [reduction_amalgam(*s) for s in BENCH_SHAPES]:
         W.ring._check_axioms()
+
+
+def test_formula_rings_satisfy_the_unchecked_axioms():
+    # zmod and ProductRing build their tables by formula and skip the
+    # axiom check.  Z/n up to 70 runs both the exhaustive branch and the
+    # sampled one (above EXHAUSTIVE_CHECK_BOUND = 64).
+    for n in range(1, 71):
+        zmod(n)._check_axioms()
+    text = resources.files("amalgams").joinpath("fixtures", "finite.alg").read_text()
+    rings = [R for kind, R in parse_input(text).decls.values() if kind == "fring"]
+    assert any(isinstance(R, ProductRing) for R in rings)
+    rings += [
+        ProductRing(zmod(n), zmod(m)) for n, m, _ in BENCH_SHAPES if n * m <= 1200
+    ]
+    for R in rings:
+        R._check_axioms()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amalgams import gb as gb_module
 from amalgams.errors import DegreeCapExceeded
 from amalgams.gb import (
     IdealBasis,
@@ -238,6 +239,36 @@ def test_kernel_of_map():
         src, [parse_poly(tgt, "t^2"), parse_poly(tgt, "t^3")], IdealBasis(tgt, [])
     )
     assert [str(g) for g in buchberger(ker).elements] == ["x^3 + 100*y^2"]
+
+
+def test_kernel_of_map_is_one_elimination(kxy, monkeypatch):
+    # The survivors of the reduced block-order basis are already the
+    # reduced grevlex basis of the kernel, element for element.
+    calls = []
+    real = gb_module.buchberger
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gb_module, "buchberger", counted)
+    src = PolyRing(101, ["u", "v", "w"], [1, 2, 2])
+    cases = [
+        (["x + y", "x*y", "x^2"], []),
+        (["x", "y^2", "x*y"], ["x^3 - y^3"]),
+        (["x + 2*y", "x^2 - y^2", "x*y"], ["x^2*y"]),
+    ]
+    for images, rels in cases:
+        calls.clear()
+        ker = kernel_of_map(
+            src,
+            [parse_poly(kxy, g) for g in images],
+            IdealBasis(kxy, [parse_poly(kxy, g) for g in rels]),
+        )
+        assert len(calls) == 1
+        assert ker.gens
+        reduced = real(ker, GREVLEX)
+        assert [g.terms for g in ker.gens] == [g.terms for g in reduced.elements]
 
 
 def test_kernel_elements_map_to_zero(kxy, rng):

@@ -3,9 +3,12 @@ extended module GB agree with the from-scratch route of
 `oracles.minimal_generators_rebuild`; the heap-driven engine returns what
 the scan-driven `oracles.module_groebner_scan` returns, element for
 element and in order, also under degree caps; the product criterion is
-kept to rank 1; the reducer stops at the degree cap."""
+kept to rank 1; the reducer stops at the degree cap; minimal presentations
+of modules with unit relation entries agree with the substitution route of
+`oracles.minimal_presentation_substitute`."""
 
 from contextlib import ExitStack
+from itertools import product
 from unittest.mock import patch
 
 import pytest
@@ -14,10 +17,12 @@ from hypothesis import strategies as st
 
 from amalgams import modules
 from amalgams.errors import DegreeCapExceeded
+from amalgams.homology import hilbert_series
 from amalgams.modules import (
     FPModule,
     FreeModule,
     ModOrder,
+    ModVec,
     _mod_reduce,
     leading_mod_term,
     minimal_generators,
@@ -28,6 +33,7 @@ from amalgams.poly import GREVLEX, BlockOrder, PolyRing, parse_poly
 from oracles import (
     extend_scan,
     minimal_generators_rebuild,
+    minimal_presentation_substitute,
     mod_reduce_scan,
     module_groebner_scan,
     monic_scan,
@@ -190,3 +196,50 @@ def test_engine_and_scan_agree_under_degree_caps(p):
             assert outcome(scan_run, cap) == got
             stopped.add(got is None)
         assert stopped == {True, False}
+
+
+@st.composite
+def presentations_with_unit_entries(draw, p):
+    """F/U over k[x, y, z] with up to four generators of degree 0..2 and
+    homogeneous relations: one with a unit entry at a generator k and a
+    term at every other generator of its degree or below, then up to four
+    more of one to two degrees above a generator's, each with a term at
+    that generator."""
+    S = PolyRing(p, ["x", "y", "z"])
+    twists = draw(st.lists(st.integers(0, 2), min_size=1, max_size=4))
+    free = FreeModule(S, twists)
+    coeff = st.integers(1, p - 1)
+
+    def relation(k, d):
+        terms = {}
+        for i, t in enumerate(twists):
+            if d < t:
+                continue
+            monos = [e for e in product(range(d - t + 1), repeat=3) if sum(e) == d - t]
+            picked = st.lists(
+                st.sampled_from(monos), min_size=int(i == k), max_size=2, unique=True
+            )
+            for e in draw(picked):
+                terms[(i, e)] = draw(coeff)
+        return terms
+
+    k = draw(st.integers(0, len(twists) - 1))
+    rels = [{**relation(k, twists[k]), (k, S.one_mono()): draw(coeff)}]
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(twists) - 1))
+        rels.append(relation(i, twists[i] + draw(st.integers(1, 2))))
+    return FPModule(S, twists, [ModVec(free, t) for t in rels])
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_minimal_presentation_matches_substitution(p, data):
+    M = data.draw(presentations_with_unit_entries(p))
+    got = M.minimal_presentation()
+    old = minimal_presentation_substitute(M)
+    assert sorted(got.twists) == sorted(old.twists)
+    assert len(got.relations) == len(old.relations)
+    assert hilbert_series(got) == hilbert_series(M) == hilbert_series(old)
+    one = M.ring.one_mono()
+    assert all(m != one for r in got.relations for (_, m) in r.terms)
