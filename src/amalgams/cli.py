@@ -46,9 +46,9 @@ from .errors import (
 )
 from .finite import (
     FiniteAmalgam,
+    FiniteHom,
     FiniteIdeal,
     ProductRing,
-    check_hom,
     classify_primes,
     find_isomorphism,
     zmod,
@@ -337,8 +337,7 @@ def _decl_fhom(session, rest, n):
         images = [int(t) for t in _split_list(body)]
     except ValueError:
         raise ParseError(n, "images must be integer labels")
-    check_hom(A, B, images)
-    session.declare(name, "fhom", (A, B, images), n)
+    session.declare(name, "fhom", FiniteHom(A, B, images), n)
 
 
 def _decl_famalgam(session, rest, n):
@@ -347,11 +346,11 @@ def _decl_famalgam(session, rest, n):
     refs = _split_list(body)
     if not sep or not name or len(refs) != 2:
         raise ParseError(n, "expected famalgam <name> : <fhom>, <fideal>")
-    A, B, images = session.get(refs[0], "fhom", n)
+    f = session.get(refs[0], "fhom", n)
     J = session.get(refs[1], "fideal", n)
-    if J.ring is not B:
+    if J.ring is not f.target:
         raise ParseError(n, "ideal must live in the hom's target ring")
-    session.declare(name, "famalgam", FiniteAmalgam(A, B, images, J), n)
+    session.declare(name, "famalgam", FiniteAmalgam(f, J), n)
 
 
 _DECLS = {
@@ -801,6 +800,8 @@ def main(argv=None):
         "words", nargs="+", metavar="FILE COMMAND | verify-paper"
     )
     args = parser.parse_args(argv)
+    if args.max_degree < 0:
+        parser.error("argument --max-degree: must be at least 0")
     options = Options(
         degree_cap=args.degree_cap,
         prime=args.prime,

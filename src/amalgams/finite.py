@@ -271,6 +271,15 @@ def check_hom(A, B, images):
     return f
 
 
+class FiniteHom:
+    """A unital ring hom A -> B, given by its image list and checked once."""
+
+    def __init__(self, A, B, images):
+        self.source = A
+        self.target = B
+        self.images = check_hom(A, B, images)
+
+
 class PrimeLabel:
     """A candidate prime of the amalgam, tagged by its source."""
 
@@ -287,14 +296,16 @@ class PrimeLabel:
 
 
 class FiniteAmalgam:
-    """The subring {(a, f(a)+j)} of A x B, with its own tables."""
+    """The subring {(a, f(a)+j)} of A x B, for a FiniteHom f : A -> B and
+    an ideal J of B, with its own tables."""
 
-    def __init__(self, A, B, f, J):
+    def __init__(self, f, J):
+        A, B = f.source, f.target
         if A.n * B.n > SPECTRUM_SIZE_CAP:
             raise SizeCap("product ring exceeds the size cap")
         self.A = A
         self.B = B
-        self.f = check_hom(A, B, f)
+        self.f = f.images
         self.J = J
         f, nB = self.f, B.n
         Badd = B.add.tolist()

@@ -77,14 +77,19 @@ class PresentedRing:
         return normal_form(f, self.defining)
 
     def standard_monomials(self, d):
-        """Monomial k-basis of the degree-d graded piece of the quotient."""
-        amb = self.ambient
-        lead = self.defining.leading_monomials()
-        out = []
-        for m in amb.monomials_of_degree(d):
-            if not any(amb.mono_divides(lm, m) for lm in lead):
-                out.append(m)
-        return out
+        """Monomial k-basis of the degree-d graded piece of the quotient:
+        the monomials of degree d that no leading monomial divides, sorted.
+
+        Only these are enumerated (`PolyRing.monomials_of_degree`).  The
+        walk fixes exponents variable by variable and keeps the leads that
+        divide the exponents fixed so far.  A lead drops out when its
+        exponent exceeds the chosen one.  A kept lead with no nonzero
+        exponent left divides every completion, so the walk prunes that
+        branch and every larger exponent at that variable.
+        """
+        return self.ambient.monomials_of_degree(
+            d, self.defining.leading_monomials()
+        )
 
     def __repr__(self):
         if self.defining.is_zero():

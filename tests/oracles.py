@@ -26,9 +26,13 @@ its relations cut down from syzygies; they minimalize with
 `minimal_presentation_substitute`, which substitutes unit relation
 entries away one at a time, where `FPModule.minimal_presentation` takes
 the subquotient of the basis modulo the relations.
+`standard_monomials_filter` lists every exponent tuple of the degree from
+a product of exponent ranges and drops those a lead divides, where
+`PresentedRing.standard_monomials` walks only the standard ones.
 """
 
-from operator import add
+from itertools import product
+from operator import add, mul
 
 import numpy as np
 
@@ -51,6 +55,24 @@ from amalgams.modules import (
 from amalgams.poly import GREVLEX
 from amalgams.ring import IdealHandle, PresentedRing
 from amalgams.series import HilbertSeries, lp_add, lp_monomial, lp_neg, lp_zero
+
+
+def standard_monomials_filter(weights, leads, d):
+    """Exponent tuples of weighted degree d that no tuple in `leads`
+    divides, in ascending order: the last exponent is solved from the
+    degree, the others run over a product of ranges."""
+    if not weights:
+        return [()] if d == 0 and not leads else []
+    *head_weights, w = weights
+    out = []
+    for head in product(*(range(d // v + 1) for v in head_weights)):
+        e, r = divmod(d - sum(map(mul, head, head_weights)), w)
+        if e < 0 or r:
+            continue
+        m = head + (e,)
+        if not any(all(a <= b for a, b in zip(g, m)) for g in leads):
+            out.append(m)
+    return out
 
 
 def resolution_series(obj):

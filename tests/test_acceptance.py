@@ -19,6 +19,7 @@ from amalgams.amalgam import (
 from amalgams.cli import run_harness, socle_dimension, verify_paper
 from amalgams.finite import (
     FiniteAmalgam,
+    FiniteHom,
     ProductRing,
     classify_primes,
     ideal_generated_by,
@@ -184,18 +185,17 @@ def test_criterion_8_finite_spectrum():
     """Exhaustive spectrum classification on three finite fixtures."""
     Z6 = zmod(6)
     fixtures = [
-        FiniteAmalgam(Z6, Z6, list(range(6)), ideal_generated_by(Z6, [3])),
+        FiniteAmalgam(FiniteHom(Z6, Z6, range(6)), ideal_generated_by(Z6, [3])),
         FiniteAmalgam(
-            zmod(8),
-            zmod(4),
-            [a % 4 for a in range(8)],
+            FiniteHom(zmod(8), zmod(4), [a % 4 for a in range(8)]),
             ideal_generated_by(zmod(4), [2]),
         ),
     ]
     Pr = ProductRing(zmod(4), zmod(2))
     fixtures.append(
         FiniteAmalgam(
-            Pr, Pr, list(range(Pr.n)), ideal_generated_by(Pr, [Pr.pair_index(2, 0)])
+            FiniteHom(Pr, Pr, range(Pr.n)),
+            ideal_generated_by(Pr, [Pr.pair_index(2, 0)]),
         )
     )
     for W in fixtures:

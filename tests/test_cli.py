@@ -22,7 +22,7 @@ from amalgams.errors import (
     ResolutionTooLong,
     UnknownReference,
 )
-from amalgams.ring import make_ring
+from amalgams.ring import PresentedRing, make_ring
 
 INTERSECTION = """\
 # comment line
@@ -185,6 +185,38 @@ def test_main_exit_codes(tmp_path, capsys):
 
     missing = tmp_path / "missing.alg"
     assert main([str(missing), "present", "W"]) == 1
+
+
+def test_negative_max_degree_is_a_usage_error(tmp_path, capsys):
+    # With no degree to count, the Hilbert cross-check would pass unseen.
+    good = tmp_path / "good.alg"
+    good.write_text(INTERSECTION)
+    with pytest.raises(SystemExit) as exc:
+        main(["--max-degree", "-1", str(good), "present", "W24"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "amalgams: error: argument --max-degree: must be at least 0\n"
+    )
+    assert main(["--max-degree", "0", str(good), "present", "W24"]) == 0
+
+
+def test_hilbert_cross_check_failure_exits_1(tmp_path, capsys, monkeypatch):
+    # A count one short in degree 2 must fail the cross-check, not pass it.
+    count = PresentedRing.standard_monomials
+
+    def one_short_in_degree_2(ring, d):
+        monos = count(ring, d)
+        return monos[1:] if d == 2 else monos
+
+    monkeypatch.setattr(PresentedRing, "standard_monomials", one_short_in_degree_2)
+    good = tmp_path / "good.alg"
+    good.write_text(INTERSECTION)
+    assert main([str(good), "present", "W24"]) == 1
+    out = capsys.readouterr().out
+    assert "certificate = Certified" in out
+    assert out.endswith("hilbert cross-check failed in degree 2\n")
 
 
 @pytest.mark.parametrize(

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from amalgams import finite
 from amalgams.cli import parse_input
 from amalgams.errors import NotAHom, NotARing, SizeCap
 from amalgams.finite import (
     FiniteAmalgam,
+    FiniteHom,
     FiniteIdeal,
     FiniteRing,
     ProductRing,
@@ -111,19 +113,37 @@ def test_check_hom():
         check_hom(zmod(6), zmod(6), [0, 1, 2, 3, 4, 0])
 
 
+def test_each_fhom_is_checked_once(monkeypatch):
+    # finite.alg declares 3 fhoms and 4 famalgams (W6 and W0 share id6):
+    # the homs are checked where they are declared, not again per amalgam.
+    calls = []
+    real = finite.check_hom
+
+    def counting(A, B, images):
+        calls.append(len(images))
+        return real(A, B, images)
+
+    monkeypatch.setattr(finite, "check_hom", counting)
+    text = resources.files("amalgams").joinpath("fixtures", "finite.alg").read_text()
+    kinds = [kind for kind, _ in parse_input(text).decls.values()]
+    assert (kinds.count("fhom"), kinds.count("famalgam")) == (3, 4)
+    assert len(calls) == 3
+
+
 def test_amalgam_cardinality():
     Z6 = zmod(6)
     J = ideal_generated_by(Z6, [3])
-    W = FiniteAmalgam(Z6, Z6, list(range(6)), J)
+    W = FiniteAmalgam(FiniteHom(Z6, Z6, range(6)), J)
     assert W.order == 6 * 2
     Z8, Z4 = zmod(8), zmod(4)
-    W2 = FiniteAmalgam(Z8, Z4, [a % 4 for a in range(8)], ideal_generated_by(Z4, [2]))
+    red = FiniteHom(Z8, Z4, [a % 4 for a in range(8)])
+    W2 = FiniteAmalgam(red, ideal_generated_by(Z4, [2]))
     assert W2.order == 16
 
 
 def test_classify_primes_duplication_z6():
     Z6 = zmod(6)
-    W = FiniteAmalgam(Z6, Z6, list(range(6)), ideal_generated_by(Z6, [3]))
+    W = FiniteAmalgam(FiniteHom(Z6, Z6, range(6)), ideal_generated_by(Z6, [3]))
     labels, verdict, spectrum = classify_primes(W)
     assert verdict
     assert len(enumerate_primes(W.ring)) == 3
@@ -134,7 +154,8 @@ def test_classify_primes_duplication_z6():
 
 def test_classify_primes_reduction():
     Z8, Z4 = zmod(8), zmod(4)
-    W = FiniteAmalgam(Z8, Z4, [a % 4 for a in range(8)], ideal_generated_by(Z4, [2]))
+    red = FiniteHom(Z8, Z4, [a % 4 for a in range(8)])
+    W = FiniteAmalgam(red, ideal_generated_by(Z4, [2]))
     labels, verdict, _ = classify_primes(W)
     assert verdict
     assert len(enumerate_primes(W.ring)) == 1
@@ -143,7 +164,7 @@ def test_classify_primes_reduction():
 def test_classify_primes_product_fixture():
     P = ProductRing(zmod(4), zmod(2))
     J = ideal_generated_by(P, [P.pair_index(2, 0)])
-    W = FiniteAmalgam(P, P, list(range(P.n)), J)
+    W = FiniteAmalgam(FiniteHom(P, P, range(P.n)), J)
     assert W.order == P.n * len(J)
     labels, verdict, _ = classify_primes(W)
     assert verdict
@@ -151,7 +172,7 @@ def test_classify_primes_product_fixture():
 
 def test_zero_ideal_amalgam_isomorphic_to_A():
     Z6 = zmod(6)
-    W = FiniteAmalgam(Z6, Z6, list(range(6)), ideal_generated_by(Z6, [0]))
+    W = FiniteAmalgam(FiniteHom(Z6, Z6, range(6)), ideal_generated_by(Z6, [0]))
     assert W.order == 6
     assert find_isomorphism(W.ring, Z6) is not None
     labels, verdict, _ = classify_primes(W)
@@ -164,7 +185,7 @@ def test_embedding_and_retraction():
     """iota_A is injective and P_A (first projection) retracts it."""
     Z6 = zmod(6)
     J = ideal_generated_by(Z6, [3])
-    W = FiniteAmalgam(Z6, Z6, list(range(6)), J)
+    W = FiniteAmalgam(FiniteHom(Z6, Z6, range(6)), J)
     seen = set()
     for a in range(6):
         idx = W.index[(a, W.f[a])]
@@ -185,7 +206,8 @@ def reduction_amalgam(n, m, d):
     """Z/n -> Z/m, reduction mod m, along J = (d): the benchmark's shapes."""
     Zm = zmod(m)
     Zn = Zm if n == m else zmod(n)
-    return FiniteAmalgam(Zn, Zm, [a % m for a in range(n)], ideal_generated_by(Zm, [d]))
+    f = FiniteHom(Zn, Zm, [a % m for a in range(n)])
+    return FiniteAmalgam(f, ideal_generated_by(Zm, [d]))
 
 
 BENCH_SHAPES = [(12, 12, 6), (18, 18, 6), (30, 30, 15), (60, 60, 30), (24, 12, 6), (48, 24, 12)]
@@ -264,7 +286,7 @@ def test_amalgam_of_non_ideal_rejected():
     S = FiniteIdeal(P, [P.pair_index(k % 4, k % 2) for k in range(4)], check=False)
     for A, f, J in [(Z6, list(range(6)), J), (P, list(range(P.n)), S)]:
         with pytest.raises(NotARing, match="not closed"):
-            FiniteAmalgam(A, A, f, J)
+            FiniteAmalgam(FiniteHom(A, A, f), J)
         with pytest.raises(NotARing, match="not closed"):
             amalgam_tables_loop(A, A, f, J)
 

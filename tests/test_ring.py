@@ -1,5 +1,11 @@
-import pytest
+from importlib import resources
 
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from amalgams.amalgam import amalgam_present, duplication
+from amalgams.cli import parse_input
 from amalgams.errors import (
     ContextMismatch,
     DegreeMismatch,
@@ -20,6 +26,7 @@ from amalgams.ring import (
     make_ring,
 )
 from conftest import ideal_degree_dim
+from oracles import standard_monomials_filter
 
 
 def test_make_ring_variants():
@@ -53,6 +60,60 @@ def test_standard_monomials_and_hilbert_function():
     assert hilbert_function(R, 1) == 2
     assert hilbert_function(R, 2) == 0
     assert hilbert_function(R, -1) == 0
+
+
+@st.composite
+def monomial_ideals_and_degrees(draw):
+    """(weights, generator exponents, degree) in at most six variables."""
+    n = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=6))
+    return weights, gens, draw(st.integers(0, 10))
+
+
+@given(monomial_ideals_and_degrees())
+@example(([1, 2, 3], [], 10))  # the zero ideal
+@example(([2, 1, 1], [(0, 3, 0)], 10))  # a pure power of one variable
+@example(([1, 1, 2], [(0, 0, 2)], 9))  # leads on the last variable only
+@example(([1, 1, 1, 1], [(0, 0, 0, 1), (0, 0, 0, 3)], 6))
+@example(([3, 1], [(1, 2), (0, 0)], 7))  # a unit lead
+def test_standard_monomials_match_filter(ideal):
+    """The pruned walk lists what the brute-force filter keeps, in order."""
+    weights, gens, d = ideal
+    amb = PolyRing(101, [f"x{i}" for i in range(len(weights))], weights)
+    expected = standard_monomials_filter(weights, gens, d)
+    assert amb.monomials_of_degree(d, gens) == expected
+    if all(any(m) for m in gens):  # the ring needs a proper ideal
+        R = PresentedRing(amb, [amb.monomial(m) for m in gens])
+        assert R.standard_monomials(d) == expected
+
+
+def _fixture_rings():
+    rings = []
+    for f in resources.files("amalgams").joinpath("fixtures").iterdir():
+        if f.name.endswith(".alg"):
+            decls = parse_input(f.read_text()).decls.values()
+            rings += [R for kind, R in decls if kind == "ring"]
+    return rings
+
+
+def _duplication_along_m(n):
+    names = [f"x{i}" for i in range(1, n + 1)]
+    A = make_ring(101, names)
+    return amalgam_present(duplication(A, IdealHandle(A, names))).ring
+
+
+def test_standard_monomials_match_filter_on_fixtures_and_duplications():
+    """Every fixture ring in degrees 0..8, and C/K of k[x1..xn] duplicated
+    along (x1..xn) for n = 2..4 (8 variables at n = 4, so degrees 0..6)."""
+    cases = [(R, 8) for R in _fixture_rings()]
+    cases += [(_duplication_along_m(n), 8 if n < 4 else 6) for n in (2, 3, 4)]
+    for R, top in cases:
+        leads = R.defining.leading_monomials()
+        for d in range(top + 1):
+            assert R.standard_monomials(d) == standard_monomials_filter(
+                R.weights, leads, d
+            )
 
 
 def test_hilbert_function_additive_over_ideal():
