@@ -48,10 +48,11 @@ class AmalgamSpec:
         self.B = B
         self.f = f
         self.J = J
+        # J as an A-module, when the constructor has it (`trivial_extension`)
+        self.J_module = None
 
 
 class CertStatus:
-    UNCHECKED = "Unchecked"
     CERTIFIED = "Certified"
     NOT_SURJECTIVE = "NotSurjective"
 
@@ -83,18 +84,20 @@ def _fresh_names(base, count, taken):
 
 
 class AmalgamPresentation:
-    """The presented ring C/K plus the bookkeeping maps."""
+    """The presented ring C/K, its Hilbert series and certificate, plus the
+    bookkeeping maps."""
 
-    def __init__(self, spec, ring, K_A, K_B, z_names, images, B_mod_J):
+    def __init__(self, spec, ring, series, K_A, K_B, z_names, images, B_mod_J):
         self.spec = spec
         self.ring = ring  # PresentedRing C/K
+        self.series = series  # HS(C/K)
         self.B_mod_J = B_mod_J  # PresentedRing B/(I_B + J)
         self.K = ring.defining
         self.K_A = K_A
         self.K_B = K_B
         self.z_names = z_names
         self.images = images  # images of C's variables in B (x -> f(x), z -> j)
-        self.certificate = CertStatus(CertStatus.UNCHECKED)
+        self.certificate = None  # set by verify_presentation
 
     @property
     def ambient(self):
@@ -119,7 +122,8 @@ class AmalgamPresentation:
 
 
 def amalgam_present(spec, degree_cap=DEFAULT_DEGREE_CAP):
-    """Build the presentation C/K = C/(K_A ∩ K_B) of the amalgam."""
+    """Build the presentation C/K = C/(K_A ∩ K_B) of the amalgam and
+    certify it (`verify_presentation`)."""
     A, B, f, J = spec.A, spec.B, spec.f, spec.J
     jgens = [B.reduce(g) for g in J.generators]
     jgens = [g for g in jgens if not g.is_zero()]
@@ -149,7 +153,12 @@ def amalgam_present(spec, degree_cap=DEFAULT_DEGREE_CAP):
     # as one instead of being computed again.
     K = intersect(K_A, K_B, degree_cap)
     presented = PresentedRing(C, GroebnerBasis(C, K.gens, GREVLEX), degree_cap)
-    return AmalgamPresentation(spec, presented, K_A, K_B, z_names, images, B_mod_J)
+    P = AmalgamPresentation(
+        spec, presented, hilbert_series(presented, degree_cap),
+        K_A, K_B, z_names, images, B_mod_J,
+    )
+    verify_presentation(P, degree_cap=degree_cap)
+    return P
 
 
 def verify_presentation(P, target=None, degree_cap=DEFAULT_DEGREE_CAP):
@@ -159,11 +168,11 @@ def verify_presentation(P, target=None, degree_cap=DEFAULT_DEGREE_CAP):
     (e.g. the intended J when the listed generators are suspected to miss
     part of it).  On inequality the smallest degree where the graded
     dimensions differ is reported; the presented ring is then the proper
-    subring generated by the images, not the full amalgam.  HS(J) is
-    HS(B) - HS(B/J), from the ring B/J that `amalgam_present` built.
+    subring generated by the images, not the full amalgam.  HS(C/K) is
+    the series the presentation keeps, and HS(J) is HS(B) - HS(B/J), from
+    the ring B/J that `amalgam_present` built.
     """
     spec = P.spec
-    hs_left = hilbert_series(P.ring, degree_cap)
     hs_A = hilbert_series(spec.A, degree_cap)
     if target is None:
         hs_J = hilbert_series(spec.B, degree_cap) - hilbert_series(
@@ -171,8 +180,7 @@ def verify_presentation(P, target=None, degree_cap=DEFAULT_DEGREE_CAP):
         )
     else:
         hs_J = hilbert_series(target, degree_cap)
-    hs_right = hs_A + hs_J
-    witness = hs_left.first_difference(hs_right)
+    witness = P.series.first_difference(hs_A + hs_J)
     if witness is None:
         status = CertStatus(CertStatus.CERTIFIED)
     else:
@@ -191,7 +199,8 @@ def trivial_extension(A, M, degree_cap=DEFAULT_DEGREE_CAP):
 
     M is a finitely presented graded module over A's ambient ring with
     positive generator degrees; the result is the amalgam data whose
-    presentation realizes the trivial extension.
+    presentation realizes the trivial extension.  Its `J_module` is M as
+    the e-variables present it: minimal, shifted to start in degree 1.
     """
     if not isinstance(M, FPModule):
         raise TypeError("expected a finitely presented module")
@@ -222,8 +231,9 @@ def trivial_extension(A, M, degree_cap=DEFAULT_DEGREE_CAP):
             gens.append(evars[i] * evars[j])
     B = PresentedRing(amb, gens, degree_cap)
     f = hom_check(RingHom(A, B, [amb.var(n) for n in A.names]))
-    J = IdealHandle(B, evars)
-    return AmalgamSpec(A, B, f, J)
+    spec = AmalgamSpec(A, B, f, IdealHandle(B, evars))
+    spec.J_module = M
+    return spec
 
 
 def hom_A_into_R(P, degree_cap=DEFAULT_DEGREE_CAP):

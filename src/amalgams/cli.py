@@ -16,9 +16,11 @@ Declarations (one per line, `#` starts a comment):
     fhom <name> <R1> -> <R2> : <elem>, ...
     famalgam <name> : <fhom>, <fideal>
 
-Commands: present, classify, canonical, hom-into, finite check,
-verify-paper.  Exit codes: 0 success, 1 computation/verification
-failure, 2 parse error.
+Commands: present, classify, canonical, hom-into, finite check, and
+verify-paper, which runs the harness in `amalgams.harness`.  This module
+is the parser and the dispatch.  Exit codes: 0 success, 1
+computation/verification failure, 2 parse or usage error (a negative
+--degree-cap or --max-degree, or an argument after verify-paper).
 """
 
 from __future__ import annotations
@@ -26,16 +28,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from importlib import resources
 
+from . import harness
 from .amalgam import (
     AmalgamSpec,
-    CertStatus,
     amalgam_present,
     duplication,
     hom_A_into_R,
     trivial_extension,
-    verify_presentation,
 )
 from .errors import (
     AlgebraError,
@@ -50,17 +50,10 @@ from .finite import (
     FiniteIdeal,
     ProductRing,
     classify_primes,
-    find_isomorphism,
     zmod,
 )
 from .gb import DEFAULT_DEGREE_CAP
-from .homology import (
-    canonical_module,
-    classify,
-    depth_ab,
-    hilbert_series,
-    krull_dim,
-)
+from .homology import canonical_module, classify, hilbert_series
 from .modules import FPModule
 from .poly import DEFAULT_PRIME, PolyRing, format_poly, parse_poly
 from .ring import IdealHandle, PresentedRing, RingHom, hom_check
@@ -384,22 +377,14 @@ def _poly_list(polys):
     return ", ".join(format_poly(g, signed=True) for g in polys)
 
 
-def _present(session, spec, options):
-    P = amalgam_present(spec, options.degree_cap)
-    verify_presentation(P, degree_cap=options.degree_cap)
-    return P
-
-
 def cmd_present(session, name, options):
     report = Report()
-    spec = session.get(name, "amalgam")
-    P = _present(session, spec, options)
+    P = amalgam_present(session.get(name, "amalgam"), options.degree_cap)
     report.add("K", _poly_list(list(P.K.elements)))
     report.add("certificate", repr(P.certificate))
-    # cross-check the rational series against raw graded dimension counts
-    hs = hilbert_series(P.ring, options.degree_cap)
+    # cross-check the certified series against raw graded dimension counts
     for d in range(options.max_degree + 1):
-        if hs.coefficient(d) != len(P.ring.standard_monomials(d)):
+        if P.series.coefficient(d) != len(P.ring.standard_monomials(d)):
             report.note(f"hilbert cross-check failed in degree {d}")
             report.status = 1
             break
@@ -414,7 +399,7 @@ def _ring_or_presented(session, name, options, report):
     if kind == "ring":
         return obj
     if kind == "amalgam":
-        P = _present(session, obj, options)
+        P = amalgam_present(obj, options.degree_cap)
         if not P.certificate.is_certified():
             report.note(f"presentation not certified: {P.certificate!r}")
             report.status = 1
@@ -447,8 +432,7 @@ def cmd_canonical(session, name, options):
 
 def cmd_hom_into(session, name, options):
     report = Report()
-    spec = session.get(name, "amalgam")
-    P = _present(session, spec, options)
+    P = amalgam_present(session.get(name, "amalgam"), options.degree_cap)
     if not P.certificate.is_certified():
         report.note(f"presentation not certified: {P.certificate!r}")
         report.status = 1
@@ -489,302 +473,6 @@ def cmd_dispatch(session, command, options):
     raise ParseError(0, f"unknown command {' '.join(command)!r}")
 
 
-# ---------------------------------------------------------------------------
-# Built-in verification harness
-# ---------------------------------------------------------------------------
-
-
-def _fixture(name):
-    return resources.files("amalgams").joinpath("fixtures", name).read_text()
-
-
-def _load(name, prime, cap):
-    return parse_input(_fixture(name), prime=prime, degree_cap=cap)
-
-
-def socle_dimension(R):
-    """dim_k of the socle of an artinian quotient, by linear algebra.
-
-    In each degree d, an element of the socle is a combination of standard
-    monomials killed by every variable; the count is the nullity of the
-    stacked multiplication-by-variable matrices over GF(p).
-    """
-    amb = R.ambient
-    p = amb.p
-    # last nonzero degree; in a graded artinian quotient a gap longer than
-    # the largest weight means everything above is zero too
-    top = -1
-    d = 0
-    gap = 0
-    while gap <= max(amb.weights):
-        if R.standard_monomials(d):
-            top = d
-            gap = 0
-        else:
-            gap += 1
-        d += 1
-    total = 0
-    for d in range(top + 1):
-        basis = R.standard_monomials(d)
-        if not basis:
-            continue
-        rows = []
-        for v, w in zip(amb.names, amb.weights):
-            target = {m: i for i, m in enumerate(R.standard_monomials(d + w))}
-            for ti in range(len(target)):
-                rows.append([0] * len(basis))
-            off = len(rows) - len(target)
-            for j, m in enumerate(basis):
-                prod = R.reduce(amb.var(v) * amb.monomial(m, 1))
-                for mono, c in prod.terms.items():
-                    rows[off + target[mono]][j] = c
-        total += len(basis) - _rank_mod_p(rows, p)
-    return total
-
-
-def _rank_mod_p(rows, p):
-    rows = [list(r) for r in rows if any(r)]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        r += 1
-        rank += 1
-        if r == len(rows):
-            break
-    return rank
-
-
-def _certified(spec, cap, target=None):
-    P = amalgam_present(spec, cap)
-    verify_presentation(P, target=target, degree_cap=cap)
-    return P
-
-
-def _item_intersection_example(p, cap):
-    s = _load("intersection.alg", p, cap)
-    P = _certified(s.get("W24", "amalgam"), cap)
-    K = [format_poly(g, signed=True) for g in P.K.elements]
-    if K != ["x*z1 - z1^2", "x*z2 - z1*z2"]:
-        return False
-    if not P.certificate.is_certified():
-        return False
-    rep = classify(P.ring, degree_cap=cap)
-    return rep.dim == 2 and rep.depth == 1 and not rep.is_cm
-
-
-def _cm_fixture_family(p, cap):
-    """(name, amalgam spec, J as a module over A's ambient) triples."""
-    s = _load("cm_family.alg", p, cap)
-    out = []
-    for name in ["DupX", "DupX2", "DupMax"]:
-        spec = s.get(name, "amalgam")
-        Jmod = FPModule.from_ideal(
-            spec.A.ambient, [spec.A.reduce(g) for g in spec.J.generators], cap
-        )
-        out.append((name, spec, Jmod))
-    for name in ["TrivA", "TrivK"]:
-        spec = s.get(name, "amalgam")
-        # J = the module itself: e-variable degrees and relations linear in e's
-        out.append((name, spec, _trivext_module(spec, cap)))
-    g = _load("gorenstein.alg", p, cap)
-    spec = g.get("G", "amalgam")
-    out.append(("TrivOmega", spec, _trivext_module(spec, cap)))
-    return out
-
-
-def _trivext_module(spec, cap):
-    """Recover M over A's ambient from a trivial-extension amalgam spec."""
-    A = spec.A
-    nA = A.ambient.nvars
-    amb = spec.B.ambient
-    degs = list(amb.weights[nA:])
-    rels = []
-    for g in spec.B.defining.elements:
-        comps = [A.ambient.zero() for _ in degs]
-        linear = True
-        for mono, c in g.terms.items():
-            e_part = mono[nA:]
-            if sum(e_part) != 1:
-                linear = False
-                break
-            comps[e_part.index(1)] = comps[e_part.index(1)] + A.ambient.monomial(
-                mono[:nA], c
-            )
-        if linear and any(not cp.is_zero() for cp in comps):
-            rels.append(comps)
-    return FPModule(A.ambient, degs, rels)
-
-
-def _item_cm_transfer(p, cap):
-    for name, spec, Jmod in _cm_fixture_family(p, cap):
-        P = _certified(spec, cap)
-        if not P.certificate.is_certified():
-            return False
-        left = classify(P.ring, degree_cap=cap).is_cm
-        cm_A = classify(spec.A, degree_cap=cap).is_cm
-        dim_A = krull_dim(spec.A, cap)
-        right = cm_A and depth_ab(Jmod, cap) == dim_A
-        if left != right:
-            return False
-    return True
-
-
-def _item_canonical_gorenstein(p, cap):
-    s = _load("gorenstein.alg", p, cap)
-    A0 = s.get("A0", "ring")
-    rep0 = classify(A0, degree_cap=cap)
-    if not (rep0.is_cm and not rep0.is_gorenstein and rep0.type == 2):
-        return False
-    w = canonical_module(A0, cap)
-    if len(w.twists) != socle_dimension(A0):
-        return False
-    P = _certified(s.get("G", "amalgam"), cap)
-    rep = classify(P.ring, degree_cap=cap)
-    return P.certificate.is_certified() and rep.is_gorenstein and rep.type == 1
-
-
-def _item_depth_minimum(p, cap):
-    for name, spec, Jmod in _cm_fixture_family(p, cap):
-        P = _certified(spec, cap)
-        pres = P.ring
-        if depth_ab(pres, cap) != min(depth_ab(spec.A, cap), depth_ab(Jmod, cap)):
-            return False
-        if krull_dim(pres, cap) != krull_dim(spec.A, cap):
-            return False
-    return True
-
-
-def _item_hom_into(p, cap):
-    s = _load("cm_family.alg", p, cap)
-    # duplication along (x): Hom(A, R) matches the contracted ideal
-    spec = s.get("DupX", "amalgam")
-    P = _certified(spec, cap)
-    h = hom_A_into_R(P, cap)
-    if hilbert_series(h, cap) != hilbert_series(spec.J, cap):
-        return False
-    # square-zero case: Hom(A, R) matches Ann(J) + J with Ann = 0
-    spec = s.get("TrivA", "amalgam")
-    P = _certified(spec, cap)
-    h = hom_A_into_R(P, cap)
-    return hilbert_series(h, cap) == hilbert_series(spec.J, cap)
-
-
-def _item_dimension_dichotomy(p, cap):
-    s = _load("dichotomy.alg", p, cap)
-    P1 = _certified(s.get("TrivK", "amalgam"), cap)
-    rep1 = classify(P1.ring, degree_cap=cap)
-    if not (rep1.is_generalized_cm and not rep1.is_cm):
-        return False
-    P2 = _certified(s.get("TrivLine", "amalgam"), cap)
-    rep2 = classify(P2.ring, degree_cap=cap)
-    return not rep2.is_generalized_cm
-
-
-def _item_serre_conditions(p, cap):
-    s = _load("serre.alg", p, cap)
-    two_planes = s.get("TwoPlanes", "ring")
-    rep = classify(two_planes, assume_equidimensional=True, degree_cap=cap)
-    if rep.serre_level != 1:
-        return False
-    for name in ["Hyper", "A0", "Poly"]:
-        ring = s.get(name, "ring")
-        rep = classify(ring, assume_equidimensional=True, degree_cap=cap)
-        if not rep.is_cm or rep.serre_level != 4:
-            return False
-    return True
-
-
-def _item_finite_spectrum(p, cap):
-    s = _load("finite.alg", p, cap)
-    for name in ["W6", "W84", "WP"]:
-        W = s.get(name, "famalgam")
-        if W.order != W.A.n * len(W.J):
-            return False
-        _, verdict, _ = classify_primes(W)
-        if not verdict:
-            return False
-    # J = 0 degenerates to A itself, up to relabeling
-    W0 = s.get("W0", "famalgam")
-    _, v0, _ = classify_primes(W0)
-    return v0 and find_isomorphism(W0.ring, W0.A) is not None
-
-
-def _item_square_zero(p, cap):
-    s = _load("cm_family.alg", p, cap)
-    spec = s.get("TrivA", "amalgam")
-    P = _certified(spec, cap)
-    K = [format_poly(g, signed=True) for g in P.K.elements]
-    rep = classify(P.ring, degree_cap=cap)
-    if K != ["z1^2"] or not rep.is_quasi_gorenstein or not rep.is_gorenstein:
-        return False
-    zz = P.ring.reduce(P.z_polys()[0] ** 2)
-    if not zz.is_zero():
-        return False
-    # mutate the square-zero relation to a cube: the ring no longer passes
-    # either trivial-extension check (certificate or J^2-visibility)
-    amb = P.ambient
-    mutated = PresentedRing(amb, [P.z_polys()[0] ** 3], cap)
-    hs_target = hilbert_series(spec.A, cap) + hilbert_series(spec.J, cap)
-    still_certified = hilbert_series(mutated, cap) == hs_target
-    square_visible = mutated.reduce(P.z_polys()[0] ** 2).is_zero()
-    return not still_certified and not square_visible
-
-
-_HARNESS_ITEMS = [
-    ("intersection-example", _item_intersection_example),
-    ("cm-transfer", _item_cm_transfer),
-    ("canonical-gorenstein", _item_canonical_gorenstein),
-    ("depth-minimum", _item_depth_minimum),
-    ("hom-into-identities", _item_hom_into),
-    ("dimension-dichotomy", _item_dimension_dichotomy),
-    ("serre-conditions", _item_serre_conditions),
-    ("finite-spectrum", _item_finite_spectrum),
-    ("square-zero-closure", _item_square_zero),
-]
-
-ROBUSTNESS_PRIME = 32003
-
-
-def run_harness(prime, degree_cap=DEFAULT_DEGREE_CAP):
-    """Run every harness item at the given prime; list of (name, ok)."""
-    results = []
-    for name, fn in _HARNESS_ITEMS:
-        try:
-            ok = bool(fn(prime, degree_cap))
-        except AlgebraError:
-            ok = False
-        results.append((name, ok))
-    return results
-
-
-def verify_paper(degree_cap=DEFAULT_DEGREE_CAP):
-    report = Report()
-    first = run_harness(DEFAULT_PRIME, degree_cap)
-    second = run_harness(DEFAULT_PRIME, degree_cap)
-    robust = run_harness(ROBUSTNESS_PRIME, degree_cap)
-    for name, ok in first:
-        report.add(name, "PASS" if ok else "FAIL")
-    deterministic = first == second
-    report.add("determinism", "PASS" if deterministic else "FAIL")
-    robust_ok = [ok for _, ok in first] == [ok for _, ok in robust]
-    report.add("characteristic-robustness", "PASS" if robust_ok else "FAIL")
-    all_ok = all(ok for _, ok in first) and deterministic and robust_ok
-    report.add("result", "PASS" if all_ok else "FAIL")
-    report.status = 0 if all_ok else 1
-    return report
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="amalgams",
@@ -800,8 +488,10 @@ def main(argv=None):
         "words", nargs="+", metavar="FILE COMMAND | verify-paper"
     )
     args = parser.parse_args(argv)
-    if args.max_degree < 0:
-        parser.error("argument --max-degree: must be at least 0")
+    for flag, value in [("--degree-cap", args.degree_cap),
+                        ("--max-degree", args.max_degree)]:
+        if value < 0:
+            parser.error(f"argument {flag}: must be at least 0")
     options = Options(
         degree_cap=args.degree_cap,
         prime=args.prime,
@@ -810,7 +500,9 @@ def main(argv=None):
     )
     try:
         if args.words[0] == "verify-paper":
-            report = verify_paper(options.degree_cap)
+            if len(args.words) > 1:
+                raise ParseError(0, "verify-paper takes no arguments")
+            report = harness.verify_paper(options.degree_cap)
         else:
             if len(args.words) < 2:
                 raise ParseError(0, "expected FILE COMMAND")

@@ -116,9 +116,6 @@ def hilbert_series(obj, degree_cap=DEFAULT_DEGREE_CAP):
             R.ambient, list(R.defining.elements) + obj.generators, degree_cap
         )
         return hilbert_series(R, degree_cap) - hilbert_series(big, degree_cap)
-    if isinstance(obj, IdealBasis):
-        trivial = PresentedRing(obj.ring, [])
-        return hilbert_series(IdealHandle(trivial, obj.gens), degree_cap)
     if isinstance(obj, PresentedRing):
         num = monomial_kpoly(obj.defining.leading_monomials(), obj.weights)
         return HilbertSeries(num, weights=obj.weights)

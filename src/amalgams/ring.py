@@ -230,25 +230,3 @@ def contract_ideal(f, J, degree_cap=DEFAULT_DEGREE_CAP):
             gens.append(r)
     return IdealHandle(f.source, gens)
 
-
-def hilbert_function(obj, d):
-    """dim_k of the degree-d piece of a ring or of an ideal handle.
-
-    For an ideal handle J in R = ambient/I this is the dimension of the
-    image of J in R, i.e. HF(ambient/I, d) - HF(ambient/(I + J), d).
-    """
-    if d < 0:
-        return 0
-    if isinstance(obj, PresentedRing):
-        return len(obj.standard_monomials(d))
-    if isinstance(obj, IdealHandle):
-        R = obj.ring
-        big = PresentedRing(
-            R.ambient, list(R.defining.elements) + obj.generators
-        )
-        return len(R.standard_monomials(d)) - len(big.standard_monomials(d))
-    if isinstance(obj, IdealBasis):
-        trivial = PresentedRing(obj.ring, [])
-        handle = IdealHandle(trivial, obj.gens)
-        return hilbert_function(handle, d)
-    raise TypeError(f"cannot take a Hilbert function of {type(obj).__name__}")

@@ -29,6 +29,9 @@ the subquotient of the basis modulo the relations.
 `standard_monomials_filter` lists every exponent tuple of the degree from
 a product of exponent ranges and drops those a lead divides, where
 `PresentedRing.standard_monomials` walks only the standard ones.
+`trivext_module` reads the module M of a trivial extension back off B's
+Groebner basis (the elements linear in the e-variables), where
+`trivial_extension` keeps the M it built as `spec.J_module`.
 """
 
 from itertools import product
@@ -434,3 +437,26 @@ def minimal_presentation_substitute(M, degree_cap=DEFAULT_DEGREE_CAP):
     free = FreeModule(ring, twists)
     vecs = minimal_generators([ModVec(free, t) for t in rels], degree_cap)
     return FPModule(ring, twists, vecs)
+
+
+def trivext_module(spec):
+    """Recover M over A's ambient from a trivial-extension amalgam spec."""
+    A = spec.A
+    nA = A.ambient.nvars
+    amb = spec.B.ambient
+    degs = list(amb.weights[nA:])
+    rels = []
+    for g in spec.B.defining.elements:
+        comps = [A.ambient.zero() for _ in degs]
+        linear = True
+        for mono, c in g.terms.items():
+            e_part = mono[nA:]
+            if sum(e_part) != 1:
+                linear = False
+                break
+            comps[e_part.index(1)] = comps[e_part.index(1)] + A.ambient.monomial(
+                mono[:nA], c
+            )
+        if linear and any(not cp.is_zero() for cp in comps):
+            rels.append(comps)
+    return FPModule(A.ambient, degs, rels)

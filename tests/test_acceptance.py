@@ -14,9 +14,7 @@ from amalgams.amalgam import (
     duplication,
     hom_A_into_R,
     trivial_extension,
-    verify_presentation,
 )
-from amalgams.cli import run_harness, socle_dimension, verify_paper
 from amalgams.finite import (
     FiniteAmalgam,
     FiniteHom,
@@ -25,6 +23,7 @@ from amalgams.finite import (
     ideal_generated_by,
     zmod,
 )
+from amalgams.harness import run_harness, socle_dimension, verify_paper
 from amalgams.homology import (
     canonical_module,
     classify,
@@ -46,7 +45,6 @@ def report(n, slug):
 
 def certified(spec):
     pres = amalgam_present(spec)
-    verify_presentation(pres)
     assert pres.certificate.is_certified()
     return pres
 

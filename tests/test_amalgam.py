@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 
 from amalgams import ring as ring_module
@@ -11,13 +13,15 @@ from amalgams.amalgam import (
     trivial_extension,
     verify_presentation,
 )
+from amalgams.cli import parse_input
 from amalgams.errors import JUnit
 from amalgams.gb import buchberger
-from amalgams.homology import classify, free_resolution, hilbert_series
+from amalgams.homology import classify, depth_ab, free_resolution, hilbert_series
 from amalgams.modules import FPModule
 from amalgams.ring import IdealHandle, PresentedRing, RingHom, hom_check, make_ring
 from amalgams.series import HilbertSeries, lp_const, lp_monomial
 from conftest import oracle_member
+from oracles import trivext_module
 
 
 def line_ring(p=101):
@@ -41,14 +45,14 @@ def test_intersection_example_presentation():
     ]
     assert P.ambient.names == ("x", "z1", "z2")
     assert P.ambient.weights == (1, 1, 1)
-    assert verify_presentation(P).is_certified()
+    assert P.certificate.is_certified()
 
 
 def test_duplication_along_x():
     A = line_ring()
     P = amalgam_present(duplication(A, IdealHandle(A, ["x"])))
     assert [str(g) for g in P.K.elements] == ["x*z1 + 100*z1^2"]
-    assert verify_presentation(P).is_certified()
+    assert P.certificate.is_certified()
     # HS(C/K) = (1+t)/(1-t)
     assert hilbert_series(P.ring) == HilbertSeries({0: 1, 1: 1}, weights=[1])
 
@@ -81,8 +85,8 @@ def test_presentation_keeps_the_basis_intersect_returns(monkeypatch):
 
 def test_verification_reuses_the_ring_B_mod_J(monkeypatch):
     # amalgam_present builds B/(I_B + J) to rule out J = B, and the
-    # certificate reads HS(J) = HS(B) - HS(B/J) off that ring, so it runs
-    # no Buchberger of its own.
+    # certificate reads HS(J) = HS(B) - HS(B/J) off that ring, so running
+    # it again on the presentation runs no Buchberger of its own.
     rings = []
 
     def recording(basis, *args):
@@ -112,7 +116,7 @@ def test_trivial_extension_by_free_module():
     M = FPModule.free_module(A.ambient, [1])
     P = amalgam_present(trivial_extension(A, M))
     assert [str(g) for g in P.K.elements] == ["z1^2"]
-    assert verify_presentation(P).is_certified()
+    assert P.certificate.is_certified()
 
 
 def test_trivial_extension_by_residue_field():
@@ -120,7 +124,7 @@ def test_trivial_extension_by_residue_field():
     M = FPModule(A.ambient, [1], [[A.ambient.var("x")]])
     P = amalgam_present(trivial_extension(A, M))
     assert sorted(str(g) for g in P.K.elements) == ["x*z1", "z1^2"]
-    assert verify_presentation(P).is_certified()
+    assert P.certificate.is_certified()
 
 
 def test_trivial_extension_normalizes_degrees():
@@ -131,18 +135,37 @@ def test_trivial_extension_normalizes_degrees():
     assert spec.B.ambient.weights == (1, 1)
 
 
+@pytest.mark.parametrize("p", [101, 32003])
+def test_trivial_extension_keeps_its_module(p):
+    # The module the spec keeps has the series and depth of the module that
+    # B's Groebner basis presents in the e-variables.
+    def fixture(name):
+        text = resources.files("amalgams").joinpath("fixtures", name).read_text()
+        return parse_input(text, prime=p)
+
+    cm, gor = fixture("cm_family.alg"), fixture("gorenstein.alg")
+    depths = []
+    for spec in (cm.get("TrivA", "amalgam"), cm.get("TrivK", "amalgam"),
+                 gor.get("G", "amalgam")):
+        M, oracle = spec.J_module, trivext_module(spec)
+        assert hilbert_series(M) == hilbert_series(oracle)
+        assert depth_ab(M) == depth_ab(oracle)
+        depths.append(depth_ab(M))
+    assert depths == [1, 0, 0]
+    assert cm.get("DupX", "amalgam").J_module is None
+
+
 def test_not_surjective_witness():
     spec, full_J = intersection_spec(drop_generator=True)
     P = amalgam_present(spec)
+    # the listed generator X does not even generate (X) over the image
+    # of A (elements X*Y^k are missed), so the certificate amalgam_present
+    # made fails, first in degree 2
+    assert P.certificate == CertStatus(CertStatus.NOT_SURJECTIVE, 2)
     status = verify_presentation(P, target=full_J)
     assert status.status == CertStatus.NOT_SURJECTIVE
     assert status.witness_degree == 1
-    # the listed generator X does not even generate (X) over the image
-    # of A (elements X*Y^k are missed), so self-verification fails too,
-    # first in degree 2
-    self_status = verify_presentation(P)
-    assert self_status.status == CertStatus.NOT_SURJECTIVE
-    assert self_status.witness_degree == 2
+    assert P.certificate is status
 
 
 def test_junit_rejected():
@@ -156,7 +179,7 @@ def test_junit_rejected():
 def test_duplication_along_zero_ideal():
     A = make_ring(101, ["x", "y"], ["x*y"])
     P = amalgam_present(duplication(A, IdealHandle(A, [])))
-    assert verify_presentation(P).is_certified()
+    assert P.certificate.is_certified()
     assert hilbert_series(P.ring) == hilbert_series(A)
     assert (
         free_resolution(P.ring).betti_numbers()
@@ -167,7 +190,7 @@ def test_duplication_along_zero_ideal():
 def test_duplication_along_maximal_certified_and_oracle():
     A = make_ring(101, ["x", "y"])
     P = amalgam_present(duplication(A, IdealHandle(A, ["x", "y"])))
-    assert verify_presentation(P).is_certified()
+    assert P.certificate.is_certified()
     # every presentation generator is sound: it maps into the kernel, so
     # its image under psi must vanish; check via the B-side oracle
     B = A
@@ -210,7 +233,6 @@ def test_trivial_extension_square_zero_visible():
     from amalgams.homology import canonical_module
 
     P = amalgam_present(trivial_extension(A0, canonical_module(A0)))
-    verify_presentation(P)
     assert P.certificate.is_certified()
     zs = P.z_polys()
     for i in range(len(zs)):
@@ -222,7 +244,6 @@ def test_hom_A_into_R_duplication():
     A = line_ring()
     I = IdealHandle(A, ["x"])
     P = amalgam_present(duplication(A, I))
-    verify_presentation(P)
     h = hom_A_into_R(P)
     assert hilbert_series(h) == HilbertSeries(lp_monomial(1), weights=[1])
     assert hilbert_series(h) == hilbert_series(I)
@@ -232,7 +253,6 @@ def test_hom_A_into_R_trivial_extension():
     A = line_ring()
     spec = trivial_extension(A, FPModule.free_module(A.ambient, [1]))
     P = amalgam_present(spec)
-    verify_presentation(P)
     h = hom_A_into_R(P)
     # Ann_A(J) = 0, so Hom(A, R) matches J alone: t/(1-t)
     assert hilbert_series(h) == HilbertSeries(lp_monomial(1), weights=[1])
@@ -259,6 +279,6 @@ def test_characteristic_robustness():
     for p in (101, 32003):
         spec, _ = intersection_spec(p)
         P = amalgam_present(spec)
-        assert verify_presentation(P).is_certified()
+        assert P.certificate.is_certified()
         rep = classify(P.ring)
         assert (rep.dim, rep.depth, rep.is_cm) == (2, 1, False)

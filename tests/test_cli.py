@@ -6,22 +6,15 @@ import sys
 
 import pytest
 
-from amalgams import homology
-from amalgams.cli import (
-    Options,
-    cmd_dispatch,
-    main,
-    parse_input,
-    run_harness,
-    socle_dimension,
-    verify_paper,
-)
+from amalgams import amalgam, cli, homology
+from amalgams.cli import Options, cmd_dispatch, main, parse_input
 from amalgams.errors import (
     AlgebraError,
     ParseError,
     ResolutionTooLong,
     UnknownReference,
 )
+from amalgams.harness import run_harness, socle_dimension, verify_paper
 from amalgams.ring import PresentedRing, make_ring
 
 INTERSECTION = """\
@@ -73,6 +66,25 @@ def test_present_report():
         "certificate = Certified",
     ]
     assert report.status == 0
+
+
+def test_present_takes_the_series_of_C_mod_K_once(monkeypatch):
+    # The certificate computes HS(C/K), and the cross-check reads that
+    # series off the presentation instead of computing it again.
+    seen = []
+
+    def recording(obj, *args):
+        seen.append(obj)
+        return homology.hilbert_series(obj, *args)
+
+    monkeypatch.setattr(amalgam, "hilbert_series", recording)
+    monkeypatch.setattr(cli, "hilbert_series", recording)
+    assert dispatch(INTERSECTION, ["present", "W24"]).status == 0
+    presented = [
+        obj for obj in seen
+        if isinstance(obj, PresentedRing) and obj.names == ("x", "z1", "z2")
+    ]
+    assert len(presented) == 1
 
 
 def test_classify_report():
@@ -200,6 +212,36 @@ def test_negative_max_degree_is_a_usage_error(tmp_path, capsys):
         "amalgams: error: argument --max-degree: must be at least 0\n"
     )
     assert main(["--max-degree", "0", str(good), "present", "W24"]) == 0
+
+
+def test_negative_degree_cap_is_a_usage_error(tmp_path, capsys):
+    # A cap below 0 either stops the first computation or, with no degree
+    # to check (finite rings), passes unseen.
+    good = tmp_path / "good.alg"
+    good.write_text(INTERSECTION)
+    finite = tmp_path / "finite.alg"
+    finite.write_text(FINITE)
+    for words in (
+        [str(good), "present", "W24"],
+        [str(finite), "finite", "check", "W"],
+        ["verify-paper"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["--degree-cap", "-1"] + words)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "amalgams: error: argument --degree-cap: must be at least 0\n"
+        )
+    # Cap 0 is a cap like any other: a computation that passes it exits 1.
+    assert main(["--degree-cap", "0", str(good), "present", "W24"]) == 1
+    assert main(["--degree-cap", "0", str(finite), "finite", "check", "W"]) == 0
+
+
+def test_verify_paper_takes_no_arguments(capsys):
+    assert main(["verify-paper", "EXTRA"]) == 2
+    assert capsys.readouterr() == ("", "parse error: verify-paper takes no arguments\n")
 
 
 def test_hilbert_cross_check_failure_exits_1(tmp_path, capsys, monkeypatch):
@@ -400,6 +442,20 @@ def test_socle_dimension_oracle():
 def test_harness_all_pass():
     results = run_harness(101)
     assert results and all(ok for _, ok in results)
+
+
+def test_verify_paper_runs_as_a_module():
+    # `python -m amalgams.cli` runs cli as __main__, and the harness imports
+    # amalgams.cli again: the two modules must load in either order.
+    src = os.path.dirname(os.path.dirname(homology.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "amalgams.cli", "verify-paper"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=300,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.decode().splitlines()[-1] == "result = PASS"
 
 
 def test_verify_paper_report():

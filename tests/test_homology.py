@@ -21,7 +21,7 @@ from amalgams.amalgam import amalgam_present, duplication
 from amalgams.cli import parse_input
 from amalgams.modules import FPModule
 from amalgams.poly import PolyRing, parse_poly
-from amalgams.ring import IdealHandle, hilbert_function, make_ring
+from amalgams.ring import IdealHandle, make_ring
 from amalgams.series import HilbertSeries, lp_const, lp_monomial
 from oracles import resolution_series
 from samples import binomial_or_monomial_rings, k3_duplications, serre_rings
@@ -100,7 +100,7 @@ def test_hilbert_series_matches_function():
         R = make_ring(101, ["x", "z1", "z2"], gens)
         hs = hilbert_series(R)
         for d in range(9):
-            assert hs.coefficient(d) == hilbert_function(R, d)
+            assert hs.coefficient(d) == len(R.standard_monomials(d))
 
 
 def assert_same_series(obj):
@@ -336,7 +336,7 @@ def test_weighted_ring_invariants():
     assert (rep.dim, rep.depth, rep.is_gorenstein) == (1, 1, True)
     hs = hilbert_series(R)
     for d in range(9):
-        assert hs.coefficient(d) == hilbert_function(R, d)
+        assert hs.coefficient(d) == len(R.standard_monomials(d))
 
 
 def test_ext_from_one_resolution_matches_ext_module():
