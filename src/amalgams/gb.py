@@ -18,7 +18,9 @@ from .modules import (
     DEFAULT_DEGREE_CAP,
     FreeModule,
     ModOrder,
-    _mod_reduce,
+    ModVec,
+    _Basis,
+    _reduce,
     leading_mod_term,
     module_groebner,
     syzygies,
@@ -70,12 +72,13 @@ class GroebnerBasis:
         return [leading_term(g, self.order)[0] for g in self.elements]
 
     def _as_vectors(self):
-        """(rank-1 vectors, their leading terms, module order): the form
-        `normal_form` reduces against, built on first use."""
+        """(the elements as a `_Basis` of rank-1 vectors, module order):
+        the form `normal_form` reduces against, built on first use."""
         if self._vectors is None:
             leads = [(0, m) for m in self.leading_monomials()]
             order = ModOrder(self.ring.weights, order=self.order)
-            self._vectors = (_rank_one(self.ring, self.elements), leads, order)
+            vecs = _rank_one(self.ring, self.elements)
+            self._vectors = (_Basis(vecs, leads), order)
         return self._vectors
 
     def __repr__(self):
@@ -113,14 +116,18 @@ def _reduced(ring, G, morder):
             for k in range(len(G))
         )
     ]
-    # Tail-reduce each survivor against the others.
+    # Tail-reduce each survivor against all of them, one index for all:
+    # no other survivor's lead divides its lead, and its own lead divides
+    # no term below it, so this is its normal form against the others.
+    basis = _Basis([G[k] for k in minimal], [(0, lms[k]) for k in minimal])
     order = morder.order
     reduced = []
     for idx in minimal:
-        others = [k for k in minimal if k != idx]
-        g = _mod_reduce(
-            G[idx], [G[k] for k in others], [(0, lms[k]) for k in others], morder
-        )
+        lead = (0, lms[idx])
+        tail = dict(G[idx].terms)
+        c = tail.pop(lead)
+        h = _reduce(ModVec(G[idx].free, tail), basis, morder)
+        g = ModVec(h.free, {lead: c, **h.terms})
         reduced.append((order.key(lms[idx], ring.weights), g.component_poly(0)))
     reduced.sort(key=lambda kg: kg[0], reverse=True)
     return GroebnerBasis(ring, [g for _, g in reduced], order)
@@ -132,9 +139,9 @@ def normal_form(f, G):
         raise ContextMismatch("polynomial and basis in different rings")
     if not G.elements:
         return f
-    vecs, leads, morder = G._as_vectors()
+    basis, morder = G._as_vectors()
     (v,) = _rank_one(f.ring, [f])
-    return _mod_reduce(v, vecs, leads, morder).component_poly(0)
+    return _reduce(v, basis, morder).component_poly(0)
 
 
 def ideal_member(f, G):

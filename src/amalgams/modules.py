@@ -9,17 +9,25 @@ makes them the one kernel primitive of the package.  Graded Nakayama is
 the one minimalization rule: `minimal_generators(modulo=)` keeps what the
 relations and the vectors kept so far do not span, and `subquotient`, built
 on it, presents Ext, Hom and every module with a unit relation entry.  One
-Buchberger loop (`_extend`) and one reducer (`_mod_reduce`) run over module
+Buchberger loop (`_extend`) and one reducer (`_reduce`) run over module
 vectors; `amalgams.gb` runs ideals through them as rank-1 submodules.
 Both of the engine's choices are heap pops.  The loop computes each
-S-pair's lcm degree once, when the pair is made, and pops the next pair
-from a heap of (degree, i, j).  The reducer pops the leading term of its
-working dict from a heap of (order key, term), skipping popped terms that
-have left the dict.  `ModOrder` keeps each monomial's key, one flat tuple
-of ints, in a dict on the instance, so a key is built once per engine
-call.  Pairs come out in (lcm degree, i, j) order and terms in falling
-module order, as a scan for the least pair and the largest term would
-pick them.
+S-pair's lcm and its degree once, when the pair is made, and pops the
+next pair from a heap of (degree, i, j, lcm).  The reducer pops the
+leading term of its working dict from a heap of (order key, term),
+skipping popped terms that have left the dict.  `ModOrder` keeps each
+monomial's key, one flat tuple of ints, in a dict on the instance, so a
+key is built once per engine call.  Pairs come out in (lcm degree, i, j)
+order and terms in falling module order, as a scan for the least pair
+and the largest term would pick them.
+A `_Basis` keeps a per-component index beside the basis and grows it with
+the basis, so it is built once per basis, not once per reduction: the
+loop makes pairs only between leads of one component, the chain criterion
+looks only at the leads of the pair's component, and the reducer looks
+for a divisor only among the leads of the term's component, in the order
+of the basis, so the first divisor found is the first in the basis.  Each
+S-vector is built in one dict, and the reducer builds its remainder in
+falling order, so a new element's lead is the remainder's first key.
 Callers in this package pass vectors homogeneous with respect to the
 component twists; the engine itself only needs that for `degree()`.
 """
@@ -28,7 +36,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from heapq import heapify, heappop, heappush
-from operator import add, le, neg, sub
+from operator import add, le, mul, neg, sub
 
 from .errors import DegreeCapExceeded, NotHomogeneous
 from .poly import GREVLEX, Polynomial
@@ -197,25 +205,52 @@ def _check_cap(degree, degree_cap):
         )
 
 
-def _mod_reduce(v, gens, leads, order, degree_cap=None):
-    """Full normal form of a vector against monic module GB elements.
+class _Basis:
+    """Monic module vectors, a GB or one being built, with their
+    per-component index.
 
-    leads[i] is the leading (component, monomial) of gens[i] under `order`.
+    `vecs` and `leads` are the elements and their leading (component,
+    monomial) terms.  Per component, `divisors` holds the (vector, lead
+    monomial) pairs and `numbered` the (index, lead monomial) pairs, both
+    in the order of `vecs`.  `append` grows all four, so the index is
+    built once per basis, not once per reduction or per S-pair.
+    """
+
+    __slots__ = ("vecs", "leads", "divisors", "numbered")
+
+    def __init__(self, vecs=(), leads=()):
+        self.vecs = []
+        self.leads = []
+        self.divisors = defaultdict(list)
+        self.numbered = defaultdict(list)
+        for g, lead in zip(vecs, leads):
+            self.append(g, lead)
+
+    def append(self, g, lead):
+        comp, mono = lead
+        self.numbered[comp].append((len(self.vecs), mono))
+        self.divisors[comp].append((g, mono))
+        self.vecs.append(g)
+        self.leads.append(lead)
+
+
+def _reduce(v, basis, order, degree_cap=None):
+    """Full normal form of a vector against a `_Basis` under `order`.
+
     One working dict is reduced in place.  Its leading term is popped from
     a min-heap of (order key, term): a term is pushed when it enters the
-    dict, and a popped term no longer in the dict is skipped.  The
-    divisors are grouped by component once per call, in the order of
-    `gens`, so the first divisor found is the first one in `gens`.  With
-    a `degree_cap`, raises as soon as a term of higher monomial degree
-    appears.
+    dict, and a popped term no longer in the dict is skipped.  Each term
+    looks for a divisor only among the leads of its own component, in the
+    order of the basis, so the first divisor found is the first one in the
+    basis.  The remainder is built in falling order: its first key is its
+    leading term.  With a `degree_cap`, raises as soon as a term of higher
+    monomial degree appears.
     """
     ring = v.ring
     p = ring.p
     if degree_cap is not None:
         _check_cap(v.max_mono_degree(), degree_cap)
-    divisors = defaultdict(list)
-    for g, (comp, gm) in zip(gens, leads):
-        divisors[comp].append((g, gm))
+    divisors = basis.divisors
     key = order.key
     h = dict(v.terms)
     heap = [(key(t), t) for t in h]
@@ -251,42 +286,54 @@ def _mod_reduce(v, gens, leads, order, degree_cap=None):
     return ModVec(v.free, rem)
 
 
+def _mod_reduce(v, gens, leads, order, degree_cap=None):
+    """`_reduce` against monic vectors held as a list, leads[i] the
+    leading (component, monomial) of gens[i]: the index is built for this
+    one call.  The package's own callers keep a `_Basis` instead."""
+    return _reduce(v, _Basis(gens, leads), order, degree_cap)
+
+
 def _monic(v, order):
     """v scaled to leading coefficient 1, with its leading (comp, mono)."""
     lead, c = leading_mod_term(v, order)
     return v.scale(v.ring.field.inverse(c)), lead
 
 
-def _extend(G, leads, new, order, degree_cap):
-    """Complete the monic GB G (leading terms `leads`) after adding `new`.
+def _extend(basis, new, order, degree_cap):
+    """Complete the `_Basis` `basis` after adding `new`, in place.
 
     `new` holds (monic vector, leading term) pairs.  Appends them, then
     runs Buchberger's loop over the pairs that involve them, the pair of
-    least lcm degree first (ties broken by index).  Each pair's lcm degree
-    is computed once, when the pair is made, and the next pair is popped
-    from a heap of (degree, i, j); the set `pairs` holds the same open
-    pairs for the chain criterion.  A pair is skipped by the chain
-    criterion, and in rank 1 also by the product criterion.  G and leads
-    are extended in place.
+    least lcm degree first (ties broken by index).  Pairs are made only
+    between leads of one component.  Each pair's lcm and its degree are
+    computed once, when the pair is made, and the next pair is popped
+    from a heap of (degree, i, j, lcm); the set `pairs` holds the same
+    open pairs for the chain criterion.  A pair is skipped by the chain
+    criterion, which looks only at the leads of the pair's component, and
+    in rank 1 also by the product criterion.  The S-vector is built in one
+    dict, and a nonzero remainder joins the basis with the remainder's
+    first key, its leading term, as its lead.
     """
+    G, leads, numbered = basis.vecs, basis.leads, basis.numbered
     if not G and not new:
-        return G
+        return
     free = (G[0] if G else new[0][0]).free
     ring = free.ring
+    p = ring.p
+    weights = ring.weights
+    inverse = ring.field.inverse
     rank_one = free.rank == 1
     pairs = set()
     heap = []
 
     def append(g, lead):
-        G.append(g)
-        leads.append(lead)
-        n = len(G) - 1
+        n = len(G)
         comp, mono = lead
-        for k in range(n):
-            kc, km = leads[k]
-            if kc == comp:
-                pairs.add((k, n))
-                heappush(heap, (ring.mono_degree(ring.mono_lcm(km, mono)), k, n))
+        for k, km in numbered[comp]:
+            lcm = tuple(map(max, km, mono))
+            pairs.add((k, n))
+            heappush(heap, (sum(map(mul, lcm, weights)), k, n, lcm))
+        basis.append(g, lead)
 
     for g, lead in new:
         append(g, lead)
@@ -295,35 +342,40 @@ def _extend(G, leads, new, order, degree_cap):
         return (min(a, b), max(a, b)) not in pairs
 
     while heap:
-        _, i, j = heappop(heap)
+        _, i, j, lcm = heappop(heap)
         pairs.discard((i, j))
         comp, mi = leads[i]
         mj = leads[j][1]
-        lcm = ring.mono_lcm(mi, mj)
         # The product criterion is for ideals only: in S^2 the leads of
         # (x, y) and (y, z) are coprime, yet their S-vector reduces to
         # (y^2 - x*z) e_2.
-        if rank_one and lcm == ring.mono_mul(mi, mj):
+        if rank_one and lcm == tuple(map(add, mi, mj)):
             continue
         # Chain criterion: a lead k dividing the lcm whose pairs with i
         # and j are both done makes the pair (i, j) redundant.
         if any(
             k != i
             and k != j
-            and kc == comp
-            and ring.mono_divides(km, lcm)
+            and all(map(le, km, lcm))
             and done(i, k)
             and done(j, k)
-            for k, (kc, km) in enumerate(leads)
+            for k, km in numbered[comp]
         ):
             continue
-        s = G[i].term_mul(ring.mono_div(lcm, mi), 1) - G[j].term_mul(
-            ring.mono_div(lcm, mj), 1
-        )
-        h = _mod_reduce(s, G, leads, order, degree_cap)
-        if not h.is_zero():
-            append(*_monic(h, order))
-    return G
+        qi = tuple(map(sub, lcm, mi))
+        qj = tuple(map(sub, lcm, mj))
+        s = {(c, tuple(map(add, m, qi))): a for (c, m), a in G[i].terms.items()}
+        for (c, m), b in G[j].terms.items():
+            k = (c, tuple(map(add, m, qj)))
+            d = (s.get(k, 0) - b) % p
+            if d:
+                s[k] = d
+            else:
+                s.pop(k, None)
+        h = _reduce(ModVec(free, s), basis, order, degree_cap)
+        if h.terms:
+            lead = next(iter(h.terms))
+            append(h.scale(inverse(h.terms[lead])), lead)
 
 
 def module_groebner(vecs, order=None, degree_cap=DEFAULT_DEGREE_CAP):
@@ -335,7 +387,9 @@ def module_groebner(vecs, order=None, degree_cap=DEFAULT_DEGREE_CAP):
         order = ModOrder(vecs[0].ring.weights)
     new = [_monic(v, order) for v in vecs if not v.is_zero()]
     new.sort(key=lambda gl: order.key(gl[1]), reverse=True)
-    return _extend([], [], new, order, degree_cap)
+    basis = _Basis()
+    _extend(basis, new, order, degree_cap)
+    return basis.vecs
 
 
 def syzygies(vecs, degree_cap=DEFAULT_DEGREE_CAP, twists=None, modulo=()):
@@ -396,15 +450,14 @@ def minimal_generators(vecs, degree_cap=DEFAULT_DEGREE_CAP, modulo=()):
         _monic(r, order) for r in modulo if not r.is_zero() and r.degree() <= top
     ]
     kept = []
-    gb = []
-    leads = []
-    _extend(gb, leads, seeds, order, degree_cap)
+    basis = _Basis()
+    _extend(basis, seeds, order, degree_cap)
     for v in vecs:
-        h = _mod_reduce(v, gb, leads, order)
+        h = _reduce(v, basis, order)
         if h.is_zero():
             continue
         kept.append(v)
-        _extend(gb, leads, [_monic(h, order)], order, degree_cap)
+        _extend(basis, [_monic(h, order)], order, degree_cap)
     return kept
 
 

@@ -4,7 +4,8 @@ Every declared name of every bundled fixture gets each command that
 applies to its kind, at p = 101 and p = 32003: `present`, `classify`,
 `canonical` and `hom-into` on amalgams, `classify` and `canonical` on
 rings, `finite check` on finite amalgams.  `run` makes one call through
-`amalgams.cli.main` and returns its exit code, stdout and stderr.
+`amalgams.cli.main`, optionally under a degree cap, and returns its exit
+code, stdout and stderr.
 """
 
 import contextlib
@@ -42,10 +43,13 @@ def fixture_commands():
     return out
 
 
-def run(fixture, words, prime):
-    """(exit code, stdout, stderr) of one CLI call on a bundled fixture."""
+def run(fixture, words, prime, degree_cap=None):
+    """(exit code, stdout, stderr) of one CLI call on a bundled fixture,
+    under `--degree-cap` when one is given."""
     out, err = io.StringIO(), io.StringIO()
     argv = ["--prime", str(prime), str(fixture_path(fixture))] + list(words)
+    if degree_cap is not None:
+        argv = ["--degree-cap", str(degree_cap)] + argv
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     return rc, out.getvalue(), err.getvalue()

@@ -93,6 +93,33 @@ def test_classify_report():
     assert "betti = 1;2;1" in report.lines
 
 
+DUPLICATION_K4 = """\
+ring A vars x1, x2, x3, x4
+ideal M in A : x1, x2, x3, x4
+duplication W : A, M
+"""
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+def test_classify_8_variable_duplication(p):
+    # The 8-variable rung of the duplication ladder: k[x1..x4] duplicated
+    # along its maximal ideal.
+    session = parse_input(DUPLICATION_K4, prime=p)
+    assert session.decls["W"][1].A.ambient.p == p
+    report = cmd_dispatch(session, ["classify", "W"], Options(prime=p))
+    assert report.lines == [
+        "dim = 4",
+        "depth = 1",
+        "cm = false",
+        "gorenstein = false",
+        "quasi_gorenstein = false",
+        "generalized_cm = true",
+        "serre = S1?",
+        "type = 1",
+        "betti = 1;16;48;68;56;28;8;1",
+    ]
+
+
 def test_classify_ring_with_equidim_flag():
     text = "field p=101\nring R vars a, b, c, d ideal: a*c, a*d, b*c, b*d\n"
     report = dispatch(text, ["classify", "R"], assume_equidim=["R"])

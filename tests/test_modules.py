@@ -2,8 +2,10 @@
 extended module GB agree with the from-scratch route of
 `oracles.minimal_generators_rebuild`; the heap-driven engine returns what
 the scan-driven `oracles.module_groebner_scan` returns, element for
-element and in order, also under degree caps; the product criterion is
-kept to rank 1; the reducer stops at the degree cap; minimal presentations
+element and in order, also under degree caps; the reducer on a prebuilt
+per-component index returns what `oracles.mod_reduce_scan` returns, also
+under degree caps; the product criterion is kept to rank 1; the reducer
+stops at the degree cap; minimal presentations
 of modules with unit relation entries agree with the substitution route of
 `oracles.minimal_presentation_substitute`."""
 
@@ -23,7 +25,10 @@ from amalgams.modules import (
     FreeModule,
     ModOrder,
     ModVec,
+    _Basis,
     _mod_reduce,
+    _monic,
+    _reduce,
     leading_mod_term,
     minimal_generators,
     module_groebner,
@@ -98,12 +103,23 @@ def test_reduction_stops_at_the_degree_cap():
 
 def scan_engine():
     """A context in which `modules`' own syzygies and minimal_generators
-    run on the scan-driven oracle engine."""
+    run on the scan-driven oracle engine, which reads a basis as the two
+    lists `vecs` and `leads`."""
+
+    def extend(basis, new, order, degree_cap):
+        G, leads = list(basis.vecs), list(basis.leads)
+        extend_scan(G, leads, new, order, degree_cap)
+        for g, lead in zip(G[len(basis.vecs):], leads[len(basis.leads):]):
+            basis.append(g, lead)
+
+    def reduce(v, basis, order, degree_cap=None):
+        return mod_reduce_scan(v, basis.vecs, basis.leads, order, degree_cap)
+
     stack = ExitStack()
     for name, oracle in [
         ("module_groebner", module_groebner_scan),
-        ("_extend", extend_scan),
-        ("_mod_reduce", mod_reduce_scan),
+        ("_extend", extend),
+        ("_reduce", reduce),
         ("_monic", monic_scan),
     ]:
         stack.enter_context(patch.object(modules, name, oracle))
@@ -155,6 +171,14 @@ def test_engine_matches_scan_on_random_ideals(p, data):
     assert_engine_matches_scan(data.draw(binomial_or_monomial_rings(p)))
 
 
+def outcome(run, cap):
+    """run(cap), or None when it raises DegreeCapExceeded."""
+    try:
+        return run(cap)
+    except DegreeCapExceeded:
+        return None
+
+
 @pytest.mark.parametrize("p", [101, 32003])
 def test_engine_and_scan_agree_under_degree_caps(p):
     # At each cap both engines either raise DegreeCapExceeded or return
@@ -180,12 +204,6 @@ def test_engine_and_scan_agree_under_degree_caps(p):
     ]
     runs.append((lambda cap: syzygies(vecs, cap), scan_syzygies))
 
-    def outcome(run, cap):
-        try:
-            return run(cap)
-        except DegreeCapExceeded:
-            return None
-
     for heap_run, scan_run in runs:
         full = heap_run(None)
         assert scan_run(None) == full
@@ -196,6 +214,89 @@ def test_engine_and_scan_agree_under_degree_caps(p):
             assert outcome(scan_run, cap) == got
             stopped.add(got is None)
         assert stopped == {True, False}
+
+
+@st.composite
+def reduction_case(draw, vecs):
+    """(basis, leads, order, vectors) for nonzero vectors of one free
+    module: under one of `engine_orders`, their module GB together with
+    their monic forms, in a drawn order, and up to four homogeneous
+    vectors of the same free module, each a sum of up to three terms per
+    component and up to two monomial multiples of basis elements."""
+    order = draw(st.sampled_from(engine_orders(vecs)))()
+    monic = [_monic(v, order)[0] for v in vecs]
+    G = draw(st.permutations(module_groebner(vecs, order) + monic))
+    leads = [leading_mod_term(g, order)[0] for g in G]
+    free = G[0].free
+    twists = free.twists
+    coeff = st.integers(1, free.ring.p - 1)
+
+    def monomials(d):
+        return [e for e in product(range(d + 1), repeat=3) if sum(e) == d]
+
+    targets = []
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.integers(min(twists), max(twists) + 3))
+        v = free.zero()
+        for i, t in enumerate(twists):
+            if d >= t:
+                for e in draw(st.lists(st.sampled_from(monomials(d - t)), max_size=3)):
+                    v = v + ModVec(free, {(i, e): draw(coeff)})
+        for g in draw(st.lists(st.sampled_from(G), max_size=2)):
+            if d >= g.degree():
+                e = draw(st.sampled_from(monomials(d - g.degree())))
+                v = v + g.term_mul(e, draw(coeff))
+        targets.append(v)
+    return G, leads, order, targets
+
+
+def s_vector(f, g, order):
+    """f and g, monic with leads in one component, times the cofactors of
+    their lcm, subtracted."""
+    ring = f.ring
+    mf = leading_mod_term(f, order)[0][1]
+    mg = leading_mod_term(g, order)[0][1]
+    lcm = ring.mono_lcm(mf, mg)
+    return f.term_mul(ring.mono_div(lcm, mf), 1) - g.term_mul(ring.mono_div(lcm, mg), 1)
+
+
+def assert_reducer_matches_scan(G, leads, order, targets):
+    """One index grows with the basis, as in the engine.  After each
+    element joins, it reduces the S-vectors of that element with the
+    earlier ones of its component, and at the end `targets`, each under no
+    cap and caps 1-8, as the scan reducer does on the same lists.  Until
+    the basis is a GB, a remainder depends on which divisor is found
+    first.  The remainder's first key is its leading term."""
+    basis = _Basis()
+    for n, (g, lead) in enumerate(zip(G, leads)):
+        basis.append(g, lead)
+        vecs = [s_vector(G[k], g, order) for k in range(n) if leads[k][0] == lead[0]]
+        if n == len(G) - 1:
+            vecs += targets
+        for v in vecs:
+            full = _reduce(v, basis, order)
+            assert full == mod_reduce_scan(v, G[: n + 1], leads[: n + 1], order)
+            if full.terms:
+                assert next(iter(full.terms)) == leading_mod_term(full, order)[0]
+            for cap in range(1, 9):
+                got = outcome(lambda c: _reduce(v, basis, order, c), cap)
+                assert got in (None, full)
+                scan = outcome(
+                    lambda c: mod_reduce_scan(v, G[: n + 1], leads[: n + 1], order, c),
+                    cap,
+                )
+                assert scan == got
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_reducer_with_index_matches_scan_under_degree_caps(p, data):
+    # On the relations of a random ring and on their syzygies.
+    rels = FPModule.quotient_ring(data.draw(binomial_or_monomial_rings(p))).relations
+    for vecs in (rels, syzygies(rels)):
+        if vecs:
+            assert_reducer_matches_scan(*data.draw(reduction_case(vecs)))
 
 
 @st.composite
