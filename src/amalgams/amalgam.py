@@ -11,7 +11,11 @@ its degree) and K the intersection of two explicit kernels:
 The construction never assumes the listed generators are enough to reach
 the whole subring: that is certified a posteriori by the exact
 Hilbert-series identity HS(C/K) = HS(A) + HS(J), the graded shadow of the
-split exact sequence 0 -> J -> (A join J) -> A -> 0.
+split exact sequence 0 -> J -> (A join J) -> A -> 0.  `amalgam_present`
+builds C/K and certifies it against the J the spec lists
+(`verify_presentation`); `duplication` and `trivial_extension` build the
+specs of the two special constructions, and `hom_A_into_R` realizes
+Hom_R(A, R) as a colon ideal of C/K.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .gb import (
     DEFAULT_DEGREE_CAP,
     GroebnerBasis,
     IdealBasis,
-    buchberger,
     colon,
     intersect,
     kernel_of_map,
@@ -106,17 +109,6 @@ class AmalgamPresentation:
     def z_polys(self):
         return [self.ambient.var(n) for n in self.z_names]
 
-    def projection_to_A(self, g):
-        """Image of a representative under C -> A, x -> x, z -> 0."""
-        amb_A = self.spec.A.ambient
-        n = amb_A.nvars
-        terms = {}
-        for m, c in g.terms.items():
-            if any(e != 0 for e in m[n:]):
-                continue
-            terms[m[:n]] = c
-        return self.spec.A.reduce(Polynomial(amb_A, terms))
-
     def __repr__(self):
         return f"AmalgamPresentation({self.ring!r}, certificate={self.certificate})"
 
@@ -161,25 +153,18 @@ def amalgam_present(spec, degree_cap=DEFAULT_DEGREE_CAP):
     return P
 
 
-def verify_presentation(P, target=None, degree_cap=DEFAULT_DEGREE_CAP):
+def verify_presentation(P, degree_cap=DEFAULT_DEGREE_CAP):
     """Certify HS(C/K) = HS(A) + HS(J) as exact rational functions.
 
-    `target` may name a different ideal handle in B to compare against
-    (e.g. the intended J when the listed generators are suspected to miss
-    part of it).  On inequality the smallest degree where the graded
-    dimensions differ is reported; the presented ring is then the proper
-    subring generated by the images, not the full amalgam.  HS(C/K) is
-    the series the presentation keeps, and HS(J) is HS(B) - HS(B/J), from
-    the ring B/J that `amalgam_present` built.
+    On inequality the smallest degree where the graded dimensions differ
+    is reported; the presented ring is then the proper subring generated
+    by the images, not the full amalgam.  HS(C/K) is the series the
+    presentation keeps, and HS(J) is HS(B) - HS(B/J), from the ring B/J
+    that `amalgam_present` built.
     """
     spec = P.spec
     hs_A = hilbert_series(spec.A, degree_cap)
-    if target is None:
-        hs_J = hilbert_series(spec.B, degree_cap) - hilbert_series(
-            P.B_mod_J, degree_cap
-        )
-    else:
-        hs_J = hilbert_series(target, degree_cap)
+    hs_J = hilbert_series(spec.B, degree_cap) - hilbert_series(P.B_mod_J, degree_cap)
     witness = P.series.first_difference(hs_A + hs_J)
     if witness is None:
         status = CertStatus(CertStatus.CERTIFIED)
@@ -252,15 +237,3 @@ def hom_A_into_R(P, degree_cap=DEFAULT_DEGREE_CAP):
             gens.append(r)
     return IdealHandle(P.ring, gens)
 
-
-def retraction_ideal_identity(P, degree_cap=DEFAULT_DEGREE_CAP):
-    """Check K + (z's) = I_A*C + (z's) as ideals of C (GB equality)."""
-    amb = P.ambient
-    zs = [amb.var(n) for n in P.z_names]
-    left = buchberger(
-        IdealBasis(amb, list(P.K.elements) + zs), GREVLEX, degree_cap
-    )
-    right = buchberger(
-        IdealBasis(amb, list(P.K_A.gens)), GREVLEX, degree_cap
-    )
-    return left.elements == right.elements

@@ -20,7 +20,8 @@ Commands: present, classify, canonical, hom-into, finite check, and
 verify-paper, which runs the harness in `amalgams.harness`.  This module
 is the parser and the dispatch.  Exit codes: 0 success, 1
 computation/verification failure, 2 parse or usage error (a negative
---degree-cap or --max-degree, or an argument after verify-paper).
+--degree-cap or --max-degree, a --prime that is not a prime, or an
+argument after verify-paper).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .amalgam import (
 from .errors import (
     AlgebraError,
     DegreeCapExceeded,
+    NotPrime,
     ParseError,
     ResolutionTooLong,
     UnknownReference,
@@ -55,7 +57,7 @@ from .finite import (
 from .gb import DEFAULT_DEGREE_CAP
 from .homology import canonical_module, classify, hilbert_series
 from .modules import FPModule
-from .poly import DEFAULT_PRIME, PolyRing, format_poly, parse_poly
+from .poly import DEFAULT_PRIME, PolyRing, PrimeField, format_poly, parse_poly
 from .ring import IdealHandle, PresentedRing, RingHom, hom_check
 
 
@@ -142,8 +144,9 @@ def _parse_decl(session, line, n):
 def _decl_field(session, rest, n):
     if not rest.startswith("p=") or not rest[2:].strip().isdigit():
         raise ParseError(n, "expected field p=<prime>")
+    field = PrimeField(int(rest[2:]))
     if session.prime_override is None:
-        session.field = int(rest[2:])
+        session.field = field
 
 
 def _decl_ring(session, rest, n):
@@ -492,6 +495,11 @@ def main(argv=None):
                         ("--max-degree", args.max_degree)]:
         if value < 0:
             parser.error(f"argument {flag}: must be at least 0")
+    if args.prime is not None:
+        try:
+            PrimeField(args.prime)
+        except NotPrime as exc:
+            parser.error(f"argument --prime: {exc}")
     options = Options(
         degree_cap=args.degree_cap,
         prime=args.prime,

@@ -118,33 +118,10 @@ class ProductRing(FiniteRing):
         add = A.add[a[:, None], a[None, :]] * nB + B.add[b[:, None], b[None, :]]
         mul = A.mul[a[:, None], a[None, :]] * nB + B.mul[b[:, None], b[None, :]]
         one_raw = A.one * nB + B.one
-        (add, mul), perm = _normalize_one(add, mul, one_raw)
+        (add, mul), _ = _normalize_one(add, mul, one_raw)
         self.factors = (A, B)
-        self._perm = perm  # raw pair index -> label
         # The axioms hold componentwise, since A and B satisfy them.
         super().__init__(add, mul, name=name or f"{A} x {B}", check=False)
-
-    def pair_index(self, a, b):
-        return int(self._perm[a * self.factors[1].n + b])
-
-
-def quotient_ring(R, I, name=None):
-    """R / I with cosets labeled by their smallest representative."""
-    elems = sorted(I.elements)
-    coset_of = {}
-    reps = []
-    for a in range(R.n):
-        if a in coset_of:
-            continue
-        coset = sorted(int(R.add[a, i]) for i in elems)
-        for c in coset:
-            coset_of[c] = len(reps)
-        reps.append(coset[0])
-    m = len(reps)
-    add = np.array([[coset_of[int(R.add[x, y])] for y in reps] for x in reps])
-    mul = np.array([[coset_of[int(R.mul[x, y])] for y in reps] for x in reps])
-    (add, mul), _ = _normalize_one(add, mul, coset_of[R.one])
-    return FiniteRing(add, mul, name=name or f"{R}/I")
 
 
 class FiniteIdeal:
@@ -197,16 +174,6 @@ def _ideal_sum(add, I, P):
             row = add[x]
             S.update([row[y] for y in P])
     return frozenset(S)
-
-
-def ideal_generated_by(R, gens):
-    """Smallest ideal containing the given elements: the sum of the R*g."""
-    add, mul = R.add.tolist(), R.mul.tolist()
-    elems = frozenset([0])
-    for g in gens:
-        if g not in elems:
-            elems = _ideal_sum(add, elems, mul[g])
-    return FiniteIdeal(R, elems, check=False)
 
 
 def all_ideals(R):
@@ -329,7 +296,6 @@ class FiniteAmalgam:
             raise NotARing("amalgam subset is not closed in A x B")
         one_idx = int(lookup[A.one * nB + B.one])
         (add, mul), perm = _normalize_one(add, mul, one_idx)
-        self._perm = perm
         # A finite subset of the checked ring A x B that holds 0 and 1 and
         # is closed under + and * is a subring: the axioms need no check.
         self.ring = FiniteRing(add, mul, name="amalgam", check=False)

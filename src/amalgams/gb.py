@@ -3,12 +3,13 @@
 `buchberger` is the module Groebner basis of the rank-1 vectors,
 minimalized and tail-reduced; `normal_form` is the module reducer;
 `intersect` and `colon` are quotients (U : v) of a submodule U by one
-vector v, computed as the syzygies of v modulo U; `eliminate` and
-`kernel_of_map` run the same engine under a block order.  Everything here
-is deterministic: the S-pair selection uses the normal strategy (minimal
-lcm weighted degree, ties by smallest pair index), and reduced Groebner
-bases are unique for a fixed ideal and order, so rerunning the engine
-reproduces them element for element.
+vector v, computed as the syzygies of v modulo U; `eliminate` drops a
+leading block of variables by the same engine under the block order that
+eliminates them, and `kernel_of_map` puts the target's variables in that
+block.  Everything here is deterministic: the S-pair selection uses the
+normal strategy (minimal lcm weighted degree, ties by smallest pair
+index), and reduced Groebner bases are unique for a fixed ideal and
+order, so rerunning the engine reproduces them element for element.
 """
 
 from __future__ import annotations
@@ -148,54 +149,23 @@ def ideal_member(f, G):
     return normal_form(f, G).is_zero()
 
 
-def _map_exponents(poly, target_ring, slot_map):
-    """Reinterpret `poly` inside `target_ring`, sending variable i of the
-    source to variable slot_map[i] of the target."""
-    terms = {}
-    for m, c in poly.terms.items():
-        e = [0] * target_ring.nvars
-        for i, exp in enumerate(m):
-            if exp:
-                e[slot_map[i]] = exp
-        terms[tuple(e)] = c
-    return Polynomial(target_ring, terms)
-
-
-def eliminate(basis, front_vars, degree_cap=DEFAULT_DEGREE_CAP):
-    """Contract the ideal to the subring on the variables not in front_vars.
+def eliminate(basis, k, degree_cap=DEFAULT_DEGREE_CAP):
+    """Contract the ideal to the subring on all but the first k variables,
+    from its basis under the block order that eliminates them.
 
     Returns an IdealBasis over a new ring on the retained variables (with
     their weights preserved).  Eliminating nothing returns the input.
     """
-    front_vars = list(front_vars)
-    if not front_vars:
+    if not k:
         return basis
     ring = basis.ring
-    front_idx = [ring._index[v] for v in front_vars]
-    back_idx = [i for i in range(ring.nvars) if i not in front_idx]
-    perm_names = [ring.names[i] for i in front_idx] + [ring.names[i] for i in back_idx]
-    perm_weights = [ring.weights[i] for i in front_idx] + [
-        ring.weights[i] for i in back_idx
+    G = buchberger(basis, BlockOrder(k), degree_cap)
+    sub_ring = PolyRing(ring.field, ring.names[k:], ring.weights[k:])
+    survivors = [
+        Polynomial(sub_ring, {m[k:]: c for m, c in g.terms.items()})
+        for g in G.elements
+        if not any(any(m[:k]) for m in g.terms)
     ]
-    perm_ring = PolyRing(ring.field, perm_names, perm_weights)
-    slot = {}
-    for new, old in enumerate(front_idx + back_idx):
-        slot[old] = new
-    mapped = [_map_exponents(g, perm_ring, slot) for g in basis.gens]
-    order = BlockOrder(len(front_idx))
-    G = buchberger(IdealBasis(perm_ring, mapped), order, degree_cap)
-    k = len(front_idx)
-    sub_ring = PolyRing(
-        ring.field,
-        [ring.names[i] for i in back_idx],
-        [ring.weights[i] for i in back_idx],
-    )
-    survivors = []
-    for g in G.elements:
-        if all(all(e == 0 for e in m[:k]) for m in g.terms):
-            survivors.append(
-                Polynomial(sub_ring, {m[k:]: c for m, c in g.terms.items()})
-            )
     return IdealBasis(sub_ring, survivors)
 
 
@@ -250,23 +220,22 @@ def kernel_of_map(source_ring, images, target_basis, degree_cap=DEFAULT_DEGREE_C
     target_ring = target_basis.ring
     if len(images) != source_ring.nvars:
         raise ValueError("one image per source variable")
-    tnames = [f"@{n}" for n in target_ring.names]
     joint = PolyRing(
         source_ring.field,
-        tnames + list(source_ring.names),
+        [f"@{n}" for n in target_ring.names] + list(source_ring.names),
         list(target_ring.weights) + list(source_ring.weights),
     )
-    t_slot = {i: i for i in range(target_ring.nvars)}
-    s_slot = {i: i + target_ring.nvars for i in range(source_ring.nvars)}
-    gens = [_map_exponents(g, joint, t_slot) for g in target_basis.gens]
-    for i, img in enumerate(images):
+    tail = (0,) * source_ring.nvars
+
+    def lift(f):
+        return Polynomial(joint, {m + tail: c for m, c in f.terms.items()})
+
+    gens = [lift(g) for g in target_basis.gens]
+    for name, img in zip(source_ring.names, images):
         if img.ring != target_ring:
             raise ContextMismatch("image not in target ring")
-        gens.append(
-            _map_exponents(source_ring.var(source_ring.names[i]), joint, s_slot)
-            - _map_exponents(img, joint, t_slot)
-        )
-    contracted = eliminate(IdealBasis(joint, gens), tnames, degree_cap)
+        gens.append(joint.var(name) - lift(img))
+    contracted = eliminate(IdealBasis(joint, gens), target_ring.nvars, degree_cap)
     return IdealBasis(
         source_ring, [Polynomial(source_ring, dict(g.terms)) for g in contracted.gens]
     )

@@ -5,10 +5,10 @@ the Auslander-Buchsbaum identity (#vars - projective dimension), canonical
 modules and the classification predicates via Ext against the ambient ring
 and graded local duality.  `classify` builds one resolution and takes the
 Betti numbers, depth, canonical module and every higher Ext from it.
-Ext, Hom and annihilators are kernels into quotient modules, each taken
-as syzygies modulo the relations (`modules.syzygies(modulo=)`); Ext and
-Hom are presented by `modules.subquotient`, the one minimalization rule,
-and each module is minimalized once.
+Ext modules and annihilators are kernels into quotient modules, each
+taken as syzygies modulo the relations (`modules.syzygies(modulo=)`); Ext
+is presented by `modules.subquotient`, the one minimalization rule, and
+each module is minimalized once.
 Hilbert series are read off leading monomials and need no resolution.
 """
 
@@ -61,11 +61,8 @@ class FreeResolution:
     def betti_numbers(self):
         return [len(t) for t in self.twists]
 
-    def betti_string(self):
-        return ";".join(str(b) for b in self.betti_numbers())
-
     def __repr__(self):
-        return f"FreeResolution(betti={self.betti_string()})"
+        return f"FreeResolution(betti={self.betti_numbers()})"
 
 
 def _as_module(obj):
@@ -173,17 +170,14 @@ def depth_ab(obj, degree_cap=DEFAULT_DEGREE_CAP):
 
 
 def _dual_columns(res, j):
-    """Columns of the dual of d_{j+1}: the map F_j^* -> F_{j+1}^*."""
-    ring = res.ring
-    target = FreeModule(ring, [-t for t in res.twists[j + 1]])
-    cols = []
-    for a in range(len(res.twists[j])):
-        polys = [
-            res.diffs[j][b].component_poly(a)
-            for b in range(len(res.twists[j + 1]))
-        ]
-        cols.append(target.from_polys(polys))
-    return cols
+    """Columns of the dual of d_{j+1}: the map F_j^* -> F_{j+1}^*, the
+    transpose, built in one pass over the terms of each column of d_{j+1}."""
+    target = FreeModule(res.ring, [-t for t in res.twists[j + 1]])
+    cols = [{} for _ in res.twists[j]]
+    for b, column in enumerate(res.diffs[j]):
+        for (a, m), c in column.terms.items():
+            cols[a][(b, m)] = c
+    return [ModVec(target, terms) for terms in cols]
 
 
 def ext_module(obj, j, degree_cap=DEFAULT_DEGREE_CAP):
@@ -218,47 +212,6 @@ def canonical_module(R, degree_cap=DEFAULT_DEGREE_CAP):
     c = ring.nvars - krull_dim(R, degree_cap)
     ext = ext_module(M, c, degree_cap)
     return ext.shift(sum(ring.weights))
-
-
-def hom_modules(M, N, degree_cap=DEFAULT_DEGREE_CAP):
-    """Hom(M, N) presented via the kernel of Hom(F0, N) -> Hom(F1, N)."""
-    M = _as_module(M).minimal_presentation(degree_cap)
-    N = _as_module(N).minimal_presentation(degree_cap)
-    ring = M.ring
-    if M.is_zero_presentation() or N.is_zero_presentation():
-        return FPModule.zero(ring)
-    s = len(M.twists)
-    u = len(N.twists)
-    rel_degs = [r.degree() for r in M.relations]
-    r = len(rel_degs)
-    src_twists = [
-        N.twists[jj] - M.twists[i] for i in range(s) for jj in range(u)
-    ]
-    src_free = FreeModule(ring, src_twists)
-    tgt_twists = [N.twists[jj] - rel_degs[k] for k in range(r) for jj in range(u)]
-    tgt_free = FreeModule(ring, tgt_twists)
-    cols = []
-    for i in range(s):
-        for jj in range(u):
-            # the hom e_i -> eta_jj composes with the relations of M
-            terms = {}
-            for k in range(r):
-                phi = M.relations[k].component_poly(i)
-                for m, c in phi.terms.items():
-                    terms[(k * u + jj, m)] = c
-            cols.append(ModVec(tgt_free, terms))
-    shifted_rels = []
-    for k in range(r):
-        for rel in N.relations:
-            terms = {(k * u + i, m): c for (i, m), c in rel.terms.items()}
-            shifted_rels.append(ModVec(tgt_free, terms))
-    W = syzygies(cols, degree_cap, twists=src_twists, modulo=shifted_rels)
-    im_gens = []
-    for i in range(s):
-        for rel in N.relations:
-            terms = {(i * u + jj, m): c for (jj, m), c in rel.terms.items()}
-            im_gens.append(ModVec(src_free, terms))
-    return subquotient(ring, W, im_gens, degree_cap)
 
 
 def annihilator(obj, degree_cap=DEFAULT_DEGREE_CAP):

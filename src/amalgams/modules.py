@@ -8,7 +8,7 @@ syzygies modulo a submodule U lift U's generators with a zero tail, which
 makes them the one kernel primitive of the package.  Graded Nakayama is
 the one minimalization rule: `minimal_generators(modulo=)` keeps what the
 relations and the vectors kept so far do not span, and `subquotient`, built
-on it, presents Ext, Hom and every module with a unit relation entry.  One
+on it, presents Ext and every module with a unit relation entry.  One
 Buchberger loop (`_extend`) and one reducer (`_reduce`) run over module
 vectors; `amalgams.gb` runs ideals through them as rank-1 submodules.
 Both of the engine's choices are heap pops.  The loop computes each
@@ -125,14 +125,6 @@ class ModVec:
             return self.free.zero()
         p = self.ring.p
         return ModVec(self.free, {k: (v * c) % p for k, v in self.terms.items()})
-
-    def term_mul(self, mono, coeff):
-        """Multiply by coeff * x^mono."""
-        p = self.ring.p
-        terms = {}
-        for (i, m), c in self.terms.items():
-            terms[(i, self.ring.mono_mul(m, mono))] = (c * coeff) % p
-        return ModVec(self.free, terms)
 
     def component_poly(self, i):
         return Polynomial(
@@ -284,13 +276,6 @@ def _reduce(v, basis, order, degree_cap=None):
             rem[lead] = c
             del h[lead]
     return ModVec(v.free, rem)
-
-
-def _mod_reduce(v, gens, leads, order, degree_cap=None):
-    """`_reduce` against monic vectors held as a list, leads[i] the
-    leading (component, monomial) of gens[i]: the index is built for this
-    one call.  The package's own callers keep a `_Basis` instead."""
-    return _reduce(v, _Basis(gens, leads), order, degree_cap)
 
 
 def _monic(v, order):
@@ -480,10 +465,6 @@ class FPModule:
                 r.degree()  # raises on inhomogeneous input
                 rels.append(r)
         self.relations = rels
-
-    @classmethod
-    def free_module(cls, ring, twists=(0,)):
-        return cls(ring, twists, [])
 
     @classmethod
     def zero(cls, ring):

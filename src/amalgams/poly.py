@@ -60,11 +60,6 @@ class PrimeField:
         return pow(a, self.p - 2, self.p)
 
 
-def field_inverse(a, p):
-    """Inverse of a in GF(p); raises ZeroInverse when a = 0 mod p."""
-    return PrimeField(p).inverse(a)
-
-
 # ---------------------------------------------------------------------------
 # Monomial orders.  An order supplies a sort key for exponent tuples; bigger
 # key means bigger monomial.  All three are multiplicative well-orders.
@@ -77,8 +72,6 @@ def _grevlex_key(expts, weights):
 
 class GrevlexOrder:
     """Weighted degree first, ties by smallest exponent on the last variable."""
-
-    kind = "grevlex"
 
     def key(self, expts, weights):
         return _grevlex_key(expts, weights)
@@ -94,8 +87,6 @@ class GrevlexOrder:
 
 
 class LexOrder:
-    kind = "lex"
-
     def key(self, expts, weights):
         return tuple(expts)
 
@@ -116,8 +107,6 @@ class BlockOrder:
     involving a front variable beats every monomial in the back block
     of the same front part.
     """
-
-    kind = "block"
 
     def __init__(self, elim_count):
         self.elim_count = elim_count
@@ -191,19 +180,9 @@ class PolyRing:
     def mono_degree(self, expts):
         return sum(e * w for e, w in zip(expts, self.weights))
 
-    def mono_mul(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
     def mono_divides(self, a, b):
         """True when a divides b."""
         return all(x <= y for x, y in zip(a, b))
-
-    def mono_div(self, a, b):
-        """a / b, assuming divisibility."""
-        return tuple(x - y for x, y in zip(a, b))
-
-    def mono_lcm(self, a, b):
-        return tuple(max(x, y) for x, y in zip(a, b))
 
     def one_mono(self):
         return (0,) * self.nvars
@@ -228,9 +207,6 @@ class PolyRing:
         e[i] = 1
         return Polynomial(self, {tuple(e): 1})
 
-    def gens(self):
-        return [self.var(n) for n in self.names]
-
     def monomial(self, expts, coeff=1):
         expts = tuple(int(e) for e in expts)
         if len(expts) != self.nvars or any(e < 0 for e in expts):
@@ -239,14 +215,6 @@ class PolyRing:
         if c == 0:
             return self.zero()
         return Polynomial(self, {expts: c})
-
-    def from_terms(self, terms):
-        """Build a polynomial from an iterable of (exponent tuple, coeff)."""
-        acc = {}
-        for expts, c in terms:
-            expts = tuple(expts)
-            acc[expts] = (acc.get(expts, 0) + c) % self.p
-        return Polynomial(self, {m: c for m, c in acc.items() if c})
 
     def monomials_of_degree(self, d, avoid=()):
         """Exponent tuples of weighted degree exactly d that no tuple in
@@ -406,13 +374,6 @@ class Polynomial:
         degs = {self.ring.mono_degree(m) for m in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_parts(self):
-        """Map weighted degree -> homogeneous component."""
-        parts = {}
-        for m, c in self.terms.items():
-            parts.setdefault(self.ring.mono_degree(m), {})[m] = c
-        return {d: Polynomial(self.ring, t) for d, t in sorted(parts.items())}
-
     def sorted_terms(self, order=GREVLEX):
         ws = self.ring.weights
         return sorted(
@@ -433,10 +394,6 @@ def leading_term(f, order=GREVLEX):
     ws = f.ring.weights
     m = max(f.terms, key=lambda mono: order.key(mono, ws))
     return m, f.terms[m]
-
-
-def leading_monomial(f, order=GREVLEX):
-    return leading_term(f, order)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from .gb import (
     GroebnerBasis,
     IdealBasis,
     buchberger,
-    kernel_of_map,
     normal_form,
 )
 from .poly import GREVLEX, PolyRing, parse_poly
@@ -68,9 +67,6 @@ class PresentedRing:
     @property
     def weights(self):
         return self.ambient.weights
-
-    def parse(self, text):
-        return parse_poly(self.ambient, text)
 
     def reduce(self, f):
         """Canonical representative of f modulo the defining ideal."""
@@ -129,12 +125,6 @@ class IdealHandle:
     def is_zero(self):
         return not self.generators
 
-    def with_defining(self):
-        """IdealBasis of defining ideal + handle generators in the ambient."""
-        return IdealBasis(
-            self.ring.ambient, list(self.ring.defining.elements) + self.generators
-        )
-
     def __repr__(self):
         if not self.generators:
             return "<0>"
@@ -173,12 +163,6 @@ class RingHom:
             out = out + term
         return self.target.reduce(out)
 
-    def is_identity(self):
-        return self.source is self.target and all(
-            img == self.target.ambient.var(n)
-            for img, n in zip(self.images, self.source.names)
-        )
-
     def __repr__(self):
         arrows = ", ".join(
             f"{n} -> {img}" for n, img in zip(self.source.names, self.images)
@@ -205,28 +189,4 @@ def hom_check(f):
 
 def identity_hom(ring):
     return hom_check(RingHom(ring, ring, [ring.ambient.var(n) for n in ring.names]))
-
-
-def compose(g, f):
-    """g after f."""
-    if f.target is not g.source and f.target.ambient != g.source.ambient:
-        raise ContextMismatch("homs not composable")
-    return RingHom(f.source, g.target, [g.apply(img) for img in f.images])
-
-
-def contract_ideal(f, J, degree_cap=DEFAULT_DEGREE_CAP):
-    """Preimage f^{-1}(J) as an ideal handle in the source ring."""
-    if not f.verified:
-        hom_check(f)
-    if J.ring is not f.target and J.ring.ambient != f.target.ambient:
-        raise ContextMismatch("ideal not in target ring")
-    ker = kernel_of_map(
-        f.source.ambient, f.images, J.with_defining(), degree_cap
-    )
-    gens = []
-    for g in ker.gens:
-        r = f.source.reduce(g)
-        if not r.is_zero():
-            gens.append(r)
-    return IdealHandle(f.source, gens)
 

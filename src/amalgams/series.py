@@ -143,10 +143,6 @@ class HilbertSeries:
         if self.den.get(0) != 1:
             raise ValueError("denominator must have constant term 1")
 
-    @classmethod
-    def zero(cls):
-        return cls(lp_zero(), lp_const(1))
-
     def __add__(self, other):
         if self.den == other.den:
             return HilbertSeries(lp_add(self.num, other.num), self.den)

@@ -1,5 +1,6 @@
-"""Shared helpers: random polynomial generators and a degreewise
-linear-algebra oracle over GF(p).
+"""Shared helpers: random polynomial generators, a degreewise
+linear-algebra oracle over GF(p), and small builders of polynomials and
+finite rings.
 
 The oracle works degree by degree: the span of a homogeneous ideal in
 degree d is the row space of all (monomial) x (generator) products of
@@ -9,15 +10,26 @@ elimination independently of any Groebner machinery.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from amalgams.poly import PolyRing
+from amalgams.finite import FiniteRing, _normalize_one
+from amalgams.poly import PolyRing, Polynomial
 
 # Reproducible property tests with no per-example deadline: example run
 # times vary a lot on a loaded machine.
 settings.register_profile("amalgams", derandomize=True, deadline=None)
 settings.load_profile("amalgams")
+
+
+def from_terms(ring, terms):
+    """The polynomial of `ring` with the (exponent tuple, coeff) terms."""
+    acc = {}
+    for expts, c in terms:
+        expts = tuple(expts)
+        acc[expts] = (acc.get(expts, 0) + c) % ring.p
+    return Polynomial(ring, {m: c for m, c in acc.items() if c})
 
 
 def random_poly(ring, rng, max_degree=3, terms=4):
@@ -117,6 +129,39 @@ def oracle_member(ring, gens, f):
         return True
     rows, index = ideal_degree_rows(ring, gens, f.degree())
     return in_span(f, rows, index, ring.p)
+
+
+# ---------------------------------------------------------------------------
+# Finite rings
+# ---------------------------------------------------------------------------
+
+
+def pair_index(P, a, b):
+    """The label of (a, b) in the product ring P = A x B: the pair's index
+    a*|B| + b, with the index of (1, 1) and the label 1 swapped."""
+    A, B = P.factors
+    raw, one = a * B.n + b, A.one * B.n + B.one
+    if P.n > 1 and raw in (one, 1):
+        return one + 1 - raw
+    return raw
+
+
+def quotient_ring(R, I):
+    """R / I with cosets labeled by their smallest representative."""
+    elems = sorted(I.elements)
+    coset_of = {}
+    reps = []
+    for a in range(R.n):
+        if a in coset_of:
+            continue
+        coset = sorted(int(R.add[a, i]) for i in elems)
+        for c in coset:
+            coset_of[c] = len(reps)
+        reps.append(coset[0])
+    add = np.array([[coset_of[int(R.add[x, y])] for y in reps] for x in reps])
+    mul = np.array([[coset_of[int(R.mul[x, y])] for y in reps] for x in reps])
+    (add, mul), _ = _normalize_one(add, mul, coset_of[R.one])
+    return FiniteRing(add, mul)
 
 
 @pytest.fixture

@@ -4,17 +4,20 @@
 twists of a minimal free resolution, where
 `amalgams.homology.hilbert_series` reads them off leading monomials.
 `minimal_generators_rebuild` builds a new module GB from scratch after
-every kept vector, where `amalgams.modules.minimal_generators` extends one.
+every kept vector and reduces by `mod_reduce_scan`, where
+`amalgams.modules.minimal_generators` extends one GB.
 `module_groebner_scan` is the module engine with every choice made by a
 scan: the next S-pair by `min` over the open pairs, each leading term by
 `max` over the terms with a freshly built order key, and each divisor by a
 pass over all of G, where `amalgams.modules` pops pairs and terms from
 heaps; it takes the same S-pairs in the same order, so its output is the
-same list, term for term.
-`ideal_generated_by_closure` and `all_ideals_closure` close a finite ring's
-multiples under addition until nothing changes, where `amalgams.finite`
-adds principal ideals coset by coset; `amalgam_tables_loop` fills a finite
-amalgam's tables one pair at a time, where `FiniteAmalgam` indexes them.
+same list, term for term.  The scan engine does its own monomial
+arithmetic (`term_mul`), apart from the engine it checks.
+`ideal_generated_by` closes the multiples of a finite ring's elements
+under addition until nothing changes, and `all_ideals_closure` joins
+ideals that way, where `amalgams.finite.all_ideals` adds principal ideals
+coset by coset; `amalgam_tables_loop` fills a finite amalgam's tables one
+pair at a time, where `FiniteAmalgam` indexes them.
 `syzygies_then_project` finds the syzygies of vectors modulo a submodule
 as the syzygies of the vectors and the relations together, cut down to the
 vectors' coordinates, where `amalgams.modules.syzygies(modulo=)` lifts the
@@ -32,24 +35,25 @@ a product of exponent ranges and drops those a lead divides, where
 `trivext_module` reads the module M of a trivial extension back off B's
 Groebner basis (the elements linear in the e-variables), where
 `trivial_extension` keeps the M it built as `spec.J_module`.
+`retraction_ideal_identity` checks K + (z's) = I_A*C + (z's) for a
+presentation C/K, an identity that holds for every amalgam because
+I_A*C lies in K.
 """
 
 from itertools import product
-from operator import add, mul
+from operator import add, mul, sub
 
 import numpy as np
 
 from amalgams.errors import DegreeCapExceeded, NotARing
 from amalgams.finite import FiniteIdeal, _normalize_one
-from amalgams.gb import IdealBasis, buchberger
+from amalgams.gb import DEFAULT_DEGREE_CAP, IdealBasis, buchberger
 from amalgams.homology import _dual_columns, free_resolution
 from amalgams.modules import (
-    DEFAULT_DEGREE_CAP,
     FPModule,
     FreeModule,
     ModOrder,
     ModVec,
-    _mod_reduce,
     leading_mod_term,
     minimal_generators,
     module_groebner,
@@ -104,7 +108,7 @@ def minimal_generators_rebuild(vecs):
         if gb:
             order = ModOrder(v.ring.weights)
             leads = [leading_mod_term(g, order)[0] for g in gb]
-            if _mod_reduce(v, gb, leads, order).is_zero():
+            if mod_reduce_scan(v, gb, leads, order).is_zero():
                 continue
         kept.append(v)
         gb = module_groebner(kept)
@@ -128,6 +132,15 @@ def _check_cap_scan(degree, degree_cap):
         )
 
 
+def term_mul(v, mono, coeff):
+    """v times coeff * x^mono."""
+    p = v.ring.p
+    return ModVec(
+        v.free,
+        {(i, tuple(map(add, m, mono))): c * coeff % p for (i, m), c in v.terms.items()},
+    )
+
+
 def monic_scan(v, order):
     """v scaled to leading coefficient 1, with its leading term, by `max`."""
     lead = max(v.terms, key=lambda t: _scan_key(order, t))
@@ -149,7 +162,7 @@ def mod_reduce_scan(v, gens, leads, order, degree_cap=None):
         c = h[lead]
         for g, (gc_comp, gm) in zip(gens, leads):
             if gc_comp == comp and ring.mono_divides(gm, mono):
-                q = ring.mono_div(mono, gm)
+                q = tuple(map(sub, mono, gm))
                 if degree_cap is not None:
                     _check_cap_scan(
                         ring.mono_degree(q) + g.max_mono_degree(), degree_cap
@@ -188,7 +201,7 @@ def extend_scan(G, leads, new, order, degree_cap):
 
     def pair_deg(pr):
         i, j = pr
-        return ring.mono_degree(ring.mono_lcm(leads[i][1], leads[j][1]))
+        return ring.mono_degree(tuple(map(max, leads[i][1], leads[j][1])))
 
     def done(a, b):
         return (min(a, b), max(a, b)) not in pairs
@@ -198,8 +211,8 @@ def extend_scan(G, leads, new, order, degree_cap):
         pairs.discard((i, j))
         comp, mi = leads[i]
         mj = leads[j][1]
-        lcm = ring.mono_lcm(mi, mj)
-        if rank_one and lcm == ring.mono_mul(mi, mj):
+        lcm = tuple(map(max, mi, mj))
+        if rank_one and lcm == tuple(map(add, mi, mj)):
             continue
         if any(
             k != i
@@ -211,8 +224,8 @@ def extend_scan(G, leads, new, order, degree_cap):
             for k, (kc, km) in enumerate(leads)
         ):
             continue
-        s = G[i].term_mul(ring.mono_div(lcm, mi), 1) - G[j].term_mul(
-            ring.mono_div(lcm, mj), 1
+        s = term_mul(G[i], tuple(map(sub, lcm, mi)), 1) - term_mul(
+            G[j], tuple(map(sub, lcm, mj)), 1
         )
         h = mod_reduce_scan(s, G, leads, order, degree_cap)
         if not h.is_zero():
@@ -231,7 +244,7 @@ def module_groebner_scan(vecs, order=None, degree_cap=DEFAULT_DEGREE_CAP):
     return extend_scan([], [], new, order, degree_cap)
 
 
-def ideal_generated_by_closure(R, gens):
+def ideal_generated_by(R, gens):
     """Smallest ideal containing gens: all multiples, closed under addition."""
     elems = set()
     for g in gens:
@@ -253,14 +266,14 @@ def ideal_generated_by_closure(R, gens):
 def all_ideals_closure(R):
     """The ideal lattice as the join-closure of the principal ideals, each
     join generated afresh from the union of the two ideals."""
-    principals = {ideal_generated_by_closure(R, [a]).elements for a in range(R.n)}
+    principals = {ideal_generated_by(R, [a]).elements for a in range(R.n)}
     lattice = set(principals)
     frontier = set(principals)
     while frontier:
         new = set()
         for I in frontier:
             for P in principals:
-                J = ideal_generated_by_closure(R, I | P).elements
+                J = ideal_generated_by(R, I | P).elements
                 if J not in lattice:
                     lattice.add(J)
                     new.add(J)
@@ -421,7 +434,7 @@ def minimal_presentation_substitute(M, degree_cap=DEFAULT_DEGREE_CAP):
                 if i != comp:
                     continue
                 for (i2, m2), v2 in expr.items():
-                    k = (i2, ring.mono_mul(m, m2))
+                    k = (i2, tuple(map(add, m, m2)))
                     s = (out.get(k, 0) + v * v2) % p
                     if s:
                         out[k] = s
@@ -460,3 +473,12 @@ def trivext_module(spec):
         if linear and any(not cp.is_zero() for cp in comps):
             rels.append(comps)
     return FPModule(A.ambient, degs, rels)
+
+
+def retraction_ideal_identity(P):
+    """Check K + (z's) = I_A*C + (z's) as ideals of C (GB equality)."""
+    amb = P.ambient
+    zs = [amb.var(n) for n in P.z_names]
+    left = buchberger(IdealBasis(amb, list(P.K.elements) + zs))
+    right = buchberger(IdealBasis(amb, list(P.K_A.gens)))
+    return left.elements == right.elements

@@ -20,7 +20,6 @@ from amalgams.finite import (
     FiniteHom,
     ProductRing,
     classify_primes,
-    ideal_generated_by,
     zmod,
 )
 from amalgams.harness import run_harness, socle_dimension, verify_paper
@@ -32,9 +31,11 @@ from amalgams.homology import (
     krull_dim,
 )
 from amalgams.modules import FPModule
-from amalgams.poly import format_poly
+from amalgams.poly import format_poly, parse_poly
 from amalgams.ring import IdealHandle, PresentedRing, RingHom, hom_check, make_ring
 from amalgams.series import HilbertSeries, lp_monomial
+from conftest import pair_index
+from oracles import ideal_generated_by
 
 P = 101
 
@@ -65,11 +66,12 @@ def cm_battery(p=P):
     out = []
     for gens in (["x"], ["x^2"]):
         spec = duplication(A, IdealHandle(A, gens))
-        Jmod = FPModule.from_ideal(A.ambient, [A.parse(g) for g in gens])
+        Jmod = FPModule.from_ideal(A.ambient, [parse_poly(A.ambient, g) for g in gens])
         out.append((spec, Jmod))
     spec = duplication(P2, IdealHandle(P2, ["x", "y"]))
-    out.append((spec, FPModule.from_ideal(P2.ambient, [P2.parse("x"), P2.parse("y")])))
-    MA = FPModule.free_module(A.ambient, [1])
+    xy = [parse_poly(P2.ambient, v) for v in ("x", "y")]
+    out.append((spec, FPModule.from_ideal(P2.ambient, xy)))
+    MA = FPModule(A.ambient, [1])
     out.append((trivial_extension(A, MA), MA))
     Mk = FPModule(A.ambient, [1], [[A.ambient.var("x")]])
     out.append((trivial_extension(A, Mk), Mk))
@@ -141,7 +143,7 @@ def test_criterion_5_hom_into_identities():
     h = hom_A_into_R(pres)
     t_over_1mt = HilbertSeries(lp_monomial(1), weights=[1])
     assert hilbert_series(h) == t_over_1mt == hilbert_series(I)
-    spec = trivial_extension(A, FPModule.free_module(A.ambient, [1]))
+    spec = trivial_extension(A, FPModule(A.ambient, [1]))
     pres = certified(spec)
     h = hom_A_into_R(pres)
     # J^2 = 0 and Ann_A(J) = 0: series equals 0 + HS(J)
@@ -193,7 +195,7 @@ def test_criterion_8_finite_spectrum():
     fixtures.append(
         FiniteAmalgam(
             FiniteHom(Pr, Pr, range(Pr.n)),
-            ideal_generated_by(Pr, [Pr.pair_index(2, 0)]),
+            ideal_generated_by(Pr, [pair_index(Pr, 2, 0)]),
         )
     )
     for W in fixtures:
@@ -206,7 +208,7 @@ def test_criterion_8_finite_spectrum():
 def test_criterion_9_quasi_gorenstein_closure():
     """Square-zero presentation of the rank-one extension, plus mutation."""
     A = line_ring()
-    spec = trivial_extension(A, FPModule.free_module(A.ambient, [1]))
+    spec = trivial_extension(A, FPModule(A.ambient, [1]))
     pres = certified(spec)
     assert [str(g) for g in pres.K.elements] == ["z1^2"]
     rep = classify(pres.ring)

@@ -266,6 +266,26 @@ def test_negative_degree_cap_is_a_usage_error(tmp_path, capsys):
     assert main(["--degree-cap", "0", str(finite), "finite", "check", "W"]) == 0
 
 
+@pytest.mark.parametrize(
+    "text, words",
+    [(FINITE, ["finite", "check", "W"]), (INTERSECTION, ["present", "W24"])],
+    ids=["finite", "ring"],
+)
+def test_prime_flag_must_be_prime(tmp_path, capsys, text, words):
+    # A finite-only file never builds a field, so the flag is checked
+    # where it is given, not by the file's first ring.
+    f = tmp_path / "a.alg"
+    f.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["--prime", "4", str(f)] + words)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "amalgams: error: argument --prime: 4 is not a prime in [2, 2^31)\n"
+    )
+
+
 def test_verify_paper_takes_no_arguments(capsys):
     assert main(["verify-paper", "EXTRA"]) == 2
     assert capsys.readouterr() == ("", "parse error: verify-paper takes no arguments\n")
@@ -312,6 +332,11 @@ def test_hilbert_cross_check_failure_exits_1(tmp_path, capsys, monkeypatch):
             "image labels must lie in 0..5",
         ),
         ("zring Z6 n=6\nfideal J in Z6 : 0, 9\n", 2, "ideal labels must lie in 0..5"),
+        (
+            "zring Z6 n=6\nfield p=4\nring A vars x\n",
+            2,
+            "4 is not a prime in [2, 2^31)",
+        ),
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, text, line, message):

@@ -1,4 +1,5 @@
 import random
+from operator import add
 
 import pytest
 
@@ -9,9 +10,8 @@ from amalgams.poly import (
     BlockOrder,
     PolyRing,
     Polynomial,
-    field_inverse,
+    PrimeField,
     format_poly,
-    leading_monomial,
     leading_term,
     parse_poly,
 )
@@ -20,12 +20,13 @@ from conftest import random_poly
 
 def test_field_inverse():
     p = 101
+    field = PrimeField(p)
     for a in range(1, p):
-        assert (a * field_inverse(a, p)) % p == 1
+        assert (a * field.inverse(a)) % p == 1
     with pytest.raises(ZeroInverse):
-        field_inverse(0, p)
+        field.inverse(0)
     with pytest.raises(ZeroInverse):
-        field_inverse(101, p)
+        field.inverse(101)
 
 
 def test_prime_validation():
@@ -87,7 +88,7 @@ def test_leading_term_multiplicative():
             mf, cf = leading_term(f, order)
             mg, cg = leading_term(g, order)
             mfg, cfg = leading_term(f * g, order)
-            assert mfg == ring.mono_mul(mf, mg)
+            assert mfg == tuple(map(add, mf, mg))
             assert cfg == (cf * cg) % 101
 
 
@@ -103,7 +104,7 @@ def test_order_well_founded_and_total():
             for m2 in monos:
                 if m != m2:
                     assert order.key(m, ring.weights) != order.key(m2, ring.weights)
-                prod = ring.mono_mul(m, m2)
+                prod = tuple(map(add, m, m2))
                 assert order.key(prod, ring.weights) > key_m
 
 
@@ -114,14 +115,12 @@ def test_weighted_degree():
     assert f.is_homogeneous()
     g = parse_poly(ring, "x + y")
     assert not g.is_homogeneous()
-    parts = g.homogeneous_parts()
-    assert sorted(parts) == [1, 3]
 
 
 def test_leading_monomial_of_zero():
     ring = PolyRing(101, ["x"])
     with pytest.raises(ZeroPolynomial):
-        leading_monomial(ring.zero())
+        leading_term(ring.zero())
 
 
 def test_parse_format_round_trip():

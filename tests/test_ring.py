@@ -19,10 +19,7 @@ from amalgams.ring import (
     IdealHandle,
     PresentedRing,
     RingHom,
-    compose,
-    contract_ideal,
     hom_check,
-    identity_hom,
     make_ring,
 )
 from conftest import ideal_degree_dim
@@ -32,7 +29,7 @@ from oracles import standard_monomials_filter
 def test_make_ring_variants():
     R = make_ring(101, ["x", ("y", 2)], ["x^2 - y"])
     assert R.weights == (1, 2)
-    assert R.reduce(R.parse("x^2")) == R.parse("y")
+    assert R.reduce(parse_poly(R.ambient, "x^2")) == parse_poly(R.ambient, "y")
 
 
 def test_presented_ring_rejects_bad_input():
@@ -48,10 +45,10 @@ def test_presented_ring_rejects_bad_input():
 
 def test_reduce_canonical():
     R = make_ring(101, ["x", "y"], ["x^2 - y^2"])
-    f = R.parse("x^2 + y^2")
-    g = R.parse("2*y^2")
+    f = parse_poly(R.ambient, "x^2 + y^2")
+    g = parse_poly(R.ambient, "2*y^2")
     assert R.reduce(f) == R.reduce(g)
-    assert R.reduce(R.parse("x^2 - y^2")).is_zero()
+    assert R.reduce(parse_poly(R.ambient, "x^2 - y^2")).is_zero()
 
 
 def test_standard_monomials_and_hilbert_function():
@@ -155,7 +152,7 @@ def test_hom_check_well_defined():
     with pytest.raises(NotWellDefined):
         hom_check(RingHom(A, B, ["u", "u"]))  # x*y -> u^2 != 0
     f = hom_check(RingHom(A, B, ["u", "0"]))
-    assert f.apply(A.parse("x^2 + y")) == B.parse("u^2")
+    assert f.apply(parse_poly(A.ambient, "x^2 + y")) == parse_poly(B.ambient, "u^2")
 
 
 def test_hom_mutation_detected():
@@ -165,47 +162,3 @@ def test_hom_mutation_detected():
     hom_check(RingHom(A, B, ["t", "t"]))
     with pytest.raises(NotWellDefined):
         hom_check(RingHom(A, B, ["t", "2*t"]))
-
-
-def test_identity_and_compose():
-    A = make_ring(101, ["x"])
-    B = make_ring(101, ["u", "v"], ["u*v"])
-    f = hom_check(RingHom(A, B, ["u"]))
-    idA = identity_hom(A)
-    assert idA.is_identity()
-    g = compose(f, idA)
-    assert g.apply(A.parse("x^3")) == B.parse("u^3")
-
-
-def test_contract_ideal():
-    # preimage of (t^3) under x -> t^2, y -> t^3 is (y, x^3)
-    A = make_ring(101, [("x", 2), ("y", 3)])
-    B = make_ring(101, ["t"])
-    f = hom_check(RingHom(A, B, ["t^2", "t^3"]))
-    J = IdealHandle(B, ["t^3"])
-    back = contract_ideal(f, J)
-    gens = sorted(str(g) for g in back.generators)
-    # the contraction contains y and x^3 (t^6 = (t^3)*t^3) but not x
-    names = " ".join(gens)
-    assert "y" in names
-    got = make_ring(
-        101, [("x", 2), ("y", 3)], [str(g) for g in back.generators]
-    )
-    assert got.reduce(A.parse("y")).is_zero()
-    assert not got.reduce(A.parse("x")).is_zero()
-
-
-def test_contract_composition_consistency():
-    """Contraction along a composite equals iterated contraction."""
-    A = make_ring(101, ["a"])
-    B = make_ring(101, ["b"])
-    C = make_ring(101, ["c"])
-    f = hom_check(RingHom(A, B, ["2*b"]))
-    g = hom_check(RingHom(B, C, ["c"]))
-    J = IdealHandle(C, ["c^2"])
-    via_compose = contract_ideal(compose(g, f), J)
-    step = contract_ideal(g, J)
-    via_steps = contract_ideal(f, step)
-    assert sorted(str(x) for x in via_compose.generators) == sorted(
-        str(x) for x in via_steps.generators
-    )
