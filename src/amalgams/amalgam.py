@@ -15,7 +15,9 @@ split exact sequence 0 -> J -> (A join J) -> A -> 0.  `amalgam_present`
 builds C/K and certifies it against the J the spec lists
 (`verify_presentation`); `duplication` and `trivial_extension` build the
 specs of the two special constructions, and `hom_A_into_R` realizes
-Hom_R(A, R) as a colon ideal of C/K.
+Hom_R(A, R) as a colon ideal of C/K.  A spec keeps its certified
+presentation by degree cap, stored only when `amalgam_present` returns,
+so each amalgam is presented once; the memo lives and dies with the spec.
 """
 
 from __future__ import annotations
@@ -42,7 +44,11 @@ from .ring import (
 
 
 class AmalgamSpec:
-    """Input data: rings A, B, a verified graded hom f, and J-generators."""
+    """Input data: rings A, B, a verified graded hom f, and J-generators.
+
+    `presentations` holds, by degree cap, what `amalgam_present` returned
+    for this spec.
+    """
 
     def __init__(self, A, B, f, J):
         if not f.verified:
@@ -53,6 +59,7 @@ class AmalgamSpec:
         self.J = J
         # J as an A-module, when the constructor has it (`trivial_extension`)
         self.J_module = None
+        self.presentations = {}
 
 
 class CertStatus:
@@ -115,7 +122,10 @@ class AmalgamPresentation:
 
 def amalgam_present(spec, degree_cap=DEFAULT_DEGREE_CAP):
     """Build the presentation C/K = C/(K_A ∩ K_B) of the amalgam and
-    certify it (`verify_presentation`)."""
+    certify it (`verify_presentation`).  The spec keeps the result by
+    degree cap, so a second call returns the same presentation."""
+    if degree_cap in spec.presentations:
+        return spec.presentations[degree_cap]
     A, B, f, J = spec.A, spec.B, spec.f, spec.J
     jgens = [B.reduce(g) for g in J.generators]
     jgens = [g for g in jgens if not g.is_zero()]
@@ -150,6 +160,7 @@ def amalgam_present(spec, degree_cap=DEFAULT_DEGREE_CAP):
         K_A, K_B, z_names, images, B_mod_J,
     )
     verify_presentation(P, degree_cap=degree_cap)
+    spec.presentations[degree_cap] = P
     return P
 
 

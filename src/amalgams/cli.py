@@ -85,7 +85,7 @@ class Session:
     def __init__(self, prime=None, degree_cap=DEFAULT_DEGREE_CAP):
         self.prime_override = prime
         self.degree_cap = degree_cap
-        self.field = prime or DEFAULT_PRIME
+        self.field = PrimeField(DEFAULT_PRIME if prime is None else prime)
         self.decls = {}  # name -> (kind, object)
 
     def declare(self, name, kind, obj, line_no):

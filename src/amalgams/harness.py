@@ -4,6 +4,13 @@ Nine items check the structural theory the package implements on the
 fixtures in `amalgams/fixtures/`.  `verify_paper` runs them twice at
 p = 101 (the reports must agree) and once at p = 32003 (the statuses
 must agree), one PASS/FAIL line per item.
+
+Within one pass (`run_harness`) each fixture file is parsed once and the
+CM family is built once (`_Fixtures`), and the items share what hangs off
+those objects: a spec's presentation, a ring's or module's resolution and
+a ring's classify report are each computed once (see `amalgam` and
+`homology`).  Nothing is kept at module level, so every pass, the second
+p = 101 pass included, computes everything anew.
 """
 
 from __future__ import annotations
@@ -27,12 +34,45 @@ from .poly import DEFAULT_PRIME, format_poly
 from .ring import PresentedRing
 
 
-def _fixture(name):
-    return resources.files("amalgams").joinpath("fixtures", name).read_text()
+class _Fixtures:
+    """The inputs of one harness pass: each fixture file parsed once, at
+    the pass's prime and degree cap, and the CM family built once.  A
+    parse or build that raises stores nothing, so every item that needs it
+    fails on its own."""
 
+    def __init__(self, prime, cap):
+        self.prime = prime
+        self.cap = cap
+        self._sessions = {}
+        self._family = None
 
-def _load(name, prime, cap):
-    return cli.parse_input(_fixture(name), prime=prime, degree_cap=cap)
+    def load(self, name):
+        if name not in self._sessions:
+            text = resources.files("amalgams").joinpath("fixtures", name).read_text()
+            self._sessions[name] = cli.parse_input(
+                text, prime=self.prime, degree_cap=self.cap
+            )
+        return self._sessions[name]
+
+    def cm_family(self):
+        """(amalgam spec, J as a module over A's ambient) pairs."""
+        if self._family is None:
+            s = self.load("cm_family.alg")
+            specs = [s.get(name, "amalgam")
+                     for name in ["DupX", "DupX2", "DupMax", "TrivA", "TrivK"]]
+            specs.append(self.load("gorenstein.alg").get("G", "amalgam"))
+            family = []
+            for spec in specs:
+                Jmod = spec.J_module  # the module M of a trivial extension
+                if Jmod is None:  # a duplication: J is an ideal of A
+                    Jmod = FPModule.from_ideal(
+                        spec.A.ambient,
+                        [spec.A.reduce(g) for g in spec.J.generators],
+                        self.cap,
+                    )
+                family.append((spec, Jmod))
+            self._family = family
+        return self._family
 
 
 def socle_dimension(R):
@@ -98,8 +138,8 @@ def _rank_mod_p(rows, p):
     return rank
 
 
-def _item_intersection_example(p, cap):
-    s = _load("intersection.alg", p, cap)
+def _item_intersection_example(fx, cap):
+    s = fx.load("intersection.alg")
     P = amalgam_present(s.get("W24", "amalgam"), cap)
     K = [format_poly(g, signed=True) for g in P.K.elements]
     if K != ["x*z1 - z1^2", "x*z2 - z1*z2"]:
@@ -110,25 +150,8 @@ def _item_intersection_example(p, cap):
     return rep.dim == 2 and rep.depth == 1 and not rep.is_cm
 
 
-def _cm_fixture_family(p, cap):
-    """(amalgam spec, J as a module over A's ambient) pairs."""
-    s = _load("cm_family.alg", p, cap)
-    specs = [s.get(name, "amalgam")
-             for name in ["DupX", "DupX2", "DupMax", "TrivA", "TrivK"]]
-    specs.append(_load("gorenstein.alg", p, cap).get("G", "amalgam"))
-    out = []
-    for spec in specs:
-        Jmod = spec.J_module  # the module M of a trivial extension
-        if Jmod is None:  # a duplication: J is an ideal of A
-            Jmod = FPModule.from_ideal(
-                spec.A.ambient, [spec.A.reduce(g) for g in spec.J.generators], cap
-            )
-        out.append((spec, Jmod))
-    return out
-
-
-def _item_cm_transfer(p, cap):
-    for spec, Jmod in _cm_fixture_family(p, cap):
+def _item_cm_transfer(fx, cap):
+    for spec, Jmod in fx.cm_family():
         P = amalgam_present(spec, cap)
         if not P.certificate.is_certified():
             return False
@@ -141,8 +164,8 @@ def _item_cm_transfer(p, cap):
     return True
 
 
-def _item_canonical_gorenstein(p, cap):
-    s = _load("gorenstein.alg", p, cap)
+def _item_canonical_gorenstein(fx, cap):
+    s = fx.load("gorenstein.alg")
     A0 = s.get("A0", "ring")
     rep0 = classify(A0, degree_cap=cap)
     if not (rep0.is_cm and not rep0.is_gorenstein and rep0.type == 2):
@@ -155,8 +178,8 @@ def _item_canonical_gorenstein(p, cap):
     return P.certificate.is_certified() and rep.is_gorenstein and rep.type == 1
 
 
-def _item_depth_minimum(p, cap):
-    for spec, Jmod in _cm_fixture_family(p, cap):
+def _item_depth_minimum(fx, cap):
+    for spec, Jmod in fx.cm_family():
         P = amalgam_present(spec, cap)
         pres = P.ring
         if depth_ab(pres, cap) != min(depth_ab(spec.A, cap), depth_ab(Jmod, cap)):
@@ -166,8 +189,8 @@ def _item_depth_minimum(p, cap):
     return True
 
 
-def _item_hom_into(p, cap):
-    s = _load("cm_family.alg", p, cap)
+def _item_hom_into(fx, cap):
+    s = fx.load("cm_family.alg")
     # duplication along (x): Hom(A, R) matches the contracted ideal
     spec = s.get("DupX", "amalgam")
     P = amalgam_present(spec, cap)
@@ -181,8 +204,8 @@ def _item_hom_into(p, cap):
     return hilbert_series(h, cap) == hilbert_series(spec.J, cap)
 
 
-def _item_dimension_dichotomy(p, cap):
-    s = _load("dichotomy.alg", p, cap)
+def _item_dimension_dichotomy(fx, cap):
+    s = fx.load("dichotomy.alg")
     P1 = amalgam_present(s.get("TrivK", "amalgam"), cap)
     rep1 = classify(P1.ring, degree_cap=cap)
     if not (rep1.is_generalized_cm and not rep1.is_cm):
@@ -192,8 +215,8 @@ def _item_dimension_dichotomy(p, cap):
     return not rep2.is_generalized_cm
 
 
-def _item_serre_conditions(p, cap):
-    s = _load("serre.alg", p, cap)
+def _item_serre_conditions(fx, cap):
+    s = fx.load("serre.alg")
     two_planes = s.get("TwoPlanes", "ring")
     rep = classify(two_planes, assume_equidimensional=True, degree_cap=cap)
     if rep.serre_level != 1:
@@ -206,8 +229,8 @@ def _item_serre_conditions(p, cap):
     return True
 
 
-def _item_finite_spectrum(p, cap):
-    s = _load("finite.alg", p, cap)
+def _item_finite_spectrum(fx, cap):
+    s = fx.load("finite.alg")
     for name in ["W6", "W84", "WP"]:
         W = s.get(name, "famalgam")
         if W.order != W.A.n * len(W.J):
@@ -221,8 +244,8 @@ def _item_finite_spectrum(p, cap):
     return v0 and find_isomorphism(W0.ring, W0.A) is not None
 
 
-def _item_square_zero(p, cap):
-    s = _load("cm_family.alg", p, cap)
+def _item_square_zero(fx, cap):
+    s = fx.load("cm_family.alg")
     spec = s.get("TrivA", "amalgam")
     P = amalgam_present(spec, cap)
     K = [format_poly(g, signed=True) for g in P.K.elements]
@@ -258,11 +281,14 @@ ROBUSTNESS_PRIME = 32003
 
 
 def run_harness(prime, degree_cap=DEFAULT_DEGREE_CAP):
-    """Run every harness item at the given prime; list of (name, ok)."""
+    """Run every harness item at the given prime; list of (name, ok).
+
+    The items share one `_Fixtures`, which dies with the call."""
+    fx = _Fixtures(prime, degree_cap)
     results = []
     for name, fn in _HARNESS_ITEMS:
         try:
-            ok = bool(fn(prime, degree_cap))
+            ok = bool(fn(fx, degree_cap))
         except AlgebraError:
             ok = False
         results.append((name, ok))

@@ -5,6 +5,11 @@ the Auslander-Buchsbaum identity (#vars - projective dimension), canonical
 modules and the classification predicates via Ext against the ambient ring
 and graded local duality.  `classify` builds one resolution and takes the
 Betti numbers, depth, canonical module and every higher Ext from it.
+A ring or module keeps its resolution, and a ring its classify report, on
+itself (`resolutions`, `reports`), keyed by the other arguments and stored
+only when the call returns; so `classify`, `depth_ab`, `ext_module` and
+`canonical_module` on one ring share one resolution, and the memo lives
+and dies with its object.
 Ext modules and annihilators are kernels into quotient modules, each
 taken as syzygies modulo the relations (`modules.syzygies(modulo=)`); Ext
 is presented by `modules.subquotient`, the one minimalization rule, and
@@ -81,9 +86,14 @@ def free_resolution(obj, degree_cap=DEFAULT_DEGREE_CAP):
 
     Every stage uses a minimal generating set, so no differential carries a
     unit entry and the result is minimal (graded Nakayama).  The relations
-    of the minimal presentation are the first stage as they are.
+    of the minimal presentation are the first stage as they are.  A ring
+    or module keeps its resolution by degree cap; an ideal is resolved
+    through a module built for the call.
     """
-    M = _as_module(obj).minimal_presentation(degree_cap)
+    owner = obj if isinstance(obj, (PresentedRing, FPModule)) else _as_module(obj)
+    if degree_cap in owner.resolutions:
+        return owner.resolutions[degree_cap]
+    M = _as_module(owner).minimal_presentation(degree_cap)
     ring = M.ring
     twists = [list(M.twists)]
     diffs = []
@@ -96,7 +106,8 @@ def free_resolution(obj, degree_cap=DEFAULT_DEGREE_CAP):
         diffs.append(current)
         twists.append([v.degree() for v in current])
         current = minimal_generators(syzygies(current, degree_cap), degree_cap)
-    return FreeResolution(ring, twists, diffs)
+    res = owner.resolutions[degree_cap] = FreeResolution(ring, twists, diffs)
+    return res
 
 
 def hilbert_series(obj, degree_cap=DEFAULT_DEGREE_CAP):
@@ -181,11 +192,12 @@ def _dual_columns(res, j):
 
 
 def ext_module(obj, j, degree_cap=DEFAULT_DEGREE_CAP):
-    """Ext^j against the ambient polynomial ring, as a presented module."""
-    M = _as_module(obj)
-    if j < 0 or j > M.ring.nvars:
+    """Ext^j against the ambient polynomial ring, as a presented module,
+    from the resolution of `obj`."""
+    res = free_resolution(obj, degree_cap)
+    if j < 0 or j > res.ring.nvars:
         raise ValueError("cohomological degree out of range")
-    return _ext_from_resolution(free_resolution(M, degree_cap), j, degree_cap)
+    return _ext_from_resolution(res, j, degree_cap)
 
 
 def _ext_from_resolution(res, j, degree_cap=DEFAULT_DEGREE_CAP):
@@ -206,12 +218,11 @@ def _ext_from_resolution(res, j, degree_cap=DEFAULT_DEGREE_CAP):
 
 
 def canonical_module(R, degree_cap=DEFAULT_DEGREE_CAP):
-    """Graded canonical module: Ext^codim(R, S) twisted by -(sum of weights)."""
-    M = _as_module(R)
-    ring = M.ring
+    """Graded canonical module of the quotient ring R = S/I:
+    Ext^codim(R, S) twisted by -(sum of weights)."""
+    ring = R.ambient
     c = ring.nvars - krull_dim(R, degree_cap)
-    ext = ext_module(M, c, degree_cap)
-    return ext.shift(sum(ring.weights))
+    return ext_module(R, c, degree_cap).shift(sum(ring.weights))
 
 
 def annihilator(obj, degree_cap=DEFAULT_DEGREE_CAP):
@@ -282,12 +293,15 @@ def classify(R, assume_equidimensional=False, degree_cap=DEFAULT_DEGREE_CAP):
 
     The Serre-condition levels use the Ext-dimension criterion, which is
     exact for equidimensional rings and conservative (it may under-report)
-    otherwise; the report carries the distinction.
+    otherwise; the report carries the distinction.  R keeps the report
+    by (assume_equidimensional, degree_cap).
     """
-    M = FPModule.quotient_ring(R)
+    key = (assume_equidimensional, degree_cap)
+    if key in R.reports:
+        return R.reports[key]
     ring = R.ambient
     n = ring.nvars
-    res = free_resolution(M, degree_cap)
+    res = free_resolution(R, degree_cap)
     dim = krull_dim(R, degree_cap)
     depth = n - res.length
     codim = n - dim
@@ -321,7 +335,7 @@ def classify(R, assume_equidimensional=False, degree_cap=DEFAULT_DEGREE_CAP):
         else:
             break
 
-    return ClassifyReport(
+    report = R.reports[key] = ClassifyReport(
         dim=dim,
         depth=depth,
         codim=codim,
@@ -334,3 +348,4 @@ def classify(R, assume_equidimensional=False, degree_cap=DEFAULT_DEGREE_CAP):
         serre_level=serre,
         equidimensional_assumed=assume_equidimensional,
     )
+    return report

@@ -450,7 +450,9 @@ class FPModule:
     """Finitely presented graded module: twists plus relation columns.
 
     relations are ModVecs in FreeModule(ring, twists); the module is
-    F/<relations>.
+    F/<relations>.  `resolutions` holds, by degree cap, what
+    `homology.free_resolution` returned for this module; it lives and dies
+    with the module.
     """
 
     def __init__(self, ring, twists, relations=()):
@@ -465,6 +467,7 @@ class FPModule:
                 r.degree()  # raises on inhomogeneous input
                 rels.append(r)
         self.relations = rels
+        self.resolutions = {}
 
     @classmethod
     def zero(cls, ring):

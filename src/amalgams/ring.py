@@ -32,6 +32,11 @@ class PresentedRing:
     `generators` are polynomials or strings, or a GroebnerBasis the caller
     knows to be the reduced grevlex basis of a homogeneous ideal, which is
     kept as it is instead of being computed again.
+
+    `resolutions` (by degree cap) and `reports` (by equidimensionality
+    flag and degree cap) hold what `homology.free_resolution` and
+    `homology.classify` returned for this ring, so each is computed once
+    per ring; they live and die with it.
     """
 
     def __init__(self, ambient, generators, degree_cap=DEFAULT_DEGREE_CAP):
@@ -55,6 +60,8 @@ class PresentedRing:
             self.defining = buchberger(IdealBasis(ambient, gens), GREVLEX, degree_cap)
         if self.defining.contains_one():
             raise UnitIdeal("1 lies in the defining ideal")
+        self.resolutions = {}
+        self.reports = {}
 
     @property
     def p(self):
@@ -172,7 +179,7 @@ class RingHom:
 
 def hom_check(f):
     """Verify well-definedness and gradedness; returns the hom or raises."""
-    src, tgt = f.source, f.target
+    src = f.source
     for name, w, img in zip(src.names, src.weights, f.images):
         if img.is_zero():
             continue

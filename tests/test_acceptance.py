@@ -5,11 +5,8 @@ pytest reports FAIL otherwise.  All equality checks are exact (GF(p)
 arithmetic and exact rational Hilbert series; zero tolerance).
 """
 
-import pytest
-
 from amalgams.amalgam import (
     AmalgamSpec,
-    CertStatus,
     amalgam_present,
     duplication,
     hom_A_into_R,

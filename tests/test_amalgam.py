@@ -13,13 +13,12 @@ from amalgams.amalgam import (
     verify_presentation,
 )
 from amalgams.cli import parse_input
-from amalgams.errors import JUnit
+from amalgams.errors import DegreeCapExceeded, JUnit
 from amalgams.gb import buchberger
 from amalgams.homology import classify, depth_ab, free_resolution, hilbert_series
 from amalgams.modules import FPModule
 from amalgams.ring import IdealHandle, PresentedRing, RingHom, hom_check, make_ring
-from amalgams.series import HilbertSeries, lp_const, lp_monomial
-from conftest import oracle_member
+from amalgams.series import HilbertSeries, lp_monomial
 from oracles import retraction_ideal_identity, trivext_module
 
 
@@ -33,6 +32,16 @@ def intersection_spec(p=101, drop_generator=False):
     f = hom_check(RingHom(A, B, ["X"]))
     gens = ["X"] if drop_generator else ["X", "Y"]
     return AmalgamSpec(A, B, f, IdealHandle(B, gens)), IdealHandle(B, ["X", "Y"])
+
+
+def test_a_spec_keeps_its_presentation():
+    spec, _ = intersection_spec()
+    with pytest.raises(DegreeCapExceeded):
+        amalgam_present(spec, 1)
+    assert spec.presentations == {}
+    P = amalgam_present(spec)
+    assert amalgam_present(spec) is P
+    assert P.certificate.is_certified()
 
 
 def test_intersection_example_presentation():

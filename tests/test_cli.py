@@ -10,6 +10,7 @@ from amalgams import amalgam, cli, homology
 from amalgams.cli import Options, cmd_dispatch, main, parse_input
 from amalgams.errors import (
     AlgebraError,
+    NotPrime,
     ParseError,
     ResolutionTooLong,
     UnknownReference,
@@ -200,6 +201,15 @@ def test_unknown_command():
 def test_prime_override():
     session = parse_input(INTERSECTION, prime=32003)
     assert session.get("A", "ring").ambient.p == 32003
+
+
+@pytest.mark.parametrize("prime", [4, 1, 0])
+def test_parse_input_checks_its_prime(prime):
+    # the library's prime is checked where it is given, not at the first
+    # ring line, and 0 does not stand for the default
+    for text in (FINITE, INTERSECTION):
+        with pytest.raises(NotPrime):
+            parse_input(text, prime=prime)
 
 
 def test_reports_deterministic():
@@ -494,6 +504,21 @@ def test_socle_dimension_oracle():
 def test_harness_all_pass():
     results = run_harness(101)
     assert results and all(ok for _, ok in results)
+
+
+def test_harness_parses_each_fixture_once_per_pass(monkeypatch):
+    texts = []
+
+    def counted(text, **kwargs):
+        texts.append(text)
+        return parse_input(text, **kwargs)
+
+    monkeypatch.setattr(cli, "parse_input", counted)
+    run_harness(101)
+    assert len(texts) == len(set(texts)) == 6
+    # nothing outlives a pass: the next one parses every file again
+    run_harness(101)
+    assert len(texts) == 12 and len(set(texts)) == 6
 
 
 def test_verify_paper_runs_as_a_module():

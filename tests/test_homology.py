@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from amalgams import homology
-from amalgams.errors import ZeroModule
+from amalgams.errors import DegreeCapExceeded, ZeroModule
 from amalgams.homology import (
     _ext_from_resolution,
     annihilator,
@@ -19,8 +19,8 @@ from amalgams.homology import (
 )
 from amalgams.amalgam import amalgam_present, duplication
 from amalgams.cli import parse_input
-from amalgams.modules import FPModule
-from amalgams.poly import PolyRing, parse_poly
+from amalgams.modules import FPModule, minimal_generators
+from amalgams.poly import PolyRing
 from amalgams.ring import IdealHandle, make_ring
 from amalgams.series import HilbertSeries, lp_const, lp_monomial
 from oracles import resolution_series
@@ -329,7 +329,9 @@ def test_ext_from_one_resolution_matches_ext_module():
         res = free_resolution(M)
         for j in range(R.ambient.nvars + 1):
             a = _ext_from_resolution(res, j)
-            b = ext_module(M, j)
+            # a fresh module, so ext_module resolves anew and does not
+            # reuse the resolution M keeps
+            b = ext_module(FPModule.quotient_ring(R), j)
             assert a.twists == b.twists
             assert a.relations == b.relations
 
@@ -345,6 +347,51 @@ def test_classify_builds_one_resolution(monkeypatch):
     rep = classify(intersection_ring())
     assert len(calls) == 1
     assert rep.betti == [1, 2, 1]
+
+
+def test_a_ring_keeps_one_resolution_and_its_reports(monkeypatch):
+    R = intersection_ring()
+    rep = classify(R)
+    assert classify(R) is rep
+    # each resolution step minimalizes once; after classify nothing
+    # resolves R again
+    steps = []
+
+    def counted(*args):
+        steps.append(args)
+        return minimal_generators(*args)
+
+    monkeypatch.setattr(homology, "minimal_generators", counted)
+    res = free_resolution(R)
+    assert free_resolution(R) is res
+    assert depth_ab(R) == rep.depth
+    canonical_module(R)
+    ext_module(R, 1)
+    assert steps == []
+    # a module keeps its own resolution, apart from the ring's
+    M = FPModule.quotient_ring(R)
+    assert free_resolution(M) is free_resolution(M) is not res
+    assert free_resolution(M).twists == res.twists
+
+
+def test_a_resolution_that_hits_the_cap_keeps_nothing():
+    R = make_ring(101, ["x", "y"], ["x^2", "y^2"])
+    with pytest.raises(DegreeCapExceeded):
+        free_resolution(R, 1)
+    assert R.resolutions == {}
+    assert free_resolution(R).betti_numbers() == [1, 2, 1]
+    with pytest.raises(DegreeCapExceeded):
+        free_resolution(R, 1)
+
+
+def test_classify_keeps_one_report_per_equidimensionality_flag():
+    R = make_ring(101, ["a", "b", "c", "d"], ["a*c", "a*d", "b*c", "b*d"])
+    assumed = classify(R, True)
+    plain = classify(R, False)
+    assert "serre = S1" in assumed.lines()
+    assert "serre = S1?" in plain.lines()
+    assert classify(R, True) is assumed
+    assert classify(R, False) is plain
 
 
 @settings(max_examples=25)

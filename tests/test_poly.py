@@ -9,7 +9,6 @@ from amalgams.poly import (
     LEX,
     BlockOrder,
     PolyRing,
-    Polynomial,
     PrimeField,
     format_poly,
     leading_term,
