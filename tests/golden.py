@@ -6,6 +6,12 @@ applies to its kind, at p = 101 and p = 32003: `present`, `classify`,
 rings, `finite check` on finite amalgams.  `run` makes one call through
 `amalgams.cli.main`, optionally under a degree cap, and returns its exit
 code, stdout and stderr.
+
+`golden_caps.json` pins the `--degree-cap` sweep: for each cap in `CAPS`,
+the commands whose output differs from `golden_outputs.json` (each one
+stopped by the cap) with their exit code, stdout and stderr, and the
+`verify-paper` output at the default cap and at each cap of
+`VERIFY_PAPER_CAPS`.
 """
 
 import contextlib
@@ -16,6 +22,9 @@ from pathlib import Path
 from amalgams.cli import main, parse_input
 
 GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
+GOLDEN_CAPS = GOLDEN.with_name("golden_caps.json")
+CAPS = (0, 1, 2, 3, 4, 6)
+VERIFY_PAPER_CAPS = (None, 4, 6)
 PRIMES = (101, 32003)
 COMMANDS = {
     "amalgam": (["present"], ["classify"], ["canonical"], ["hom-into"]),
@@ -46,8 +55,14 @@ def fixture_commands():
 def run(fixture, words, prime, degree_cap=None):
     """(exit code, stdout, stderr) of one CLI call on a bundled fixture,
     under `--degree-cap` when one is given."""
-    out, err = io.StringIO(), io.StringIO()
     argv = ["--prime", str(prime), str(fixture_path(fixture))] + list(words)
+    return run_argv(argv, degree_cap)
+
+
+def run_argv(argv, degree_cap=None):
+    """(exit code, stdout, stderr) of `amalgams.cli.main(argv)`, under
+    `--degree-cap` when one is given."""
+    out, err = io.StringIO(), io.StringIO()
     if degree_cap is not None:
         argv = ["--degree-cap", str(degree_cap)] + argv
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
