@@ -16,15 +16,16 @@ builds C/K and certifies it against the J the spec lists
 (`verify_presentation`); `duplication` and `trivial_extension` build the
 specs of the two special constructions, and `hom_A_into_R` realizes
 Hom_R(A, R) as a colon ideal of C/K.  A spec keeps its certified
-presentation by degree cap, stored only when `amalgam_present` returns,
-so each amalgam is presented once; the memo lives and dies with the spec.
+presentation (`presentation`), stored only when `amalgam_present`
+returns, so each amalgam is presented once; the memo lives and dies with
+the spec.  Every ring built here (C, and the ambient ring of a trivial
+extension) takes the degree cap of A's ambient ring.
 """
 
 from __future__ import annotations
 
 from .errors import JUnit, NotHomogeneous, UnitIdeal
 from .gb import (
-    DEFAULT_DEGREE_CAP,
     GroebnerBasis,
     IdealBasis,
     colon,
@@ -33,7 +34,7 @@ from .gb import (
 )
 from .homology import hilbert_series
 from .modules import FPModule
-from .poly import GREVLEX, PolyRing, Polynomial
+from .poly import GREVLEX, Polynomial
 from .ring import (
     IdealHandle,
     PresentedRing,
@@ -46,8 +47,8 @@ from .ring import (
 class AmalgamSpec:
     """Input data: rings A, B, a verified graded hom f, and J-generators.
 
-    `presentations` holds, by degree cap, what `amalgam_present` returned
-    for this spec.
+    `presentation` holds what `amalgam_present` returned for this spec
+    (None until then).
     """
 
     def __init__(self, A, B, f, J):
@@ -59,7 +60,7 @@ class AmalgamSpec:
         self.J = J
         # J as an A-module, when the constructor has it (`trivial_extension`)
         self.J_module = None
-        self.presentations = {}
+        self.presentation = None
 
 
 class CertStatus:
@@ -95,7 +96,8 @@ def _fresh_names(base, count, taken):
 
 class AmalgamPresentation:
     """The presented ring C/K, its Hilbert series and certificate, plus the
-    bookkeeping maps."""
+    bookkeeping maps.  `J_series` is HS(J), which `verify_presentation`
+    computes for the certificate."""
 
     def __init__(self, spec, ring, series, K_A, K_B, z_names, images, B_mod_J):
         self.spec = spec
@@ -108,6 +110,7 @@ class AmalgamPresentation:
         self.z_names = z_names
         self.images = images  # images of C's variables in B (x -> f(x), z -> j)
         self.certificate = None  # set by verify_presentation
+        self.J_series = None  # set by verify_presentation
 
     @property
     def ambient(self):
@@ -120,25 +123,23 @@ class AmalgamPresentation:
         return f"AmalgamPresentation({self.ring!r}, certificate={self.certificate})"
 
 
-def amalgam_present(spec, degree_cap=DEFAULT_DEGREE_CAP):
+def amalgam_present(spec):
     """Build the presentation C/K = C/(K_A ∩ K_B) of the amalgam and
-    certify it (`verify_presentation`).  The spec keeps the result by
-    degree cap, so a second call returns the same presentation."""
-    if degree_cap in spec.presentations:
-        return spec.presentations[degree_cap]
+    certify it (`verify_presentation`).  The spec keeps the result, so a
+    second call returns the same presentation."""
+    if spec.presentation is not None:
+        return spec.presentation
     A, B, f, J = spec.A, spec.B, spec.f, spec.J
     jgens = [B.reduce(g) for g in J.generators]
     jgens = [g for g in jgens if not g.is_zero()]
     try:
-        B_mod_J = PresentedRing(
-            B.ambient, list(B.defining.elements) + jgens, degree_cap
-        )
+        B_mod_J = PresentedRing(B.ambient, list(B.defining.elements) + jgens)
     except UnitIdeal:
         raise JUnit("the listed generators generate the unit ideal of B")
     m = len(jgens)
     z_names = _fresh_names("z", m, set(A.names))
     z_weights = [g.degree() for g in jgens]
-    C = PolyRing(A.ambient.field, list(A.names) + z_names, list(A.weights) + z_weights)
+    C = A.ambient.with_variables(list(A.names) + z_names, list(A.weights) + z_weights)
 
     # K_A = I_A*C + (z's)
     lifted_IA = [
@@ -149,34 +150,33 @@ def amalgam_present(spec, degree_cap=DEFAULT_DEGREE_CAP):
 
     # K_B = ker(C -> B), x -> f(x), z_t -> j_t
     images = [B.reduce(img) for img in f.images] + jgens
-    K_B = kernel_of_map(C, images, IdealBasis(B.ambient, B.defining.elements), degree_cap)
+    K_B = kernel_of_map(C, images, IdealBasis(B.ambient, B.defining.elements))
 
     # intersect returns the reduced grevlex basis of K, so it is passed on
     # as one instead of being computed again.
-    K = intersect(K_A, K_B, degree_cap)
-    presented = PresentedRing(C, GroebnerBasis(C, K.gens, GREVLEX), degree_cap)
+    K = intersect(K_A, K_B)
+    presented = PresentedRing(C, GroebnerBasis(C, K.gens, GREVLEX))
     P = AmalgamPresentation(
-        spec, presented, hilbert_series(presented, degree_cap),
+        spec, presented, hilbert_series(presented),
         K_A, K_B, z_names, images, B_mod_J,
     )
-    verify_presentation(P, degree_cap=degree_cap)
-    spec.presentations[degree_cap] = P
+    verify_presentation(P)
+    spec.presentation = P
     return P
 
 
-def verify_presentation(P, degree_cap=DEFAULT_DEGREE_CAP):
+def verify_presentation(P):
     """Certify HS(C/K) = HS(A) + HS(J) as exact rational functions.
 
     On inequality the smallest degree where the graded dimensions differ
     is reported; the presented ring is then the proper subring generated
     by the images, not the full amalgam.  HS(C/K) is the series the
     presentation keeps, and HS(J) is HS(B) - HS(B/J), from the ring B/J
-    that `amalgam_present` built.
+    that `amalgam_present` built; the presentation keeps it as `J_series`.
     """
     spec = P.spec
-    hs_A = hilbert_series(spec.A, degree_cap)
-    hs_J = hilbert_series(spec.B, degree_cap) - hilbert_series(P.B_mod_J, degree_cap)
-    witness = P.series.first_difference(hs_A + hs_J)
+    P.J_series = hilbert_series(spec.B) - hilbert_series(P.B_mod_J)
+    witness = P.series.first_difference(hilbert_series(spec.A) + P.J_series)
     if witness is None:
         status = CertStatus(CertStatus.CERTIFIED)
     else:
@@ -190,7 +190,7 @@ def duplication(A, I):
     return AmalgamSpec(A, A, identity_hom(A), I)
 
 
-def trivial_extension(A, M, degree_cap=DEFAULT_DEGREE_CAP):
+def trivial_extension(A, M):
     """Idealization of a module: B = A plus square-zero generators for M.
 
     M is a finitely presented graded module over A's ambient ring with
@@ -202,7 +202,7 @@ def trivial_extension(A, M, degree_cap=DEFAULT_DEGREE_CAP):
         raise TypeError("expected a finitely presented module")
     if M.ring != A.ambient:
         raise NotHomogeneous("module lives over a different ambient ring")
-    M = M.minimal_presentation(degree_cap)
+    M = M.minimal_presentation()
     # variable weights must be positive: normalize so the lowest generator
     # sits in degree 1 (a grading shift does not change the ring structure)
     if M.twists and min(M.twists) < 1:
@@ -210,7 +210,7 @@ def trivial_extension(A, M, degree_cap=DEFAULT_DEGREE_CAP):
     degs = list(M.twists)
     s = len(degs)
     e_names = _fresh_names("e", s, set(A.names))
-    amb = PolyRing(A.ambient.field, list(A.names) + e_names, list(A.weights) + degs)
+    amb = A.ambient.with_variables(list(A.names) + e_names, list(A.weights) + degs)
     lift = lambda g: Polynomial(
         amb, {tuple(mm) + (0,) * s: c for mm, c in g.terms.items()}
     )
@@ -225,22 +225,20 @@ def trivial_extension(A, M, degree_cap=DEFAULT_DEGREE_CAP):
     for i in range(s):
         for j in range(i, s):
             gens.append(evars[i] * evars[j])
-    B = PresentedRing(amb, gens, degree_cap)
+    B = PresentedRing(amb, gens)
     f = hom_check(RingHom(A, B, [amb.var(n) for n in A.names]))
     spec = AmalgamSpec(A, B, f, IdealHandle(B, evars))
     spec.J_module = M
     return spec
 
 
-def hom_A_into_R(P, degree_cap=DEFAULT_DEGREE_CAP):
+def hom_A_into_R(P):
     """The ideal (K : (z's))/K of C/K, realizing Hom_R(A, R) = Ann_R(0 x J)."""
     amb = P.ambient
     zs = P.z_polys()
     if not zs:
         return IdealHandle(P.ring, [amb.one()])
-    quot = colon(
-        IdealBasis(amb, list(P.K.elements)), IdealBasis(amb, zs), degree_cap
-    )
+    quot = colon(IdealBasis(amb, list(P.K.elements)), IdealBasis(amb, zs))
     gens = []
     for g in quot.gens:
         r = P.ring.reduce(g)

@@ -54,10 +54,16 @@ from .finite import (
     classify_primes,
     zmod,
 )
-from .gb import DEFAULT_DEGREE_CAP
 from .homology import canonical_module, classify, hilbert_series
 from .modules import FPModule
-from .poly import DEFAULT_PRIME, PolyRing, PrimeField, format_poly, parse_poly
+from .poly import (
+    DEFAULT_DEGREE_CAP,
+    DEFAULT_PRIME,
+    PolyRing,
+    PrimeField,
+    format_poly,
+    parse_poly,
+)
 from .ring import IdealHandle, PresentedRing, RingHom, hom_check
 
 
@@ -80,7 +86,8 @@ class Report:
 
 
 class Session:
-    """Named declarations parsed from an input file."""
+    """Named declarations parsed from an input file.  Every ring declared
+    gets the session's field and degree cap."""
 
     def __init__(self, prime=None, degree_cap=DEFAULT_DEGREE_CAP):
         self.prime_override = prime
@@ -167,12 +174,15 @@ def _decl_ring(session, rest, n):
     if not variables:
         raise ParseError(n, "ring needs at least one variable")
     ambient = PolyRing(
-        session.field, [v for v, _ in variables], [w for _, w in variables]
+        session.field,
+        [v for v, _ in variables],
+        [w for _, w in variables],
+        session.degree_cap,
     )
     gens = [
         parse_poly(ambient, g) for g in _split_list(gen_part if sep else "")
     ]
-    ring = PresentedRing(ambient, gens, session.degree_cap)
+    ring = PresentedRing(ambient, gens)
     session.declare(name, "ring", ring, n)
 
 
@@ -240,7 +250,7 @@ def _decl_duplication(session, rest, n):
 def _parse_module_block(session, A, body, n):
     body = body.strip()
     if body == "canonical":
-        return canonical_module(A, session.degree_cap)
+        return canonical_module(A)
     if not body.startswith("gens"):
         raise ParseError(n, "expected module canonical or module gens ...")
     gens_part, sep, rel_part = body[len("gens"):].partition("relations")
@@ -253,10 +263,10 @@ def _parse_module_block(session, A, body, n):
     e_names = [f"e{i}" for i in range(1, len(degs) + 1)]
     if set(e_names) & set(A.names):
         raise ParseError(n, "ambient variables may not be named e1, e2, ...")
-    # Only for parsing: weight 1 on the e's admits generator degrees below
-    # 1, and FPModule checks homogeneity against the real twists.
-    aux = PolyRing(
-        session.field, list(A.names) + e_names, list(A.weights) + [1] * len(degs)
+    # Only for parsing, over A's field: weight 1 on the e's admits generator
+    # degrees below 1, and FPModule checks homogeneity against the real twists.
+    aux = A.ambient.with_variables(
+        list(A.names) + e_names, list(A.weights) + [1] * len(degs)
     )
     nA = A.ambient.nvars
     relations = []
@@ -285,7 +295,7 @@ def _decl_trivext(session, rest, n):
         raise ParseError(n, "expected trivext <name> : <Ring>, module ...")
     A = session.get(ring_name.strip(), "ring", n)
     M = _parse_module_block(session, A, mod_part[len("module"):], n)
-    session.declare(name, "amalgam", trivial_extension(A, M, session.degree_cap), n)
+    session.declare(name, "amalgam", trivial_extension(A, M), n)
 
 
 def _decl_zring(session, rest, n):
@@ -366,9 +376,7 @@ _DECLS = {
 
 
 class Options:
-    def __init__(self, degree_cap=DEFAULT_DEGREE_CAP, prime=None,
-                 assume_equidim=(), max_degree=8):
-        self.degree_cap = degree_cap
+    def __init__(self, prime=None, assume_equidim=(), max_degree=8):
         self.prime = prime
         self.assume_equidim = set(assume_equidim)
         self.max_degree = max_degree
@@ -382,7 +390,7 @@ def _poly_list(polys):
 
 def cmd_present(session, name, options):
     report = Report()
-    P = amalgam_present(session.get(name, "amalgam"), options.degree_cap)
+    P = amalgam_present(session.get(name, "amalgam"))
     report.add("K", _poly_list(list(P.K.elements)))
     report.add("certificate", repr(P.certificate))
     # cross-check the certified series against raw graded dimension counts
@@ -402,7 +410,7 @@ def _ring_or_presented(session, name, options, report):
     if kind == "ring":
         return obj
     if kind == "amalgam":
-        P = amalgam_present(obj, options.degree_cap)
+        P = amalgam_present(obj)
         if not P.certificate.is_certified():
             report.note(f"presentation not certified: {P.certificate!r}")
             report.status = 1
@@ -413,11 +421,7 @@ def _ring_or_presented(session, name, options, report):
 def cmd_classify(session, name, options):
     report = Report()
     ring = _ring_or_presented(session, name, options, report)
-    rep = classify(
-        ring,
-        assume_equidimensional=(name in options.assume_equidim),
-        degree_cap=options.degree_cap,
-    )
+    rep = classify(ring, assume_equidimensional=(name in options.assume_equidim))
     report.lines.extend(rep.lines())
     return report
 
@@ -425,24 +429,24 @@ def cmd_classify(session, name, options):
 def cmd_canonical(session, name, options):
     report = Report()
     ring = _ring_or_presented(session, name, options, report)
-    w = canonical_module(ring, options.degree_cap)
+    w = canonical_module(ring)
     report.add("mu", len(w.twists))
     report.add("twists", ";".join(str(t) for t in w.twists) or "-")
     report.add("relations", len(w.relations))
-    report.add("hilbert", repr(hilbert_series(w, options.degree_cap)))
+    report.add("hilbert", repr(hilbert_series(w)))
     return report
 
 
 def cmd_hom_into(session, name, options):
     report = Report()
-    P = amalgam_present(session.get(name, "amalgam"), options.degree_cap)
+    P = amalgam_present(session.get(name, "amalgam"))
     if not P.certificate.is_certified():
         report.note(f"presentation not certified: {P.certificate!r}")
         report.status = 1
         return report
-    h = hom_A_into_R(P, options.degree_cap)
+    h = hom_A_into_R(P)
     report.add("generators", _poly_list(h.generators) if h.generators else "1")
-    report.add("hilbert", repr(hilbert_series(h, options.degree_cap)))
+    report.add("hilbert", repr(hilbert_series(h)))
     return report
 
 
@@ -501,7 +505,6 @@ def main(argv=None):
         except NotPrime as exc:
             parser.error(f"argument --prime: {exc}")
     options = Options(
-        degree_cap=args.degree_cap,
         prime=args.prime,
         assume_equidim=args.assume_equidim,
         max_degree=args.max_degree,
@@ -510,14 +513,14 @@ def main(argv=None):
         if args.words[0] == "verify-paper":
             if len(args.words) > 1:
                 raise ParseError(0, "verify-paper takes no arguments")
-            report = harness.verify_paper(options.degree_cap)
+            report = harness.verify_paper(args.degree_cap)
         else:
             if len(args.words) < 2:
                 raise ParseError(0, "expected FILE COMMAND")
             with open(args.words[0], encoding="utf-8") as fh:
                 text = fh.read()
             session = parse_input(text, prime=options.prime,
-                                  degree_cap=options.degree_cap)
+                                  degree_cap=args.degree_cap)
             report = cmd_dispatch(session, args.words[1:], options)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -10,13 +10,15 @@ block.  Everything here is deterministic: the S-pair selection uses the
 normal strategy (minimal lcm weighted degree, ties by smallest pair
 index), and reduced Groebner bases are unique for a fixed ideal and
 order, so rerunning the engine reproduces them element for element.
+Each computation runs under its ring's degree cap, and a ring derived
+here (the subring of `eliminate`, the joint ring of `kernel_of_map`)
+takes the cap of the ring it comes from.
 """
 
 from __future__ import annotations
 
 from .errors import ContextMismatch
 from .modules import (
-    DEFAULT_DEGREE_CAP,
     FreeModule,
     ModOrder,
     ModVec,
@@ -26,13 +28,7 @@ from .modules import (
     module_groebner,
     syzygies,
 )
-from .poly import (
-    GREVLEX,
-    BlockOrder,
-    PolyRing,
-    Polynomial,
-    leading_term,
-)
+from .poly import GREVLEX, BlockOrder, Polynomial, leading_term
 
 
 class IdealBasis:
@@ -94,12 +90,12 @@ def _rank_one(ring, polys):
     return [free.from_polys([f]) for f in polys]
 
 
-def buchberger(basis, order=GREVLEX, degree_cap=DEFAULT_DEGREE_CAP):
+def buchberger(basis, order=GREVLEX):
     """Reduced Groebner basis of the ideal generated by `basis`: the module
     engine's basis of the rank-1 submodule, minimalized and tail-reduced."""
     ring = basis.ring
     morder = ModOrder(ring.weights, order=order)
-    G = module_groebner(_rank_one(ring, basis.gens), morder, degree_cap)
+    G = module_groebner(_rank_one(ring, basis.gens), morder)
     return _reduced(ring, G, morder)
 
 
@@ -149,18 +145,19 @@ def ideal_member(f, G):
     return normal_form(f, G).is_zero()
 
 
-def eliminate(basis, k, degree_cap=DEFAULT_DEGREE_CAP):
+def eliminate(basis, k):
     """Contract the ideal to the subring on all but the first k variables,
     from its basis under the block order that eliminates them.
 
     Returns an IdealBasis over a new ring on the retained variables (with
-    their weights preserved).  Eliminating nothing returns the input.
+    their weights and the degree cap preserved).  Eliminating nothing
+    returns the input.
     """
     if not k:
         return basis
     ring = basis.ring
-    G = buchberger(basis, BlockOrder(k), degree_cap)
-    sub_ring = PolyRing(ring.field, ring.names[k:], ring.weights[k:])
+    G = buchberger(basis, BlockOrder(k))
+    sub_ring = ring.with_variables(ring.names[k:], ring.weights[k:])
     survivors = [
         Polynomial(sub_ring, {m[k:]: c for m, c in g.terms.items()})
         for g in G.elements
@@ -169,17 +166,17 @@ def eliminate(basis, k, degree_cap=DEFAULT_DEGREE_CAP):
     return IdealBasis(sub_ring, survivors)
 
 
-def quotient_ideal(v, rels, degree_cap=DEFAULT_DEGREE_CAP):
+def quotient_ideal(v, rels):
     """The reduced grevlex basis of the quotient (U : v) = {a | a*v in U},
     U the submodule generated by `rels`: the syzygies of v modulo U, which
     the engine returns as a grevlex Groebner basis, so they are only
     minimalized and tail-reduced."""
     ring = v.ring
-    syz = syzygies([v], degree_cap, modulo=rels)
+    syz = syzygies([v], modulo=rels)
     return IdealBasis(ring, _reduced(ring, syz, ModOrder(ring.weights)).elements)
 
 
-def intersect(I, J, degree_cap=DEFAULT_DEGREE_CAP):
+def intersect(I, J):
     """The reduced grevlex Groebner basis of the intersection of two ideals,
     in `buchberger`'s order: the quotient of (1, 1) modulo I+0 and 0+J."""
     if I.ring != J.ring:
@@ -191,10 +188,10 @@ def intersect(I, J, degree_cap=DEFAULT_DEGREE_CAP):
     zero = ring.zero()
     rels = [free.from_polys([f, zero]) for f in I.gens]
     rels += [free.from_polys([zero, g]) for g in J.gens]
-    return quotient_ideal(free.from_polys([ring.one(), ring.one()]), rels, degree_cap)
+    return quotient_ideal(free.from_polys([ring.one(), ring.one()]), rels)
 
 
-def colon(I, J, degree_cap=DEFAULT_DEGREE_CAP):
+def colon(I, J):
     """The quotient ideal (I : J) = {f | f*J inside I}, as the quotient of
     (g_1..g_m), the generators of J, modulo I^m; component i has twist
     -deg g_i, so the vector has degree 0."""
@@ -206,22 +203,22 @@ def colon(I, J, degree_cap=DEFAULT_DEGREE_CAP):
     free = FreeModule(ring, [-g.degree() for g in J.gens])
     zero = ring.zero()
     rels = [free.from_polys([zero] * i + [f]) for i in range(free.rank) for f in I.gens]
-    return quotient_ideal(free.from_polys(J.gens), rels, degree_cap)
+    return quotient_ideal(free.from_polys(J.gens), rels)
 
 
-def kernel_of_map(source_ring, images, target_basis, degree_cap=DEFAULT_DEGREE_CAP):
+def kernel_of_map(source_ring, images, target_basis):
     """Kernel of k[source] -> k[target]/target_ideal, one image per variable.
 
     Computed in a joint ring (target variables in the elimination block,
-    source variables retained) from target_ideal + <source_i - image_i>.
+    source variables retained, the source's degree cap) from
+    target_ideal + <source_i - image_i>.
     The block order restricts to grevlex on the source variables, so the
     survivors are already the reduced grevlex basis, in `buchberger`'s order.
     """
     target_ring = target_basis.ring
     if len(images) != source_ring.nvars:
         raise ValueError("one image per source variable")
-    joint = PolyRing(
-        source_ring.field,
+    joint = source_ring.with_variables(
         [f"@{n}" for n in target_ring.names] + list(source_ring.names),
         list(target_ring.weights) + list(source_ring.weights),
     )
@@ -235,7 +232,7 @@ def kernel_of_map(source_ring, images, target_basis, degree_cap=DEFAULT_DEGREE_C
         if img.ring != target_ring:
             raise ContextMismatch("image not in target ring")
         gens.append(joint.var(name) - lift(img))
-    contracted = eliminate(IdealBasis(joint, gens), target_ring.nvars, degree_cap)
+    contracted = eliminate(IdealBasis(joint, gens), target_ring.nvars)
     return IdealBasis(
         source_ring, [Polynomial(source_ring, dict(g.terms)) for g in contracted.gens]
     )

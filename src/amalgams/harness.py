@@ -10,7 +10,9 @@ CM family is built once (`_Fixtures`), and the items share what hangs off
 those objects: a spec's presentation, a ring's or module's resolution and
 a ring's classify report are each computed once (see `amalgam` and
 `homology`).  Nothing is kept at module level, so every pass, the second
-p = 101 pass included, computes everything anew.
+p = 101 pass included, computes everything anew.  A pass's degree cap
+goes into the fixtures' rings when they are parsed, and every item runs
+under it without naming it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from . import cli
 from .amalgam import amalgam_present, hom_A_into_R
 from .errors import AlgebraError
 from .finite import classify_primes, find_isomorphism
-from .gb import DEFAULT_DEGREE_CAP
 from .homology import (
     canonical_module,
     classify,
@@ -30,7 +31,7 @@ from .homology import (
     krull_dim,
 )
 from .modules import FPModule
-from .poly import DEFAULT_PRIME, format_poly
+from .poly import DEFAULT_DEGREE_CAP, DEFAULT_PRIME, format_poly
 from .ring import PresentedRing
 
 
@@ -66,9 +67,7 @@ class _Fixtures:
                 Jmod = spec.J_module  # the module M of a trivial extension
                 if Jmod is None:  # a duplication: J is an ideal of A
                     Jmod = FPModule.from_ideal(
-                        spec.A.ambient,
-                        [spec.A.reduce(g) for g in spec.J.generators],
-                        self.cap,
+                        spec.A.ambient, [spec.A.reduce(g) for g in spec.J.generators]
                     )
                 family.append((spec, Jmod))
             self._family = family
@@ -138,98 +137,94 @@ def _rank_mod_p(rows, p):
     return rank
 
 
-def _item_intersection_example(fx, cap):
+def _item_intersection_example(fx):
     s = fx.load("intersection.alg")
-    P = amalgam_present(s.get("W24", "amalgam"), cap)
+    P = amalgam_present(s.get("W24", "amalgam"))
     K = [format_poly(g, signed=True) for g in P.K.elements]
     if K != ["x*z1 - z1^2", "x*z2 - z1*z2"]:
         return False
     if not P.certificate.is_certified():
         return False
-    rep = classify(P.ring, degree_cap=cap)
+    rep = classify(P.ring)
     return rep.dim == 2 and rep.depth == 1 and not rep.is_cm
 
 
-def _item_cm_transfer(fx, cap):
+def _item_cm_transfer(fx):
     for spec, Jmod in fx.cm_family():
-        P = amalgam_present(spec, cap)
+        P = amalgam_present(spec)
         if not P.certificate.is_certified():
             return False
-        left = classify(P.ring, degree_cap=cap).is_cm
-        cm_A = classify(spec.A, degree_cap=cap).is_cm
-        dim_A = krull_dim(spec.A, cap)
-        right = cm_A and depth_ab(Jmod, cap) == dim_A
+        left = classify(P.ring).is_cm
+        cm_A = classify(spec.A).is_cm
+        dim_A = krull_dim(spec.A)
+        right = cm_A and depth_ab(Jmod) == dim_A
         if left != right:
             return False
     return True
 
 
-def _item_canonical_gorenstein(fx, cap):
+def _item_canonical_gorenstein(fx):
     s = fx.load("gorenstein.alg")
     A0 = s.get("A0", "ring")
-    rep0 = classify(A0, degree_cap=cap)
+    rep0 = classify(A0)
     if not (rep0.is_cm and not rep0.is_gorenstein and rep0.type == 2):
         return False
-    w = canonical_module(A0, cap)
+    w = canonical_module(A0)
     if len(w.twists) != socle_dimension(A0):
         return False
-    P = amalgam_present(s.get("G", "amalgam"), cap)
-    rep = classify(P.ring, degree_cap=cap)
+    P = amalgam_present(s.get("G", "amalgam"))
+    rep = classify(P.ring)
     return P.certificate.is_certified() and rep.is_gorenstein and rep.type == 1
 
 
-def _item_depth_minimum(fx, cap):
+def _item_depth_minimum(fx):
     for spec, Jmod in fx.cm_family():
-        P = amalgam_present(spec, cap)
+        P = amalgam_present(spec)
         pres = P.ring
-        if depth_ab(pres, cap) != min(depth_ab(spec.A, cap), depth_ab(Jmod, cap)):
+        if depth_ab(pres) != min(depth_ab(spec.A), depth_ab(Jmod)):
             return False
-        if krull_dim(pres, cap) != krull_dim(spec.A, cap):
+        if krull_dim(pres) != krull_dim(spec.A):
             return False
     return True
 
 
-def _item_hom_into(fx, cap):
+def _item_hom_into(fx):
     s = fx.load("cm_family.alg")
     # duplication along (x): Hom(A, R) matches the contracted ideal
-    spec = s.get("DupX", "amalgam")
-    P = amalgam_present(spec, cap)
-    h = hom_A_into_R(P, cap)
-    if hilbert_series(h, cap) != hilbert_series(spec.J, cap):
+    P = amalgam_present(s.get("DupX", "amalgam"))
+    if hilbert_series(hom_A_into_R(P)) != P.J_series:
         return False
     # square-zero case: Hom(A, R) matches Ann(J) + J with Ann = 0
-    spec = s.get("TrivA", "amalgam")
-    P = amalgam_present(spec, cap)
-    h = hom_A_into_R(P, cap)
-    return hilbert_series(h, cap) == hilbert_series(spec.J, cap)
+    P = amalgam_present(s.get("TrivA", "amalgam"))
+    return hilbert_series(hom_A_into_R(P)) == P.J_series
 
 
-def _item_dimension_dichotomy(fx, cap):
+def _item_dimension_dichotomy(fx):
     s = fx.load("dichotomy.alg")
-    P1 = amalgam_present(s.get("TrivK", "amalgam"), cap)
-    rep1 = classify(P1.ring, degree_cap=cap)
+    P1 = amalgam_present(s.get("TrivK", "amalgam"))
+    rep1 = classify(P1.ring)
     if not (rep1.is_generalized_cm and not rep1.is_cm):
         return False
-    P2 = amalgam_present(s.get("TrivLine", "amalgam"), cap)
-    rep2 = classify(P2.ring, degree_cap=cap)
+    P2 = amalgam_present(s.get("TrivLine", "amalgam"))
+    rep2 = classify(P2.ring)
     return not rep2.is_generalized_cm
 
 
-def _item_serre_conditions(fx, cap):
+def _item_serre_conditions(fx):
     s = fx.load("serre.alg")
     two_planes = s.get("TwoPlanes", "ring")
-    rep = classify(two_planes, assume_equidimensional=True, degree_cap=cap)
+    rep = classify(two_planes, assume_equidimensional=True)
     if rep.serre_level != 1:
         return False
     for name in ["Hyper", "A0", "Poly"]:
         ring = s.get(name, "ring")
-        rep = classify(ring, assume_equidimensional=True, degree_cap=cap)
+        rep = classify(ring, assume_equidimensional=True)
         if not rep.is_cm or rep.serre_level != 4:
             return False
     return True
 
 
-def _item_finite_spectrum(fx, cap):
+def _item_finite_spectrum(fx):
     s = fx.load("finite.alg")
     for name in ["W6", "W84", "WP"]:
         W = s.get(name, "famalgam")
@@ -244,12 +239,12 @@ def _item_finite_spectrum(fx, cap):
     return v0 and find_isomorphism(W0.ring, W0.A) is not None
 
 
-def _item_square_zero(fx, cap):
+def _item_square_zero(fx):
     s = fx.load("cm_family.alg")
     spec = s.get("TrivA", "amalgam")
-    P = amalgam_present(spec, cap)
+    P = amalgam_present(spec)
     K = [format_poly(g, signed=True) for g in P.K.elements]
-    rep = classify(P.ring, degree_cap=cap)
+    rep = classify(P.ring)
     if K != ["z1^2"] or not rep.is_quasi_gorenstein or not rep.is_gorenstein:
         return False
     zz = P.ring.reduce(P.z_polys()[0] ** 2)
@@ -258,9 +253,9 @@ def _item_square_zero(fx, cap):
     # mutate the square-zero relation to a cube: the ring no longer passes
     # either trivial-extension check (certificate or J^2-visibility)
     amb = P.ambient
-    mutated = PresentedRing(amb, [P.z_polys()[0] ** 3], cap)
-    hs_target = hilbert_series(spec.A, cap) + hilbert_series(spec.J, cap)
-    still_certified = hilbert_series(mutated, cap) == hs_target
+    mutated = PresentedRing(amb, [P.z_polys()[0] ** 3])
+    hs_target = hilbert_series(spec.A) + P.J_series
+    still_certified = hilbert_series(mutated) == hs_target
     square_visible = mutated.reduce(P.z_polys()[0] ** 2).is_zero()
     return not still_certified and not square_visible
 
@@ -288,7 +283,7 @@ def run_harness(prime, degree_cap=DEFAULT_DEGREE_CAP):
     results = []
     for name, fn in _HARNESS_ITEMS:
         try:
-            ok = bool(fn(fx, degree_cap))
+            ok = bool(fn(fx))
         except AlgebraError:
             ok = False
         results.append((name, ok))

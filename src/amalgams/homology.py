@@ -5,11 +5,13 @@ the Auslander-Buchsbaum identity (#vars - projective dimension), canonical
 modules and the classification predicates via Ext against the ambient ring
 and graded local duality.  `classify` builds one resolution and takes the
 Betti numbers, depth, canonical module and every higher Ext from it.
-A ring or module keeps its resolution, and a ring its classify report, on
-itself (`resolutions`, `reports`), keyed by the other arguments and stored
-only when the call returns; so `classify`, `depth_ab`, `ext_module` and
-`canonical_module` on one ring share one resolution, and the memo lives
-and dies with its object.
+A ring or module keeps its resolution on itself (`resolution`), and a ring
+its classify reports (`reports`, by the equidimensionality flag), each
+stored only when the call returns; so `classify`, `depth_ab`, `ext_module`
+and `canonical_module` on one ring share one resolution, and the memo
+lives and dies with its object.  A call that stops at the degree cap
+stores nothing.  The cap is the ambient ring's (`PolyRing.degree_cap`),
+so no function here takes one.
 Ext modules and annihilators are kernels into quotient modules, each
 taken as syzygies modulo the relations (`modules.syzygies(modulo=)`); Ext
 is presented by `modules.subquotient`, the one minimalization rule, and
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ResolutionTooLong, ZeroModule
-from .gb import DEFAULT_DEGREE_CAP, IdealBasis, ideal_member, quotient_ideal
+from .gb import IdealBasis, ideal_member, quotient_ideal
 from .modules import (
     FPModule,
     FreeModule,
@@ -73,27 +75,24 @@ class FreeResolution:
 def _as_module(obj):
     if isinstance(obj, PresentedRing):
         return FPModule.quotient_ring(obj)
-    if isinstance(obj, IdealHandle):
-        gens = [obj.ring.reduce(g) for g in obj.generators]
-        return FPModule.from_ideal(obj.ring.ambient, gens)
     if isinstance(obj, FPModule):
         return obj
     raise TypeError(f"cannot resolve a {type(obj).__name__}")
 
 
-def free_resolution(obj, degree_cap=DEFAULT_DEGREE_CAP):
-    """Minimal free resolution by iterated syzygies of minimal generators.
+def free_resolution(obj):
+    """Minimal free resolution of a ring or a module, by iterated syzygies
+    of minimal generators.
 
     Every stage uses a minimal generating set, so no differential carries a
     unit entry and the result is minimal (graded Nakayama).  The relations
-    of the minimal presentation are the first stage as they are.  A ring
-    or module keeps its resolution by degree cap; an ideal is resolved
-    through a module built for the call.
+    of the minimal presentation are the first stage as they are.  The ring
+    or module keeps its resolution (`resolution`), stored only when the
+    call returns.
     """
-    owner = obj if isinstance(obj, (PresentedRing, FPModule)) else _as_module(obj)
-    if degree_cap in owner.resolutions:
-        return owner.resolutions[degree_cap]
-    M = _as_module(owner).minimal_presentation(degree_cap)
+    if obj.resolution is not None:
+        return obj.resolution
+    M = _as_module(obj).minimal_presentation()
     ring = M.ring
     twists = [list(M.twists)]
     diffs = []
@@ -105,12 +104,12 @@ def free_resolution(obj, degree_cap=DEFAULT_DEGREE_CAP):
             )
         diffs.append(current)
         twists.append([v.degree() for v in current])
-        current = minimal_generators(syzygies(current, degree_cap), degree_cap)
-    res = owner.resolutions[degree_cap] = FreeResolution(ring, twists, diffs)
-    return res
+        current = minimal_generators(syzygies(current))
+    obj.resolution = FreeResolution(ring, twists, diffs)
+    return obj.resolution
 
 
-def hilbert_series(obj, degree_cap=DEFAULT_DEGREE_CAP):
+def hilbert_series(obj):
     """Exact rational Hilbert series read off leading monomials.
 
     A ring S/I has the series of S/in(I), and a module F/U that of
@@ -120,10 +119,8 @@ def hilbert_series(obj, degree_cap=DEFAULT_DEGREE_CAP):
     if isinstance(obj, IdealHandle):
         # Series of the image of the ideal inside its quotient ring.
         R = obj.ring
-        big = PresentedRing(
-            R.ambient, list(R.defining.elements) + obj.generators, degree_cap
-        )
-        return hilbert_series(R, degree_cap) - hilbert_series(big, degree_cap)
+        big = PresentedRing(R.ambient, list(R.defining.elements) + obj.generators)
+        return hilbert_series(R) - hilbert_series(big)
     if isinstance(obj, PresentedRing):
         num = monomial_kpoly(obj.defining.leading_monomials(), obj.weights)
         return HilbertSeries(num, weights=obj.weights)
@@ -131,7 +128,7 @@ def hilbert_series(obj, degree_cap=DEFAULT_DEGREE_CAP):
         weights = obj.ring.weights
         order = ModOrder(weights)
         leads = [[] for _ in obj.twists]
-        for g in module_groebner(obj.relations, degree_cap=degree_cap):
+        for g in module_groebner(obj.relations):
             comp, mono = leading_mod_term(g, order)[0]
             leads[comp].append(mono)
         num = lp_zero()
@@ -159,7 +156,7 @@ def _dim_of_leading_monomials(nvars, lead):
     return -1
 
 
-def krull_dim(obj, degree_cap=DEFAULT_DEGREE_CAP):
+def krull_dim(obj):
     """Krull dimension of a quotient ring or of a finitely presented module."""
     if isinstance(obj, PresentedRing):
         return _dim_of_leading_monomials(
@@ -167,14 +164,14 @@ def krull_dim(obj, degree_cap=DEFAULT_DEGREE_CAP):
         )
     # The annihilator is a reduced grevlex basis, and the unit ideal of a
     # zero module has dimension -1.
-    ann = annihilator(obj, degree_cap)
+    ann = annihilator(obj)
     lead = [leading_term(g, GREVLEX)[0] for g in ann.gens]
     return _dim_of_leading_monomials(ann.ring.nvars, lead)
 
 
-def depth_ab(obj, degree_cap=DEFAULT_DEGREE_CAP):
+def depth_ab(obj):
     """Depth via Auslander-Buchsbaum: #vars - projective dimension."""
-    res = free_resolution(obj, degree_cap)
+    res = free_resolution(obj)
     if not res.twists[0]:
         raise ZeroModule("depth of the zero module is undefined")
     return res.ring.nvars - res.length
@@ -191,16 +188,16 @@ def _dual_columns(res, j):
     return [ModVec(target, terms) for terms in cols]
 
 
-def ext_module(obj, j, degree_cap=DEFAULT_DEGREE_CAP):
+def ext_module(obj, j):
     """Ext^j against the ambient polynomial ring, as a presented module,
     from the resolution of `obj`."""
-    res = free_resolution(obj, degree_cap)
+    res = free_resolution(obj)
     if j < 0 or j > res.ring.nvars:
         raise ValueError("cohomological degree out of range")
-    return _ext_from_resolution(res, j, degree_cap)
+    return _ext_from_resolution(res, j)
 
 
-def _ext_from_resolution(res, j, degree_cap=DEFAULT_DEGREE_CAP):
+def _ext_from_resolution(res, j):
     """Ext^j as the cohomology of the dual of the resolution `res`."""
     ring = res.ring
     c = res.length
@@ -212,20 +209,20 @@ def _ext_from_resolution(res, j, degree_cap=DEFAULT_DEGREE_CAP):
         ker_gens = [ker_free.basis_vector(i) for i in range(ker_free.rank)]
     else:
         cols = _dual_columns(res, j)
-        ker_gens = syzygies(cols, degree_cap, twists=dual_twists)
+        ker_gens = syzygies(cols, twists=dual_twists)
     im_gens = _dual_columns(res, j - 1) if j else []
-    return subquotient(ring, ker_gens, im_gens, degree_cap)
+    return subquotient(ring, ker_gens, im_gens)
 
 
-def canonical_module(R, degree_cap=DEFAULT_DEGREE_CAP):
+def canonical_module(R):
     """Graded canonical module of the quotient ring R = S/I:
     Ext^codim(R, S) twisted by -(sum of weights)."""
     ring = R.ambient
-    c = ring.nvars - krull_dim(R, degree_cap)
-    return ext_module(R, c, degree_cap).shift(sum(ring.weights))
+    c = ring.nvars - krull_dim(R)
+    return ext_module(R, c).shift(sum(ring.weights))
 
 
-def annihilator(obj, degree_cap=DEFAULT_DEGREE_CAP):
+def annihilator(obj):
     """The exact annihilator ideal (0 : M) of M = F/U in the ambient
     polynomial ring, as a reduced grevlex basis.
 
@@ -245,7 +242,7 @@ def annihilator(obj, degree_cap=DEFAULT_DEGREE_CAP):
         for i in range(s)
         for r in M.relations
     ]
-    return quotient_ideal(v, rels, degree_cap)
+    return quotient_ideal(v, rels)
 
 
 @dataclass
@@ -288,21 +285,20 @@ class ClassifyReport:
 MAX_SERRE_LEVEL = 4
 
 
-def classify(R, assume_equidimensional=False, degree_cap=DEFAULT_DEGREE_CAP):
+def classify(R, assume_equidimensional=False):
     """Full invariant report for a graded quotient ring.
 
     The Serre-condition levels use the Ext-dimension criterion, which is
     exact for equidimensional rings and conservative (it may under-report)
     otherwise; the report carries the distinction.  R keeps the report
-    by (assume_equidimensional, degree_cap).
+    by assume_equidimensional.
     """
-    key = (assume_equidimensional, degree_cap)
-    if key in R.reports:
-        return R.reports[key]
+    if assume_equidimensional in R.reports:
+        return R.reports[assume_equidimensional]
     ring = R.ambient
     n = ring.nvars
-    res = free_resolution(R, degree_cap)
-    dim = krull_dim(R, degree_cap)
+    res = free_resolution(R)
+    dim = krull_dim(R)
     depth = n - res.length
     codim = n - dim
     betti = res.betti_numbers()
@@ -312,10 +308,10 @@ def classify(R, assume_equidimensional=False, degree_cap=DEFAULT_DEGREE_CAP):
 
     # One resolution serves the Betti numbers, depth, the canonical module
     # and every Ext^j above the codimension.
-    omega = _ext_from_resolution(res, codim, degree_cap).shift(sum(ring.weights))
+    omega = _ext_from_resolution(res, codim).shift(sum(ring.weights))
     mu_omega = len(omega.twists)
     if mu_omega == 1:
-        ann = annihilator(omega, degree_cap)
+        ann = annihilator(omega)
         quasi = all(ideal_member(g, R.defining) for g in ann.gens)
     else:
         quasi = False
@@ -324,9 +320,9 @@ def classify(R, assume_equidimensional=False, degree_cap=DEFAULT_DEGREE_CAP):
     # modules impose no condition.
     ext_dims = {}
     for j in range(codim + 1, n + 1):
-        ext = _ext_from_resolution(res, j, degree_cap)
+        ext = _ext_from_resolution(res, j)
         if not ext.is_zero_presentation():
-            ext_dims[j] = krull_dim(ext, degree_cap)
+            ext_dims[j] = krull_dim(ext)
     gcm = all(d <= 0 for d in ext_dims.values())
     serre = 0
     for level in range(1, MAX_SERRE_LEVEL + 1):
@@ -335,7 +331,7 @@ def classify(R, assume_equidimensional=False, degree_cap=DEFAULT_DEGREE_CAP):
         else:
             break
 
-    report = R.reports[key] = ClassifyReport(
+    report = R.reports[assume_equidimensional] = ClassifyReport(
         dim=dim,
         depth=depth,
         codim=codim,

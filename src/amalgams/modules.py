@@ -30,6 +30,10 @@ S-vector is built in one dict, and the reducer builds its remainder in
 falling order, so a new element's lead is the remainder's first key.
 Callers in this package pass vectors homogeneous with respect to the
 component twists; the engine itself only needs that for `degree()`.
+The degree cap is the free module's ring's (`PolyRing.degree_cap`):
+`_extend` passes it to every reduction it runs, and `_reduce` is the one
+place that checks it.  Reductions outside the loop (`minimal_generators`'
+membership tests, `gb.normal_form`, tail reduction) run unchecked.
 """
 
 from __future__ import annotations
@@ -40,8 +44,6 @@ from operator import add, le, mul, neg, sub
 
 from .errors import DegreeCapExceeded, NotHomogeneous
 from .poly import GREVLEX, Polynomial
-
-DEFAULT_DEGREE_CAP = 64
 
 
 class FreeModule:
@@ -284,7 +286,7 @@ def _monic(v, order):
     return v.scale(v.ring.field.inverse(c)), lead
 
 
-def _extend(basis, new, order, degree_cap):
+def _extend(basis, new, order):
     """Complete the `_Basis` `basis` after adding `new`, in place.
 
     `new` holds (monic vector, leading term) pairs.  Appends them, then
@@ -306,6 +308,7 @@ def _extend(basis, new, order, degree_cap):
     ring = free.ring
     p = ring.p
     weights = ring.weights
+    degree_cap = ring.degree_cap
     inverse = ring.field.inverse
     rank_one = free.rank == 1
     pairs = set()
@@ -363,7 +366,7 @@ def _extend(basis, new, order, degree_cap):
             append(h.scale(inverse(h.terms[lead])), lead)
 
 
-def module_groebner(vecs, order=None, degree_cap=DEFAULT_DEGREE_CAP):
+def module_groebner(vecs, order=None):
     """Groebner basis of the submodule generated by `vecs` under the
     ModOrder `order` (plain grevlex over positions by default)."""
     if not vecs:
@@ -373,11 +376,11 @@ def module_groebner(vecs, order=None, degree_cap=DEFAULT_DEGREE_CAP):
     new = [_monic(v, order) for v in vecs if not v.is_zero()]
     new.sort(key=lambda gl: order.key(gl[1]), reverse=True)
     basis = _Basis()
-    _extend(basis, new, order, degree_cap)
+    _extend(basis, new, order)
     return basis.vecs
 
 
-def syzygies(vecs, degree_cap=DEFAULT_DEGREE_CAP, twists=None, modulo=()):
+def syzygies(vecs, twists=None, modulo=()):
     """Generators of the syzygies of `vecs` modulo the submodule <modulo>:
     the a with sum a_i*vecs[i] in <modulo> (the plain syzygies by default).
 
@@ -402,7 +405,7 @@ def syzygies(vecs, degree_cap=DEFAULT_DEGREE_CAP, twists=None, modulo=()):
         for idx, v in enumerate(vecs)
     ]
     lifted += [ModVec(ext, r.terms) for r in modulo]
-    gb = module_groebner(lifted, ModOrder(ring.weights, free.rank), degree_cap)
+    gb = module_groebner(lifted, ModOrder(ring.weights, free.rank))
     syz_free = FreeModule(ring, list(twists))
     out = []
     for g in gb:
@@ -416,7 +419,7 @@ def syzygies(vecs, degree_cap=DEFAULT_DEGREE_CAP, twists=None, modulo=()):
     return out
 
 
-def minimal_generators(vecs, degree_cap=DEFAULT_DEGREE_CAP, modulo=()):
+def minimal_generators(vecs, modulo=()):
     """Minimal generating subset of a list of homogeneous vectors, modulo
     the submodule <modulo> (nothing by default).
 
@@ -436,13 +439,13 @@ def minimal_generators(vecs, degree_cap=DEFAULT_DEGREE_CAP, modulo=()):
     ]
     kept = []
     basis = _Basis()
-    _extend(basis, seeds, order, degree_cap)
+    _extend(basis, seeds, order)
     for v in vecs:
         h = _reduce(v, basis, order)
         if h.is_zero():
             continue
         kept.append(v)
-        _extend(basis, [_monic(h, order)], order, degree_cap)
+        _extend(basis, [_monic(h, order)], order)
     return kept
 
 
@@ -450,9 +453,9 @@ class FPModule:
     """Finitely presented graded module: twists plus relation columns.
 
     relations are ModVecs in FreeModule(ring, twists); the module is
-    F/<relations>.  `resolutions` holds, by degree cap, what
-    `homology.free_resolution` returned for this module; it lives and dies
-    with the module.
+    F/<relations>.  `resolution` holds what `homology.free_resolution`
+    returned for this module (None until then); it lives and dies with the
+    module.
     """
 
     def __init__(self, ring, twists, relations=()):
@@ -467,7 +470,7 @@ class FPModule:
                 r.degree()  # raises on inhomogeneous input
                 rels.append(r)
         self.relations = rels
-        self.resolutions = {}
+        self.resolution = None
 
     @classmethod
     def zero(cls, ring):
@@ -481,7 +484,7 @@ class FPModule:
         )
 
     @classmethod
-    def from_ideal(cls, ring_ambient, gens, degree_cap=DEFAULT_DEGREE_CAP):
+    def from_ideal(cls, ring_ambient, gens):
         """An ideal of S as an S-module: generators plus their syzygies."""
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
@@ -491,7 +494,7 @@ class FPModule:
         # relations; the g_i live in the rank-1 free module S.
         one_free = FreeModule(ring_ambient, [0])
         images = [one_free.from_polys([g]) for g in gens]
-        rels = syzygies(images, degree_cap)
+        rels = syzygies(images)
         return cls(ring_ambient, degs, rels)
 
     def shift(self, a):
@@ -503,17 +506,17 @@ class FPModule:
     def is_zero_presentation(self):
         return not self.twists
 
-    def minimal_presentation(self, degree_cap=DEFAULT_DEGREE_CAP):
+    def minimal_presentation(self):
         """A minimal presentation of the same module.  With no constant
         relation entry the generators are already minimal (graded
         Nakayama) and only the relations are minimalized; otherwise it is
         the subquotient of the basis modulo the relations."""
         one = self.ring.one_mono()
         if all(m != one for r in self.relations for (_, m) in r.terms):
-            rels = minimal_generators(self.relations, degree_cap)
+            rels = minimal_generators(self.relations)
             return FPModule(self.ring, self.twists, rels)
         basis = [self.free.basis_vector(i) for i in range(len(self.twists))]
-        return subquotient(self.ring, basis, self.relations, degree_cap)
+        return subquotient(self.ring, basis, self.relations)
 
     def __repr__(self):
         return (
@@ -521,13 +524,13 @@ class FPModule:
         )
 
 
-def subquotient(ring, gens, rels, degree_cap=DEFAULT_DEGREE_CAP):
+def subquotient(ring, gens, rels):
     """Minimal presentation of (<gens> + <rels>)/<rels>, both given by
     vectors of one free module.  The generators are the minimal generators
     of `gens` modulo `rels`, the relations the minimal generators of their
     syzygies modulo `rels`.  No kept generator lies in the span of the
     others and `rels`, so no relation has a unit entry."""
-    kept = minimal_generators(gens, degree_cap, modulo=rels)
-    syz = syzygies(kept, degree_cap, modulo=rels)
+    kept = minimal_generators(gens, modulo=rels)
+    syz = syzygies(kept, modulo=rels)
     twists = [g.degree() for g in kept]
-    return FPModule(ring, twists, minimal_generators(syz, degree_cap))
+    return FPModule(ring, twists, minimal_generators(syz))

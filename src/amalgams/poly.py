@@ -2,8 +2,8 @@
 
 Coefficients live in GF(p) and are stored as least non-negative residues.
 Monomials are dense exponent tuples; each polynomial carries a reference to
-its ambient ring context (variable names, weights, field).  All values are
-immutable after construction.
+its ambient ring context (variable names, weights, field, degree cap).  All
+values are immutable after construction.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .errors import (
 )
 
 DEFAULT_PRIME = 101
+DEFAULT_DEGREE_CAP = 64
 
 
 def is_prime(n):
@@ -62,7 +63,7 @@ class PrimeField:
 
 # ---------------------------------------------------------------------------
 # Monomial orders.  An order supplies a sort key for exponent tuples; bigger
-# key means bigger monomial.  All three are multiplicative well-orders.
+# key means bigger monomial.  Both are multiplicative well-orders.
 
 
 def _grevlex_key(expts, weights):
@@ -84,20 +85,6 @@ class GrevlexOrder:
 
     def __hash__(self):
         return hash("grevlex")
-
-
-class LexOrder:
-    def key(self, expts, weights):
-        return tuple(expts)
-
-    def __repr__(self):
-        return "lex"
-
-    def __eq__(self, other):
-        return isinstance(other, LexOrder)
-
-    def __hash__(self):
-        return hash("lex")
 
 
 class BlockOrder:
@@ -129,7 +116,6 @@ class BlockOrder:
 
 
 GREVLEX = GrevlexOrder()
-LEX = LexOrder()
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +123,15 @@ LEX = LexOrder()
 
 
 class PolyRing:
-    """Ambient context: GF(p), variable names, positive integer weights."""
+    """Ambient context: GF(p), variable names, positive integer weights and
+    the degree cap, the largest monomial degree a Groebner computation over
+    the ring may reach before it raises `DegreeCapExceeded` (None: no cap).
+    Like the field, the cap is part of the context: rings that differ only
+    in their caps are different rings."""
 
-    def __init__(self, p, names, weights=None):
+    def __init__(self, p, names, weights=None, degree_cap=DEFAULT_DEGREE_CAP):
         self.field = p if isinstance(p, PrimeField) else PrimeField(p)
+        self.degree_cap = degree_cap
         self.names = tuple(names)
         if weights is None:
             weights = (1,) * len(self.names)
@@ -158,22 +149,30 @@ class PolyRing:
     def p(self):
         return self.field.p
 
+    def with_variables(self, names, weights):
+        """A ring on other variables, with this ring's field and degree cap."""
+        return PolyRing(self.field, names, weights, self.degree_cap)
+
     def __eq__(self, other):
         return (
             isinstance(other, PolyRing)
             and self.field == other.field
             and self.names == other.names
             and self.weights == other.weights
+            and self.degree_cap == other.degree_cap
         )
 
     def __hash__(self):
-        return hash((self.field, self.names, self.weights))
+        return hash((self.field, self.names, self.weights, self.degree_cap))
 
     def __repr__(self):
         vs = ", ".join(
             n if w == 1 else f"{n}:{w}" for n, w in zip(self.names, self.weights)
         )
-        return f"GF({self.p})[{vs}]"
+        cap = self.degree_cap
+        return f"GF({self.p})[{vs}]" + (
+            "" if cap == DEFAULT_DEGREE_CAP else f" (degree cap {cap})"
+        )
 
     # -- monomial helpers (exponent tuples) --
 

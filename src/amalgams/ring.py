@@ -5,6 +5,8 @@ A PresentedRing is k[x_1..x_n]/I with positive integer variable weights and
 a homogeneous defining ideal stored as a reduced grevlex Groebner basis.
 Local statements are modeled at the irrelevant maximal ideal (all
 variables), where graded and local notions of depth and dimension agree.
+Every computation on a ring runs under its ambient ring's degree cap
+(`PolyRing.degree_cap`), set once when the ambient ring is made.
 """
 
 from __future__ import annotations
@@ -17,13 +19,12 @@ from .errors import (
     UnitIdeal,
 )
 from .gb import (
-    DEFAULT_DEGREE_CAP,
     GroebnerBasis,
     IdealBasis,
     buchberger,
     normal_form,
 )
-from .poly import GREVLEX, PolyRing, parse_poly
+from .poly import DEFAULT_DEGREE_CAP, GREVLEX, PolyRing, parse_poly
 
 
 class PresentedRing:
@@ -33,13 +34,13 @@ class PresentedRing:
     knows to be the reduced grevlex basis of a homogeneous ideal, which is
     kept as it is instead of being computed again.
 
-    `resolutions` (by degree cap) and `reports` (by equidimensionality
-    flag and degree cap) hold what `homology.free_resolution` and
-    `homology.classify` returned for this ring, so each is computed once
-    per ring; they live and die with it.
+    `resolution` (None until then) and `reports` (by equidimensionality
+    flag) hold what `homology.free_resolution` and `homology.classify`
+    returned for this ring, so each is computed once per ring; they live
+    and die with it.
     """
 
-    def __init__(self, ambient, generators, degree_cap=DEFAULT_DEGREE_CAP):
+    def __init__(self, ambient, generators):
         self.ambient = ambient
         if isinstance(generators, GroebnerBasis):
             if generators.ring != ambient:
@@ -57,10 +58,10 @@ class PresentedRing:
                 if not g.is_homogeneous():
                     raise NotHomogeneous(f"generator {g} mixes weighted degrees")
                 gens.append(g)
-            self.defining = buchberger(IdealBasis(ambient, gens), GREVLEX, degree_cap)
+            self.defining = buchberger(IdealBasis(ambient, gens), GREVLEX)
         if self.defining.contains_one():
             raise UnitIdeal("1 lies in the defining ideal")
-        self.resolutions = {}
+        self.resolution = None
         self.reports = {}
 
     @property
@@ -101,14 +102,15 @@ class PresentedRing:
 
 
 def make_ring(p, variables, generators=(), degree_cap=DEFAULT_DEGREE_CAP):
-    """Build a presented ring from (name, weight) pairs and generators.
+    """Build a presented ring from (name, weight) pairs and generators, over
+    an ambient ring with the given degree cap.
 
     Generators may be polynomial strings in the display syntax.
     """
     names = [v[0] if isinstance(v, tuple) else v for v in variables]
     weights = [v[1] if isinstance(v, tuple) else 1 for v in variables]
-    ambient = PolyRing(p, names, weights)
-    return PresentedRing(ambient, list(generators), degree_cap)
+    ambient = PolyRing(p, names, weights, degree_cap)
+    return PresentedRing(ambient, list(generators))
 
 
 class IdealHandle:

@@ -47,7 +47,7 @@ import numpy as np
 
 from amalgams.errors import DegreeCapExceeded, NotARing
 from amalgams.finite import FiniteIdeal, _normalize_one
-from amalgams.gb import DEFAULT_DEGREE_CAP, IdealBasis, buchberger
+from amalgams.gb import IdealBasis, buchberger
 from amalgams.homology import _dual_columns, free_resolution
 from amalgams.modules import (
     FPModule,
@@ -59,7 +59,7 @@ from amalgams.modules import (
     module_groebner,
     syzygies,
 )
-from amalgams.poly import GREVLEX
+from amalgams.poly import DEFAULT_DEGREE_CAP, GREVLEX
 from amalgams.ring import IdealHandle, PresentedRing
 from amalgams.series import HilbertSeries, lp_add, lp_monomial, lp_neg, lp_zero
 
@@ -400,7 +400,7 @@ def ext_project(res, j):
     return minimal_presentation_substitute(FPModule(ring, twists, rels))
 
 
-def minimal_presentation_substitute(M, degree_cap=DEFAULT_DEGREE_CAP):
+def minimal_presentation_substitute(M):
     """A minimal presentation of M: while a relation has a unit entry,
     solve it for that generator and substitute the solution into the other
     relations, then minimalize the relations that remain."""
@@ -448,7 +448,7 @@ def minimal_presentation_substitute(M, degree_cap=DEFAULT_DEGREE_CAP):
             for terms in new_rels
         ]
     free = FreeModule(ring, twists)
-    vecs = minimal_generators([ModVec(free, t) for t in rels], degree_cap)
+    vecs = minimal_generators([ModVec(free, t) for t in rels])
     return FPModule(ring, twists, vecs)
 
 

@@ -17,6 +17,7 @@ from amalgams.errors import DegreeCapExceeded, JUnit
 from amalgams.gb import buchberger
 from amalgams.homology import classify, depth_ab, free_resolution, hilbert_series
 from amalgams.modules import FPModule
+from amalgams.poly import DEFAULT_DEGREE_CAP
 from amalgams.ring import IdealHandle, PresentedRing, RingHom, hom_check, make_ring
 from amalgams.series import HilbertSeries, lp_monomial
 from oracles import retraction_ideal_identity, trivext_module
@@ -26,21 +27,25 @@ def line_ring(p=101):
     return make_ring(p, ["x"])
 
 
-def intersection_spec(p=101, drop_generator=False):
-    A = make_ring(p, ["x"])
-    B = make_ring(p, ["X", "Y"])
+def intersection_spec(p=101, drop_generator=False, degree_cap=DEFAULT_DEGREE_CAP):
+    A = make_ring(p, ["x"], degree_cap=degree_cap)
+    B = make_ring(p, ["X", "Y"], degree_cap=degree_cap)
     f = hom_check(RingHom(A, B, ["X"]))
     gens = ["X"] if drop_generator else ["X", "Y"]
     return AmalgamSpec(A, B, f, IdealHandle(B, gens)), IdealHandle(B, ["X", "Y"])
 
 
 def test_a_spec_keeps_its_presentation():
+    # A presentation that stops at the cap stores nothing, and a later call
+    # raises again.
+    capped, _ = intersection_spec(degree_cap=1)
+    for _ in range(2):
+        with pytest.raises(DegreeCapExceeded):
+            amalgam_present(capped)
+        assert capped.presentation is None
     spec, _ = intersection_spec()
-    with pytest.raises(DegreeCapExceeded):
-        amalgam_present(spec, 1)
-    assert spec.presentations == {}
     P = amalgam_present(spec)
-    assert amalgam_present(spec) is P
+    assert spec.presentation is P and amalgam_present(spec) is P
     assert P.certificate.is_certified()
 
 
@@ -93,8 +98,9 @@ def test_presentation_keeps_the_basis_intersect_returns(monkeypatch):
 
 def test_verification_reuses_the_ring_B_mod_J(monkeypatch):
     # amalgam_present builds B/(I_B + J) to rule out J = B, and the
-    # certificate reads HS(J) = HS(B) - HS(B/J) off that ring, so running
-    # it again on the presentation runs no Buchberger of its own.
+    # certificate reads HS(J) = HS(B) - HS(B/J) off that ring and keeps it
+    # as J_series, so running it again on the presentation runs no
+    # Buchberger of its own.
     rings = []
 
     def recording(basis, *args):
@@ -114,9 +120,18 @@ def test_verification_reuses_the_ring_B_mod_J(monkeypatch):
         rings.clear()
         verify_presentation(P)
         assert rings == []
-        assert hilbert_series(spec.B) - hilbert_series(P.B_mod_J) == hilbert_series(
-            spec.J
-        )
+        assert P.J_series == hilbert_series(spec.J)
+
+
+def test_every_derived_ring_keeps_the_degree_cap():
+    # The session's cap goes into every ring it declares, and each ring
+    # built from them (B of a trivial extension, C, B/J) takes it over.
+    text = resources.files("amalgams").joinpath("fixtures", "cm_family.alg").read_text()
+    for kind, obj in parse_input(text, degree_cap=7).decls.values():
+        if kind == "amalgam":
+            P = amalgam_present(obj)
+            rings = [obj.A.ambient, obj.B.ambient, P.ambient, P.B_mod_J.ambient]
+            assert {r.degree_cap for r in rings} == {7}
 
 
 def test_trivial_extension_by_free_module():

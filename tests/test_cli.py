@@ -368,6 +368,20 @@ def test_trivext_generator_degree_below_one(tmp_path, capsys):
     assert capsys.readouterr().out == "K = x*z1, z1^2\ncertificate = Certified\n"
 
 
+def test_trivext_relations_are_read_over_the_ring_field(tmp_path, capsys):
+    # A field declared after the ring does not reach its module relations:
+    # 7*y is not zero in A, which lives over GF(101).
+    f = tmp_path / "t.alg"
+    f.write_text(
+        "field p=101\nring A vars x, y\nfield p=7\n"
+        "trivext T : A, module gens 1 relations x*e1 + 7*y*e1\n"
+    )
+    assert main([str(f), "present", "T"]) == 0
+    assert capsys.readouterr().out == (
+        "K = x*z1 + 7*y*z1, z1^2\ncertificate = Certified\n"
+    )
+
+
 @pytest.mark.parametrize(
     "module",
     [
@@ -450,7 +464,7 @@ def test_unknown_name_in_command(tmp_path, capsys):
 def test_resolution_bound_exits_1(tmp_path, capsys, monkeypatch):
     assert issubclass(ResolutionTooLong, AlgebraError)
     # Syzygies that never vanish make the resolution overrun its bound.
-    monkeypatch.setattr(homology, "syzygies", lambda vecs, cap: vecs)
+    monkeypatch.setattr(homology, "syzygies", lambda vecs: vecs)
     f = tmp_path / "h.alg"
     f.write_text("ring H vars x, z ideal: z^2\n")
     assert main([str(f), "classify", "H"]) == 1
@@ -478,7 +492,7 @@ def test_degree_cap_while_parsing_exits_1(tmp_path, capsys):
 
 
 def test_resolution_bound_while_parsing_exits_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(homology, "syzygies", lambda vecs, cap: vecs)
+    monkeypatch.setattr(homology, "syzygies", lambda vecs: vecs)
     f = tmp_path / "g.alg"
     f.write_text(GORENSTEIN_TRIVEXT)
     assert main([str(f), "classify", "A0"]) == 1

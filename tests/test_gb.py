@@ -16,7 +16,14 @@ from amalgams.gb import (
     normal_form,
 )
 from amalgams.modules import FreeModule, syzygies
-from amalgams.poly import GREVLEX, BlockOrder, PolyRing, leading_term, parse_poly
+from amalgams.poly import (
+    DEFAULT_DEGREE_CAP,
+    GREVLEX,
+    BlockOrder,
+    PolyRing,
+    leading_term,
+    parse_poly,
+)
 from conftest import (
     from_terms,
     ideal_degree_dim,
@@ -28,9 +35,9 @@ from conftest import (
 )
 
 
-def gb(ring, gens, cap=64):
+def gb(ring, gens):
     polys = [parse_poly(ring, g) if isinstance(g, str) else g for g in gens]
-    return buchberger(IdealBasis(ring, polys), GREVLEX, cap)
+    return buchberger(IdealBasis(ring, polys), GREVLEX)
 
 
 def test_gb_known_example(kxyz):
@@ -284,13 +291,14 @@ def test_kernel_elements_map_to_zero(kxy, rng):
 
 
 def _capped_runs(run, caps):
-    """Run under each cap: every run raises DegreeCapExceeded or returns the
-    uncapped result, and both outcomes occur over `caps`."""
-    exact = run(64)
+    """Run under each cap: `run(cap)` builds its inputs in rings with that
+    degree cap.  Every run raises DegreeCapExceeded or returns the terms of
+    the result under the default cap, and both outcomes occur over `caps`."""
+    exact = [g.terms for g in run(DEFAULT_DEGREE_CAP)]
     outcomes = set()
     for cap in caps:
         try:
-            got = run(cap)
+            got = [g.terms for g in run(cap)]
         except DegreeCapExceeded:
             outcomes.add("raised")
             continue
@@ -299,37 +307,45 @@ def _capped_runs(run, caps):
     assert outcomes == {"raised", "exact"}
 
 
-def test_degree_cap(kxyz):
-    ring = PolyRing(101, ["x", "y"])
+def test_degree_cap():
+    ring = PolyRing(101, ["x", "y"], degree_cap=4)
     with pytest.raises(DegreeCapExceeded):
         buchberger(
-            IdealBasis(ring, [parse_poly(ring, "x^5 - y^5"), parse_poly(ring, "x*y^4")]),
-            GREVLEX,
-            degree_cap=4,
+            IdealBasis(ring, [parse_poly(ring, "x^5 - y^5"), parse_poly(ring, "x*y^4")])
         )
 
-    def ideal(*gens):
-        return IdealBasis(kxyz, [parse_poly(kxyz, g) for g in gens])
+    def ideal(ring, *gens):
+        return IdealBasis(ring, [parse_poly(ring, g) for g in gens])
+
+    def kxyz(cap):
+        return PolyRing(101, ["x", "y", "z"], degree_cap=cap)
 
     # Every operation under a cap raises or returns the uncapped result.
-    I = ideal("x*y", "z^2")
-    J = ideal("x^2 - y*z", "y^3")
-    _capped_runs(lambda cap: intersect(I, J, cap).gens, range(1, 7))
-    Q = ideal("x^2*y", "y^3 - x*z^2")
-    _capped_runs(lambda cap: colon(Q, ideal("x*y", "z"), cap).gens, range(1, 7))
-    free = FreeModule(kxyz, [0])
-    vecs = [
-        free.from_polys([parse_poly(kxyz, g)])
-        for g in ("x^2", "x*y", "y^2 - x*z", "z^3")
-    ]
-    _capped_runs(lambda cap: syzygies(vecs, cap), range(1, 7))
-    src = PolyRing(101, ["a", "b", "c", "d"], [3, 3, 3, 3])
-    tgt = PolyRing(101, ["s", "t"])
-    cubic = [parse_poly(tgt, m) for m in ("s^3", "s^2*t", "s*t^2", "t^3")]
-    _capped_runs(
-        lambda cap: kernel_of_map(src, cubic, IdealBasis(tgt, []), cap).gens,
-        range(1, 10),
-    )
+    def intersect_run(cap):
+        R = kxyz(cap)
+        return intersect(ideal(R, "x*y", "z^2"), ideal(R, "x^2 - y*z", "y^3")).gens
+
+    def colon_run(cap):
+        R = kxyz(cap)
+        return colon(ideal(R, "x^2*y", "y^3 - x*z^2"), ideal(R, "x*y", "z")).gens
+
+    def syzygies_run(cap):
+        free = FreeModule(kxyz(cap), [0])
+        return syzygies([
+            free.from_polys([parse_poly(free.ring, g)])
+            for g in ("x^2", "x*y", "y^2 - x*z", "z^3")
+        ])
+
+    def kernel_run(cap):
+        src = PolyRing(101, ["a", "b", "c", "d"], [3, 3, 3, 3], cap)
+        tgt = PolyRing(101, ["s", "t"], degree_cap=cap)
+        cubic = [parse_poly(tgt, m) for m in ("s^3", "s^2*t", "s*t^2", "t^3")]
+        return kernel_of_map(src, cubic, IdealBasis(tgt, [])).gens
+
+    _capped_runs(intersect_run, range(1, 7))
+    _capped_runs(colon_run, range(1, 7))
+    _capped_runs(syzygies_run, range(1, 7))
+    _capped_runs(kernel_run, range(1, 10))
 
 
 def test_zero_ideal():

@@ -375,13 +375,15 @@ def test_a_ring_keeps_one_resolution_and_its_reports(monkeypatch):
 
 
 def test_a_resolution_that_hits_the_cap_keeps_nothing():
-    R = make_ring(101, ["x", "y"], ["x^2", "y^2"])
-    with pytest.raises(DegreeCapExceeded):
-        free_resolution(R, 1)
-    assert R.resolutions == {}
-    assert free_resolution(R).betti_numbers() == [1, 2, 1]
-    with pytest.raises(DegreeCapExceeded):
-        free_resolution(R, 1)
+    # On a ring whose cap is 1 the resolution stops, stores nothing, and a
+    # later call raises again; under the default cap it is [1, 2, 1].
+    R = make_ring(101, ["x", "y"], ["x^2", "y^2"], degree_cap=1)
+    for _ in range(2):
+        with pytest.raises(DegreeCapExceeded):
+            free_resolution(R)
+        assert R.resolution is None
+    S = make_ring(101, ["x", "y"], ["x^2", "y^2"])
+    assert free_resolution(S).betti_numbers() == [1, 2, 1]
 
 
 def test_classify_keeps_one_report_per_equidimensionality_flag():

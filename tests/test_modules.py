@@ -105,11 +105,19 @@ def test_reduction_stops_at_the_degree_cap():
 def scan_engine():
     """A context in which `modules`' own syzygies and minimal_generators
     run on the scan-driven oracle engine, which reads a basis as the two
-    lists `vecs` and `leads`."""
+    lists `vecs` and `leads` and takes the degree cap that the engine reads
+    off the ring."""
 
-    def extend(basis, new, order, degree_cap):
+    def groebner(vecs, order=None):
+        cap = vecs[0].ring.degree_cap if vecs else None
+        return module_groebner_scan(vecs, order, cap)
+
+    def extend(basis, new, order):
         G, leads = list(basis.vecs), list(basis.leads)
-        extend_scan(G, leads, new, order, degree_cap)
+        if not G and not new:
+            return
+        cap = (G[0] if G else new[0][0]).ring.degree_cap
+        extend_scan(G, leads, new, order, cap)
         for g, lead in zip(G[len(basis.vecs):], leads[len(basis.leads):]):
             basis.append(g, lead)
 
@@ -118,7 +126,7 @@ def scan_engine():
 
     stack = ExitStack()
     for name, oracle in [
-        ("module_groebner", module_groebner_scan),
+        ("module_groebner", groebner),
         ("_extend", extend),
         ("_reduce", reduce),
         ("_monic", monic_scan),
@@ -184,26 +192,41 @@ def outcome(run, cap):
 def test_engine_and_scan_agree_under_degree_caps(p):
     # At each cap both engines either raise DegreeCapExceeded or return
     # their uncapped result, and both do the same; over the caps, both
-    # outcomes occur for every computation.
-    S = PolyRing(p, ["x", "y", "z"])
-    F = FreeModule(S, [0])
-    vecs = [
-        F.from_polys([parse_poly(S, f)])
-        for f in ("x^2 - 2*y*z", "y^2 - 3*x*z", "z^2 - 5*x*y + x*z")
-    ]
+    # outcomes occur for every computation.  Each run builds its vectors in
+    # a ring with its cap and returns their terms.
+    def inputs(cap):
+        S = PolyRing(p, ["x", "y", "z"], degree_cap=cap)
+        F = FreeModule(S, [0])
+        return [
+            F.from_polys([parse_poly(S, f)])
+            for f in ("x^2 - 2*y*z", "y^2 - 3*x*z", "z^2 - 5*x*y + x*z")
+        ]
+
+    def terms(vecs):
+        return [v.terms for v in vecs]
+
+    def heap_syzygies(cap):
+        return terms(syzygies(inputs(cap)))
 
     def scan_syzygies(cap):
         with scan_engine():
-            return syzygies(vecs, cap)
+            return heap_syzygies(cap)
 
-    def groebner(engine, order):
-        return lambda cap: engine(vecs, ModOrder(S.weights, order=order), cap)
+    def groebner(order):
+        def heap(cap):
+            vecs = inputs(cap)
+            morder = ModOrder(vecs[0].ring.weights, order=order)
+            return terms(module_groebner(vecs, morder))
 
-    runs = [
-        (groebner(module_groebner, order), groebner(module_groebner_scan, order))
-        for order in (GREVLEX, BlockOrder(1))
-    ]
-    runs.append((lambda cap: syzygies(vecs, cap), scan_syzygies))
+        def scan(cap):
+            vecs = inputs(cap)
+            morder = ModOrder(vecs[0].ring.weights, order=order)
+            return terms(module_groebner_scan(vecs, morder, cap))
+
+        return heap, scan
+
+    runs = [groebner(order) for order in (GREVLEX, BlockOrder(1))]
+    runs.append((heap_syzygies, scan_syzygies))
 
     for heap_run, scan_run in runs:
         full = heap_run(None)

@@ -3,10 +3,15 @@ from operator import add
 
 import pytest
 
-from amalgams.errors import NotPrime, ParseError, ZeroInverse, ZeroPolynomial
+from amalgams.errors import (
+    ContextMismatch,
+    NotPrime,
+    ParseError,
+    ZeroInverse,
+    ZeroPolynomial,
+)
 from amalgams.poly import (
     GREVLEX,
-    LEX,
     BlockOrder,
     PolyRing,
     PrimeField,
@@ -15,6 +20,17 @@ from amalgams.poly import (
     parse_poly,
 )
 from conftest import random_poly
+
+
+class LexOrder:
+    """Pure lexicographic order: a third monomial order for the order
+    tests, which the package itself never uses."""
+
+    def key(self, expts, weights):
+        return tuple(expts)
+
+
+LEX = LexOrder()
 
 
 def test_field_inverse():
@@ -35,6 +51,21 @@ def test_prime_validation():
         PolyRing(1, ["x"])
     PolyRing(2, ["x"])
     PolyRing(32003, ["x"])
+
+
+def test_degree_cap_is_part_of_the_ring():
+    # Rings that differ only in their caps are different contexts, as rings
+    # over different fields are; a ring on other variables keeps the cap.
+    capped = PolyRing(101, ["x", "y"], degree_cap=3)
+    plain = PolyRing(101, ["x", "y"])
+    assert capped != plain
+    assert capped == PolyRing(101, ["x", "y"], degree_cap=3)
+    assert hash(capped) == hash(PolyRing(101, ["x", "y"], degree_cap=3))
+    # the message tells the two apart
+    with pytest.raises(ContextMismatch, match=r"y\] \(degree cap 3\) vs GF\(101\)"):
+        capped.var("x") + plain.var("x")
+    other = capped.with_variables(["z"], [2])
+    assert (other.field, other.weights, other.degree_cap) == (capped.field, (2,), 3)
 
 
 def test_ring_axioms_random():

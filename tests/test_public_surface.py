@@ -1,10 +1,11 @@
-"""The package has no dead API: every function or method defined in
-`src/amalgams` is named somewhere else in `src`, or documented in README.
+"""The package has no dead API: every function or method, and every
+module-level class or assigned constant, defined in `src/amalgams` is
+named somewhere else in `src`, or documented in README.
 
 A name counts as used when it appears (as a bare name, an attribute or an
 import) anywhere in the package outside the body of its own definition,
-so a function that only calls itself is still unused.  Dunder methods are
-called by Python itself and are exempt, and so are the identifiers the
+so a function that only calls itself is still unused.  Dunder names are
+read by Python itself and are exempt, and so are the identifiers the
 README quotes in backticks: they are the documented library surface.
 """
 
@@ -30,8 +31,25 @@ def _names(node):
     return out
 
 
+def _definitions(tree):
+    """(name, node) of every function or method in `tree`, and of every
+    class and assigned name at its top level."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id, node
+
+
 def unused_definitions():
-    """`module.name` of each function or method defined in the package
+    """`module.name` of each definition in the package (`_definitions`)
     whose name appears nowhere in it outside its own definition."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     documented = set()
@@ -46,10 +64,7 @@ def unused_definitions():
         everywhere += _names(tree)
     unused = []
     for module, tree in trees.items():
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            name = node.name
+        for name, node in _definitions(tree):
             if name.startswith("__") and name.endswith("__"):
                 continue
             if name in documented:
@@ -61,3 +76,41 @@ def unused_definitions():
 
 def test_every_definition_is_reached_or_documented():
     assert unused_definitions() == []
+
+
+# The degree cap lives on the ring (`PolyRing.degree_cap`).  Only the
+# functions that build rings or pass a cap into them, and the reducer that
+# checks it, take one as a parameter.
+CAP_PARAMETERS = {
+    "poly.PolyRing.__init__",
+    "ring.make_ring",
+    "cli.Session.__init__",
+    "cli.parse_input",
+    "harness._Fixtures.__init__",
+    "harness.run_harness",
+    "harness.verify_paper",
+    "modules._reduce",
+    "modules._check_cap",
+}
+
+
+def _functions(node, prefix):
+    """(qualified name, node) of every function under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child
+            yield from _functions(child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _functions(child, f"{prefix}{child.name}.")
+
+
+def test_only_ring_builders_take_a_degree_cap():
+    taking = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, fn in _functions(tree, f"{path.stem}."):
+            args = fn.args
+            params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            if params & {"degree_cap", "cap"}:
+                taking.add(name)
+    assert taking <= CAP_PARAMETERS
