@@ -25,35 +25,22 @@ extension) takes the degree cap of A's ambient ring.
 from __future__ import annotations
 
 from .errors import JUnit, NotHomogeneous, UnitIdeal
-from .gb import (
-    GroebnerBasis,
-    IdealBasis,
-    colon,
-    intersect,
-    kernel_of_map,
-)
+from .gb import colon, intersect, kernel_of_map
 from .homology import hilbert_series
 from .modules import FPModule
-from .poly import GREVLEX, Polynomial
-from .ring import (
-    IdealHandle,
-    PresentedRing,
-    RingHom,
-    hom_check,
-    identity_hom,
-)
+from .poly import Polynomial
+from .ring import IdealHandle, PresentedRing, RingHom, identity_hom
 
 
 class AmalgamSpec:
-    """Input data: rings A, B, a verified graded hom f, and J-generators.
+    """Input data: rings A, B, a graded hom f (checked when it was built),
+    and J-generators.
 
     `presentation` holds what `amalgam_present` returned for this spec
     (None until then).
     """
 
     def __init__(self, A, B, f, J):
-        if not f.verified:
-            hom_check(f)
         self.A = A
         self.B = B
         self.f = f
@@ -96,8 +83,9 @@ def _fresh_names(base, count, taken):
 
 class AmalgamPresentation:
     """The presented ring C/K, its Hilbert series and certificate, plus the
-    bookkeeping maps.  `J_series` is HS(J), which `verify_presentation`
-    computes for the certificate."""
+    bookkeeping maps: `K_A` lists the generators of K_A, and `K_B` is the
+    Groebner basis `kernel_of_map` returned.  `J_series` is HS(J), which
+    `verify_presentation` computes for the certificate."""
 
     def __init__(self, spec, ring, series, K_A, K_B, z_names, images, B_mod_J):
         self.spec = spec
@@ -142,20 +130,16 @@ def amalgam_present(spec):
     C = A.ambient.with_variables(list(A.names) + z_names, list(A.weights) + z_weights)
 
     # K_A = I_A*C + (z's)
-    lifted_IA = [
+    K_A = [
         Polynomial(C, {tuple(mm) + (0,) * m: c for mm, c in g.terms.items()})
         for g in A.defining.elements
-    ]
-    K_A = IdealBasis(C, lifted_IA + [C.var(n) for n in z_names])
+    ] + [C.var(n) for n in z_names]
 
     # K_B = ker(C -> B), x -> f(x), z_t -> j_t
     images = [B.reduce(img) for img in f.images] + jgens
-    K_B = kernel_of_map(C, images, IdealBasis(B.ambient, B.defining.elements))
+    K_B = kernel_of_map(C, images, B.defining)
 
-    # intersect returns the reduced grevlex basis of K, so it is passed on
-    # as one instead of being computed again.
-    K = intersect(K_A, K_B)
-    presented = PresentedRing(C, GroebnerBasis(C, K.gens, GREVLEX))
+    presented = PresentedRing(C, intersect(C, K_A, K_B.elements))
     P = AmalgamPresentation(
         spec, presented, hilbert_series(presented),
         K_A, K_B, z_names, images, B_mod_J,
@@ -226,7 +210,7 @@ def trivial_extension(A, M):
         for j in range(i, s):
             gens.append(evars[i] * evars[j])
     B = PresentedRing(amb, gens)
-    f = hom_check(RingHom(A, B, [amb.var(n) for n in A.names]))
+    f = RingHom(A, B, [amb.var(n) for n in A.names])
     spec = AmalgamSpec(A, B, f, IdealHandle(B, evars))
     spec.J_module = M
     return spec
@@ -238,9 +222,9 @@ def hom_A_into_R(P):
     zs = P.z_polys()
     if not zs:
         return IdealHandle(P.ring, [amb.one()])
-    quot = colon(IdealBasis(amb, list(P.K.elements)), IdealBasis(amb, zs))
+    quot = colon(amb, P.K.elements, zs)
     gens = []
-    for g in quot.gens:
+    for g in quot.elements:
         r = P.ring.reduce(g)
         if not r.is_zero():
             gens.append(r)

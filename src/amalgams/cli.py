@@ -64,7 +64,7 @@ from .poly import (
     format_poly,
     parse_poly,
 )
-from .ring import IdealHandle, PresentedRing, RingHom, hom_check
+from .ring import IdealHandle, PresentedRing, RingHom
 
 
 class Report:
@@ -206,7 +206,7 @@ def _decl_hom(session, rest, n):
     missing = [v for v in src.names if v not in images]
     if missing:
         raise ParseError(n, f"no image for variable(s) {', '.join(missing)}")
-    f = hom_check(RingHom(src, tgt, [images[v] for v in src.names]))
+    f = RingHom(src, tgt, [images[v] for v in src.names])
     session.declare(name, "hom", f, n)
 
 

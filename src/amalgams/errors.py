@@ -9,10 +9,6 @@ class ZeroInverse(AlgebraError):
     """Attempted to invert 0 in a prime field."""
 
 
-class ZeroPolynomial(AlgebraError):
-    """Operation requires a nonzero polynomial."""
-
-
 class InvalidRing(AlgebraError):
     """Variable names or weights do not define a polynomial ring."""
 

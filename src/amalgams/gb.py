@@ -12,7 +12,12 @@ index), and reduced Groebner bases are unique for a fixed ideal and
 order, so rerunning the engine reproduces them element for element.
 Each computation runs under its ring's degree cap, and a ring derived
 here (the subring of `eliminate`, the joint ring of `kernel_of_map`)
-takes the cap of the ring it comes from.
+takes the field and the cap of the ring it comes from.
+Every function here that returns an ideal returns the `GroebnerBasis` it
+built, with the leading monomials the engine found, so no caller rebuilds
+a basis or recomputes a lead.  Ideals come in as lists of polynomials
+with their ring, or, for the target of `kernel_of_map`, as a
+`GroebnerBasis`; `IdealBasis` is only `buchberger`'s input.
 """
 
 from __future__ import annotations
@@ -24,15 +29,15 @@ from .modules import (
     ModVec,
     _Basis,
     _reduce,
-    leading_mod_term,
     module_groebner,
     syzygies,
 )
-from .poly import GREVLEX, BlockOrder, Polynomial, leading_term
+from .poly import GREVLEX, BlockOrder, Polynomial
 
 
 class IdealBasis:
-    """A generating set of an ideal; the zero ideal is the empty list."""
+    """A generating set of an ideal, `buchberger`'s input; the zero ideal
+    is the empty list."""
 
     def __init__(self, ring, gens):
         self.ring = ring
@@ -41,9 +46,6 @@ class IdealBasis:
             if g.ring != ring:
                 raise ContextMismatch("generator in wrong ring")
 
-    def is_zero(self):
-        return not self.gens
-
     def __repr__(self):
         if not self.gens:
             return "<0>"
@@ -51,28 +53,28 @@ class IdealBasis:
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis: monic elements, pairwise fully reduced."""
+    """A reduced Groebner basis: monic elements, pairwise fully reduced,
+    with the leading monomial of each under `order` as the engine found
+    it."""
 
-    def __init__(self, ring, elements, order):
+    def __init__(self, ring, elements, order, leads):
         self.ring = ring
         self.elements = elements
         self.order = order
+        self._leads = leads
         self._vectors = None
-
-    def is_zero(self):
-        return not self.elements
 
     def contains_one(self):
         return len(self.elements) == 1 and self.elements[0].degree() == 0
 
     def leading_monomials(self):
-        return [leading_term(g, self.order)[0] for g in self.elements]
+        return self._leads
 
     def _as_vectors(self):
         """(the elements as a `_Basis` of rank-1 vectors, module order):
         the form `normal_form` reduces against, built on first use."""
         if self._vectors is None:
-            leads = [(0, m) for m in self.leading_monomials()]
+            leads = [(0, m) for m in self._leads]
             order = ModOrder(self.ring.weights, order=self.order)
             vecs = _rank_one(self.ring, self.elements)
             self._vectors = (_Basis(vecs, leads), order)
@@ -101,33 +103,36 @@ def buchberger(basis, order=GREVLEX):
 
 def _reduced(ring, G, morder):
     """The reduced basis of the ideal whose Groebner basis under `morder`
-    is G, a list of monic rank-1 vectors."""
-    lms = [leading_mod_term(g, morder)[0][1] for g in G]
+    is the `_Basis` G of monic rank-1 vectors, with G's leads."""
+    vecs, leads = G.vecs, G.leads
     # Minimalize: drop elements whose leading monomial is divisible by
     # another one.
     minimal = [
         idx
-        for idx, lm in enumerate(lms)
+        for idx, (_, lm) in enumerate(leads)
         if not any(
-            k != idx and ring.mono_divides(lms[k], lm) and (lms[k] != lm or k < idx)
-            for k in range(len(G))
+            k != idx and ring.mono_divides(km, lm) and (km != lm or k < idx)
+            for k, (_, km) in enumerate(leads)
         )
     ]
     # Tail-reduce each survivor against all of them, one index for all:
     # no other survivor's lead divides its lead, and its own lead divides
     # no term below it, so this is its normal form against the others.
-    basis = _Basis([G[k] for k in minimal], [(0, lms[k]) for k in minimal])
+    basis = _Basis([vecs[k] for k in minimal], [leads[k] for k in minimal])
     order = morder.order
     reduced = []
     for idx in minimal:
-        lead = (0, lms[idx])
-        tail = dict(G[idx].terms)
+        lead = leads[idx]
+        tail = dict(vecs[idx].terms)
         c = tail.pop(lead)
-        h = _reduce(ModVec(G[idx].free, tail), basis, morder)
+        h = _reduce(ModVec(vecs[idx].free, tail), basis, morder)
         g = ModVec(h.free, {lead: c, **h.terms})
-        reduced.append((order.key(lms[idx], ring.weights), g.component_poly(0)))
-    reduced.sort(key=lambda kg: kg[0], reverse=True)
-    return GroebnerBasis(ring, [g for _, g in reduced], order)
+        key = order.key(lead[1], ring.weights)
+        reduced.append((key, g.component_poly(0), lead[1]))
+    reduced.sort(key=lambda r: r[0], reverse=True)
+    return GroebnerBasis(
+        ring, [g for _, g, _ in reduced], order, [m for _, _, m in reduced]
+    )
 
 
 def normal_form(f, G):
@@ -145,77 +150,74 @@ def ideal_member(f, G):
     return normal_form(f, G).is_zero()
 
 
-def eliminate(basis, k):
-    """Contract the ideal to the subring on all but the first k variables,
-    from its basis under the block order that eliminates them.
+def eliminate(ring, gens, k):
+    """Contract the ideal of `gens` to the subring on all but the first k
+    variables, from its basis under the block order that eliminates them.
 
-    Returns an IdealBasis over a new ring on the retained variables (with
-    their weights and the degree cap preserved).  Eliminating nothing
-    returns the input.
+    Returns the reduced grevlex basis over a new ring on the retained
+    variables (with their weights, the field and the degree cap).  The
+    front block dominates, so an element of the block basis lies in the
+    subring exactly when its lead does; the block order restricts to
+    grevlex there, so these elements, in the block basis's order and with
+    their leads cut to the retained variables, are that basis.
     """
-    if not k:
-        return basis
-    ring = basis.ring
-    G = buchberger(basis, BlockOrder(k))
+    G = buchberger(IdealBasis(ring, gens), BlockOrder(k))
     sub_ring = ring.with_variables(ring.names[k:], ring.weights[k:])
     survivors = [
-        Polynomial(sub_ring, {m[k:]: c for m, c in g.terms.items()})
-        for g in G.elements
-        if not any(any(m[:k]) for m in g.terms)
+        (Polynomial(sub_ring, {m[k:]: c for m, c in g.terms.items()}), lead[k:])
+        for g, lead in zip(G.elements, G.leading_monomials())
+        if not any(lead[:k])
     ]
-    return IdealBasis(sub_ring, survivors)
+    return GroebnerBasis(
+        sub_ring, [g for g, _ in survivors], GREVLEX, [m for _, m in survivors]
+    )
 
 
 def quotient_ideal(v, rels):
     """The reduced grevlex basis of the quotient (U : v) = {a | a*v in U},
     U the submodule generated by `rels`: the syzygies of v modulo U, which
-    the engine returns as a grevlex Groebner basis, so they are only
-    minimalized and tail-reduced."""
+    the engine returns as a grevlex Groebner basis with its leads, so they
+    are only minimalized and tail-reduced."""
     ring = v.ring
-    syz = syzygies([v], modulo=rels)
-    return IdealBasis(ring, _reduced(ring, syz, ModOrder(ring.weights)).elements)
+    return _reduced(ring, syzygies([v], modulo=rels), ModOrder(ring.weights))
 
 
-def intersect(I, J):
-    """The reduced grevlex Groebner basis of the intersection of two ideals,
-    in `buchberger`'s order: the quotient of (1, 1) modulo I+0 and 0+J."""
-    if I.ring != J.ring:
-        raise ContextMismatch("ideals in different rings")
-    ring = I.ring
-    if I.is_zero() or J.is_zero():
-        return IdealBasis(ring, [])
+def intersect(ring, I, J):
+    """The reduced grevlex Groebner basis of the intersection of the ideals
+    generated by the polynomials I and J of `ring`: the quotient of (1, 1)
+    modulo I+0 and 0+J."""
+    if not I or not J:
+        return GroebnerBasis(ring, [], GREVLEX, [])
     free = FreeModule(ring, [0, 0])
     zero = ring.zero()
-    rels = [free.from_polys([f, zero]) for f in I.gens]
-    rels += [free.from_polys([zero, g]) for g in J.gens]
+    rels = [free.from_polys([f, zero]) for f in I]
+    rels += [free.from_polys([zero, g]) for g in J]
     return quotient_ideal(free.from_polys([ring.one(), ring.one()]), rels)
 
 
-def colon(I, J):
-    """The quotient ideal (I : J) = {f | f*J inside I}, as the quotient of
+def colon(ring, I, J):
+    """The quotient ideal (I : J) = {f | f*J inside I} of the ideals
+    generated by the polynomials I and J of `ring`: the quotient of
     (g_1..g_m), the generators of J, modulo I^m; component i has twist
-    -deg g_i, so the vector has degree 0."""
-    if I.ring != J.ring:
-        raise ContextMismatch("ideals in different rings")
-    ring = I.ring
-    if J.is_zero():
-        return IdealBasis(ring, [ring.one()])
-    free = FreeModule(ring, [-g.degree() for g in J.gens])
+    -deg g_i, so the vector has degree 0.  For J = 0 the vector is zero and
+    the quotient is the unit ideal."""
+    free = FreeModule(ring, [-g.degree() for g in J])
     zero = ring.zero()
-    rels = [free.from_polys([zero] * i + [f]) for i in range(free.rank) for f in I.gens]
-    return quotient_ideal(free.from_polys(J.gens), rels)
+    rels = [free.from_polys([zero] * i + [f]) for i in range(free.rank) for f in I]
+    return quotient_ideal(free.from_polys(J), rels)
 
 
-def kernel_of_map(source_ring, images, target_basis):
-    """Kernel of k[source] -> k[target]/target_ideal, one image per variable.
+def kernel_of_map(source_ring, images, target):
+    """Kernel of k[source] -> k[target]/target_ideal, one image per
+    variable, the target ideal given by its Groebner basis `target`.
 
     Computed in a joint ring (target variables in the elimination block,
-    source variables retained, the source's degree cap) from
-    target_ideal + <source_i - image_i>.
-    The block order restricts to grevlex on the source variables, so the
-    survivors are already the reduced grevlex basis, in `buchberger`'s order.
+    source variables retained, the source's field and degree cap) from
+    target_ideal + <source_i - image_i>.  Eliminating the block leaves a
+    ring equal to the source ring, and the result is its reduced grevlex
+    basis, in `buchberger`'s order.
     """
-    target_ring = target_basis.ring
+    target_ring = target.ring
     if len(images) != source_ring.nvars:
         raise ValueError("one image per source variable")
     joint = source_ring.with_variables(
@@ -227,12 +229,9 @@ def kernel_of_map(source_ring, images, target_basis):
     def lift(f):
         return Polynomial(joint, {m + tail: c for m, c in f.terms.items()})
 
-    gens = [lift(g) for g in target_basis.gens]
+    gens = [lift(g) for g in target.elements]
     for name, img in zip(source_ring.names, images):
         if img.ring != target_ring:
             raise ContextMismatch("image not in target ring")
         gens.append(joint.var(name) - lift(img))
-    contracted = eliminate(IdealBasis(joint, gens), target_ring.nvars)
-    return IdealBasis(
-        source_ring, [Polynomial(source_ring, dict(g.terms)) for g in contracted.gens]
-    )
+    return eliminate(joint, gens, target_ring.nvars)

@@ -25,19 +25,16 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ResolutionTooLong, ZeroModule
-from .gb import IdealBasis, ideal_member, quotient_ideal
+from .gb import ideal_member, quotient_ideal
 from .modules import (
     FPModule,
     FreeModule,
-    ModOrder,
     ModVec,
-    leading_mod_term,
     minimal_generators,
     module_groebner,
     subquotient,
     syzygies,
 )
-from .poly import GREVLEX, leading_term
 from .ring import IdealHandle, PresentedRing
 from .series import (
     HilbertSeries,
@@ -126,10 +123,8 @@ def hilbert_series(obj):
         return HilbertSeries(num, weights=obj.weights)
     if isinstance(obj, FPModule):
         weights = obj.ring.weights
-        order = ModOrder(weights)
         leads = [[] for _ in obj.twists]
-        for g in module_groebner(obj.relations):
-            comp, mono = leading_mod_term(g, order)[0]
+        for comp, mono in module_groebner(obj.relations).leads:
             leads[comp].append(mono)
         num = lp_zero()
         for twist, lead in zip(obj.twists, leads):
@@ -157,16 +152,10 @@ def _dim_of_leading_monomials(nvars, lead):
 
 
 def krull_dim(obj):
-    """Krull dimension of a quotient ring or of a finitely presented module."""
-    if isinstance(obj, PresentedRing):
-        return _dim_of_leading_monomials(
-            obj.ambient.nvars, obj.defining.leading_monomials()
-        )
-    # The annihilator is a reduced grevlex basis, and the unit ideal of a
-    # zero module has dimension -1.
-    ann = annihilator(obj)
-    lead = [leading_term(g, GREVLEX)[0] for g in ann.gens]
-    return _dim_of_leading_monomials(ann.ring.nvars, lead)
+    """Krull dimension of a quotient ring, or of a finitely presented
+    module as that of the quotient by its annihilator."""
+    G = obj.defining if isinstance(obj, PresentedRing) else annihilator(obj)
+    return _dim_of_leading_monomials(G.ring.nvars, G.leading_monomials())
 
 
 def depth_ab(obj):
@@ -228,12 +217,11 @@ def annihilator(obj):
 
     (0 : M) is the intersection of the (U : e_i), so it is the quotient of
     (e_1, ..., e_s) in F^s modulo U^s.  Block i of F^s is F shifted by
-    -twist_i, so the vector has degree 0.
+    -twist_i, so the vector has degree 0.  For the zero module the vector
+    is zero and the quotient is the unit ideal.
     """
     M = _as_module(obj)
     ring = M.ring
-    if M.is_zero_presentation():
-        return IdealBasis(ring, [ring.one()])
     s = len(M.twists)
     free = FreeModule(ring, [t - u for u in M.twists for t in M.twists])
     v = ModVec(free, {(i * s + i, ring.one_mono()): 1 for i in range(s)})
@@ -312,7 +300,7 @@ def classify(R, assume_equidimensional=False):
     mu_omega = len(omega.twists)
     if mu_omega == 1:
         ann = annihilator(omega)
-        quasi = all(ideal_member(g, R.defining) for g in ann.gens)
+        quasi = all(ideal_member(g, R.defining) for g in ann.elements)
     else:
         quasi = False
 

@@ -64,9 +64,6 @@ class FreeModule:
     def __repr__(self):
         return f"Free({self.ring}, twists={list(self.twists)})"
 
-    def zero(self):
-        return ModVec(self, {})
-
     def basis_vector(self, i):
         return ModVec(self, {(i, self.ring.one_mono()): 1})
 
@@ -103,28 +100,8 @@ class ModVec:
             and self.terms == other.terms
         )
 
-    def __add__(self, other):
-        p = self.ring.p
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = (terms.get(k, 0) + c) % p
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        return ModVec(self.free, terms)
-
-    def __neg__(self):
-        p = self.ring.p
-        return ModVec(self.free, {k: p - c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, c):
-        c = self.ring.field.normalize(c)
-        if c == 0:
-            return self.free.zero()
+        """The vector times a nonzero scalar c."""
         p = self.ring.p
         return ModVec(self.free, {k: (v * c) % p for k, v in self.terms.items()})
 
@@ -201,7 +178,7 @@ def _check_cap(degree, degree_cap):
 
 class _Basis:
     """Monic module vectors, a GB or one being built, with their
-    per-component index.
+    per-component index: what `module_groebner` and `syzygies` return.
 
     `vecs` and `leads` are the elements and their leading (component,
     monomial) terms.  Per component, `divisors` holds the (vector, lead
@@ -226,6 +203,12 @@ class _Basis:
         self.divisors[comp].append((g, mono))
         self.vecs.append(g)
         self.leads.append(lead)
+
+    def __len__(self):
+        return len(self.vecs)
+
+    def __iter__(self):
+        return iter(self.vecs)
 
 
 def _reduce(v, basis, order, degree_cap=None):
@@ -367,33 +350,36 @@ def _extend(basis, new, order):
 
 
 def module_groebner(vecs, order=None):
-    """Groebner basis of the submodule generated by `vecs` under the
-    ModOrder `order` (plain grevlex over positions by default)."""
+    """The `_Basis` of the submodule generated by `vecs` under the
+    ModOrder `order` (plain grevlex over positions by default): its
+    Groebner basis with the leading terms and the per-component index."""
+    basis = _Basis()
     if not vecs:
-        return []
+        return basis
     if order is None:
         order = ModOrder(vecs[0].ring.weights)
     new = [_monic(v, order) for v in vecs if not v.is_zero()]
     new.sort(key=lambda gl: order.key(gl[1]), reverse=True)
-    basis = _Basis()
     _extend(basis, new, order)
-    return basis.vecs
+    return basis
 
 
 def syzygies(vecs, twists=None, modulo=()):
     """Generators of the syzygies of `vecs` modulo the submodule <modulo>:
     the a with sum a_i*vecs[i] in <modulo> (the plain syzygies by default).
 
-    Returns vectors in a free module of rank len(vecs) whose twists are the
-    degrees of the inputs (pass `twists` explicitly when some inputs are
-    zero vectors, whose degree is ambiguous).  Each vecs[i] is lifted with
-    the unit vector e_i as its tail and each relation with a zero tail; the
-    elements of the lifted vectors' Groebner basis with a zero first block
-    are the syzygies, and they form a Groebner basis under the plain
-    grevlex module order.
+    Returns a `_Basis` of vectors in a free module of rank len(vecs) whose
+    twists are the degrees of the inputs (pass `twists` explicitly when
+    some inputs are zero vectors, whose degree is ambiguous).  Each vecs[i]
+    is lifted with the unit vector e_i as its tail and each relation with a
+    zero tail; the elements of the lifted vectors' Groebner basis with a
+    zero first block are the syzygies, and they form a Groebner basis under
+    the plain grevlex module order, with the leads they had there.  The
+    first block dominates, so an element has no term in it exactly when
+    its lead lies past it.
     """
     if not vecs:
-        return []
+        return _Basis()
     free = vecs[0].free
     ring = free.ring
     if twists is None:
@@ -407,14 +393,15 @@ def syzygies(vecs, twists=None, modulo=()):
     lifted += [ModVec(ext, r.terms) for r in modulo]
     gb = module_groebner(lifted, ModOrder(ring.weights, free.rank))
     syz_free = FreeModule(ring, list(twists))
-    out = []
-    for g in gb:
-        if all(i >= free.rank for (i, _) in g.terms):
+    out = _Basis()
+    for g, (comp, mono) in zip(gb.vecs, gb.leads):
+        if comp >= free.rank:
             out.append(
                 ModVec(
                     syz_free,
                     {(i - free.rank, m): c for (i, m), c in g.terms.items()},
-                )
+                ),
+                (comp - free.rank, mono),
             )
     return out
 

@@ -14,7 +14,6 @@ from .errors import (
     NotPrime,
     ParseError,
     ZeroInverse,
-    ZeroPolynomial,
 )
 
 DEFAULT_PRIME = 101
@@ -384,15 +383,6 @@ class Polynomial:
 
     def __repr__(self):
         return format_poly(self)
-
-
-def leading_term(f, order=GREVLEX):
-    """(monomial, coefficient) of the maximal term of f under `order`."""
-    if f.is_zero():
-        raise ZeroPolynomial("zero polynomial has no leading term")
-    ws = f.ring.weights
-    m = max(f.terms, key=lambda mono: order.key(mono, ws))
-    return m, f.terms[m]
 
 
 # ---------------------------------------------------------------------------

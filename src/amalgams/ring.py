@@ -18,12 +18,7 @@ from .errors import (
     NotWellDefined,
     UnitIdeal,
 )
-from .gb import (
-    GroebnerBasis,
-    IdealBasis,
-    buchberger,
-    normal_form,
-)
+from .gb import GroebnerBasis, IdealBasis, buchberger, normal_form
 from .poly import DEFAULT_DEGREE_CAP, GREVLEX, PolyRing, parse_poly
 
 
@@ -65,10 +60,6 @@ class PresentedRing:
         self.reports = {}
 
     @property
-    def p(self):
-        return self.ambient.p
-
-    @property
     def names(self):
         return self.ambient.names
 
@@ -96,7 +87,7 @@ class PresentedRing:
         )
 
     def __repr__(self):
-        if self.defining.is_zero():
+        if not self.defining.elements:
             return repr(self.ambient)
         return f"{self.ambient}/{self.defining!r}"
 
@@ -131,9 +122,6 @@ class IdealHandle:
             gens.append(g)
         self.generators = gens
 
-    def is_zero(self):
-        return not self.generators
-
     def __repr__(self):
         if not self.generators:
             return "<0>"
@@ -141,9 +129,19 @@ class IdealHandle:
 
 
 class RingHom:
-    """Graded homomorphism between presented rings, given by variable images."""
+    """Graded homomorphism between presented rings, given by variable images.
+
+    Checked once, when built: both rings must have one field, each image
+    must be homogeneous of its variable's weight (or zero), and every
+    defining relation of the source must map to zero.
+    """
 
     def __init__(self, source, target, images):
+        if source.ambient.field != target.ambient.field:
+            raise ContextMismatch(
+                f"hom from a ring over {source.ambient.field} "
+                f"to a ring over {target.ambient.field}"
+            )
         self.source = source
         self.target = target
         imgs = []
@@ -156,7 +154,16 @@ class RingHom:
         if len(imgs) != source.ambient.nvars:
             raise ValueError("one image per source variable")
         self.images = imgs
-        self.verified = False
+        for name, w, img in zip(source.names, source.weights, imgs):
+            if img.is_zero():
+                continue
+            if not img.is_homogeneous() or img.degree() != w:
+                raise DegreeMismatch(
+                    f"image of {name} has degree {img.degree()}, expected {w}"
+                )
+        for g in source.defining.elements:
+            if not self.apply(g).is_zero():
+                raise NotWellDefined(f"defining relation {g} does not map to 0")
 
     def apply(self, f):
         """Image of a source polynomial, reduced in the target."""
@@ -179,23 +186,6 @@ class RingHom:
         return f"hom({arrows})"
 
 
-def hom_check(f):
-    """Verify well-definedness and gradedness; returns the hom or raises."""
-    src = f.source
-    for name, w, img in zip(src.names, src.weights, f.images):
-        if img.is_zero():
-            continue
-        if not img.is_homogeneous() or img.degree() != w:
-            raise DegreeMismatch(
-                f"image of {name} has degree {img.degree()}, expected {w}"
-            )
-    for g in src.defining.elements:
-        if not f.apply(g).is_zero():
-            raise NotWellDefined(f"defining relation {g} does not map to 0")
-    f.verified = True
-    return f
-
-
 def identity_hom(ring):
-    return hom_check(RingHom(ring, ring, [ring.ambient.var(n) for n in ring.names]))
+    return RingHom(ring, ring, [ring.ambient.var(n) for n in ring.names])
 

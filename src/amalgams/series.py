@@ -52,10 +52,6 @@ def lp_mul(a, b):
     return out
 
 
-def lp_min_degree(a):
-    return min(a) if a else None
-
-
 def lp_str(a):
     if not a:
         return "0"
@@ -162,13 +158,6 @@ class HilbertSeries:
     def __hash__(self):
         raise TypeError("unhashable")
 
-    def is_zero(self):
-        return not self.num
-
-    def shift(self, a):
-        """Multiply by t^a (grading shift)."""
-        return HilbertSeries({d + a: c for d, c in self.num.items()}, self.den)
-
     def coefficients(self, upto):
         """Series coefficients in degrees min_deg..upto as a dict."""
         if not self.num:
@@ -202,7 +191,7 @@ class HilbertSeries:
         bound = max(diff)
         a = self.coefficients(bound)
         b = other.coefficients(bound)
-        lo = min(lp_min_degree(diff), 0)
+        lo = min(min(diff), 0)
         for d in range(lo, bound + 1):
             if a.get(d, 0) != b.get(d, 0):
                 return d

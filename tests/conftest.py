@@ -15,12 +15,22 @@ import pytest
 from hypothesis import settings
 
 from amalgams.finite import FiniteRing, _normalize_one
-from amalgams.poly import PolyRing, Polynomial
+from amalgams.poly import GREVLEX, PolyRing, Polynomial
+from oracles import check_ring_axioms
 
 # Reproducible property tests with no per-example deadline: example run
 # times vary a lot on a loaded machine.
 settings.register_profile("amalgams", derandomize=True, deadline=None)
 settings.load_profile("amalgams")
+
+
+def leading_term(f, order=GREVLEX):
+    """(monomial, coefficient) of the largest term of the nonzero f under
+    `order`, by `max` over its terms: the package keeps the leads its
+    Groebner engine found and computes none this way."""
+    ws = f.ring.weights
+    m = max(f.terms, key=lambda mono: order.key(mono, ws))
+    return m, f.terms[m]
 
 
 def from_terms(ring, terms):
@@ -161,7 +171,7 @@ def quotient_ring(R, I):
     add = np.array([[coset_of[int(R.add[x, y])] for y in reps] for x in reps])
     mul = np.array([[coset_of[int(R.mul[x, y])] for y in reps] for x in reps])
     (add, mul), _ = _normalize_one(add, mul, coset_of[R.one])
-    return FiniteRing(add, mul)
+    return check_ring_axioms(FiniteRing(add, mul))
 
 
 @pytest.fixture

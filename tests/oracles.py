@@ -38,8 +38,13 @@ Groebner basis (the elements linear in the e-variables), where
 `retraction_ideal_identity` checks K + (z's) = I_A*C + (z's) for a
 presentation C/K, an identity that holds for every amalgam because
 I_A*C lies in K.
+`check_ring_axioms` checks the ring axioms of a finite ring's tables,
+exhaustively up to order EXHAUSTIVE_CHECK_BOUND and on seeded random
+triples above it, where `amalgams.finite` builds only rings whose axioms
+hold by construction and checks none.
 """
 
+import random
 from itertools import product
 from operator import add, mul, sub
 
@@ -54,6 +59,7 @@ from amalgams.modules import (
     FreeModule,
     ModOrder,
     ModVec,
+    _Basis,
     leading_mod_term,
     minimal_generators,
     module_groebner,
@@ -62,6 +68,57 @@ from amalgams.modules import (
 from amalgams.poly import DEFAULT_DEGREE_CAP, GREVLEX
 from amalgams.ring import IdealHandle, PresentedRing
 from amalgams.series import HilbertSeries, lp_add, lp_monomial, lp_neg, lp_zero
+
+EXHAUSTIVE_CHECK_BOUND = 64
+RANDOM_CHECK_SAMPLES = 2000
+
+
+def check_ring_axioms(R):
+    """R, once its tables pass the axioms of a commutative unital ring;
+    raises NotARing naming the first that fails.  Associativity and
+    distributivity are checked on every triple up to order
+    EXHAUSTIVE_CHECK_BOUND and on RANDOM_CHECK_SAMPLES seeded triples
+    above it."""
+    add, mul, n = R.add, R.mul, R.n
+    if np.any(add < 0) or np.any(add >= n) or np.any(mul < 0) or np.any(mul >= n):
+        raise NotARing("table entries out of range")
+    if not np.array_equal(add, add.T):
+        raise NotARing("addition is not commutative")
+    if not np.array_equal(mul, mul.T):
+        raise NotARing("multiplication is not commutative")
+    if not np.array_equal(add[0], np.arange(n)):
+        raise NotARing("0 is not an additive identity")
+    one = 1 if n > 1 else 0
+    if not np.array_equal(mul[one], np.arange(n)):
+        raise NotARing("1 is not a multiplicative identity")
+    # every element needs an additive inverse
+    if not np.array_equal(np.sort(add, axis=1), np.tile(np.arange(n), (n, 1))):
+        raise NotARing("addition rows are not permutations")
+    if n <= EXHAUSTIVE_CHECK_BOUND:
+        i = np.arange(n)
+        a = i[:, None, None]
+        b = i[None, :, None]
+        c = i[None, None, :]
+        if not np.array_equal(add[add[a, b], c], add[a, add[b, c]]):
+            raise NotARing("addition is not associative")
+        if not np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]]):
+            raise NotARing("multiplication is not associative")
+        if not np.array_equal(mul[a, add[b, c]], add[mul[a, b], mul[a, c]]):
+            raise NotARing("distributivity fails")
+    else:
+        add, mul = add.tolist(), mul.tolist()
+        rng = random.Random(0)
+        for _ in range(RANDOM_CHECK_SAMPLES):
+            a = rng.randrange(n)
+            b = rng.randrange(n)
+            c = rng.randrange(n)
+            if add[add[a][b]][c] != add[a][add[b][c]]:
+                raise NotARing("addition is not associative")
+            if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                raise NotARing("multiplication is not associative")
+            if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+                raise NotARing("distributivity fails")
+    return R
 
 
 def standard_monomials_filter(weights, leads, d):
@@ -139,6 +196,19 @@ def term_mul(v, mono, coeff):
         v.free,
         {(i, tuple(map(add, m, mono))): c * coeff % p for (i, m), c in v.terms.items()},
     )
+
+
+def vec_add(v, w):
+    """v + w, term by term."""
+    p = v.ring.p
+    terms = dict(v.terms)
+    for k, c in w.terms.items():
+        s = (terms.get(k, 0) + c) % p
+        if s:
+            terms[k] = s
+        else:
+            terms.pop(k, None)
+    return ModVec(v.free, terms)
 
 
 def monic_scan(v, order):
@@ -224,8 +294,9 @@ def extend_scan(G, leads, new, order, degree_cap):
             for k, (kc, km) in enumerate(leads)
         ):
             continue
-        s = term_mul(G[i], tuple(map(sub, lcm, mi)), 1) - term_mul(
-            G[j], tuple(map(sub, lcm, mj)), 1
+        s = vec_add(
+            term_mul(G[i], tuple(map(sub, lcm, mi)), 1),
+            term_mul(G[j], tuple(map(sub, lcm, mj)), ring.p - 1),
         )
         h = mod_reduce_scan(s, G, leads, order, degree_cap)
         if not h.is_zero():
@@ -234,14 +305,17 @@ def extend_scan(G, leads, new, order, degree_cap):
 
 
 def module_groebner_scan(vecs, order=None, degree_cap=DEFAULT_DEGREE_CAP):
-    """`module_groebner` with every choice made by a scan."""
+    """`module_groebner` with every choice made by a scan, returned as a
+    `_Basis` with the leads the scan found."""
     if not vecs:
-        return []
+        return _Basis()
     if order is None:
         order = ModOrder(vecs[0].ring.weights)
     new = [monic_scan(v, order) for v in vecs if not v.is_zero()]
     new.sort(key=lambda gl: _scan_key(order, gl[1]))
-    return extend_scan([], [], new, order, degree_cap)
+    G, leads = [], []
+    extend_scan(G, leads, new, order, degree_cap)
+    return _Basis(G, leads)
 
 
 def ideal_generated_by(R, gens):
@@ -320,46 +394,49 @@ def syzygies_then_project(vecs, twists, modulo):
 
 
 def _first_coordinates(vecs, twists):
-    """The ideal of first coordinates of the syzygies of `vecs`."""
-    return IdealBasis(
-        vecs[0].ring, [v.component_poly(0) for v in syzygies(vecs, twists=twists)]
-    )
+    """The first coordinates of the syzygies of `vecs`."""
+    return [v.component_poly(0) for v in syzygies(vecs, twists=twists)]
 
 
-def _reduced(ideal):
-    return IdealBasis(ideal.ring, buchberger(ideal, GREVLEX).elements)
+def _reduced(ring, polys):
+    return buchberger(IdealBasis(ring, polys), GREVLEX)
 
 
-def intersect_project(I, J):
-    """I cap J: the first coordinates of the syzygies of (1, 1), the
-    (f, 0) and the (0, g), reduced by a Buchberger run."""
-    ring = I.ring
-    if I.is_zero() or J.is_zero():
-        return IdealBasis(ring, [])
+def intersect_project(ring, I, J):
+    """The ideals of the polynomials I and J intersected: the first
+    coordinates of the syzygies of (1, 1), the (f, 0) and the (0, g),
+    reduced by a Buchberger run."""
+    I = [f for f in I if not f.is_zero()]
+    J = [g for g in J if not g.is_zero()]
+    if not I or not J:
+        return _reduced(ring, [])
     free = FreeModule(ring, [0, 0])
     zero = ring.zero()
     vecs = [free.from_polys([ring.one(), ring.one()])]
-    vecs += [free.from_polys([f, zero]) for f in I.gens]
-    vecs += [free.from_polys([zero, g]) for g in J.gens]
-    twists = [0] + [f.degree() for f in I.gens + J.gens]
-    return _reduced(_first_coordinates(vecs, twists))
+    vecs += [free.from_polys([f, zero]) for f in I]
+    vecs += [free.from_polys([zero, g]) for g in J]
+    twists = [0] + [f.degree() for f in I + J]
+    return _reduced(ring, _first_coordinates(vecs, twists))
 
 
-def colon_loop(I, J):
+def colon_loop(ring, I, J):
     """(I : J) as the intersection of the (I : g) over the generators g of
     J, each the first coordinates of the syzygies of [g] + I."""
-    ring = I.ring
-    if J.is_zero():
-        return IdealBasis(ring, [ring.one()])
+    I = [f for f in I if not f.is_zero()]
+    J = [g for g in J if not g.is_zero()]
+    if not J:
+        return _reduced(ring, [ring.one()])
     free = FreeModule(ring, [0])
     result = None
-    for g in J.gens:
-        polys = [g] + I.gens
+    for g in J:
+        polys = [g] + I
         part = _first_coordinates(
             [free.from_polys([f]) for f in polys], [f.degree() for f in polys]
         )
-        result = part if result is None else intersect_project(result, part)
-    return _reduced(result)
+        if result is not None:
+            part = intersect_project(ring, result, part).elements
+        result = part
+    return _reduced(ring, result)
 
 
 def annihilator_loop(M):
@@ -369,14 +446,16 @@ def annihilator_loop(M):
     M = minimal_presentation_substitute(M)
     ring = M.ring
     if M.is_zero_presentation():
-        return IdealBasis(ring, [ring.one()])
+        return _reduced(ring, [ring.one()])
     result = None
     for i in range(len(M.twists)):
         vecs = [M.free.basis_vector(i)] + list(M.relations)
         twists = [M.twists[i]] + [r.degree() for r in M.relations]
         part = _first_coordinates(vecs, twists)
-        result = part if result is None else intersect_project(result, part)
-    return _reduced(result)
+        if result is not None:
+            part = intersect_project(ring, result, part).elements
+        result = part
+    return _reduced(ring, result)
 
 
 def ext_project(res, j):
@@ -480,5 +559,5 @@ def retraction_ideal_identity(P):
     amb = P.ambient
     zs = [amb.var(n) for n in P.z_names]
     left = buchberger(IdealBasis(amb, list(P.K.elements) + zs))
-    right = buchberger(IdealBasis(amb, list(P.K_A.gens)))
+    right = buchberger(IdealBasis(amb, P.K_A))
     return left.elements == right.elements

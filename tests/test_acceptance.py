@@ -29,7 +29,7 @@ from amalgams.homology import (
 )
 from amalgams.modules import FPModule
 from amalgams.poly import format_poly, parse_poly
-from amalgams.ring import IdealHandle, PresentedRing, RingHom, hom_check, make_ring
+from amalgams.ring import IdealHandle, PresentedRing, RingHom, make_ring
 from amalgams.series import HilbertSeries, lp_monomial
 from conftest import pair_index
 from oracles import ideal_generated_by
@@ -81,7 +81,7 @@ def test_criterion_1_intersection_example():
     """Exact presentation, certificate, and non-CM classification."""
     A = line_ring()
     B = make_ring(P, ["X", "Y"])
-    f = hom_check(RingHom(A, B, ["X"]))
+    f = RingHom(A, B, ["X"])
     spec = AmalgamSpec(A, B, f, IdealHandle(B, ["X", "Y"]))
     pres = certified(spec)
     assert [format_poly(g, signed=True) for g in pres.K.elements] == [

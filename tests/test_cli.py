@@ -382,6 +382,23 @@ def test_trivext_relations_are_read_over_the_ring_field(tmp_path, capsys):
     )
 
 
+def test_hom_between_rings_over_different_primes_exits_2(tmp_path, capsys):
+    # 102 is -1 over GF(103) but 1 over GF(101): no hom carries the
+    # coefficients of one field to the other, so the declaration is refused
+    # instead of presenting the amalgam over the wrong coefficients.
+    f = tmp_path / "mixed.alg"
+    f.write_text(
+        "field p=101\nring A vars x, y\nfield p=103\nring B vars X, Y\n"
+        "hom f A -> B : x -> 102*X, y -> 5*X + 100*Y\n"
+        "ideal J in B : 50*X + Y\namalgam W : f, J\n"
+    )
+    assert main([str(f), "present", "W"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "parse error: line 5: hom from a ring over GF(101) to a ring over GF(103)\n",
+    )
+
+
 @pytest.mark.parametrize(
     "module",
     [

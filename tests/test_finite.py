@@ -23,7 +23,12 @@ from amalgams.finite import (
     zmod,
 )
 from conftest import pair_index, quotient_ring
-from oracles import all_ideals_closure, amalgam_tables_loop, ideal_generated_by
+from oracles import (
+    all_ideals_closure,
+    amalgam_tables_loop,
+    check_ring_axioms,
+    ideal_generated_by,
+)
 
 
 def test_zmod_axioms():
@@ -40,7 +45,7 @@ def test_bad_tables_rejected():
     mul[3, 2] = mul[2, 3]
     mul[2, 2] = mul[2, 2]
     with pytest.raises(NotARing):
-        FiniteRing(R.add, mul)
+        check_ring_axioms(FiniteRing(R.add, mul))
 
 
 def test_non_commutative_rejected():
@@ -48,7 +53,7 @@ def test_non_commutative_rejected():
     mul = R.mul.copy()
     mul[1, 2] = 0
     with pytest.raises(NotARing):
-        FiniteRing(R.add, mul)
+        check_ring_axioms(FiniteRing(R.add, mul))
 
 
 def test_product_and_quotient():
@@ -297,15 +302,15 @@ def test_amalgam_rings_satisfy_the_unchecked_axioms():
     # FiniteAmalgam builds its ring without the axiom check: the axioms
     # follow from those of A x B and from the closure check.
     for W in fixture_amalgams() + [reduction_amalgam(*s) for s in BENCH_SHAPES]:
-        W.ring._check_axioms()
+        check_ring_axioms(W.ring)
 
 
 def test_formula_rings_satisfy_the_unchecked_axioms():
-    # zmod and ProductRing build their tables by formula and skip the
-    # axiom check.  Z/n up to 70 runs both the exhaustive branch and the
+    # zmod and ProductRing build their tables by formula and check no
+    # axiom.  Z/n up to 70 runs both the exhaustive branch and the
     # sampled one (above EXHAUSTIVE_CHECK_BOUND = 64).
     for n in range(1, 71):
-        zmod(n)._check_axioms()
+        check_ring_axioms(zmod(n))
     text = resources.files("amalgams").joinpath("fixtures", "finite.alg").read_text()
     rings = [R for kind, R in parse_input(text).decls.values() if kind == "fring"]
     assert any(isinstance(R, ProductRing) for R in rings)
@@ -313,4 +318,4 @@ def test_formula_rings_satisfy_the_unchecked_axioms():
         ProductRing(zmod(n), zmod(m)) for n, m, _ in BENCH_SHAPES if n * m <= 1200
     ]
     for R in rings:
-        R._check_axioms()
+        check_ring_axioms(R)

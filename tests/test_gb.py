@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from amalgams import gb as gb_module
 from amalgams.errors import DegreeCapExceeded
 from amalgams.gb import (
+    GroebnerBasis,
     IdealBasis,
     buchberger,
     colon,
@@ -14,14 +15,15 @@ from amalgams.gb import (
     intersect,
     kernel_of_map,
     normal_form,
+    quotient_ideal,
 )
-from amalgams.modules import FreeModule, syzygies
+from amalgams.homology import _ext_from_resolution, annihilator, free_resolution
+from amalgams.modules import FPModule, FreeModule, syzygies
 from amalgams.poly import (
     DEFAULT_DEGREE_CAP,
     GREVLEX,
     BlockOrder,
     PolyRing,
-    leading_term,
     parse_poly,
 )
 from conftest import (
@@ -29,10 +31,12 @@ from conftest import (
     ideal_degree_dim,
     ideal_degree_rows,
     in_span,
+    leading_term,
     oracle_member,
     random_homogeneous,
     random_poly,
 )
+from samples import binomial_or_monomial_rings
 
 
 def gb(ring, gens):
@@ -131,18 +135,17 @@ def test_eliminate(kxyz):
     # projection of the twisted cubic-style curve x = t^2 (weights make
     # the parametrization graded): t front, eliminate it
     ring = PolyRing(101, ["t", "x", "y"], [1, 2, 3])
-    I = IdealBasis(ring, [parse_poly(ring, "x - t^2"), parse_poly(ring, "y - t^3")])
-    E = eliminate(I, 1)
+    E = eliminate(ring, [parse_poly(ring, "x - t^2"), parse_poly(ring, "y - t^3")], 1)
     assert E.ring.names == ("x", "y")
-    assert [str(g) for g in E.gens] == ["x^3 + 100*y^2"]
+    assert [str(g) for g in E.elements] == ["x^3 + 100*y^2"]
 
 
 def test_eliminate_oracle(kxyz, rng):
     gens = [parse_poly(kxyz, "x^2 - y*z"), parse_poly(kxyz, "x*y^2 - z^3")]
-    E = eliminate(IdealBasis(kxyz, gens), 1)
+    E = eliminate(kxyz, gens, 1)
     sub = E.ring
     # each eliminated generator must be in the original ideal
-    for g in E.gens:
+    for g in E.elements:
         lift = from_terms(kxyz, [((0,) + m, c) for m, c in g.terms.items()])
         assert oracle_member(kxyz, gens, lift)
     # dimension count: dim(I_d cap k[y,z]_d) = dim I_d + dim V - dim(I_d + V)
@@ -160,14 +163,14 @@ def test_eliminate_oracle(kxyz, rng):
         dim_I = rank(rows, 101)
         dim_sum = rank(rows + unit_rows, 101)
         expected = dim_I + len(xfree) - dim_sum
-        assert ideal_degree_dim(sub, E.gens, d) == expected
+        assert ideal_degree_dim(sub, E.elements, d) == expected
 
 
 def test_intersect_known(kxyz):
-    I = IdealBasis(kxyz, [parse_poly(kxyz, "y"), parse_poly(kxyz, "z")])
-    J = IdealBasis(kxyz, [parse_poly(kxyz, "x - y")])
-    K = intersect(I, J)
-    assert [str(g) for g in buchberger(K).elements] == [
+    I = [parse_poly(kxyz, "y"), parse_poly(kxyz, "z")]
+    J = [parse_poly(kxyz, "x - y")]
+    K = intersect(kxyz, I, J)
+    assert [str(g) for g in K.elements] == [
         "x*y + 100*y^2",
         "x*z + 100*y*z",
     ]
@@ -181,32 +184,30 @@ def test_intersect_oracle(kxy, rng):
         gj = [g for g in gj if not g.is_zero()]
         if not gi or not gj:
             continue
-        K = intersect(IdealBasis(kxy, gi), IdealBasis(kxy, gj))
+        K = intersect(kxy, gi, gj)
         for d in range(6):
             di = ideal_degree_dim(kxy, gi, d)
             dj = ideal_degree_dim(kxy, gj, d)
             dsum = ideal_degree_dim(kxy, gi + gj, d)
-            assert ideal_degree_dim(kxy, K.gens, d) == di + dj - dsum
+            assert ideal_degree_dim(kxy, K.elements, d) == di + dj - dsum
 
 
 def test_colon_known(kxy):
-    I = IdealBasis(kxy, [parse_poly(kxy, "x^2*y")])
-    J = IdealBasis(kxy, [parse_poly(kxy, "x*y")])
-    Q = colon(I, J)
-    assert [str(g) for g in buchberger(Q).elements] == ["x"]
+    Q = colon(kxy, [parse_poly(kxy, "x^2*y")], [parse_poly(kxy, "x*y")])
+    assert [str(g) for g in Q.elements] == ["x"]
 
 
 def test_colon_oracle(kxy, rng):
     gens = [parse_poly(kxy, "x^2"), parse_poly(kxy, "x*y^2")]
     J = [parse_poly(kxy, "x")]
-    Q = colon(IdealBasis(kxy, gens), IdealBasis(kxy, J))
+    Q = colon(kxy, gens, J)
     # soundness: every degree-d element of (I : x) multiplies x into I
     from conftest import rref
 
     xs = J[0]
     for d in range(1, 7):
         rows, big_basis = ideal_degree_rows(kxy, gens, d + 1)
-        rowsQ, idxQ = ideal_degree_rows(kxy, Q.gens, d)
+        rowsQ, idxQ = ideal_degree_rows(kxy, Q.elements, d)
         for row in rref(rowsQ, 101):
             f = from_terms(kxy, ((m, row[i]) for m, i in idxQ.items() if row[i]))
             if f.is_zero():
@@ -218,7 +219,7 @@ def test_colon_maximality_oracle(kxy):
     """Nothing outside the computed colon multiplies J into I (degree <= 5)."""
     gens = [parse_poly(kxy, "x^2"), parse_poly(kxy, "x*y^2")]
     jpoly = parse_poly(kxy, "x")
-    Q = colon(IdealBasis(kxy, gens), IdealBasis(kxy, [jpoly]))
+    Q = colon(kxy, gens, [jpoly])
     from conftest import poly_vector, rank, rref
 
     for d in range(1, 6):
@@ -233,17 +234,16 @@ def test_colon_maximality_oracle(kxy):
         # rank of the induced map = rank([spanI; mat]) - rank(spanI)
         induced = rank([list(r) for r in spanI] + mat, 101) - len(spanI)
         kernel_dim = len(monos) - induced
-        assert ideal_degree_dim(kxy, Q.gens, d) == kernel_dim
+        assert ideal_degree_dim(kxy, Q.elements, d) == kernel_dim
 
 
 def test_kernel_of_map():
     # parametrization of the cuspidal cubic: x -> t^2, y -> t^3
     src = PolyRing(101, ["x", "y"], [2, 3])
     tgt = PolyRing(101, ["t"])
-    ker = kernel_of_map(
-        src, [parse_poly(tgt, "t^2"), parse_poly(tgt, "t^3")], IdealBasis(tgt, [])
-    )
-    assert [str(g) for g in buchberger(ker).elements] == ["x^3 + 100*y^2"]
+    images = [parse_poly(tgt, "t^2"), parse_poly(tgt, "t^3")]
+    ker = kernel_of_map(src, images, gb(tgt, []))
+    assert [str(g) for g in ker.elements] == ["x^3 + 100*y^2"]
 
 
 def test_kernel_of_map_is_one_elimination(kxy, monkeypatch):
@@ -264,23 +264,20 @@ def test_kernel_of_map_is_one_elimination(kxy, monkeypatch):
         (["x + 2*y", "x^2 - y^2", "x*y"], ["x^2*y"]),
     ]
     for images, rels in cases:
+        target = real(IdealBasis(kxy, [parse_poly(kxy, g) for g in rels]))
         calls.clear()
-        ker = kernel_of_map(
-            src,
-            [parse_poly(kxy, g) for g in images],
-            IdealBasis(kxy, [parse_poly(kxy, g) for g in rels]),
-        )
+        ker = kernel_of_map(src, [parse_poly(kxy, g) for g in images], target)
         assert len(calls) == 1
-        assert ker.gens
-        reduced = real(ker, GREVLEX)
-        assert [g.terms for g in ker.gens] == [g.terms for g in reduced.elements]
+        assert ker.elements
+        reduced = real(IdealBasis(src, ker.elements), GREVLEX)
+        assert [g.terms for g in ker.elements] == [g.terms for g in reduced.elements]
 
 
 def test_kernel_elements_map_to_zero(kxy, rng):
     src = PolyRing(101, ["u", "v"], [1, 2])
     images = [parse_poly(kxy, "x + y"), parse_poly(kxy, "x*y")]
-    ker = kernel_of_map(src, images, IdealBasis(kxy, []))
-    for g in ker.gens:
+    ker = kernel_of_map(src, images, gb(kxy, []))
+    for g in ker.elements:
         out = kxy.zero()
         for m, c in g.terms.items():
             term = kxy.const(c)
@@ -315,7 +312,7 @@ def test_degree_cap():
         )
 
     def ideal(ring, *gens):
-        return IdealBasis(ring, [parse_poly(ring, g) for g in gens])
+        return [parse_poly(ring, g) for g in gens]
 
     def kxyz(cap):
         return PolyRing(101, ["x", "y", "z"], degree_cap=cap)
@@ -323,11 +320,13 @@ def test_degree_cap():
     # Every operation under a cap raises or returns the uncapped result.
     def intersect_run(cap):
         R = kxyz(cap)
-        return intersect(ideal(R, "x*y", "z^2"), ideal(R, "x^2 - y*z", "y^3")).gens
+        I, J = ideal(R, "x*y", "z^2"), ideal(R, "x^2 - y*z", "y^3")
+        return intersect(R, I, J).elements
 
     def colon_run(cap):
         R = kxyz(cap)
-        return colon(ideal(R, "x^2*y", "y^3 - x*z^2"), ideal(R, "x*y", "z")).gens
+        I, J = ideal(R, "x^2*y", "y^3 - x*z^2"), ideal(R, "x*y", "z")
+        return colon(R, I, J).elements
 
     def syzygies_run(cap):
         free = FreeModule(kxyz(cap), [0])
@@ -340,7 +339,7 @@ def test_degree_cap():
         src = PolyRing(101, ["a", "b", "c", "d"], [3, 3, 3, 3], cap)
         tgt = PolyRing(101, ["s", "t"], degree_cap=cap)
         cubic = [parse_poly(tgt, m) for m in ("s^3", "s^2*t", "s*t^2", "t^3")]
-        return kernel_of_map(src, cubic, IdealBasis(tgt, [])).gens
+        return kernel_of_map(src, cubic, gb(tgt, [])).elements
 
     _capped_runs(intersect_run, range(1, 7))
     _capped_runs(colon_run, range(1, 7))
@@ -351,7 +350,7 @@ def test_degree_cap():
 def test_zero_ideal():
     ring = PolyRing(101, ["x"])
     G = buchberger(IdealBasis(ring, []))
-    assert G.is_zero()
+    assert not G.elements
     f = parse_poly(ring, "x^2 + 1")
     assert normal_form(f, G) == f
 
@@ -439,13 +438,13 @@ def test_buchberger_and_eliminate_match_sympy(sample):
     # The x-free elements of a lex basis generate I cap k[y, z].
     lex = _sympy_basis(sympy, ring, gens, ["x", "y", "z"], "lex")
     free_of_x = [g for g in lex if all(m[0] == 0 for m in g.terms)]
-    E = eliminate(IdealBasis(ring, gens), 1)
+    E = eliminate(ring, gens, 1)
     expected = []
     if free_of_x:
         expected = _by_leading_term(
             _sympy_basis(sympy, ring, free_of_x, ["y", "z"], "grevlex")
         )
-    assert [g.terms for g in E.gens] == [
+    assert [g.terms for g in E.elements] == [
         {m[1:]: c for m, c in g.terms.items()} for g in expected
     ]
 
@@ -476,8 +475,8 @@ def test_intersect_and_colon_match_sympy(p, data):
     names = list(ring.names)
     meet = _sympy_intersection(sympy, ring, F, G)
     expected = _by_leading_term(_sympy_basis(sympy, ring, meet, names, "grevlex"))
-    got = intersect(IdealBasis(ring, F), IdealBasis(ring, G))
-    assert [g.terms for g in got.gens] == [g.terms for g in expected]
+    got = intersect(ring, F, G)
+    assert [g.terms for g in got.elements] == [g.terms for g in expected]
     # (F : g) = ((F) cap (g)) / g
     g = G[0]
     syms = sympy.symbols(names)
@@ -488,5 +487,44 @@ def test_intersect_and_colon_match_sympy(p, data):
         assert r.is_zero
         quotients.append(q.as_expr())
     expected = _by_leading_term(_sympy_basis(sympy, ring, quotients, names, "grevlex"))
-    got = colon(IdealBasis(ring, F), IdealBasis(ring, [g]))
-    assert [f.terms for f in got.gens] == [f.terms for f in expected]
+    got = colon(ring, F, [g])
+    assert [f.terms for f in got.elements] == [f.terms for f in expected]
+
+
+def assert_own_reduced_basis(G):
+    """G is a `GroebnerBasis` equal, element for element, to `buchberger`
+    of its own elements under its order, and its stored leads are the
+    leading monomials of its elements."""
+    assert isinstance(G, GroebnerBasis)
+    again = buchberger(IdealBasis(G.ring, G.elements), G.order)
+    assert [g.terms for g in G.elements] == [g.terms for g in again.elements]
+    assert G.leading_monomials() == [leading_term(g, G.order)[0] for g in G.elements]
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+@settings(max_examples=15)
+@given(data=st.data())
+def test_every_ideal_result_is_a_groebner_basis_with_its_leads(p, data):
+    R = data.draw(binomial_or_monomial_rings(p))
+    S = R.ambient
+    I = R.defining.elements
+    J = data.draw(binomial_or_monomial_rings(p)).defining.elements
+    x, y, z = (S.var(n) for n in S.names)
+    src = PolyRing(p, ["u", "v", "w"], [1, 1, 2])
+    # (I : x) cap (J : y), as the quotient of (x, y) in S(-1)^2
+    free = FreeModule(S, [-1, -1])
+    rels = [free.from_polys([f, S.zero()]) for f in I]
+    rels += [free.from_polys([S.zero(), g]) for g in J]
+    res = free_resolution(R)
+    fp_modules = [FPModule.quotient_ring(R)]
+    fp_modules += [_ext_from_resolution(res, j) for j in range(res.length + 1)]
+    results = [
+        intersect(S, I, J),
+        colon(S, I, J),
+        colon(S, J, I),
+        eliminate(S, I + J, 1),
+        kernel_of_map(src, [x + y, z, x * y], R.defining),
+        quotient_ideal(free.from_polys([x, y]), rels),
+    ] + [annihilator(M) for M in fp_modules]
+    for G in results:
+        assert_own_reduced_basis(G)

@@ -43,6 +43,7 @@ from oracles import (
     module_groebner_scan,
     monic_scan,
     term_mul,
+    vec_add,
 )
 from samples import binomial_or_monomial_rings, k3_duplications, serre_rings
 
@@ -156,15 +157,16 @@ def assert_engine_matches_scan(R):
         if not vecs:
             return
         for order in engine_orders(vecs):
-            assert module_groebner(vecs, order()) == module_groebner_scan(
-                vecs, order()
-            )
+            heap = module_groebner(vecs, order())
+            scan = module_groebner_scan(vecs, order())
+            assert (heap.vecs, heap.leads) == (scan.vecs, scan.leads)
         kept = minimal_generators(vecs)
         syz = syzygies(kept)
         with scan_engine():
             assert minimal_generators(vecs) == kept
-            assert syzygies(kept) == syz
-        vecs = syz
+            again = syzygies(kept)
+            assert (again.vecs, again.leads) == (syz.vecs, syz.leads)
+        vecs = syz.vecs
     raise AssertionError("resolution longer than the syzygy bound")
 
 
@@ -240,6 +242,21 @@ def test_engine_and_scan_agree_under_degree_caps(p):
         assert stopped == {True, False}
 
 
+@pytest.mark.parametrize("p", [101, 32003])
+@settings(max_examples=20)
+@given(data=st.data())
+def test_engine_results_carry_their_leading_terms(p, data):
+    # module_groebner under each engine order, and syzygies (plain and
+    # modulo relations) under plain grevlex, the order they are a basis for.
+    vecs = FPModule.quotient_ring(data.draw(binomial_or_monomial_rings(p))).relations
+    for order in engine_orders(vecs):
+        G = module_groebner(vecs, order())
+        assert G.leads == [leading_mod_term(g, order())[0] for g in G]
+    plain = ModOrder(vecs[0].ring.weights)
+    for syz in (syzygies(vecs), syzygies(vecs[:1], modulo=vecs[1:])):
+        assert syz.leads == [leading_mod_term(g, plain)[0] for g in syz]
+
+
 @st.composite
 def reduction_case(draw, vecs):
     """(basis, leads, order, vectors) for nonzero vectors of one free
@@ -249,7 +266,7 @@ def reduction_case(draw, vecs):
     component and up to two monomial multiples of basis elements."""
     order = draw(st.sampled_from(engine_orders(vecs)))()
     monic = [_monic(v, order)[0] for v in vecs]
-    G = draw(st.permutations(module_groebner(vecs, order) + monic))
+    G = draw(st.permutations(module_groebner(vecs, order).vecs + monic))
     leads = [leading_mod_term(g, order)[0] for g in G]
     free = G[0].free
     twists = free.twists
@@ -261,15 +278,15 @@ def reduction_case(draw, vecs):
     targets = []
     for _ in range(draw(st.integers(1, 4))):
         d = draw(st.integers(min(twists), max(twists) + 3))
-        v = free.zero()
+        v = ModVec(free, {})
         for i, t in enumerate(twists):
             if d >= t:
                 for e in draw(st.lists(st.sampled_from(monomials(d - t)), max_size=3)):
-                    v = v + ModVec(free, {(i, e): draw(coeff)})
+                    v = vec_add(v, ModVec(free, {(i, e): draw(coeff)}))
         for g in draw(st.lists(st.sampled_from(G), max_size=2)):
             if d >= g.degree():
                 e = draw(st.sampled_from(monomials(d - g.degree())))
-                v = v + term_mul(g, e, draw(coeff))
+                v = vec_add(v, term_mul(g, e, draw(coeff)))
         targets.append(v)
     return G, leads, order, targets
 
@@ -280,8 +297,9 @@ def s_vector(f, g, order):
     mf = leading_mod_term(f, order)[0][1]
     mg = leading_mod_term(g, order)[0][1]
     lcm = tuple(map(max, mf, mg))
-    return term_mul(f, tuple(map(sub, lcm, mf)), 1) - term_mul(
-        g, tuple(map(sub, lcm, mg)), 1
+    return vec_add(
+        term_mul(f, tuple(map(sub, lcm, mf)), 1),
+        term_mul(g, tuple(map(sub, lcm, mg)), f.ring.p - 1),
     )
 
 
@@ -319,7 +337,7 @@ def assert_reducer_matches_scan(G, leads, order, targets):
 def test_reducer_with_index_matches_scan_under_degree_caps(p, data):
     # On the relations of a random ring and on their syzygies.
     rels = FPModule.quotient_ring(data.draw(binomial_or_monomial_rings(p))).relations
-    for vecs in (rels, syzygies(rels)):
+    for vecs in (rels, syzygies(rels).vecs):
         if vecs:
             assert_reducer_matches_scan(*data.draw(reduction_case(vecs)))
 

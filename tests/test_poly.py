@@ -8,7 +8,6 @@ from amalgams.errors import (
     NotPrime,
     ParseError,
     ZeroInverse,
-    ZeroPolynomial,
 )
 from amalgams.poly import (
     GREVLEX,
@@ -16,10 +15,9 @@ from amalgams.poly import (
     PolyRing,
     PrimeField,
     format_poly,
-    leading_term,
     parse_poly,
 )
-from conftest import random_poly
+from conftest import leading_term, random_poly
 
 
 class LexOrder:
@@ -145,12 +143,6 @@ def test_weighted_degree():
     assert f.is_homogeneous()
     g = parse_poly(ring, "x + y")
     assert not g.is_homogeneous()
-
-
-def test_leading_monomial_of_zero():
-    ring = PolyRing(101, ["x"])
-    with pytest.raises(ZeroPolynomial):
-        leading_term(ring.zero())
 
 
 def test_parse_format_round_trip():

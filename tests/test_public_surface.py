@@ -1,18 +1,27 @@
 """The package has no dead API: every function or method, and every
 module-level class or assigned constant, defined in `src/amalgams` is
-named somewhere else in `src`, or documented in README.
+named somewhere else in `src`, or documented in README; and every
+function or method is entered when the commands run.
 
 A name counts as used when it appears (as a bare name, an attribute or an
 import) anywhere in the package outside the body of its own definition,
 so a function that only calls itself is still unused.  Dunder names are
 read by Python itself and are exempt, and so are the identifiers the
 README quotes in backticks: they are the documented library surface.
+That check matches by name, so a dead method sharing its name with a live
+one goes unseen; the second check runs every fixture command of
+`golden.py` at both primes and `verify-paper` once under `sys.setprofile`
+and fails on a function or method that is never entered, dunders again
+exempt, save the few `UNREACHED_BY_COMMANDS` names with their reasons.
 """
 
 import ast
 import re
+import sys
 from collections import Counter
 from pathlib import Path
+
+from golden import fixture_commands, run, run_argv
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "amalgams"
@@ -114,3 +123,52 @@ def test_only_ring_builders_take_a_degree_cap():
             if params & {"degree_cap", "cap"}:
                 taking.add(name)
     assert taking <= CAP_PARAMETERS
+
+
+# Definitions no fixture command and no `verify-paper` run enters, each
+# with the reason it stays.
+UNREACHED_BY_COMMANDS = {
+    # Adds a note only to the report of an uncertified presentation or of
+    # a failed Hilbert cross-check, and no fixture has either.
+    "cli.Report.note",
+    # README's library example builds its rings with it.
+    "ring.make_ring",
+}
+
+
+def entered_code():
+    """(resolved file, first line) of every code object entered while each
+    fixture command runs at both primes and `verify-paper` runs once."""
+    commands = fixture_commands()
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            entered.add((code.co_filename, code.co_firstlineno))
+
+    sys.setprofile(profile)
+    try:
+        for fixture, words, prime in commands:
+            run(fixture, words, prime)
+        run_argv(["verify-paper"])
+    finally:
+        sys.setprofile(None)
+    return {(Path(name).resolve(), line) for name, line in entered}
+
+
+def test_every_function_is_entered_by_a_command():
+    entered = entered_code()
+    never = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, fn in _functions(tree, f"{path.stem}."):
+            if fn.name.startswith("__") and fn.name.endswith("__"):
+                continue
+            # A decorated function's code starts at its first decorator.
+            first = min([fn.lineno] + [d.lineno for d in fn.decorator_list])
+            if (path, first) not in entered:
+                never.append(name)
+    assert set(never) <= UNREACHED_BY_COMMANDS, sorted(
+        set(never) - UNREACHED_BY_COMMANDS
+    )

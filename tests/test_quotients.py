@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amalgams import gb, homology, modules
-from amalgams.gb import IdealBasis, colon, intersect
+from amalgams.gb import colon, intersect
 from amalgams.homology import (
     _ext_from_resolution,
     annihilator,
@@ -20,12 +20,8 @@ from oracles import annihilator_loop, colon_loop, ext_project, intersect_project
 from samples import binomial_or_monomial_rings, serre_rings
 
 
-def terms(ideal):
-    return [g.terms for g in ideal.gens]
-
-
-def defining(R):
-    return IdealBasis(R.ambient, list(R.defining.elements))
+def terms(G):
+    return [g.terms for g in G.elements]
 
 
 def ext_modules(R):
@@ -37,11 +33,13 @@ def ext_modules(R):
 @settings(max_examples=25)
 @given(data=st.data())
 def test_intersect_and_colon_match_the_projection_routes(p, data):
-    I = defining(data.draw(binomial_or_monomial_rings(p)))
-    J = defining(data.draw(binomial_or_monomial_rings(p)))
-    assert terms(intersect(I, J)) == terms(intersect_project(I, J))
-    assert terms(colon(I, J)) == terms(colon_loop(I, J))
-    assert terms(colon(J, I)) == terms(colon_loop(J, I))
+    R = data.draw(binomial_or_monomial_rings(p))
+    S = R.ambient
+    I = R.defining.elements
+    J = data.draw(binomial_or_monomial_rings(p)).defining.elements
+    assert terms(intersect(S, I, J)) == terms(intersect_project(S, I, J))
+    assert terms(colon(S, I, J)) == terms(colon_loop(S, I, J))
+    assert terms(colon(S, J, I)) == terms(colon_loop(S, J, I))
 
 
 @pytest.mark.parametrize("p", [101, 32003])
@@ -84,10 +82,10 @@ def test_one_minimal_generators_per_resolution_step(monkeypatch):
 
 def test_one_syzygies_per_colon_and_annihilator(monkeypatch):
     S = PolyRing(101, ["x", "y", "z"])
-    I = IdealBasis(S, [parse_poly(S, g) for g in ("x^2*y", "x*z^2", "y^3")])
-    J = IdealBasis(S, [parse_poly(S, g) for g in ("x", "y", "z^2")])
+    I = [parse_poly(S, g) for g in ("x^2*y", "x*z^2", "y^3")]
+    J = [parse_poly(S, g) for g in ("x", "y", "z^2")]
     calls = counting(monkeypatch, gb, "syzygies")
-    colon(I, J)
+    colon(S, I, J)
     assert len(calls) == 1
     R = serre_rings()[0]
     modules_with_many_generators = [M for M in ext_modules(R)[1] if len(M.twists) > 1]
