@@ -82,21 +82,17 @@ def _fresh_names(base, count, taken):
 
 
 class AmalgamPresentation:
-    """The presented ring C/K, its Hilbert series and certificate, plus the
-    bookkeeping maps: `K_A` lists the generators of K_A, and `K_B` is the
-    Groebner basis `kernel_of_map` returned.  `J_series` is HS(J), which
+    """The presented ring C/K, its Hilbert series and certificate, the
+    names of C's z-variables, and B/(I_B + J).  `J_series` is HS(J), which
     `verify_presentation` computes for the certificate."""
 
-    def __init__(self, spec, ring, series, K_A, K_B, z_names, images, B_mod_J):
+    def __init__(self, spec, ring, series, z_names, B_mod_J):
         self.spec = spec
         self.ring = ring  # PresentedRing C/K
         self.series = series  # HS(C/K)
         self.B_mod_J = B_mod_J  # PresentedRing B/(I_B + J)
         self.K = ring.defining
-        self.K_A = K_A
-        self.K_B = K_B
         self.z_names = z_names
-        self.images = images  # images of C's variables in B (x -> f(x), z -> j)
         self.certificate = None  # set by verify_presentation
         self.J_series = None  # set by verify_presentation
 
@@ -141,8 +137,7 @@ def amalgam_present(spec):
 
     presented = PresentedRing(C, intersect(C, K_A, K_B.elements))
     P = AmalgamPresentation(
-        spec, presented, hilbert_series(presented),
-        K_A, K_B, z_names, images, B_mod_J,
+        spec, presented, hilbert_series(presented), z_names, B_mod_J
     )
     verify_presentation(P)
     spec.presentation = P

@@ -247,7 +247,7 @@ def _decl_duplication(session, rest, n):
     session.declare(name, "amalgam", duplication(A, I), n)
 
 
-def _parse_module_block(session, A, body, n):
+def _parse_module_block(A, body, n):
     body = body.strip()
     if body == "canonical":
         return canonical_module(A)
@@ -294,7 +294,7 @@ def _decl_trivext(session, rest, n):
     if not sep or not name or not comma or not mod_part.startswith("module"):
         raise ParseError(n, "expected trivext <name> : <Ring>, module ...")
     A = session.get(ring_name.strip(), "ring", n)
-    M = _parse_module_block(session, A, mod_part[len("module"):], n)
+    M = _parse_module_block(A, mod_part[len("module"):], n)
     session.declare(name, "amalgam", trivial_extension(A, M), n)
 
 
@@ -404,7 +404,7 @@ def cmd_present(session, name, options):
     return report
 
 
-def _ring_or_presented(session, name, options, report):
+def _ring_or_presented(session, name, report):
     """The ring `name`, or the presented ring C/K of the amalgam `name`."""
     kind, obj = session.decls.get(name, (None, None))
     if kind == "ring":
@@ -420,15 +420,15 @@ def _ring_or_presented(session, name, options, report):
 
 def cmd_classify(session, name, options):
     report = Report()
-    ring = _ring_or_presented(session, name, options, report)
-    rep = classify(ring, assume_equidimensional=(name in options.assume_equidim))
-    report.lines.extend(rep.lines())
+    ring = _ring_or_presented(session, name, report)
+    rep = classify(ring)
+    report.lines.extend(rep.lines(equidimensional=name in options.assume_equidim))
     return report
 
 
 def cmd_canonical(session, name, options):
     report = Report()
-    ring = _ring_or_presented(session, name, options, report)
+    ring = _ring_or_presented(session, name, report)
     w = canonical_module(ring)
     report.add("mu", len(w.twists))
     report.add("twists", ";".join(str(t) for t in w.twists) or "-")

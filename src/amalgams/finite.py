@@ -76,7 +76,6 @@ class ProductRing(FiniteRing):
         mul = A.mul[a[:, None], a[None, :]] * nB + B.mul[b[:, None], b[None, :]]
         one_raw = A.one * nB + B.one
         (add, mul), _ = _normalize_one(add, mul, one_raw)
-        self.factors = (A, B)
         super().__init__(add, mul, name=name or f"{A} x {B}")
 
 

@@ -30,7 +30,7 @@ from .homology import (
     hilbert_series,
     krull_dim,
 )
-from .modules import FPModule
+from .modules import FreeModule, subquotient
 from .poly import DEFAULT_DEGREE_CAP, DEFAULT_PRIME, format_poly
 from .ring import PresentedRing
 
@@ -62,16 +62,21 @@ class _Fixtures:
             specs = [s.get(name, "amalgam")
                      for name in ["DupX", "DupX2", "DupMax", "TrivA", "TrivK"]]
             specs.append(self.load("gorenstein.alg").get("G", "amalgam"))
-            family = []
-            for spec in specs:
-                Jmod = spec.J_module  # the module M of a trivial extension
-                if Jmod is None:  # a duplication: J is an ideal of A
-                    Jmod = FPModule.from_ideal(
-                        spec.A.ambient, [spec.A.reduce(g) for g in spec.J.generators]
-                    )
-                family.append((spec, Jmod))
-            self._family = family
+            self._family = [(spec, _j_module(spec)) for spec in specs]
         return self._family
+
+
+def _j_module(spec):
+    """J as a module over A's ambient ring S, for B = A or B = A ⋉ M: the
+    module M of a trivial extension, or for a duplication along I the
+    ideal (I + I_A)/I_A of S/I_A."""
+    if spec.J_module is not None:
+        return spec.J_module
+    S = spec.A.ambient
+    F = FreeModule(S, [0])
+    gens = [F.from_polys([g]) for g in spec.J.generators]
+    rels = [F.from_polys([g]) for g in spec.A.defining.elements]
+    return subquotient(S, gens, rels)
 
 
 def socle_dimension(R):
@@ -213,12 +218,12 @@ def _item_dimension_dichotomy(fx):
 def _item_serre_conditions(fx):
     s = fx.load("serre.alg")
     two_planes = s.get("TwoPlanes", "ring")
-    rep = classify(two_planes, assume_equidimensional=True)
+    rep = classify(two_planes)
     if rep.serre_level != 1:
         return False
     for name in ["Hyper", "A0", "Poly"]:
         ring = s.get(name, "ring")
-        rep = classify(ring, assume_equidimensional=True)
+        rep = classify(ring)
         if not rep.is_cm or rep.serre_level != 4:
             return False
     return True

@@ -6,17 +6,17 @@ modules and the classification predicates via Ext against the ambient ring
 and graded local duality.  `classify` builds one resolution and takes the
 Betti numbers, depth, canonical module and every higher Ext from it.
 A ring or module keeps its resolution on itself (`resolution`), and a ring
-its classify reports (`reports`, by the equidimensionality flag), each
-stored only when the call returns; so `classify`, `depth_ab`, `ext_module`
-and `canonical_module` on one ring share one resolution, and the memo
-lives and dies with its object.  A call that stops at the degree cap
-stores nothing.  The cap is the ambient ring's (`PolyRing.degree_cap`),
-so no function here takes one.
+its classify report (`report`), each stored only when the call returns; so
+`classify`, `depth_ab`, `ext_module` and `canonical_module` on one ring
+share one resolution, and the memo lives and dies with its object.  A call
+that stops at the degree cap stores nothing.  The cap is the ambient
+ring's (`PolyRing.degree_cap`), so no function here takes one.
 Ext modules and annihilators are kernels into quotient modules, each
 taken as syzygies modulo the relations (`modules.syzygies(modulo=)`); Ext
 is presented by `modules.subquotient`, the one minimalization rule, and
 each module is minimalized once.
-Hilbert series are read off leading monomials and need no resolution.
+Hilbert series and Krull dimensions are read off leading monomials and
+need no resolution: F/U has the series and the dimension of F/in(U).
 """
 
 from __future__ import annotations
@@ -123,15 +123,21 @@ def hilbert_series(obj):
         return HilbertSeries(num, weights=obj.weights)
     if isinstance(obj, FPModule):
         weights = obj.ring.weights
-        leads = [[] for _ in obj.twists]
-        for comp, mono in module_groebner(obj.relations).leads:
-            leads[comp].append(mono)
         num = lp_zero()
-        for twist, lead in zip(obj.twists, leads):
+        for twist, lead in zip(obj.twists, _leads_by_component(obj)):
             part = monomial_kpoly(lead, weights)
             num = lp_add(num, lp_mul(lp_monomial(twist), part))
         return HilbertSeries(num, weights=weights)
     raise TypeError(f"no Hilbert series for a {type(obj).__name__}")
+
+
+def _leads_by_component(M):
+    """The leading monomials of the Groebner basis of M's relations, one
+    list per generator of M: F/in(U) is the sum of the S/in_i(-twist_i)."""
+    leads = [[] for _ in M.twists]
+    for comp, mono in module_groebner(M.relations).leads:
+        leads[comp].append(mono)
+    return leads
 
 
 def _dim_of_leading_monomials(nvars, lead):
@@ -152,10 +158,19 @@ def _dim_of_leading_monomials(nvars, lead):
 
 
 def krull_dim(obj):
-    """Krull dimension of a quotient ring, or of a finitely presented
-    module as that of the quotient by its annihilator."""
-    G = obj.defining if isinstance(obj, PresentedRing) else annihilator(obj)
-    return _dim_of_leading_monomials(G.ring.nvars, G.leading_monomials())
+    """Krull dimension of a quotient ring S/I, that of S/in(I), or of a
+    finitely presented module F/U, that of F/in(U) (Macaulay's theorem):
+    the largest over the generators of the dimension read off the leads in
+    that component, and -1 for the zero module."""
+    if isinstance(obj, PresentedRing):
+        return _dim_of_leading_monomials(
+            obj.ambient.nvars, obj.defining.leading_monomials()
+        )
+    nvars = obj.ring.nvars
+    return max(
+        (_dim_of_leading_monomials(nvars, lead) for lead in _leads_by_component(obj)),
+        default=-1,
+    )
 
 
 def depth_ab(obj):
@@ -211,7 +226,7 @@ def canonical_module(R):
     return ext_module(R, c).shift(sum(ring.weights))
 
 
-def annihilator(obj):
+def annihilator(M):
     """The exact annihilator ideal (0 : M) of M = F/U in the ambient
     polynomial ring, as a reduced grevlex basis.
 
@@ -220,7 +235,6 @@ def annihilator(obj):
     -twist_i, so the vector has degree 0.  For the zero module the vector
     is zero and the quotient is the unit ideal.
     """
-    M = _as_module(obj)
     ring = M.ring
     s = len(M.twists)
     free = FreeModule(ring, [t - u for u in M.twists for t in M.twists])
@@ -245,15 +259,16 @@ class ClassifyReport:
     is_quasi_gorenstein: bool
     is_generalized_cm: bool
     serre_level: int
-    equidimensional_assumed: bool
 
-    def lines(self):
+    def lines(self, equidimensional=False):
+        """The report's lines.  The Serre level carries a `?` unless the
+        caller knows the ring to be equidimensional, where the Ext
+        criterion is exact."""
+
         def b(v):
             return "true" if v else "false"
 
-        serre = f"S{self.serre_level}"
-        if not self.equidimensional_assumed:
-            serre += "?"
+        serre = f"S{self.serre_level}" + ("" if equidimensional else "?")
         return [
             f"dim = {self.dim}",
             f"depth = {self.depth}",
@@ -273,16 +288,16 @@ class ClassifyReport:
 MAX_SERRE_LEVEL = 4
 
 
-def classify(R, assume_equidimensional=False):
+def classify(R):
     """Full invariant report for a graded quotient ring.
 
     The Serre-condition levels use the Ext-dimension criterion, which is
     exact for equidimensional rings and conservative (it may under-report)
-    otherwise; the report carries the distinction.  R keeps the report
-    by assume_equidimensional.
+    otherwise; `ClassifyReport.lines` marks the level unless told the ring
+    is equidimensional.  R keeps the report (`report`).
     """
-    if assume_equidimensional in R.reports:
-        return R.reports[assume_equidimensional]
+    if R.report is not None:
+        return R.report
     ring = R.ambient
     n = ring.nvars
     res = free_resolution(R)
@@ -319,7 +334,7 @@ def classify(R, assume_equidimensional=False):
         else:
             break
 
-    report = R.reports[assume_equidimensional] = ClassifyReport(
+    R.report = ClassifyReport(
         dim=dim,
         depth=depth,
         codim=codim,
@@ -330,6 +345,5 @@ def classify(R, assume_equidimensional=False):
         is_quasi_gorenstein=quasi,
         is_generalized_cm=gcm,
         serre_level=serre,
-        equidimensional_assumed=assume_equidimensional,
     )
-    return report
+    return R.report

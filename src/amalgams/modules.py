@@ -470,20 +470,6 @@ class FPModule:
             presented.ambient, [0], [[g] for g in presented.defining.elements]
         )
 
-    @classmethod
-    def from_ideal(cls, ring_ambient, gens):
-        """An ideal of S as an S-module: generators plus their syzygies."""
-        gens = [g for g in gens if not g.is_zero()]
-        if not gens:
-            return cls.zero(ring_ambient)
-        degs = [g.degree() for g in gens]
-        # Kernel of the surjection S(-d_i) -> I, e_i -> g_i, gives the
-        # relations; the g_i live in the rank-1 free module S.
-        one_free = FreeModule(ring_ambient, [0])
-        images = [one_free.from_polys([g]) for g in gens]
-        rels = syzygies(images)
-        return cls(ring_ambient, degs, rels)
-
     def shift(self, a):
         """M(-a): add a to every generator degree."""
         shifted = FreeModule(self.ring, [t + a for t in self.twists])

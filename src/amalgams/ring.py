@@ -29,10 +29,9 @@ class PresentedRing:
     knows to be the reduced grevlex basis of a homogeneous ideal, which is
     kept as it is instead of being computed again.
 
-    `resolution` (None until then) and `reports` (by equidimensionality
-    flag) hold what `homology.free_resolution` and `homology.classify`
-    returned for this ring, so each is computed once per ring; they live
-    and die with it.
+    `resolution` and `report` (None until then) hold what
+    `homology.free_resolution` and `homology.classify` returned for this
+    ring, so each is computed once per ring; they live and die with it.
     """
 
     def __init__(self, ambient, generators):
@@ -57,7 +56,7 @@ class PresentedRing:
         if self.defining.contains_one():
             raise UnitIdeal("1 lies in the defining ideal")
         self.resolution = None
-        self.reports = {}
+        self.report = None
 
     @property
     def names(self):

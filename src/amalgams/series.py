@@ -178,7 +178,7 @@ class HilbertSeries:
     def coefficient(self, d):
         return self.coefficients(d).get(d, 0)
 
-    def first_difference(self, other, upto=None):
+    def first_difference(self, other):
         """Smallest degree where the two series differ, or None if equal.
 
         The difference of two unequal rational series with denominators of

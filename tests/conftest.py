@@ -146,12 +146,11 @@ def oracle_member(ring, gens, f):
 # ---------------------------------------------------------------------------
 
 
-def pair_index(P, a, b):
-    """The label of (a, b) in the product ring P = A x B: the pair's index
+def pair_index(A, B, a, b):
+    """The label of (a, b) in the product ring A x B: the pair's index
     a*|B| + b, with the index of (1, 1) and the label 1 swapped."""
-    A, B = P.factors
     raw, one = a * B.n + b, A.one * B.n + B.one
-    if P.n > 1 and raw in (one, 1):
+    if A.n * B.n > 1 and raw in (one, 1):
         return one + 1 - raw
     return raw
 

@@ -37,7 +37,11 @@ Groebner basis (the elements linear in the e-variables), where
 `trivial_extension` keeps the M it built as `spec.J_module`.
 `retraction_ideal_identity` checks K + (z's) = I_A*C + (z's) for a
 presentation C/K, an identity that holds for every amalgam because
-I_A*C lies in K.
+I_A*C lies in K; it lifts I_A into C itself.
+`krull_dim_annihilator` takes the dimension of a module as that of
+S/ann(M), with ann(M) from `annihilator_loop` and the dimension from a
+search over variable subsets, where `amalgams.homology.krull_dim` reads
+it off the leading monomials of the module's own relations.
 `check_ring_axioms` checks the ring axioms of a finite ring's tables,
 exhaustively up to order EXHAUSTIVE_CHECK_BOUND and on seeded random
 triples above it, where `amalgams.finite` builds only rings whose axioms
@@ -45,7 +49,7 @@ hold by construction and checks none.
 """
 
 import random
-from itertools import product
+from itertools import combinations, product
 from operator import add, mul, sub
 
 import numpy as np
@@ -65,7 +69,7 @@ from amalgams.modules import (
     module_groebner,
     syzygies,
 )
-from amalgams.poly import DEFAULT_DEGREE_CAP, GREVLEX
+from amalgams.poly import DEFAULT_DEGREE_CAP, GREVLEX, Polynomial
 from amalgams.ring import IdealHandle, PresentedRing
 from amalgams.series import HilbertSeries, lp_add, lp_monomial, lp_neg, lp_zero
 
@@ -458,6 +462,20 @@ def annihilator_loop(M):
     return _reduced(ring, result)
 
 
+def krull_dim_annihilator(M):
+    """dim S/ann(M): the size of the largest set U of variables such that
+    no leading monomial of ann(M)'s basis lives in the variables of U,
+    found by trying every subset, the largest first; -1 when ann(M) = S."""
+    n = M.ring.nvars
+    leads = annihilator_loop(M).leading_monomials()
+    for size in range(n, -1, -1):
+        for U in combinations(range(n), size):
+            outside = [i for i in range(n) if i not in U]
+            if not any(all(m[i] == 0 for i in outside) for m in leads):
+                return size
+    return -1
+
+
 def ext_project(res, j):
     """Ext^j from the resolution `res` as the cohomology of its dual, the
     relations of ker/im cut down from syzygies of ker's generators and im."""
@@ -555,9 +573,15 @@ def trivext_module(spec):
 
 
 def retraction_ideal_identity(P):
-    """Check K + (z's) = I_A*C + (z's) as ideals of C (GB equality)."""
+    """Check K + (z's) = I_A*C + (z's) as ideals of C (GB equality), with
+    I_A*C lifted from A's defining ideal here."""
     amb = P.ambient
     zs = [amb.var(n) for n in P.z_names]
+    pad = (0,) * len(zs)
+    lifted = [
+        Polynomial(amb, {m + pad: c for m, c in g.terms.items()})
+        for g in P.spec.A.defining.elements
+    ]
     left = buchberger(IdealBasis(amb, list(P.K.elements) + zs))
-    right = buchberger(IdealBasis(amb, P.K_A))
+    right = buchberger(IdealBasis(amb, lifted + zs))
     return left.elements == right.elements

@@ -13,14 +13,15 @@ from amalgams.poly import PolyRing
 from amalgams.ring import IdealHandle, PresentedRing, make_ring
 
 
-def serre_rings():
+def serre_rings(p=None):
+    """The rings of `serre.alg`, over GF(p) if p is given."""
     text = resources.files("amalgams").joinpath("fixtures", "serre.alg").read_text()
-    return [R for _kind, R in parse_input(text).decls.values()]
+    return [R for _kind, R in parse_input(text, prime=p).decls.values()]
 
 
-def k3_duplications():
+def k3_duplications(p=101):
     """The rings C/K of k[x1..x3] duplicated along m and along the squares."""
-    A = make_ring(101, ["x1", "x2", "x3"])
+    A = make_ring(p, ["x1", "x2", "x3"])
     return [
         amalgam_present(duplication(A, IdealHandle(A, gens))).ring
         for gens in (["x1", "x2", "x3"], ["x1^2", "x2^2", "x3^2"])

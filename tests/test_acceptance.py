@@ -27,7 +27,7 @@ from amalgams.homology import (
     hilbert_series,
     krull_dim,
 )
-from amalgams.modules import FPModule
+from amalgams.modules import FPModule, FreeModule, subquotient
 from amalgams.poly import format_poly, parse_poly
 from amalgams.ring import IdealHandle, PresentedRing, RingHom, make_ring
 from amalgams.series import HilbertSeries, lp_monomial
@@ -55,6 +55,17 @@ def a0_ring(p=P):
     return make_ring(p, ["x", "y"], ["x^2", "x*y", "y^2"])
 
 
+def ideal_module(A, gens):
+    """The ideal (gens) of A = S/I_A as an S-module: (gens + I_A)/I_A."""
+    S = A.ambient
+    F = FreeModule(S, [0])
+    return subquotient(
+        S,
+        [F.from_polys([parse_poly(S, g)]) for g in gens],
+        [F.from_polys([g]) for g in A.defining.elements],
+    )
+
+
 def cm_battery(p=P):
     """Six certified fixtures with J finitely generated over A."""
     A = line_ring(p)
@@ -62,12 +73,9 @@ def cm_battery(p=P):
     A0 = a0_ring(p)
     out = []
     for gens in (["x"], ["x^2"]):
-        spec = duplication(A, IdealHandle(A, gens))
-        Jmod = FPModule.from_ideal(A.ambient, [parse_poly(A.ambient, g) for g in gens])
-        out.append((spec, Jmod))
+        out.append((duplication(A, IdealHandle(A, gens)), ideal_module(A, gens)))
     spec = duplication(P2, IdealHandle(P2, ["x", "y"]))
-    xy = [parse_poly(P2.ambient, v) for v in ("x", "y")]
-    out.append((spec, FPModule.from_ideal(P2.ambient, xy)))
+    out.append((spec, ideal_module(P2, ["x", "y"])))
     MA = FPModule(A.ambient, [1])
     out.append((trivial_extension(A, MA), MA))
     Mk = FPModule(A.ambient, [1], [[A.ambient.var("x")]])
@@ -164,7 +172,7 @@ def test_criterion_6_dimension_dichotomy():
 def test_criterion_7_serre_conditions():
     """S1-but-not-S2 on the two-planes ring; S4 on every CM fixture."""
     R = make_ring(P, ["a", "b", "c", "d"], ["a*c", "a*d", "b*c", "b*d"])
-    rep = classify(R, assume_equidimensional=True)
+    rep = classify(R)
     assert rep.serre_level == 1
     cm_fixtures = [
         make_ring(P, ["x", "z"], ["z^2 - x*z"]),
@@ -173,7 +181,7 @@ def test_criterion_7_serre_conditions():
         make_ring(P, ["x", "y"]),
     ]
     for ring in cm_fixtures:
-        rep = classify(ring, assume_equidimensional=True)
+        rep = classify(ring)
         assert rep.is_cm and rep.serre_level == 4
     report(7, "serre-conditions")
 
@@ -188,11 +196,12 @@ def test_criterion_8_finite_spectrum():
             ideal_generated_by(zmod(4), [2]),
         ),
     ]
-    Pr = ProductRing(zmod(4), zmod(2))
+    Z4, Z2 = zmod(4), zmod(2)
+    Pr = ProductRing(Z4, Z2)
     fixtures.append(
         FiniteAmalgam(
             FiniteHom(Pr, Pr, range(Pr.n)),
-            ideal_generated_by(Pr, [pair_index(Pr, 2, 0)]),
+            ideal_generated_by(Pr, [pair_index(Z4, Z2, 2, 0)]),
         )
     )
     for W in fixtures:

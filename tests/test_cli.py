@@ -15,8 +15,11 @@ from amalgams.errors import (
     ResolutionTooLong,
     UnknownReference,
 )
-from amalgams.harness import run_harness, socle_dimension, verify_paper
-from amalgams.ring import PresentedRing, make_ring
+from amalgams.amalgam import amalgam_present, duplication
+from amalgams.harness import _j_module, run_harness, socle_dimension, verify_paper
+from amalgams.homology import classify, depth_ab, hilbert_series, krull_dim
+from amalgams.modules import FPModule
+from amalgams.ring import IdealHandle, PresentedRing, make_ring
 
 INTERSECTION = """\
 # comment line
@@ -535,6 +538,19 @@ def test_socle_dimension_oracle():
 def test_harness_all_pass():
     results = run_harness(101)
     assert results and all(ok for _, ok in results)
+
+
+def test_harness_presents_a_duplications_J_modulo_I_A():
+    # A = k[x,y]/(xy), I = (x): J = (x)/(xy) is S/(y)(-1), of depth 1, not
+    # the ideal (x) of S, of depth 2; A and A ⋈ I are both CM of dim 1.
+    A = make_ring(101, ["x", "y"], ["x*y"])
+    spec = duplication(A, IdealHandle(A, ["x"]))
+    J = _j_module(spec)
+    S = A.ambient
+    assert hilbert_series(J) == hilbert_series(FPModule(S, [1], [[S.var("y")]]))
+    assert depth_ab(J) == 1
+    cm = classify(amalgam_present(spec).ring).is_cm
+    assert cm and cm == (classify(A).is_cm and depth_ab(J) == krull_dim(A))
 
 
 def test_harness_parses_each_fixture_once_per_pass(monkeypatch):

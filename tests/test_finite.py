@@ -60,14 +60,14 @@ def test_product_and_quotient():
     A, B = zmod(4), zmod(2)
     P = ProductRing(A, B)
     assert P.n == 8
-    assert pair_index(P, 0, 0) == 0
-    assert pair_index(P, 1, 1) == 1
+    assert pair_index(A, B, 0, 0) == 0
+    assert pair_index(A, B, 1, 1) == 1
     # the tables act componentwise on the pairs
     pairs = list(product(range(A.n), range(B.n)))
     for (a, b), (c, d) in product(pairs, repeat=2):
-        x, y = pair_index(P, a, b), pair_index(P, c, d)
-        assert P.add[x, y] == pair_index(P, A.add[a, c], B.add[b, d])
-        assert P.mul[x, y] == pair_index(P, A.mul[a, c], B.mul[b, d])
+        x, y = pair_index(A, B, a, b), pair_index(A, B, c, d)
+        assert P.add[x, y] == pair_index(A, B, A.add[a, c], B.add[b, d])
+        assert P.mul[x, y] == pair_index(A, B, A.mul[a, c], B.mul[b, d])
     Q = quotient_ring(zmod(8), ideal_generated_by(zmod(8), [4]))
     assert Q.n == 4
     assert find_isomorphism(Q, zmod(4)) is not None
@@ -170,8 +170,9 @@ def test_classify_primes_reduction():
 
 
 def test_classify_primes_product_fixture():
-    P = ProductRing(zmod(4), zmod(2))
-    J = ideal_generated_by(P, [pair_index(P, 2, 0)])
+    Z4, Z2 = zmod(4), zmod(2)
+    P = ProductRing(Z4, Z2)
+    J = ideal_generated_by(P, [pair_index(Z4, Z2, 2, 0)])
     W = FiniteAmalgam(FiniteHom(P, P, range(P.n)), J)
     assert W.order == P.n * len(J)
     labels, verdict, _ = classify_primes(W)
@@ -222,16 +223,17 @@ BENCH_SHAPES = [(12, 12, 6), (18, 18, 6), (30, 30, 15), (60, 60, 30), (24, 12, 6
 
 
 def small_rings():
-    P42 = ProductRing(zmod(4), zmod(2))
-    P46 = ProductRing(zmod(4), zmod(6))
+    Z2, Z4, Z6 = zmod(2), zmod(4), zmod(6)
+    P42 = ProductRing(Z4, Z2)
+    P46 = ProductRing(Z4, Z6)
     return [
         P42,
         P46,
-        ProductRing(zmod(2), zmod(2)),
-        ProductRing(ProductRing(zmod(2), zmod(2)), zmod(3)),
+        ProductRing(Z2, Z2),
+        ProductRing(ProductRing(Z2, Z2), zmod(3)),
         quotient_ring(zmod(12), ideal_generated_by(zmod(12), [4])),
-        quotient_ring(P46, ideal_generated_by(P46, [pair_index(P46, 2, 3)])),
-        quotient_ring(P42, ideal_generated_by(P42, [pair_index(P42, 0, 1)])),
+        quotient_ring(P46, ideal_generated_by(P46, [pair_index(Z4, Z6, 2, 3)])),
+        quotient_ring(P42, ideal_generated_by(P42, [pair_index(Z4, Z2, 0, 1)])),
     ]
 
 
@@ -289,8 +291,10 @@ def test_amalgam_of_non_ideal_rejected():
     J = FiniteIdeal(Z6, [0, 2], check=False)
     # the additive subgroup generated by (1, 1) in Z/4 x Z/2 is no ideal:
     # (1, 0) * (1, 1) = (1, 0) lies outside it
-    P = ProductRing(zmod(4), zmod(2))
-    S = FiniteIdeal(P, [pair_index(P, k % 4, k % 2) for k in range(4)], check=False)
+    Z4, Z2 = zmod(4), zmod(2)
+    P = ProductRing(Z4, Z2)
+    labels = [pair_index(Z4, Z2, k % 4, k % 2) for k in range(4)]
+    S = FiniteIdeal(P, labels, check=False)
     for A, f, J in [(Z6, list(range(6)), J), (P, list(range(P.n)), S)]:
         with pytest.raises(NotARing, match="not closed"):
             FiniteAmalgam(FiniteHom(A, A, f), J)

@@ -256,7 +256,7 @@ def test_classify_intersection_example():
 
 def test_classify_two_planes():
     R = make_ring(101, ["a", "b", "c", "d"], ["a*c", "a*d", "b*c", "b*d"])
-    rep = classify(R, assume_equidimensional=True)
+    rep = classify(R)
     assert (rep.dim, rep.depth) == (2, 1)
     assert not rep.is_cm
     assert rep.is_generalized_cm
@@ -278,7 +278,7 @@ def test_classify_trivial_extension_by_k():
 def test_classify_cm_fixtures_full_serre():
     for gens in [["z^2 - x*z"], ["z^2"], []]:
         R = make_ring(101, ["x", "z"], gens)
-        rep = classify(R, assume_equidimensional=True)
+        rep = classify(R)
         assert rep.is_cm and rep.serre_level == 4
         assert rep.is_generalized_cm and rep.is_quasi_gorenstein
 
@@ -292,7 +292,7 @@ def test_classify_implications():
         make_ring(101, ["a", "b", "c", "d"], ["a*c", "a*d", "b*c", "b*d"]),
     ]
     for R in fixtures:
-        rep = classify(R, assume_equidimensional=True)
+        rep = classify(R)
         assert rep.depth <= rep.dim
         assert rep.is_cm == (rep.depth == rep.dim)
         assert rep.is_gorenstein == (rep.is_cm and rep.type == 1)
@@ -311,8 +311,7 @@ def test_classify_report_serialization():
     assert lines[2] == "cm = false"
     assert lines[-1] == "betti = 1;2;1"
     assert any(l.startswith("serre = S") and l.endswith("?") for l in lines)
-    rep2 = classify(intersection_ring(), assume_equidimensional=True)
-    assert all(not l.endswith("?") for l in rep2.lines())
+    assert all(not l.endswith("?") for l in rep.lines(equidimensional=True))
 
 
 def test_weighted_ring_invariants():
@@ -387,14 +386,24 @@ def test_a_resolution_that_hits_the_cap_keeps_nothing():
     assert free_resolution(S).betti_numbers() == [1, 2, 1]
 
 
-def test_classify_keeps_one_report_per_equidimensionality_flag():
+def test_classify_builds_one_report_and_lines_take_the_flag(monkeypatch):
+    built = []
+    real = homology.ClassifyReport
+
+    def counted(**fields):
+        built.append(fields)
+        return real(**fields)
+
+    monkeypatch.setattr(homology, "ClassifyReport", counted)
     R = make_ring(101, ["a", "b", "c", "d"], ["a*c", "a*d", "b*c", "b*d"])
-    assumed = classify(R, True)
-    plain = classify(R, False)
-    assert "serre = S1" in assumed.lines()
-    assert "serre = S1?" in plain.lines()
-    assert classify(R, True) is assumed
-    assert classify(R, False) is plain
+    rep = classify(R)
+    assert classify(R) is rep is R.report
+    assert len(built) == 1
+    plain, assumed = rep.lines(), rep.lines(equidimensional=True)
+    assert "serre = S1?" in plain and "serre = S1" in assumed
+    # the flag changes the Serre line's `?` and nothing else
+    assert [l.removesuffix("?") for l in plain] == assumed
+    assert sum(l != m for l, m in zip(plain, assumed)) == 1
 
 
 @settings(max_examples=25)

@@ -13,6 +13,9 @@ one goes unseen; the second check runs every fixture command of
 `golden.py` at both primes and `verify-paper` once under `sys.setprofile`
 and fails on a function or method that is never entered, dunders again
 exempt, save the few `UNREACHED_BY_COMMANDS` names with their reasons.
+Two more checks keep stored state and parameters live: every attribute a
+class stores on `self` is read as an attribute somewhere in the package
+(again by name), and every parameter is read in its function's body.
 """
 
 import ast
@@ -25,6 +28,14 @@ from golden import fixture_commands, run, run_argv
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "amalgams"
+
+
+def _package_trees():
+    """The parsed tree of each module of the package, by module name."""
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
 
 
 def _names(node):
@@ -64,10 +75,7 @@ def unused_definitions():
     documented = set()
     for quoted in re.findall(r"`([^`]*)`", readme):
         documented.update(re.findall(r"[A-Za-z_]\w*", quoted))
-    trees = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(PACKAGE.glob("*.py"))
-    }
+    trees = _package_trees()
     everywhere = Counter()
     for tree in trees.values():
         everywhere += _names(tree)
@@ -172,3 +180,66 @@ def test_every_function_is_entered_by_a_command():
     assert set(never) <= UNREACHED_BY_COMMANDS, sorted(
         set(never) - UNREACHED_BY_COMMANDS
     )
+
+
+def unread_stored_attributes():
+    """`module.Class.attr` of each attribute a class stores on `self` whose
+    name is never read as an attribute anywhere in the package."""
+    trees = _package_trees()
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = set()
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                    and node.attr not in read
+                ):
+                    unread.add(f"{module}.{cls.name}.{node.attr}")
+    return sorted(unread)
+
+
+def test_every_stored_attribute_is_read():
+    assert unread_stored_attributes() == []
+
+
+def unread_parameters():
+    """`module.function.parameter` of each parameter its function's body
+    never reads.  `self` and `cls` are exempt, and so is the `options` of
+    the `cmd_*` handlers, which `cmd_dispatch` calls alike."""
+    unread = []
+    for module, tree in _package_trees().items():
+        for name, fn in _functions(tree, f"{module}."):
+            args = fn.args
+            params = [
+                a.arg
+                for a in args.posonlyargs + args.args + args.kwonlyargs
+                + [args.vararg, args.kwarg]
+                if a is not None
+            ]
+            body_reads = {
+                node.id
+                for stmt in fn.body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            for param in params:
+                if param in ("self", "cls") or param in body_reads:
+                    continue
+                if param == "options" and fn.name.startswith("cmd_"):
+                    continue
+                unread.append(f"{name}.{param}")
+    return sorted(unread)
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []

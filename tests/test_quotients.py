@@ -16,8 +16,14 @@ from amalgams.homology import (
 )
 from amalgams.modules import FPModule
 from amalgams.poly import PolyRing, parse_poly
-from oracles import annihilator_loop, colon_loop, ext_project, intersect_project
-from samples import binomial_or_monomial_rings, serre_rings
+from oracles import (
+    annihilator_loop,
+    colon_loop,
+    ext_project,
+    intersect_project,
+    krull_dim_annihilator,
+)
+from samples import binomial_or_monomial_rings, k3_duplications, serre_rings
 
 
 def terms(G):
@@ -96,15 +102,39 @@ def test_one_syzygies_per_colon_and_annihilator(monkeypatch):
         assert len(calls) == 1
 
 
-def test_krull_dim_of_a_module_reuses_the_annihilator_basis(monkeypatch):
-    # Every `buchberger` runs through gb.module_groebner; the quotient
-    # routes reach the engine through modules.syzygies instead.
-    engine = counting(monkeypatch, gb, "module_groebner")
+def test_krull_dim_of_a_module_never_calls_the_annihilator(monkeypatch):
+    # dim F/U is read off the leads of U's own basis, one module GB per
+    # module, with no quotient and no minimal presentation.
+    exts = [M for R in serre_rings() for M in ext_modules(R)[1]]
+    ann = counting(monkeypatch, homology, "annihilator")
+    engine = counting(monkeypatch, homology, "module_groebner")
     pruned = counting(monkeypatch, FPModule, "minimal_presentation")
-    for R in serre_rings():
-        for M in ext_modules(R)[1]:
-            engine.clear()
-            pruned.clear()
-            krull_dim(M)
-            assert pruned == []
-            assert engine == []
+    for M in exts:
+        engine.clear()
+        krull_dim(M)
+        assert len(engine) == 1
+    assert ann == []
+    assert pruned == []
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+def test_krull_dim_of_a_module_matches_the_annihilator_route(p):
+    for R in serre_rings(p) + k3_duplications(p):
+        exts = [M for M in ext_modules(R)[1] if not M.is_zero_presentation()]
+        for M in exts + [FPModule.quotient_ring(R)]:
+            assert krull_dim(M) == krull_dim_annihilator(M)
+
+
+def test_krull_dim_of_degenerate_and_weighted_modules():
+    S = PolyRing(101, ["x", "y", "z"])
+    x, y, zero = S.var("x"), S.var("y"), S.zero()
+    # F/U = (S(-1) + S)/(e1 + x*e2, y*e2) is S/(y) by its second generator
+    unit_entry = FPModule(S, [1, 0], [[S.one(), x], [zero, y]])
+    killed = FPModule(S, [0], [[x], [S.one()]])
+    cases = [(FPModule.zero(S), -1), (killed, -1), (unit_entry, 2)]
+    W = PolyRing(101, ["x", "y"], [2, 3])
+    cusp = FPModule(W, [0], [[parse_poly(W, "x^3 - y^2")]])
+    weighted = FPModule(W, [0, 1], [[W.var("y"), W.var("x")]])
+    cases += [(cusp, 1), (weighted, 2)]
+    for M, dim in cases:
+        assert krull_dim(M) == krull_dim_annihilator(M) == dim
