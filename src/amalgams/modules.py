@@ -29,7 +29,16 @@ of the basis, so the first divisor found is the first in the basis.  Each
 S-vector is built in one dict, and the reducer builds its remainder in
 falling order, so a new element's lead is the remainder's first key.
 Callers in this package pass vectors homogeneous with respect to the
-component twists; the engine itself only needs that for `degree()`.
+component twists; the engine itself only needs that for `degree()` and
+for a degree bound.  `minimal_generators` only asks whether each
+candidate lies in the span of the relations and the vectors kept so far,
+and every candidate has degree at most `top`, the largest candidate's.
+So it passes `top` to `_extend`, which then makes no pair whose true
+degree (the lcm's degree plus its component's twist) exceeds `top`: a
+Groebner basis up to degree `top` decides every such membership exactly.
+The chain criterion stays sound under the bound, because a lead dividing
+lcm(i, j) gives pairs with i and with j of degree at most that of (i, j).
+`module_groebner` and `syzygies` pass no bound and build the whole basis.
 The degree cap is the free module's ring's (`PolyRing.degree_cap`):
 `_extend` passes it to every reduction it runs, and `_reduce` is the one
 place that checks it.  Reductions outside the loop (`minimal_generators`'
@@ -269,7 +278,7 @@ def _monic(v, order):
     return v.scale(v.ring.field.inverse(c)), lead
 
 
-def _extend(basis, new, order):
+def _extend(basis, new, order, top=None):
     """Complete the `_Basis` `basis` after adding `new`, in place.
 
     `new` holds (monic vector, leading term) pairs.  Appends them, then
@@ -283,6 +292,14 @@ def _extend(basis, new, order):
     in rank 1 also by the product criterion.  The S-vector is built in one
     dict, and a nonzero remainder joins the basis with the remainder's
     first key, its leading term, as its lead.
+
+    With a degree bound `top`, no pair is made whose true degree, the
+    lcm's degree plus its component's twist, exceeds `top`: for vectors
+    homogeneous in the twists the result is then a Groebner basis up to
+    degree `top`, which decides membership exactly for every vector of
+    degree at most `top`.  The chain criterion stays sound: a lead k
+    dividing lcm(i, j) makes the pairs (i, k) and (j, k) of degree at most
+    that of (i, j), so neither was left out while (i, j) was made.
     """
     G, leads, numbered = basis.vecs, basis.leads, basis.numbered
     if not G and not new:
@@ -293,6 +310,7 @@ def _extend(basis, new, order):
     weights = ring.weights
     degree_cap = ring.degree_cap
     inverse = ring.field.inverse
+    twists = free.twists
     rank_one = free.rank == 1
     pairs = set()
     heap = []
@@ -300,10 +318,14 @@ def _extend(basis, new, order):
     def append(g, lead):
         n = len(G)
         comp, mono = lead
+        bound = None if top is None else top - twists[comp]
         for k, km in numbered[comp]:
             lcm = tuple(map(max, km, mono))
+            degree = sum(map(mul, lcm, weights))
+            if bound is not None and degree > bound:
+                continue
             pairs.add((k, n))
-            heappush(heap, (sum(map(mul, lcm, weights)), k, n, lcm))
+            heappush(heap, (degree, k, n, lcm))
         basis.append(g, lead)
 
     for g, lead in new:
@@ -412,8 +434,11 @@ def minimal_generators(vecs, modulo=()):
 
     Processes generators by increasing degree and keeps one exactly when it
     is not in <modulo> + <kept> (graded Nakayama).  One GB, seeded with the
-    relations of degree at most the largest candidate's (no other relation
-    reaches a candidate), is extended by each vector kept.
+    relations of degree at most the largest candidate's degree `top` (no
+    other relation reaches a candidate), is extended by each vector kept.
+    Both extensions stop at `top`: a Groebner basis up to degree `top`
+    decides membership exactly for every candidate, so no S-pair above it
+    is made or reduced.  `kept` holds the input vectors themselves.
     """
     vecs = [v for v in vecs if not v.is_zero()]
     vecs.sort(key=lambda v: (v.degree(), sorted(v.terms.items())))
@@ -426,13 +451,13 @@ def minimal_generators(vecs, modulo=()):
     ]
     kept = []
     basis = _Basis()
-    _extend(basis, seeds, order)
+    _extend(basis, seeds, order, top)
     for v in vecs:
         h = _reduce(v, basis, order)
         if h.is_zero():
             continue
         kept.append(v)
-        _extend(basis, [_monic(h, order)], order)
+        _extend(basis, [_monic(h, order)], order, top)
     return kept
 
 

@@ -8,6 +8,8 @@ values are immutable after construction.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import (
     ContextMismatch,
     InvalidRing,
@@ -176,7 +178,7 @@ class PolyRing:
     # -- monomial helpers (exponent tuples) --
 
     def mono_degree(self, expts):
-        return sum(e * w for e, w in zip(expts, self.weights))
+        return sum(map(mul, expts, self.weights))
 
     def mono_divides(self, a, b):
         """True when a divides b."""

@@ -3,9 +3,10 @@
 `resolution_series` takes Hilbert series from the alternating sum of the
 twists of a minimal free resolution, where
 `amalgams.homology.hilbert_series` reads them off leading monomials.
-`minimal_generators_rebuild` builds a new module GB from scratch after
-every kept vector and reduces by `mod_reduce_scan`, where
-`amalgams.modules.minimal_generators` extends one GB.
+`minimal_generators_rebuild` builds a new module GB of every relation
+and every kept vector from scratch after each kept vector and reduces by
+`mod_reduce_scan`, where `amalgams.modules.minimal_generators` extends one
+GB, cut at the largest candidate's degree.
 `module_groebner_scan` is the module engine with every choice made by a
 scan: the next S-pair by `min` over the open pairs, each leading term by
 `max` over the terms with a freshly built order key, and each divisor by a
@@ -159,12 +160,14 @@ def resolution_series(obj):
     return HilbertSeries(num, weights=res.ring.weights)
 
 
-def minimal_generators_rebuild(vecs):
-    """Minimal generating subset, one from-scratch module GB per kept vector."""
+def minimal_generators_rebuild(vecs, modulo=()):
+    """Minimal generating subset modulo <modulo>, one from-scratch module GB
+    of all of `modulo` and the vectors kept so far per kept vector."""
     vecs = [v for v in vecs if not v.is_zero()]
     vecs.sort(key=lambda v: (v.degree(), sorted(v.terms.items())))
+    rels = [r for r in modulo if not r.is_zero()]
     kept = []
-    gb = []
+    gb = module_groebner(rels).vecs
     for v in vecs:
         if gb:
             order = ModOrder(v.ring.weights)
@@ -172,7 +175,7 @@ def minimal_generators_rebuild(vecs):
             if mod_reduce_scan(v, gb, leads, order).is_zero():
                 continue
         kept.append(v)
-        gb = module_groebner(kept)
+        gb = module_groebner(rels + kept).vecs
     return kept
 
 
@@ -255,16 +258,28 @@ def mod_reduce_scan(v, gens, leads, order, degree_cap=None):
     return ModVec(v.free, rem)
 
 
-def extend_scan(G, leads, new, order, degree_cap):
+def extend_scan(G, leads, new, order, degree_cap, top=None):
     """Buchberger's loop with the next pair by `min` over the open pairs of
-    (lcm degree, (i, j)), the degree recomputed at every step."""
+    (lcm degree, (i, j)), the degree recomputed at every step.  With a
+    bound `top`, a pair whose lcm degree plus its component's twist
+    exceeds `top` is never opened."""
     pairs = set()
+
+    def pair_deg(pr):
+        i, j = pr
+        return G[i].ring.mono_degree(tuple(map(max, leads[i][1], leads[j][1])))
 
     def append(g, lead):
         G.append(g)
         leads.append(lead)
         n = len(G) - 1
-        pairs.update((k, n) for k in range(n) if leads[k][0] == lead[0])
+        comp = lead[0]
+        pairs.update(
+            (k, n)
+            for k in range(n)
+            if leads[k][0] == comp
+            and (top is None or pair_deg((k, n)) + g.free.twists[comp] <= top)
+        )
 
     for g, lead in new:
         append(g, lead)
@@ -272,10 +287,6 @@ def extend_scan(G, leads, new, order, degree_cap):
         return G
     ring = G[0].ring
     rank_one = G[0].free.rank == 1
-
-    def pair_deg(pr):
-        i, j = pr
-        return ring.mono_degree(tuple(map(max, leads[i][1], leads[j][1])))
 
     def done(a, b):
         return (min(a, b), max(a, b)) not in pairs

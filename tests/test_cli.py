@@ -124,6 +124,30 @@ def test_classify_8_variable_duplication(p):
     ]
 
 
+DUPLICATION_K5 = """\
+ring A vars x1, x2, x3, x4, x5
+ideal M in A : x1, x2, x3, x4, x5
+duplication W : A, M
+"""
+
+
+def test_classify_10_variable_duplication():
+    # The 10-variable rung: k[x1..x5] duplicated along its maximal ideal.
+    session = parse_input(DUPLICATION_K5, prime=101)
+    report = cmd_dispatch(session, ["classify", "W"], Options(prime=101))
+    assert report.lines == [
+        "dim = 5",
+        "depth = 1",
+        "cm = false",
+        "gorenstein = false",
+        "quasi_gorenstein = false",
+        "generalized_cm = true",
+        "serre = S1?",
+        "type = 1",
+        "betti = 1;25;100;200;250;210;120;45;10;1",
+    ]
+
+
 def test_classify_ring_with_equidim_flag():
     text = "field p=101\nring R vars a, b, c, d ideal: a*c, a*d, b*c, b*d\n"
     report = dispatch(text, ["classify", "R"], assume_equidim=["R"])

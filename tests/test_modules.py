@@ -1,8 +1,10 @@
 """The module Groebner engine: minimal generators from one incrementally
-extended module GB agree with the from-scratch route of
-`oracles.minimal_generators_rebuild`; the heap-driven engine returns what
-the scan-driven `oracles.module_groebner_scan` returns, element for
-element and in order, also under degree caps; the reducer on a prebuilt
+extended module GB, cut at the largest candidate's degree, agree with the
+from-scratch route of `oracles.minimal_generators_rebuild`, with and
+without relations, and reduce no vector above that degree; the
+heap-driven engine returns what the scan-driven
+`oracles.module_groebner_scan` returns, element for element and in
+order, also under degree caps; the reducer on a prebuilt
 per-component index returns what `oracles.mod_reduce_scan` returns, also
 under degree caps; the product criterion is kept to rank 1; the reducer
 stops at the degree cap; minimal presentations
@@ -48,28 +50,69 @@ from oracles import (
 from samples import binomial_or_monomial_rings, k3_duplications, serre_rings
 
 
-def assert_same_kept_along_resolution(R):
-    """Compare both routes on the relation module of R and on every
-    syzygy module after it, each offered unminimized."""
+def offered_along_resolution(R):
+    """(vecs, modulo) along the resolution of R: the relation module and
+    every syzygy module after it, each offered unminimized, once on its
+    own and once split, the odd-numbered vectors as relations for the
+    even-numbered ones."""
     vecs = FPModule.quotient_ring(R).relations
     for _ in range(R.ambient.nvars + 1):
+        yield vecs, ()
+        yield vecs[::2], vecs[1::2]
         kept = minimal_generators(vecs)
-        assert kept == minimal_generators_rebuild(vecs)
         if not kept:
             return
-        vecs = syzygies(kept)
+        vecs = syzygies(kept).vecs
     raise AssertionError("resolution longer than the syzygy bound")
 
 
+def assert_same_kept_along_resolution(R):
+    """Compare both routes on every input `offered_along_resolution`."""
+    for vecs, modulo in offered_along_resolution(R):
+        kept = minimal_generators(vecs, modulo=modulo)
+        assert kept == minimal_generators_rebuild(vecs, modulo=modulo)
+
+
 def test_minimal_generators_match_rebuild_on_fixtures():
-    for R in serre_rings() + k3_duplications():
-        assert_same_kept_along_resolution(R)
+    for p in (101, 32003):
+        for R in serre_rings(p) + k3_duplications(p):
+            assert_same_kept_along_resolution(R)
 
 
 @settings(max_examples=25)
-@given(binomial_or_monomial_rings())
-def test_minimal_generators_match_rebuild_on_random_ideals(R):
-    assert_same_kept_along_resolution(R)
+@given(data=st.data())
+def test_minimal_generators_match_rebuild_on_random_ideals(data):
+    for p in (101, 32003):
+        assert_same_kept_along_resolution(data.draw(binomial_or_monomial_rings(p)))
+
+
+def assert_no_reduction_above_top(R):
+    """Every vector `minimal_generators` reduces, candidates and S-vectors
+    alike, has degree at most the largest candidate's."""
+    for vecs, modulo in offered_along_resolution(R):
+        degrees = []
+
+        def recording(v, *args):
+            degrees.append(v.degree())
+            return _reduce(v, *args)
+
+        with patch.object(modules, "_reduce", recording):
+            minimal_generators(vecs, modulo=modulo)
+        top = max((v.degree() for v in vecs if not v.is_zero()), default=-1)
+        assert max(degrees, default=-1) <= top
+
+
+def test_minimal_generators_reduce_nothing_above_the_largest_candidate():
+    for p in (101, 32003):
+        for R in serre_rings(p) + k3_duplications(p):
+            assert_no_reduction_above_top(R)
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_minimal_generators_reduce_nothing_above_top_on_random_ideals(data):
+    for p in (101, 32003):
+        assert_no_reduction_above_top(data.draw(binomial_or_monomial_rings(p)))
 
 
 def test_product_criterion_is_not_applied_in_rank_two():
@@ -106,19 +149,19 @@ def test_reduction_stops_at_the_degree_cap():
 def scan_engine():
     """A context in which `modules`' own syzygies and minimal_generators
     run on the scan-driven oracle engine, which reads a basis as the two
-    lists `vecs` and `leads` and takes the degree cap that the engine reads
-    off the ring."""
+    lists `vecs` and `leads`, takes the degree cap that the engine reads
+    off the ring, and opens no pair above the degree bound `top`."""
 
     def groebner(vecs, order=None):
         cap = vecs[0].ring.degree_cap if vecs else None
         return module_groebner_scan(vecs, order, cap)
 
-    def extend(basis, new, order):
+    def extend(basis, new, order, top=None):
         G, leads = list(basis.vecs), list(basis.leads)
         if not G and not new:
             return
         cap = (G[0] if G else new[0][0]).ring.degree_cap
-        extend_scan(G, leads, new, order, cap)
+        extend_scan(G, leads, new, order, cap, top)
         for g, lead in zip(G[len(basis.vecs):], leads[len(basis.leads):]):
             basis.append(g, lead)
 

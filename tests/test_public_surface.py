@@ -13,12 +13,19 @@ one goes unseen; the second check runs every fixture command of
 `golden.py` at both primes and `verify-paper` once under `sys.setprofile`
 and fails on a function or method that is never entered, dunders again
 exempt, save the few `UNREACHED_BY_COMMANDS` names with their reasons.
-Two more checks keep stored state and parameters live: every attribute a
-class stores on `self` is read as an attribute somewhere in the package
-(again by name), and every parameter is read in its function's body.
+Two more checks keep stored state and parameters live: every parameter is
+read in its function's body, and every attribute a class stores on `self`
+is read by that class.  The attribute check goes by class, not by name, so
+dead state cannot hide behind a live attribute of another class: an
+attribute counts as read when the class reads it through `self`, when it
+is read on an instance of the class while the commands above run, or,
+for a name no other class stores, when it is read as an attribute
+anywhere in the package.
 """
 
 import ast
+import functools
+import importlib
 import re
 import sys
 from collections import Counter
@@ -144,11 +151,81 @@ UNREACHED_BY_COMMANDS = {
 }
 
 
-def entered_code():
-    """(resolved file, first line) of every code object entered while each
-    fixture command runs at both primes and `verify-paper` runs once."""
-    commands = fixture_commands()
-    entered = set()
+def stored_attributes():
+    """{`module.Class`: names} of the attributes each class of the package
+    stores on `self`, and the set of `module.Class.attr` each class reads
+    through `self` in its own body."""
+    stored, self_read = {}, set()
+    for module, tree in _package_trees().items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            owner = f"{module}.{cls.name}"
+            for node in ast.walk(cls):
+                if not (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                ):
+                    continue
+                if isinstance(node.ctx, ast.Store):
+                    stored.setdefault(owner, set()).add(node.attr)
+                elif isinstance(node.ctx, ast.Load):
+                    self_read.add(f"{owner}.{node.attr}")
+    return stored, self_read
+
+
+_ABSENT = object()
+
+
+class _FirstRead:
+    """Stands in for one stored attribute of one class: the first read of
+    it on an instance is noted in `reads` as `module.Class.attr`, and the
+    class gets back what it had under that name (a slot, or nothing)."""
+
+    def __init__(self, cls, name, label, reads):
+        self.cls, self.name, self.label, self.reads = cls, name, label, reads
+        self.orig = cls.__dict__.get(name, _ABSENT)
+
+    def restore(self):
+        if self.cls.__dict__.get(self.name) is not self:
+            return
+        if self.orig is _ABSENT:
+            delattr(self.cls, self.name)
+        else:
+            setattr(self.cls, self.name, self.orig)
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            if self.orig is _ABSENT:
+                raise AttributeError(self.name)
+            return self.orig
+        self.reads.add(self.label)
+        self.restore()
+        return getattr(obj, self.name)
+
+    def __set__(self, obj, value):
+        if hasattr(self.orig, "__set__"):
+            self.orig.__set__(obj, value)
+        else:
+            obj.__dict__[self.name] = value
+
+
+@functools.lru_cache(maxsize=None)
+def command_run():
+    """What each fixture command at both primes and one `verify-paper`
+    run reach: the (resolved file, first line) of every code object
+    entered, and the `module.Class.attr` of every stored attribute read
+    on an instance of the class that stores it."""
+    entered, reads = set(), set()
+    standins = []
+    for owner, names in stored_attributes()[0].items():
+        module, name = owner.split(".")
+        cls = getattr(importlib.import_module(f"amalgams.{module}"), name)
+        for attr in sorted(names):
+            standin = _FirstRead(cls, attr, f"{owner}.{attr}", reads)
+            setattr(cls, attr, standin)
+            standins.append(standin)
 
     def profile(frame, event, arg):
         if event == "call":
@@ -157,16 +234,19 @@ def entered_code():
 
     sys.setprofile(profile)
     try:
-        for fixture, words, prime in commands:
+        for fixture, words, prime in fixture_commands():
             run(fixture, words, prime)
         run_argv(["verify-paper"])
     finally:
         sys.setprofile(None)
-    return {(Path(name).resolve(), line) for name, line in entered}
+        for standin in standins:
+            standin.restore()
+    entered = {(Path(name).resolve(), line) for name, line in entered}
+    return frozenset(entered), frozenset(reads)
 
 
 def test_every_function_is_entered_by_a_command():
-    entered = entered_code()
+    entered = command_run()[0]
     never = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -183,28 +263,27 @@ def test_every_function_is_entered_by_a_command():
 
 
 def unread_stored_attributes():
-    """`module.Class.attr` of each attribute a class stores on `self` whose
-    name is never read as an attribute anywhere in the package."""
-    trees = _package_trees()
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-    unread = set()
-    for module, tree in trees.items():
-        for cls in ast.walk(tree):
-            if not isinstance(cls, ast.ClassDef):
+    """`module.Class.attr` of each attribute a class stores on `self` that
+    is read neither through `self` in the class's body, nor on an instance
+    of the class while the commands run (`command_run`), nor, when no
+    other class stores that name, as an attribute anywhere in the package."""
+    stored, self_read = stored_attributes()
+    owners = Counter(attr for names in stored.values() for attr in names)
+    read_by_name = {
+        node.attr
+        for tree in _package_trees().values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    read = self_read | command_run()[1]
+    unread = []
+    for owner, names in stored.items():
+        for attr in names:
+            if f"{owner}.{attr}" in read:
                 continue
-            for node in ast.walk(cls):
-                if (
-                    isinstance(node, ast.Attribute)
-                    and isinstance(node.ctx, ast.Store)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "self"
-                    and node.attr not in read
-                ):
-                    unread.add(f"{module}.{cls.name}.{node.attr}")
+            if owners[attr] == 1 and attr in read_by_name:
+                continue
+            unread.append(f"{owner}.{attr}")
     return sorted(unread)
 
 
