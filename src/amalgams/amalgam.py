@@ -214,10 +214,7 @@ def trivial_extension(A, M):
 def hom_A_into_R(P):
     """The ideal (K : (z's))/K of C/K, realizing Hom_R(A, R) = Ann_R(0 x J)."""
     amb = P.ambient
-    zs = P.z_polys()
-    if not zs:
-        return IdealHandle(P.ring, [amb.one()])
-    quot = colon(amb, P.K.elements, zs)
+    quot = colon(amb, P.K.elements, P.z_polys())
     gens = []
     for g in quot.elements:
         r = P.ring.reduce(g)

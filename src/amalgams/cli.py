@@ -445,7 +445,7 @@ def cmd_hom_into(session, name, options):
         report.status = 1
         return report
     h = hom_A_into_R(P)
-    report.add("generators", _poly_list(h.generators) if h.generators else "1")
+    report.add("generators", _poly_list(h.generators))
     report.add("hilbert", repr(hilbert_series(h)))
     return report
 

@@ -1,23 +1,20 @@
 """Ideals as rank-1 submodules of the one Groebner engine in `modules`.
 
 `buchberger` is the module Groebner basis of the rank-1 vectors,
-minimalized and tail-reduced; `normal_form` is the module reducer;
-`intersect` and `colon` are quotients (U : v) of a submodule U by one
-vector v, computed as the syzygies of v modulo U; `eliminate` drops a
-leading block of variables by the same engine under the block order that
+minimalized and tail-reduced; `intersect` and `colon` are quotients
+(U : v) of a submodule U by one vector v, the syzygies of v modulo U;
+`eliminate` drops a leading block of variables under the block order that
 eliminates them, and `kernel_of_map` puts the target's variables in that
-block.  Everything here is deterministic: the S-pair selection uses the
-normal strategy (minimal lcm weighted degree, ties by smallest pair
-index), and reduced Groebner bases are unique for a fixed ideal and
-order, so rerunning the engine reproduces them element for element.
-Each computation runs under its ring's degree cap, and a ring derived
-here (the subring of `eliminate`, the joint ring of `kernel_of_map`)
-takes the field and the cap of the ring it comes from.
-Every function here that returns an ideal returns the `GroebnerBasis` it
-built, with the leading monomials the engine found, so no caller rebuilds
-a basis or recomputes a lead.  Ideals come in as lists of polynomials
-with their ring, or, for the target of `kernel_of_map`, as a
-`GroebnerBasis`; `IdealBasis` is only `buchberger`'s input.
+block.  Reduced Groebner bases are unique for a fixed ideal and order, and
+the engine is deterministic, so rerunning it reproduces them element for
+element.
+
+Every function here that returns an ideal returns a `GroebnerBasis`.  It
+keeps the rank-1 `_Basis` it was reduced as, with its order and the leads
+the engine found, and `normal_form` reduces against that basis, so no
+caller rebuilds a basis, an order or a lead.  A ring derived here (the
+subring of `eliminate`, the joint ring of `kernel_of_map`) takes the field
+and the degree cap of the ring it comes from.
 """
 
 from __future__ import annotations
@@ -53,32 +50,23 @@ class IdealBasis:
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis: monic elements, pairwise fully reduced,
-    with the leading monomial of each under `order` as the engine found
-    it."""
+    """A reduced Groebner basis: monic elements, pairwise fully reduced.
 
-    def __init__(self, ring, elements, order, leads):
+    `basis` is the `_Basis` of the elements as rank-1 vectors, with the
+    order they are reduced under and the leads the engine found; it is
+    what `normal_form` reduces against.  `elements` are its vectors as
+    polynomials."""
+
+    def __init__(self, ring, basis):
         self.ring = ring
-        self.elements = elements
-        self.order = order
-        self._leads = leads
-        self._vectors = None
+        self.basis = basis
+        self.elements = [g.component_poly(0) for g in basis]
 
     def contains_one(self):
         return len(self.elements) == 1 and self.elements[0].degree() == 0
 
     def leading_monomials(self):
-        return self._leads
-
-    def _as_vectors(self):
-        """(the elements as a `_Basis` of rank-1 vectors, module order):
-        the form `normal_form` reduces against, built on first use."""
-        if self._vectors is None:
-            leads = [(0, m) for m in self._leads]
-            order = ModOrder(self.ring.weights, order=self.order)
-            vecs = _rank_one(self.ring, self.elements)
-            self._vectors = (_Basis(vecs, leads), order)
-        return self._vectors
+        return [m for _, m in self.basis.leads]
 
     def __repr__(self):
         if not self.elements:
@@ -97,13 +85,13 @@ def buchberger(basis, order=GREVLEX):
     engine's basis of the rank-1 submodule, minimalized and tail-reduced."""
     ring = basis.ring
     morder = ModOrder(ring.weights, order=order)
-    G = module_groebner(_rank_one(ring, basis.gens), morder)
-    return _reduced(ring, G, morder)
+    return _reduced(ring, module_groebner(_rank_one(ring, basis.gens), morder))
 
 
-def _reduced(ring, G, morder):
-    """The reduced basis of the ideal whose Groebner basis under `morder`
-    is the `_Basis` G of monic rank-1 vectors, with G's leads."""
+def _reduced(ring, G):
+    """The reduced basis of the ideal whose Groebner basis is the `_Basis`
+    G of monic rank-1 vectors, with G's leads, under a fresh copy of G's
+    order: the engine's order, with its key cache, ends with the call."""
     vecs, leads = G.vecs, G.leads
     # Minimalize: drop elements whose leading monomial is divisible by
     # another one.
@@ -118,20 +106,21 @@ def _reduced(ring, G, morder):
     # Tail-reduce each survivor against all of them, one index for all:
     # no other survivor's lead divides its lead, and its own lead divides
     # no term below it, so this is its normal form against the others.
-    basis = _Basis([vecs[k] for k in minimal], [leads[k] for k in minimal])
-    order = morder.order
+    basis = _Basis(
+        G.order, [vecs[k] for k in minimal], [leads[k] for k in minimal]
+    )
+    free = FreeModule(ring, [0])
     reduced = []
     for idx in minimal:
         lead = leads[idx]
         tail = dict(vecs[idx].terms)
         c = tail.pop(lead)
-        h = _reduce(ModVec(vecs[idx].free, tail), basis, morder)
-        g = ModVec(h.free, {lead: c, **h.terms})
-        key = order.key(lead[1], ring.weights)
-        reduced.append((key, g.component_poly(0), lead[1]))
-    reduced.sort(key=lambda r: r[0], reverse=True)
+        h = _reduce(ModVec(free, tail), basis)
+        reduced.append((ModVec(free, {lead: c, **h.terms}), lead))
+    order = ModOrder(ring.weights, order=G.order.order)
+    reduced.sort(key=lambda gl: order.key(gl[1]))
     return GroebnerBasis(
-        ring, [g for _, g, _ in reduced], order, [m for _, _, m in reduced]
+        ring, _Basis(order, [g for g, _ in reduced], [m for _, m in reduced])
     )
 
 
@@ -141,9 +130,8 @@ def normal_form(f, G):
         raise ContextMismatch("polynomial and basis in different rings")
     if not G.elements:
         return f
-    basis, morder = G._as_vectors()
     (v,) = _rank_one(f.ring, [f])
-    return _reduce(v, basis, morder).component_poly(0)
+    return _reduce(v, G.basis).component_poly(0)
 
 
 def ideal_member(f, G):
@@ -159,18 +147,17 @@ def eliminate(ring, gens, k):
     front block dominates, so an element of the block basis lies in the
     subring exactly when its lead does; the block order restricts to
     grevlex there, so these elements, in the block basis's order and with
-    their leads cut to the retained variables, are that basis.
+    their terms and leads cut to the retained variables, are that basis.
     """
-    G = buchberger(IdealBasis(ring, gens), BlockOrder(k))
+    G = buchberger(IdealBasis(ring, gens), BlockOrder(k)).basis
     sub_ring = ring.with_variables(ring.names[k:], ring.weights[k:])
-    survivors = [
-        (Polynomial(sub_ring, {m[k:]: c for m, c in g.terms.items()}), lead[k:])
-        for g, lead in zip(G.elements, G.leading_monomials())
-        if not any(lead[:k])
-    ]
-    return GroebnerBasis(
-        sub_ring, [g for g, _ in survivors], GREVLEX, [m for _, m in survivors]
-    )
+    free = FreeModule(sub_ring, [0])
+    kept = _Basis(ModOrder(sub_ring.weights))
+    for g, (_, lead) in zip(G, G.leads):
+        if not any(lead[:k]):
+            cut = {(0, m[k:]): c for (_, m), c in g.terms.items()}
+            kept.append(ModVec(free, cut), (0, lead[k:]))
+    return GroebnerBasis(sub_ring, kept)
 
 
 def quotient_ideal(v, rels):
@@ -178,8 +165,7 @@ def quotient_ideal(v, rels):
     U the submodule generated by `rels`: the syzygies of v modulo U, which
     the engine returns as a grevlex Groebner basis with its leads, so they
     are only minimalized and tail-reduced."""
-    ring = v.ring
-    return _reduced(ring, syzygies([v], modulo=rels), ModOrder(ring.weights))
+    return _reduced(v.ring, syzygies([v], modulo=rels))
 
 
 def intersect(ring, I, J):
@@ -187,7 +173,7 @@ def intersect(ring, I, J):
     generated by the polynomials I and J of `ring`: the quotient of (1, 1)
     modulo I+0 and 0+J."""
     if not I or not J:
-        return GroebnerBasis(ring, [], GREVLEX, [])
+        return GroebnerBasis(ring, _Basis(ModOrder(ring.weights)))
     free = FreeModule(ring, [0, 0])
     zero = ring.zero()
     rels = [free.from_polys([f, zero]) for f in I]

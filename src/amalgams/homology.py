@@ -114,8 +114,12 @@ def hilbert_series(obj):
     recursion (`monomial_kpoly`).  No resolution is built.
     """
     if isinstance(obj, IdealHandle):
-        # Series of the image of the ideal inside its quotient ring.
+        # Series of the image of the ideal inside its quotient ring.  A
+        # homogeneous ideal is the unit ideal exactly when a generator has
+        # degree 0: then its image is R itself, and R/I is no ring.
         R = obj.ring
+        if any(g.degree() == 0 for g in obj.generators):
+            return hilbert_series(R)
         big = PresentedRing(R.ambient, list(R.defining.elements) + obj.generators)
         return hilbert_series(R) - hilbert_series(big)
     if isinstance(obj, PresentedRing):

@@ -1,48 +1,35 @@
 """Graded free modules and the package's one Groebner engine.
 
 Vectors in a free module S^s are sparse maps (component, monomial) -> coeff.
-The module order takes a monomial order (grevlex or a block order) with a
-position tie-break, and supports a dominant front block of components;
-computing syzygies is elimination with the front block dominant, and
+Syzygies are elimination with a dominant front block of components, and
 syzygies modulo a submodule U lift U's generators with a zero tail, which
 makes them the one kernel primitive of the package.  Graded Nakayama is
-the one minimalization rule: `minimal_generators(modulo=)` keeps what the
-relations and the vectors kept so far do not span, and `subquotient`, built
-on it, presents Ext and every module with a unit relation entry.  One
-Buchberger loop (`_extend`) and one reducer (`_reduce`) run over module
-vectors; `amalgams.gb` runs ideals through them as rank-1 submodules.
-Both of the engine's choices are heap pops.  The loop computes each
-S-pair's lcm and its degree once, when the pair is made, and pops the
-next pair from a heap of (degree, i, j, lcm).  The reducer pops the
-leading term of its working dict from a heap of (order key, term),
-skipping popped terms that have left the dict.  `ModOrder` keeps each
-monomial's key, one flat tuple of ints, in a dict on the instance, so a
-key is built once per engine call.  Pairs come out in (lcm degree, i, j)
-order and terms in falling module order, as a scan for the least pair
-and the largest term would pick them.
-A `_Basis` keeps a per-component index beside the basis and grows it with
-the basis, so it is built once per basis, not once per reduction: the
-loop makes pairs only between leads of one component, the chain criterion
-looks only at the leads of the pair's component, and the reducer looks
-for a divisor only among the leads of the term's component, in the order
-of the basis, so the first divisor found is the first in the basis.  Each
-S-vector is built in one dict, and the reducer builds its remainder in
-falling order, so a new element's lead is the remainder's first key.
-Callers in this package pass vectors homogeneous with respect to the
-component twists; the engine itself only needs that for `degree()` and
-for a degree bound.  `minimal_generators` only asks whether each
-candidate lies in the span of the relations and the vectors kept so far,
-and every candidate has degree at most `top`, the largest candidate's.
-So it passes `top` to `_extend`, which then makes no pair whose true
-degree (the lcm's degree plus its component's twist) exceeds `top`: a
-Groebner basis up to degree `top` decides every such membership exactly.
-The chain criterion stays sound under the bound, because a lead dividing
-lcm(i, j) gives pairs with i and with j of degree at most that of (i, j).
-`module_groebner` and `syzygies` pass no bound and build the whole basis.
-The degree cap is the free module's ring's (`PolyRing.degree_cap`):
-`_extend` passes it to every reduction it runs, and `_reduce` is the one
-place that checks it.  Reductions outside the loop (`minimal_generators`'
-membership tests, `gb.normal_form`, tail reduction) run unchecked.
+the one minimalization rule (`minimal_generators(modulo=)`), and
+`subquotient`, built on it, presents Ext and every module with a unit
+relation entry.  `amalgams.gb` runs ideals through the same loop
+(`_extend`) and reducer (`_reduce`) as rank-1 submodules.
+
+A `_Basis` carries the `ModOrder` it was built under, and the loop and the
+reducer read it off the basis: a reduction under another order pops terms
+in the wrong order and can return a wrong remainder without an error.
+The engine's two choices are heap pops, taken in the order a scan for the
+least pair and the largest term would take them, so the heaps change no
+output.  The reducer builds its remainder in falling order, so a new
+element's lead is its remainder's first key.  Callers in this package
+pass vectors homogeneous with respect to the component twists; the engine
+itself only needs that for `degree()` and for a degree bound.
+
+`minimal_generators` only asks whether each candidate lies in the span of
+the relations and the vectors kept so far, so its basis is completed only
+up to the largest candidate's degree `top`: a Groebner basis up to a
+degree decides membership exactly up to it.  The chain criterion stays
+sound under that bound, because a lead dividing lcm(i, j) gives pairs with
+i and with j of degree at most that of (i, j).
+
+The degree cap is the ring's (`PolyRing.degree_cap`): `_extend` passes it
+to every reduction it runs, and `_reduce` is the one place that checks it.
+Reductions outside the loop (membership tests, `gb.normal_form`, tail
+reduction) run unchecked.
 """
 
 from __future__ import annotations
@@ -164,12 +151,9 @@ class ModOrder:
         comp, mono = term
         k = self._mono_keys.get(mono)
         if k is None:
-            k = self.order.key(mono, self.weights)
-            # A block key is two grevlex keys, each of fixed length for a
-            # given ring, so joining them keeps the order.
-            if isinstance(k[0], tuple):
-                k = k[0] + k[1]
-            k = self._mono_keys[mono] = tuple(map(neg, k))
+            k = self._mono_keys[mono] = tuple(
+                map(neg, self.order.key(mono, self.weights))
+            )
         return (-1 if comp < self.split else 0, *k, comp)
 
 
@@ -186,30 +170,31 @@ def _check_cap(degree, degree_cap):
 
 
 class _Basis:
-    """Monic module vectors, a GB or one being built, with their
-    per-component index: what `module_groebner` and `syzygies` return.
+    """Monic module vectors, a GB or one being built, with the `ModOrder`
+    they were built under and their per-component index: what
+    `module_groebner` and `syzygies` return.
 
     `vecs` and `leads` are the elements and their leading (component,
-    monomial) terms.  Per component, `divisors` holds the (vector, lead
-    monomial) pairs and `numbered` the (index, lead monomial) pairs, both
-    in the order of `vecs`.  `append` grows all four, so the index is
-    built once per basis, not once per reduction or per S-pair.
+    monomial) terms under `order`.  Per component, `index` holds the
+    (position, vector, lead monomial) of its elements in the order of
+    `vecs`.  `append` grows all three, so the index is built once per
+    basis, not once per reduction or per S-pair.  An empty basis made
+    from no vectors and no order has no order.
     """
 
-    __slots__ = ("vecs", "leads", "divisors", "numbered")
+    __slots__ = ("order", "vecs", "leads", "index")
 
-    def __init__(self, vecs=(), leads=()):
+    def __init__(self, order, vecs=(), leads=()):
+        self.order = order
         self.vecs = []
         self.leads = []
-        self.divisors = defaultdict(list)
-        self.numbered = defaultdict(list)
+        self.index = defaultdict(list)
         for g, lead in zip(vecs, leads):
             self.append(g, lead)
 
     def append(self, g, lead):
         comp, mono = lead
-        self.numbered[comp].append((len(self.vecs), mono))
-        self.divisors[comp].append((g, mono))
+        self.index[comp].append((len(self.vecs), g, mono))
         self.vecs.append(g)
         self.leads.append(lead)
 
@@ -220,8 +205,8 @@ class _Basis:
         return iter(self.vecs)
 
 
-def _reduce(v, basis, order, degree_cap=None):
-    """Full normal form of a vector against a `_Basis` under `order`.
+def _reduce(v, basis, degree_cap=None):
+    """Full normal form of a vector against a `_Basis`, under its order.
 
     One working dict is reduced in place.  Its leading term is popped from
     a min-heap of (order key, term): a term is pushed when it enters the
@@ -236,8 +221,8 @@ def _reduce(v, basis, order, degree_cap=None):
     p = ring.p
     if degree_cap is not None:
         _check_cap(v.max_mono_degree(), degree_cap)
-    divisors = basis.divisors
-    key = order.key
+    index = basis.index
+    key = basis.order.key
     h = dict(v.terms)
     heap = [(key(t), t) for t in h]
     heapify(heap)
@@ -248,7 +233,7 @@ def _reduce(v, basis, order, degree_cap=None):
         if c is None:
             continue
         comp, mono = lead
-        for g, gm in divisors.get(comp, ()):
+        for _, g, gm in index.get(comp, ()):
             if all(map(le, gm, mono)):
                 q = tuple(map(sub, mono, gm))
                 if degree_cap is not None:
@@ -278,7 +263,7 @@ def _monic(v, order):
     return v.scale(v.ring.field.inverse(c)), lead
 
 
-def _extend(basis, new, order, top=None):
+def _extend(basis, new, top=None):
     """Complete the `_Basis` `basis` after adding `new`, in place.
 
     `new` holds (monic vector, leading term) pairs.  Appends them, then
@@ -301,7 +286,7 @@ def _extend(basis, new, order, top=None):
     dividing lcm(i, j) makes the pairs (i, k) and (j, k) of degree at most
     that of (i, j), so neither was left out while (i, j) was made.
     """
-    G, leads, numbered = basis.vecs, basis.leads, basis.numbered
+    G, leads, index = basis.vecs, basis.leads, basis.index
     if not G and not new:
         return
     free = (G[0] if G else new[0][0]).free
@@ -319,7 +304,7 @@ def _extend(basis, new, order, top=None):
         n = len(G)
         comp, mono = lead
         bound = None if top is None else top - twists[comp]
-        for k, km in numbered[comp]:
+        for k, _, km in index[comp]:
             lcm = tuple(map(max, km, mono))
             degree = sum(map(mul, lcm, weights))
             if bound is not None and degree > bound:
@@ -352,7 +337,7 @@ def _extend(basis, new, order, top=None):
             and all(map(le, km, lcm))
             and done(i, k)
             and done(j, k)
-            for k, km in numbered[comp]
+            for k, _, km in index[comp]
         ):
             continue
         qi = tuple(map(sub, lcm, mi))
@@ -365,7 +350,7 @@ def _extend(basis, new, order, top=None):
                 s[k] = d
             else:
                 s.pop(k, None)
-        h = _reduce(ModVec(free, s), basis, order, degree_cap)
+        h = _reduce(ModVec(free, s), basis, degree_cap)
         if h.terms:
             lead = next(iter(h.terms))
             append(h.scale(inverse(h.terms[lead])), lead)
@@ -374,15 +359,14 @@ def _extend(basis, new, order, top=None):
 def module_groebner(vecs, order=None):
     """The `_Basis` of the submodule generated by `vecs` under the
     ModOrder `order` (plain grevlex over positions by default): its
-    Groebner basis with the leading terms and the per-component index."""
-    basis = _Basis()
-    if not vecs:
-        return basis
-    if order is None:
+    Groebner basis with the order, the leading terms and the
+    per-component index."""
+    if order is None and vecs:
         order = ModOrder(vecs[0].ring.weights)
+    basis = _Basis(order)
     new = [_monic(v, order) for v in vecs if not v.is_zero()]
     new.sort(key=lambda gl: order.key(gl[1]), reverse=True)
-    _extend(basis, new, order)
+    _extend(basis, new)
     return basis
 
 
@@ -396,12 +380,12 @@ def syzygies(vecs, twists=None, modulo=()):
     is lifted with the unit vector e_i as its tail and each relation with a
     zero tail; the elements of the lifted vectors' Groebner basis with a
     zero first block are the syzygies, and they form a Groebner basis under
-    the plain grevlex module order, with the leads they had there.  The
-    first block dominates, so an element has no term in it exactly when
-    its lead lies past it.
+    the plain grevlex module order, which the result carries, with the
+    leads they had there.  The first block dominates, so an element has no
+    term in it exactly when its lead lies past it.
     """
     if not vecs:
-        return _Basis()
+        return _Basis(None)
     free = vecs[0].free
     ring = free.ring
     if twists is None:
@@ -415,7 +399,7 @@ def syzygies(vecs, twists=None, modulo=()):
     lifted += [ModVec(ext, r.terms) for r in modulo]
     gb = module_groebner(lifted, ModOrder(ring.weights, free.rank))
     syz_free = FreeModule(ring, list(twists))
-    out = _Basis()
+    out = _Basis(ModOrder(ring.weights))
     for g, (comp, mono) in zip(gb.vecs, gb.leads):
         if comp >= free.rank:
             out.append(
@@ -450,14 +434,14 @@ def minimal_generators(vecs, modulo=()):
         _monic(r, order) for r in modulo if not r.is_zero() and r.degree() <= top
     ]
     kept = []
-    basis = _Basis()
-    _extend(basis, seeds, order, top)
+    basis = _Basis(order)
+    _extend(basis, seeds, top)
     for v in vecs:
-        h = _reduce(v, basis, order)
+        h = _reduce(v, basis)
         if h.is_zero():
             continue
         kept.append(v)
-        _extend(basis, [_monic(h, order)], order, top)
+        _extend(basis, [_monic(h, order)], top)
     return kept
 
 

@@ -100,10 +100,11 @@ class BlockOrder:
         self.elim_count = elim_count
 
     def key(self, expts, weights):
+        # Each block's key has a fixed length for a given ring, so the
+        # joined tuple compares the front block first.
         k = self.elim_count
-        return (
-            _grevlex_key(expts[:k], weights[:k]),
-            _grevlex_key(expts[k:], weights[k:]),
+        return _grevlex_key(expts[:k], weights[:k]) + _grevlex_key(
+            expts[k:], weights[k:]
         )
 
     def __repr__(self):
@@ -374,12 +375,6 @@ class Polynomial:
         degs = {self.ring.mono_degree(m) for m in self.terms}
         return len(degs) <= 1
 
-    def sorted_terms(self, order=GREVLEX):
-        ws = self.ring.weights
-        return sorted(
-            self.terms.items(), key=lambda mc: order.key(mc[0], ws), reverse=True
-        )
-
     def __str__(self):
         return format_poly(self)
 
@@ -388,7 +383,7 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Display and parsing.  Terms are sorted descending by the active order,
+# Display and parsing.  Terms are sorted descending in grevlex order,
 # `*` separates factors, exponents use `^`.  The default style prints
 # coefficients as least non-negative residues; the signed style renders
 # residues above p/2 with a minus sign, which is what the CLI reports use.
@@ -404,12 +399,16 @@ def _mono_str(ring, mono):
     return "*".join(parts)
 
 
-def format_poly(f, order=GREVLEX, signed=False):
+def format_poly(f, signed=False):
     if f.is_zero():
         return "0"
     p = f.ring.p
+    ws = f.ring.weights
     pieces = []
-    for mono, coeff in f.sorted_terms(order):
+    terms = sorted(
+        f.terms.items(), key=lambda mc: _grevlex_key(mc[0], ws), reverse=True
+    )
+    for mono, coeff in terms:
         neg = False
         if signed and coeff > p // 2:
             neg = True

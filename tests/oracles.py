@@ -321,16 +321,14 @@ def extend_scan(G, leads, new, order, degree_cap, top=None):
 
 def module_groebner_scan(vecs, order=None, degree_cap=DEFAULT_DEGREE_CAP):
     """`module_groebner` with every choice made by a scan, returned as a
-    `_Basis` with the leads the scan found."""
-    if not vecs:
-        return _Basis()
-    if order is None:
+    `_Basis` with its order and the leads the scan found."""
+    if order is None and vecs:
         order = ModOrder(vecs[0].ring.weights)
     new = [monic_scan(v, order) for v in vecs if not v.is_zero()]
     new.sort(key=lambda gl: _scan_key(order, gl[1]))
     G, leads = [], []
     extend_scan(G, leads, new, order, degree_cap)
-    return _Basis(G, leads)
+    return _Basis(order, G, leads)
 
 
 def ideal_generated_by(R, gens):

@@ -192,6 +192,40 @@ def test_hom_into_report():
     assert report.lines[0] == "generators = x - z1"
 
 
+@pytest.mark.parametrize(
+    "declarations, name, hilbert",
+    [
+        # J = (x*y) is zero in A = B, and J = () has no z-variable.
+        ("ring A vars x, y ideal: x*y\nideal Z in A : x*y\nduplication D : A, Z\n",
+         "D", "(1 - t^2) / (1 - 2*t + t^2)"),
+        ("ring A vars x, y ideal: x*y\nideal Z in A :\nduplication D : A, Z\n",
+         "D", "(1 - t^2) / (1 - 2*t + t^2)"),
+        # The module of the trivial extension is 0.
+        ("ring A vars x\ntrivext T : A, module gens 1 relations e1\n",
+         "T", "(1) / (1 - t)"),
+    ],
+    ids=["j-zero-in-b", "j-without-generators", "trivext-zero-module"],
+)
+def test_hom_into_is_the_whole_ring_when_j_is_zero(
+    tmp_path, capsys, declarations, name, hilbert
+):
+    # Ann_R(0 x J) = R: the unit ideal, whose series is HS(R).
+    f = tmp_path / "w.alg"
+    f.write_text("field p=101\n" + declarations)
+    assert main([str(f), "hom-into", name]) == 0
+    assert capsys.readouterr().out == f"generators = 1\nhilbert = {hilbert}\n"
+
+
+def test_hom_into_prints_the_zero_ideal_as_zero():
+    # A = k[x], B = k[x, y], J = (y): K = 0, so Ann_R(0 x J) = (0 : z1) = 0.
+    text = (
+        "field p=101\nring A vars x\nring B vars x, y\n"
+        "hom f A -> B : x -> x\nideal J in B : y\namalgam W : f, J\n"
+    )
+    report = dispatch(text, ["hom-into", "W"])
+    assert report.lines == ["generators = 0", "hilbert = (0) / (1 - 2*t + t^2)"]
+
+
 def test_finite_check_report():
     report = dispatch(FINITE, ["finite", "check", "W"])
     assert "primes = 3" in report.lines

@@ -18,7 +18,7 @@ from amalgams.gb import (
     quotient_ideal,
 )
 from amalgams.homology import _ext_from_resolution, annihilator, free_resolution
-from amalgams.modules import FPModule, FreeModule, syzygies
+from amalgams.modules import FPModule, FreeModule, ModOrder, syzygies
 from amalgams.poly import (
     DEFAULT_DEGREE_CAP,
     GREVLEX,
@@ -36,6 +36,7 @@ from conftest import (
     random_homogeneous,
     random_poly,
 )
+from oracles import mod_reduce_scan
 from samples import binomial_or_monomial_rings
 
 
@@ -493,12 +494,13 @@ def test_intersect_and_colon_match_sympy(p, data):
 
 def assert_own_reduced_basis(G):
     """G is a `GroebnerBasis` equal, element for element, to `buchberger`
-    of its own elements under its order, and its stored leads are the
-    leading monomials of its elements."""
+    of its own elements under its basis's order, and its stored leads are
+    the leading monomials of its elements."""
     assert isinstance(G, GroebnerBasis)
-    again = buchberger(IdealBasis(G.ring, G.elements), G.order)
+    order = G.basis.order.order
+    again = buchberger(IdealBasis(G.ring, G.elements), order)
     assert [g.terms for g in G.elements] == [g.terms for g in again.elements]
-    assert G.leading_monomials() == [leading_term(g, G.order)[0] for g in G.elements]
+    assert G.leading_monomials() == [leading_term(g, order)[0] for g in G.elements]
 
 
 @pytest.mark.parametrize("p", [101, 32003])
@@ -528,3 +530,55 @@ def test_every_ideal_result_is_a_groebner_basis_with_its_leads(p, data):
     ] + [annihilator(M) for M in fp_modules]
     for G in results:
         assert_own_reduced_basis(G)
+
+
+def rebuilt_normal_form(f, elements, order):
+    """The normal form of f against `elements` as rank-1 vectors, with
+    their leads found afresh under `order`, by the scan reducer."""
+    free = FreeModule(f.ring, [0])
+    vecs = [free.from_polys([g]) for g in elements]
+    leads = [(0, leading_term(g, order)[0]) for g in elements]
+    morder = ModOrder(f.ring.weights, order=order)
+    return mod_reduce_scan(free.from_polys([f]), vecs, leads, morder).component_poly(0)
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+@settings(max_examples=15)
+@given(data=st.data())
+def test_kept_bases_give_the_normal_forms_of_rebuilt_ones(p, data):
+    # Each result keeps the rank-1 basis it was reduced as, with its order
+    # and leads; `normal_form` reduces against that basis.  Rebuilt from the
+    # elements, with leads found under the order the result is for, it
+    # must give the same normal forms: the leads of an eliminated basis cut
+    # to the subring, those of a block basis under the block order.
+    ring, gens = data.draw(homogeneous_ideals((p,)))
+    x, y, z = (ring.var(n) for n in ring.names)
+    src = PolyRing(p, ["u", "v", "w"], [1, 1, 2])
+    grevlex = buchberger(IdealBasis(ring, gens), GREVLEX)
+    results = [
+        (grevlex, GREVLEX),
+        (buchberger(IdealBasis(ring, gens), BlockOrder(1)), BlockOrder(1)),
+        (eliminate(ring, gens, 1), GREVLEX),
+        (kernel_of_map(src, [x + y, z, x * y], grevlex), GREVLEX),
+    ]
+    coeff = st.integers(1, p - 1)
+    for G, order in results:
+        R = G.ring
+        leads = [(0, leading_term(g, order)[0]) for g in G.elements]
+        assert G.basis.leads == leads
+        assert [(0, m) for m in G.leading_monomials()] == leads
+        monos = [
+            m for m in product(range(5), repeat=R.nvars) if R.mono_degree(m) <= 4
+        ]
+        elements = st.sampled_from(G.elements) if G.elements else st.nothing()
+        targets = list(G.elements)
+        for _ in range(3):
+            terms = data.draw(
+                st.lists(st.tuples(st.sampled_from(monos), coeff), max_size=4)
+            )
+            f = from_terms(R, terms)
+            for g in data.draw(st.lists(elements, max_size=2)):
+                f = f + g * from_terms(R, [(data.draw(st.sampled_from(monos)), 1)])
+            targets.append(f)
+        for f in targets:
+            assert normal_form(f, G) == rebuilt_normal_form(f, G.elements, order)

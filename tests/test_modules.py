@@ -127,7 +127,7 @@ def test_product_criterion_is_not_applied_in_rank_two():
     G = module_groebner([vec("x", "y"), vec("y", "z")])
     order = ModOrder(S.weights)
     leads = [leading_mod_term(g, order)[0] for g in G]
-    assert _reduce(vec("0", "y^2 - x*z"), _Basis(G, leads), order).is_zero()
+    assert _reduce(vec("0", "y^2 - x*z"), _Basis(order, G, leads)).is_zero()
 
 
 def test_reduction_stops_at_the_degree_cap():
@@ -137,11 +137,11 @@ def test_reduction_stops_at_the_degree_cap():
     F = FreeModule(S, [0])
     g = F.from_polys([parse_poly(S, "x - y^3")])
     order = ModOrder(S.weights, order=BlockOrder(1))
-    basis = _Basis([g], [leading_mod_term(g, order)[0]])
+    basis = _Basis(order, [g], [leading_mod_term(g, order)[0]])
     v = F.from_polys([parse_poly(S, "x*z")])
     with pytest.raises(DegreeCapExceeded, match="intermediate degree 4 exceeds cap 3"):
-        _reduce(v, basis, order, degree_cap=3)
-    assert _reduce(v, basis, order, degree_cap=4) == F.from_polys(
+        _reduce(v, basis, degree_cap=3)
+    assert _reduce(v, basis, degree_cap=4) == F.from_polys(
         [parse_poly(S, "y^3*z")]
     )
 
@@ -149,24 +149,25 @@ def test_reduction_stops_at_the_degree_cap():
 def scan_engine():
     """A context in which `modules`' own syzygies and minimal_generators
     run on the scan-driven oracle engine, which reads a basis as the two
-    lists `vecs` and `leads`, takes the degree cap that the engine reads
-    off the ring, and opens no pair above the degree bound `top`."""
+    lists `vecs` and `leads` and its order, takes the degree cap that the
+    engine reads off the ring, and opens no pair above the degree bound
+    `top`."""
 
     def groebner(vecs, order=None):
         cap = vecs[0].ring.degree_cap if vecs else None
         return module_groebner_scan(vecs, order, cap)
 
-    def extend(basis, new, order, top=None):
+    def extend(basis, new, top=None):
         G, leads = list(basis.vecs), list(basis.leads)
         if not G and not new:
             return
         cap = (G[0] if G else new[0][0]).ring.degree_cap
-        extend_scan(G, leads, new, order, cap, top)
+        extend_scan(G, leads, new, basis.order, cap, top)
         for g, lead in zip(G[len(basis.vecs):], leads[len(basis.leads):]):
             basis.append(g, lead)
 
-    def reduce(v, basis, order, degree_cap=None):
-        return mod_reduce_scan(v, basis.vecs, basis.leads, order, degree_cap)
+    def reduce(v, basis, degree_cap=None):
+        return mod_reduce_scan(v, basis.vecs, basis.leads, basis.order, degree_cap)
 
     stack = ExitStack()
     for name, oracle in [
@@ -353,19 +354,19 @@ def assert_reducer_matches_scan(G, leads, order, targets):
     cap and caps 1-8, as the scan reducer does on the same lists.  Until
     the basis is a GB, a remainder depends on which divisor is found
     first.  The remainder's first key is its leading term."""
-    basis = _Basis()
+    basis = _Basis(order)
     for n, (g, lead) in enumerate(zip(G, leads)):
         basis.append(g, lead)
         vecs = [s_vector(G[k], g, order) for k in range(n) if leads[k][0] == lead[0]]
         if n == len(G) - 1:
             vecs += targets
         for v in vecs:
-            full = _reduce(v, basis, order)
+            full = _reduce(v, basis)
             assert full == mod_reduce_scan(v, G[: n + 1], leads[: n + 1], order)
             if full.terms:
                 assert next(iter(full.terms)) == leading_mod_term(full, order)[0]
             for cap in range(1, 9):
-                got = outcome(lambda c: _reduce(v, basis, order, c), cap)
+                got = outcome(lambda c: _reduce(v, basis, c), cap)
                 assert got in (None, full)
                 scan = outcome(
                     lambda c: mod_reduce_scan(v, G[: n + 1], leads[: n + 1], order, c),

@@ -140,6 +140,32 @@ def test_only_ring_builders_take_a_degree_cap():
     assert taking <= CAP_PARAMETERS
 
 
+# A `_Basis` carries the module order it was built under, and a
+# `GroebnerBasis` carries its `_Basis`, so a reduction reads the order off
+# its basis.  Only the functions that build an order or a basis, or pick a
+# leading term before there is a basis, take one as a parameter.
+ORDER_PARAMETERS = {
+    "modules.ModOrder.__init__",
+    "modules._Basis.__init__",
+    "modules.leading_mod_term",
+    "modules._monic",
+    "modules.module_groebner",
+    "gb.buchberger",
+}
+
+
+def test_only_basis_and_order_builders_take_an_order():
+    taking = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, fn in _functions(tree, f"{path.stem}."):
+            args = fn.args
+            params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            if params & {"order", "morder"}:
+                taking.add(name)
+    assert taking <= ORDER_PARAMETERS
+
+
 # Definitions no fixture command and no `verify-paper` run enters, each
 # with the reason it stays.
 UNREACHED_BY_COMMANDS = {
