@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from . import harness
@@ -156,6 +157,10 @@ def _decl_field(session, rest, n):
         session.field = field
 
 
+# A letter or `_`, then letters, digits or `_`: one name to `parse_poly`.
+_VARIABLE_NAME = re.compile(r"[^\W\d]\w*")
+
+
 def _decl_ring(session, rest, n):
     name, _, body = rest.partition(" ")
     body = body.strip()
@@ -166,11 +171,14 @@ def _decl_ring(session, rest, n):
     variables = []
     for tok in _split_list(var_part):
         vname, _, w = tok.partition(":")
+        vname = vname.strip()
+        if not _VARIABLE_NAME.fullmatch(vname):
+            raise ParseError(n, f"bad variable name {vname!r}")
         try:
             weight = int(w) if w else 1
         except ValueError:
-            raise ParseError(n, f"weight of {vname.strip()!r} must be an integer")
-        variables.append((vname.strip(), weight))
+            raise ParseError(n, f"weight of {vname!r} must be an integer")
+        variables.append((vname, weight))
     if not variables:
         raise ParseError(n, "ring needs at least one variable")
     ambient = PolyRing(
@@ -202,6 +210,8 @@ def _decl_hom(session, rest, n):
         v = v.strip()
         if not arrow or v not in src.names:
             raise ParseError(n, f"bad image assignment {item!r}")
+        if v in images:
+            raise ParseError(n, f"two images for variable {v!r}")
         images[v] = parse_poly(tgt.ambient, img.strip())
     missing = [v for v in src.names if v not in images]
     if missing:

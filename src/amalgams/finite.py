@@ -54,10 +54,16 @@ def _normalize_one(add, mul, one_idx):
     return _relabel(add, mul, perm), perm
 
 
+def _check_order(n):
+    if n > SPECTRUM_SIZE_CAP:
+        raise SizeCap(f"|R| = {n} exceeds the spectrum cap {SPECTRUM_SIZE_CAP}")
+
+
 def zmod(n, name=None):
     """The ring Z/n."""
     if n < 1:
         raise NotARing("order must be positive")
+    _check_order(n)
     i = np.arange(n)
     add = (i[:, None] + i[None, :]) % n
     mul = (i[:, None] * i[None, :]) % n
@@ -70,6 +76,7 @@ class ProductRing(FiniteRing):
     def __init__(self, A, B, name=None):
         nA, nB = A.n, B.n
         n = nA * nB
+        _check_order(n)
         a = np.arange(n) // nB
         b = np.arange(n) % nB
         add = A.add[a[:, None], a[None, :]] * nB + B.add[b[:, None], b[None, :]]
@@ -159,8 +166,7 @@ def all_ideals(R):
 
 def enumerate_primes(R):
     """All prime ideals (= maximal ideals in a finite commutative ring)."""
-    if R.n > SPECTRUM_SIZE_CAP:
-        raise SizeCap(f"|R| = {R.n} exceeds the spectrum cap {SPECTRUM_SIZE_CAP}")
+    _check_order(R.n)
     mul = R.mul.tolist()
     primes = []
     for I in all_ideals(R):

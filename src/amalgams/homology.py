@@ -15,14 +15,14 @@ Ext modules and annihilators are kernels into quotient modules, each
 taken as syzygies modulo the relations (`modules.syzygies(modulo=)`); Ext
 is presented by `modules.subquotient`, the one minimalization rule, and
 each module is minimalized once.
-Hilbert series and Krull dimensions are read off leading monomials and
-need no resolution: F/U has the series and the dimension of F/in(U).
+Hilbert series are read off leading monomials and need no resolution:
+F/U has the series of F/in(U).  The Krull dimension is the order of the
+series' pole at t = 1, so it is read off the same monomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import ResolutionTooLong, ZeroModule
 from .gb import ideal_member, quotient_ideal
@@ -127,54 +127,21 @@ def hilbert_series(obj):
         return HilbertSeries(num, weights=obj.weights)
     if isinstance(obj, FPModule):
         weights = obj.ring.weights
+        leads = [[] for _ in obj.twists]
+        for comp, mono in module_groebner(obj.relations).leads:
+            leads[comp].append(mono)
         num = lp_zero()
-        for twist, lead in zip(obj.twists, _leads_by_component(obj)):
+        for twist, lead in zip(obj.twists, leads):
             part = monomial_kpoly(lead, weights)
             num = lp_add(num, lp_mul(lp_monomial(twist), part))
         return HilbertSeries(num, weights=weights)
     raise TypeError(f"no Hilbert series for a {type(obj).__name__}")
 
 
-def _leads_by_component(M):
-    """The leading monomials of the Groebner basis of M's relations, one
-    list per generator of M: F/in(U) is the sum of the S/in_i(-twist_i)."""
-    leads = [[] for _ in M.twists]
-    for comp, mono in module_groebner(M.relations).leads:
-        leads[comp].append(mono)
-    return leads
-
-
-def _dim_of_leading_monomials(nvars, lead):
-    """Combinatorial Krull dimension of S/(leading ideal).
-
-    The dimension is the largest size of a variable subset U such that no
-    leading monomial is supported entirely inside U.
-    """
-    if any(all(e == 0 for e in m) for m in lead):
-        return -1  # unit ideal
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in lead]
-    for size in range(nvars, -1, -1):
-        for U in combinations(range(nvars), size):
-            Uset = set(U)
-            if not any(s <= Uset for s in supports):
-                return size
-    return -1
-
-
 def krull_dim(obj):
-    """Krull dimension of a quotient ring S/I, that of S/in(I), or of a
-    finitely presented module F/U, that of F/in(U) (Macaulay's theorem):
-    the largest over the generators of the dimension read off the leads in
-    that component, and -1 for the zero module."""
-    if isinstance(obj, PresentedRing):
-        return _dim_of_leading_monomials(
-            obj.ambient.nvars, obj.defining.leading_monomials()
-        )
-    nvars = obj.ring.nvars
-    return max(
-        (_dim_of_leading_monomials(nvars, lead) for lead in _leads_by_component(obj)),
-        default=-1,
-    )
+    """Krull dimension of a ring or module: the order of the pole of its
+    Hilbert series at t = 1, and -1 for the zero module."""
+    return hilbert_series(obj).dimension()
 
 
 def depth_ab(obj):
@@ -255,7 +222,6 @@ def annihilator(M):
 class ClassifyReport:
     dim: int
     depth: int
-    codim: int
     betti: list
     type: int
     is_cm: bool
@@ -341,7 +307,6 @@ def classify(R):
     R.report = ClassifyReport(
         dim=dim,
         depth=depth,
-        codim=codim,
         betti=betti,
         type=rtype,
         is_cm=is_cm,

@@ -78,6 +78,22 @@ def denominator_poly(weights):
     return out
 
 
+def _order_at_one(a):
+    """Multiplicity of t = 1 as a root of the nonzero Laurent polynomial a:
+    while the coefficients sum to 0, a = (1 - t) * q with q's coefficients
+    the partial sums of a's, so divide and count."""
+    order = 0
+    while sum(a.values()) == 0:
+        q, s = {}, 0
+        for d in range(min(a), max(a)):
+            s += a.get(d, 0)
+            if s:
+                q[d] = s
+        a = q
+        order += 1
+    return order
+
+
 def _minimal_monomials(gens):
     """Minimal generators of the monomial ideal spanned by exponent tuples."""
     out = []
@@ -196,6 +212,13 @@ class HilbertSeries:
             if a.get(d, 0) != b.get(d, 0):
                 return d
         raise AssertionError("unequal series with no differing coefficient")
+
+    def dimension(self):
+        """Order of the pole at t = 1, the Krull dimension of a graded
+        module with this series; -1 for the zero series."""
+        if not self.num:
+            return -1
+        return _order_at_one(self.den) - _order_at_one(self.num)
 
     def __repr__(self):
         return f"({lp_str(self.num)}) / ({lp_str(self.den)})"

@@ -39,10 +39,12 @@ Groebner basis (the elements linear in the e-variables), where
 `retraction_ideal_identity` checks K + (z's) = I_A*C + (z's) for a
 presentation C/K, an identity that holds for every amalgam because
 I_A*C lies in K; it lifts I_A into C itself.
-`krull_dim_annihilator` takes the dimension of a module as that of
-S/ann(M), with ann(M) from `annihilator_loop` and the dimension from a
-search over variable subsets, where `amalgams.homology.krull_dim` reads
-it off the leading monomials of the module's own relations.
+`krull_dim_subsets` takes the dimension of S/I as the size of the largest
+set of variables no leading monomial of I lives in, found by a search over
+variable subsets, and `krull_dim_annihilator` takes the dimension of a
+module as that of S/ann(M), with ann(M) from `annihilator_loop`, where
+`amalgams.homology.krull_dim` reads both off the pole at t = 1 of the
+Hilbert series.
 `check_ring_axioms` checks the ring axioms of a finite ring's tables,
 exhaustively up to order EXHAUSTIVE_CHECK_BOUND and on seeded random
 triples above it, where `amalgams.finite` builds only rings whose axioms
@@ -471,18 +473,26 @@ def annihilator_loop(M):
     return _reduced(ring, result)
 
 
-def krull_dim_annihilator(M):
-    """dim S/ann(M): the size of the largest set U of variables such that
-    no leading monomial of ann(M)'s basis lives in the variables of U,
-    found by trying every subset, the largest first; -1 when ann(M) = S."""
-    n = M.ring.nvars
-    leads = annihilator_loop(M).leading_monomials()
+def _dim_by_subsets(n, leads):
+    """dim S/(leads) for S in n variables: the size of the largest set U of
+    variables such that no leading monomial lives in the variables of U,
+    found by trying every subset, the largest first; -1 for the unit ideal."""
     for size in range(n, -1, -1):
         for U in combinations(range(n), size):
             outside = [i for i in range(n) if i not in U]
             if not any(all(m[i] == 0 for i in outside) for m in leads):
                 return size
     return -1
+
+
+def krull_dim_subsets(R):
+    """dim R for a quotient ring R = S/I, that of S/in(I)."""
+    return _dim_by_subsets(R.ambient.nvars, R.defining.leading_monomials())
+
+
+def krull_dim_annihilator(M):
+    """dim S/ann(M), with ann(M) from `annihilator_loop`."""
+    return _dim_by_subsets(M.ring.nvars, annihilator_loop(M).leading_monomials())
 
 
 def ext_project(res, j):

@@ -408,6 +408,22 @@ def test_hilbert_cross_check_failure_exits_1(tmp_path, capsys, monkeypatch):
             2,
             "4 is not a prime in [2, 2^31)",
         ),
+        # Finite rings above the cap are refused before a table is built.
+        ("zring Z n=4097\n", 1, "|R| = 4097 exceeds the spectrum cap 4096"),
+        (
+            "zring Z n=65\nproduct P = Z x Z\n",
+            2,
+            "|R| = 4225 exceeds the spectrum cap 4096",
+        ),
+        ("ring A vars :2\n", 1, "bad variable name ''"),
+        ("ring A vars x y\n", 1, "bad variable name 'x y'"),
+        ("ring A vars x y ideal: x^2\n", 1, "bad variable name 'x y'"),
+        ("ring A vars 2x\n", 1, "bad variable name '2x'"),
+        (
+            "ring A vars x\nring B vars x, y\nhom f A -> B : x -> x, x -> y\n",
+            3,
+            "two images for variable 'x'",
+        ),
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, text, line, message):

@@ -105,9 +105,14 @@ def test_enumerate_primes():
 def test_size_cap(monkeypatch):
     import amalgams.finite as finite
 
+    R = zmod(6)
     monkeypatch.setattr(finite, "SPECTRUM_SIZE_CAP", 4)
     with pytest.raises(SizeCap):
-        enumerate_primes(zmod(6))
+        enumerate_primes(R)
+    with pytest.raises(SizeCap):
+        zmod(6)
+    with pytest.raises(SizeCap):
+        ProductRing(zmod(2), zmod(3))
 
 
 def test_check_hom():

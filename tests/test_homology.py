@@ -3,6 +3,7 @@ from operator import add
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amalgams import homology
 from amalgams.errors import DegreeCapExceeded, ZeroModule
@@ -23,7 +24,7 @@ from amalgams.modules import FPModule, minimal_generators
 from amalgams.poly import PolyRing
 from amalgams.ring import IdealHandle, make_ring
 from amalgams.series import HilbertSeries, lp_const, lp_monomial
-from oracles import resolution_series
+from oracles import krull_dim_subsets, resolution_series
 from samples import binomial_or_monomial_rings, k3_duplications, serre_rings
 
 
@@ -156,6 +157,29 @@ def test_krull_dim():
     assert krull_dim(intersection_ring()) == 2
     assert krull_dim(make_ring(101, ["x"])) == 1
     assert krull_dim(make_ring(101, ["x", "y"], ["x^2", "x*y", "y^2"])) == 0
+
+
+def duplication_along_m(n, p):
+    """C/K of k[x1..xn] duplicated along (x1..xn)."""
+    A = make_ring(p, [f"x{i}" for i in range(1, n + 1)])
+    return amalgam_present(duplication(A, IdealHandle(A, list(A.names)))).ring
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+def test_krull_dim_of_rings_matches_the_subset_search(p):
+    weighted = make_ring(p, [("x", 2), ("y", 3), ("z", 1)], ["x^3 - y^2", "x*z^2"])
+    rings = serre_rings(p) + k3_duplications(p) + [weighted]
+    rings += [duplication_along_m(n, p) for n in (1, 2)]
+    for R in rings:
+        assert krull_dim(R) == krull_dim_subsets(R)
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_krull_dim_of_drawn_rings_matches_the_subset_search(p, data):
+    R = data.draw(binomial_or_monomial_rings(p))
+    assert krull_dim(R) == krull_dim_subsets(R)
 
 
 def test_depth_and_auslander_buchsbaum():

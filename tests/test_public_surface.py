@@ -14,8 +14,8 @@ one goes unseen; the second check runs every fixture command of
 and fails on a function or method that is never entered, dunders again
 exempt, save the few `UNREACHED_BY_COMMANDS` names with their reasons.
 Two more checks keep stored state and parameters live: every parameter is
-read in its function's body, and every attribute a class stores on `self`
-is read by that class.  The attribute check goes by class, not by name, so
+read in its function's body, and every attribute a class stores on `self`,
+or declares as a dataclass field, is read by that class.  The attribute check goes by class, not by name, so
 dead state cannot hide behind a live attribute of another class: an
 attribute counts as read when the class reads it through `self`, when it
 is read on an instance of the class while the commands above run, or,
@@ -177,16 +177,32 @@ UNREACHED_BY_COMMANDS = {
 }
 
 
+def _is_dataclass(cls):
+    """Whether the class definition `cls` is decorated with `dataclass`."""
+    for deco in cls.decorator_list:
+        if isinstance(deco, ast.Call):
+            deco = deco.func
+        if "dataclass" in (getattr(deco, "id", None), getattr(deco, "attr", None)):
+            return True
+    return False
+
+
 def stored_attributes():
     """{`module.Class`: names} of the attributes each class of the package
-    stores on `self`, and the set of `module.Class.attr` each class reads
-    through `self` in its own body."""
+    stores on `self` or declares as a dataclass field, and the set of
+    `module.Class.attr` each class reads through `self` in its own body."""
     stored, self_read = {}, set()
     for module, tree in _package_trees().items():
         for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
             owner = f"{module}.{cls.name}"
+            if _is_dataclass(cls):
+                for node in cls.body:
+                    if isinstance(node, ast.AnnAssign) and isinstance(
+                        node.target, ast.Name
+                    ):
+                        stored.setdefault(owner, set()).add(node.target.id)
             for node in ast.walk(cls):
                 if not (
                     isinstance(node, ast.Attribute)

@@ -2,7 +2,9 @@
 
 Monomial ideals are checked against a brute-force count of standard
 monomials, and duplications against the additivity HS(C/K) = HS(A) + HS(J)
-of the split sequence 0 -> J -> A ⋈ J -> A -> 0.
+of the split sequence 0 -> J -> A ⋈ J -> A -> 0.  A series' dimension,
+the order of its pole at t = 1, is checked on numerators with negative
+degrees, on differences over product denominators and on weights above 1.
 """
 
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from amalgams.amalgam import amalgam_present, duplication
 from amalgams.homology import hilbert_series
 from amalgams.ring import IdealHandle, make_ring
-from amalgams.series import HilbertSeries, monomial_kpoly
+from amalgams.series import HilbertSeries, _order_at_one, monomial_kpoly
 from oracles import standard_monomials_filter
 
 TOP = 8
@@ -60,3 +62,35 @@ def test_duplication_series_is_additive(exponents):
     I = IdealHandle(A, gens)
     P = amalgam_present(duplication(A, I))
     assert hilbert_series(P.ring) == hilbert_series(A) + hilbert_series(I)
+
+
+def test_order_at_one():
+    assert _order_at_one({0: 1}) == 0
+    assert _order_at_one({0: 1, 1: -2, 2: 1}) == 2  # (1 - t)^2
+    assert _order_at_one({-3: 1, -2: -1, 0: -1, 1: 1}) == 2  # t^-3(1 - t)(1 - t^3)
+    assert _order_at_one({0: 1, 2: -1}) == 1  # (1 - t)(1 + t)
+
+
+def test_dimension_is_the_pole_order_at_one():
+    assert HilbertSeries({}, weights=[1, 1]).dimension() == -1
+    assert HilbertSeries({0: 1}, weights=[]).dimension() == 0
+    assert HilbertSeries({0: 1}, weights=[1, 1, 1]).dimension() == 3
+    # Ext-like numerators with negative degrees: t^-3 / (1 - t) and
+    # t^-2 (1 - t)^2 / (1 - t)^3
+    assert HilbertSeries({-3: 1}, weights=[1]).dimension() == 1
+    assert HilbertSeries({-2: 1, -1: -2, 0: 1}, weights=[1, 1, 1]).dimension() == 1
+    # weights above 1: k[x:2, y:3] and its cusp x^3 - y^2
+    assert HilbertSeries({0: 1}, weights=[2, 3]).dimension() == 2
+    assert HilbertSeries({0: 1, 6: -1}, weights=[2, 3]).dimension() == 1
+
+
+def test_dimension_of_differences_over_product_denominators():
+    # (1 + t) / ((1 - t)(1 - t^2)) is 1 / (1 - t)^2 over another denominator
+    plane = HilbertSeries({0: 1, 1: 1}, weights=[1, 2])
+    line = HilbertSeries({0: 1}, weights=[1])
+    diff = plane - HilbertSeries({1: 1}, weights=[1, 1])
+    assert diff.den != plane.den
+    assert diff == line
+    assert diff.dimension() == 1
+    assert (plane - line).dimension() == 2
+    assert (plane - HilbertSeries({0: 1}, weights=[1, 1])).dimension() == -1
