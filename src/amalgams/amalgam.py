@@ -24,7 +24,7 @@ extension) takes the degree cap of A's ambient ring.
 
 from __future__ import annotations
 
-from .errors import JUnit, NotHomogeneous, UnitIdeal
+from .errors import JUnit, NotHomogeneous
 from .gb import colon, intersect, kernel_of_map
 from .homology import hilbert_series
 from .modules import FPModule
@@ -82,19 +82,17 @@ def _fresh_names(base, count, taken):
 
 
 class AmalgamPresentation:
-    """The presented ring C/K, its Hilbert series and certificate, the
-    names of C's z-variables, and B/(I_B + J).  `J_series` is HS(J), which
-    `verify_presentation` computes for the certificate."""
+    """What the amalgam adds to its spec: the presented ring C/K (which
+    keeps K as `ring.defining` and HS(C/K) as `ring.series`), the names of
+    C's z-variables, HS(J) as `J_series`, and the certificate that
+    `verify_presentation` sets."""
 
-    def __init__(self, spec, ring, series, z_names, B_mod_J):
+    def __init__(self, spec, ring, z_names, J_series):
         self.spec = spec
         self.ring = ring  # PresentedRing C/K
-        self.series = series  # HS(C/K)
-        self.B_mod_J = B_mod_J  # PresentedRing B/(I_B + J)
-        self.K = ring.defining
         self.z_names = z_names
+        self.J_series = J_series  # HS(J), for the certificate
         self.certificate = None  # set by verify_presentation
-        self.J_series = None  # set by verify_presentation
 
     @property
     def ambient(self):
@@ -114,12 +112,10 @@ def amalgam_present(spec):
     if spec.presentation is not None:
         return spec.presentation
     A, B, f, J = spec.A, spec.B, spec.f, spec.J
-    jgens = [B.reduce(g) for g in J.generators]
-    jgens = [g for g in jgens if not g.is_zero()]
-    try:
-        B_mod_J = PresentedRing(B.ambient, list(B.defining.elements) + jgens)
-    except UnitIdeal:
+    if J.is_unit():
         raise JUnit("the listed generators generate the unit ideal of B")
+    J_series = hilbert_series(J)
+    jgens = J.generators
     m = len(jgens)
     z_names = _fresh_names("z", m, set(A.names))
     z_weights = [g.degree() for g in jgens]
@@ -136,9 +132,7 @@ def amalgam_present(spec):
     K_B = kernel_of_map(C, images, B.defining)
 
     presented = PresentedRing(C, intersect(C, K_A, K_B.elements))
-    P = AmalgamPresentation(
-        spec, presented, hilbert_series(presented), z_names, B_mod_J
-    )
+    P = AmalgamPresentation(spec, presented, z_names, J_series)
     verify_presentation(P)
     spec.presentation = P
     return P
@@ -149,13 +143,11 @@ def verify_presentation(P):
 
     On inequality the smallest degree where the graded dimensions differ
     is reported; the presented ring is then the proper subring generated
-    by the images, not the full amalgam.  HS(C/K) is the series the
-    presentation keeps, and HS(J) is HS(B) - HS(B/J), from the ring B/J
-    that `amalgam_present` built; the presentation keeps it as `J_series`.
+    by the images, not the full amalgam.  HS(C/K) is the series C/K keeps,
+    and HS(J) the one `amalgam_present` took when it built C/K.
     """
-    spec = P.spec
-    P.J_series = hilbert_series(spec.B) - hilbert_series(P.B_mod_J)
-    witness = P.series.first_difference(hilbert_series(spec.A) + P.J_series)
+    target = hilbert_series(P.spec.A) + P.J_series
+    witness = P.ring.series.first_difference(target)
     if witness is None:
         status = CertStatus(CertStatus.CERTIFIED)
     else:
@@ -214,11 +206,6 @@ def trivial_extension(A, M):
 def hom_A_into_R(P):
     """The ideal (K : (z's))/K of C/K, realizing Hom_R(A, R) = Ann_R(0 x J)."""
     amb = P.ambient
-    quot = colon(amb, P.K.elements, P.z_polys())
-    gens = []
-    for g in quot.elements:
-        r = P.ring.reduce(g)
-        if not r.is_zero():
-            gens.append(r)
-    return IdealHandle(P.ring, gens)
+    quot = colon(amb, P.ring.defining.elements, P.z_polys())
+    return IdealHandle(P.ring, quot.elements)
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 
 from . import harness
@@ -63,6 +62,7 @@ from .poly import (
     PolyRing,
     PrimeField,
     format_poly,
+    is_name,
     parse_poly,
 )
 from .ring import IdealHandle, PresentedRing, RingHom
@@ -150,15 +150,11 @@ def _parse_decl(session, line, n):
 
 
 def _decl_field(session, rest, n):
-    if not rest.startswith("p=") or not rest[2:].strip().isdigit():
-        raise ParseError(n, "expected field p=<prime>")
+    if not rest.startswith("p=") or not rest[2:].strip().isdecimal():
+        raise ParseError(n, f"expected field p=<prime>, not {rest!r}")
     field = PrimeField(int(rest[2:]))
     if session.prime_override is None:
         session.field = field
-
-
-# A letter or `_`, then letters, digits or `_`: one name to `parse_poly`.
-_VARIABLE_NAME = re.compile(r"[^\W\d]\w*")
 
 
 def _decl_ring(session, rest, n):
@@ -172,7 +168,7 @@ def _decl_ring(session, rest, n):
     for tok in _split_list(var_part):
         vname, _, w = tok.partition(":")
         vname = vname.strip()
-        if not _VARIABLE_NAME.fullmatch(vname):
+        if not is_name(vname):
             raise ParseError(n, f"bad variable name {vname!r}")
         try:
             weight = int(w) if w else 1
@@ -311,8 +307,8 @@ def _decl_trivext(session, rest, n):
 def _decl_zring(session, rest, n):
     name, _, spec = rest.partition(" ")
     spec = spec.strip()
-    if not name or not spec.startswith("n=") or not spec[2:].isdigit():
-        raise ParseError(n, "expected zring <name> n=<k>")
+    if not name or not spec.startswith("n=") or not spec[2:].isdecimal():
+        raise ParseError(n, f"expected zring <name> n=<k>, not {rest!r}")
     session.declare(name, "fring", zmod(int(spec[2:]), name=name), n)
 
 
@@ -401,11 +397,11 @@ def _poly_list(polys):
 def cmd_present(session, name, options):
     report = Report()
     P = amalgam_present(session.get(name, "amalgam"))
-    report.add("K", _poly_list(list(P.K.elements)))
+    report.add("K", _poly_list(list(P.ring.defining.elements)))
     report.add("certificate", repr(P.certificate))
     # cross-check the certified series against raw graded dimension counts
     for d in range(options.max_degree + 1):
-        if P.series.coefficient(d) != len(P.ring.standard_monomials(d)):
+        if P.ring.series.coefficient(d) != len(P.ring.standard_monomials(d)):
             report.note(f"hilbert cross-check failed in degree {d}")
             report.status = 1
             break
@@ -528,7 +524,10 @@ def main(argv=None):
             if len(args.words) < 2:
                 raise ParseError(0, "expected FILE COMMAND")
             with open(args.words[0], encoding="utf-8") as fh:
-                text = fh.read()
+                try:
+                    text = fh.read()
+                except UnicodeDecodeError as exc:
+                    raise ParseError(0, f"byte {exc.start} is not UTF-8")
             session = parse_input(text, prime=options.prime,
                                   degree_cap=args.degree_cap)
             report = cmd_dispatch(session, args.words[1:], options)

@@ -65,8 +65,9 @@ def zmod(n, name=None):
         raise NotARing("order must be positive")
     _check_order(n)
     i = np.arange(n)
-    add = (i[:, None] + i[None, :]) % n
-    mul = (i[:, None] * i[None, :]) % n
+    add, mul = np.add.outer(i, i), np.multiply.outer(i, i)
+    add %= n  # in place, so no second n x n table is made
+    mul %= n
     return FiniteRing(add, mul, name=name or f"Z/{n}")
 
 

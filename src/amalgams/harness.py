@@ -145,7 +145,7 @@ def _rank_mod_p(rows, p):
 def _item_intersection_example(fx):
     s = fx.load("intersection.alg")
     P = amalgam_present(s.get("W24", "amalgam"))
-    K = [format_poly(g, signed=True) for g in P.K.elements]
+    K = [format_poly(g, signed=True) for g in P.ring.defining.elements]
     if K != ["x*z1 - z1^2", "x*z2 - z1*z2"]:
         return False
     if not P.certificate.is_certified():
@@ -248,7 +248,7 @@ def _item_square_zero(fx):
     s = fx.load("cm_family.alg")
     spec = s.get("TrivA", "amalgam")
     P = amalgam_present(spec)
-    K = [format_poly(g, signed=True) for g in P.K.elements]
+    K = [format_poly(g, signed=True) for g in P.ring.defining.elements]
     rep = classify(P.ring)
     if K != ["z1^2"] or not rep.is_quasi_gorenstein or not rep.is_gorenstein:
         return False

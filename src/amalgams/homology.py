@@ -3,8 +3,9 @@
 All homological algebra happens over the ambient polynomial ring: depth via
 the Auslander-Buchsbaum identity (#vars - projective dimension), canonical
 modules and the classification predicates via Ext against the ambient ring
-and graded local duality.  `classify` builds one resolution and takes the
-Betti numbers, depth, canonical module and every higher Ext from it.
+and graded local duality.  `classify` reads the Betti numbers, depth,
+canonical module and every higher Ext through `free_resolution`,
+`depth_ab`, `canonical_module` and `ext_module`.
 A ring or module keeps its resolution on itself (`resolution`), and a ring
 its classify report (`report`), each stored only when the call returns; so
 `classify`, `depth_ab`, `ext_module` and `canonical_module` on one ring
@@ -16,8 +17,9 @@ taken as syzygies modulo the relations (`modules.syzygies(modulo=)`); Ext
 is presented by `modules.subquotient`, the one minimalization rule, and
 each module is minimalized once.
 Hilbert series are read off leading monomials and need no resolution:
-F/U has the series of F/in(U).  The Krull dimension is the order of the
-series' pole at t = 1, so it is read off the same monomials.
+F/U has the series of F/in(U), and a ring keeps its own (`series`).  The
+Krull dimension is the order of the series' pole at t = 1, so it is read
+off the same monomials.
 """
 
 from __future__ import annotations
@@ -111,20 +113,19 @@ def hilbert_series(obj):
 
     A ring S/I has the series of S/in(I), and a module F/U that of
     F/in(U), taken componentwise; the numerators come from Bigatti's
-    recursion (`monomial_kpoly`).  No resolution is built.
+    recursion (`monomial_kpoly`).  No resolution is built.  A ring's
+    series is the one it took when it was made (`PresentedRing.series`).
     """
     if isinstance(obj, IdealHandle):
-        # Series of the image of the ideal inside its quotient ring.  A
-        # homogeneous ideal is the unit ideal exactly when a generator has
-        # degree 0: then its image is R itself, and R/I is no ring.
+        # Series of the image of the ideal inside its quotient ring; the
+        # unit ideal's image is R itself, and R/I is no ring.
         R = obj.ring
-        if any(g.degree() == 0 for g in obj.generators):
-            return hilbert_series(R)
+        if obj.is_unit():
+            return R.series
         big = PresentedRing(R.ambient, list(R.defining.elements) + obj.generators)
-        return hilbert_series(R) - hilbert_series(big)
+        return R.series - big.series
     if isinstance(obj, PresentedRing):
-        num = monomial_kpoly(obj.defining.leading_monomials(), obj.weights)
-        return HilbertSeries(num, weights=obj.weights)
+        return obj.series
     if isinstance(obj, FPModule):
         weights = obj.ring.weights
         leads = [[] for _ in obj.twists]
@@ -164,17 +165,12 @@ def _dual_columns(res, j):
 
 
 def ext_module(obj, j):
-    """Ext^j against the ambient polynomial ring, as a presented module,
-    from the resolution of `obj`."""
+    """Ext^j against the ambient polynomial ring, as a presented module:
+    the cohomology of the dual of the resolution of `obj`."""
     res = free_resolution(obj)
-    if j < 0 or j > res.ring.nvars:
-        raise ValueError("cohomological degree out of range")
-    return _ext_from_resolution(res, j)
-
-
-def _ext_from_resolution(res, j):
-    """Ext^j as the cohomology of the dual of the resolution `res`."""
     ring = res.ring
+    if j < 0 or j > ring.nvars:
+        raise ValueError("cohomological degree out of range")
     c = res.length
     if j > c or not res.twists[j]:
         return FPModule.zero(ring)
@@ -268,20 +264,16 @@ def classify(R):
     """
     if R.report is not None:
         return R.report
-    ring = R.ambient
-    n = ring.nvars
-    res = free_resolution(R)
+    n = R.ambient.nvars
+    betti = free_resolution(R).betti_numbers()
     dim = krull_dim(R)
-    depth = n - res.length
+    depth = depth_ab(R)
     codim = n - dim
-    betti = res.betti_numbers()
     rtype = betti[-1]
     is_cm = dim == depth
     is_gorenstein = is_cm and rtype == 1
 
-    # One resolution serves the Betti numbers, depth, the canonical module
-    # and every Ext^j above the codimension.
-    omega = _ext_from_resolution(res, codim).shift(sum(ring.weights))
+    omega = canonical_module(R)
     mu_omega = len(omega.twists)
     if mu_omega == 1:
         ann = annihilator(omega)
@@ -293,7 +285,7 @@ def classify(R):
     # modules impose no condition.
     ext_dims = {}
     for j in range(codim + 1, n + 1):
-        ext = _ext_from_resolution(res, j)
+        ext = ext_module(R, j)
         if not ext.is_zero_presentation():
             ext_dims[j] = krull_dim(ext)
     gcm = all(d <= 0 for d in ext_dims.values())

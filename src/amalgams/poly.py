@@ -427,6 +427,16 @@ def format_poly(f, signed=False):
     return " ".join(pieces)
 
 
+def _name_char(ch):
+    return ch.isalnum() or ch == "_"
+
+
+def is_name(text):
+    """Whether `parse_poly` reads `text` as one variable name: a letter or
+    `_`, then letters, digits or `_`."""
+    return (text[:1].isalpha() or text[:1] == "_") and all(map(_name_char, text))
+
+
 class _PolyTokens:
     def __init__(self, text):
         self.toks = []
@@ -435,15 +445,16 @@ class _PolyTokens:
             ch = text[i]
             if ch.isspace():
                 i += 1
-            elif ch.isdigit():
+            elif ch.isdecimal():
+                # decimal digits only: `int` rejects other digits, like ²
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j].isdecimal():
                     j += 1
                 self.toks.append(("int", int(text[i:j])))
                 i = j
             elif ch.isalpha() or ch == "_":
                 j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                while j < len(text) and _name_char(text[j]):
                     j += 1
                 self.toks.append(("name", text[i:j]))
                 i = j

@@ -20,6 +20,7 @@ from .errors import (
 )
 from .gb import GroebnerBasis, IdealBasis, buchberger, normal_form
 from .poly import DEFAULT_DEGREE_CAP, GREVLEX, PolyRing, parse_poly
+from .series import HilbertSeries, monomial_kpoly
 
 
 class PresentedRing:
@@ -29,6 +30,9 @@ class PresentedRing:
     knows to be the reduced grevlex basis of a homogeneous ideal, which is
     kept as it is instead of being computed again.
 
+    `series` is the ring's exact Hilbert series, read off the leading
+    monomials of the defining ideal (Bigatti's recursion) when the ring is
+    made, so every invariant that needs it reads this one.
     `resolution` and `report` (None until then) hold what
     `homology.free_resolution` and `homology.classify` returned for this
     ring, so each is computed once per ring; they live and die with it.
@@ -55,6 +59,10 @@ class PresentedRing:
             self.defining = buchberger(IdealBasis(ambient, gens), GREVLEX)
         if self.defining.contains_one():
             raise UnitIdeal("1 lies in the defining ideal")
+        self.series = HilbertSeries(
+            monomial_kpoly(self.defining.leading_monomials(), self.weights),
+            weights=self.weights,
+        )
         self.resolution = None
         self.report = None
 
@@ -104,7 +112,9 @@ def make_ring(p, variables, generators=(), degree_cap=DEFAULT_DEGREE_CAP):
 
 
 class IdealHandle:
-    """An ideal of a quotient ring, stored by homogeneous representatives."""
+    """An ideal of a quotient ring, stored by the normal forms of its
+    homogeneous generators: `generators` keeps `ring.reduce(g)` for each
+    given g that is nonzero in the ring, in the given order."""
 
     def __init__(self, ring, generators):
         self.ring = ring
@@ -116,10 +126,15 @@ class IdealHandle:
                 raise ContextMismatch("generator in wrong ambient ring")
             if not g.is_homogeneous():
                 raise NotHomogeneous(f"generator {g} mixes weighted degrees")
-            if ring.reduce(g).is_zero():
-                continue
-            gens.append(g)
+            g = ring.reduce(g)
+            if not g.is_zero():
+                gens.append(g)
         self.generators = gens
+
+    def is_unit(self):
+        """Whether the ideal is the whole ring: for a homogeneous ideal,
+        exactly when a generator has degree 0."""
+        return any(g.degree() == 0 for g in self.generators)
 
     def __repr__(self):
         if not self.generators:

@@ -80,18 +80,17 @@ def denominator_poly(weights):
 
 def _order_at_one(a):
     """Multiplicity of t = 1 as a root of the nonzero Laurent polynomial a:
-    while the coefficients sum to 0, a = (1 - t) * q with q's coefficients
-    the partial sums of a's, so divide and count."""
-    order = 0
+    the least k at which the k-th derivative of t^-min(a) * a is nonzero
+    at 1, where its value is the sum of its coefficients.  Each derivative
+    is taken term by term, so the degrees between the terms are never
+    visited, and k stays below the number of terms."""
+    low = min(a)
+    a = {d - low: c for d, c in a.items()}
+    k = 0
     while sum(a.values()) == 0:
-        q, s = {}, 0
-        for d in range(min(a), max(a)):
-            s += a.get(d, 0)
-            if s:
-                q[d] = s
-        a = q
-        order += 1
-    return order
+        a = {d - 1: c * d for d, c in a.items() if d}
+        k += 1
+    return k
 
 
 def _minimal_monomials(gens):
@@ -143,8 +142,9 @@ def monomial_kpoly(gens, weights):
 class HilbertSeries:
     """numerator / denominator with integer Laurent polynomial parts.
 
-    The denominator must have constant term 1 (products of 1 - t^w do),
-    which makes power-series expansion well defined.
+    The denominator must have constant term 1 and no negative degree
+    (products of 1 - t^w do), which makes power-series expansion well
+    defined.
     """
 
     def __init__(self, numerator, denominator=None, weights=None):
@@ -152,8 +152,8 @@ class HilbertSeries:
             denominator = denominator_poly(weights or [])
         self.num = dict(numerator)
         self.den = dict(denominator)
-        if self.den.get(0) != 1:
-            raise ValueError("denominator must have constant term 1")
+        if self.den.get(0) != 1 or min(self.den) < 0:
+            raise ValueError("denominator must be a polynomial with constant term 1")
 
     def __add__(self, other):
         if self.den == other.den:
@@ -197,21 +197,13 @@ class HilbertSeries:
     def first_difference(self, other):
         """Smallest degree where the two series differ, or None if equal.
 
-        The difference of two unequal rational series with denominators of
-        constant term 1 first shows up at the trailing degree of the
-        cross-multiplied numerator difference, so the search is finite.
+        The difference is diff / (den * other.den), with diff the
+        cross-multiplied numerator difference.  That denominator is a
+        polynomial in t with constant term 1, so dividing by it keeps
+        diff's trailing degree and trailing coefficient.
         """
         diff = lp_sub(lp_mul(self.num, other.den), lp_mul(other.num, self.den))
-        if not diff:
-            return None
-        bound = max(diff)
-        a = self.coefficients(bound)
-        b = other.coefficients(bound)
-        lo = min(min(diff), 0)
-        for d in range(lo, bound + 1):
-            if a.get(d, 0) != b.get(d, 0):
-                return d
-        raise AssertionError("unequal series with no differing coefficient")
+        return min(diff) if diff else None
 
     def dimension(self):
         """Order of the pole at t = 1, the Krull dimension of a graded

@@ -3,6 +3,10 @@
 `resolution_series` takes Hilbert series from the alternating sum of the
 twists of a minimal free resolution, where
 `amalgams.homology.hilbert_series` reads them off leading monomials.
+`order_at_one_divide` counts the factors 1 - t of a Laurent polynomial by
+dividing them out, expanding each quotient over every degree, and
+`first_difference_scan` expands two series and compares them degree by
+degree, where `amalgams.series` reads both off the terms alone.
 `minimal_generators_rebuild` builds a new module GB of every relation
 and every kept vector from scratch after each kept vector and reduces by
 `mod_reduce_scan`, where `amalgams.modules.minimal_generators` extends one
@@ -74,7 +78,15 @@ from amalgams.modules import (
 )
 from amalgams.poly import DEFAULT_DEGREE_CAP, GREVLEX, Polynomial
 from amalgams.ring import IdealHandle, PresentedRing
-from amalgams.series import HilbertSeries, lp_add, lp_monomial, lp_neg, lp_zero
+from amalgams.series import (
+    HilbertSeries,
+    lp_add,
+    lp_monomial,
+    lp_mul,
+    lp_neg,
+    lp_sub,
+    lp_zero,
+)
 
 EXHAUSTIVE_CHECK_BOUND = 64
 RANDOM_CHECK_SAMPLES = 2000
@@ -160,6 +172,38 @@ def resolution_series(obj):
             block = lp_add(block, lp_monomial(t))
         num = lp_add(num, block if i % 2 == 0 else lp_neg(block))
     return HilbertSeries(num, weights=res.ring.weights)
+
+
+def order_at_one_divide(a):
+    """Multiplicity of t = 1 as a root of the nonzero Laurent polynomial a:
+    while the coefficients sum to 0, a = (1 - t) * q with q's coefficients
+    the partial sums of a's, so divide and count."""
+    order = 0
+    while sum(a.values()) == 0:
+        q, s = {}, 0
+        for d in range(min(a), max(a)):
+            s += a.get(d, 0)
+            if s:
+                q[d] = s
+        a = q
+        order += 1
+    return order
+
+
+def first_difference_scan(a, b):
+    """Smallest degree where the series a and b differ, or None if equal:
+    both are expanded up to the top degree of the cross-multiplied
+    numerator difference and compared degree by degree from the lowest."""
+    diff = lp_sub(lp_mul(a.num, b.den), lp_mul(b.num, a.den))
+    if not diff:
+        return None
+    bound = max(diff)
+    ca = a.coefficients(bound)
+    cb = b.coefficients(bound)
+    for d in range(min(min(diff), 0), bound + 1):
+        if ca.get(d, 0) != cb.get(d, 0):
+            return d
+    raise AssertionError("unequal series with no differing coefficient")
 
 
 def minimal_generators_rebuild(vecs, modulo=()):
@@ -601,6 +645,6 @@ def retraction_ideal_identity(P):
         Polynomial(amb, {m + pad: c for m, c in g.terms.items()})
         for g in P.spec.A.defining.elements
     ]
-    left = buchberger(IdealBasis(amb, list(P.K.elements) + zs))
+    left = buchberger(IdealBasis(amb, list(P.ring.defining.elements) + zs))
     right = buchberger(IdealBasis(amb, lifted + zs))
     return left.elements == right.elements

@@ -52,7 +52,7 @@ def test_a_spec_keeps_its_presentation():
 def test_intersection_example_presentation():
     spec, _ = intersection_spec()
     P = amalgam_present(spec)
-    assert [str(g) for g in P.K.elements] == [
+    assert [str(g) for g in P.ring.defining.elements] == [
         "x*z1 + 100*z1^2",
         "x*z2 + 100*z1*z2",
     ]
@@ -64,7 +64,7 @@ def test_intersection_example_presentation():
 def test_duplication_along_x():
     A = line_ring()
     P = amalgam_present(duplication(A, IdealHandle(A, ["x"])))
-    assert [str(g) for g in P.K.elements] == ["x*z1 + 100*z1^2"]
+    assert [str(g) for g in P.ring.defining.elements] == ["x*z1 + 100*z1^2"]
     assert P.certificate.is_certified()
     # HS(C/K) = (1+t)/(1-t)
     assert hilbert_series(P.ring) == HilbertSeries({0: 1, 1: 1}, weights=[1])
@@ -93,13 +93,13 @@ def test_presentation_keeps_the_basis_intersect_returns(monkeypatch):
         rings.clear()
         P = amalgam_present(spec)
         assert P.ambient not in rings
-        assert P.K.elements == PresentedRing(P.ambient, P.K.elements).defining.elements
+        K = P.ring.defining.elements
+        assert K == PresentedRing(P.ambient, K).defining.elements
 
 
 def test_verification_reuses_the_ring_B_mod_J(monkeypatch):
-    # amalgam_present builds B/(I_B + J) to rule out J = B, and the
-    # certificate reads HS(J) = HS(B) - HS(B/J) off that ring and keeps it
-    # as J_series, so running it again on the presentation runs no
+    # amalgam_present takes HS(J) = HS(B) - HS(B/(I_B + J)) once and keeps
+    # it as J_series, so certifying the presentation again runs no
     # Buchberger of its own.
     rings = []
 
@@ -123,14 +123,27 @@ def test_verification_reuses_the_ring_B_mod_J(monkeypatch):
         assert P.J_series == hilbert_series(spec.J)
 
 
-def test_every_derived_ring_keeps_the_degree_cap():
+def test_every_derived_ring_keeps_the_degree_cap(monkeypatch):
     # The session's cap goes into every ring it declares, and each ring
-    # built from them (B of a trivial extension, C, B/J) takes it over.
+    # built from them (B of a trivial extension, C/K, B/(I_B + J)) takes it
+    # over.
     text = resources.files("amalgams").joinpath("fixtures", "cm_family.alg").read_text()
-    for kind, obj in parse_input(text, degree_cap=7).decls.values():
+    decls = parse_input(text, degree_cap=7).decls.values()
+    built = []
+    init = PresentedRing.__init__
+
+    def recording(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(PresentedRing, "__init__", recording)
+    for kind, obj in decls:
         if kind == "amalgam":
+            built.clear()
             P = amalgam_present(obj)
-            rings = [obj.A.ambient, obj.B.ambient, P.ambient, P.B_mod_J.ambient]
+            # C/K and B/(I_B + J), the ring HS(J) is read from
+            assert len(built) == 2 and P.ring in built
+            rings = [obj.A.ambient, obj.B.ambient] + [R.ambient for R in built]
             assert {r.degree_cap for r in rings} == {7}
 
 
@@ -138,7 +151,7 @@ def test_trivial_extension_by_free_module():
     A = line_ring()
     M = FPModule(A.ambient, [1])
     P = amalgam_present(trivial_extension(A, M))
-    assert [str(g) for g in P.K.elements] == ["z1^2"]
+    assert [str(g) for g in P.ring.defining.elements] == ["z1^2"]
     assert P.certificate.is_certified()
 
 
@@ -146,7 +159,7 @@ def test_trivial_extension_by_residue_field():
     A = line_ring()
     M = FPModule(A.ambient, [1], [[A.ambient.var("x")]])
     P = amalgam_present(trivial_extension(A, M))
-    assert sorted(str(g) for g in P.K.elements) == ["x*z1", "z1^2"]
+    assert sorted(str(g) for g in P.ring.defining.elements) == ["x*z1", "z1^2"]
     assert P.certificate.is_certified()
 
 
@@ -187,7 +200,7 @@ def test_not_surjective_witness():
     assert P.certificate == CertStatus(CertStatus.NOT_SURJECTIVE, 2)
     # against the full J = (X, Y) the series differ already in degree 1
     full = hilbert_series(spec.A) + hilbert_series(full_J)
-    assert P.series.first_difference(full) == 1
+    assert P.ring.series.first_difference(full) == 1
 
 
 def test_junit_rejected():
@@ -217,7 +230,7 @@ def test_duplication_along_maximal_certified_and_oracle():
     # C -> B = A, x -> x, y -> y, z1 -> x, z2 -> y, so its image vanishes
     x, y = A.ambient.var("x"), A.ambient.var("y")
     images = [x, y, x, y]
-    for g in P.K.elements:
+    for g in P.ring.defining.elements:
         img = A.ambient.zero()
         for mono, c in g.terms.items():
             term = A.ambient.const(c)
@@ -252,7 +265,7 @@ def test_determinism():
     for _ in range(2):
         spec, _ = intersection_spec()
         P = amalgam_present(spec)
-        runs.append([str(g) for g in P.K.elements])
+        runs.append([str(g) for g in P.ring.defining.elements])
     assert runs[0] == runs[1]
 
 

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from amalgams import amalgam, cli, homology
+from amalgams import cli, homology, series
+from amalgams import ring as ring_module
 from amalgams.cli import Options, cmd_dispatch, main, parse_input
 from amalgams.errors import (
     AlgebraError,
@@ -72,23 +73,54 @@ def test_present_report():
     assert report.status == 0
 
 
-def test_present_takes_the_series_of_C_mod_K_once(monkeypatch):
-    # The certificate computes HS(C/K), and the cross-check reads that
-    # series off the presentation instead of computing it again.
-    seen = []
+def bigatti_runs_per_ring(monkeypatch, command):
+    """Run `command` on INTERSECTION and return each ring it made, with the
+    number of top-level Bigatti runs (`monomial_kpoly`) on that ring's
+    leading monomials and weights."""
+    built, runs, depth = [], [], [0]
+    init, kpoly = PresentedRing.__init__, series.monomial_kpoly
 
-    def recording(obj, *args):
-        seen.append(obj)
-        return homology.hilbert_series(obj, *args)
+    def made(self, *args):
+        init(self, *args)
+        built.append(self)
 
-    monkeypatch.setattr(amalgam, "hilbert_series", recording)
-    monkeypatch.setattr(cli, "hilbert_series", recording)
-    assert dispatch(INTERSECTION, ["present", "W24"]).status == 0
-    presented = [
-        obj for obj in seen
-        if isinstance(obj, PresentedRing) and obj.names == ("x", "z1", "z2")
+    def bigatti(leads, weights):
+        if not depth[0]:
+            runs.append((sorted(leads), tuple(weights)))
+        depth[0] += 1
+        try:
+            return kpoly(leads, weights)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(PresentedRing, "__init__", made)
+    for module in (series, ring_module, homology):
+        monkeypatch.setattr(module, "monomial_kpoly", bigatti)
+    assert dispatch(INTERSECTION, command).status == 0
+    return [
+        (R, runs.count((sorted(R.defining.leading_monomials()), R.weights)))
+        for R in built
     ]
-    assert len(presented) == 1
+
+
+def test_present_takes_the_series_of_C_mod_K_once(monkeypatch):
+    # C/K takes its series once, when it is made, and the certificate and
+    # the cross-check read it there.
+    per_ring = bigatti_runs_per_ring(monkeypatch, ["present", "W24"])
+    presented = [
+        count for R, count in per_ring if R.names == ("x", "z1", "z2")
+    ]
+    assert presented == [1]
+    assert all(count == 1 for _, count in per_ring)
+
+
+@pytest.mark.parametrize("command", ["classify", "canonical"])
+def test_each_ring_takes_its_series_once(monkeypatch, command):
+    # krull_dim, canonical_module and classify read a ring's series off the
+    # ring instead of running Bigatti's recursion on its leads again.
+    per_ring = bigatti_runs_per_ring(monkeypatch, [command, "W24"])
+    assert len(per_ring) >= 4
+    assert all(count == 1 for _, count in per_ring)
 
 
 def test_classify_report():
@@ -419,6 +451,12 @@ def test_hilbert_cross_check_failure_exits_1(tmp_path, capsys, monkeypatch):
         ("ring A vars x y\n", 1, "bad variable name 'x y'"),
         ("ring A vars x y ideal: x^2\n", 1, "bad variable name 'x y'"),
         ("ring A vars 2x\n", 1, "bad variable name '2x'"),
+        # `²` is a digit to str.isdigit but not to int, nor a letter.
+        ("ring A vars ²\n", 1, "bad variable name '²'"),
+        ("ring A vars x ideal: x^²\n", 1, "bad character '²' in polynomial"),
+        ("ring A vars x ideal: ²*x\n", 1, "bad character '²' in polynomial"),
+        ("field p=²\n", 1, "expected field p=<prime>, not 'p=²'"),
+        ("zring Z n=²\n", 1, "expected zring <name> n=<k>, not 'Z n=²'"),
         (
             "ring A vars x\nring B vars x, y\nhom f A -> B : x -> x, x -> y\n",
             3,
@@ -432,6 +470,38 @@ def test_malformed_input_exits_2(tmp_path, capsys, text, line, message):
     assert main([str(bad), "present", "T"]) == 2
     err = capsys.readouterr().err
     assert err == f"parse error: line {line}: {message}\n"
+
+
+def test_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.alg"
+    bad.write_bytes(b"ring A vars x\n# caf\xe9\n")
+    assert main([str(bad), "present", "T"]) == 2
+    assert capsys.readouterr() == ("", "parse error: byte 19 is not UTF-8\n")
+
+
+def test_a_huge_exponent_stops_at_the_cap_in_little_memory(tmp_path):
+    # The pole order of 1 - t^N at t = 1 is read off its two terms, so
+    # classify reaches the degree cap without expanding N coefficients.
+    f = tmp_path / "big.alg"
+    f.write_text("ring A vars x ideal: x^100000000\n")
+    src = os.path.dirname(os.path.dirname(homology.__file__))
+    # The child caps its own address space at 1 GiB before it starts.
+    capped = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from amalgams.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", capped, str(f), "classify", "A"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr == (
+        b"error: DegreeCapExceeded: intermediate degree 100000000 exceeds cap 64\n"
+    )
 
 
 def test_trivext_generator_degree_below_one(tmp_path, capsys):

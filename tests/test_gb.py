@@ -17,7 +17,7 @@ from amalgams.gb import (
     normal_form,
     quotient_ideal,
 )
-from amalgams.homology import _ext_from_resolution, annihilator, free_resolution
+from amalgams.homology import annihilator, ext_module, free_resolution
 from amalgams.modules import FPModule, FreeModule, ModOrder, syzygies
 from amalgams.poly import (
     DEFAULT_DEGREE_CAP,
@@ -519,7 +519,7 @@ def test_every_ideal_result_is_a_groebner_basis_with_its_leads(p, data):
     rels += [free.from_polys([S.zero(), g]) for g in J]
     res = free_resolution(R)
     fp_modules = [FPModule.quotient_ring(R)]
-    fp_modules += [_ext_from_resolution(res, j) for j in range(res.length + 1)]
+    fp_modules += [ext_module(R, j) for j in range(res.length + 1)]
     results = [
         intersect(S, I, J),
         colon(S, I, J),

@@ -2,6 +2,8 @@ import random
 from operator import add
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from amalgams.errors import (
     ContextMismatch,
@@ -15,6 +17,7 @@ from amalgams.poly import (
     PolyRing,
     PrimeField,
     format_poly,
+    is_name,
     parse_poly,
 )
 from conftest import leading_term, random_poly
@@ -166,6 +169,18 @@ def test_parse_errors():
     for bad in ["x +", "z", "x^", "(x", "x**y", ""]:
         with pytest.raises(ParseError):
             parse_poly(ring, bad)
+
+
+@given(st.text(alphabet="x_2²٣é *Ⅻ", min_size=1, max_size=4))
+def test_a_name_is_what_parse_poly_reads_as_one_variable(text):
+    # The ring declaration checks names with is_name: a name it accepts
+    # must parse back as its variable, and no other text may.
+    ring = PolyRing(101, [text])
+    try:
+        reads_as_var = parse_poly(ring, text) == ring.var(text)
+    except ParseError:
+        reads_as_var = False
+    assert is_name(text) == reads_as_var
 
 
 def test_parse_precedence_and_parens():

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from amalgams import gb, homology, modules
 from amalgams.gb import colon, intersect
 from amalgams.homology import (
-    _ext_from_resolution,
     annihilator,
+    ext_module,
     free_resolution,
     hilbert_series,
     krull_dim,
@@ -32,7 +32,7 @@ def terms(G):
 
 def ext_modules(R):
     res = free_resolution(R)
-    return res, [_ext_from_resolution(res, j) for j in range(res.length + 1)]
+    return res, [ext_module(R, j) for j in range(res.length + 1)]
 
 
 @pytest.mark.parametrize("p", [101, 32003])

@@ -137,6 +137,14 @@ def test_ideal_handle_drops_zero_generators():
     assert not IdealHandle(R, ["x^2"]).generators
 
 
+def test_ideal_handle_stores_normal_forms():
+    R = make_ring(101, ["x", "y"], ["x^2 - y^2", "x*y"])
+    J = IdealHandle(R, ["x^2 + x*y", "y^3", "x*y", "2*x"])
+    # y^3 and x*y are 0 in R, and x^2 reduces to y^2
+    assert [str(g) for g in J.generators] == ["y^2", "2*x"]
+    assert all(R.reduce(g) == g for g in J.generators)
+
+
 def test_hom_check_grading():
     A = make_ring(101, [("x", 2)])
     B = make_ring(101, ["u"])

@@ -5,16 +5,28 @@ monomials, and duplications against the additivity HS(C/K) = HS(A) + HS(J)
 of the split sequence 0 -> J -> A ⋈ J -> A -> 0.  A series' dimension,
 the order of its pole at t = 1, is checked on numerators with negative
 degrees, on differences over product denominators and on weights above 1.
+The pole order and the first differing degree, both read off terms alone,
+are checked against dense expansions (`oracles`) on sparse Laurent
+polynomials and on the series of every fixture.
 """
+
+from importlib import resources
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amalgams.amalgam import amalgam_present, duplication
+from amalgams.cli import parse_input
 from amalgams.homology import hilbert_series
 from amalgams.ring import IdealHandle, make_ring
-from amalgams.series import HilbertSeries, _order_at_one, monomial_kpoly
-from oracles import standard_monomials_filter
+from amalgams.series import (
+    HilbertSeries,
+    _order_at_one,
+    lp_mul,
+    monomial_kpoly,
+)
+from oracles import first_difference_scan, order_at_one_divide, standard_monomials_filter
 
 TOP = 8
 
@@ -94,3 +106,68 @@ def test_dimension_of_differences_over_product_denominators():
     assert diff.dimension() == 1
     assert (plane - line).dimension() == 2
     assert (plane - HilbertSeries({0: 1}, weights=[1, 1])).dimension() == -1
+
+
+@st.composite
+def sparse_laurent(draw):
+    """A nonzero Laurent polynomial with a few terms spread over a wide
+    degree range, times (1 - t)^k and a few factors 1 - t^w, so that t = 1
+    is often a root of some multiplicity."""
+    terms = draw(
+        st.dictionaries(
+            st.integers(-40, 300), st.integers(-3, 3).filter(bool),
+            min_size=1, max_size=5,
+        )
+    )
+    for w in draw(st.lists(st.integers(1, 40), max_size=3)):
+        terms = lp_mul(terms, {0: 1, w: -1})
+    for _ in range(draw(st.integers(0, 3))):
+        terms = lp_mul(terms, {0: 1, 1: -1})
+    return terms
+
+
+WEIGHTS = st.lists(st.integers(1, 3), max_size=3)
+
+
+@given(sparse_laurent())
+def test_order_at_one_matches_the_division(a):
+    assert _order_at_one(a) == order_at_one_divide(a)
+
+
+@given(sparse_laurent(), WEIGHTS, sparse_laurent(), WEIGHTS, st.booleans())
+def test_first_difference_matches_the_scan(num_a, weights_a, num_b, weights_b, same):
+    a = HilbertSeries(num_a, weights=weights_a)
+    if same:
+        # a over a larger denominator: the same series
+        num_b = lp_mul(num_a, {0: 1, 2: -1})
+        weights_b = weights_a + [2]
+    b = HilbertSeries(num_b, weights=weights_b)
+    assert a.first_difference(b) == first_difference_scan(a, b)
+    if same:
+        assert a.first_difference(b) is None
+
+
+def fixture_series():
+    """The series of every ring a fixture declares, and for each amalgam
+    HS(C/K) and HS(A) + HS(J)."""
+    out = []
+    for f in sorted(resources.files("amalgams").joinpath("fixtures").iterdir()):
+        if not f.name.endswith(".alg"):
+            continue
+        for kind, obj in parse_input(f.read_text()).decls.values():
+            if kind == "ring":
+                out.append(obj.series)
+            elif kind == "amalgam":
+                P = amalgam_present(obj)
+                out += [P.ring.series, obj.A.series + P.J_series]
+    return out
+
+
+def test_pole_order_and_first_difference_on_fixture_series():
+    all_series = fixture_series()
+    assert len(all_series) > 20
+    for hs in all_series:
+        for part in (hs.num, hs.den):
+            assert _order_at_one(part) == order_at_one_divide(part)
+    for a, b in combinations(all_series, 2):
+        assert a.first_difference(b) == first_difference_scan(a, b)
