@@ -382,8 +382,7 @@ _DECLS = {
 
 
 class Options:
-    def __init__(self, prime=None, assume_equidim=(), max_degree=8):
-        self.prime = prime
+    def __init__(self, assume_equidim=(), max_degree=8):
         self.assume_equidim = set(assume_equidim)
         self.max_degree = max_degree
 
@@ -432,7 +431,7 @@ def cmd_classify(session, name, options):
     return report
 
 
-def cmd_canonical(session, name, options):
+def cmd_canonical(session, name):
     report = Report()
     ring = _ring_or_presented(session, name, report)
     w = canonical_module(ring)
@@ -443,7 +442,7 @@ def cmd_canonical(session, name, options):
     return report
 
 
-def cmd_hom_into(session, name, options):
+def cmd_hom_into(session, name):
     report = Report()
     P = amalgam_present(session.get(name, "amalgam"))
     if not P.certificate.is_certified():
@@ -456,13 +455,13 @@ def cmd_hom_into(session, name, options):
     return report
 
 
-def cmd_finite_check(session, name, options):
+def cmd_finite_check(session, name):
     report = Report()
     W = session.get(name, "famalgam")
-    labels, verdict, spectrum = classify_primes(W)
+    from_A, from_B, verdict, spectrum = classify_primes(W)
     report.add("order", W.order)
     report.add("primes", len(spectrum))
-    report.add("candidates", len({l.elements for l in labels}))
+    report.add("candidates", len(set(from_A) | set(from_B)))
     report.add("cardinality", "ok" if W.order == W.A.n * len(W.J) else "mismatch")
     report.add("classification", "match" if verdict else "mismatch")
     if not verdict:
@@ -478,11 +477,11 @@ def cmd_dispatch(session, command, options):
     if command[0] == "classify" and len(command) == 2:
         return cmd_classify(session, command[1], options)
     if command[0] == "canonical" and len(command) == 2:
-        return cmd_canonical(session, command[1], options)
+        return cmd_canonical(session, command[1])
     if command[0] == "hom-into" and len(command) == 2:
-        return cmd_hom_into(session, command[1], options)
+        return cmd_hom_into(session, command[1])
     if command[:2] == ["finite", "check"] and len(command) == 3:
-        return cmd_finite_check(session, command[2], options)
+        return cmd_finite_check(session, command[2])
     raise ParseError(0, f"unknown command {' '.join(command)!r}")
 
 
@@ -511,7 +510,6 @@ def main(argv=None):
         except NotPrime as exc:
             parser.error(f"argument --prime: {exc}")
     options = Options(
-        prime=args.prime,
         assume_equidim=args.assume_equidim,
         max_degree=args.max_degree,
     )
@@ -528,7 +526,7 @@ def main(argv=None):
                     text = fh.read()
                 except UnicodeDecodeError as exc:
                     raise ParseError(0, f"byte {exc.start} is not UTF-8")
-            session = parse_input(text, prime=options.prime,
+            session = parse_input(text, prime=args.prime,
                                   degree_cap=args.degree_cap)
             report = cmd_dispatch(session, args.words[1:], options)
     except ParseError as exc:

@@ -39,19 +39,13 @@ class FiniteRing:
         return self.name or f"FiniteRing(order {self.n})"
 
 
-def _relabel(add, mul, perm):
-    """Apply a label permutation (perm[i] = new label of old element i)."""
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(len(perm))
-    return perm[add[np.ix_(inv, inv)]], perm[mul[np.ix_(inv, inv)]]
-
-
-def _normalize_one(add, mul, one_idx):
-    n = add.shape[0]
+def _unit_first(n, one):
+    """The label permutation that moves the element `one` to label 1: the
+    identity with 1 and `one` swapped, so it is its own inverse."""
     perm = np.arange(n)
-    if n > 1 and one_idx != 1:
-        perm[one_idx], perm[1] = 1, one_idx
-    return _relabel(add, mul, perm), perm
+    if n > 1:
+        perm[1], perm[one] = one, 1
+    return perm
 
 
 def _check_order(n):
@@ -78,12 +72,13 @@ class ProductRing(FiniteRing):
         nA, nB = A.n, B.n
         n = nA * nB
         _check_order(n)
-        a = np.arange(n) // nB
-        b = np.arange(n) % nB
-        add = A.add[a[:, None], a[None, :]] * nB + B.add[b[:, None], b[None, :]]
-        mul = A.mul[a[:, None], a[None, :]] * nB + B.mul[b[:, None], b[None, :]]
-        one_raw = A.one * nB + B.one
-        (add, mul), _ = _normalize_one(add, mul, one_raw)
+        # label -> pair code a * |B| + b, which is also pair code -> label
+        perm = _unit_first(n, A.one * nB + B.one)
+        a, b = perm // nB, perm % nB
+        ai, ak = a[:, None], a[None, :]
+        bi, bk = b[:, None], b[None, :]
+        add = perm[A.add[ai, ak] * nB + B.add[bi, bk]]
+        mul = perm[A.mul[ai, ak] * nB + B.mul[bi, bk]]
         super().__init__(add, mul, name=name or f"{A} x {B}")
 
 
@@ -209,21 +204,6 @@ class FiniteHom:
         self.images = check_hom(A, B, images)
 
 
-class PrimeLabel:
-    """A candidate prime of the amalgam, tagged by its source."""
-
-    FROM_A = "FromA"
-    FROM_B = "FromB"
-
-    def __init__(self, tag, source, elements):
-        self.tag = tag
-        self.source = source  # the source prime's element set
-        self.elements = elements  # the candidate's element set in the amalgam
-
-    def __repr__(self):
-        return f"{self.tag}({sorted(self.source)})"
-
-
 class FiniteAmalgam:
     """The subring {(a, f(a)+j)} of A x B, for a FiniteHom f : A -> B and
     an ideal J of B, with its own tables."""
@@ -243,11 +223,18 @@ class FiniteAmalgam:
             raise NotARing(
                 "amalgam cardinality differs from |A| * |J|; construction invalid"
             )
-        self.pairs = pairs
         m = len(pairs)
+        try:
+            one = pairs.index((A.one, B.one))
+        except ValueError:
+            raise NotARing("amalgam subset does not contain (1, 1)") from None
+        # the pairs in label order, with (1, 1) at label 1
+        pairs = [pairs[i] for i in _unit_first(m, one)]
+        self.pairs = pairs
+        self.index = {p: i for i, p in enumerate(pairs)}
         a = np.array([p[0] for p in pairs], dtype=np.int64)
         b = np.array([p[1] for p in pairs], dtype=np.int64)
-        # pair code a * |B| + b -> index in `pairs`, -1 off the subset
+        # pair code a * |B| + b -> label, -1 off the subset
         lookup = np.full(A.n * nB, -1, dtype=np.int64)
         lookup[a * nB + b] = np.arange(m)
         ai, ak = a[:, None], a[None, :]
@@ -256,12 +243,9 @@ class FiniteAmalgam:
         mul = lookup[A.mul[ai, ak] * nB + B.mul[bi, bk]]
         if (add < 0).any() or (mul < 0).any():
             raise NotARing("amalgam subset is not closed in A x B")
-        one_idx = int(lookup[A.one * nB + B.one])
-        (add, mul), perm = _normalize_one(add, mul, one_idx)
         # A finite subset of the checked ring A x B that holds 0 and 1 and
         # is closed under + and * is a subring: the axioms need no check.
         self.ring = FiniteRing(add, mul, name="amalgam")
-        self.index = {p: int(perm[i]) for i, p in enumerate(pairs)}
 
     @property
     def order(self):
@@ -286,74 +270,14 @@ def classify_primes(W):
     """Compare brute-force Spec(W) with the pullback candidates.
 
     Candidates are p'^f for p in Spec(A) and q^bar^f for q in Spec(B) not
-    containing J; the verdict is exact set equality.  Returns the labels,
-    the verdict and Spec(W) itself, as the list of W.ring's primes.
+    containing J; the verdict is exact set equality.  Returns the
+    candidates from A and from B, each a list of W's element sets, the
+    verdict and Spec(W) itself, as the list of W.ring's primes.
     """
     spectrum = enumerate_primes(W.ring)
-    actual = {P.elements for P in spectrum}
-    labels = []
-    candidates = set()
-    for p in enumerate_primes(W.A):
-        s = W.subset_from_A_prime(p)
-        labels.append(PrimeLabel(PrimeLabel.FROM_A, p.elements, s))
-        candidates.add(s)
-    for q in enumerate_primes(W.B):
-        if W.J.elements <= q.elements:
-            continue  # q contains J: excluded (Spec(B) minus V(J))
-        s = W.subset_from_B_prime(q)
-        labels.append(PrimeLabel(PrimeLabel.FROM_B, q.elements, s))
-        candidates.add(s)
-    verdict = candidates == actual
-    return labels, verdict, spectrum
-
-
-def find_isomorphism(R, S):
-    """Backtracking table-isomorphism search; None when not isomorphic."""
-    if R.n != S.n:
-        return None
-    n = R.n
-    phi = [None] * n
-    used = [False] * n
-    phi[0] = 0
-    used[0] = True
-    if n > 1:
-        phi[R.one], used[S.one] = S.one, True
-
-    def consistent(a):
-        for b in range(n):
-            if phi[b] is None:
-                continue
-            s = int(R.add[a, b])
-            t = int(R.mul[a, b])
-            if phi[s] is not None and phi[s] != int(S.add[phi[a], phi[b]]):
-                return False
-            if phi[s] is None and used[int(S.add[phi[a], phi[b]])]:
-                return False
-            if phi[t] is not None and phi[t] != int(S.mul[phi[a], phi[b]]):
-                return False
-        return True
-
-    def backtrack():
-        try:
-            a = phi.index(None)
-        except ValueError:
-            # full assignment: verify both tables outright
-            for x in range(n):
-                for y in range(n):
-                    if phi[int(R.add[x, y])] != int(S.add[phi[x], phi[y]]):
-                        return False
-                    if phi[int(R.mul[x, y])] != int(S.mul[phi[x], phi[y]]):
-                        return False
-            return True
-        for img in range(n):
-            if used[img]:
-                continue
-            phi[a] = img
-            used[img] = True
-            if consistent(a) and backtrack():
-                return True
-            phi[a] = None
-            used[img] = False
-        return False
-
-    return list(phi) if backtrack() else None
+    from_A = [W.subset_from_A_prime(p) for p in enumerate_primes(W.A)]
+    # a q that contains J is left out: Spec(B) minus V(J)
+    from_B = [W.subset_from_B_prime(q) for q in enumerate_primes(W.B)
+              if not W.J.elements <= q.elements]
+    verdict = set(from_A) | set(from_B) == {P.elements for P in spectrum}
+    return from_A, from_B, verdict, spectrum

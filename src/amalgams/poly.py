@@ -12,6 +12,7 @@ from operator import mul
 
 from .errors import (
     ContextMismatch,
+    DegreeCapExceeded,
     InvalidRing,
     NotPrime,
     ParseError,
@@ -499,6 +500,13 @@ def parse_poly(ring, text):
             kind, n = toks.next()
             if kind != "int":
                 raise ParseError(0, "expected integer exponent after '^'")
+            # f^n has degree n * deg f; expanding a sum of terms past the
+            # cap costs time and memory that no computation may use
+            cap = ring.degree_cap
+            if len(base.terms) > 1 and cap is not None and n * base.degree() > cap:
+                raise DegreeCapExceeded(
+                    f"intermediate degree {n * base.degree()} exceeds cap {cap}"
+                )
             base = base**n
         return base
 

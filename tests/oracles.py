@@ -22,7 +22,11 @@ arithmetic (`term_mul`), apart from the engine it checks.
 under addition until nothing changes, and `all_ideals_closure` joins
 ideals that way, where `amalgams.finite.all_ideals` adds principal ideals
 coset by coset; `amalgam_tables_loop` fills a finite amalgam's tables one
-pair at a time, where `FiniteAmalgam` indexes them.
+pair at a time and then relabels them with `relabel_one`, where
+`FiniteAmalgam` indexes them once, in their final labels.
+`find_isomorphism` searches for a ring isomorphism between two finite
+rings by backtracking, where the package only ever needs the explicit
+map a -> (a, f(a)) of a J = 0 amalgam.
 `syzygies_then_project` finds the syzygies of vectors modulo a submodule
 as the syzygies of the vectors and the relations together, cut down to the
 vectors' coordinates, where `amalgams.modules.syzygies(modulo=)` lifts the
@@ -62,7 +66,7 @@ from operator import add, mul, sub
 import numpy as np
 
 from amalgams.errors import DegreeCapExceeded, NotARing
-from amalgams.finite import FiniteIdeal, _normalize_one
+from amalgams.finite import FiniteIdeal
 from amalgams.gb import IdealBasis, buchberger
 from amalgams.homology import _dual_columns, free_resolution
 from amalgams.modules import (
@@ -430,8 +434,70 @@ def amalgam_tables_loop(A, B, f, J):
                 raise NotARing("amalgam subset is not closed in A x B")
             add[i, k] = index[s]
             mul[i, k] = index[t]
-    (add, mul), _ = _normalize_one(add, mul, index[(A.one, B.one)])
-    return add, mul
+    return relabel_one(add, mul, index[(A.one, B.one)])
+
+
+def relabel_one(add, mul, one):
+    """The tables with the element `one` and the element 1 trading labels,
+    so that `one` becomes the unit label 1."""
+    n = add.shape[0]
+    perm = np.arange(n)
+    if n > 1:
+        perm[[1, one]] = [one, 1]
+    # perm is its own inverse: new label x holds old element perm[x]
+    return perm[add[np.ix_(perm, perm)]], perm[mul[np.ix_(perm, perm)]]
+
+
+def find_isomorphism(R, S):
+    """Backtracking table-isomorphism search; None when not isomorphic."""
+    if R.n != S.n:
+        return None
+    n = R.n
+    phi = [None] * n
+    used = [False] * n
+    phi[0] = 0
+    used[0] = True
+    if n > 1:
+        phi[R.one], used[S.one] = S.one, True
+
+    def consistent(a):
+        for b in range(n):
+            if phi[b] is None:
+                continue
+            s = int(R.add[a, b])
+            t = int(R.mul[a, b])
+            if phi[s] is not None and phi[s] != int(S.add[phi[a], phi[b]]):
+                return False
+            if phi[s] is None and used[int(S.add[phi[a], phi[b]])]:
+                return False
+            if phi[t] is not None and phi[t] != int(S.mul[phi[a], phi[b]]):
+                return False
+        return True
+
+    def backtrack():
+        try:
+            a = phi.index(None)
+        except ValueError:
+            # full assignment: verify both tables outright
+            for x in range(n):
+                for y in range(n):
+                    if phi[int(R.add[x, y])] != int(S.add[phi[x], phi[y]]):
+                        return False
+                    if phi[int(R.mul[x, y])] != int(S.mul[phi[x], phi[y]]):
+                        return False
+            return True
+        for img in range(n):
+            if used[img]:
+                continue
+            phi[a] = img
+            used[img] = True
+            if consistent(a) and backtrack():
+                return True
+            phi[a] = None
+            used[img] = False
+        return False
+
+    return list(phi) if backtrack() else None
 
 
 def syzygies_then_project(vecs, twists, modulo):

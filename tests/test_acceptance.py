@@ -206,7 +206,7 @@ def test_criterion_8_finite_spectrum():
     )
     for W in fixtures:
         assert W.order == W.A.n * len(W.J)
-        _, verdict, _ = classify_primes(W)
+        _, _, verdict, _ = classify_primes(W)
         assert verdict
     report(8, "finite-spectrum")
 

@@ -142,7 +142,7 @@ def test_classify_8_variable_duplication(p):
     # along its maximal ideal.
     session = parse_input(DUPLICATION_K4, prime=p)
     assert session.decls["W"][1].A.ambient.p == p
-    report = cmd_dispatch(session, ["classify", "W"], Options(prime=p))
+    report = cmd_dispatch(session, ["classify", "W"], Options())
     assert report.lines == [
         "dim = 4",
         "depth = 1",
@@ -166,7 +166,7 @@ duplication W : A, M
 def test_classify_10_variable_duplication():
     # The 10-variable rung: k[x1..x5] duplicated along its maximal ideal.
     session = parse_input(DUPLICATION_K5, prime=101)
-    report = cmd_dispatch(session, ["classify", "W"], Options(prime=101))
+    report = cmd_dispatch(session, ["classify", "W"], Options())
     assert report.lines == [
         "dim = 5",
         "depth = 1",
@@ -501,6 +501,24 @@ def test_a_huge_exponent_stops_at_the_cap_in_little_memory(tmp_path):
     assert (done.returncode, done.stdout) == (1, b"")
     assert done.stderr == (
         b"error: DegreeCapExceeded: intermediate degree 100000000 exceeds cap 64\n"
+    )
+
+
+def test_a_huge_power_of_a_sum_stops_at_the_cap_while_parsing(tmp_path):
+    # (x + y)^100000 has degree 100000, over the cap of 64: the parser
+    # stops before it expands the power, though classify never reads I.
+    f = tmp_path / "pow.alg"
+    f.write_text("ring A vars x, y\nideal I in A : (x + y)^100000\n")
+    src = os.path.dirname(os.path.dirname(homology.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "amalgams.cli", str(f), "classify", "A"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=20,
+    )
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr == (
+        b"error: DegreeCapExceeded: line 2: intermediate degree 100000 exceeds cap 64\n"
     )
 
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from importlib import resources
 from itertools import product
 from math import gcd
@@ -19,7 +22,6 @@ from amalgams.finite import (
     check_hom,
     classify_primes,
     enumerate_primes,
-    find_isomorphism,
     zmod,
 )
 from conftest import pair_index, quotient_ring
@@ -27,6 +29,7 @@ from oracles import (
     all_ideals_closure,
     amalgam_tables_loop,
     check_ring_axioms,
+    find_isomorphism,
     ideal_generated_by,
 )
 
@@ -157,19 +160,18 @@ def test_amalgam_cardinality():
 def test_classify_primes_duplication_z6():
     Z6 = zmod(6)
     W = FiniteAmalgam(FiniteHom(Z6, Z6, range(6)), ideal_generated_by(Z6, [3]))
-    labels, verdict, spectrum = classify_primes(W)
+    from_A, from_B, verdict, spectrum = classify_primes(W)
     assert verdict
     assert len(enumerate_primes(W.ring)) == 3
     assert spectrum == enumerate_primes(W.ring)
-    tags = sorted(l.tag for l in labels)
-    assert tags == ["FromA", "FromA", "FromB"]
+    assert (len(from_A), len(from_B)) == (2, 1)
 
 
 def test_classify_primes_reduction():
     Z8, Z4 = zmod(8), zmod(4)
     red = FiniteHom(Z8, Z4, [a % 4 for a in range(8)])
     W = FiniteAmalgam(red, ideal_generated_by(Z4, [2]))
-    labels, verdict, _ = classify_primes(W)
+    _, _, verdict, _ = classify_primes(W)
     assert verdict
     assert len(enumerate_primes(W.ring)) == 1
 
@@ -180,7 +182,7 @@ def test_classify_primes_product_fixture():
     J = ideal_generated_by(P, [pair_index(Z4, Z2, 2, 0)])
     W = FiniteAmalgam(FiniteHom(P, P, range(P.n)), J)
     assert W.order == P.n * len(J)
-    labels, verdict, _ = classify_primes(W)
+    _, _, verdict, _ = classify_primes(W)
     assert verdict
 
 
@@ -188,11 +190,13 @@ def test_zero_ideal_amalgam_isomorphic_to_A():
     Z6 = zmod(6)
     W = FiniteAmalgam(FiniteHom(Z6, Z6, range(6)), ideal_generated_by(Z6, [0]))
     assert W.order == 6
-    assert find_isomorphism(W.ring, Z6) is not None
-    labels, verdict, _ = classify_primes(W)
+    # a -> (a, f(a)) is a ring hom Z6 -> W, injective, so onto as |W| = 6
+    iso = check_hom(Z6, W.ring, [W.index[(a, W.f[a])] for a in range(6)])
+    assert sorted(iso) == list(range(W.order))
+    _, from_B, verdict, _ = classify_primes(W)
     assert verdict
-    # only FromA candidates: V(J) is everything when J = 0
-    assert all(l.tag == "FromA" for l in labels)
+    # only candidates from A: V(J) is everything when J = 0
+    assert from_B == []
 
 
 def test_embedding_and_retraction():
@@ -209,6 +213,44 @@ def test_embedding_and_retraction():
         # the first coordinate recovers a: P_A(iota_A(a)) = a
         if b == W.f[a]:
             assert (a, b) in W.pairs
+
+
+def test_cap_size_tables_build_in_little_memory():
+    # The 64 x 64 product and the order-4096 amalgam of Z/64 along J = Z/64
+    # build each table once, in its final labels: the child caps its own
+    # address space at 768 MiB before it starts, and both fit.
+    images = ", ".join(str(a) for a in range(64))
+    text = (
+        "zring Z n=64\n"
+        "product P = Z x Z\n"
+        f"fhom f Z -> Z : {images}\n"
+        f"fideal J in Z : {images}\n"
+        "famalgam W : f, J\n"
+    )
+    capped = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (768 << 20, 768 << 20))\n"
+        "from amalgams.cli import parse_input\n"
+        "decls = parse_input(sys.stdin.read()).decls\n"
+        "print(decls['P'][1].n, decls['W'][1].order)\n"
+    )
+    src = os.path.dirname(os.path.dirname(finite.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", capped],
+        input=text.encode(),
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"4096 4096\n", b"")
+
+
+def test_amalgam_of_a_subset_without_zero_rejected():
+    # {3} is no ideal of Z/6: (1, 1) is not among the pairs (a, a + 3)
+    Z6 = zmod(6)
+    J = FiniteIdeal(Z6, [3], check=False)
+    with pytest.raises(NotARing):
+        FiniteAmalgam(FiniteHom(Z6, Z6, range(6)), J)
 
 
 def fixture_amalgams():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from amalgams.errors import (
     ContextMismatch,
+    DegreeCapExceeded,
     NotPrime,
     ParseError,
     ZeroInverse,
@@ -189,6 +190,16 @@ def test_parse_precedence_and_parens():
     assert parse_poly(ring, "(x + y)^2") == parse_poly(ring, "x^2 + 2*x*y + y^2")
     assert parse_poly(ring, "-x + x").is_zero()
     assert parse_poly(ring, "3") == ring.const(3)
+
+
+def test_a_power_of_a_sum_past_the_cap_is_not_expanded():
+    ring = PolyRing(101, ["x", "y"], degree_cap=6)
+    assert parse_poly(ring, "(x + y)^3*(x - y)^3").degree() == 6
+    with pytest.raises(DegreeCapExceeded, match="intermediate degree 8 exceeds cap 6"):
+        parse_poly(ring, "(x + y^2)^4")
+    # a monomial costs nothing to build; the engine checks its degree
+    assert parse_poly(ring, "(x*y)^50") == parse_poly(ring, "x^50*y^50")
+    assert parse_poly(PolyRing(101, ["x", "y"], degree_cap=None), "(x + y)^7").degree() == 7
 
 
 def test_monomials_of_degree():

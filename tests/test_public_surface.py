@@ -335,8 +335,7 @@ def test_every_stored_attribute_is_read():
 
 def unread_parameters():
     """`module.function.parameter` of each parameter its function's body
-    never reads.  `self` and `cls` are exempt, and so is the `options` of
-    the `cmd_*` handlers, which `cmd_dispatch` calls alike."""
+    never reads.  `self` and `cls` are exempt."""
     unread = []
     for module, tree in _package_trees().items():
         for name, fn in _functions(tree, f"{module}."):
@@ -355,8 +354,6 @@ def unread_parameters():
             }
             for param in params:
                 if param in ("self", "cls") or param in body_reads:
-                    continue
-                if param == "options" and fn.name.startswith("cmd_"):
                     continue
                 unread.append(f"{name}.{param}")
     return sorted(unread)
