@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import islice, zip_longest
 
 from . import harness
 from .amalgam import (
@@ -398,9 +399,13 @@ def cmd_present(session, name, options):
     P = amalgam_present(session.get(name, "amalgam"))
     report.add("K", _poly_list(list(P.ring.defining.elements)))
     report.add("certificate", repr(P.certificate))
-    # cross-check the certified series against raw graded dimension counts
-    for d in range(options.max_degree + 1):
-        if P.ring.series.coefficient(d) != len(P.ring.standard_monomials(d)):
+    # cross-check the certified series against raw graded dimension counts;
+    # degrees past the end of an artinian ring's basis count 0
+    top = options.max_degree
+    coeffs = P.ring.series.coefficients(top)
+    counts = (len(basis) for basis in islice(P.ring.standard_monomials(), top + 1))
+    for d, count in zip_longest(range(top + 1), counts, fillvalue=0):
+        if coeffs.get(d, 0) != count:
             report.note(f"hilbert cross-check failed in degree {d}")
             report.status = 1
             break

@@ -143,7 +143,7 @@ def all_ideals(R):
     """
     add = R.add.tolist()
     # principal ideal -> one generator; R*a lies in I iff a does
-    principals = {frozenset(row): a for a, row in enumerate(R.mul.tolist())}
+    principals = {frozenset(row.tolist()): a for a, row in enumerate(R.mul)}
     lattice = set(principals)
     frontier = list(principals)
     while frontier:
@@ -163,9 +163,10 @@ def all_ideals(R):
 def enumerate_primes(R):
     """All prime ideals (= maximal ideals in a finite commutative ring)."""
     _check_order(R.n)
+    ideals = all_ideals(R)  # first, so its n x n list copies are gone before this one
     mul = R.mul.tolist()
     primes = []
-    for I in all_ideals(R):
+    for I in ideals:
         if not I.is_proper():
             continue
         E = I.elements

@@ -88,30 +88,20 @@ def socle_dimension(R):
 
     In each degree d, an element of the socle is a combination of standard
     monomials killed by every variable; the count is the nullity of the
-    stacked multiplication-by-variable matrices over GF(p).
+    stacked multiplication-by-variable matrices over GF(p).  The standard
+    monomials of every degree come from one pass of
+    `PresentedRing.standard_monomials`, which ends after max(weights) empty
+    degrees, so degree d + w is listed for every nonzero degree d.
     """
     amb = R.ambient
-    p = amb.p
-    # last nonzero degree; in a graded artinian quotient a gap longer than
-    # the largest weight means everything above is zero too
-    top = -1
-    d = 0
-    gap = 0
-    while gap <= max(amb.weights):
-        if R.standard_monomials(d):
-            top = d
-            gap = 0
-        else:
-            gap += 1
-        d += 1
+    levels = list(R.standard_monomials())
     total = 0
-    for d in range(top + 1):
-        basis = R.standard_monomials(d)
+    for d, basis in enumerate(levels):
         if not basis:
             continue
         rows = []
         for v, w in zip(amb.names, amb.weights):
-            target = {m: i for i, m in enumerate(R.standard_monomials(d + w))}
+            target = {m: i for i, m in enumerate(levels[d + w])}
             for ti in range(len(target)):
                 rows.append([0] * len(basis))
             off = len(rows) - len(target)
@@ -119,7 +109,7 @@ def socle_dimension(R):
                 prod = R.reduce(amb.var(v) * amb.monomial(m, 1))
                 for mono, c in prod.terms.items():
                     rows[off + target[mono]][j] = c
-        total += len(basis) - _rank_mod_p(rows, p)
+        total += len(basis) - _rank_mod_p(rows, amb.p)
     return total
 
 

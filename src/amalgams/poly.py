@@ -218,58 +218,6 @@ class PolyRing:
             return self.zero()
         return Polynomial(self, {expts: c})
 
-    def monomials_of_degree(self, d, avoid=()):
-        """Exponent tuples of weighted degree exactly d that no tuple in
-        `avoid` divides, in ascending order.
-
-        One depth-first walk fixes the exponents variable by variable, each
-        from 0 up, and carries the tuples of `avoid` that divide the prefix.
-        A tuple divides the prefix while its exponents so far are at most
-        the chosen ones.  Once one that divides the prefix has no nonzero
-        exponent after variable i, it divides every completion: the walk
-        stops raising the exponent at i there.  The unit tuple leaves
-        nothing.
-        """
-        if d < 0:
-            return []
-        n, weights = self.nvars, self.weights
-        # each tuple with the index of its last nonzero exponent
-        leads = []
-        for m in avoid:
-            last = max((i for i, e in enumerate(m) if e), default=-1)
-            if last < 0:
-                return []
-            leads.append((m, last))
-        out = []
-
-        def rec(i, remaining, prefix, dividing):
-            # `dividing`: the leads that divide the prefix, all of which
-            # have a nonzero exponent at variable i or later
-            if i == n:
-                if remaining == 0:
-                    out.append(prefix)
-                return
-            w = weights[i]
-            top = remaining // w
-            stop = top + 1
-            entering = {}  # exponent at i -> leads that divide from there on
-            for lead in dividing:
-                m, last = lead
-                if last == i:
-                    stop = min(stop, m[i])
-                else:
-                    entering.setdefault(m[i], []).append(lead)
-            # `still` grows as e rises; each call reads it only while it runs.
-            # The last exponent is forced (only e = top can reach degree d),
-            # and there every lead ends at i, so none enters.
-            still = []
-            for e in range(top if i == n - 1 else 0, stop):
-                still.extend(entering.get(e, ()))
-                rec(i + 1, remaining - e * w, prefix + (e,), still)
-
-        rec(0, d, (), leads)
-        return out
-
 
 class Polynomial:
     """Sparse polynomial: map from exponent tuple to nonzero residue."""

@@ -11,6 +11,9 @@ Every computation on a ring runs under its ambient ring's degree cap
 
 from __future__ import annotations
 
+from itertools import chain, count
+from operator import le
+
 from .errors import (
     ContextMismatch,
     DegreeMismatch,
@@ -78,20 +81,46 @@ class PresentedRing:
         """Canonical representative of f modulo the defining ideal."""
         return normal_form(f, self.defining)
 
-    def standard_monomials(self, d):
-        """Monomial k-basis of the degree-d graded piece of the quotient:
-        the monomials of degree d that no leading monomial divides, sorted.
+    def standard_monomials(self):
+        """Yield the monomial k-basis of each graded piece of the quotient,
+        degrees 0, 1, 2, ...: the monomials no leading monomial divides,
+        sorted.
 
-        Only these are enumerated (`PolyRing.monomials_of_degree`).  The
-        walk fixes exponents variable by variable and keeps the leads that
-        divide the exponents fixed so far.  A lead drops out when its
-        exponent exceeds the chosen one.  A kept lead with no nonzero
-        exponent left divides every completion, so the walk prunes that
-        branch and every larger exponent at that variable.
+        Standard monomials form an order ideal, so each degree is built
+        from the degrees below it.  A standard monomial c of degree d > 0
+        is m + e_i, with i the last variable of c and m a standard monomial
+        of degree d - w_i with no exponent after i, so each c is made once.
+        A lead that divides c but not m has exponent c_i at i, its own last
+        variable, so only those leads are tried.  Degree d reads only
+        degrees d - w, so after max(weights) empty degrees in a row every
+        later one is empty: the generator ends there, that is, exactly
+        when the ring is artinian.
         """
-        return self.ambient.monomials_of_degree(
-            d, self.defining.leading_monomials()
-        )
+        weights = self.weights
+        leads = {}  # (last variable, its exponent) -> leads
+        for g in self.defining.leading_monomials():
+            i = max(j for j, e in enumerate(g) if e)
+            leads.setdefault((i, g[i]), []).append(g)
+        reach = max(weights)
+        # degree -> its standard monomials, bucketed by last variable + 1
+        past = {0: [[self.ambient.one_mono()]]}
+        empty = 0
+        for d in count():
+            buckets = past.setdefault(d, [[]])
+            for i, w in enumerate(weights):
+                made = []
+                for m in chain.from_iterable(past.get(d - w, ())[: i + 2]):
+                    e = m[i] + 1
+                    c = m[:i] + (e,) + m[i + 1:]
+                    if not any(all(map(le, g, c)) for g in leads.get((i, e), ())):
+                        made.append(c)
+                buckets.append(made)
+            past.pop(d - reach, None)
+            level = sorted(chain.from_iterable(buckets))
+            yield level
+            empty = 0 if level else empty + 1
+            if empty == reach:
+                return
 
     def __repr__(self):
         if not self.defining.elements:

@@ -191,9 +191,6 @@ class HilbertSeries:
                 coeffs[d] = s
         return coeffs
 
-    def coefficient(self, d):
-        return self.coefficients(d).get(d, 0)
-
     def first_difference(self, other):
         """Smallest degree where the two series differ, or None if equal.
 

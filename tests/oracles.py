@@ -40,7 +40,8 @@ entries away one at a time, where `FPModule.minimal_presentation` takes
 the subquotient of the basis modulo the relations.
 `standard_monomials_filter` lists every exponent tuple of the degree from
 a product of exponent ranges and drops those a lead divides, where
-`PresentedRing.standard_monomials` walks only the standard ones.
+`PresentedRing.standard_monomials` builds each degree from the standard
+monomials of the degrees below it.
 `trivext_module` reads the module M of a trivial extension back off B's
 Groebner basis (the elements linear in the e-variables), where
 `trivial_extension` keeps the M it built as `spec.J_module`.

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -398,9 +399,9 @@ def test_hilbert_cross_check_failure_exits_1(tmp_path, capsys, monkeypatch):
     # A count one short in degree 2 must fail the cross-check, not pass it.
     count = PresentedRing.standard_monomials
 
-    def one_short_in_degree_2(ring, d):
-        monos = count(ring, d)
-        return monos[1:] if d == 2 else monos
+    def one_short_in_degree_2(ring):
+        for d, monos in enumerate(count(ring)):
+            yield monos[1:] if d == 2 else monos
 
     monkeypatch.setattr(PresentedRing, "standard_monomials", one_short_in_degree_2)
     good = tmp_path / "good.alg"
@@ -409,6 +410,56 @@ def test_hilbert_cross_check_failure_exits_1(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "certificate = Certified" in out
     assert out.endswith("hilbert cross-check failed in degree 2\n")
+
+
+def test_present_lists_standard_monomials_in_one_pass(monkeypatch):
+    # The cross-check takes every degree 0..--max-degree from one generator.
+    calls = []
+    original = PresentedRing.standard_monomials
+
+    def counted(ring, *args):
+        calls.append(args)
+        return original(ring, *args)
+
+    monkeypatch.setattr(PresentedRing, "standard_monomials", counted)
+    assert dispatch(INTERSECTION, ["present", "W24"]).status == 0
+    assert calls == [()]
+
+
+def test_hilbert_cross_check_counts_degrees_past_the_end_as_zero(monkeypatch, capsys):
+    # G of gorenstein.alg is artinian: a basis that ends one nonzero degree
+    # early must fail the cross-check in that degree, not be padded over.
+    original = PresentedRing.standard_monomials
+    last = []
+
+    def one_degree_early(ring):
+        levels = list(original(ring))
+        last.append(max(d for d, basis in enumerate(levels) if basis))
+        yield from levels[: last[-1]]
+
+    monkeypatch.setattr(PresentedRing, "standard_monomials", one_degree_early)
+    path = resources.files("amalgams").joinpath("fixtures", "gorenstein.alg")
+    assert main([str(path), "present", "G"]) == 1
+    out = capsys.readouterr().out
+    assert "certificate = Certified" in out
+    assert last == [2]
+    assert out.endswith("hilbert cross-check failed in degree 2\n")
+
+
+def test_present_checks_a_high_max_degree_quickly():
+    # An artinian basis ends after its last nonzero degree, and the series
+    # is expanded once, so 20000 degrees cost little.
+    path = resources.files("amalgams").joinpath("fixtures", "gorenstein.alg")
+    src = os.path.dirname(os.path.dirname(homology.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "amalgams.cli", "--max-degree", "20000",
+         str(path), "present", "G"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=20,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.decode().splitlines()[-1] == "certificate = Certified"
 
 
 @pytest.mark.parametrize(

@@ -245,6 +245,39 @@ def test_cap_size_tables_build_in_little_memory():
     assert (done.returncode, done.stdout, done.stderr) == (0, b"4096 4096\n", b"")
 
 
+def test_finite_check_at_order_2048_runs_in_little_memory(tmp_path):
+    # Z/64 -> Z/32 along J = Z/32: enumerate_primes copies the tables into
+    # lists only after all_ideals has dropped its copies, and all_ideals
+    # reads the principal ideals row by row.  The child caps its own
+    # address space at 448 MiB before it starts; its peak was 596 MiB
+    # (VmPeak) with both copies alive at once and is 311 MiB now.
+    images = ", ".join(str(a % 32) for a in range(64))
+    elements = ", ".join(str(a) for a in range(32))
+    f = tmp_path / "w.alg"
+    f.write_text(
+        "zring Z n=64\n"
+        "zring Y n=32\n"
+        f"fhom f Z -> Y : {images}\n"
+        f"fideal J in Y : {elements}\n"
+        "famalgam W : f, J\n"
+    )
+    capped = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (448 << 20, 448 << 20))\n"
+        "from amalgams.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(finite.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", capped, str(f), "finite", "check", "W"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.decode().splitlines()[0] == "order = 2048"
+
+
 def test_amalgam_of_a_subset_without_zero_rejected():
     # {3} is no ideal of Z/6: (1, 1) is not among the pairs (a, a + 3)
     Z6 = zmod(6)

@@ -32,6 +32,7 @@ from conftest import (
     ideal_degree_rows,
     in_span,
     leading_term,
+    monomials_of_degree,
     oracle_member,
     random_homogeneous,
     random_poly,
@@ -83,7 +84,7 @@ def test_membership_soundness(kxy, rng):
     for d in range(2, 7):
         for g in gens:
             if g.degree() <= d:
-                m = rng.choice(kxy.monomials_of_degree(d - g.degree()))
+                m = rng.choice(monomials_of_degree(kxy, d - g.degree()))
                 assert oracle_member(kxy, gens, kxy.monomial(m, 1) * g)
 
 
@@ -123,7 +124,7 @@ def test_hilbert_dimension_agreement(kxyz, rng):
             continue
         lead = G.leading_monomials()
         for d in range(7):
-            monos = kxyz.monomials_of_degree(d)
+            monos = monomials_of_degree(kxyz, d)
             std = sum(
                 1
                 for m in monos
@@ -227,7 +228,7 @@ def test_colon_maximality_oracle(kxy):
         rowsI, idxI = ideal_degree_rows(kxy, gens, d + 1)
         spanI = rref(rowsI, 101)
         # colon dimension by kernel computation: f -> x*f mod I_d+1
-        monos = kxy.monomials_of_degree(d)
+        monos = monomials_of_degree(kxy, d)
         mat = []
         for m in monos:
             v = poly_vector(kxy.monomial(m, 1) * jpoly, idxI)
@@ -429,7 +430,7 @@ def _by_leading_term(polys):
 @settings(max_examples=40)
 @given(homogeneous_ideals())
 def test_buchberger_and_eliminate_match_sympy(sample):
-    sympy = pytest.importorskip("sympy")
+    import sympy
     ring, gens = sample
     G = buchberger(IdealBasis(ring, gens))
     expected = _by_leading_term(
@@ -470,7 +471,7 @@ def test_reduced_basis_invariant_under_permutation_and_scaling(p, data):
 @settings(max_examples=8)
 @given(data=st.data())
 def test_intersect_and_colon_match_sympy(p, data):
-    sympy = pytest.importorskip("sympy")
+    import sympy
     ring, F = data.draw(homogeneous_ideals((p,)))
     _, G = data.draw(homogeneous_ideals((p,)))
     names = list(ring.names)

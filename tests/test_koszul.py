@@ -15,7 +15,7 @@ twist plus the largest variable weight is checked.
 """
 
 from importlib import resources
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +34,7 @@ def koszul_betti(R, top):
     nonzero value."""
     S = R.ambient
     n, weights, p = S.nvars, S.weights, S.p
-    basis = {d: R.standard_monomials(d) for d in range(top + 1)}
+    basis = dict(enumerate(islice(R.standard_monomials(), top + 1)))
     products = {}
 
     def times(f, m):

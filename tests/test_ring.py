@@ -1,7 +1,8 @@
 from importlib import resources
+from itertools import islice
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amalgams.amalgam import amalgam_present, duplication
@@ -21,7 +22,7 @@ from amalgams.ring import (
     RingHom,
     make_ring,
 )
-from conftest import ideal_degree_dim
+from conftest import ideal_degree_dim, monomials_of_degree
 from oracles import standard_monomials_filter
 
 
@@ -52,7 +53,7 @@ def test_reduce_canonical():
 
 def test_standard_monomials_and_hilbert_function():
     R = make_ring(101, ["x", "y"], ["x^2", "x*y", "y^2"])
-    assert [len(R.standard_monomials(d)) for d in (-1, 0, 1, 2)] == [0, 1, 2, 0]
+    assert [len(basis) for basis in islice(R.standard_monomials(), 3)] == [1, 2, 0]
 
 
 @st.composite
@@ -69,16 +70,50 @@ def monomial_ideals_and_degrees(draw):
 @example(([2, 1, 1], [(0, 3, 0)], 10))  # a pure power of one variable
 @example(([1, 1, 2], [(0, 0, 2)], 9))  # leads on the last variable only
 @example(([1, 1, 1, 1], [(0, 0, 0, 1), (0, 0, 0, 3)], 6))
-@example(([3, 1], [(1, 2), (0, 0)], 7))  # a unit lead
 def test_standard_monomials_match_filter(ideal):
-    """The pruned walk lists what the brute-force filter keeps, in order."""
+    """The generator lists what the brute-force filter keeps, in order."""
     weights, gens, d = ideal
     amb = PolyRing(101, [f"x{i}" for i in range(len(weights))], weights)
     expected = standard_monomials_filter(weights, gens, d)
-    assert amb.monomials_of_degree(d, gens) == expected
     if all(any(m) for m in gens):  # the ring needs a proper ideal
         R = PresentedRing(amb, [amb.monomial(m) for m in gens])
-        assert R.standard_monomials(d) == expected
+        assert next(islice(R.standard_monomials(), d, None), []) == expected
+
+
+@st.composite
+def artinian_monomial_ideals(draw):
+    """(weights, generator exponents) with a pure power of every variable
+    among the generators, in at most four variables."""
+    n = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    powers = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    gens = [tuple(a if j == i else 0 for j in range(n)) for i, a in enumerate(powers)]
+    gens += draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), max_size=4))
+    return weights, [m for m in gens if any(m)]
+
+
+@settings(max_examples=100)
+@given(artinian_monomial_ideals())
+@example(([1, 1], [(2, 0), (1, 1), (0, 2)]))  # A0 of gorenstein.alg
+@example(([3], [(1,)]))  # nothing past degree 0, then three empty degrees
+@example(([2, 3], [(2, 0), (0, 1)]))  # a gap inside the basis
+def test_standard_monomials_end_on_an_artinian_ring(ideal):
+    """On an artinian ring the generator ends after max(weights) empty
+    degrees, and every degree up to its end, and past it, is the filter's."""
+    weights, gens = ideal
+    amb = PolyRing(101, [f"x{i}" for i in range(len(weights))], weights)
+    R = PresentedRing(amb, [amb.monomial(m) for m in gens])
+    levels = list(R.standard_monomials())
+    reach = max(weights)
+    assert levels[-reach:] == [[]] * reach and levels[-reach - 1]
+    for d in range(len(levels) + reach):
+        expected = standard_monomials_filter(weights, gens, d)
+        assert (levels[d] if d < len(levels) else []) == expected
+
+
+def test_standard_monomials_do_not_end_on_a_polynomial_ring():
+    levels = list(islice(make_ring(101, ["x", "y"]).standard_monomials(), 50))
+    assert [len(basis) for basis in levels] == list(range(1, 51))
 
 
 def _fixture_rings():
@@ -103,10 +138,10 @@ def test_standard_monomials_match_filter_on_fixtures_and_duplications():
     cases += [(_duplication_along_m(n), 8 if n < 4 else 6) for n in (2, 3, 4)]
     for R, top in cases:
         leads = R.defining.leading_monomials()
+        levels = list(islice(R.standard_monomials(), top + 1))
+        levels += [[]] * (top + 1 - len(levels))  # an artinian ring ends early
         for d in range(top + 1):
-            assert R.standard_monomials(d) == standard_monomials_filter(
-                R.weights, leads, d
-            )
+            assert levels[d] == standard_monomials_filter(R.weights, leads, d)
 
 
 def test_hilbert_function_additive_over_ideal():
@@ -114,20 +149,21 @@ def test_hilbert_function_additive_over_ideal():
     R = make_ring(101, ["x", "y"], ["x^3"])
     J = IdealHandle(R, ["x"])
     big = make_ring(101, ["x", "y"], ["x^3", "x"])
-    hs_J = hilbert_series(J)
+    hs_J = hilbert_series(J).coefficients(7)
+    levels = list(islice(R.standard_monomials(), 8))
+    big_levels = list(islice(big.standard_monomials(), 8))
     for d in range(8):
-        assert len(R.standard_monomials(d)) == (
-            len(big.standard_monomials(d)) + hs_J.coefficient(d)
-        )
+        assert len(levels[d]) == len(big_levels[d]) + hs_J.get(d, 0)
 
 
 def test_hilbert_function_matches_oracle():
     amb = PolyRing(101, ["x", "y", "z"])
     gens = [parse_poly(amb, "x*y - z^2"), parse_poly(amb, "x^2*z")]
     R = PresentedRing(amb, gens)
+    levels = list(islice(R.standard_monomials(), 7))
     for d in range(7):
-        total = len(amb.monomials_of_degree(d))
-        assert len(R.standard_monomials(d)) == total - ideal_degree_dim(amb, gens, d)
+        total = len(monomials_of_degree(amb, d))
+        assert len(levels[d]) == total - ideal_degree_dim(amb, gens, d)
 
 
 def test_ideal_handle_drops_zero_generators():
