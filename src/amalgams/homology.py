@@ -3,9 +3,9 @@
 All homological algebra happens over the ambient polynomial ring: depth via
 the Auslander-Buchsbaum identity (#vars - projective dimension), canonical
 modules and the classification predicates via Ext against the ambient ring
-and graded local duality.  `classify` reads the Betti numbers, depth,
-canonical module and every higher Ext through `free_resolution`,
-`depth_ab`, `canonical_module` and `ext_module`.
+and graded local duality.  `classify` reads the Betti numbers, depth and
+ω through `free_resolution`, `depth_ab` and `canonical_module`, and the
+dimension of each Ext^j with j > codim off its series (`_ext_series`).
 A ring or module keeps its resolution on itself (`resolution`), and a ring
 its classify report (`report`), each stored only when the call returns; so
 `classify`, `depth_ab`, `ext_module` and `canonical_module` on one ring
@@ -13,9 +13,9 @@ share one resolution, and the memo lives and dies with its object.  A call
 that stops at the degree cap stores nothing.  The cap is the ambient
 ring's (`PolyRing.degree_cap`), so no function here takes one.
 Ext modules and annihilators are kernels into quotient modules, each
-taken as syzygies modulo the relations (`modules.syzygies(modulo=)`); Ext
-is presented by `modules.subquotient`, the one minimalization rule, and
-each module is minimalized once.
+taken as syzygies modulo the relations (`modules.syzygies(modulo=)`), by
+one rule for every dual map; `modules.subquotient` presents Ext, and
+`classify` presents only ω: a higher Ext is measured without a module.
 Hilbert series are read off leading monomials and need no resolution:
 F/U has the series of F/in(U), and a ring keeps its own (`series`).  The
 Krull dimension is the order of the series' pole at t = 1, so it is read
@@ -59,10 +59,15 @@ class FreeResolution:
         self.ring = ring
         self.twists = twists
         self.diffs = diffs
+        self.cokernel_series = {}
 
     @property
     def length(self):
         return len(self.diffs)
+
+    def dual_twists(self, j):
+        """Twists of F_j^*, where F_j = 0 for j < 0 and past the end."""
+        return [-t for t in self.twists[j]] if 0 <= j <= self.length else []
 
     def betti_numbers(self):
         return [len(t) for t in self.twists]
@@ -155,34 +160,36 @@ def depth_ab(obj):
 
 def _dual_columns(res, j):
     """Columns of the dual of d_{j+1}: the map F_j^* -> F_{j+1}^*, the
-    transpose, built in one pass over the terms of each column of d_{j+1}."""
-    target = FreeModule(res.ring, [-t for t in res.twists[j + 1]])
-    cols = [{} for _ in res.twists[j]]
-    for b, column in enumerate(res.diffs[j]):
+    transpose, built in one pass over the terms of each column of d_{j+1}.
+    From the end of the resolution on they are zero columns into 0."""
+    target = FreeModule(res.ring, res.dual_twists(j + 1))
+    cols = [{} for _ in res.dual_twists(j)]
+    for b, column in enumerate(res.diffs[j] if 0 <= j < res.length else ()):
         for (a, m), c in column.terms.items():
             cols[a][(b, m)] = c
     return [ModVec(target, terms) for terms in cols]
 
 
 def ext_module(obj, j):
-    """Ext^j against the ambient polynomial ring, as a presented module:
-    the cohomology of the dual of the resolution of `obj`."""
+    """Ext^j against the ambient polynomial ring, as a presented module: the
+    cohomology of the dual of the resolution of `obj`, by one rule for all j."""
     res = free_resolution(obj)
-    ring = res.ring
-    if j < 0 or j > ring.nvars:
+    if j < 0 or j > res.ring.nvars:
         raise ValueError("cohomological degree out of range")
-    c = res.length
-    if j > c or not res.twists[j]:
-        return FPModule.zero(ring)
-    dual_twists = [-t for t in res.twists[j]]
-    if j == c:
-        ker_free = FreeModule(ring, dual_twists)
-        ker_gens = [ker_free.basis_vector(i) for i in range(ker_free.rank)]
-    else:
-        cols = _dual_columns(res, j)
-        ker_gens = syzygies(cols, twists=dual_twists)
-    im_gens = _dual_columns(res, j - 1) if j else []
-    return subquotient(ring, ker_gens, im_gens)
+    ker_gens = syzygies(_dual_columns(res, j), twists=res.dual_twists(j))
+    return subquotient(res.ring, ker_gens, _dual_columns(res, j - 1))
+
+
+def _ext_series(res, j):
+    """HS(Ext^j) = HS(C_j) + HS(C_{j-1}) - HS(F_{j+1}^*), C_i = F_{i+1}^*/im δ_i
+    for δ_i the dual of d_{i+1}, as HS(ker δ_j) = HS(F_j^*) - HS(im δ_j) and
+    HS(im δ_i) = HS(F_{i+1}^*) - HS(C_i).  `res` keeps each HS(C_i)."""
+    for i in (j - 1, j):
+        if i not in res.cokernel_series:
+            C = FPModule(res.ring, res.dual_twists(i + 1), _dual_columns(res, i))
+            res.cokernel_series[i] = hilbert_series(C)
+    free = hilbert_series(FPModule(res.ring, res.dual_twists(j + 1)))
+    return res.cokernel_series[j] + res.cokernel_series[j - 1] - free
 
 
 def canonical_module(R):
@@ -260,12 +267,14 @@ def classify(R):
     The Serre-condition levels use the Ext-dimension criterion, which is
     exact for equidimensional rings and conservative (it may under-report)
     otherwise; `ClassifyReport.lines` marks the level unless told the ring
-    is equidimensional.  R keeps the report (`report`).
+    is equidimensional.  Only ω is presented; each higher Ext is measured
+    by its series (`_ext_series`).  R keeps the report (`report`).
     """
     if R.report is not None:
         return R.report
     n = R.ambient.nvars
-    betti = free_resolution(R).betti_numbers()
+    res = free_resolution(R)
+    betti = res.betti_numbers()
     dim = krull_dim(R)
     depth = depth_ab(R)
     codim = n - dim
@@ -282,12 +291,12 @@ def classify(R):
         quasi = False
 
     # Dimensions of the nonzero Ext modules above the codimension; zero Ext
-    # modules impose no condition.
+    # modules, those of zero series, impose no condition.
     ext_dims = {}
-    for j in range(codim + 1, n + 1):
-        ext = ext_module(R, j)
-        if not ext.is_zero_presentation():
-            ext_dims[j] = krull_dim(ext)
+    for j in range(codim + 1, res.length + 1):
+        dim_ext = _ext_series(res, j).dimension()
+        if dim_ext >= 0:
+            ext_dims[j] = dim_ext
     gcm = all(d <= 0 for d in ext_dims.values())
     serre = 0
     for level in range(1, MAX_SERRE_LEVEL + 1):

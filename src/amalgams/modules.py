@@ -5,9 +5,9 @@ Syzygies are elimination with a dominant front block of components, and
 syzygies modulo a submodule U lift U's generators with a zero tail, which
 makes them the one kernel primitive of the package.  Graded Nakayama is
 the one minimalization rule (`minimal_generators(modulo=)`), and
-`subquotient`, built on it, presents Ext and every module with a unit
-relation entry.  `amalgams.gb` runs ideals through the same loop
-(`_extend`) and reducer (`_reduce`) as rank-1 submodules.
+`subquotient`, built on it, presents Ext (in `classify` only ω) and every
+module with a unit relation entry.  `amalgams.gb` runs ideals through the
+same loop (`_extend`) and reducer (`_reduce`) as rank-1 submodules.
 
 A `_Basis` carries the `ModOrder` it was built under, and the loop and the
 reducer read it off the basis: a reduction under another order pops terms
@@ -59,9 +59,6 @@ class FreeModule:
 
     def __repr__(self):
         return f"Free({self.ring}, twists={list(self.twists)})"
-
-    def basis_vector(self, i):
-        return ModVec(self, {(i, self.ring.one_mono()): 1})
 
     def from_polys(self, polys):
         """Vector with the given polynomial in each component."""
@@ -469,10 +466,6 @@ class FPModule:
         self.resolution = None
 
     @classmethod
-    def zero(cls, ring):
-        return cls(ring, [], [])
-
-    @classmethod
     def quotient_ring(cls, presented):
         """S/I as a module over the ambient polynomial ring S."""
         return cls(
@@ -485,9 +478,6 @@ class FPModule:
         rels = [ModVec(shifted, dict(r.terms)) for r in self.relations]
         return FPModule(self.ring, shifted.twists, rels)
 
-    def is_zero_presentation(self):
-        return not self.twists
-
     def minimal_presentation(self):
         """A minimal presentation of the same module.  With no constant
         relation entry the generators are already minimal (graded
@@ -497,7 +487,7 @@ class FPModule:
         if all(m != one for r in self.relations for (_, m) in r.terms):
             rels = minimal_generators(self.relations)
             return FPModule(self.ring, self.twists, rels)
-        basis = [self.free.basis_vector(i) for i in range(len(self.twists))]
+        basis = [ModVec(self.free, {(i, one): 1}) for i in range(len(self.twists))]
         return subquotient(self.ring, basis, self.relations)
 
     def __repr__(self):

@@ -501,6 +501,11 @@ def find_isomorphism(R, S):
     return list(phi) if backtrack() else None
 
 
+def basis_vector(free, i):
+    """The i-th unit vector e_i of the free module `free`."""
+    return ModVec(free, {(i, free.ring.one_mono()): 1})
+
+
 def syzygies_then_project(vecs, twists, modulo):
     """The a with sum a_i*vecs[i] in <modulo>: the syzygies of vecs and the
     nonzero relations together, each cut down to its first len(vecs)
@@ -571,11 +576,11 @@ def annihilator_loop(M):
     of [e_i] + U."""
     M = minimal_presentation_substitute(M)
     ring = M.ring
-    if M.is_zero_presentation():
+    if not M.twists:
         return _reduced(ring, [ring.one()])
     result = None
     for i in range(len(M.twists)):
-        vecs = [M.free.basis_vector(i)] + list(M.relations)
+        vecs = [basis_vector(M.free, i)] + list(M.relations)
         twists = [M.twists[i]] + [r.degree() for r in M.relations]
         part = _first_coordinates(vecs, twists)
         if result is not None:
@@ -611,17 +616,17 @@ def ext_project(res, j):
     relations of ker/im cut down from syzygies of ker's generators and im."""
     ring = res.ring
     if j > res.length or not res.twists[j]:
-        return FPModule.zero(ring)
+        return FPModule(ring, [])
     dual_twists = [-t for t in res.twists[j]]
     if j == res.length:
         free = FreeModule(ring, dual_twists)
-        ker_gens = [free.basis_vector(i) for i in range(free.rank)]
+        ker_gens = [basis_vector(free, i) for i in range(free.rank)]
     else:
         ker_gens = syzygies(_dual_columns(res, j), twists=dual_twists)
     im_gens = _dual_columns(res, j - 1) if j else []
     gens = minimal_generators(ker_gens)
     if not gens:
-        return FPModule.zero(ring)
+        return FPModule(ring, [])
     twists = [g.degree() for g in gens]
     rels = syzygies_then_project(gens, twists, im_gens)
     return minimal_presentation_substitute(FPModule(ring, twists, rels))

@@ -1,6 +1,6 @@
 """Rings shared by several test modules: the `serre.alg` fixture rings,
-duplications of k[x1..x3], and a hypothesis strategy for random monomial
-and binomial ideals of k[x, y, z] over GF(p)."""
+duplications of k[x1..x3], the duplication ladder W_n, and a hypothesis
+strategy for random monomial and binomial ideals of k[x, y, z] over GF(p)."""
 
 from importlib import resources
 from itertools import product
@@ -26,6 +26,13 @@ def k3_duplications(p=101):
         amalgam_present(duplication(A, IdealHandle(A, gens))).ring
         for gens in (["x1", "x2", "x3"], ["x1^2", "x2^2", "x3^2"])
     ]
+
+
+def duplication_along_m(n, p=101):
+    """The rung W_n of the duplication ladder: C/K of k[x1..xn] duplicated
+    along (x1..xn), in 2n variables."""
+    A = make_ring(p, [f"x{i}" for i in range(1, n + 1)])
+    return amalgam_present(duplication(A, IdealHandle(A, list(A.names)))).ring
 
 
 VARS = ["x", "y", "z"]

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from amalgams import homology
 from amalgams.errors import DegreeCapExceeded, ZeroModule
 from amalgams.homology import (
+    MAX_SERRE_LEVEL,
+    _dual_columns,
+    _ext_series,
     annihilator,
     canonical_module,
     classify,
@@ -23,9 +26,14 @@ from amalgams.cli import parse_input
 from amalgams.modules import FPModule, minimal_generators
 from amalgams.poly import PolyRing
 from amalgams.ring import IdealHandle, make_ring
-from amalgams.series import HilbertSeries, lp_const, lp_monomial
-from oracles import krull_dim_subsets, resolution_series
-from samples import binomial_or_monomial_rings, k3_duplications, serre_rings
+from amalgams.series import HilbertSeries, lp_const, lp_monomial, lp_zero
+from oracles import ext_project, krull_dim_subsets, resolution_series
+from samples import (
+    binomial_or_monomial_rings,
+    duplication_along_m,
+    k3_duplications,
+    serre_rings,
+)
 
 
 def intersection_ring(p=101):
@@ -138,7 +146,7 @@ def test_series_matches_resolution_on_modules():
         assert_same_series(canonical_module(R))
         for j in range(R.ambient.nvars + 1):
             ext = ext_module(R, j)
-            if not ext.minimal_presentation().is_zero_presentation():
+            if ext.minimal_presentation().twists:
                 assert_same_series(ext)
 
 
@@ -158,12 +166,6 @@ def test_krull_dim():
     assert krull_dim(intersection_ring()) == 2
     assert krull_dim(make_ring(101, ["x"])) == 1
     assert krull_dim(make_ring(101, ["x", "y"], ["x^2", "x*y", "y^2"])) == 0
-
-
-def duplication_along_m(n, p):
-    """C/K of k[x1..xn] duplicated along (x1..xn)."""
-    A = make_ring(p, [f"x{i}" for i in range(1, n + 1)])
-    return amalgam_present(duplication(A, IdealHandle(A, list(A.names)))).ring
 
 
 @pytest.mark.parametrize("p", [101, 32003])
@@ -213,7 +215,7 @@ def test_ext_examples():
     assert hilbert_series(e2) == HilbertSeries(lp_monomial(-3), weights=[1])
     # j = 0 on a torsion module vanishes
     e0 = ext_module(R, 0)
-    assert e0.minimal_presentation().is_zero_presentation()
+    assert not e0.minimal_presentation().twists
     # hypersurface: Ext^1 is the twisted quotient
     H = make_ring(101, ["x", "z"], ["z^2"])
     e1 = ext_module(H, 1).minimal_presentation()
@@ -232,9 +234,9 @@ def test_cm_duality_degeneration():
     for R, codim in fixtures:
         for j in range(R.ambient.nvars + 1):
             if j != codim:
-                assert ext_module(R, j).minimal_presentation().is_zero_presentation()
+                assert not ext_module(R, j).minimal_presentation().twists
             else:
-                assert not ext_module(R, j).minimal_presentation().is_zero_presentation()
+                assert ext_module(R, j).minimal_presentation().twists
 
 
 def test_canonical_module():
@@ -260,8 +262,8 @@ def test_annihilator():
     free = FPModule(S, [0])
     assert not annihilator(free).elements
     # the zero module: the quotient by the zero vector is the unit ideal
-    assert [str(g) for g in annihilator(FPModule.zero(S)).elements] == ["1"]
-    assert krull_dim(FPModule.zero(S)) == -1
+    assert [str(g) for g in annihilator(FPModule(S, [])).elements] == ["1"]
+    assert krull_dim(FPModule(S, [])) == -1
     # dim of the annihilator quotient equals dim of the module
     R = intersection_ring()
     w = canonical_module(R)
@@ -443,3 +445,74 @@ def test_depth_and_betti_numbers_against_series(R):
     num = hilbert_series(R).num
     assert sum(num.values()) == sum((-1) ** i * b for i, b in enumerate(rep.betti))
     assert_same_series(R)
+
+
+def assert_ext_series_match_the_presented_routes(R):
+    """For every j, the series route gives the series of the presented
+    Ext^j, and the zero-ness and dimension of the reference route's."""
+    res = free_resolution(R)
+    for j in range(res.length + 1):
+        series = _ext_series(res, j)
+        assert series == hilbert_series(ext_module(R, j))
+        old = ext_project(res, j)
+        assert (series.dimension() == -1) == (not old.twists)
+        assert series.dimension() == krull_dim(old)
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+def test_ext_series_match_the_presented_routes(p):
+    for R in serre_rings(p) + k3_duplications(p):
+        assert_ext_series_match_the_presented_routes(R)
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_ext_series_of_drawn_rings_match_the_presented_routes(p, data):
+    assert_ext_series_match_the_presented_routes(
+        data.draw(binomial_or_monomial_rings(p))
+    )
+
+
+def test_dual_columns_past_the_end_are_zero_and_ext_follows_one_rule():
+    for R in serre_rings() + k3_duplications():
+        res = free_resolution(R)
+        c = res.length
+        cols = _dual_columns(res, c)
+        assert len(cols) == len(res.twists[c])
+        assert all(v.is_zero() and v.free.rank == 0 for v in cols)
+        ext, old = ext_module(R, c), ext_project(res, c)
+        assert ext.twists == old.twists
+        assert len(ext.relations) == len(old.relations)
+        assert hilbert_series(ext) == hilbert_series(old)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ext_of_the_ladder_in_closed_form(n):
+    # W_n has codimension n and projective dimension 2n - 1: HS(Ext^n) is
+    # 2t^-n/(1-t)^n, the Ext in between vanish, and HS(Ext^(2n-1)) = t^-2n.
+    W = duplication_along_m(n)
+    res = free_resolution(W)
+    assert res.length == 2 * n - 1
+    expected = {n: HilbertSeries({-n: 2}, weights=[1] * n)}
+    expected.update({j: HilbertSeries(lp_zero()) for j in range(n + 1, 2 * n - 1)})
+    expected[2 * n - 1] = HilbertSeries(lp_monomial(-2 * n))
+    for j, series in expected.items():
+        assert _ext_series(res, j) == series
+        assert hilbert_series(ext_module(W, j)) == series
+
+
+def test_a_zero_ext_imposes_no_condition(monkeypatch):
+    # Ext^pd is never zero, and a zero Ext below it could not lower a Serre
+    # level the nonzero ones allow, so no ring shows the skip.  Here a zero
+    # series stands in for every Ext above the codimension, and the report
+    # must then be that of a Cohen-Macaulay ring.
+    def trivial_extension_by_k():
+        return make_ring(101, ["x", "z"], ["x*z", "z^2"])
+
+    rep = classify(trivial_extension_by_k())
+    assert (rep.serre_level, rep.is_generalized_cm) == (0, True)
+    zero = HilbertSeries(lp_zero())
+    monkeypatch.setattr(homology, "_ext_series", lambda res, j: zero)
+    rep = classify(trivial_extension_by_k())
+    assert (rep.serre_level, rep.is_generalized_cm) == (MAX_SERRE_LEVEL, True)

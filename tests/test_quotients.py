@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from amalgams import gb, homology, modules
 from amalgams.gb import colon, intersect
 from amalgams.homology import (
+    _ext_series,
     annihilator,
+    classify,
     ext_module,
     free_resolution,
     hilbert_series,
@@ -23,7 +25,12 @@ from oracles import (
     intersect_project,
     krull_dim_annihilator,
 )
-from samples import binomial_or_monomial_rings, k3_duplications, serre_rings
+from samples import (
+    binomial_or_monomial_rings,
+    duplication_along_m,
+    k3_duplications,
+    serre_rings,
+)
 
 
 def terms(G):
@@ -102,6 +109,29 @@ def test_one_syzygies_per_colon_and_annihilator(monkeypatch):
         assert len(calls) == 1
 
 
+def test_classify_presents_only_the_canonical_module(monkeypatch):
+    # Each higher Ext is measured by its series: one Ext is presented, ω.
+    exts = counting(monkeypatch, homology, "ext_module")
+    presented = counting(monkeypatch, homology, "subquotient")
+    for R in [duplication_along_m(4)] + serre_rings():
+        exts.clear()
+        presented.clear()
+        classify(R)
+        assert len(exts) == len(presented) == 1
+
+
+def test_ext_series_read_each_cokernel_once(monkeypatch):
+    # Over j = 0..c, C_{-1}..C_c are read once each (C_i serves Ext^i and
+    # Ext^(i+1)), and F_(j+1)^* once for each j.
+    series = counting(monkeypatch, homology, "hilbert_series")
+    for R in serre_rings() + k3_duplications():
+        res = free_resolution(R)
+        series.clear()
+        for j in range(res.length + 1):
+            _ext_series(res, j)
+        assert len(series) == (res.length + 2) + (res.length + 1)
+
+
 def test_krull_dim_of_a_module_never_calls_the_annihilator(monkeypatch):
     # dim F/U is read off the leads of U's own basis, one module GB per
     # module, with no quotient and no minimal presentation.
@@ -120,7 +150,7 @@ def test_krull_dim_of_a_module_never_calls_the_annihilator(monkeypatch):
 @pytest.mark.parametrize("p", [101, 32003])
 def test_krull_dim_of_a_module_matches_the_annihilator_route(p):
     for R in serre_rings(p) + k3_duplications(p):
-        exts = [M for M in ext_modules(R)[1] if not M.is_zero_presentation()]
+        exts = [M for M in ext_modules(R)[1] if M.twists]
         for M in exts + [FPModule.quotient_ring(R)]:
             assert krull_dim(M) == krull_dim_annihilator(M)
 
@@ -131,7 +161,7 @@ def test_krull_dim_of_degenerate_and_weighted_modules():
     # F/U = (S(-1) + S)/(e1 + x*e2, y*e2) is S/(y) by its second generator
     unit_entry = FPModule(S, [1, 0], [[S.one(), x], [zero, y]])
     killed = FPModule(S, [0], [[x], [S.one()]])
-    cases = [(FPModule.zero(S), -1), (killed, -1), (unit_entry, 2)]
+    cases = [(FPModule(S, []), -1), (killed, -1), (unit_entry, 2)]
     W = PolyRing(101, ["x", "y"], [2, 3])
     cusp = FPModule(W, [0], [[parse_poly(W, "x^3 - y^2")]])
     weighted = FPModule(W, [0, 1], [[W.var("y"), W.var("x")]])

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from amalgams.amalgam import amalgam_present, duplication
 from amalgams.cli import parse_input
 from amalgams.errors import (
     ContextMismatch,
@@ -24,6 +23,7 @@ from amalgams.ring import (
 )
 from conftest import ideal_degree_dim, monomials_of_degree
 from oracles import standard_monomials_filter
+from samples import duplication_along_m
 
 
 def test_make_ring_variants():
@@ -125,17 +125,11 @@ def _fixture_rings():
     return rings
 
 
-def _duplication_along_m(n):
-    names = [f"x{i}" for i in range(1, n + 1)]
-    A = make_ring(101, names)
-    return amalgam_present(duplication(A, IdealHandle(A, names))).ring
-
-
 def test_standard_monomials_match_filter_on_fixtures_and_duplications():
     """Every fixture ring in degrees 0..8, and C/K of k[x1..xn] duplicated
     along (x1..xn) for n = 2..4 (8 variables at n = 4, so degrees 0..6)."""
     cases = [(R, 8) for R in _fixture_rings()]
-    cases += [(_duplication_along_m(n), 8 if n < 4 else 6) for n in (2, 3, 4)]
+    cases += [(duplication_along_m(n), 8 if n < 4 else 6) for n in (2, 3, 4)]
     for R, top in cases:
         leads = R.defining.leading_monomials()
         levels = list(islice(R.standard_monomials(), top + 1))
