@@ -51,25 +51,23 @@ class AmalgamSpec:
 
 
 class CertStatus:
-    CERTIFIED = "Certified"
-    NOT_SURJECTIVE = "NotSurjective"
+    """The Hilbert-series certificate: the smallest degree where HS(C/K)
+    and HS(A) + HS(J) differ, None when they agree (certified)."""
 
-    def __init__(self, status, witness_degree=None):
-        self.status = status
+    def __init__(self, witness_degree=None):
         self.witness_degree = witness_degree
 
     def is_certified(self):
-        return self.status == CertStatus.CERTIFIED
+        return self.witness_degree is None
 
     def __repr__(self):
-        if self.status == CertStatus.NOT_SURJECTIVE:
-            return f"NotSurjective(witness degree {self.witness_degree})"
-        return self.status
+        if self.is_certified():
+            return "Certified"
+        return f"NotSurjective(witness degree {self.witness_degree})"
 
     def __eq__(self, other):
         return (
             isinstance(other, CertStatus)
-            and self.status == other.status
             and self.witness_degree == other.witness_degree
         )
 
@@ -147,13 +145,8 @@ def verify_presentation(P):
     and HS(J) the one `amalgam_present` took when it built C/K.
     """
     target = hilbert_series(P.spec.A) + P.J_series
-    witness = P.ring.series.first_difference(target)
-    if witness is None:
-        status = CertStatus(CertStatus.CERTIFIED)
-    else:
-        status = CertStatus(CertStatus.NOT_SURJECTIVE, witness)
-    P.certificate = status
-    return status
+    P.certificate = CertStatus(P.ring.series.first_difference(target))
+    return P.certificate
 
 
 def duplication(A, I):

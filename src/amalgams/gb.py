@@ -29,7 +29,7 @@ from .modules import (
     module_groebner,
     syzygies,
 )
-from .poly import GREVLEX, BlockOrder, Polynomial
+from .poly import Polynomial
 
 
 class IdealBasis:
@@ -80,12 +80,13 @@ def _rank_one(ring, polys):
     return [free.from_polys([f]) for f in polys]
 
 
-def buchberger(basis, order=GREVLEX):
-    """Reduced Groebner basis of the ideal generated by `basis`: the module
-    engine's basis of the rank-1 submodule, minimalized and tail-reduced."""
+def buchberger(basis, order=None):
+    """Reduced Groebner basis of the ideal generated by `basis` under the
+    `ModOrder` `order` (grevlex by default): the module engine's basis of
+    the rank-1 submodule, minimalized and tail-reduced."""
     ring = basis.ring
-    morder = ModOrder(ring.weights, order=order)
-    return _reduced(ring, module_groebner(_rank_one(ring, basis.gens), morder))
+    order = order or ModOrder(ring.weights)
+    return _reduced(ring, module_groebner(_rank_one(ring, basis.gens), order))
 
 
 def _reduced(ring, G):
@@ -117,7 +118,7 @@ def _reduced(ring, G):
         c = tail.pop(lead)
         h = _reduce(ModVec(free, tail), basis)
         reduced.append((ModVec(free, {lead: c, **h.terms}), lead))
-    order = ModOrder(ring.weights, order=G.order.order)
+    order = ModOrder(ring.weights, block=G.order.block)
     reduced.sort(key=lambda gl: order.key(gl[1]))
     return GroebnerBasis(
         ring, _Basis(order, [g for g, _ in reduced], [m for _, m in reduced])
@@ -140,16 +141,18 @@ def ideal_member(f, G):
 
 def eliminate(ring, gens, k):
     """Contract the ideal of `gens` to the subring on all but the first k
-    variables, from its basis under the block order that eliminates them.
+    variables, from its basis under `ModOrder(weights, block=k)`, the order
+    that eliminates them.
 
     Returns the reduced grevlex basis over a new ring on the retained
     variables (with their weights, the field and the degree cap).  The
     front block dominates, so an element of the block basis lies in the
-    subring exactly when its lead does; the block order restricts to
-    grevlex there, so these elements, in the block basis's order and with
-    their terms and leads cut to the retained variables, are that basis.
+    subring exactly when its lead does; on monomials free of the front
+    block the order is grevlex, so these elements, in the block basis's
+    order and with their terms and leads cut to the retained variables,
+    are that basis.
     """
-    G = buchberger(IdealBasis(ring, gens), BlockOrder(k)).basis
+    G = buchberger(IdealBasis(ring, gens), ModOrder(ring.weights, block=k)).basis
     sub_ring = ring.with_variables(ring.names[k:], ring.weights[k:])
     free = FreeModule(sub_ring, [0])
     kept = _Basis(ModOrder(sub_ring.weights))

@@ -36,10 +36,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from heapq import heapify, heappop, heappush
-from operator import add, le, mul, neg, sub
+from operator import add, le, mul, sub
 
 from .errors import DegreeCapExceeded, NotHomogeneous
-from .poly import GREVLEX, Polynomial
+from .poly import Polynomial, grevlex_key
 
 
 class FreeModule:
@@ -128,29 +128,37 @@ class ModVec:
 
 
 class ModOrder:
-    """Module term order: front block of components dominates, then the
-    monomial order (grevlex or a block order) on the monomial, then the
-    smaller component index wins.
+    """The package's one term order: a front block of `split` components
+    dominates, then the monomial, then the smaller component index wins.
+    Monomials compare by weighted grevlex (`poly.grevlex_key`), or for
+    `block` = k > 0 by the elimination order of the first k variables:
+    grevlex on those k first, ties by grevlex on the whole monomial, which
+    then compares the rest.
 
-    `key` is one flat tuple of ints, negated, so the biggest term has the
-    smallest key and a `heapq` pops leading terms first.  The monomial
-    part of each key is computed once per instance and kept in a dict that
-    lives as long as the instance.
+    `key` is one flat tuple of ints, smallest for the biggest term, so a
+    `heapq` pops leading terms first.  The monomial part of each key is
+    computed once per instance and kept in a dict that lives as long as
+    the instance.
     """
 
-    def __init__(self, weights, split=0, order=GREVLEX):
+    def __init__(self, weights, split=0, block=0):
         self.weights = weights
         self.split = split
-        self.order = order
+        self.block = block
         self._mono_keys = {}
+
+    def __repr__(self):
+        return f"block({self.block})" if self.block else "grevlex"
 
     def key(self, term):
         comp, mono = term
         k = self._mono_keys.get(mono)
         if k is None:
-            k = self._mono_keys[mono] = tuple(
-                map(neg, self.order.key(mono, self.weights))
-            )
+            w, b = self.weights, self.block
+            k = grevlex_key(mono, w)
+            if b:
+                k = grevlex_key(mono[:b], w) + k
+            self._mono_keys[mono] = k
         return (-1 if comp < self.split else 0, *k, comp)
 
 

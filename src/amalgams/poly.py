@@ -3,7 +3,9 @@
 Coefficients live in GF(p) and are stored as least non-negative residues.
 Monomials are dense exponent tuples; each polynomial carries a reference to
 its ambient ring context (variable names, weights, field, degree cap).  All
-values are immutable after construction.
+values are immutable after construction.  `grevlex_key` is the package's
+one definition of the weighted grevlex order: `format_poly` sorts terms by
+it, and `modules.ModOrder` builds every engine order from it.
 """
 
 from __future__ import annotations
@@ -64,61 +66,14 @@ class PrimeField:
 
 
 # ---------------------------------------------------------------------------
-# Monomial orders.  An order supplies a sort key for exponent tuples; bigger
-# key means bigger monomial.  Both are multiplicative well-orders.
+# The term order.
 
 
-def _grevlex_key(expts, weights):
-    deg = sum(e * w for e, w in zip(expts, weights))
-    return (deg,) + tuple(-e for e in reversed(expts))
-
-
-class GrevlexOrder:
-    """Weighted degree first, ties by smallest exponent on the last variable."""
-
-    def key(self, expts, weights):
-        return _grevlex_key(expts, weights)
-
-    def __repr__(self):
-        return "grevlex"
-
-    def __eq__(self, other):
-        return isinstance(other, GrevlexOrder)
-
-    def __hash__(self):
-        return hash("grevlex")
-
-
-class BlockOrder:
-    """Eliminates the first `elim_count` variables.
-
-    Compares the front block by weighted grevlex first, so any monomial
-    involving a front variable beats every monomial in the back block
-    of the same front part.
-    """
-
-    def __init__(self, elim_count):
-        self.elim_count = elim_count
-
-    def key(self, expts, weights):
-        # Each block's key has a fixed length for a given ring, so the
-        # joined tuple compares the front block first.
-        k = self.elim_count
-        return _grevlex_key(expts[:k], weights[:k]) + _grevlex_key(
-            expts[k:], weights[k:]
-        )
-
-    def __repr__(self):
-        return f"block({self.elim_count})"
-
-    def __eq__(self, other):
-        return isinstance(other, BlockOrder) and self.elim_count == other.elim_count
-
-    def __hash__(self):
-        return hash(("block", self.elim_count))
-
-
-GREVLEX = GrevlexOrder()
+def grevlex_key(expts, weights):
+    """Negated weighted grevlex key: the bigger monomial has the smaller key
+    (higher weighted degree, then the smaller exponent on the last variable
+    where two monomials differ)."""
+    return (-sum(map(mul, expts, weights)), *expts[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +309,7 @@ def format_poly(f, signed=False):
     p = f.ring.p
     ws = f.ring.weights
     pieces = []
-    terms = sorted(
-        f.terms.items(), key=lambda mc: _grevlex_key(mc[0], ws), reverse=True
-    )
+    terms = sorted(f.terms.items(), key=lambda mc: grevlex_key(mc[0], ws))
     for mono, coeff in terms:
         neg = False
         if signed and coeff > p // 2:

@@ -22,7 +22,7 @@ from .errors import (
     UnitIdeal,
 )
 from .gb import GroebnerBasis, IdealBasis, buchberger, normal_form
-from .poly import DEFAULT_DEGREE_CAP, GREVLEX, PolyRing, parse_poly
+from .poly import DEFAULT_DEGREE_CAP, PolyRing, parse_poly
 from .series import HilbertSeries, monomial_kpoly
 
 
@@ -59,7 +59,7 @@ class PresentedRing:
                 if not g.is_homogeneous():
                     raise NotHomogeneous(f"generator {g} mixes weighted degrees")
                 gens.append(g)
-            self.defining = buchberger(IdealBasis(ambient, gens), GREVLEX)
+            self.defining = buchberger(IdealBasis(ambient, gens))
         if self.defining.contains_one():
             raise UnitIdeal("1 lies in the defining ideal")
         self.series = HilbertSeries(

@@ -15,8 +15,13 @@ import pytest
 from hypothesis import settings
 
 from amalgams.finite import FiniteRing
-from amalgams.poly import GREVLEX, PolyRing, Polynomial
-from oracles import check_ring_axioms, relabel_one, standard_monomials_filter
+from amalgams.poly import PolyRing, Polynomial
+from oracles import (
+    check_ring_axioms,
+    grevlex_rank,
+    relabel_one,
+    standard_monomials_filter,
+)
 
 # Reproducible property tests with no per-example deadline: example run
 # times vary a lot on a loaded machine.
@@ -24,12 +29,13 @@ settings.register_profile("amalgams", derandomize=True, deadline=None)
 settings.load_profile("amalgams")
 
 
-def leading_term(f, order=GREVLEX):
+def leading_term(f, rank=grevlex_rank):
     """(monomial, coefficient) of the largest term of the nonzero f under
-    `order`, by `max` over its terms: the package keeps the leads its
+    the order `rank` (exponents, weights) -> bigger for the bigger
+    monomial, by `max` over its terms: the package keeps the leads its
     Groebner engine found and computes none this way."""
     ws = f.ring.weights
-    m = max(f.terms, key=lambda mono: order.key(mono, ws))
+    m = max(f.terms, key=lambda mono: rank(mono, ws))
     return m, f.terms[m]
 
 

@@ -54,6 +54,9 @@ variable subsets, and `krull_dim_annihilator` takes the dimension of a
 module as that of S/ann(M), with ann(M) from `annihilator_loop`, where
 `amalgams.homology.krull_dim` reads both off the pole at t = 1 of the
 Hilbert series.
+`grevlex_rank` and `block_rank` define the term orders from scratch, and
+`_scan_key` and `conftest.leading_term` use them, where the package builds
+every order's key from `poly.grevlex_key` in `modules.ModOrder`.
 `check_ring_axioms` checks the ring axioms of a finite ring's tables,
 exhaustively up to order EXHAUSTIVE_CHECK_BOUND and on seeded random
 triples above it, where `amalgams.finite` builds only rings whose axioms
@@ -81,7 +84,7 @@ from amalgams.modules import (
     module_groebner,
     syzygies,
 )
-from amalgams.poly import DEFAULT_DEGREE_CAP, GREVLEX, Polynomial
+from amalgams.poly import DEFAULT_DEGREE_CAP, Polynomial
 from amalgams.ring import IdealHandle, PresentedRing
 from amalgams.series import (
     HilbertSeries,
@@ -230,12 +233,34 @@ def minimal_generators_rebuild(vecs, modulo=()):
     return kept
 
 
+def grevlex_rank(expts, weights):
+    """Weighted grevlex from its definition, bigger for the bigger monomial:
+    the higher weighted degree wins, and at equal degree the monomial with
+    the smaller exponent on the last variable where the two differ."""
+    return (sum(map(mul, expts, weights)), tuple(-e for e in reversed(expts)))
+
+
+def block_rank(k):
+    """The order that eliminates the first k variables, as a rank like
+    `grevlex_rank`: grevlex on the first k variables, ties by grevlex on
+    the others.  block_rank(0) is grevlex."""
+
+    def rank(expts, weights):
+        return (
+            grevlex_rank(expts[:k], weights[:k]),
+            grevlex_rank(expts[k:], weights[k:]),
+        )
+
+    return rank
+
+
 def _scan_key(order, term):
-    """ModOrder's comparison as a nested tuple, built afresh on every call."""
+    """ModOrder's comparison as a nested tuple, built afresh on every call
+    from the order's split, block and weights alone."""
     comp, mono = term
     return (
         1 if comp < order.split else 0,
-        order.order.key(mono, order.weights),
+        block_rank(order.block)(mono, order.weights),
         -comp,
     )
 
@@ -530,7 +555,7 @@ def _first_coordinates(vecs, twists):
 
 
 def _reduced(ring, polys):
-    return buchberger(IdealBasis(ring, polys), GREVLEX)
+    return buchberger(IdealBasis(ring, polys))
 
 
 def intersect_project(ring, I, J):

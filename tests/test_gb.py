@@ -19,13 +19,7 @@ from amalgams.gb import (
 )
 from amalgams.homology import annihilator, ext_module, free_resolution
 from amalgams.modules import FPModule, FreeModule, ModOrder, syzygies
-from amalgams.poly import (
-    DEFAULT_DEGREE_CAP,
-    GREVLEX,
-    BlockOrder,
-    PolyRing,
-    parse_poly,
-)
+from amalgams.poly import DEFAULT_DEGREE_CAP, PolyRing, format_poly, parse_poly
 from conftest import (
     from_terms,
     ideal_degree_dim,
@@ -37,13 +31,18 @@ from conftest import (
     random_homogeneous,
     random_poly,
 )
-from oracles import mod_reduce_scan
-from samples import binomial_or_monomial_rings
+from oracles import block_rank, grevlex_rank, mod_reduce_scan
+from samples import (
+    binomial_or_monomial_rings,
+    duplication_along_m,
+    k3_duplications,
+    serre_rings,
+)
 
 
 def gb(ring, gens):
     polys = [parse_poly(ring, g) if isinstance(g, str) else g for g in gens]
-    return buchberger(IdealBasis(ring, polys), GREVLEX)
+    return buchberger(IdealBasis(ring, polys))
 
 
 def test_gb_known_example(kxyz):
@@ -271,7 +270,7 @@ def test_kernel_of_map_is_one_elimination(kxy, monkeypatch):
         ker = kernel_of_map(src, [parse_poly(kxy, g) for g in images], target)
         assert len(calls) == 1
         assert ker.elements
-        reduced = real(IdealBasis(src, ker.elements), GREVLEX)
+        reduced = real(IdealBasis(src, ker.elements))
         assert [g.terms for g in ker.elements] == [g.terms for g in reduced.elements]
 
 
@@ -422,7 +421,7 @@ def _by_leading_term(polys):
     lists its basis."""
     return sorted(
         polys,
-        key=lambda f: GREVLEX.key(leading_term(f)[0], f.ring.weights),
+        key=lambda f: grevlex_rank(leading_term(f)[0], f.ring.weights),
         reverse=True,
     )
 
@@ -461,9 +460,9 @@ def test_reduced_basis_invariant_under_permutation_and_scaling(p, data):
         st.lists(st.integers(1, p - 1), min_size=len(gens), max_size=len(gens))
     )
     moved = [gens[i].scale(c) for i, c in zip(order_of, scales)]
-    for order in (GREVLEX, BlockOrder(1)):
-        G = buchberger(IdealBasis(ring, gens), order)
-        H = buchberger(IdealBasis(ring, moved), order)
+    for block in (0, 1):
+        G = buchberger(IdealBasis(ring, gens), ModOrder(ring.weights, block=block))
+        H = buchberger(IdealBasis(ring, moved), ModOrder(ring.weights, block=block))
         assert [g.terms for g in H.elements] == [g.terms for g in G.elements]
 
 
@@ -498,10 +497,13 @@ def assert_own_reduced_basis(G):
     of its own elements under its basis's order, and its stored leads are
     the leading monomials of its elements."""
     assert isinstance(G, GroebnerBasis)
-    order = G.basis.order.order
-    again = buchberger(IdealBasis(G.ring, G.elements), order)
+    block = G.basis.order.block
+    again = buchberger(
+        IdealBasis(G.ring, G.elements), ModOrder(G.ring.weights, block=block)
+    )
     assert [g.terms for g in G.elements] == [g.terms for g in again.elements]
-    assert G.leading_monomials() == [leading_term(g, order)[0] for g in G.elements]
+    rank = block_rank(block)
+    assert G.leading_monomials() == [leading_term(g, rank)[0] for g in G.elements]
 
 
 @pytest.mark.parametrize("p", [101, 32003])
@@ -533,13 +535,29 @@ def test_every_ideal_result_is_a_groebner_basis_with_its_leads(p, data):
         assert_own_reduced_basis(G)
 
 
-def rebuilt_normal_form(f, elements, order):
+def test_printed_first_term_is_the_engine_lead():
+    # `format_poly` sorts terms by `grevlex_key` and the engine by
+    # `ModOrder`: the first term printed for each (monic) element of a
+    # grevlex basis is its lead, with an eliminated basis among them.
+    rings = serre_rings() + k3_duplications() + [duplication_along_m(3)]
+    bases = [R.defining for R in rings]
+    S = rings[-1].ambient
+    bases.append(eliminate(S, rings[-1].defining.elements, 2))
+    assert bases[-1].elements
+    for G in bases:
+        for g, (_, lead) in zip(G.elements, G.basis.leads):
+            first = format_poly(g).split(" ")[0]
+            assert first == format_poly(G.ring.monomial(lead))
+
+
+def rebuilt_normal_form(f, elements, block):
     """The normal form of f against `elements` as rank-1 vectors, with
-    their leads found afresh under `order`, by the scan reducer."""
+    their leads found afresh under the order that eliminates the first
+    `block` variables (grevlex for 0), by the scan reducer."""
     free = FreeModule(f.ring, [0])
     vecs = [free.from_polys([g]) for g in elements]
-    leads = [(0, leading_term(g, order)[0]) for g in elements]
-    morder = ModOrder(f.ring.weights, order=order)
+    leads = [(0, leading_term(g, block_rank(block))[0]) for g in elements]
+    morder = ModOrder(f.ring.weights, block=block)
     return mod_reduce_scan(free.from_polys([f]), vecs, leads, morder).component_poly(0)
 
 
@@ -555,17 +573,17 @@ def test_kept_bases_give_the_normal_forms_of_rebuilt_ones(p, data):
     ring, gens = data.draw(homogeneous_ideals((p,)))
     x, y, z = (ring.var(n) for n in ring.names)
     src = PolyRing(p, ["u", "v", "w"], [1, 1, 2])
-    grevlex = buchberger(IdealBasis(ring, gens), GREVLEX)
+    grevlex = buchberger(IdealBasis(ring, gens))
     results = [
-        (grevlex, GREVLEX),
-        (buchberger(IdealBasis(ring, gens), BlockOrder(1)), BlockOrder(1)),
-        (eliminate(ring, gens, 1), GREVLEX),
-        (kernel_of_map(src, [x + y, z, x * y], grevlex), GREVLEX),
+        (grevlex, 0),
+        (buchberger(IdealBasis(ring, gens), ModOrder(ring.weights, block=1)), 1),
+        (eliminate(ring, gens, 1), 0),
+        (kernel_of_map(src, [x + y, z, x * y], grevlex), 0),
     ]
     coeff = st.integers(1, p - 1)
-    for G, order in results:
+    for G, block in results:
         R = G.ring
-        leads = [(0, leading_term(g, order)[0]) for g in G.elements]
+        leads = [(0, leading_term(g, block_rank(block))[0]) for g in G.elements]
         assert G.basis.leads == leads
         assert [(0, m) for m in G.leading_monomials()] == leads
         monos = [
@@ -582,4 +600,4 @@ def test_kept_bases_give_the_normal_forms_of_rebuilt_ones(p, data):
                 f = f + g * from_terms(R, [(data.draw(st.sampled_from(monos)), 1)])
             targets.append(f)
         for f in targets:
-            assert normal_form(f, G) == rebuilt_normal_form(f, G.elements, order)
+            assert normal_form(f, G) == rebuilt_normal_form(f, G.elements, block)

@@ -36,8 +36,9 @@ from amalgams.modules import (
     module_groebner,
     syzygies,
 )
-from amalgams.poly import GREVLEX, BlockOrder, PolyRing, parse_poly
+from amalgams.poly import PolyRing, parse_poly
 from oracles import (
+    _scan_key,
     extend_scan,
     minimal_generators_rebuild,
     minimal_presentation_substitute,
@@ -136,13 +137,31 @@ def test_reduction_stops_at_the_degree_cap():
     S = PolyRing(101, ["x", "y", "z"])
     F = FreeModule(S, [0])
     g = F.from_polys([parse_poly(S, "x - y^3")])
-    order = ModOrder(S.weights, order=BlockOrder(1))
+    order = ModOrder(S.weights, block=1)
     basis = _Basis(order, [g], [leading_mod_term(g, order)[0]])
     v = F.from_polys([parse_poly(S, "x*z")])
     with pytest.raises(DegreeCapExceeded, match="intermediate degree 4 exceeds cap 3"):
         _reduce(v, basis, degree_cap=3)
     assert _reduce(v, basis, degree_cap=4) == F.from_polys(
         [parse_poly(S, "y^3*z")]
+    )
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_mod_order_ranks_terms_as_the_reference_order(data):
+    # ModOrder builds its keys from `poly.grevlex_key`; `_scan_key` ranks
+    # terms from the definitions of grevlex and of the elimination order.
+    n = data.draw(st.integers(1, 5))
+    w = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    order = ModOrder(w, data.draw(st.integers(0, 2)), data.draw(st.integers(0, n)))
+    mono = st.tuples(*[st.integers(0, 3)] * n)
+    terms = data.draw(
+        st.lists(st.tuples(st.integers(0, 2), mono), min_size=2, unique=True)
+    )
+    assert len({order.key(t) for t in terms}) == len(terms)
+    assert sorted(terms, key=order.key) == sorted(
+        terms, key=lambda t: _scan_key(order, t), reverse=True
     )
 
 
@@ -184,11 +203,11 @@ def engine_orders(vecs):
     """Grevlex and a block order, and for rank >= 2 a dominant front block
     of one component under each; fresh instances for every call."""
     w = vecs[0].ring.weights
-    orders = [lambda: ModOrder(w), lambda: ModOrder(w, order=BlockOrder(1))]
+    orders = [lambda: ModOrder(w), lambda: ModOrder(w, block=1)]
     if vecs[0].free.rank >= 2:
         orders += [
             lambda: ModOrder(w, split=1),
-            lambda: ModOrder(w, split=1, order=BlockOrder(1)),
+            lambda: ModOrder(w, split=1, block=1),
         ]
     return orders
 
@@ -258,20 +277,20 @@ def test_engine_and_scan_agree_under_degree_caps(p):
         with scan_engine():
             return heap_syzygies(cap)
 
-    def groebner(order):
+    def groebner(block):
         def heap(cap):
             vecs = inputs(cap)
-            morder = ModOrder(vecs[0].ring.weights, order=order)
+            morder = ModOrder(vecs[0].ring.weights, block=block)
             return terms(module_groebner(vecs, morder))
 
         def scan(cap):
             vecs = inputs(cap)
-            morder = ModOrder(vecs[0].ring.weights, order=order)
+            morder = ModOrder(vecs[0].ring.weights, block=block)
             return terms(module_groebner_scan(vecs, morder, cap))
 
         return heap, scan
 
-    runs = [groebner(order) for order in (GREVLEX, BlockOrder(1))]
+    runs = [groebner(block) for block in (0, 1)]
     runs.append((heap_syzygies, scan_syzygies))
 
     for heap_run, scan_run in runs:

@@ -145,7 +145,6 @@ def test_only_ring_builders_take_a_degree_cap():
 # its basis.  Only the functions that build an order or a basis, or pick a
 # leading term before there is a basis, take one as a parameter.
 ORDER_PARAMETERS = {
-    "modules.ModOrder.__init__",
     "modules._Basis.__init__",
     "modules.leading_mod_term",
     "modules._monic",
