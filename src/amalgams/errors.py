@@ -22,7 +22,9 @@ class NotPrime(AlgebraError):
 
 
 class DegreeCapExceeded(AlgebraError):
-    """An intermediate polynomial exceeded the configured degree cap.
+    """An intermediate polynomial exceeded the configured degree cap, or a
+    monomial the degree bound of the packed exponent layout
+    (`poly.PACKED_DEGREE_BOUND`).
 
     Signals an infeasible computation, not a wrong answer.
     """

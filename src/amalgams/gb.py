@@ -15,6 +15,11 @@ the engine found, and `normal_form` reduces against that basis, so no
 caller rebuilds a basis, an order or a lead.  A ring derived here (the
 subring of `eliminate`, the joint ring of `kernel_of_map`) takes the field
 and the degree cap of the ring it comes from.
+
+Polynomials in and out are exponent tuples; the rank-1 vectors in between
+hold packed monomials (`poly.PackedLayout`).  `leading_monomials` unpacks
+the leads, and `eliminate` unpacks the monomials it keeps and packs their
+cut in the subring's layout.
 """
 
 from __future__ import annotations
@@ -66,7 +71,9 @@ class GroebnerBasis:
         return len(self.elements) == 1 and self.elements[0].degree() == 0
 
     def leading_monomials(self):
-        return [m for _, m in self.basis.leads]
+        """The leading exponent tuples, in the order of `elements`."""
+        unpack = self.ring.layout.unpack
+        return [unpack(m) for _, m in self.basis.leads]
 
     def __repr__(self):
         if not self.elements:
@@ -91,16 +98,16 @@ def buchberger(basis, order=None):
 
 def _reduced(ring, G):
     """The reduced basis of the ideal whose Groebner basis is the `_Basis`
-    G of monic rank-1 vectors, with G's leads, under a fresh copy of G's
-    order: the engine's order, with its key cache, ends with the call."""
+    G of monic rank-1 vectors, with G's leads and G's order."""
     vecs, leads = G.vecs, G.leads
+    divides = ring.layout.divides
     # Minimalize: drop elements whose leading monomial is divisible by
     # another one.
     minimal = [
         idx
         for idx, (_, lm) in enumerate(leads)
         if not any(
-            k != idx and ring.mono_divides(km, lm) and (km != lm or k < idx)
+            k != idx and divides(km, lm) and (km != lm or k < idx)
             for k, (_, km) in enumerate(leads)
         )
     ]
@@ -118,10 +125,9 @@ def _reduced(ring, G):
         c = tail.pop(lead)
         h = _reduce(ModVec(free, tail), basis)
         reduced.append((ModVec(free, {lead: c, **h.terms}), lead))
-    order = ModOrder(ring.weights, block=G.order.block)
-    reduced.sort(key=lambda gl: order.key(gl[1]))
+    reduced.sort(key=lambda gl: G.order.key(gl[1]))
     return GroebnerBasis(
-        ring, _Basis(order, [g for g, _ in reduced], [m for _, m in reduced])
+        ring, _Basis(G.order, [g for g, _ in reduced], [m for _, m in reduced])
     )
 
 
@@ -150,16 +156,19 @@ def eliminate(ring, gens, k):
     subring exactly when its lead does; on monomials free of the front
     block the order is grevlex, so these elements, in the block basis's
     order and with their terms and leads cut to the retained variables,
-    are that basis.
+    are that basis.  The kept monomials are unpacked, cut and packed again
+    in the subring's layout.
     """
     G = buchberger(IdealBasis(ring, gens), ModOrder(ring.weights, block=k)).basis
     sub_ring = ring.with_variables(ring.names[k:], ring.weights[k:])
+    unpack, pack = ring.layout.unpack, sub_ring.layout.pack
     free = FreeModule(sub_ring, [0])
     kept = _Basis(ModOrder(sub_ring.weights))
     for g, (_, lead) in zip(G, G.leads):
+        lead = unpack(lead)
         if not any(lead[:k]):
-            cut = {(0, m[k:]): c for (_, m), c in g.terms.items()}
-            kept.append(ModVec(free, cut), (0, lead[k:]))
+            cut = {(0, pack(unpack(m)[k:])): c for (_, m), c in g.terms.items()}
+            kept.append(ModVec(free, cut), (0, pack(lead[k:])))
     return GroebnerBasis(sub_ring, kept)
 
 

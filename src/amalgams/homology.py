@@ -17,7 +17,8 @@ taken as syzygies modulo the relations (`modules.syzygies(modulo=)`), by
 one rule for every dual map; `modules.subquotient` presents Ext, and
 `classify` presents only ω: a higher Ext is measured without a module.
 Hilbert series are read off leading monomials and need no resolution:
-F/U has the series of F/in(U), and a ring keeps its own (`series`).  The
+F/U has the series of F/in(U), and a ring keeps its own (`series`); the
+packed leads of a module's basis are unpacked for `monomial_kpoly`.  The
 Krull dimension is the order of the series' pole at t = 1, so it is read
 off the same monomials.
 """
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 from .errors import ResolutionTooLong, ZeroModule
 from .gb import ideal_member, quotient_ideal
 from .modules import (
+    ONE,
     FPModule,
     FreeModule,
     ModVec,
@@ -133,9 +135,10 @@ def hilbert_series(obj):
         return obj.series
     if isinstance(obj, FPModule):
         weights = obj.ring.weights
+        unpack = obj.ring.layout.unpack
         leads = [[] for _ in obj.twists]
         for comp, mono in module_groebner(obj.relations).leads:
-            leads[comp].append(mono)
+            leads[comp].append(unpack(mono))
         num = lp_zero()
         for twist, lead in zip(obj.twists, leads):
             part = monomial_kpoly(lead, weights)
@@ -212,7 +215,7 @@ def annihilator(M):
     ring = M.ring
     s = len(M.twists)
     free = FreeModule(ring, [t - u for u in M.twists for t in M.twists])
-    v = ModVec(free, {(i * s + i, ring.one_mono()): 1 for i in range(s)})
+    v = ModVec(free, {(i * s + i, ONE): 1 for i in range(s)})
     rels = [
         ModVec(free, {(i * s + j, m): c for (j, m), c in r.terms.items()})
         for i in range(s)

@@ -1,6 +1,12 @@
 """Graded free modules and the package's one Groebner engine.
 
-Vectors in a free module S^s are sparse maps (component, monomial) -> coeff.
+Vectors in a free module S^s are sparse maps (component, monomial) -> coeff,
+each monomial packed into one int in the ring's `poly.PackedLayout`:
+products and quotients are int sums and differences, divisibility one
+subtraction and a mask, and `ModOrder`'s keys ints.  Polynomials keep
+exponent tuples, and vectors convert only at their edges: `from_polys`
+packs, `ModVec.component_poly` unpacks, and so do the callers that hand
+leading monomials to tuple code (`gb`, `homology.hilbert_series`).
 Syzygies are elimination with a dominant front block of components, and
 syzygies modulo a submodule U lift U's generators with a zero tail, which
 makes them the one kernel primitive of the package.  Graded Nakayama is
@@ -29,17 +35,31 @@ i and with j of degree at most that of (i, j).
 The degree cap is the ring's (`PolyRing.degree_cap`): `_extend` passes it
 to every reduction it runs, and `_reduce` is the one place that checks it.
 Reductions outside the loop (membership tests, `gb.normal_form`, tail
-reduction) run unchecked.
+reduction) run without a cap.  Every reduction, capped or not, checks the
+packed layout's bound: a monomial of weighted degree 2^29 or more raises
+`DegreeCapExceeded` when it would enter the working vector, from the
+input or as a product, before it is formed; so does an S-vector whose
+terms leave the layout, which only a pair whose lcm leaves it can form.
+An S-vector term, a packed monomial times lcm/lead, is below 2^30 in
+every field, so it never reaches a guard bit before that check.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from heapq import heapify, heappop, heappush
-from operator import add, le, mul, sub
 
 from .errors import DegreeCapExceeded, NotHomogeneous
-from .poly import Polynomial, grevlex_key
+from .poly import (
+    PACKED_DEGREE_BOUND,
+    PackedLayout,
+    Polynomial,
+    check_packed_degree,
+    packed_field_width,
+)
+
+# The monomial 1, packed, in every layout.
+ONE = 0
 
 
 class FreeModule:
@@ -61,23 +81,25 @@ class FreeModule:
         return f"Free({self.ring}, twists={list(self.twists)})"
 
     def from_polys(self, polys):
-        """Vector with the given polynomial in each component."""
+        """Vector with the given polynomial in each component, its
+        monomials packed."""
+        pack = self.ring.layout.pack
         terms = {}
         for i, f in enumerate(polys):
             for m, c in f.terms.items():
-                terms[(i, m)] = c
+                terms[(i, pack(m))] = c
         return ModVec(self, terms)
 
 
 class ModVec:
-    """Sparse element of a free module."""
+    """Sparse element of a free module: (component, packed monomial) ->
+    coefficient."""
 
-    __slots__ = ("free", "terms", "_max_deg")
+    __slots__ = ("free", "terms")
 
     def __init__(self, free, terms):
         self.free = free
         self.terms = terms
-        self._max_deg = None
 
     @property
     def ring(self):
@@ -99,28 +121,27 @@ class ModVec:
         return ModVec(self.free, {k: (v * c) % p for k, v in self.terms.items()})
 
     def component_poly(self, i):
+        unpack = self.ring.layout.unpack
         return Polynomial(
-            self.ring, {m: c for (j, m), c in self.terms.items() if j == i}
+            self.ring, {unpack(m): c for (j, m), c in self.terms.items() if j == i}
         )
 
     def degree(self):
         """Common homogeneous degree, or -1 for the zero vector."""
         if not self.terms:
             return -1
-        degs = {
-            self.ring.mono_degree(m) + self.free.twists[i] for (i, m) in self.terms
-        }
+        shift = self.ring.layout.shift
+        twists = self.free.twists
+        degs = {(m >> shift) + twists[i] for (i, m) in self.terms}
         if len(degs) > 1:
             raise NotHomogeneous("inhomogeneous module vector")
         return degs.pop()
 
     def max_mono_degree(self):
-        """Largest monomial degree among the terms (-1 for zero), kept
-        after the first call: a vector's terms never change."""
-        if self._max_deg is None:
-            degree = self.ring.mono_degree
-            self._max_deg = max((degree(m) for (_, m) in self.terms), default=-1)
-        return self._max_deg
+        """Largest monomial degree among the terms (-1 for zero): that of
+        the largest packed int, whose degree field is its top."""
+        top = max((m for (_, m) in self.terms), default=-1)
+        return top >> self.ring.layout.shift
 
     def __repr__(self):
         polys = [str(self.component_poly(i)) for i in range(self.free.rank)]
@@ -128,38 +149,45 @@ class ModVec:
 
 
 class ModOrder:
-    """The package's one term order: a front block of `split` components
-    dominates, then the monomial, then the smaller component index wins.
-    Monomials compare by weighted grevlex (`poly.grevlex_key`), or for
-    `block` = k > 0 by the elimination order of the first k variables:
-    grevlex on those k first, ties by grevlex on the whole monomial, which
-    then compares the rest.
+    """The package's one term order on (component, packed monomial) terms:
+    a front block of `split` components dominates, then the monomial, then
+    the smaller component index wins.  Monomials compare by weighted
+    grevlex, as `poly.grevlex_key` orders their tuples, or for `block` =
+    k > 0 by the elimination order of the first k variables: grevlex on
+    those k first, ties by grevlex on the whole monomial, which then
+    compares the rest.
 
-    `key` is one flat tuple of ints, smallest for the biggest term, so a
-    `heapq` pops leading terms first.  The monomial part of each key is
-    computed once per instance and kept in a dict that lives as long as
-    the instance.
+    `key` is a tuple of ints, smallest for the biggest term, so a `heapq`
+    pops leading terms first: (front, grevlex, component), with the front
+    block's grevlex before the whole one's for `block` > 0.  The grevlex
+    int of a packed monomial P of degree d = P >> shift is P - 2d*2^shift:
+    the low fields minus d*2^shift, so a higher degree gives a smaller key
+    and equal degrees compare the last variable's field first.
     """
 
     def __init__(self, weights, split=0, block=0):
         self.weights = weights
         self.split = split
         self.block = block
-        self._mono_keys = {}
+        field = packed_field_width(self.weights)
+        self._shift = len(self.weights) * field
+        self._block_bits = block * field
+        if block:
+            self._low_degree = PackedLayout(self.weights).low_degree
 
     def __repr__(self):
         return f"block({self.block})" if self.block else "grevlex"
 
     def key(self, term):
         comp, mono = term
-        k = self._mono_keys.get(mono)
-        if k is None:
-            w, b = self.weights, self.block
-            k = grevlex_key(mono, w)
-            if b:
-                k = grevlex_key(mono[:b], w) + k
-            self._mono_keys[mono] = k
-        return (-1 if comp < self.split else 0, *k, comp)
+        shift = self._shift
+        whole = mono - ((mono >> shift) << (shift + 1))
+        front = -1 if comp < self.split else 0
+        if not self.block:
+            return (front, whole, comp)
+        bits = self._block_bits
+        low = mono & ((1 << bits) - 1)
+        return (front, low - (self._low_degree(low) << bits), whole, comp)
 
 
 def leading_mod_term(v, order):
@@ -168,10 +196,13 @@ def leading_mod_term(v, order):
 
 
 def _check_cap(degree, degree_cap):
+    """Raise `DegreeCapExceeded` for a degree past the cap or past the
+    packed layout."""
     if degree_cap is not None and degree > degree_cap:
         raise DegreeCapExceeded(
             f"intermediate degree {degree} exceeds cap {degree_cap}"
         )
+    check_packed_degree(degree)
 
 
 class _Basis:
@@ -181,10 +212,10 @@ class _Basis:
 
     `vecs` and `leads` are the elements and their leading (component,
     monomial) terms under `order`.  Per component, `index` holds the
-    (position, vector, lead monomial) of its elements in the order of
-    `vecs`.  `append` grows all three, so the index is built once per
-    basis, not once per reduction or per S-pair.  An empty basis made
-    from no vectors and no order has no order.
+    (position, vector, lead monomial, largest monomial degree) of its
+    elements in the order of `vecs`.  `append` grows all three, so the
+    index is built once per basis, not once per reduction or per S-pair.
+    An empty basis made from no vectors and no order has no order.
     """
 
     __slots__ = ("order", "vecs", "leads", "index")
@@ -199,7 +230,7 @@ class _Basis:
 
     def append(self, g, lead):
         comp, mono = lead
-        self.index[comp].append((len(self.vecs), g, mono))
+        self.index[comp].append((len(self.vecs), g, mono, g.max_mono_degree()))
         self.vecs.append(g)
         self.leads.append(lead)
 
@@ -219,13 +250,18 @@ def _reduce(v, basis, degree_cap=None):
     looks for a divisor only among the leads of its own component, in the
     order of the basis, so the first divisor found is the first one in the
     basis.  The remainder is built in falling order: its first key is its
-    leading term.  With a `degree_cap`, raises as soon as a term of higher
-    monomial degree appears.
+    leading term.  Raises before a term of monomial degree past the
+    `degree_cap` (when there is one) or past the packed layout enters the
+    working dict.
     """
     ring = v.ring
     p = ring.p
+    _check_cap(v.max_mono_degree(), degree_cap)
+    limit = PACKED_DEGREE_BOUND - 1
     if degree_cap is not None:
-        _check_cap(v.max_mono_degree(), degree_cap)
+        limit = min(limit, degree_cap)
+    shift = ring.layout.shift
+    guard = ring.layout.guard
     index = basis.index
     key = basis.order.key
     h = dict(v.terms)
@@ -238,13 +274,13 @@ def _reduce(v, basis, degree_cap=None):
         if c is None:
             continue
         comp, mono = lead
-        for _, g, gm in index.get(comp, ()):
-            if all(map(le, gm, mono)):
-                q = tuple(map(sub, mono, gm))
-                if degree_cap is not None:
-                    _check_cap(ring.mono_degree(q) + g.max_mono_degree(), degree_cap)
+        for _, g, gm, g_deg in index.get(comp, ()):
+            q = mono - gm
+            if not q & guard:
+                if (q >> shift) + g_deg > limit:
+                    _check_cap((q >> shift) + g_deg, degree_cap)
                 for (i, m), gcoef in g.terms.items():
-                    k = (i, tuple(map(add, m, q)))
+                    k = (i, m + q)
                     old = h.get(k)
                     if old is None:
                         h[k] = (-c * gcoef) % p
@@ -297,7 +333,9 @@ def _extend(basis, new, top=None):
     free = (G[0] if G else new[0][0]).free
     ring = free.ring
     p = ring.p
-    weights = ring.weights
+    shift = ring.layout.shift
+    guard = ring.layout.guard
+    lcm_of = ring.layout.lcm
     degree_cap = ring.degree_cap
     inverse = ring.field.inverse
     twists = free.twists
@@ -309,9 +347,9 @@ def _extend(basis, new, top=None):
         n = len(G)
         comp, mono = lead
         bound = None if top is None else top - twists[comp]
-        for k, _, km in index[comp]:
-            lcm = tuple(map(max, km, mono))
-            degree = sum(map(mul, lcm, weights))
+        for k, _, km, _ in index[comp]:
+            lcm = lcm_of(km, mono)
+            degree = lcm >> shift
             if bound is not None and degree > bound:
                 continue
             pairs.add((k, n))
@@ -332,24 +370,24 @@ def _extend(basis, new, top=None):
         # The product criterion is for ideals only: in S^2 the leads of
         # (x, y) and (y, z) are coprime, yet their S-vector reduces to
         # (y^2 - x*z) e_2.
-        if rank_one and lcm == tuple(map(add, mi, mj)):
+        if rank_one and lcm == mi + mj:
             continue
         # Chain criterion: a lead k dividing the lcm whose pairs with i
         # and j are both done makes the pair (i, j) redundant.
         if any(
             k != i
             and k != j
-            and all(map(le, km, lcm))
+            and not (lcm - km) & guard
             and done(i, k)
             and done(j, k)
-            for k, _, km in index[comp]
+            for k, _, km, _ in index[comp]
         ):
             continue
-        qi = tuple(map(sub, lcm, mi))
-        qj = tuple(map(sub, lcm, mj))
-        s = {(c, tuple(map(add, m, qi))): a for (c, m), a in G[i].terms.items()}
+        qi = lcm - mi
+        qj = lcm - mj
+        s = {(c, m + qi): a for (c, m), a in G[i].terms.items()}
         for (c, m), b in G[j].terms.items():
-            k = (c, tuple(map(add, m, qj)))
+            k = (c, m + qj)
             d = (s.get(k, 0) - b) % p
             if d:
                 s[k] = d
@@ -396,9 +434,8 @@ def syzygies(vecs, twists=None, modulo=()):
     if twists is None:
         twists = [v.degree() for v in vecs]
     ext = FreeModule(ring, list(free.twists) + list(twists))
-    one = ring.one_mono()
     lifted = [
-        ModVec(ext, {**v.terms, (free.rank + idx, one): 1})
+        ModVec(ext, {**v.terms, (free.rank + idx, ONE): 1})
         for idx, v in enumerate(vecs)
     ]
     lifted += [ModVec(ext, r.terms) for r in modulo]
@@ -428,11 +465,19 @@ def minimal_generators(vecs, modulo=()):
     Both extensions stop at `top`: a Groebner basis up to degree `top`
     decides membership exactly for every candidate, so no S-pair above it
     is made or reduced.  `kept` holds the input vectors themselves.
+    Candidates of one degree are taken in the order of their sorted terms
+    with unpacked monomials, the order of exponent tuples.
     """
     vecs = [v for v in vecs if not v.is_zero()]
-    vecs.sort(key=lambda v: (v.degree(), sorted(v.terms.items())))
     if not vecs:
         return []
+    unpack = vecs[0].ring.layout.unpack
+    vecs.sort(
+        key=lambda v: (
+            v.degree(),
+            sorted(((i, unpack(m)), c) for (i, m), c in v.terms.items()),
+        )
+    )
     order = ModOrder(vecs[0].ring.weights)
     top = vecs[-1].degree()
     seeds = [
@@ -491,11 +536,10 @@ class FPModule:
         relation entry the generators are already minimal (graded
         Nakayama) and only the relations are minimalized; otherwise it is
         the subquotient of the basis modulo the relations."""
-        one = self.ring.one_mono()
-        if all(m != one for r in self.relations for (_, m) in r.terms):
+        if all(m != ONE for r in self.relations for (_, m) in r.terms):
             rels = minimal_generators(self.relations)
             return FPModule(self.ring, self.twists, rels)
-        basis = [ModVec(self.free, {(i, one): 1}) for i in range(len(self.twists))]
+        basis = [ModVec(self.free, {(i, ONE): 1}) for i in range(len(self.twists))]
         return subquotient(self.ring, basis, self.relations)
 
     def __repr__(self):

@@ -1,16 +1,21 @@
 """Prime-field coefficients and sparse weighted multivariate polynomials.
 
 Coefficients live in GF(p) and are stored as least non-negative residues.
-Monomials are dense exponent tuples; each polynomial carries a reference to
-its ambient ring context (variable names, weights, field, degree cap).  All
-values are immutable after construction.  `grevlex_key` is the package's
-one definition of the weighted grevlex order: `format_poly` sorts terms by
-it, and `modules.ModOrder` builds every engine order from it.
+A polynomial's monomials are dense exponent tuples; each polynomial carries
+a reference to its ambient ring context (variable names, weights, field,
+degree cap, packed layout).  All values are immutable after construction.
+`grevlex_key` is the package's one definition of the weighted grevlex
+order on exponent tuples, and `format_poly` sorts terms by it.
+
+The module vectors of `amalgams.modules` store their monomials packed,
+one int each, in the ring's `PackedLayout`; `modules.ModOrder` orders
+packed monomials as `grevlex_key` orders tuples.
 """
 
 from __future__ import annotations
 
 from operator import mul
+from struct import Struct
 
 from .errors import (
     ContextMismatch,
@@ -77,6 +82,103 @@ def grevlex_key(expts, weights):
 
 
 # ---------------------------------------------------------------------------
+# The packed layout of module vectors' monomials.
+
+PACKED_DEGREE_BOUND = 1 << 29
+
+
+def check_packed_degree(degree):
+    """Raise `DegreeCapExceeded` for a weighted degree past the packed
+    layout: a monomial of degree at least `PACKED_DEGREE_BOUND`."""
+    if degree >= PACKED_DEGREE_BOUND:
+        raise DegreeCapExceeded(
+            f"intermediate degree {degree} exceeds the packed exponent bound "
+            f"{PACKED_DEGREE_BOUND - 1}"
+        )
+
+
+def packed_field_width(weights):
+    """Bits per variable in the packed layout of a ring with these weights
+    (see `PackedLayout`)."""
+    return 32 if max(weights, default=1) <= 3 else 64
+
+
+class PackedLayout:
+    """A ring's monomials packed into one int each, the form every
+    `modules.ModVec` stores them in.
+
+    Variable i takes field i, `field` bits wide, from the low end, and the
+    weighted degree sits above all the fields, from bit `shift` on.  The
+    top bit of each field is a guard bit (`guard` has them all).  A packed
+    monomial keeps its weighted degree, hence every exponent, below
+    `PACKED_DEGREE_BOUND` = 2^29: `pack` refuses anything else, and the
+    engine checks every product it forms (`modules._reduce`).  So on the
+    whole int a product is a + b and a quotient b - a, degree included, a
+    sum of two packed monomials leaves every guard bit clear, and a
+    divides b exactly when b - a borrows into no guard bit.
+
+    The weighted degree of the lcm of two packed monomials is read by one
+    multiply with the weights packed in reverse (`low_degree`), whose
+    fields reach (largest weight) * 2^30.  So the field width is 32 bits
+    when every weight is at most 3, and 64 bits otherwise; a weight of
+    2^29 or more counts as 0 in that multiply, since its variable occurs
+    in no packed monomial.  Whole bytes per field let `pack` and `unpack`
+    go through `struct`.
+
+    Packed ints order as the tuples do only through `modules.ModOrder`;
+    sorted as ints they compare the last variable first.
+    """
+
+    def __init__(self, weights):
+        n = len(weights)
+        self.weights = weights
+        self.field = packed_field_width(weights)
+        self._fields = Struct(f"<{n}{'I' if self.field == 32 else 'Q'}")
+        self.shift = n * self.field
+        self._low = (1 << self.shift) - 1
+        self._mask = (1 << self.field) - 1
+        # one bit at the base of every field, then the top bit of each
+        ones = self._low // self._mask
+        self.guard = ones << (self.field - 1)
+        light = [w if w < PACKED_DEGREE_BOUND else 0 for w in weights]
+        self._reversed_weights = int.from_bytes(
+            self._fields.pack(*light[::-1]), "little"
+        )
+        self._degree_at = self.shift - self.field
+
+    def pack(self, expts):
+        """The packed form of an exponent tuple."""
+        degree = sum(map(mul, expts, self.weights))
+        check_packed_degree(degree)
+        fields = int.from_bytes(self._fields.pack(*expts), "little")
+        return fields | (degree << self.shift)
+
+    def unpack(self, mono):
+        """The exponent tuple of a packed monomial."""
+        fields = (mono & self._low).to_bytes(self._fields.size, "little")
+        return self._fields.unpack(fields)
+
+    def divides(self, a, b):
+        """True when the packed monomial a divides b."""
+        return not (b - a) & self.guard
+
+    def low_degree(self, low):
+        """Weighted degree of the fields `low`, with no degree above them,
+        whose exponents sum to less than 2^30 (as those of the lcm of two
+        packed monomials do): one multiply, read at the last variable's
+        field, which no lower field carries into."""
+        return (low * self._reversed_weights >> self._degree_at) & self._mask
+
+    def lcm(self, a, b):
+        """The lcm of two packed monomials: each field of a where it is at
+        least b's (its guard bit survives (a | guard) - b), of b elsewhere."""
+        ge = ((a | self.guard) - b) & self.guard
+        take_a = ge - (ge >> (self.field - 1))
+        low = (b ^ ((a ^ b) & take_a)) & self._low
+        return low | (self.low_degree(low) << self.shift)
+
+
+# ---------------------------------------------------------------------------
 # Ring context and polynomials.
 
 
@@ -85,7 +187,8 @@ class PolyRing:
     the degree cap, the largest monomial degree a Groebner computation over
     the ring may reach before it raises `DegreeCapExceeded` (None: no cap).
     Like the field, the cap is part of the context: rings that differ only
-    in their caps are different rings."""
+    in their caps are different rings.  `layout` is the `PackedLayout` of
+    the ring's module vectors."""
 
     def __init__(self, p, names, weights=None, degree_cap=DEFAULT_DEGREE_CAP):
         self.field = p if isinstance(p, PrimeField) else PrimeField(p)
@@ -102,6 +205,7 @@ class PolyRing:
             raise InvalidRing("duplicate variable names")
         self.nvars = len(self.names)
         self._index = {n: i for i, n in enumerate(self.names)}
+        self.layout = PackedLayout(self.weights)
 
     @property
     def p(self):
@@ -136,10 +240,6 @@ class PolyRing:
 
     def mono_degree(self, expts):
         return sum(map(mul, expts, self.weights))
-
-    def mono_divides(self, a, b):
-        """True when a divides b."""
-        return all(x <= y for x, y in zip(a, b))
 
     def one_mono(self):
         return (0,) * self.nvars

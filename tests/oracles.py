@@ -17,7 +17,10 @@ scan: the next S-pair by `min` over the open pairs, each leading term by
 pass over all of G, where `amalgams.modules` pops pairs and terms from
 heaps; it takes the same S-pairs in the same order, so its output is the
 same list, term for term.  The scan engine does its own monomial
-arithmetic (`term_mul`), apart from the engine it checks.
+arithmetic (`term_mul`), apart from the engine it checks, and in another
+representation: it takes and returns the package's vectors, whose
+monomials are packed ints, but computes on exponent tuples, converting at
+its entry and exit (`unpacked`, `packed`).
 `ideal_generated_by` closes the multiples of a finite ring's elements
 under addition until nothing changes, and `all_ideals_closure` joins
 ideals that way, where `amalgams.finite.all_ideals` adds principal ideals
@@ -55,8 +58,8 @@ module as that of S/ann(M), with ann(M) from `annihilator_loop`, where
 `amalgams.homology.krull_dim` reads both off the pole at t = 1 of the
 Hilbert series.
 `grevlex_rank` and `block_rank` define the term orders from scratch, and
-`_scan_key` and `conftest.leading_term` use them, where the package builds
-every order's key from `poly.grevlex_key` in `modules.ModOrder`.
+`_scan_key` and `conftest.leading_term` use them on exponent tuples, where
+the package keys packed monomials in `modules.ModOrder`.
 `check_ring_axioms` checks the ring axioms of a finite ring's tables,
 exhaustively up to order EXHAUSTIVE_CHECK_BOUND and on seeded random
 triples above it, where `amalgams.finite` builds only rings whose axioms
@@ -65,7 +68,7 @@ hold by construction and checks none.
 
 import random
 from itertools import combinations, product
-from operator import add, mul, sub
+from operator import add, le, mul, sub
 
 import numpy as np
 
@@ -214,11 +217,35 @@ def first_difference_scan(a, b):
     raise AssertionError("unequal series with no differing coefficient")
 
 
+def unpacked(v):
+    """The package's vector v with its packed monomials as exponent tuples,
+    the form the scan engine computes on."""
+    unpack = v.ring.layout.unpack
+    return ModVec(v.free, {(i, unpack(m)): c for (i, m), c in v.terms.items()})
+
+
+def packed(v):
+    """A vector of exponent tuples with its monomials packed, the form of
+    the package's vectors."""
+    pack = v.ring.layout.pack
+    return ModVec(v.free, {(i, pack(m)): c for (i, m), c in v.terms.items()})
+
+
+def _unpacked_leads(ring, leads):
+    return [(comp, ring.layout.unpack(m)) for comp, m in leads]
+
+
+def _packed_lead(ring, lead):
+    comp, m = lead
+    return comp, ring.layout.pack(m)
+
+
 def minimal_generators_rebuild(vecs, modulo=()):
     """Minimal generating subset modulo <modulo>, one from-scratch module GB
-    of all of `modulo` and the vectors kept so far per kept vector."""
+    of all of `modulo` and the vectors kept so far per kept vector; the
+    candidates of one degree in the order of their sorted exponent tuples."""
     vecs = [v for v in vecs if not v.is_zero()]
-    vecs.sort(key=lambda v: (v.degree(), sorted(v.terms.items())))
+    vecs.sort(key=lambda v: (v.degree(), sorted(unpacked(v).terms.items())))
     rels = [r for r in modulo if not r.is_zero()]
     kept = []
     gb = module_groebner(rels).vecs
@@ -272,13 +299,29 @@ def _check_cap_scan(degree, degree_cap):
         )
 
 
-def term_mul(v, mono, coeff):
-    """v times coeff * x^mono."""
+def _divides_scan(a, b):
+    """True when the exponent tuple a divides b."""
+    return all(map(le, a, b))
+
+
+def _max_degree_scan(v):
+    """Largest monomial degree of a vector of exponent tuples (-1 for 0)."""
+    return max((v.ring.mono_degree(m) for (_, m) in v.terms), default=-1)
+
+
+def _term_mul(v, mono, coeff):
+    """v times coeff * x^mono, on exponent tuples."""
     p = v.ring.p
     return ModVec(
         v.free,
         {(i, tuple(map(add, m, mono))): c * coeff % p for (i, m), c in v.terms.items()},
     )
+
+
+def term_mul(v, mono, coeff):
+    """The package's vector v times coeff * x^mono, mono an exponent tuple,
+    multiplied on exponent tuples."""
+    return packed(_term_mul(unpacked(v), mono, coeff))
 
 
 def vec_add(v, w):
@@ -294,19 +337,41 @@ def vec_add(v, w):
     return ModVec(v.free, terms)
 
 
-def monic_scan(v, order):
-    """v scaled to leading coefficient 1, with its leading term, by `max`."""
+def _monic_scan(v, order):
+    """v scaled to leading coefficient 1, with its leading term, by `max`,
+    on exponent tuples."""
     lead = max(v.terms, key=lambda t: _scan_key(order, t))
     return v.scale(v.ring.field.inverse(v.terms[lead])), lead
 
 
+def monic_scan(v, order):
+    """`_monic_scan` of the package's vector v, its result packed."""
+    g, lead = _monic_scan(unpacked(v), order)
+    return packed(g), _packed_lead(v.ring, lead)
+
+
 def mod_reduce_scan(v, gens, leads, order, degree_cap=None):
+    """`_reduce_scan` of the package's vector v by the package's vectors
+    `gens` with their packed `leads`, computed on exponent tuples and
+    returned packed."""
+    return packed(
+        _reduce_scan(
+            unpacked(v),
+            [unpacked(g) for g in gens],
+            _unpacked_leads(v.ring, leads),
+            order,
+            degree_cap,
+        )
+    )
+
+
+def _reduce_scan(v, gens, leads, order, degree_cap=None):
     """Full normal form: the leading term by `max` over the working dict,
-    the divisor by a pass over all of `gens`."""
+    the divisor by a pass over all of `gens`, on exponent tuples."""
     ring = v.ring
     p = ring.p
     if degree_cap is not None:
-        _check_cap_scan(v.max_mono_degree(), degree_cap)
+        _check_cap_scan(_max_degree_scan(v), degree_cap)
     h = dict(v.terms)
     rem = {}
     while h:
@@ -314,11 +379,11 @@ def mod_reduce_scan(v, gens, leads, order, degree_cap=None):
         comp, mono = lead
         c = h[lead]
         for g, (gc_comp, gm) in zip(gens, leads):
-            if gc_comp == comp and ring.mono_divides(gm, mono):
+            if gc_comp == comp and _divides_scan(gm, mono):
                 q = tuple(map(sub, mono, gm))
                 if degree_cap is not None:
                     _check_cap_scan(
-                        ring.mono_degree(q) + g.max_mono_degree(), degree_cap
+                        ring.mono_degree(q) + _max_degree_scan(g), degree_cap
                     )
                 for (i, m), gcoef in g.terms.items():
                     k = (i, tuple(map(add, m, q)))
@@ -335,10 +400,27 @@ def mod_reduce_scan(v, gens, leads, order, degree_cap=None):
 
 
 def extend_scan(G, leads, new, order, degree_cap, top=None):
+    """`_extend_scan` on the package's vectors: the lists G and leads and
+    the (vector, lead) pairs `new` are unpacked, and the elements the loop
+    adds are packed and appended to G and leads."""
+    if not G and not new:
+        return G
+    ring = (G[0] if G else new[0][0]).ring
+    vecs = [unpacked(g) for g in G]
+    vec_leads = _unpacked_leads(ring, leads)
+    unpack = ring.layout.unpack
+    new = [(unpacked(g), (comp, unpack(m))) for g, (comp, m) in new]
+    _extend_scan(vecs, vec_leads, new, order, degree_cap, top)
+    G.extend(packed(g) for g in vecs[len(G):])
+    leads.extend(_packed_lead(ring, lead) for lead in vec_leads[len(leads):])
+    return G
+
+
+def _extend_scan(G, leads, new, order, degree_cap, top=None):
     """Buchberger's loop with the next pair by `min` over the open pairs of
-    (lcm degree, (i, j)), the degree recomputed at every step.  With a
-    bound `top`, a pair whose lcm degree plus its component's twist
-    exceeds `top` is never opened."""
+    (lcm degree, (i, j)), the degree recomputed at every step, on exponent
+    tuples.  With a bound `top`, a pair whose lcm degree plus its
+    component's twist exceeds `top` is never opened."""
     pairs = set()
 
     def pair_deg(pr):
@@ -379,32 +461,38 @@ def extend_scan(G, leads, new, order, degree_cap, top=None):
             k != i
             and k != j
             and kc == comp
-            and ring.mono_divides(km, lcm)
+            and _divides_scan(km, lcm)
             and done(i, k)
             and done(j, k)
             for k, (kc, km) in enumerate(leads)
         ):
             continue
         s = vec_add(
-            term_mul(G[i], tuple(map(sub, lcm, mi)), 1),
-            term_mul(G[j], tuple(map(sub, lcm, mj)), ring.p - 1),
+            _term_mul(G[i], tuple(map(sub, lcm, mi)), 1),
+            _term_mul(G[j], tuple(map(sub, lcm, mj)), ring.p - 1),
         )
-        h = mod_reduce_scan(s, G, leads, order, degree_cap)
+        h = _reduce_scan(s, G, leads, order, degree_cap)
         if not h.is_zero():
-            append(*monic_scan(h, order))
+            append(*_monic_scan(h, order))
     return G
 
 
 def module_groebner_scan(vecs, order=None, degree_cap=DEFAULT_DEGREE_CAP):
-    """`module_groebner` with every choice made by a scan, returned as a
-    `_Basis` with its order and the leads the scan found."""
+    """`module_groebner` with every choice made by a scan, on exponent
+    tuples, returned as a `_Basis` of packed vectors with its order and the
+    leads the scan found."""
     if order is None and vecs:
         order = ModOrder(vecs[0].ring.weights)
-    new = [monic_scan(v, order) for v in vecs if not v.is_zero()]
+    new = [_monic_scan(unpacked(v), order) for v in vecs if not v.is_zero()]
     new.sort(key=lambda gl: _scan_key(order, gl[1]))
     G, leads = [], []
-    extend_scan(G, leads, new, order, degree_cap)
-    return _Basis(order, G, leads)
+    _extend_scan(G, leads, new, order, degree_cap)
+    if not G:
+        return _Basis(order)
+    ring = G[0].ring
+    return _Basis(
+        order, [packed(g) for g in G], [_packed_lead(ring, lead) for lead in leads]
+    )
 
 
 def ideal_generated_by(R, gens):
@@ -528,7 +616,7 @@ def find_isomorphism(R, S):
 
 def basis_vector(free, i):
     """The i-th unit vector e_i of the free module `free`."""
-    return ModVec(free, {(i, free.ring.one_mono()): 1})
+    return packed(ModVec(free, {(i, free.ring.one_mono()): 1}))
 
 
 def syzygies_then_project(vecs, twists, modulo):
@@ -665,7 +753,7 @@ def minimal_presentation_substitute(M):
     p = ring.p
     one = ring.one_mono()
     twists = list(M.twists)
-    rels = [dict(r.terms) for r in M.relations if not r.is_zero()]
+    rels = [dict(unpacked(r).terms) for r in M.relations if not r.is_zero()]
     while True:
         hit = next(
             (
@@ -705,7 +793,7 @@ def minimal_presentation_substitute(M):
             for terms in new_rels
         ]
     free = FreeModule(ring, twists)
-    vecs = minimal_generators([ModVec(free, t) for t in rels])
+    vecs = minimal_generators([packed(ModVec(free, t)) for t in rels])
     return FPModule(ring, twists, vecs)
 
 

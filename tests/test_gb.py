@@ -1,4 +1,5 @@
 from itertools import product
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -127,7 +128,7 @@ def test_hilbert_dimension_agreement(kxyz, rng):
             std = sum(
                 1
                 for m in monos
-                if not any(kxyz.mono_divides(lm, m) for lm in lead)
+                if not any(all(map(le, lm, m)) for lm in lead)
             )
             assert len(monos) - std == ideal_degree_dim(kxyz, gens, d)
 
@@ -547,6 +548,7 @@ def test_printed_first_term_is_the_engine_lead():
     for G in bases:
         for g, (_, lead) in zip(G.elements, G.basis.leads):
             first = format_poly(g).split(" ")[0]
+            lead = G.ring.layout.unpack(lead)
             assert first == format_poly(G.ring.monomial(lead))
 
 
@@ -556,7 +558,8 @@ def rebuilt_normal_form(f, elements, block):
     `block` variables (grevlex for 0), by the scan reducer."""
     free = FreeModule(f.ring, [0])
     vecs = [free.from_polys([g]) for g in elements]
-    leads = [(0, leading_term(g, block_rank(block))[0]) for g in elements]
+    pack = f.ring.layout.pack
+    leads = [(0, pack(leading_term(g, block_rank(block))[0])) for g in elements]
     morder = ModOrder(f.ring.weights, block=block)
     return mod_reduce_scan(free.from_polys([f]), vecs, leads, morder).component_poly(0)
 
@@ -584,7 +587,7 @@ def test_kept_bases_give_the_normal_forms_of_rebuilt_ones(p, data):
     for G, block in results:
         R = G.ring
         leads = [(0, leading_term(g, block_rank(block))[0]) for g in G.elements]
-        assert G.basis.leads == leads
+        assert [(c, R.layout.unpack(m)) for c, m in G.basis.leads] == leads
         assert [(0, m) for m in G.leading_monomials()] == leads
         monos = [
             m for m in product(range(5), repeat=R.nvars) if R.mono_degree(m) <= 4

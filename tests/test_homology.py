@@ -1,5 +1,6 @@
 from importlib import resources
 from itertools import islice
+from math import comb
 from operator import add
 
 import pytest
@@ -67,6 +68,7 @@ def test_resolution_length_bound():
 def test_resolution_composites_zero():
     R = intersection_ring()
     res = free_resolution(R)
+    unpack = R.ambient.layout.unpack
     # successive differentials compose to zero
     for j in range(1, len(res.diffs)):
         prev = res.diffs[j - 1]
@@ -76,7 +78,7 @@ def test_resolution_composites_zero():
             out = {}
             for (i, m), c in col.terms.items():
                 for (i2, m2), c2 in prev[i].terms.items():
-                    key = (i2, tuple(map(add, m, m2)))
+                    key = (i2, tuple(map(add, unpack(m), unpack(m2))))
                     out[key] = (out.get(key, 0) + c * c2) % 101
             assert all(v == 0 for v in out.values())
 
@@ -84,7 +86,7 @@ def test_resolution_composites_zero():
 def test_resolution_minimality():
     R = intersection_ring()
     res = free_resolution(R)
-    one = R.ambient.one_mono()
+    one = R.ambient.layout.pack(R.ambient.one_mono())
     for diff in res.diffs:
         for col in diff:
             assert all(m != one for (_, m), _c in col.terms.items())
@@ -485,6 +487,24 @@ def test_dual_columns_past_the_end_are_zero_and_ext_follows_one_rule():
         assert ext.twists == old.twists
         assert len(ext.relations) == len(old.relations)
         assert hilbert_series(ext) == hilbert_series(old)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_duplication_ladder_resolution_in_closed_form(n):
+    # W_n, k[x1..xn] duplicated along its maximal ideal in 2n variables:
+    # F_i has C(2n, i+1) - 2*C(n, i+1) generators, all of degree i + 1,
+    # for 1 <= i <= 2n - 1, and the ring has dimension n, depth 1 and
+    # type 1.
+    R = duplication_along_m(n)
+    res = free_resolution(R)
+    assert res.betti_numbers() == [1] + [
+        comb(2 * n, i + 1) - 2 * comb(n, i + 1) for i in range(1, 2 * n)
+    ]
+    assert res.twists[0] == [0]
+    for i in range(1, 2 * n):
+        assert set(res.twists[i]) == {i + 1}
+    report = classify(R)
+    assert (report.dim, report.depth, report.type) == (n, 1, 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

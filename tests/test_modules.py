@@ -36,7 +36,7 @@ from amalgams.modules import (
     module_groebner,
     syzygies,
 )
-from amalgams.poly import PolyRing, parse_poly
+from amalgams.poly import PackedLayout, PolyRing, parse_poly
 from oracles import (
     _scan_key,
     extend_scan,
@@ -45,6 +45,7 @@ from oracles import (
     mod_reduce_scan,
     module_groebner_scan,
     monic_scan,
+    packed,
     term_mul,
     vec_add,
 )
@@ -150,8 +151,8 @@ def test_reduction_stops_at_the_degree_cap():
 @settings(max_examples=200)
 @given(data=st.data())
 def test_mod_order_ranks_terms_as_the_reference_order(data):
-    # ModOrder builds its keys from `poly.grevlex_key`; `_scan_key` ranks
-    # terms from the definitions of grevlex and of the elimination order.
+    # ModOrder keys packed monomials; `_scan_key` ranks terms of exponent
+    # tuples from the definitions of grevlex and of the elimination order.
     n = data.draw(st.integers(1, 5))
     w = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
     order = ModOrder(w, data.draw(st.integers(0, 2)), data.draw(st.integers(0, n)))
@@ -159,8 +160,13 @@ def test_mod_order_ranks_terms_as_the_reference_order(data):
     terms = data.draw(
         st.lists(st.tuples(st.integers(0, 2), mono), min_size=2, unique=True)
     )
-    assert len({order.key(t) for t in terms}) == len(terms)
-    assert sorted(terms, key=order.key) == sorted(
+    pack = PackedLayout(w).pack
+
+    def key(t):
+        return order.key((t[0], pack(t[1])))
+
+    assert len({key(t) for t in terms}) == len(terms)
+    assert sorted(terms, key=key) == sorted(
         terms, key=lambda t: _scan_key(order, t), reverse=True
     )
 
@@ -345,7 +351,7 @@ def reduction_case(draw, vecs):
         for i, t in enumerate(twists):
             if d >= t:
                 for e in draw(st.lists(st.sampled_from(monomials(d - t)), max_size=3)):
-                    v = vec_add(v, ModVec(free, {(i, e): draw(coeff)}))
+                    v = vec_add(v, packed(ModVec(free, {(i, e): draw(coeff)})))
         for g in draw(st.lists(st.sampled_from(G), max_size=2)):
             if d >= g.degree():
                 e = draw(st.sampled_from(monomials(d - g.degree())))
@@ -357,8 +363,9 @@ def reduction_case(draw, vecs):
 def s_vector(f, g, order):
     """f and g, monic with leads in one component, times the cofactors of
     their lcm, subtracted."""
-    mf = leading_mod_term(f, order)[0][1]
-    mg = leading_mod_term(g, order)[0][1]
+    unpack = f.ring.layout.unpack
+    mf = unpack(leading_mod_term(f, order)[0][1])
+    mg = unpack(leading_mod_term(g, order)[0][1])
     lcm = tuple(map(max, mf, mg))
     return vec_add(
         term_mul(f, tuple(map(sub, lcm, mf)), 1),
@@ -435,7 +442,7 @@ def presentations_with_unit_entries(draw, p):
     for _ in range(draw(st.integers(1, 4))):
         i = draw(st.integers(0, len(twists) - 1))
         rels.append(relation(i, twists[i] + draw(st.integers(1, 2))))
-    return FPModule(S, twists, [ModVec(free, t) for t in rels])
+    return FPModule(S, twists, [packed(ModVec(free, t)) for t in rels])
 
 
 @pytest.mark.parametrize("p", [101, 32003])
@@ -448,5 +455,5 @@ def test_minimal_presentation_matches_substitution(p, data):
     assert sorted(got.twists) == sorted(old.twists)
     assert len(got.relations) == len(old.relations)
     assert hilbert_series(got) == hilbert_series(M) == hilbert_series(old)
-    one = M.ring.one_mono()
+    one = M.ring.layout.pack(M.ring.one_mono())
     assert all(m != one for r in got.relations for (_, m) in r.terms)

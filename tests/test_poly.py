@@ -136,7 +136,7 @@ def test_order_well_founded_and_total():
         order = ModOrder(ring.weights, block=block)
 
         def key(m):
-            return order.key((0, m))
+            return order.key((0, ring.layout.pack(m)))
 
         for m in monos:
             key_m = key(m)
