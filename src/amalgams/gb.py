@@ -141,10 +141,6 @@ def normal_form(f, G):
     return _reduce(v, G.basis).component_poly(0)
 
 
-def ideal_member(f, G):
-    return normal_form(f, G).is_zero()
-
-
 def eliminate(ring, gens, k):
     """Contract the ideal of `gens` to the subring on all but the first k
     variables, from its basis under `ModOrder(weights, block=k)`, the order

@@ -12,10 +12,14 @@ its classify report (`report`), each stored only when the call returns; so
 share one resolution, and the memo lives and dies with its object.  A call
 that stops at the degree cap stores nothing.  The cap is the ambient
 ring's (`PolyRing.degree_cap`), so no function here takes one.
-Ext modules and annihilators are kernels into quotient modules, each
-taken as syzygies modulo the relations (`modules.syzygies(modulo=)`), by
-one rule for every dual map; `modules.subquotient` presents Ext, and
-`classify` presents only ω: a higher Ext is measured without a module.
+Each stage of a resolution is the minimal generating set that its
+syzygy basis finds as it is built (`modules.syzygies(...).minimal`), so no
+stage takes a second Groebner basis to minimalize.  Ext modules are
+kernels into quotient modules, each taken as syzygies modulo the relations
+(`modules.syzygies(modulo=)`), by one rule for every dual map;
+`modules.subquotient` presents Ext, and `classify` presents only ω: a
+higher Ext is measured without a module, and whether a cyclic ω is
+quasi-Gorenstein is read off its series, with no annihilator.
 Hilbert series are read off leading monomials and need no resolution:
 F/U has the series of F/in(U), and a ring keeps its own (`series`); the
 packed leads of a module's basis are unpacked for `monomial_kpoly`.  The
@@ -28,13 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ResolutionTooLong, ZeroModule
-from .gb import ideal_member, quotient_ideal
 from .modules import (
-    ONE,
     FPModule,
     FreeModule,
     ModVec,
-    minimal_generators,
     module_groebner,
     subquotient,
     syzygies,
@@ -90,11 +91,13 @@ def free_resolution(obj):
     """Minimal free resolution of a ring or a module, by iterated syzygies
     of minimal generators.
 
-    Every stage uses a minimal generating set, so no differential carries a
-    unit entry and the result is minimal (graded Nakayama).  The relations
-    of the minimal presentation are the first stage as they are.  The ring
-    or module keeps its resolution (`resolution`), stored only when the
-    call returns.
+    The relations of the minimal presentation are the first stage as they
+    are, and each later stage is the minimal generating set of the
+    previous stage's syzygies that their one basis finds as it is built
+    (`syzygies(...).minimal`).  Every stage is minimal, so no differential
+    carries a unit entry and the result is minimal (graded Nakayama).  The
+    ring or module keeps its resolution (`resolution`), stored only when
+    the call returns.
     """
     if obj.resolution is not None:
         return obj.resolution
@@ -110,7 +113,7 @@ def free_resolution(obj):
             )
         diffs.append(current)
         twists.append([v.degree() for v in current])
-        current = minimal_generators(syzygies(current))
+        current = syzygies(current).minimal
     obj.resolution = FreeResolution(ring, twists, diffs)
     return obj.resolution
 
@@ -175,12 +178,13 @@ def _dual_columns(res, j):
 
 def ext_module(obj, j):
     """Ext^j against the ambient polynomial ring, as a presented module: the
-    cohomology of the dual of the resolution of `obj`, by one rule for all j."""
+    cohomology of the dual of the resolution of `obj`, by one rule for all
+    j, with the minimal generators of the kernel as the candidates."""
     res = free_resolution(obj)
     if j < 0 or j > res.ring.nvars:
         raise ValueError("cohomological degree out of range")
-    ker_gens = syzygies(_dual_columns(res, j), twists=res.dual_twists(j))
-    return subquotient(res.ring, ker_gens, _dual_columns(res, j - 1))
+    kernel = syzygies(_dual_columns(res, j), twists=res.dual_twists(j))
+    return subquotient(res.ring, kernel.minimal, _dual_columns(res, j - 1))
 
 
 def _ext_series(res, j):
@@ -201,27 +205,6 @@ def canonical_module(R):
     ring = R.ambient
     c = ring.nvars - krull_dim(R)
     return ext_module(R, c).shift(sum(ring.weights))
-
-
-def annihilator(M):
-    """The exact annihilator ideal (0 : M) of M = F/U in the ambient
-    polynomial ring, as a reduced grevlex basis.
-
-    (0 : M) is the intersection of the (U : e_i), so it is the quotient of
-    (e_1, ..., e_s) in F^s modulo U^s.  Block i of F^s is F shifted by
-    -twist_i, so the vector has degree 0.  For the zero module the vector
-    is zero and the quotient is the unit ideal.
-    """
-    ring = M.ring
-    s = len(M.twists)
-    free = FreeModule(ring, [t - u for u in M.twists for t in M.twists])
-    v = ModVec(free, {(i * s + i, ONE): 1 for i in range(s)})
-    rels = [
-        ModVec(free, {(i * s + j, m): c for (j, m), c in r.terms.items()})
-        for i in range(s)
-        for r in M.relations
-    ]
-    return quotient_ideal(v, rels)
 
 
 @dataclass
@@ -285,13 +268,12 @@ def classify(R):
     is_cm = dim == depth
     is_gorenstein = is_cm and rtype == 1
 
+    # A cyclic ω is (S/ann ω)(-a), a its one twist, and ann ω contains the
+    # defining ideal I; so ann ω = I exactly when HS(ω) = t^a HS(R).
     omega = canonical_module(R)
-    mu_omega = len(omega.twists)
-    if mu_omega == 1:
-        ann = annihilator(omega)
-        quasi = all(ideal_member(g, R.defining) for g in ann.elements)
-    else:
-        quasi = False
+    quasi = len(omega.twists) == 1 and hilbert_series(omega) == HilbertSeries(
+        lp_mul(lp_monomial(omega.twists[0]), R.series.num), R.series.den
+    )
 
     # Dimensions of the nonzero Ext modules above the codimension; zero Ext
     # modules, those of zero series, impose no condition.

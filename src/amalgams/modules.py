@@ -9,11 +9,15 @@ packs, `ModVec.component_poly` unpacks, and so do the callers that hand
 leading monomials to tuple code (`gb`, `homology.hilbert_series`).
 Syzygies are elimination with a dominant front block of components, and
 syzygies modulo a submodule U lift U's generators with a zero tail, which
-makes them the one kernel primitive of the package.  Graded Nakayama is
-the one minimalization rule (`minimal_generators(modulo=)`), and
-`subquotient`, built on it, presents Ext (in `classify` only ω) and every
-module with a unit relation entry.  `amalgams.gb` runs ideals through the
-same loop (`_extend`) and reducer (`_reduce`) as rank-1 submodules.
+makes them the one kernel primitive of the package.  The engine takes its
+S-pairs in true degree (the lcm's degree plus its component's twist), so
+a syzygy module is minimalized as it is built: graded Nakayama picks its
+minimal generators out of the one basis (`syzygies(...).minimal`), and no
+second basis is made to prune it.  `minimal_generators(modulo=)` stays for
+vectors given from outside a syzygy computation, and `subquotient`, built
+on both, presents Ext (in `classify` only ω) and every module with a unit
+relation entry.  `amalgams.gb` runs ideals through the same loop
+(`_extend`) and reducer (`_reduce`) as rank-1 submodules.
 
 A `_Basis` carries the `ModOrder` it was built under, and the loop and the
 reducer read it off the basis: a reduction under another order pops terms
@@ -23,7 +27,8 @@ least pair and the largest term would take them, so the heaps change no
 output.  The reducer builds its remainder in falling order, so a new
 element's lead is its remainder's first key.  Callers in this package
 pass vectors homogeneous with respect to the component twists; the engine
-itself only needs that for `degree()` and for a degree bound.
+itself only needs that for `degree()`, for a degree bound and for the
+minimal generators of a syzygy module.
 
 `minimal_generators` only asks whether each candidate lies in the span of
 the relations and the vectors kept so far, so its basis is completed only
@@ -215,16 +220,20 @@ class _Basis:
     (position, vector, lead monomial, largest monomial degree) of its
     elements in the order of `vecs`.  `append` grows all three, so the
     index is built once per basis, not once per reduction or per S-pair.
-    An empty basis made from no vectors and no order has no order.
+    `minimal` holds the elements `_extend` finds born minimal: with the
+    inputs that lie past the order's front block they minimally generate
+    the part of the module past it.  An empty basis made from no vectors
+    and no order has no order.
     """
 
-    __slots__ = ("order", "vecs", "leads", "index")
+    __slots__ = ("order", "vecs", "leads", "index", "minimal")
 
     def __init__(self, order, vecs=(), leads=()):
         self.order = order
         self.vecs = []
         self.leads = []
         self.index = defaultdict(list)
+        self.minimal = []
         for g, lead in zip(vecs, leads):
             self.append(g, lead)
 
@@ -308,24 +317,50 @@ def _extend(basis, new, top=None):
     """Complete the `_Basis` `basis` after adding `new`, in place.
 
     `new` holds (monic vector, leading term) pairs.  Appends them, then
-    runs Buchberger's loop over the pairs that involve them, the pair of
-    least lcm degree first (ties broken by index).  Pairs are made only
-    between leads of one component.  Each pair's lcm and its degree are
-    computed once, when the pair is made, and the next pair is popped
-    from a heap of (degree, i, j, lcm); the set `pairs` holds the same
-    open pairs for the chain criterion.  A pair is skipped by the chain
+    runs Buchberger's loop over the pairs that involve them, in true
+    degree: the next pair is the one of least lcm degree plus its
+    component's twist, at equal degree one past the order's front block
+    (components >= `order.split`) before one in it, ties broken by index.
+    Ideals have one component, of twist 0, and no front block, so they
+    take pairs by lcm degree and index alone.  Pairs are made only between
+    leads of one component.  Each pair's lcm and its degree are computed
+    once, when the pair is made, and the next pair is popped from a heap
+    of (degree, block, i, j, lcm); the set `pairs` holds the same open
+    pairs for the chain criterion.  A pair is skipped by the chain
     criterion, which looks only at the leads of the pair's component, and
     in rank 1 also by the product criterion.  The S-vector is built in one
     dict, and a nonzero remainder joins the basis with the remainder's
     first key, its leading term, as its lead.
 
-    With a degree bound `top`, no pair is made whose true degree, the
-    lcm's degree plus its component's twist, exceeds `top`: for vectors
-    homogeneous in the twists the result is then a Groebner basis up to
-    degree `top`, which decides membership exactly for every vector of
-    degree at most `top`.  The chain criterion stays sound: a lead k
-    dividing lcm(i, j) makes the pairs (i, k) and (j, k) of degree at most
-    that of (i, j), so neither was left out while (i, j) was made.
+    `basis.minimal` records the nonzero remainders of front-block pairs
+    whose lead lies past the front block.  With the inputs whose lead lies
+    past it, when no such input's lead divides another's, they minimally
+    generate N, the part of the module past the front block (the syzygies
+    of `syzygies`).  Proof, for inputs homogeneous in the twists: a new
+    element's lead is divisible by no other lead, so its pairs are of
+    higher degree than it, and the degrees popped never fall.  The front
+    block dominates, so an element lies in N exactly when its lead does,
+    and N's elements of the basis form its Groebner basis.  When the first
+    front pair of degree d is popped, every pair of N's elements of degree
+    at most d is done, so these elements are a Groebner basis up to
+    degree d of m*N plus the generators recorded so far: a pair among them
+    of degree d has a non-constant multiplier on each side (neither lead
+    divides the other), so it lies in m*N, and its remainder lies in m*N
+    plus the span of the inputs and recorded elements of degree d.  A
+    front pair's remainder h of degree d whose lead lies past the front
+    block is in N and reduced against that basis, so h is not in m*N plus
+    the generators recorded so far: it is a new minimal generator, and the
+    elements stay a Groebner basis up to degree d of the larger module.
+    Once degree d is done, N_d is spanned by m*N and the inputs and
+    elements recorded in degree d (graded Nakayama).
+
+    With a degree bound `top`, no pair is made whose true degree exceeds
+    `top`: for vectors homogeneous in the twists the result is then a
+    Groebner basis up to degree `top`, which decides membership exactly
+    for every vector of degree at most `top`.  The chain criterion stays
+    sound: a lead k dividing lcm(i, j) makes the pairs (i, k) and (j, k)
+    of degree at most that of (i, j), so neither was left out while
+    (i, j) was made.
     """
     G, leads, index = basis.vecs, basis.leads, basis.index
     if not G and not new:
@@ -339,6 +374,7 @@ def _extend(basis, new, top=None):
     degree_cap = ring.degree_cap
     inverse = ring.field.inverse
     twists = free.twists
+    front = basis.order.split
     rank_one = free.rank == 1
     pairs = set()
     heap = []
@@ -346,14 +382,15 @@ def _extend(basis, new, top=None):
     def append(g, lead):
         n = len(G)
         comp, mono = lead
-        bound = None if top is None else top - twists[comp]
+        twist = twists[comp]
+        block = comp < front
         for k, _, km, _ in index[comp]:
             lcm = lcm_of(km, mono)
-            degree = lcm >> shift
-            if bound is not None and degree > bound:
+            degree = (lcm >> shift) + twist
+            if top is not None and degree > top:
                 continue
             pairs.add((k, n))
-            heappush(heap, (degree, k, n, lcm))
+            heappush(heap, (degree, block, k, n, lcm))
         basis.append(g, lead)
 
     for g, lead in new:
@@ -363,7 +400,7 @@ def _extend(basis, new, top=None):
         return (min(a, b), max(a, b)) not in pairs
 
     while heap:
-        _, i, j, lcm = heappop(heap)
+        _, _, i, j, lcm = heappop(heap)
         pairs.discard((i, j))
         comp, mi = leads[i]
         mj = leads[j][1]
@@ -396,7 +433,10 @@ def _extend(basis, new, top=None):
         h = _reduce(ModVec(free, s), basis, degree_cap)
         if h.terms:
             lead = next(iter(h.terms))
-            append(h.scale(inverse(h.terms[lead])), lead)
+            g = h.scale(inverse(h.terms[lead]))
+            if comp < front <= lead[0]:
+                basis.minimal.append(g)
+            append(g, lead)
 
 
 def module_groebner(vecs, order=None):
@@ -414,8 +454,8 @@ def module_groebner(vecs, order=None):
 
 
 def syzygies(vecs, twists=None, modulo=()):
-    """Generators of the syzygies of `vecs` modulo the submodule <modulo>:
-    the a with sum a_i*vecs[i] in <modulo> (the plain syzygies by default).
+    """The syzygies of `vecs` modulo the submodule <modulo>: the a with
+    sum a_i*vecs[i] in <modulo> (the plain syzygies by default).
 
     Returns a `_Basis` of vectors in a free module of rank len(vecs) whose
     twists are the degrees of the inputs (pass `twists` explicitly when
@@ -425,7 +465,10 @@ def syzygies(vecs, twists=None, modulo=()):
     zero first block are the syzygies, and they form a Groebner basis under
     the plain grevlex module order, which the result carries, with the
     leads they had there.  The first block dominates, so an element has no
-    term in it exactly when its lead lies past it.
+    term in it exactly when its lead lies past it.  The result's `minimal`
+    lists a minimal generating set of the syzygies: e_i for each zero
+    input, the only lifted vectors whose lead lies past the first block,
+    then the elements the engine found born minimal (`_extend`), by degree.
     """
     if not vecs:
         return _Basis(None)
@@ -441,16 +484,19 @@ def syzygies(vecs, twists=None, modulo=()):
     lifted += [ModVec(ext, r.terms) for r in modulo]
     gb = module_groebner(lifted, ModOrder(ring.weights, free.rank))
     syz_free = FreeModule(ring, list(twists))
+
+    def tail(g):
+        return ModVec(
+            syz_free, {(i - free.rank, m): c for (i, m), c in g.terms.items()}
+        )
+
     out = _Basis(ModOrder(ring.weights))
     for g, (comp, mono) in zip(gb.vecs, gb.leads):
         if comp >= free.rank:
-            out.append(
-                ModVec(
-                    syz_free,
-                    {(i - free.rank, m): c for (i, m), c in g.terms.items()},
-                ),
-                (comp - free.rank, mono),
-            )
+            out.append(tail(g), (comp - free.rank, mono))
+    out.minimal = [
+        ModVec(syz_free, {(idx, ONE): 1}) for idx, v in enumerate(vecs) if v.is_zero()
+    ] + [tail(g) for g in gb.minimal]
     return out
 
 
@@ -552,9 +598,9 @@ def subquotient(ring, gens, rels):
     """Minimal presentation of (<gens> + <rels>)/<rels>, both given by
     vectors of one free module.  The generators are the minimal generators
     of `gens` modulo `rels`, the relations the minimal generators of their
-    syzygies modulo `rels`.  No kept generator lies in the span of the
-    others and `rels`, so no relation has a unit entry."""
+    syzygies modulo `rels`, as the syzygy basis finds them (`minimal`).
+    No kept generator lies in the span of the others and `rels`, so no
+    relation has a unit entry."""
     kept = minimal_generators(gens, modulo=rels)
-    syz = syzygies(kept, modulo=rels)
     twists = [g.degree() for g in kept]
-    return FPModule(ring, twists, minimal_generators(syz))
+    return FPModule(ring, twists, syzygies(kept, modulo=rels).minimal)

@@ -10,17 +10,22 @@ degree, where `amalgams.series` reads both off the terms alone.
 `minimal_generators_rebuild` builds a new module GB of every relation
 and every kept vector from scratch after each kept vector and reduces by
 `mod_reduce_scan`, where `amalgams.modules.minimal_generators` extends one
-GB, cut at the largest candidate's degree.
+GB, cut at the largest candidate's degree.  `free_resolution_rebuild` and
+`ext_module_rebuild` take each stage of a resolution, and the relations
+of Ext, as the minimal generators of a whole syzygy basis found by a
+second basis, where `amalgams.modules.syzygies` records them
+(`minimal`) as its one basis is built.
 `module_groebner_scan` is the module engine with every choice made by a
-scan: the next S-pair by `min` over the open pairs, each leading term by
-`max` over the terms with a freshly built order key, and each divisor by a
-pass over all of G, where `amalgams.modules` pops pairs and terms from
-heaps; it takes the same S-pairs in the same order, so its output is the
-same list, term for term.  The scan engine does its own monomial
-arithmetic (`term_mul`), apart from the engine it checks, and in another
-representation: it takes and returns the package's vectors, whose
-monomials are packed ints, but computes on exponent tuples, converting at
-its entry and exit (`unpacked`, `packed`).
+scan: the next S-pair by `min` over the open pairs of (true degree,
+block, index), each leading term by `max` over the terms with a freshly
+built order key, and each divisor by a pass over all of G, where
+`amalgams.modules` pops pairs and terms from heaps; it takes the same
+S-pairs in the same order, so its output is the same list, term for term,
+and it records the same elements born minimal.  The scan engine does its
+own monomial arithmetic (`term_mul`), apart from the engine it checks,
+and in another representation: it takes and returns the package's
+vectors, whose monomials are packed ints, but computes on exponent
+tuples, converting at its entry and exit (`unpacked`, `packed`).
 `ideal_generated_by` closes the multiples of a finite ring's elements
 under addition until nothing changes, and `all_ideals_closure` joins
 ideals that way, where `amalgams.finite.all_ideals` adds principal ideals
@@ -30,6 +35,10 @@ pair at a time and then relabels them with `relabel_one`, where
 `find_isomorphism` searches for a ring isomorphism between two finite
 rings by backtracking, where the package only ever needs the explicit
 map a -> (a, f(a)) of a J = 0 amalgam.
+`annihilator` takes (0 : M) as one quotient ideal, the syzygies of
+(e_1, ..., e_s) modulo U^s, where `amalgams.homology.classify` never
+forms it: a cyclic ω is quasi-Gorenstein when its series is its twist
+times the ring's.
 `syzygies_then_project` finds the syzygies of vectors modulo a submodule
 as the syzygies of the vectors and the relations together, cut down to the
 vectors' coordinates, where `amalgams.modules.syzygies(modulo=)` lifts the
@@ -74,9 +83,15 @@ import numpy as np
 
 from amalgams.errors import DegreeCapExceeded, NotARing
 from amalgams.finite import FiniteIdeal
-from amalgams.gb import IdealBasis, buchberger
-from amalgams.homology import _dual_columns, free_resolution
+from amalgams.gb import IdealBasis, buchberger, quotient_ideal
+from amalgams.homology import (
+    FreeResolution,
+    _as_module,
+    _dual_columns,
+    free_resolution,
+)
 from amalgams.modules import (
+    ONE,
     FPModule,
     FreeModule,
     ModOrder,
@@ -260,6 +275,34 @@ def minimal_generators_rebuild(vecs, modulo=()):
     return kept
 
 
+def free_resolution_rebuild(obj):
+    """The minimal free resolution of a ring or a module, each stage the
+    minimal generators of the whole syzygy basis of the stage before,
+    found by a second basis (`minimal_generators`).  Stores nothing on
+    `obj`."""
+    M = _as_module(obj).minimal_presentation()
+    twists = [list(M.twists)]
+    diffs = []
+    current = M.relations
+    while current:
+        diffs.append(current)
+        twists.append([v.degree() for v in current])
+        current = minimal_generators(syzygies(current))
+    return FreeResolution(M.ring, twists, diffs)
+
+
+def ext_module_rebuild(res, j):
+    """Ext^j from the resolution `res`: every element of the kernel's
+    syzygy basis is a candidate generator, and the relations are the
+    minimal generators of the whole syzygy basis of the kept generators
+    modulo the image, found by a second basis."""
+    ker_gens = syzygies(_dual_columns(res, j), twists=res.dual_twists(j))
+    rels = _dual_columns(res, j - 1)
+    kept = minimal_generators(ker_gens, modulo=rels)
+    syz = syzygies(kept, modulo=rels)
+    return FPModule(res.ring, [g.degree() for g in kept], minimal_generators(syz))
+
+
 def grevlex_rank(expts, weights):
     """Weighted grevlex from its definition, bigger for the bigger monomial:
     the higher weighted degree wins, and at equal degree the monomial with
@@ -418,14 +461,21 @@ def extend_scan(G, leads, new, order, degree_cap, top=None):
 
 def _extend_scan(G, leads, new, order, degree_cap, top=None):
     """Buchberger's loop with the next pair by `min` over the open pairs of
-    (lcm degree, (i, j)), the degree recomputed at every step, on exponent
-    tuples.  With a bound `top`, a pair whose lcm degree plus its
-    component's twist exceeds `top` is never opened."""
+    (lcm degree + the component's twist, block, (i, j)), block 0 past the
+    order's front block and 1 in it, the degree recomputed at every step,
+    on exponent tuples.  With a bound `top`, a pair whose true degree
+    exceeds `top` is never opened.  Returns the positions of the elements
+    born minimal: the remainders of front-block pairs whose lead lies past
+    the front block."""
     pairs = set()
+    born = []
 
-    def pair_deg(pr):
+    def pair_key(pr):
         i, j = pr
-        return G[i].ring.mono_degree(tuple(map(max, leads[i][1], leads[j][1])))
+        comp = leads[i][0]
+        lcm = tuple(map(max, leads[i][1], leads[j][1]))
+        degree = G[i].ring.mono_degree(lcm) + G[i].free.twists[comp]
+        return degree, 1 if comp < order.split else 0, pr
 
     def append(g, lead):
         G.append(g)
@@ -435,14 +485,13 @@ def _extend_scan(G, leads, new, order, degree_cap, top=None):
         pairs.update(
             (k, n)
             for k in range(n)
-            if leads[k][0] == comp
-            and (top is None or pair_deg((k, n)) + g.free.twists[comp] <= top)
+            if leads[k][0] == comp and (top is None or pair_key((k, n))[0] <= top)
         )
 
     for g, lead in new:
         append(g, lead)
     if not G:
-        return G
+        return born
     ring = G[0].ring
     rank_one = G[0].free.rank == 1
 
@@ -450,7 +499,7 @@ def _extend_scan(G, leads, new, order, degree_cap, top=None):
         return (min(a, b), max(a, b)) not in pairs
 
     while pairs:
-        i, j = min(pairs, key=lambda pr: (pair_deg(pr), pr))
+        i, j = min(pairs, key=pair_key)
         pairs.discard((i, j))
         comp, mi = leads[i]
         mj = leads[j][1]
@@ -473,8 +522,11 @@ def _extend_scan(G, leads, new, order, degree_cap, top=None):
         )
         h = _reduce_scan(s, G, leads, order, degree_cap)
         if not h.is_zero():
-            append(*_monic_scan(h, order))
-    return G
+            g, lead = _monic_scan(h, order)
+            if comp < order.split <= lead[0]:
+                born.append(len(G))
+            append(g, lead)
+    return born
 
 
 def module_groebner_scan(vecs, order=None, degree_cap=DEFAULT_DEGREE_CAP):
@@ -486,13 +538,15 @@ def module_groebner_scan(vecs, order=None, degree_cap=DEFAULT_DEGREE_CAP):
     new = [_monic_scan(unpacked(v), order) for v in vecs if not v.is_zero()]
     new.sort(key=lambda gl: _scan_key(order, gl[1]))
     G, leads = [], []
-    _extend_scan(G, leads, new, order, degree_cap)
+    born = _extend_scan(G, leads, new, order, degree_cap)
     if not G:
         return _Basis(order)
     ring = G[0].ring
-    return _Basis(
+    basis = _Basis(
         order, [packed(g) for g in G], [_packed_lead(ring, lead) for lead in leads]
     )
+    basis.minimal = [basis.vecs[n] for n in born]
+    return basis
 
 
 def ideal_generated_by(R, gens):
@@ -681,6 +735,27 @@ def colon_loop(ring, I, J):
             part = intersect_project(ring, result, part).elements
         result = part
     return _reduced(ring, result)
+
+
+def annihilator(M):
+    """The exact annihilator ideal (0 : M) of M = F/U in the ambient
+    polynomial ring, as a reduced grevlex basis.
+
+    (0 : M) is the intersection of the (U : e_i), so it is the quotient of
+    (e_1, ..., e_s) in F^s modulo U^s.  Block i of F^s is F shifted by
+    -twist_i, so the vector has degree 0.  For the zero module the vector
+    is zero and the quotient is the unit ideal.
+    """
+    ring = M.ring
+    s = len(M.twists)
+    free = FreeModule(ring, [t - u for u in M.twists for t in M.twists])
+    v = ModVec(free, {(i * s + i, ONE): 1 for i in range(s)})
+    rels = [
+        ModVec(free, {(i * s + j, m): c for (j, m), c in r.terms.items()})
+        for i in range(s)
+        for r in M.relations
+    ]
+    return quotient_ideal(v, rels)
 
 
 def annihilator_loop(M):

@@ -1,6 +1,7 @@
 """Rings shared by several test modules: the `serre.alg` fixture rings,
-duplications of k[x1..x3], the duplication ladder W_n, and a hypothesis
-strategy for random monomial and binomial ideals of k[x, y, z] over GF(p)."""
+every ring of the bundled fixtures, duplications of k[x1..x3], the
+duplication ladder W_n, and a hypothesis strategy for random monomial and
+binomial ideals of k[x, y, z] over GF(p)."""
 
 from importlib import resources
 from itertools import product
@@ -17,6 +18,21 @@ def serre_rings(p=None):
     """The rings of `serre.alg`, over GF(p) if p is given."""
     text = resources.files("amalgams").joinpath("fixtures", "serre.alg").read_text()
     return [R for _kind, R in parse_input(text, prime=p).decls.values()]
+
+
+def fixture_rings(p):
+    """Every ring the bundled fixtures declare, and the presented ring
+    C/K of every amalgam they declare, over GF(p)."""
+    out = []
+    for path in sorted(resources.files("amalgams").joinpath("fixtures").iterdir()):
+        if not path.name.endswith(".alg"):
+            continue
+        for kind, obj in parse_input(path.read_text(), prime=p).decls.values():
+            if kind == "ring":
+                out.append(obj)
+            elif kind == "amalgam":
+                out.append(amalgam_present(obj).ring)
+    return out
 
 
 def k3_duplications(p=101):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 
@@ -694,10 +695,16 @@ def test_unknown_name_in_command(tmp_path, capsys):
     assert capsys.readouterr().err == "error: unknown name 'T'\n"
 
 
+def never_vanishing_syzygies(vecs):
+    """A stand-in for `syzygies` whose minimal generators are the vectors
+    given."""
+    return SimpleNamespace(minimal=vecs)
+
+
 def test_resolution_bound_exits_1(tmp_path, capsys, monkeypatch):
     assert issubclass(ResolutionTooLong, AlgebraError)
     # Syzygies that never vanish make the resolution overrun its bound.
-    monkeypatch.setattr(homology, "syzygies", lambda vecs: vecs)
+    monkeypatch.setattr(homology, "syzygies", never_vanishing_syzygies)
     f = tmp_path / "h.alg"
     f.write_text("ring H vars x, z ideal: z^2\n")
     assert main([str(f), "classify", "H"]) == 1
@@ -725,7 +732,7 @@ def test_degree_cap_while_parsing_exits_1(tmp_path, capsys):
 
 
 def test_resolution_bound_while_parsing_exits_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(homology, "syzygies", lambda vecs: vecs)
+    monkeypatch.setattr(homology, "syzygies", never_vanishing_syzygies)
     f = tmp_path / "g.alg"
     f.write_text(GORENSTEIN_TRIVEXT)
     assert main([str(f), "classify", "A0"]) == 1

@@ -18,7 +18,7 @@ from amalgams.gb import (
     normal_form,
     quotient_ideal,
 )
-from amalgams.homology import annihilator, ext_module, free_resolution
+from amalgams.homology import ext_module, free_resolution
 from amalgams.modules import FPModule, FreeModule, ModOrder, syzygies
 from amalgams.poly import DEFAULT_DEGREE_CAP, PolyRing, format_poly, parse_poly
 from conftest import (
@@ -32,7 +32,7 @@ from conftest import (
     random_homogeneous,
     random_poly,
 )
-from oracles import block_rank, grevlex_rank, mod_reduce_scan
+from oracles import annihilator, block_rank, grevlex_rank, mod_reduce_scan
 from samples import (
     binomial_or_monomial_rings,
     duplication_along_m,

@@ -13,7 +13,6 @@ from amalgams.homology import (
     MAX_SERRE_LEVEL,
     _dual_columns,
     _ext_series,
-    annihilator,
     canonical_module,
     classify,
     depth_ab,
@@ -24,14 +23,23 @@ from amalgams.homology import (
 )
 from amalgams.amalgam import amalgam_present, duplication
 from amalgams.cli import parse_input
-from amalgams.modules import FPModule, minimal_generators
+from amalgams.modules import FPModule
 from amalgams.poly import PolyRing
 from amalgams.ring import IdealHandle, make_ring
 from amalgams.series import HilbertSeries, lp_const, lp_monomial, lp_zero
-from oracles import ext_project, krull_dim_subsets, resolution_series
+from amalgams.gb import normal_form
+from oracles import (
+    annihilator,
+    ext_module_rebuild,
+    ext_project,
+    free_resolution_rebuild,
+    krull_dim_subsets,
+    resolution_series,
+)
 from samples import (
     binomial_or_monomial_rings,
     duplication_along_m,
+    fixture_rings,
     k3_duplications,
     serre_rings,
 )
@@ -384,15 +392,16 @@ def test_a_ring_keeps_one_resolution_and_its_reports(monkeypatch):
     R = intersection_ring()
     rep = classify(R)
     assert classify(R) is rep
-    # each resolution step minimalizes once; after classify nothing
-    # resolves R again
+    # each resolution starts from a minimal presentation; after classify
+    # nothing resolves R again
     steps = []
+    real = FPModule.minimal_presentation
 
     def counted(*args):
         steps.append(args)
-        return minimal_generators(*args)
+        return real(*args)
 
-    monkeypatch.setattr(homology, "minimal_generators", counted)
+    monkeypatch.setattr(FPModule, "minimal_presentation", counted)
     res = free_resolution(R)
     assert free_resolution(R) is res
     assert depth_ab(R) == rep.depth
@@ -476,6 +485,58 @@ def test_ext_series_of_drawn_rings_match_the_presented_routes(p, data):
     )
 
 
+def assert_ext_matches_the_rebuilt_route(R):
+    """Every Ext^j against the route that takes the whole kernel basis as
+    candidates and minimalizes whole syzygy bases by a second basis, over
+    the rebuilt resolution: the same twists, as many relations, and the
+    same series."""
+    res = free_resolution_rebuild(R)
+    for j in range(res.length + 1):
+        ext, old = ext_module(R, j), ext_module_rebuild(res, j)
+        assert ext.twists == old.twists
+        assert len(ext.relations) == len(old.relations)
+        assert hilbert_series(ext) == hilbert_series(old)
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+def test_ext_matches_the_rebuilt_route_on_fixtures(p):
+    for R in serre_rings(p) + k3_duplications(p):
+        assert_ext_matches_the_rebuilt_route(R)
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_ext_matches_the_rebuilt_route_on_random_rings(p, data):
+    assert_ext_matches_the_rebuilt_route(data.draw(binomial_or_monomial_rings(p)))
+
+
+def quasi_gorenstein_by_annihilator(R):
+    """Whether ω is cyclic and its annihilator is the defining ideal."""
+    omega = canonical_module(R)
+    return len(omega.twists) == 1 and all(
+        normal_form(g, R.defining).is_zero() for g in annihilator(omega).elements
+    )
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+def test_quasi_gorenstein_by_series_matches_the_annihilator(p):
+    rings = fixture_rings(p)
+    assert any(classify(R).is_quasi_gorenstein for R in rings)
+    for R in rings:
+        assert classify(R).is_quasi_gorenstein == quasi_gorenstein_by_annihilator(R)
+    # A cyclic ω whose annihilator is larger than the defining ideal.
+    for names, gens in [
+        (["x", "y", "z"], ["x*y", "x*z"]),
+        (["x", "y", "z", "w"], ["x*y", "x*z", "x*w"]),
+        (["x", "y"], ["x^2", "x*y"]),
+    ]:
+        R = make_ring(p, names, gens)
+        assert len(canonical_module(R).twists) == 1
+        assert not classify(R).is_quasi_gorenstein
+        assert not quasi_gorenstein_by_annihilator(R)
+
+
 def test_dual_columns_past_the_end_are_zero_and_ext_follows_one_rule():
     for R in serre_rings() + k3_duplications():
         res = free_resolution(R)
@@ -489,7 +550,7 @@ def test_dual_columns_past_the_end_are_zero_and_ext_follows_one_rule():
         assert hilbert_series(ext) == hilbert_series(old)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_duplication_ladder_resolution_in_closed_form(n):
     # W_n, k[x1..xn] duplicated along its maximal ideal in 2n variables:
     # F_i has C(2n, i+1) - 2*C(n, i+1) generators, all of degree i + 1,

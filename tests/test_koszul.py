@@ -11,10 +11,11 @@ shares no code with `amalgams.homology`, whose Betti numbers come from a
 resolution built by syzygies.  A series check cannot tell apart two
 resolutions that differ by a cancelling pair of twists in adjacent
 steps; this count can.  Every degree up to the resolution's largest
-twist plus the largest variable weight is checked.
+twist plus the largest variable weight is checked, and the same graded
+Betti numbers come out of `oracles.free_resolution_rebuild`, whose stages
+are minimalized by a second basis.
 """
 
-from importlib import resources
 from itertools import combinations, islice
 
 import pytest
@@ -22,11 +23,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amalgams.amalgam import amalgam_present, duplication
-from amalgams.cli import parse_input
 from amalgams.homology import free_resolution
 from amalgams.ring import IdealHandle, make_ring
 from conftest import rank
-from samples import binomial_or_monomial_rings, k3_duplications, serre_rings
+from oracles import free_resolution_rebuild
+from samples import (
+    binomial_or_monomial_rings,
+    fixture_rings,
+    k3_duplications,
+    serre_rings,
+)
 
 
 def koszul_betti(R, top):
@@ -112,35 +118,20 @@ def sparse_rank(rows, p):
     return total
 
 
-def graded_betti(R):
-    """{(i, j): beta_{i,j}} read off the twists of the package's minimal
-    free resolution, and its largest twist."""
-    twists = free_resolution(R).twists
+def graded_betti(res):
+    """{(i, j): beta_{i,j}} read off the twists of a minimal free
+    resolution, and its largest twist."""
     betti = {}
-    for i, tw in enumerate(twists):
+    for i, tw in enumerate(res.twists):
         for j in tw:
             betti[i, j] = betti.get((i, j), 0) + 1
-    return betti, max(max(tw) for tw in twists)
+    return betti, max(max(tw) for tw in res.twists)
 
 
 def assert_betti_match_koszul(R):
-    betti, top = graded_betti(R)
+    betti, top = graded_betti(free_resolution(R))
+    assert graded_betti(free_resolution_rebuild(R)) == (betti, top)
     assert koszul_betti(R, top + max(R.ambient.weights)) == betti
-
-
-def fixture_rings(p):
-    """Every ring the bundled fixtures declare, and the presented ring
-    C/K of every amalgam they declare, over GF(p)."""
-    out = []
-    for path in sorted(resources.files("amalgams").joinpath("fixtures").iterdir()):
-        if not path.name.endswith(".alg"):
-            continue
-        for kind, obj in parse_input(path.read_text(), prime=p).decls.values():
-            if kind == "ring":
-                out.append(obj)
-            elif kind == "amalgam":
-                out.append(amalgam_present(obj).ring)
-    return out
 
 
 def duplications_along_m(p, n):

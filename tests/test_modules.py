@@ -1,16 +1,20 @@
 """The module Groebner engine: minimal generators from one incrementally
 extended module GB, cut at the largest candidate's degree, agree with the
 from-scratch route of `oracles.minimal_generators_rebuild`, with and
-without relations, and reduce no vector above that degree; the
-heap-driven engine returns what the scan-driven
-`oracles.module_groebner_scan` returns, element for element and in
-order, also under degree caps; the reducer on a prebuilt
+without relations, and reduce no vector above that degree; the minimal
+generators a syzygy basis finds as it is built (`minimal`) have the
+degrees of those the rebuild finds in the whole basis and generate the
+same module, with and without relations; the heap-driven engine returns
+what the scan-driven `oracles.module_groebner_scan` returns, element for
+element and in order, with the same elements born minimal, also under
+degree caps; the reducer on a prebuilt
 per-component index returns what `oracles.mod_reduce_scan` returns, also
 under degree caps; the product criterion is kept to rank 1; the reducer
 stops at the degree cap; minimal presentations
 of modules with unit relation entries agree with the substitution route of
 `oracles.minimal_presentation_substitute`."""
 
+from collections import Counter
 from contextlib import ExitStack
 from itertools import product
 from operator import sub
@@ -86,6 +90,54 @@ def test_minimal_generators_match_rebuild_on_fixtures():
 def test_minimal_generators_match_rebuild_on_random_ideals(data):
     for p in (101, 32003):
         assert_same_kept_along_resolution(data.draw(binomial_or_monomial_rings(p)))
+
+
+def reduce_to_zero(vecs, gens):
+    """Whether every vector of `vecs` lies in the module `gens` generate."""
+    if not gens:
+        return all(v.is_zero() for v in vecs)
+    basis = module_groebner(gens)
+    return all(_reduce(v, basis).is_zero() for v in vecs)
+
+
+def assert_born_minimal_along_resolution(R):
+    """On every input of `offered_along_resolution`, the syzygies' own
+    minimal generators and the rebuild's minimal generators of the whole
+    syzygy basis: as many in each degree, each set in the module of the
+    other."""
+    for vecs, modulo in offered_along_resolution(R):
+        syz = syzygies(vecs, modulo=modulo)
+        rebuilt = minimal_generators_rebuild(syz.vecs)
+        assert Counter(v.degree() for v in syz.minimal) == Counter(
+            v.degree() for v in rebuilt
+        )
+        assert reduce_to_zero(syz.minimal, rebuilt)
+        assert reduce_to_zero(rebuilt, syz.minimal)
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+def test_syzygies_are_born_minimal_on_fixtures(p):
+    for R in serre_rings(p) + k3_duplications(p):
+        assert_born_minimal_along_resolution(R)
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_syzygies_are_born_minimal_on_random_ideals(p, data):
+    assert_born_minimal_along_resolution(data.draw(binomial_or_monomial_rings(p)))
+
+
+def test_zero_inputs_are_born_minimal_syzygies():
+    # A zero vector's unit vector is a minimal syzygy, and the pairs of
+    # the others find the rest: (x, y, 0) has syzygies e3 and y*e1 - x*e2.
+    S = PolyRing(101, ["x", "y"])
+    F = FreeModule(S, [0])
+    x, y, zero = (F.from_polys([parse_poly(S, f)]) for f in ("x", "y", "0"))
+    syz = syzygies([x, y, zero], twists=[1, 1, 2])
+    assert [v.degree() for v in syz.minimal] == [2, 2]
+    assert syz.minimal[0] == ModVec(syz.minimal[0].free, {(2, modules.ONE): 1})
+    assert reduce_to_zero(syz.vecs, syz.minimal)
 
 
 def assert_no_reduction_above_top(R):
@@ -229,12 +281,14 @@ def assert_engine_matches_scan(R):
             heap = module_groebner(vecs, order())
             scan = module_groebner_scan(vecs, order())
             assert (heap.vecs, heap.leads) == (scan.vecs, scan.leads)
+            assert heap.minimal == scan.minimal
         kept = minimal_generators(vecs)
         syz = syzygies(kept)
         with scan_engine():
             assert minimal_generators(vecs) == kept
             again = syzygies(kept)
             assert (again.vecs, again.leads) == (syz.vecs, syz.leads)
+            assert again.minimal == syz.minimal
         vecs = syz.vecs
     raise AssertionError("resolution longer than the syzygy bound")
 
