@@ -31,8 +31,8 @@ from .modules import (
     ModVec,
     _Basis,
     _reduce,
+    _syzygy_basis,
     module_groebner,
-    syzygies,
 )
 from .poly import Polynomial
 
@@ -171,9 +171,9 @@ def eliminate(ring, gens, k):
 def quotient_ideal(v, rels):
     """The reduced grevlex basis of the quotient (U : v) = {a | a*v in U},
     U the submodule generated by `rels`: the syzygies of v modulo U, which
-    the engine returns as a grevlex Groebner basis with its leads, so they
-    are only minimalized and tail-reduced."""
-    return _reduced(v.ring, syzygies([v], modulo=rels))
+    the engine returns, after running every pair, as a grevlex Groebner
+    basis with its leads, so they are only minimalized and tail-reduced."""
+    return _reduced(v.ring, _syzygy_basis([v], modulo=rels))
 
 
 def intersect(ring, I, J):

@@ -13,7 +13,7 @@ share one resolution, and the memo lives and dies with its object.  A call
 that stops at the degree cap stores nothing.  The cap is the ambient
 ring's (`PolyRing.degree_cap`), so no function here takes one.
 Each stage of a resolution is the minimal generating set that its
-syzygy basis finds as it is built (`modules.syzygies(...).minimal`), so no
+syzygy basis finds as it is built (`modules.syzygies`), so no
 stage takes a second Groebner basis to minimalize.  Ext modules are
 kernels into quotient modules, each taken as syzygies modulo the relations
 (`modules.syzygies(modulo=)`), by one rule for every dual map;
@@ -94,7 +94,7 @@ def free_resolution(obj):
     The relations of the minimal presentation are the first stage as they
     are, and each later stage is the minimal generating set of the
     previous stage's syzygies that their one basis finds as it is built
-    (`syzygies(...).minimal`).  Every stage is minimal, so no differential
+    (`syzygies`).  Every stage is minimal, so no differential
     carries a unit entry and the result is minimal (graded Nakayama).  The
     ring or module keeps its resolution (`resolution`), stored only when
     the call returns.
@@ -113,7 +113,7 @@ def free_resolution(obj):
             )
         diffs.append(current)
         twists.append([v.degree() for v in current])
-        current = syzygies(current).minimal
+        current = syzygies(current)
     obj.resolution = FreeResolution(ring, twists, diffs)
     return obj.resolution
 
@@ -124,7 +124,7 @@ def hilbert_series(obj):
     A ring S/I has the series of S/in(I), and a module F/U that of
     F/in(U), taken componentwise; the numerators come from Bigatti's
     recursion (`monomial_kpoly`).  No resolution is built.  A ring's
-    series is the one it took when it was made (`PresentedRing.series`).
+    series is the one it keeps (`PresentedRing.series`).
     """
     if isinstance(obj, IdealHandle):
         # Series of the image of the ideal inside its quotient ring; the
@@ -184,7 +184,7 @@ def ext_module(obj, j):
     if j < 0 or j > res.ring.nvars:
         raise ValueError("cohomological degree out of range")
     kernel = syzygies(_dual_columns(res, j), twists=res.dual_twists(j))
-    return subquotient(res.ring, kernel.minimal, _dual_columns(res, j - 1))
+    return subquotient(res.ring, kernel, _dual_columns(res, j - 1))
 
 
 def _ext_series(res, j):

@@ -12,23 +12,29 @@ syzygies modulo a submodule U lift U's generators with a zero tail, which
 makes them the one kernel primitive of the package.  The engine takes its
 S-pairs in true degree (the lcm's degree plus its component's twist), so
 a syzygy module is minimalized as it is built: graded Nakayama picks its
-minimal generators out of the one basis (`syzygies(...).minimal`), and no
-second basis is made to prune it.  `minimal_generators(modulo=)` stays for
-vectors given from outside a syzygy computation, and `subquotient`, built
-on both, presents Ext (in `classify` only ω) and every module with a unit
-relation entry.  `amalgams.gb` runs ideals through the same loop
-(`_extend`) and reducer (`_reduce`) as rank-1 submodules.
+minimal generators out of the one basis, and no second basis is made to
+prune it.  `syzygies` returns them and nothing else, and its run ends as
+soon as they are settled, since every pair left then lies past the front
+block and can add none; only `gb.quotient_ideal` takes a syzygy basis
+whole, from the run of every pair (`_syzygy_basis`).
+`minimal_generators(modulo=)` stays for vectors given from outside a
+syzygy computation, and `subquotient`, built on both, presents Ext (in
+`classify` only ω) and every module with a unit relation entry.
+`amalgams.gb` runs ideals through the same loop (`_extend`) and reducer
+(`_reduce`) as rank-1 submodules.
 
 A `_Basis` carries the `ModOrder` it was built under, and the loop and the
 reducer read it off the basis: a reduction under another order pops terms
 in the wrong order and can return a wrong remainder without an error.
 The engine's two choices are heap pops, taken in the order a scan for the
 least pair and the largest term would take them, so the heaps change no
-output.  The reducer builds its remainder in falling order, so a new
-element's lead is its remainder's first key.  Callers in this package
-pass vectors homogeneous with respect to the component twists; the engine
-itself only needs that for `degree()`, for a degree bound and for the
-minimal generators of a syzygy module.
+output.  Inside the loop the reducer top-reduces: it stops at the first
+term no lead divides, which is the new element's lead and its remainder's
+first key.  Normal forms, tail reduction and membership tests get the
+full normal form.  Callers in this package pass vectors homogeneous with
+respect to the component twists; the engine itself only needs that for
+`degree()`, for a degree bound and for the minimal generators of a
+syzygy module.
 
 `minimal_generators` only asks whether each candidate lies in the span of
 the relations and the vectors kept so far, so its basis is completed only
@@ -250,18 +256,23 @@ class _Basis:
         return iter(self.vecs)
 
 
-def _reduce(v, basis, degree_cap=None):
-    """Full normal form of a vector against a `_Basis`, under its order.
+def _reduce(v, basis, degree_cap=None, full=True):
+    """Normal form of a vector against a `_Basis`, under its order: the
+    full normal form, or with `full` false the top-reduced one, which stops
+    at the first term no lead divides and keeps the terms below it as they
+    are.
 
     One working dict is reduced in place.  Its leading term is popped from
     a min-heap of (order key, term): a term is pushed when it enters the
     dict, and a popped term no longer in the dict is skipped.  Each term
     looks for a divisor only among the leads of its own component, in the
     order of the basis, so the first divisor found is the first one in the
-    basis.  The remainder is built in falling order: its first key is its
-    leading term.  Raises before a term of monomial degree past the
-    `degree_cap` (when there is one) or past the packed layout enters the
-    working dict.
+    basis.  The remainder's first key is its leading term: the full normal
+    form is built in falling order, and the top-reduced one is that term
+    followed by the rest of the working dict.  Both forms take the same
+    steps up to that term, so they are zero together and share their lead.
+    Raises before a term of monomial degree past the `degree_cap` (when
+    there is one) or past the packed layout enters the working dict.
     """
     ring = v.ring
     p = ring.p
@@ -304,6 +315,9 @@ def _reduce(v, basis, degree_cap=None):
         else:
             rem[lead] = c
             del h[lead]
+            if not full:
+                rem.update(h)
+                break
     return ModVec(v.free, rem)
 
 
@@ -313,7 +327,7 @@ def _monic(v, order):
     return v.scale(v.ring.field.inverse(c)), lead
 
 
-def _extend(basis, new, top=None):
+def _extend(basis, new, top=None, every_pair=True):
     """Complete the `_Basis` `basis` after adding `new`, in place.
 
     `new` holds (monic vector, leading term) pairs.  Appends them, then
@@ -329,8 +343,11 @@ def _extend(basis, new, top=None):
     pairs for the chain criterion.  A pair is skipped by the chain
     criterion, which looks only at the leads of the pair's component, and
     in rank 1 also by the product criterion.  The S-vector is built in one
-    dict, and a nonzero remainder joins the basis with the remainder's
-    first key, its leading term, as its lead.
+    dict and top-reduced (`_reduce` with `full` false), and a nonzero
+    remainder joins the basis with the remainder's first key, its leading
+    term, as its lead.  With `every_pair` false the loop ends once no
+    front-block pair is open, which leaves `basis.minimal` complete and the
+    rest of the basis a Groebner basis only up to the last front pair.
 
     `basis.minimal` records the nonzero remainders of front-block pairs
     whose lead lies past the front block.  With the inputs whose lead lies
@@ -352,7 +369,14 @@ def _extend(basis, new, top=None):
     the generators recorded so far: it is a new minimal generator, and the
     elements stay a Groebner basis up to degree d of the larger module.
     Once degree d is done, N_d is spanned by m*N and the inputs and
-    elements recorded in degree d (graded Nakayama).
+    elements recorded in degree d (graded Nakayama).  No pair after the
+    last front pair can add to `minimal`: every open pair is then between
+    elements past the front block, whose terms all lie past it, so its
+    remainder does too, and a remainder past the front block opens no
+    front pair.  Top-reduction keeps the proof: a remainder has the same
+    zero-ness and lead as the full normal form would, only its terms below
+    the lead are left unreduced, and the proof reads nothing but leads and
+    the spans the remainders lie in.
 
     With a degree bound `top`, no pair is made whose true degree exceeds
     `top`: for vectors homogeneous in the twists the result is then a
@@ -378,8 +402,10 @@ def _extend(basis, new, top=None):
     rank_one = free.rank == 1
     pairs = set()
     heap = []
+    open_front = 0
 
     def append(g, lead):
+        nonlocal open_front
         n = len(G)
         comp, mono = lead
         twist = twists[comp]
@@ -391,6 +417,7 @@ def _extend(basis, new, top=None):
                 continue
             pairs.add((k, n))
             heappush(heap, (degree, block, k, n, lcm))
+            open_front += block
         basis.append(g, lead)
 
     for g, lead in new:
@@ -399,8 +426,9 @@ def _extend(basis, new, top=None):
     def done(a, b):
         return (min(a, b), max(a, b)) not in pairs
 
-    while heap:
-        _, _, i, j, lcm = heappop(heap)
+    while heap and (every_pair or open_front):
+        _, block, i, j, lcm = heappop(heap)
+        open_front -= block
         pairs.discard((i, j))
         comp, mi = leads[i]
         mj = leads[j][1]
@@ -430,7 +458,7 @@ def _extend(basis, new, top=None):
                 s[k] = d
             else:
                 s.pop(k, None)
-        h = _reduce(ModVec(free, s), basis, degree_cap)
+        h = _reduce(ModVec(free, s), basis, degree_cap, full=False)
         if h.terms:
             lead = next(iter(h.terms))
             g = h.scale(inverse(h.terms[lead]))
@@ -454,21 +482,34 @@ def module_groebner(vecs, order=None):
 
 
 def syzygies(vecs, twists=None, modulo=()):
-    """The syzygies of `vecs` modulo the submodule <modulo>: the a with
-    sum a_i*vecs[i] in <modulo> (the plain syzygies by default).
+    """The minimal generators of the syzygies of `vecs` modulo the
+    submodule <modulo>: of the a with sum a_i*vecs[i] in <modulo> (the
+    plain syzygies by default).
 
-    Returns a `_Basis` of vectors in a free module of rank len(vecs) whose
+    Returns a list of vectors in a free module of rank len(vecs) whose
     twists are the degrees of the inputs (pass `twists` explicitly when
-    some inputs are zero vectors, whose degree is ambiguous).  Each vecs[i]
-    is lifted with the unit vector e_i as its tail and each relation with a
-    zero tail; the elements of the lifted vectors' Groebner basis with a
-    zero first block are the syzygies, and they form a Groebner basis under
-    the plain grevlex module order, which the result carries, with the
-    leads they had there.  The first block dominates, so an element has no
-    term in it exactly when its lead lies past it.  The result's `minimal`
-    lists a minimal generating set of the syzygies: e_i for each zero
-    input, the only lifted vectors whose lead lies past the first block,
-    then the elements the engine found born minimal (`_extend`), by degree.
+    some inputs are zero vectors, whose degree is ambiguous): e_i for each
+    zero input, then the elements the engine finds born minimal
+    (`_extend`), by degree.  They generate the syzygies minimally but are
+    not a Groebner basis of them: the engine stops once their last one is
+    settled, and no more of its basis is cut down to syzygies.
+    """
+    return _syzygy_basis(vecs, twists, modulo, every_pair=False).minimal
+
+
+def _syzygy_basis(vecs, twists=None, modulo=(), every_pair=True):
+    """The engine's run behind `syzygies`, as a `_Basis` whose `minimal`
+    is what `syzygies` returns.
+
+    Each vecs[i] is lifted with the unit vector e_i as its tail and each
+    relation with a zero tail; the elements of the lifted vectors' Groebner
+    basis with a zero first block are the syzygies.  The first block
+    dominates, so an element has no term in it exactly when its lead lies
+    past it.  With `every_pair` the engine runs every pair, and the result
+    holds those syzygies, a Groebner basis under the plain grevlex module
+    order, which it carries, with the leads they had there.  Without it
+    the engine stops once `minimal` is settled (`_extend`), and the result
+    holds only `minimal`.
     """
     if not vecs:
         return _Basis(None)
@@ -482,7 +523,11 @@ def syzygies(vecs, twists=None, modulo=()):
         for idx, v in enumerate(vecs)
     ]
     lifted += [ModVec(ext, r.terms) for r in modulo]
-    gb = module_groebner(lifted, ModOrder(ring.weights, free.rank))
+    order = ModOrder(ring.weights, free.rank)
+    gb = _Basis(order)
+    new = [_monic(v, order) for v in lifted if not v.is_zero()]
+    new.sort(key=lambda gl: order.key(gl[1]), reverse=True)
+    _extend(gb, new, every_pair=every_pair)
     syz_free = FreeModule(ring, list(twists))
 
     def tail(g):
@@ -491,9 +536,10 @@ def syzygies(vecs, twists=None, modulo=()):
         )
 
     out = _Basis(ModOrder(ring.weights))
-    for g, (comp, mono) in zip(gb.vecs, gb.leads):
-        if comp >= free.rank:
-            out.append(tail(g), (comp - free.rank, mono))
+    if every_pair:
+        for g, (comp, mono) in zip(gb.vecs, gb.leads):
+            if comp >= free.rank:
+                out.append(tail(g), (comp - free.rank, mono))
     out.minimal = [
         ModVec(syz_free, {(idx, ONE): 1}) for idx, v in enumerate(vecs) if v.is_zero()
     ] + [tail(g) for g in gb.minimal]
@@ -603,4 +649,4 @@ def subquotient(ring, gens, rels):
     relation has a unit entry."""
     kept = minimal_generators(gens, modulo=rels)
     twists = [g.degree() for g in kept]
-    return FPModule(ring, twists, syzygies(kept, modulo=rels).minimal)
+    return FPModule(ring, twists, syzygies(kept, modulo=rels))

@@ -11,6 +11,7 @@ Every computation on a ring runs under its ambient ring's degree cap
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain, count
 from operator import le
 
@@ -34,8 +35,9 @@ class PresentedRing:
     kept as it is instead of being computed again.
 
     `series` is the ring's exact Hilbert series, read off the leading
-    monomials of the defining ideal (Bigatti's recursion) when the ring is
-    made, so every invariant that needs it reads this one.
+    monomials of the defining ideal (Bigatti's recursion) when it is first
+    read and kept, so every invariant that needs it reads this one and a
+    ring whose series is never read never runs the recursion.
     `resolution` and `report` (None until then) hold what
     `homology.free_resolution` and `homology.classify` returned for this
     ring, so each is computed once per ring; they live and die with it.
@@ -62,12 +64,15 @@ class PresentedRing:
             self.defining = buchberger(IdealBasis(ambient, gens))
         if self.defining.contains_one():
             raise UnitIdeal("1 lies in the defining ideal")
-        self.series = HilbertSeries(
+        self.resolution = None
+        self.report = None
+
+    @cached_property
+    def series(self):
+        return HilbertSeries(
             monomial_kpoly(self.defining.leading_monomials(), self.weights),
             weights=self.weights,
         )
-        self.resolution = None
-        self.report = None
 
     @property
     def names(self):

@@ -13,15 +13,18 @@ and every kept vector from scratch after each kept vector and reduces by
 GB, cut at the largest candidate's degree.  `free_resolution_rebuild` and
 `ext_module_rebuild` take each stage of a resolution, and the relations
 of Ext, as the minimal generators of a whole syzygy basis found by a
-second basis, where `amalgams.modules.syzygies` records them
-(`minimal`) as its one basis is built.
+second basis, where `amalgams.modules.syzygies` returns those its one
+basis finds born minimal and stops once they are settled.  Every route
+here that reads a whole syzygy basis takes it from
+`amalgams.modules._syzygy_basis`, the path that runs every pair.
 `module_groebner_scan` is the module engine with every choice made by a
 scan: the next S-pair by `min` over the open pairs of (true degree,
 block, index), each leading term by `max` over the terms with a freshly
 built order key, and each divisor by a pass over all of G, where
 `amalgams.modules` pops pairs and terms from heaps; it takes the same
-S-pairs in the same order, so its output is the same list, term for term,
-and it records the same elements born minimal.  The scan engine does its
+S-pairs in the same order and top-reduces each S-vector as the engine
+does, so its output is the same list, term for term, and it records the
+same elements born minimal.  It always runs every pair.  The scan engine does its
 own monomial arithmetic (`term_mul`), apart from the engine it checks,
 and in another representation: it takes and returns the package's
 vectors, whose monomials are packed ints, but computes on exponent
@@ -97,10 +100,10 @@ from amalgams.modules import (
     ModOrder,
     ModVec,
     _Basis,
+    _syzygy_basis,
     leading_mod_term,
     minimal_generators,
     module_groebner,
-    syzygies,
 )
 from amalgams.poly import DEFAULT_DEGREE_CAP, Polynomial
 from amalgams.ring import IdealHandle, PresentedRing
@@ -287,7 +290,7 @@ def free_resolution_rebuild(obj):
     while current:
         diffs.append(current)
         twists.append([v.degree() for v in current])
-        current = minimal_generators(syzygies(current))
+        current = minimal_generators(_syzygy_basis(current).vecs)
     return FreeResolution(M.ring, twists, diffs)
 
 
@@ -296,10 +299,10 @@ def ext_module_rebuild(res, j):
     syzygy basis is a candidate generator, and the relations are the
     minimal generators of the whole syzygy basis of the kept generators
     modulo the image, found by a second basis."""
-    ker_gens = syzygies(_dual_columns(res, j), twists=res.dual_twists(j))
+    ker_gens = _syzygy_basis(_dual_columns(res, j), twists=res.dual_twists(j)).vecs
     rels = _dual_columns(res, j - 1)
     kept = minimal_generators(ker_gens, modulo=rels)
-    syz = syzygies(kept, modulo=rels)
+    syz = _syzygy_basis(kept, modulo=rels).vecs
     return FPModule(res.ring, [g.degree() for g in kept], minimal_generators(syz))
 
 
@@ -393,7 +396,7 @@ def monic_scan(v, order):
     return packed(g), _packed_lead(v.ring, lead)
 
 
-def mod_reduce_scan(v, gens, leads, order, degree_cap=None):
+def mod_reduce_scan(v, gens, leads, order, degree_cap=None, full=True):
     """`_reduce_scan` of the package's vector v by the package's vectors
     `gens` with their packed `leads`, computed on exponent tuples and
     returned packed."""
@@ -404,13 +407,16 @@ def mod_reduce_scan(v, gens, leads, order, degree_cap=None):
             _unpacked_leads(v.ring, leads),
             order,
             degree_cap,
+            full,
         )
     )
 
 
-def _reduce_scan(v, gens, leads, order, degree_cap=None):
+def _reduce_scan(v, gens, leads, order, degree_cap=None, full=True):
     """Full normal form: the leading term by `max` over the working dict,
-    the divisor by a pass over all of `gens`, on exponent tuples."""
+    the divisor by a pass over all of `gens`, on exponent tuples.  With
+    `full` false, the top-reduced form: the first term no lead divides,
+    then the rest of the working dict as it stands."""
     ring = v.ring
     p = ring.p
     if degree_cap is not None:
@@ -439,34 +445,38 @@ def _reduce_scan(v, gens, leads, order, degree_cap=None):
         else:
             rem[lead] = c
             del h[lead]
+            if not full:
+                rem.update(h)
+                break
     return ModVec(v.free, rem)
 
 
 def extend_scan(G, leads, new, order, degree_cap, top=None):
     """`_extend_scan` on the package's vectors: the lists G and leads and
     the (vector, lead) pairs `new` are unpacked, and the elements the loop
-    adds are packed and appended to G and leads."""
+    adds are packed and appended to G and leads.  Returns the positions of
+    the elements born minimal."""
     if not G and not new:
-        return G
+        return []
     ring = (G[0] if G else new[0][0]).ring
     vecs = [unpacked(g) for g in G]
     vec_leads = _unpacked_leads(ring, leads)
     unpack = ring.layout.unpack
     new = [(unpacked(g), (comp, unpack(m))) for g, (comp, m) in new]
-    _extend_scan(vecs, vec_leads, new, order, degree_cap, top)
+    born = _extend_scan(vecs, vec_leads, new, order, degree_cap, top)
     G.extend(packed(g) for g in vecs[len(G):])
     leads.extend(_packed_lead(ring, lead) for lead in vec_leads[len(leads):])
-    return G
+    return born
 
 
 def _extend_scan(G, leads, new, order, degree_cap, top=None):
     """Buchberger's loop with the next pair by `min` over the open pairs of
     (lcm degree + the component's twist, block, (i, j)), block 0 past the
     order's front block and 1 in it, the degree recomputed at every step,
-    on exponent tuples.  With a bound `top`, a pair whose true degree
-    exceeds `top` is never opened.  Returns the positions of the elements
-    born minimal: the remainders of front-block pairs whose lead lies past
-    the front block."""
+    on exponent tuples, each S-vector top-reduced.  With a bound `top`, a
+    pair whose true degree exceeds `top` is never opened.  Returns the
+    positions of the elements born minimal: the remainders of front-block
+    pairs whose lead lies past the front block."""
     pairs = set()
     born = []
 
@@ -520,7 +530,7 @@ def _extend_scan(G, leads, new, order, degree_cap, top=None):
             _term_mul(G[i], tuple(map(sub, lcm, mi)), 1),
             _term_mul(G[j], tuple(map(sub, lcm, mj)), ring.p - 1),
         )
-        h = _reduce_scan(s, G, leads, order, degree_cap)
+        h = _reduce_scan(s, G, leads, order, degree_cap, full=False)
         if not h.is_zero():
             g, lead = _monic_scan(h, order)
             if comp < order.split <= lead[0]:
@@ -678,7 +688,7 @@ def syzygies_then_project(vecs, twists, modulo):
     nonzero relations together, each cut down to its first len(vecs)
     coordinates."""
     modulo = [r for r in modulo if not r.is_zero()]
-    syz = syzygies(
+    syz = _syzygy_basis(
         list(vecs) + modulo, twists=list(twists) + [r.degree() for r in modulo]
     )
     free = FreeModule(vecs[0].ring, twists)
@@ -693,7 +703,7 @@ def syzygies_then_project(vecs, twists, modulo):
 
 def _first_coordinates(vecs, twists):
     """The first coordinates of the syzygies of `vecs`."""
-    return [v.component_poly(0) for v in syzygies(vecs, twists=twists)]
+    return [v.component_poly(0) for v in _syzygy_basis(vecs, twists=twists)]
 
 
 def _reduced(ring, polys):
@@ -810,7 +820,7 @@ def ext_project(res, j):
         free = FreeModule(ring, dual_twists)
         ker_gens = [basis_vector(free, i) for i in range(free.rank)]
     else:
-        ker_gens = syzygies(_dual_columns(res, j), twists=dual_twists)
+        ker_gens = _syzygy_basis(_dual_columns(res, j), twists=dual_twists).vecs
     im_gens = _dual_columns(res, j - 1) if j else []
     gens = minimal_generators(ker_gens)
     if not gens:

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 from importlib import resources
-from types import SimpleNamespace
 
 import pytest
 
@@ -75,8 +74,8 @@ def test_present_report():
     assert report.status == 0
 
 
-def bigatti_runs_per_ring(monkeypatch, command):
-    """Run `command` on INTERSECTION and return each ring it made, with the
+def bigatti_runs_per_ring(monkeypatch, command, text=INTERSECTION):
+    """Run `command` on `text` and return each ring it made, with the
     number of top-level Bigatti runs (`monomial_kpoly`) on that ring's
     leading monomials and weights."""
     built, runs, depth = [], [], [0]
@@ -98,31 +97,47 @@ def bigatti_runs_per_ring(monkeypatch, command):
     monkeypatch.setattr(PresentedRing, "__init__", made)
     for module in (series, ring_module, homology):
         monkeypatch.setattr(module, "monomial_kpoly", bigatti)
-    assert dispatch(INTERSECTION, command).status == 0
+    assert dispatch(text, command).status == 0
     return [
         (R, runs.count((sorted(R.defining.leading_monomials()), R.weights)))
         for R in built
     ]
 
 
+def series_was_read(R):
+    """Whether the ring's lazily computed `series` has been read."""
+    return "series" in vars(R)
+
+
 def test_present_takes_the_series_of_C_mod_K_once(monkeypatch):
-    # C/K takes its series once, when it is made, and the certificate and
-    # the cross-check read it there.
+    # C/K takes its series once, when it is first read, and the certificate
+    # and the cross-check read it there.
     per_ring = bigatti_runs_per_ring(monkeypatch, ["present", "W24"])
     presented = [
         count for R, count in per_ring if R.names == ("x", "z1", "z2")
     ]
     assert presented == [1]
-    assert all(count == 1 for _, count in per_ring)
+    assert all(count == series_was_read(R) for R, count in per_ring)
 
 
 @pytest.mark.parametrize("command", ["classify", "canonical"])
 def test_each_ring_takes_its_series_once(monkeypatch, command):
     # krull_dim, canonical_module and classify read a ring's series off the
-    # ring instead of running Bigatti's recursion on its leads again.
+    # ring instead of running Bigatti's recursion on its leads again, and a
+    # ring whose series is never read never runs it.
     per_ring = bigatti_runs_per_ring(monkeypatch, [command, "W24"])
     assert len(per_ring) >= 4
-    assert all(count == 1 for _, count in per_ring)
+    assert all(count == series_was_read(R) for R, count in per_ring)
+
+
+def test_a_ring_takes_its_series_only_when_read(monkeypatch):
+    # Parsing serre.alg makes four rings; classifying one reads only its
+    # series, so the other three never run Bigatti's recursion.
+    text = resources.files("amalgams").joinpath("fixtures", "serre.alg").read_text()
+    per_ring = bigatti_runs_per_ring(monkeypatch, ["classify", "Hyper"], text)
+    assert len(per_ring) == 4
+    assert [R.names for R, count in per_ring if count] == [("x", "z")]
+    assert [R.names for R, _ in per_ring if series_was_read(R)] == [("x", "z")]
 
 
 def test_classify_report():
@@ -698,7 +713,7 @@ def test_unknown_name_in_command(tmp_path, capsys):
 def never_vanishing_syzygies(vecs):
     """A stand-in for `syzygies` whose minimal generators are the vectors
     given."""
-    return SimpleNamespace(minimal=vecs)
+    return vecs
 
 
 def test_resolution_bound_exits_1(tmp_path, capsys, monkeypatch):

@@ -2,12 +2,16 @@
 extended module GB, cut at the largest candidate's degree, agree with the
 from-scratch route of `oracles.minimal_generators_rebuild`, with and
 without relations, and reduce no vector above that degree; the minimal
-generators a syzygy basis finds as it is built (`minimal`) have the
-degrees of those the rebuild finds in the whole basis and generate the
-same module, with and without relations; the heap-driven engine returns
-what the scan-driven `oracles.module_groebner_scan` returns, element for
-element and in order, with the same elements born minimal, also under
-degree caps; the reducer on a prebuilt
+generators a syzygy basis finds as it is built, which `syzygies` returns
+from a run that stops once they are settled, are element for element
+those of the run of every pair (`_syzygy_basis`), have the degrees of
+those the rebuild finds in that run's whole basis and generate the same
+module, with and without relations; on `classify W_4` no pair is reduced
+after a syzygy run's last front-block pair, and under degree caps a
+stopped run raises or returns its uncapped result; the heap-driven engine
+returns what the scan-driven `oracles.module_groebner_scan` returns,
+element for element and in order, with the same elements born minimal,
+also under degree caps; the reducer on a prebuilt
 per-component index returns what `oracles.mod_reduce_scan` returns, also
 under degree caps; the product criterion is kept to rank 1; the reducer
 stops at the degree cap; minimal presentations
@@ -26,7 +30,7 @@ from hypothesis import strategies as st
 
 from amalgams import modules
 from amalgams.errors import DegreeCapExceeded
-from amalgams.homology import hilbert_series
+from amalgams.homology import classify, hilbert_series
 from amalgams.modules import (
     FPModule,
     FreeModule,
@@ -35,6 +39,7 @@ from amalgams.modules import (
     _Basis,
     _monic,
     _reduce,
+    _syzygy_basis,
     leading_mod_term,
     minimal_generators,
     module_groebner,
@@ -53,7 +58,12 @@ from oracles import (
     term_mul,
     vec_add,
 )
-from samples import binomial_or_monomial_rings, k3_duplications, serre_rings
+from samples import (
+    binomial_or_monomial_rings,
+    duplication_along_m,
+    k3_duplications,
+    serre_rings,
+)
 
 
 def offered_along_resolution(R):
@@ -68,7 +78,7 @@ def offered_along_resolution(R):
         kept = minimal_generators(vecs)
         if not kept:
             return
-        vecs = syzygies(kept).vecs
+        vecs = _syzygy_basis(kept).vecs
     raise AssertionError("resolution longer than the syzygy bound")
 
 
@@ -102,17 +112,20 @@ def reduce_to_zero(vecs, gens):
 
 def assert_born_minimal_along_resolution(R):
     """On every input of `offered_along_resolution`, the syzygies' own
-    minimal generators and the rebuild's minimal generators of the whole
-    syzygy basis: as many in each degree, each set in the module of the
-    other."""
+    minimal generators, from the run that stops once they are settled,
+    are element for element those of the run of every pair; and against
+    the rebuild's minimal generators of that run's whole syzygy basis:
+    as many in each degree, each set in the module of the other."""
     for vecs, modulo in offered_along_resolution(R):
-        syz = syzygies(vecs, modulo=modulo)
-        rebuilt = minimal_generators_rebuild(syz.vecs)
-        assert Counter(v.degree() for v in syz.minimal) == Counter(
+        minimal = syzygies(vecs, modulo=modulo)
+        whole = _syzygy_basis(vecs, modulo=modulo)
+        assert minimal == whole.minimal
+        rebuilt = minimal_generators_rebuild(whole.vecs)
+        assert Counter(v.degree() for v in minimal) == Counter(
             v.degree() for v in rebuilt
         )
-        assert reduce_to_zero(syz.minimal, rebuilt)
-        assert reduce_to_zero(rebuilt, syz.minimal)
+        assert reduce_to_zero(minimal, rebuilt)
+        assert reduce_to_zero(rebuilt, minimal)
 
 
 @pytest.mark.parametrize("p", [101, 32003])
@@ -134,10 +147,58 @@ def test_zero_inputs_are_born_minimal_syzygies():
     S = PolyRing(101, ["x", "y"])
     F = FreeModule(S, [0])
     x, y, zero = (F.from_polys([parse_poly(S, f)]) for f in ("x", "y", "0"))
-    syz = syzygies([x, y, zero], twists=[1, 1, 2])
-    assert [v.degree() for v in syz.minimal] == [2, 2]
-    assert syz.minimal[0] == ModVec(syz.minimal[0].free, {(2, modules.ONE): 1})
-    assert reduce_to_zero(syz.vecs, syz.minimal)
+    minimal = syzygies([x, y, zero], twists=[1, 1, 2])
+    assert [v.degree() for v in minimal] == [2, 2]
+    assert minimal[0] == ModVec(minimal[0].free, {(2, modules.ONE): 1})
+    assert reduce_to_zero(_syzygy_basis([x, y, zero], twists=[1, 1, 2]).vecs, minimal)
+
+
+def test_no_pair_is_reduced_after_the_last_front_pair():
+    # Every syzygy computation of `classify W_4` (the runs that need not
+    # run every pair) ends once its last front-block pair is popped: the
+    # pairs past the front block still open then can add nothing to the
+    # minimal generators.  Each pair is seen as the engine pops it off its
+    # heap, (degree, block, i, j, lcm) with block true in the front block,
+    # and a reduction belongs to the pair popped last.
+    runs, inside = [], []
+    real_extend, real_pop, real_reduce = (
+        modules._extend, modules.heappop, modules._reduce,
+    )
+
+    def extend(basis, new, top=None, every_pair=True):
+        if every_pair:
+            return real_extend(basis, new, top, every_pair)
+        runs.append([])
+        inside.append(True)
+        try:
+            return real_extend(basis, new, top, every_pair)
+        finally:
+            inside.pop()
+
+    def pop(heap):
+        item = real_pop(heap)
+        if inside and len(item) == 5:
+            runs[-1].append([item[1], False])
+        return item
+
+    def reduce(v, basis, *args, **kwargs):
+        if inside and runs[-1]:
+            runs[-1][-1][1] = True
+        return real_reduce(v, basis, *args, **kwargs)
+
+    with ExitStack() as stack:
+        for name, stand_in in [
+            ("_extend", extend),
+            ("heappop", pop),
+            ("_reduce", reduce),
+        ]:
+            stack.enter_context(patch.object(modules, name, stand_in))
+        classify(duplication_along_m(4))
+    assert any(any(block for block, _ in run) for run in runs)
+    for run in runs:
+        fronts = [k for k, (block, _) in enumerate(run) if block]
+        after = run[fronts[-1] + 1:] if fronts else run
+        assert not any(reduced for _, reduced in after)
 
 
 def assert_no_reduction_above_top(R):
@@ -146,9 +207,9 @@ def assert_no_reduction_above_top(R):
     for vecs, modulo in offered_along_resolution(R):
         degrees = []
 
-        def recording(v, *args):
+        def recording(v, *args, **kwargs):
             degrees.append(v.degree())
-            return _reduce(v, *args)
+            return _reduce(v, *args, **kwargs)
 
         with patch.object(modules, "_reduce", recording):
             minimal_generators(vecs, modulo=modulo)
@@ -227,24 +288,28 @@ def scan_engine():
     """A context in which `modules`' own syzygies and minimal_generators
     run on the scan-driven oracle engine, which reads a basis as the two
     lists `vecs` and `leads` and its order, takes the degree cap that the
-    engine reads off the ring, and opens no pair above the degree bound
-    `top`."""
+    engine reads off the ring, opens no pair above the degree bound `top`,
+    top-reduces as the engine does and runs every pair, whatever
+    `every_pair` says."""
 
     def groebner(vecs, order=None):
         cap = vecs[0].ring.degree_cap if vecs else None
         return module_groebner_scan(vecs, order, cap)
 
-    def extend(basis, new, top=None):
+    def extend(basis, new, top=None, every_pair=True):
         G, leads = list(basis.vecs), list(basis.leads)
         if not G and not new:
             return
         cap = (G[0] if G else new[0][0]).ring.degree_cap
-        extend_scan(G, leads, new, basis.order, cap, top)
+        born = extend_scan(G, leads, new, basis.order, cap, top)
         for g, lead in zip(G[len(basis.vecs):], leads[len(basis.leads):]):
             basis.append(g, lead)
+        basis.minimal += [G[n] for n in born]
 
-    def reduce(v, basis, degree_cap=None):
-        return mod_reduce_scan(v, basis.vecs, basis.leads, basis.order, degree_cap)
+    def reduce(v, basis, degree_cap=None, full=True):
+        return mod_reduce_scan(
+            v, basis.vecs, basis.leads, basis.order, degree_cap, full
+        )
 
     stack = ExitStack()
     for name, oracle in [
@@ -271,8 +336,9 @@ def engine_orders(vecs):
 
 
 def assert_engine_matches_scan(R):
-    """module_groebner, syzygies and minimal_generators against the scan
-    engine on the relations of R and every syzygy module after them."""
+    """module_groebner, syzygies (stopped, and the whole basis of every
+    pair) and minimal_generators against the scan engine on the relations
+    of R and every whole syzygy basis after them."""
     vecs = FPModule.quotient_ring(R).relations
     for _ in range(R.ambient.nvars + 1):
         if not vecs:
@@ -283,12 +349,14 @@ def assert_engine_matches_scan(R):
             assert (heap.vecs, heap.leads) == (scan.vecs, scan.leads)
             assert heap.minimal == scan.minimal
         kept = minimal_generators(vecs)
-        syz = syzygies(kept)
+        syz = _syzygy_basis(kept)
+        minimal = syzygies(kept)
         with scan_engine():
             assert minimal_generators(vecs) == kept
-            again = syzygies(kept)
+            again = _syzygy_basis(kept)
             assert (again.vecs, again.leads) == (syz.vecs, syz.leads)
             assert again.minimal == syz.minimal
+            assert syzygies(kept) == minimal
         vecs = syz.vecs
     raise AssertionError("resolution longer than the syzygy bound")
 
@@ -365,6 +433,38 @@ def test_engine_and_scan_agree_under_degree_caps(p):
         assert stopped == {True, False}
 
 
+def in_capped_ring(vecs, cap):
+    """The vectors of one free module, rebuilt in a ring with degree cap
+    `cap` and otherwise the same."""
+    ring = vecs[0].ring
+    capped = PolyRing(ring.p, ring.names, ring.weights, degree_cap=cap)
+    free = FreeModule(capped, vecs[0].free.twists)
+    return [ModVec(free, dict(v.terms)) for v in vecs]
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+def test_stopped_syzygies_under_degree_caps(p):
+    # On every input of `offered_along_resolution` of the fixture rings,
+    # rebuilt under caps 1-8, the stopped syzygy computation raises
+    # DegreeCapExceeded or returns its uncapped result; over all runs,
+    # both outcomes occur.
+    def run(vecs, modulo, cap):
+        both = in_capped_ring(vecs + list(modulo), cap)
+        return [v.terms for v in syzygies(both[: len(vecs)], modulo=both[len(vecs):])]
+
+    stopped = set()
+    for R in serre_rings(p) + k3_duplications(p):
+        for vecs, modulo in offered_along_resolution(R):
+            if not vecs:
+                continue
+            full = [v.terms for v in syzygies(vecs, modulo=modulo)]
+            for cap in range(1, 9):
+                got = outcome(lambda c: run(vecs, modulo, c), cap)
+                assert got in (None, full)
+                stopped.add(got is None)
+    assert stopped == {True, False}
+
+
 @pytest.mark.parametrize("p", [101, 32003])
 @settings(max_examples=20)
 @given(data=st.data())
@@ -376,7 +476,7 @@ def test_engine_results_carry_their_leading_terms(p, data):
         G = module_groebner(vecs, order())
         assert G.leads == [leading_mod_term(g, order())[0] for g in G]
     plain = ModOrder(vecs[0].ring.weights)
-    for syz in (syzygies(vecs), syzygies(vecs[:1], modulo=vecs[1:])):
+    for syz in (_syzygy_basis(vecs), _syzygy_basis(vecs[:1], modulo=vecs[1:])):
         assert syz.leads == [leading_mod_term(g, plain)[0] for g in syz]
 
 
@@ -461,7 +561,7 @@ def assert_reducer_matches_scan(G, leads, order, targets):
 def test_reducer_with_index_matches_scan_under_degree_caps(p, data):
     # On the relations of a random ring and on their syzygies.
     rels = FPModule.quotient_ring(data.draw(binomial_or_monomial_rings(p))).relations
-    for vecs in (rels, syzygies(rels).vecs):
+    for vecs in (rels, _syzygy_basis(rels).vecs):
         if vecs:
             assert_reducer_matches_scan(*data.draw(reduction_case(vecs)))
 

@@ -115,7 +115,7 @@ def test_one_syzygies_per_colon_and_annihilator(monkeypatch):
     S = PolyRing(101, ["x", "y", "z"])
     I = [parse_poly(S, g) for g in ("x^2*y", "x*z^2", "y^3")]
     J = [parse_poly(S, g) for g in ("x", "y", "z^2")]
-    calls = counting(monkeypatch, gb, "syzygies")
+    calls = counting(monkeypatch, gb, "_syzygy_basis")
     colon(S, I, J)
     assert len(calls) == 1
     R = serre_rings()[0]
@@ -154,7 +154,7 @@ def test_krull_dim_of_a_module_never_calls_the_annihilator(monkeypatch):
     # dim F/U is read off the leads of U's own basis, one module GB per
     # module, with no quotient and no minimal presentation.
     exts = [M for R in serre_rings() for M in ext_modules(R)[1]]
-    quotients = counting_everywhere(monkeypatch, "syzygies")
+    quotients = counting_everywhere(monkeypatch, "_syzygy_basis")
     engine = counting(monkeypatch, homology, "module_groebner")
     pruned = counting(monkeypatch, FPModule, "minimal_presentation")
     for M in exts:
