@@ -3,9 +3,13 @@
 All homological algebra happens over the ambient polynomial ring: depth via
 the Auslander-Buchsbaum identity (#vars - projective dimension), canonical
 modules and the classification predicates via Ext against the ambient ring
-and graded local duality.  `classify` reads the Betti numbers, depth and
-ω through `free_resolution`, `depth_ab` and `canonical_module`, and the
-dimension of each Ext^j with j > codim off its series (`_ext_series`).
+and graded local duality.  `classify` reads the Betti numbers and depth
+through `free_resolution` and `depth_ab`, the dimension of each Ext^j with
+j > codim off its series (`_ext_series`), and whether R is
+quasi-Gorenstein off the type, or off HS(ω) from the Euler
+characteristic of the dual complex (`_codim_ext_series`); it presents no
+Ext module.  `canonical_module` presents ω for the `canonical` command,
+the `trivext ... module canonical` declaration and the harness.
 A ring or module keeps its resolution on itself (`resolution`), and a ring
 its classify report (`report`), each stored only when the call returns; so
 `classify`, `depth_ab`, `ext_module` and `canonical_module` on one ring
@@ -16,10 +20,11 @@ Each stage of a resolution is the minimal generating set that its
 syzygy basis finds as it is built (`modules.syzygies`), so no
 stage takes a second Groebner basis to minimalize.  Ext modules are
 kernels into quotient modules, each taken as syzygies modulo the relations
-(`modules.syzygies(modulo=)`), by one rule for every dual map;
-`modules.subquotient` presents Ext, and `classify` presents only ω: a
-higher Ext is measured without a module, and whether a cyclic ω is
-quasi-Gorenstein is read off its series, with no annihilator.
+(`modules.syzygies(modulo=)`), by one rule for every dual map: those of
+the kernel's minimal generators that generate it modulo the image
+(`_ext_generators`) generate Ext minimally, and their syzygies modulo the
+image are its relations.  `classify` counts these generators for ω only
+when HS(ω) = t^a HS(R).
 Hilbert series are read off leading monomials and need no resolution:
 F/U has the series of F/in(U), and a ring keeps its own (`series`); the
 packed leads of a module's basis are unpacked for `monomial_kpoly`.  The
@@ -36,8 +41,8 @@ from .modules import (
     FPModule,
     FreeModule,
     ModVec,
+    minimal_generators,
     module_groebner,
-    subquotient,
     syzygies,
 )
 from .ring import IdealHandle, PresentedRing
@@ -176,15 +181,28 @@ def _dual_columns(res, j):
     return [ModVec(target, terms) for terms in cols]
 
 
+def _ext_generators(res, j):
+    """Minimal generators of Ext^j = ker δ_j / im δ_{j-1}, with δ_i the dual
+    of d_{i+1}: a subset of the kernel's minimal generators (`syzygies`)
+    that generates it minimally modulo the image.  Returns them with the
+    image's columns."""
+    image = _dual_columns(res, j - 1)
+    kernel = syzygies(_dual_columns(res, j), twists=res.dual_twists(j))
+    return minimal_generators(kernel, modulo=image), image
+
+
 def ext_module(obj, j):
     """Ext^j against the ambient polynomial ring, as a presented module: the
     cohomology of the dual of the resolution of `obj`, by one rule for all
-    j, with the minimal generators of the kernel as the candidates."""
+    j.  Its generators are `_ext_generators`, and its relations the minimal
+    generators of their syzygies modulo the image, so the presentation is
+    minimal."""
     res = free_resolution(obj)
     if j < 0 or j > res.ring.nvars:
         raise ValueError("cohomological degree out of range")
-    kernel = syzygies(_dual_columns(res, j), twists=res.dual_twists(j))
-    return subquotient(res.ring, kernel, _dual_columns(res, j - 1))
+    gens, image = _ext_generators(res, j)
+    twists = [g.degree() for g in gens]
+    return FPModule(res.ring, twists, syzygies(gens, modulo=image))
 
 
 def _ext_series(res, j):
@@ -197,6 +215,22 @@ def _ext_series(res, j):
             res.cokernel_series[i] = hilbert_series(C)
     free = hilbert_series(FPModule(res.ring, res.dual_twists(j + 1)))
     return res.cokernel_series[j] + res.cokernel_series[j - 1] - free
+
+
+def _codim_ext_series(res, c, higher):
+    """HS(Ext^c) for c the codimension, from the Euler characteristic of the
+    dual complex F_0^* -> ... -> F_pd^*, whose cohomology is Ext^j.  In a
+    polynomial ring grade I = ht I, so Ext^j = 0 for j < c and
+    (-1)^c HS(Ext^c) = sum_j (-1)^j HS(F_j^*) - sum_{j>c} (-1)^j HS(Ext^j).
+    `higher` maps each j > c to HS(Ext^j); no Ext module is presented."""
+    num = lp_zero()
+    for j in range(res.length + 1):
+        for d in res.dual_twists(j):
+            num = lp_add(num, lp_monomial(d, (-1) ** j))
+    euler = HilbertSeries(num, weights=res.ring.weights)
+    for j, series in higher.items():
+        euler = euler - (series if j % 2 == 0 else -series)
+    return euler if c % 2 == 0 else -euler
 
 
 def canonical_module(R):
@@ -253,8 +287,13 @@ def classify(R):
     The Serre-condition levels use the Ext-dimension criterion, which is
     exact for equidimensional rings and conservative (it may under-report)
     otherwise; `ClassifyReport.lines` marks the level unless told the ring
-    is equidimensional.  Only ω is presented; each higher Ext is measured
-    by its series (`_ext_series`).  R keeps the report (`report`).
+    is equidimensional.  No Ext module is presented: each Ext above the
+    codimension is measured by its series (`_ext_series`), and
+    quasi-Gorenstein is decided from the type when R is Cohen-Macaulay,
+    and otherwise from HS(ω) by the Euler characteristic of the dual
+    complex (`_codim_ext_series`), with ω's generators counted
+    (`_ext_generators`) only when HS(ω) = t^a HS(R).  R keeps the report
+    (`report`).
     """
     if R.report is not None:
         return R.report
@@ -268,20 +307,32 @@ def classify(R):
     is_cm = dim == depth
     is_gorenstein = is_cm and rtype == 1
 
-    # A cyclic ω is (S/ann ω)(-a), a its one twist, and ann ω contains the
-    # defining ideal I; so ann ω = I exactly when HS(ω) = t^a HS(R).
-    omega = canonical_module(R)
-    quasi = len(omega.twists) == 1 and hilbert_series(omega) == HilbertSeries(
-        lp_mul(lp_monomial(omega.twists[0]), R.series.num), R.series.den
-    )
-
     # Dimensions of the nonzero Ext modules above the codimension; zero Ext
     # modules, those of zero series, impose no condition.
+    higher = {j: _ext_series(res, j) for j in range(codim + 1, res.length + 1)}
     ext_dims = {}
-    for j in range(codim + 1, res.length + 1):
-        dim_ext = _ext_series(res, j).dimension()
+    for j, series in higher.items():
+        dim_ext = series.dimension()
         if dim_ext >= 0:
             ext_dims[j] = dim_ext
+
+    # Quasi-Gorenstein means ω ≅ R(-a).  A CM ring's ω is presented by the
+    # last dual map, minimally, as every entry of a minimal resolution lies
+    # in m: so μ(ω) = type, and ω is cyclic exactly when R is Gorenstein.
+    # Otherwise a cyclic ω is (S/ann ω)(-a), a its lowest degree, and
+    # ann ω contains I; so ann ω = I exactly when HS(ω) = t^a HS(R), and
+    # then ω has one generator in degree a and is cyclic when μ(ω) = 1.
+    # ω is Ext^codim twisted, and the test holds for both or neither.
+    if is_cm:
+        quasi = is_gorenstein
+    else:
+        ext = _codim_ext_series(res, codim, higher)
+        shifted = lp_mul(lp_monomial(min(ext.num)), R.series.num)
+        quasi = (
+            ext == HilbertSeries(shifted, R.series.den)
+            and len(_ext_generators(res, codim)[0]) == 1
+        )
+
     gcm = all(d <= 0 for d in ext_dims.values())
     serre = 0
     for level in range(1, MAX_SERRE_LEVEL + 1):

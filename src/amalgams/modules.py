@@ -18,8 +18,9 @@ soon as they are settled, since every pair left then lies past the front
 block and can add none; only `gb.quotient_ideal` takes a syzygy basis
 whole, from the run of every pair (`_syzygy_basis`).
 `minimal_generators(modulo=)` stays for vectors given from outside a
-syzygy computation, and `subquotient`, built on both, presents Ext (in
-`classify` only ω) and every module with a unit relation entry.
+syzygy computation, and `subquotient`, built on both, presents every
+module with a unit relation entry; `homology.ext_module` presents Ext the
+same way.
 `amalgams.gb` runs ideals through the same loop (`_extend`) and reducer
 (`_reduce`) as rank-1 submodules.
 

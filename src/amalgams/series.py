@@ -163,8 +163,11 @@ class HilbertSeries:
             lp_mul(self.den, other.den),
         )
 
+    def __neg__(self):
+        return HilbertSeries(lp_neg(self.num), self.den)
+
     def __sub__(self, other):
-        return self + HilbertSeries(lp_neg(other.num), other.den)
+        return self + -other
 
     def __eq__(self, other):
         if not isinstance(other, HilbertSeries):

@@ -41,7 +41,11 @@ map a -> (a, f(a)) of a J = 0 amalgam.
 `annihilator` takes (0 : M) as one quotient ideal, the syzygies of
 (e_1, ..., e_s) modulo U^s, where `amalgams.homology.classify` never
 forms it: a cyclic ω is quasi-Gorenstein when its series is its twist
-times the ring's.
+times the ring's.  `quasi_gorenstein_by_presentation` decides that on ω
+presented by `canonical_module`, where `classify` presents no Ext module:
+it reads μ(ω) off the type of a Cohen-Macaulay ring, and otherwise takes
+HS(ω) from the Euler characteristic of the dual complex and counts ω's
+generators only when that series is its lowest twist times the ring's.
 `syzygies_then_project` finds the syzygies of vectors modulo a submodule
 as the syzygies of the vectors and the relations together, cut down to the
 vectors' coordinates, where `amalgams.modules.syzygies(modulo=)` lifts the
@@ -91,7 +95,9 @@ from amalgams.homology import (
     FreeResolution,
     _as_module,
     _dual_columns,
+    canonical_module,
     free_resolution,
+    hilbert_series,
 )
 from amalgams.modules import (
     ONE,
@@ -745,6 +751,15 @@ def colon_loop(ring, I, J):
             part = intersect_project(ring, result, part).elements
         result = part
     return _reduced(ring, result)
+
+
+def quasi_gorenstein_by_presentation(R):
+    """Whether ω of R is cyclic, ω = (S/ann ω)(-a), with the series of
+    R(-a), which makes ann ω the defining ideal: read off ω presented."""
+    omega = canonical_module(R)
+    return len(omega.twists) == 1 and hilbert_series(omega) == HilbertSeries(
+        lp_mul(lp_monomial(omega.twists[0]), R.series.num), R.series.den
+    )
 
 
 def annihilator(M):

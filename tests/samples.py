@@ -1,10 +1,11 @@
 """Rings shared by several test modules: the `serre.alg` fixture rings,
 every ring of the bundled fixtures, duplications of k[x1..x3], the
-duplication ladder W_n, and a hypothesis strategy for random monomial and
-binomial ideals of k[x, y, z] over GF(p)."""
+duplication ladder W_n, the Stanley-Reisner ring of the 7-vertex torus,
+and a hypothesis strategy for random monomial and binomial ideals of
+k[x, y, z] over GF(p)."""
 
 from importlib import resources
-from itertools import product
+from itertools import combinations, product
 
 from hypothesis import strategies as st
 
@@ -49,6 +50,24 @@ def duplication_along_m(n, p=101):
     along (x1..xn), in 2n variables."""
     A = make_ring(p, [f"x{i}" for i in range(1, n + 1)])
     return amalgam_present(duplication(A, IdealHandle(A, list(A.names)))).ring
+
+
+def torus_ring(p=101):
+    """The Stanley-Reisner ring of the 7-vertex (Moebius) torus over GF(p):
+    its 14 triangles are {i, i+1, i+3} and {i, i+2, i+3} mod 7, every pair
+    of vertices is an edge, and the ideal is generated by the 21 other
+    triples.  It is not Cohen-Macaulay (depth 2, dim 3), and ω of an
+    orientable surface is the ring itself, so it is quasi-Gorenstein."""
+    faces = {
+        frozenset({i, (i + s) % 7, (i + 3) % 7}) for i in range(7) for s in (1, 2)
+    }
+    names = [f"x{i}" for i in range(7)]
+    gens = [
+        "*".join(names[i] for i in t)
+        for t in combinations(range(7), 3)
+        if frozenset(t) not in faces
+    ]
+    return make_ring(p, names, gens)
 
 
 VARS = ["x", "y", "z"]

@@ -1,4 +1,5 @@
 import errno
+import functools
 import io
 import os
 import subprocess
@@ -7,7 +8,7 @@ from importlib import resources
 
 import pytest
 
-from amalgams import cli, homology, series
+from amalgams import cli, homology
 from amalgams import ring as ring_module
 from amalgams.cli import Options, cmd_dispatch, main, parse_input
 from amalgams.errors import (
@@ -76,32 +77,36 @@ def test_present_report():
 
 def bigatti_runs_per_ring(monkeypatch, command, text=INTERSECTION):
     """Run `command` on `text` and return each ring it made, with the
-    number of top-level Bigatti runs (`monomial_kpoly`) on that ring's
-    leading monomials and weights."""
-    built, runs, depth = [], [], [0]
-    init, kpoly = PresentedRing.__init__, series.monomial_kpoly
+    number of Bigatti runs (`monomial_kpoly`) made inside that ring's own
+    `series`; the recursion's inner calls and the runs on modules' leads
+    count for no ring."""
+    built, runs, reading = [], [], []
+    init = PresentedRing.__init__
+    take_series = PresentedRing.__dict__["series"].func
+    kpoly = ring_module.monomial_kpoly
 
     def made(self, *args):
         init(self, *args)
         built.append(self)
 
-    def bigatti(leads, weights):
-        if not depth[0]:
-            runs.append((sorted(leads), tuple(weights)))
-        depth[0] += 1
+    def read(self):
+        reading.append(self)
         try:
-            return kpoly(leads, weights)
+            return take_series(self)
         finally:
-            depth[0] -= 1
+            reading.pop()
 
+    def bigatti(leads, weights):
+        runs.append(reading[-1])
+        return kpoly(leads, weights)
+
+    counted_series = functools.cached_property(read)
+    counted_series.__set_name__(PresentedRing, "series")
     monkeypatch.setattr(PresentedRing, "__init__", made)
-    for module in (series, ring_module, homology):
-        monkeypatch.setattr(module, "monomial_kpoly", bigatti)
+    monkeypatch.setattr(PresentedRing, "series", counted_series)
+    monkeypatch.setattr(ring_module, "monomial_kpoly", bigatti)
     assert dispatch(text, command).status == 0
-    return [
-        (R, runs.count((sorted(R.defining.leading_monomials()), R.weights)))
-        for R in built
-    ]
+    return [(R, sum(run is R for run in runs)) for R in built]
 
 
 def series_was_read(R):
@@ -132,11 +137,15 @@ def test_each_ring_takes_its_series_once(monkeypatch, command):
 
 def test_a_ring_takes_its_series_only_when_read(monkeypatch):
     # Parsing serre.alg makes four rings; classifying one reads only its
-    # series, so the other three never run Bigatti's recursion.
+    # series, once, so the other three never run Bigatti's recursion.
     text = resources.files("amalgams").joinpath("fixtures", "serre.alg").read_text()
     per_ring = bigatti_runs_per_ring(monkeypatch, ["classify", "Hyper"], text)
-    assert len(per_ring) == 4
-    assert [R.names for R, count in per_ring if count] == [("x", "z")]
+    assert [(R.names, count) for R, count in per_ring] == [
+        (("a", "b", "c", "d"), 0),
+        (("x", "z"), 1),
+        (("x", "y"), 0),
+        (("x", "y"), 0),
+    ]
     assert [R.names for R, _ in per_ring if series_was_read(R)] == [("x", "z")]
 
 
@@ -548,7 +557,9 @@ def test_file_that_is_not_utf8_exits_2(tmp_path, capsys):
 
 def test_a_huge_exponent_stops_at_the_cap_in_little_memory(tmp_path):
     # The pole order of 1 - t^N at t = 1 is read off its two terms, so
-    # classify reaches the degree cap without expanding N coefficients.
+    # neither command expands N coefficients.  classify reads all it needs
+    # off the resolution S(-N) -> S, and canonical reaches the degree cap
+    # as it presents ω.
     f = tmp_path / "big.alg"
     f.write_text("ring A vars x ideal: x^100000000\n")
     src = os.path.dirname(os.path.dirname(homology.__file__))
@@ -559,16 +570,33 @@ def test_a_huge_exponent_stops_at_the_cap_in_little_memory(tmp_path):
         "from amalgams.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", capped, str(f), "classify", "A"],
-        capture_output=True,
-        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
-        timeout=120,
-    )
+
+    def run(command):
+        return subprocess.run(
+            [sys.executable, "-c", capped, str(f), command, "A"],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+            timeout=120,
+        )
+
+    done = run("canonical")
     assert (done.returncode, done.stdout) == (1, b"")
     assert done.stderr == (
         b"error: DegreeCapExceeded: intermediate degree 100000000 exceeds cap 64\n"
     )
+    done = run("classify")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.decode().splitlines() == [
+        "dim = 0",
+        "depth = 0",
+        "cm = true",
+        "gorenstein = true",
+        "quasi_gorenstein = true",
+        "generalized_cm = true",
+        "serre = S4?",
+        "type = 1",
+        "betti = 1;1",
+    ]
 
 
 def test_a_huge_power_of_a_sum_stops_at_the_cap_while_parsing(tmp_path):

@@ -11,6 +11,7 @@ from amalgams import homology
 from amalgams.errors import DegreeCapExceeded, ZeroModule
 from amalgams.homology import (
     MAX_SERRE_LEVEL,
+    _codim_ext_series,
     _dual_columns,
     _ext_series,
     canonical_module,
@@ -34,6 +35,7 @@ from oracles import (
     ext_project,
     free_resolution_rebuild,
     krull_dim_subsets,
+    quasi_gorenstein_by_presentation,
     resolution_series,
 )
 from samples import (
@@ -42,6 +44,7 @@ from samples import (
     fixture_rings,
     k3_duplications,
     serre_rings,
+    torus_ring,
 )
 
 
@@ -535,6 +538,72 @@ def test_quasi_gorenstein_by_series_matches_the_annihilator(p):
         assert len(canonical_module(R).twists) == 1
         assert not classify(R).is_quasi_gorenstein
         assert not quasi_gorenstein_by_annihilator(R)
+
+
+def assert_quasi_gorenstein_matches_the_presentation(R):
+    """classify's verdict against ω presented, HS(Ext^codim) from the Euler
+    characteristic against the presented Ext's, and μ(ω) = type when R is
+    Cohen-Macaulay."""
+    rep = classify(R)
+    assert rep.is_quasi_gorenstein == quasi_gorenstein_by_presentation(R)
+    res = free_resolution(R)
+    c = R.ambient.nvars - rep.dim
+    higher = {j: _ext_series(res, j) for j in range(c + 1, res.length + 1)}
+    assert _codim_ext_series(res, c, higher) == hilbert_series(ext_module(R, c))
+    if rep.is_cm:
+        assert len(canonical_module(R).twists) == rep.betti[-1]
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+def test_quasi_gorenstein_matches_the_presentation_route(p):
+    rings = (
+        fixture_rings(p)
+        + k3_duplications(p)
+        + [duplication_along_m(n, p) for n in (2, 3, 4)]
+        + [torus_ring(p)]
+    )
+    for R in rings:
+        assert_quasi_gorenstein_matches_the_presentation(R)
+    rep = classify(rings[-1])
+    assert (rep.dim, rep.depth, rep.is_quasi_gorenstein) == (3, 2, True)
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_quasi_gorenstein_of_drawn_rings_matches_the_presentation_route(p, data):
+    assert_quasi_gorenstein_matches_the_presentation(
+        data.draw(binomial_or_monomial_rings(p))
+    )
+
+
+def test_classify_counts_the_generators_of_omega_only_when_the_series_match(
+    monkeypatch,
+):
+    # The torus is not Cohen-Macaulay and HS(ω) = t^a HS(R), so classify
+    # counts the generators of ω = Ext^4 once; the other rings need no
+    # count.  With each generator taken twice, ω is not cyclic, and the
+    # torus is not quasi-Gorenstein.
+    real = homology._ext_generators
+    counted = []
+
+    def counting(res, j):
+        counted.append(j)
+        return real(res, j)
+
+    monkeypatch.setattr(homology, "_ext_generators", counting)
+    for R in serre_rings() + k3_duplications() + [duplication_along_m(3)]:
+        classify(R)
+    assert counted == []
+    assert classify(torus_ring()).is_quasi_gorenstein
+    assert counted == [4]
+
+    def doubled(res, j):
+        gens, image = real(res, j)
+        return gens + gens, image
+
+    monkeypatch.setattr(homology, "_ext_generators", doubled)
+    assert not classify(torus_ring()).is_quasi_gorenstein
 
 
 def test_dual_columns_past_the_end_are_zero_and_ext_follows_one_rule():
