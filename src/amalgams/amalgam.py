@@ -8,6 +8,12 @@ its degree) and K the intersection of two explicit kernels:
     K_A = I_A*C + (z_1..z_m)          (kernel over the first factor)
     K_B = ker(C -> B), x -> f(x), z_t -> j_t
 
+When C -> B sends a variable of C to each variable of B, as for a
+duplication and a trivial extension, K_B is a substitution
+(`kernel_of_map`).  When K_B lies in K_A, as for every trivial extension,
+K is K_B and no intersection runs: C/K_A is A with the z's sent to 0, so
+that is when each element of K_B, its z's set to 0, lies in I_A.
+
 The construction never assumes the listed generators are enough to reach
 the whole subring: that is certified a posteriori by the exact
 Hilbert-series identity HS(C/K) = HS(A) + HS(J), the graded shadow of the
@@ -104,9 +110,10 @@ class AmalgamPresentation:
 
 
 def amalgam_present(spec):
-    """Build the presentation C/K = C/(K_A ∩ K_B) of the amalgam and
-    certify it (`verify_presentation`).  The spec keeps the result, so a
-    second call returns the same presentation."""
+    """Build the presentation C/K = C/(K_A ∩ K_B) of the amalgam, K = K_B
+    when K_B lies in K_A, and certify it (`verify_presentation`).  The
+    spec keeps the result, so a second call returns the same
+    presentation."""
     if spec.presentation is not None:
         return spec.presentation
     A, B, f, J = spec.A, spec.B, spec.f, spec.J
@@ -129,11 +136,24 @@ def amalgam_present(spec):
     images = [B.reduce(img) for img in f.images] + jgens
     K_B = kernel_of_map(C, images, B.defining)
 
-    presented = PresentedRing(C, intersect(C, K_A, K_B.elements))
+    K = K_B if _inside_K_A(K_B, A) else intersect(C, K_A, K_B.elements)
+    presented = PresentedRing(C, K)
     P = AmalgamPresentation(spec, presented, z_names, J_series)
     verify_presentation(P)
     spec.presentation = P
     return P
+
+
+def _inside_K_A(K_B, A):
+    """Whether K_B lies in K_A = I_A*C + (z's): C/K_A is A with the z's
+    sent to 0, so K_B lies in K_A exactly when each of its elements, with
+    the z's set to 0, reduces to 0 modulo I_A."""
+    n = A.ambient.nvars
+    for g in K_B.elements:
+        cut = {m[:n]: c for m, c in g.terms.items() if not any(m[n:])}
+        if not A.reduce(Polynomial(A.ambient, cut)).is_zero():
+            return False
+    return True
 
 
 def verify_presentation(P):

@@ -4,10 +4,12 @@
 minimalized and tail-reduced; `intersect` and `colon` are quotients
 (U : v) of a submodule U by one vector v, the syzygies of v modulo U;
 `eliminate` drops a leading block of variables under the block order that
-eliminates them, and `kernel_of_map` puts the target's variables in that
-block.  Reduced Groebner bases are unique for a fixed ideal and order, and
-the engine is deterministic, so rerunning it reproduces them element for
-element.
+eliminates them.  `kernel_of_map` substitutes a section of the map into
+the target ideal when the map sends a source variable to a unit multiple
+of each target variable, and otherwise puts the target's variables in
+that block.  Reduced Groebner bases are unique for a fixed ideal and
+order, so both routes give the same kernel, and the engine is
+deterministic, so rerunning it reproduces them element for element.
 
 Every function here that returns an ideal returns a `GroebnerBasis`.  It
 keeps the rank-1 `_Basis` it was reduced as, with its order and the leads
@@ -201,19 +203,47 @@ def colon(ring, I, J):
     return quotient_ideal(free.from_polys(J), rels)
 
 
+def _section(source_ring, images, target_ring):
+    """For each variable y_t of the target ring, the index of a source
+    variable u of y_t's weight whose image is c*y_t, c a unit, with
+    1/c; None when some y_t is no such image."""
+    found = {}
+    for i, (w, img) in enumerate(zip(source_ring.weights, images)):
+        if len(img.terms) != 1:
+            continue
+        ((mono, c),) = img.terms.items()
+        if sum(mono) == 1:
+            t = mono.index(1)
+            if target_ring.weights[t] == w:
+                found.setdefault(t, (i, target_ring.field.inverse(c)))
+    if len(found) < target_ring.nvars:
+        return None
+    return [found[t] for t in range(target_ring.nvars)]
+
+
 def kernel_of_map(source_ring, images, target):
     """Kernel of k[source] -> k[target]/target_ideal, one image per
-    variable, the target ideal given by its Groebner basis `target`.
+    variable, the target ideal given by its Groebner basis `target`; the
+    result is its reduced grevlex basis, in `buchberger`'s order.
 
-    Computed in a joint ring (target variables in the elimination block,
-    source variables retained, the source's field and degree cap) from
-    target_ideal + <source_i - image_i>.  Eliminating the block leaves a
-    ring equal to the source ring, and the result is its reduced grevlex
-    basis, in `buchberger`'s order.
+    When every target variable y_t is c_t times the image of a source
+    variable u_t of its weight, the map has the graded section
+    s: y_t -> u_t/c_t, and the kernel is s(target_ideal) + (v - s(image
+    of v)) for the other source variables v: one basis in the source ring.
+    Otherwise it is computed in a joint ring (target variables in the
+    elimination block, source variables retained, the source's field and
+    degree cap) from target_ideal + <source_i - image_i>.  Eliminating
+    the block leaves a ring equal to the source ring.
     """
     target_ring = target.ring
     if len(images) != source_ring.nvars:
         raise ValueError("one image per source variable")
+    for img in images:
+        if img.ring != target_ring:
+            raise ContextMismatch("image not in target ring")
+    section = _section(source_ring, images, target_ring)
+    if section is not None:
+        return _kernel_by_section(source_ring, images, target, section)
     joint = source_ring.with_variables(
         [f"@{n}" for n in target_ring.names] + list(source_ring.names),
         list(target_ring.weights) + list(source_ring.weights),
@@ -225,7 +255,31 @@ def kernel_of_map(source_ring, images, target):
 
     gens = [lift(g) for g in target.elements]
     for name, img in zip(source_ring.names, images):
-        if img.ring != target_ring:
-            raise ContextMismatch("image not in target ring")
         gens.append(joint.var(name) - lift(img))
     return eliminate(joint, gens, target_ring.nvars)
+
+
+def _kernel_by_section(source_ring, images, target, section):
+    """The kernel of `kernel_of_map` from the section y_t -> u_t/c_t that
+    `_section` found, as (u_t, 1/c_t) per target variable.  The u_t are
+    distinct, so s sends distinct monomials to distinct monomials."""
+    p = source_ring.p
+    n = source_ring.nvars
+
+    def s(f):
+        terms = {}
+        for mono, c in f.terms.items():
+            out = [0] * n
+            for (i, inv), e in zip(section, mono):
+                if e:
+                    out[i] = e
+                    c = c * pow(inv, e, p) % p
+            terms[tuple(out)] = c
+        return Polynomial(source_ring, terms)
+
+    gens = [s(g) for g in target.elements]
+    hit = {i for i, _ in section}
+    for i, (name, img) in enumerate(zip(source_ring.names, images)):
+        if i not in hit:
+            gens.append(source_ring.var(name) - s(img))
+    return buchberger(IdealBasis(source_ring, gens))

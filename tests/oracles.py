@@ -64,6 +64,11 @@ monomials of the degrees below it.
 `trivext_module` reads the module M of a trivial extension back off B's
 Groebner basis (the elements linear in the e-variables), where
 `trivial_extension` keeps the M it built as `spec.J_module`.
+`kernel_by_elimination` takes the kernel of a ring map in the joint ring
+of target and source variables, under the order that eliminates the
+target's, keeps the elements free of them and reduces their cut to the
+source ring by a second Buchberger run, where `amalgams.gb.kernel_of_map`
+substitutes a section when the map has one.
 `retraction_ideal_identity` checks K + (z's) = I_A*C + (z's) for a
 presentation C/K, an identity that holds for every amalgam because
 I_A*C lies in K; it lifts I_A into C itself.
@@ -918,6 +923,36 @@ def trivext_module(spec):
         if linear and any(not cp.is_zero() for cp in comps):
             rels.append(comps)
     return FPModule(A.ambient, degs, rels)
+
+
+def kernel_by_elimination(source_ring, images, target):
+    """ker(k[source] -> k[target]/target_ideal), `target` the ideal's
+    Groebner basis: the basis of target_ideal + (u_i - image_i) in
+    k[target vars, source vars] under the order that eliminates the target
+    variables, its elements free of them cut to the source ring and
+    reduced by a grevlex Buchberger run there."""
+    r = target.ring.nvars
+    joint = source_ring.with_variables(
+        list(target.ring.names) + [f"@{n}" for n in source_ring.names],
+        list(target.ring.weights) + list(source_ring.weights),
+    )
+    pad = (0,) * source_ring.nvars
+
+    def lift(f):
+        return Polynomial(joint, {m + pad: c for m, c in f.terms.items()})
+
+    gens = [lift(g) for g in target.elements]
+    for i, img in enumerate(images):
+        e = [0] * (r + source_ring.nvars)
+        e[r + i] = 1
+        gens.append(joint.monomial(e) - lift(img))
+    G = buchberger(IdealBasis(joint, gens), ModOrder(joint.weights, block=r))
+    kept = [
+        Polynomial(source_ring, {m[r:]: c for m, c in g.terms.items()})
+        for g in G.elements
+        if all(not any(m[:r]) for m in g.terms)
+    ]
+    return _reduced(source_ring, kept)
 
 
 def retraction_ideal_identity(P):

@@ -1,7 +1,11 @@
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from amalgams import amalgam as amalgam_module
+from amalgams import gb as gb_module
 from amalgams import ring as ring_module
 from amalgams.amalgam import (
     AmalgamSpec,
@@ -14,13 +18,23 @@ from amalgams.amalgam import (
 )
 from amalgams.cli import parse_input
 from amalgams.errors import DegreeCapExceeded, JUnit
-from amalgams.gb import buchberger
-from amalgams.homology import classify, depth_ab, free_resolution, hilbert_series
+from amalgams.gb import buchberger, intersect
+from amalgams.homology import (
+    classify,
+    depth_ab,
+    free_resolution,
+    hilbert_series,
+    krull_dim,
+)
 from amalgams.modules import FPModule
-from amalgams.poly import DEFAULT_DEGREE_CAP
+from amalgams.poly import DEFAULT_DEGREE_CAP, Polynomial
 from amalgams.ring import IdealHandle, PresentedRing, RingHom, make_ring
 from amalgams.series import HilbertSeries, lp_monomial
-from oracles import retraction_ideal_identity, trivext_module
+from oracles import (
+    kernel_by_elimination,
+    retraction_ideal_identity,
+    trivext_module,
+)
 
 
 def line_ring(p=101):
@@ -71,8 +85,9 @@ def test_duplication_along_x():
 
 
 def test_presentation_keeps_the_basis_intersect_returns(monkeypatch):
-    # intersect already returns the reduced basis of K, so building C/K
-    # runs no Buchberger on C, and the basis is the one a rerun gives.
+    # intersect, or kernel_of_map when K_B lies in K_A, already returns the
+    # reduced basis of K, so building C/K runs no Buchberger on C, and the
+    # basis is the one a rerun gives.
     rings = []
 
     def recording(basis, *args):
@@ -240,24 +255,108 @@ def test_duplication_along_maximal_certified_and_oracle():
         assert A.reduce(img).is_zero()
 
 
+def fixture_amalgams(p):
+    """(fixture file, name, spec) of each amalgam the bundled fixtures
+    declare, over GF(p), each spec freshly parsed."""
+    out = []
+    for f in sorted(
+        resources.files("amalgams").joinpath("fixtures").iterdir(),
+        key=lambda f: f.name,
+    ):
+        if f.name.endswith(".alg"):
+            for name, (kind, spec) in parse_input(f.read_text(), prime=p).decls.items():
+                if kind == "amalgam":
+                    out.append((f.name, name, spec))
+    return out
+
+
 def test_retraction_ideal_identity():
     # K + (z's) = I_A*C + (z's) for every amalgam, since I_A*C lies in K:
     # checked on each amalgam the bundled fixtures declare, at both primes.
-    fixtures = [
-        f.read_text()
-        for f in resources.files("amalgams").joinpath("fixtures").iterdir()
-        if f.name.endswith(".alg")
-    ]
     for p in (101, 32003):
-        specs = [
-            spec
-            for text in fixtures
-            for kind, spec in parse_input(text, prime=p).decls.values()
-            if kind == "amalgam"
-        ]
-        assert len(specs) == 9
+        specs = [spec for _, _, spec in fixture_amalgams(p)]
+        assert len(specs) == 10
         for spec in specs:
             assert retraction_ideal_identity(amalgam_present(spec))
+
+
+def assert_K_is_the_intersection(P):
+    """K of the presentation P is K_A ∩ K_B, with K_B from the joint-ring
+    elimination of the unreduced images and the intersection by
+    `intersect`."""
+    spec, C = P.spec, P.ambient
+    pad = (0,) * len(P.z_names)
+    K_A = [
+        Polynomial(C, {m + pad: c for m, c in g.terms.items()})
+        for g in spec.A.defining.elements
+    ] + P.z_polys()
+    images = list(spec.f.images) + list(spec.J.generators)
+    K_B = kernel_by_elimination(C, images, spec.B.defining)
+    want = intersect(C, K_A, K_B.elements)
+    assert [g.terms for g in P.ring.defining.elements] == [
+        g.terms for g in want.elements
+    ]
+
+
+def test_K_is_the_intersection_on_fixtures_and_duplications():
+    # Where amalgam_present skips the intersection (K_B inside K_A) and
+    # where it runs one, K is what `intersect` makes of K_A and K_B.
+    for p in (101, 32003):
+        specs = [spec for _, _, spec in fixture_amalgams(p)]
+        A = make_ring(p, ["x1", "x2", "x3"])
+        for gens in (["x1", "x2", "x3"], ["x1^2", "x2^2", "x3^2"], ["x1"]):
+            specs.append(duplication(A, IdealHandle(A, gens)))
+        for spec in specs:
+            assert_K_is_the_intersection(amalgam_present(spec))
+
+
+@st.composite
+def quadratic_extensions(draw, p):
+    """A = k[x, y] -> B = A[t]/(t^2 - q), q a drawn quadratic form (0
+    allowed), amalgamated along J = (t) or (t, x)."""
+    A = make_ring(p, ["x", "y"])
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=3, max_size=3))
+    q = " + ".join(f"{c}*{m}" for c, m in zip(coeffs, ("x^2", "x*y", "y^2")))
+    B = make_ring(p, ["x", "y", "t"], [f"t^2 - ({q})"])
+    f = RingHom(A, B, ["x", "y"])
+    J = draw(st.sampled_from([["t"], ["t", "x"]]))
+    return AmalgamSpec(A, B, f, IdealHandle(B, J))
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+@settings(max_examples=15)
+@given(data=st.data())
+def test_amalgams_along_a_quadratic_extension(p, data):
+    # f is not the identity: K is still K_A ∩ K_B, the presentation is
+    # certified, and dim C/K = dim A.
+    P = amalgam_present(data.draw(quadratic_extensions(p)))
+    assert P.certificate.is_certified()
+    assert krull_dim(P.ring) == krull_dim(P.spec.A) == 2
+    assert_K_is_the_intersection(P)
+
+
+def test_only_the_veronese_eliminates_and_no_trivial_extension_intersects(
+    monkeypatch,
+):
+    # Every other fixture map sends a variable of C to each variable of B,
+    # so its kernel is a substitution; and K_B lies in K_A for a trivial
+    # extension, so its K is K_B.  Every other amalgam intersects.
+    calls = []
+    for module, name in ((gb_module, "eliminate"), (amalgam_module, "intersect")):
+        real = getattr(module, name)
+
+        def counted(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    for p in (101, 32003):
+        for fixture, name, spec in fixture_amalgams(p):
+            calls.clear()
+            amalgam_present(spec)
+            trivext = spec.J_module is not None
+            assert ("eliminate" in calls) == (fixture == "veronese.alg"), name
+            assert ("intersect" in calls) == (not trivext), name
 
 
 def test_determinism():

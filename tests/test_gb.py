@@ -1,5 +1,7 @@
 from itertools import product
 from operator import le
+from random import Random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +34,13 @@ from conftest import (
     random_homogeneous,
     random_poly,
 )
-from oracles import annihilator, block_rank, grevlex_rank, mod_reduce_scan
+from oracles import (
+    annihilator,
+    block_rank,
+    grevlex_rank,
+    kernel_by_elimination,
+    mod_reduce_scan,
+)
 from samples import (
     binomial_or_monomial_rings,
     duplication_along_m,
@@ -287,6 +295,84 @@ def test_kernel_elements_map_to_zero(kxy, rng):
                 term = term * img**e
             out = out + term
         assert out.is_zero()
+
+
+@st.composite
+def maps_with_a_section(draw, p):
+    """A graded map k[u's] -> k[y's]/I that has a section: each y_t is the
+    image of some u times a unit.  The u's come in a shuffled order, and
+    besides the unit multiples c*y_t the map may send a second u to a
+    multiple of the same y_t and further u's to forms of degree 2 to 4.
+    I is generated by up to two such forms.  Returns (source ring,
+    images, the Groebner basis of I)."""
+    r = draw(st.integers(1, 3))
+    tweights = draw(st.lists(st.integers(1, 2), min_size=r, max_size=r))
+    T = PolyRing(p, [f"y{t}" for t in range(1, r + 1)], tweights)
+    unit = st.integers(1, p - 1)
+
+    def form():
+        d = draw(st.sampled_from([d for d in (2, 3, 4) if monomials_of_degree(T, d)]))
+        monos = monomials_of_degree(T, d)
+        terms = st.tuples(st.sampled_from(monos), unit)
+        return from_terms(T, draw(st.lists(terms, min_size=1, max_size=3)))
+
+    images = [T.var(n).scale(draw(unit)) for n in T.names]
+    weights = list(tweights)
+    for t in draw(st.lists(st.integers(0, r - 1), max_size=1)):
+        images.append(T.var(T.names[t]).scale(draw(unit)))
+        weights.append(tweights[t])
+    for _ in range(draw(st.integers(0, 2))):
+        img = form()
+        images.append(img)
+        weights.append(img.degree() if img else 2)
+    order = draw(st.permutations(range(len(images))))
+    S = PolyRing(
+        p, [f"u{i}" for i in range(1, len(order) + 1)], [weights[i] for i in order]
+    )
+    rels = [form() for _ in range(draw(st.integers(0, 2)))]
+    return S, [images[i] for i in order], buchberger(IdealBasis(T, rels))
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_kernel_by_section_equals_elimination(p, data):
+    # A map with a section takes no elimination, and its kernel is the
+    # joint-ring elimination's, element for element.
+    S, images, target = data.draw(maps_with_a_section(p))
+    with patch.object(gb_module, "eliminate", side_effect=AssertionError):
+        ker = kernel_of_map(S, images, target)
+    want = kernel_by_elimination(S, images, target)
+    assert ker.ring == S
+    assert [g.terms for g in ker.elements] == [g.terms for g in want.elements]
+    assert ker.leading_monomials() == want.leading_monomials()
+
+
+def test_maps_without_a_section_are_eliminated():
+    # The Veronese map sends no variable to s or t, and random linear forms
+    # send none to a multiple of one variable: both take the joint ring.
+    rng = Random(29)
+    S = PolyRing(101, ["x", "y", "z"], [2, 2, 2])
+    T = PolyRing(101, ["s", "t"])
+    maps = [(S, [parse_poly(T, g) for g in ("s^2", "s*t", "t^2")], gb(T, []))]
+    for _ in range(3):
+        src = PolyRing(101, ["u", "v", "w"])
+        forms = [random_homogeneous(T, rng, 1, terms=4) for _ in range(3)]
+        forms = [f if len(f.terms) == 2 else parse_poly(T, "s + t") for f in forms]
+        maps.append((src, forms, gb(T, ["s^3"])))
+    real, calls = gb_module.eliminate, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for src, images, target in maps:
+        calls.clear()
+        with patch.object(gb_module, "eliminate", counted):
+            ker = kernel_of_map(src, images, target)
+        assert len(calls) == 1
+        want = kernel_by_elimination(src, images, target)
+        assert [g.terms for g in ker.elements] == [g.terms for g in want.elements]
 
 
 def _capped_runs(run, caps):

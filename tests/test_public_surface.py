@@ -168,9 +168,6 @@ def test_only_basis_and_order_builders_take_an_order():
 # Definitions no fixture command and no `verify-paper` run enters, each
 # with the reason it stays.
 UNREACHED_BY_COMMANDS = {
-    # Adds a note only to the report of an uncertified presentation or of
-    # a failed Hilbert cross-check, and no fixture has either.
-    "cli.Report.note",
     # README's library example builds its rings with it.
     "ring.make_ring",
 }
