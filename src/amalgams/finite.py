@@ -1,12 +1,17 @@
-"""Brute-force prime spectra of finite commutative rings.
+"""Prime spectra of finite commutative rings, read off their tables.
 
 Finite rings are explicit addition/multiplication tables; amalgams are
 built as literal subrings of a product ring, so every structural claim
-(cardinality, spectrum classification) is checked by exhaustive
-enumeration rather than symbolically.
+is checked on the literal tables rather than symbolically: the
+cardinality by counting the subring's elements, and the spectrum
+classification by comparing W's primes, the maximal annihilators of its
+elements, with the candidates pulled back from Spec(A) and Spec(B).
 """
 
 from __future__ import annotations
+
+from itertools import compress
+from operator import not_
 
 import numpy as np
 
@@ -102,9 +107,6 @@ class FiniteIdeal:
                     if int(ring.mul[r, a]) not in self.elements:
                         raise NotARing("not absorbing under multiplication")
 
-    def is_proper(self):
-        return self.ring.one not in self.elements
-
     def __eq__(self, other):
         return (
             isinstance(other, FiniteIdeal)
@@ -122,58 +124,42 @@ class FiniteIdeal:
         return "{" + ", ".join(str(e) for e in sorted(self.elements)) + "}"
 
 
-def _ideal_sum(add, I, P):
-    """I + P for an ideal I and an additive subgroup P, given the addition
-    table as nested lists: the union of the cosets x + P over x in I.  An
-    x already in the union adds nothing new, since its coset is there."""
-    S = set()
-    for x in I:
-        if x not in S:
-            row = add[x]
-            S.update([row[y] for y in P])
-    return frozenset(S)
-
-
-def all_ideals(R):
-    """The ideal lattice: every sum of principal ideals, in sorted order.
-
-    Row a of the multiplication table is the principal ideal R*a, and the
-    join of two ideals is their sum, so the lattice is the closure of the
-    principal ideals under I -> I + R*a.
-    """
-    add = R.add.tolist()
-    # principal ideal -> one generator; R*a lies in I iff a does
-    principals = {frozenset(row.tolist()): a for a, row in enumerate(R.mul)}
-    lattice = set(principals)
-    frontier = list(principals)
-    while frontier:
-        new = []
-        for I in frontier:
-            for P, a in principals.items():
-                if a in I:
-                    continue
-                S = _ideal_sum(add, I, P)
-                if S not in lattice:
-                    lattice.add(S)
-                    new.append(S)
-        frontier = new
-    return [FiniteIdeal(R, e, check=False) for e in sorted(lattice, key=sorted)]
-
-
 def enumerate_primes(R):
-    """All prime ideals (= maximal ideals in a finite commutative ring)."""
+    """All prime ideals of R, in sorted order of their element lists.
+
+    Each prime is an annihilator ann(x) = {r : r*x = 0} of an x != 0, and
+    the primes are exactly the annihilators maximal under inclusion.  A
+    finite ring is artinian, so every prime is minimal, and a minimal
+    prime is associated: it is ann(x) for some x (Matsumura, Commutative
+    Ring Theory, Thm 6.5).  A prime is also maximal, and every ann(x) with
+    x != 0 is proper, so no annihilator lies strictly above it.
+    Conversely, let ann(x) be maximal among the annihilators.  It is
+    proper, as x != 0, and if ab*x = 0 with b*x != 0, then ann(x) lies in
+    ann(bx), which is therefore ann(x) and holds a.  The annihilators are
+    the zeros of the rows of the multiplication table; each maximal one is
+    tested prime by definition all the same.
+    """
     _check_order(R.n)
-    ideals = all_ideals(R)  # first, so its n x n list copies are gone before this one
     mul = R.mul.tolist()
+    everything = range(R.n)
+    annihilators = {
+        frozenset(compress(everything, map(not_, row))) for row in mul[1:]
+    }
+    maximal = []
+    # taken by decreasing size, an annihilator is maximal iff it lies in
+    # none of those kept so far: each larger one came first and lies in one
+    for E in sorted(annihilators, key=len, reverse=True):
+        if not any(E < M for M in maximal):
+            maximal.append(E)
     primes = []
-    for I in ideals:
-        if not I.is_proper():
-            continue
-        E = I.elements
-        outside = [a for a in range(R.n) if a not in E]
-        if all(E.isdisjoint(map(mul[a].__getitem__, outside)) for a in outside):
-            primes.append(I)
-    return primes
+    for E in maximal:
+        outside = [a not in E for a in everything]
+        if R.one not in E and all(
+            E.isdisjoint(compress(mul[a], outside))
+            for a in compress(everything, outside)
+        ):
+            primes.append(E)
+    return [FiniteIdeal(R, E, check=False) for E in sorted(primes, key=sorted)]
 
 
 def check_hom(A, B, images):
@@ -268,17 +254,21 @@ class FiniteAmalgam:
 
 
 def classify_primes(W):
-    """Compare brute-force Spec(W) with the pullback candidates.
+    """Compare Spec(W), enumerated on W's tables, with the pullback
+    candidates.
 
     Candidates are p'^f for p in Spec(A) and q^bar^f for q in Spec(B) not
-    containing J; the verdict is exact set equality.  Returns the
-    candidates from A and from B, each a list of W's element sets, the
-    verdict and Spec(W) itself, as the list of W.ring's primes.
+    containing J; the verdict is exact set equality.  Spec(A) is
+    enumerated once when B is A (a duplication).  Returns the candidates
+    from A and from B, each a list of W's element sets, the verdict and
+    Spec(W) itself, as the list of W.ring's primes.
     """
     spectrum = enumerate_primes(W.ring)
-    from_A = [W.subset_from_A_prime(p) for p in enumerate_primes(W.A)]
+    spec_A = enumerate_primes(W.A)
+    spec_B = spec_A if W.B is W.A else enumerate_primes(W.B)
+    from_A = [W.subset_from_A_prime(p) for p in spec_A]
     # a q that contains J is left out: Spec(B) minus V(J)
-    from_B = [W.subset_from_B_prime(q) for q in enumerate_primes(W.B)
+    from_B = [W.subset_from_B_prime(q) for q in spec_B
               if not W.J.elements <= q.elements]
     verdict = set(from_A) | set(from_B) == {P.elements for P in spectrum}
     return from_A, from_B, verdict, spectrum

@@ -31,10 +31,13 @@ vectors, whose monomials are packed ints, but computes on exponent
 tuples, converting at its entry and exit (`unpacked`, `packed`).
 `ideal_generated_by` closes the multiples of a finite ring's elements
 under addition until nothing changes, and `all_ideals_closure` joins
-ideals that way, where `amalgams.finite.all_ideals` adds principal ideals
-coset by coset; `amalgam_tables_loop` fills a finite amalgam's tables one
-pair at a time and then relabels them with `relabel_one`, where
-`FiniteAmalgam` indexes them once, in their final labels.
+ideals that way, where `all_ideals` adds principal ideals coset by coset;
+`primes_by_lattice` keeps the ideals of that lattice that are proper and
+prime by definition, where `amalgams.finite.enumerate_primes` builds no
+lattice and takes the maximal annihilators of the ring's elements;
+`amalgam_tables_loop` fills a finite amalgam's tables one pair at a time
+and then relabels them with `relabel_one`, where `FiniteAmalgam` indexes
+them once, in their final labels.
 `find_isomorphism` searches for a ring isomorphism between two finite
 rings by backtracking, where the package only ever needs the explicit
 map a -> (a, f(a)) of a J = 0 amalgam.
@@ -605,6 +608,60 @@ def all_ideals_closure(R):
                     new.add(J)
         frontier = new
     return [FiniteIdeal(R, e, check=False) for e in sorted(lattice, key=sorted)]
+
+
+def _ideal_sum(add, I, P):
+    """I + P for an ideal I and an additive subgroup P, given the addition
+    table as nested lists: the union of the cosets x + P over x in I.  An
+    x already in the union adds nothing new, since its coset is there."""
+    S = set()
+    for x in I:
+        if x not in S:
+            row = add[x]
+            S.update([row[y] for y in P])
+    return frozenset(S)
+
+
+def all_ideals(R):
+    """The ideal lattice: every sum of principal ideals, in sorted order.
+
+    Row a of the multiplication table is the principal ideal R*a, and the
+    join of two ideals is their sum, so the lattice is the closure of the
+    principal ideals under I -> I + R*a.
+    """
+    add = R.add.tolist()
+    # principal ideal -> one generator; R*a lies in I iff a does
+    principals = {frozenset(row.tolist()): a for a, row in enumerate(R.mul)}
+    lattice = set(principals)
+    frontier = list(principals)
+    while frontier:
+        new = []
+        for I in frontier:
+            for P, a in principals.items():
+                if a in I:
+                    continue
+                S = _ideal_sum(add, I, P)
+                if S not in lattice:
+                    lattice.add(S)
+                    new.append(S)
+        frontier = new
+    return [FiniteIdeal(R, e, check=False) for e in sorted(lattice, key=sorted)]
+
+
+def primes_by_lattice(R):
+    """The element sets of R's prime ideals, in the lattice's sorted order:
+    the ideals of `all_ideals` that are proper and whose complement is
+    closed under multiplication."""
+    products = R.mul.tolist()
+    primes = []
+    for I in all_ideals(R):
+        E = I.elements
+        outside = [a for a in range(R.n) if a not in E]
+        if R.one not in E and all(
+            E.isdisjoint(map(products[a].__getitem__, outside)) for a in outside
+        ):
+            primes.append(E)
+    return primes
 
 
 def amalgam_tables_loop(A, B, f, J):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amalgams import finite
-from amalgams.cli import parse_input
+from amalgams.cli import main, parse_input
 from amalgams.errors import NotAHom, NotARing, SizeCap
 from amalgams.finite import (
     FiniteAmalgam,
@@ -18,7 +18,6 @@ from amalgams.finite import (
     FiniteIdeal,
     FiniteRing,
     ProductRing,
-    all_ideals,
     check_hom,
     classify_primes,
     enumerate_primes,
@@ -26,11 +25,13 @@ from amalgams.finite import (
 )
 from conftest import pair_index, quotient_ring
 from oracles import (
+    all_ideals,
     all_ideals_closure,
     amalgam_tables_loop,
     check_ring_axioms,
     find_isomorphism,
     ideal_generated_by,
+    primes_by_lattice,
 )
 
 
@@ -246,11 +247,11 @@ def test_cap_size_tables_build_in_little_memory():
 
 
 def test_finite_check_at_order_2048_runs_in_little_memory(tmp_path):
-    # Z/64 -> Z/32 along J = Z/32: enumerate_primes copies the tables into
-    # lists only after all_ideals has dropped its copies, and all_ideals
-    # reads the principal ideals row by row.  The child caps its own
-    # address space at 448 MiB before it starts; its peak was 596 MiB
-    # (VmPeak) with both copies alive at once and is 311 MiB now.
+    # Z/64 -> Z/32 along J = Z/32: enumerate_primes copies only the
+    # multiplication table into lists, one n x n copy at a time.  The child
+    # caps its own address space at 448 MiB before it starts; its peak is
+    # 307 MiB (VmPeak), and was 596 MiB when two list copies of the tables
+    # were alive at once.
     images = ", ".join(str(a % 32) for a in range(64))
     elements = ", ".join(str(a) for a in range(32))
     f = tmp_path / "w.alg"
@@ -403,3 +404,95 @@ def test_formula_rings_satisfy_the_unchecked_axioms():
     ]
     for R in rings:
         check_ring_axioms(R)
+
+
+def assert_primes_match_lattice(R):
+    assert [P.elements for P in enumerate_primes(R)] == primes_by_lattice(R), R
+
+
+def test_enumerate_primes_matches_the_lattice_on_zmod():
+    # Z/1 is the zero ring, with no primes
+    assert enumerate_primes(zmod(1)) == []
+    for n in range(1, 201):
+        assert_primes_match_lattice(zmod(n))
+
+
+def test_enumerate_primes_matches_the_lattice_on_products():
+    # Z/b x Z/a is Z/a x Z/b with its labels permuted, and a factor Z/1
+    # gives the other factor back, so 2 <= a <= b covers every shape; the
+    # lattice oracle's cost grows fast with the order, and ab <= 120 keeps
+    # this to about half a second (ab <= 200 takes 3 s)
+    Z = {n: zmod(n) for n in range(2, 61)}
+    for a in range(2, 11):
+        for b in range(a, 120 // a + 1):
+            assert_primes_match_lattice(ProductRing(Z[a], Z[b]))
+
+
+def test_enumerate_primes_matches_the_lattice_on_small_rings_and_amalgams():
+    amalgams = fixture_amalgams() + [reduction_amalgam(*s) for s in BENCH_SHAPES]
+    rings = small_rings() + [R for W in amalgams for R in (W.ring, W.A, W.B)]
+    for R in rings:
+        assert_primes_match_lattice(R)
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 12), st.integers(1, 4), st.data())
+def test_enumerate_primes_matches_the_lattice_on_drawn_amalgams(m, k, data):
+    d = data.draw(st.integers(0, m - 1))
+    W = reduction_amalgam(m * k, m, d)
+    assert_primes_match_lattice(W.ring)
+    assert classify_primes(W)[2]
+
+
+def test_enumerate_primes_never_reads_the_addition_table(monkeypatch):
+    R = reduction_amalgam(24, 12, 6).ring
+    expected = primes_by_lattice(R)
+
+    def unread(self):
+        raise AssertionError("enumerate_primes read the addition table")
+
+    monkeypatch.setattr(FiniteRing, "add", property(unread), raising=False)
+    assert [P.elements for P in enumerate_primes(R)] == expected
+
+
+def test_classify_primes_enumerates_a_duplications_ring_once(monkeypatch):
+    seen = []
+    real = finite.enumerate_primes
+
+    def counting(R):
+        seen.append(R)
+        return real(R)
+
+    monkeypatch.setattr(finite, "enumerate_primes", counting)
+    dup, red = reduction_amalgam(12, 12, 6), reduction_amalgam(24, 12, 6)
+    assert classify_primes(dup)[2] and classify_primes(red)[2]
+    assert seen == [dup.ring, dup.A, red.ring, red.A, red.B]
+
+
+def _prime_divisors(n):
+    return [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
+
+
+def test_finite_check_on_the_benchmark_shapes(tmp_path, capsys):
+    # the `finite` benchmark's checks: Spec of Z/n -> Z/m along (d) is
+    # Spec Z/n with the primes q | m that do not contain J, i.e. q does
+    # not divide d, and the order is n * |J|
+    for n, m, d in BENCH_SHAPES:
+        J = sorted({d * k % m for k in range(m)})
+        f = tmp_path / f"z{n}-z{m}-{d}.alg"
+        decl = f"zring Z{n} n={n}\n" + (f"zring Z{m} n={m}\n" if m != n else "")
+        f.write_text(
+            decl + f"fhom f Z{n} -> Z{m} : {', '.join(str(a % m) for a in range(n))}\n"
+            f"fideal J in Z{m} : {', '.join(map(str, J))}\n"
+            "famalgam W : f, J\n"
+        )
+        assert main([str(f), "finite", "check", "W"]) == 0
+        primes = len(_prime_divisors(n)) + sum(1 for q in _prime_divisors(m) if d % q)
+        lines = capsys.readouterr().out.splitlines()
+        for expected in (
+            f"order = {n * len(J)}",
+            f"primes = {primes}",
+            "cardinality = ok",
+            "classification = match",
+        ):
+            assert expected in lines, (n, m, d, lines)
