@@ -420,8 +420,7 @@ def test_enumerate_primes_matches_the_lattice_on_zmod():
 def test_enumerate_primes_matches_the_lattice_on_products():
     # Z/b x Z/a is Z/a x Z/b with its labels permuted, and a factor Z/1
     # gives the other factor back, so 2 <= a <= b covers every shape; the
-    # lattice oracle's cost grows fast with the order, and ab <= 120 keeps
-    # this to about half a second (ab <= 200 takes 3 s)
+    # lattice oracle's cost grows fast with the order, so ab stops at 120
     Z = {n: zmod(n) for n in range(2, 61)}
     for a in range(2, 11):
         for b in range(a, 120 // a + 1):
