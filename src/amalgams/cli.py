@@ -491,30 +491,33 @@ def cmd_dispatch(session, command, options):
     raise ParseError(0, f"unknown command {' '.join(command)!r}")
 
 
+# Built once: `append` copies its default, so no call's list reaches the next.
+_PARSER = argparse.ArgumentParser(
+    prog="amalgams",
+    description="Presentations and invariants of amalgamated algebras.",
+)
+_PARSER.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP)
+_PARSER.add_argument("--prime", type=int, default=None)
+_PARSER.add_argument(
+    "--assume-equidim", action="append", default=[], metavar="RING"
+)
+_PARSER.add_argument("--max-degree", type=int, default=8)
+_PARSER.add_argument(
+    "words", nargs="+", metavar="FILE COMMAND | verify-paper"
+)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="amalgams",
-        description="Presentations and invariants of amalgamated algebras.",
-    )
-    parser.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP)
-    parser.add_argument("--prime", type=int, default=None)
-    parser.add_argument(
-        "--assume-equidim", action="append", default=[], metavar="RING"
-    )
-    parser.add_argument("--max-degree", type=int, default=8)
-    parser.add_argument(
-        "words", nargs="+", metavar="FILE COMMAND | verify-paper"
-    )
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     for flag, value in [("--degree-cap", args.degree_cap),
                         ("--max-degree", args.max_degree)]:
         if value < 0:
-            parser.error(f"argument {flag}: must be at least 0")
+            _PARSER.error(f"argument {flag}: must be at least 0")
     if args.prime is not None:
         try:
             PrimeField(args.prime)
         except NotPrime as exc:
-            parser.error(f"argument --prime: {exc}")
+            _PARSER.error(f"argument --prime: {exc}")
     options = Options(
         assume_equidim=args.assume_equidim,
         max_degree=args.max_degree,

@@ -34,15 +34,15 @@ term no lead divides, which is the new element's lead and its remainder's
 first key.  Normal forms, tail reduction and membership tests get the
 full normal form.  Callers in this package pass vectors homogeneous with
 respect to the component twists; the engine itself only needs that for
-`degree()`, for a degree bound and for the minimal generators of a
-syzygy module.
+`degree()`, for candidates and for the minimal generators of a syzygy
+module.
 
 `minimal_generators` only asks whether each candidate lies in the span of
-the relations and the vectors kept so far, so its basis is completed only
-up to the largest candidate's degree `top`: a Groebner basis up to a
-degree decides membership exactly up to it.  The chain criterion stays
-sound under that bound, because a lead dividing lcm(i, j) gives pairs with
-i and with j of degree at most that of (i, j).
+the relations and the vectors kept so far, so it is one engine run that
+takes the candidates on its pair heap, each after the pairs of its degree,
+and ends with the last of them: a Groebner basis up to a degree decides
+membership exactly up to it, and no pair above the largest candidate's
+degree is reduced.
 
 The degree cap is the ring's (`PolyRing.degree_cap`): `_extend` passes it
 to every reduction it runs, and `_reduce` is the one place that checks it.
@@ -328,8 +328,9 @@ def _monic(v, order):
     return v.scale(v.ring.field.inverse(c)), lead
 
 
-def _extend(basis, new, top=None, every_pair=True):
-    """Complete the `_Basis` `basis` after adding `new`, in place.
+def _extend(basis, new, every_pair=True, candidates=()):
+    """Complete the `_Basis` `basis` after adding `new`, in place, and
+    return the `candidates` that lie outside the module it spans.
 
     `new` holds (monic vector, leading term) pairs.  Appends them, then
     runs Buchberger's loop over the pairs that involve them, in true
@@ -347,21 +348,37 @@ def _extend(basis, new, top=None, every_pair=True):
     dict and top-reduced (`_reduce` with `full` false), and a nonzero
     remainder joins the basis with the remainder's first key, its leading
     term, as its lead.  With `every_pair` false the loop ends once no
-    front-block pair is open, which leaves `basis.minimal` complete and the
-    rest of the basis a Groebner basis only up to the last front pair.
+    front-block pair and no candidate is open, which leaves
+    `basis.minimal` complete and the rest of the basis a Groebner basis
+    only up to the last front pair or candidate.
+
+    `candidates`, homogeneous vectors, wait on the same heap as
+    (degree, 2, position): at their own degree, after every pair of that
+    degree, and in their given order at equal degree.  A popped candidate
+    is reduced fully and without the ring's cap, as a membership test, and
+    when its remainder is nonzero the candidate is kept and its monic
+    remainder joins the basis as an S-vector's would.  The kept candidates
+    are returned in the order popped: each is outside the span of the
+    basis, `new` and the candidates kept before it.  Proof: a new
+    element's lead is divisible by no other lead, so its pairs are of
+    higher degree than it, and the degrees popped never fall.  When a
+    candidate of degree d is popped, every pair of degree at most d is
+    done, so the basis is a Groebner basis up to degree d of the module it
+    spans, which decides membership exactly for a vector of degree d.
+    With `every_pair` false no pair of degree past the last candidate's is
+    reduced.
 
     `basis.minimal` records the nonzero remainders of front-block pairs
     whose lead lies past the front block.  With the inputs whose lead lies
     past it, when no such input's lead divides another's, they minimally
     generate N, the part of the module past the front block (the syzygies
-    of `syzygies`).  Proof, for inputs homogeneous in the twists: a new
-    element's lead is divisible by no other lead, so its pairs are of
-    higher degree than it, and the degrees popped never fall.  The front
-    block dominates, so an element lies in N exactly when its lead does,
-    and N's elements of the basis form its Groebner basis.  When the first
-    front pair of degree d is popped, every pair of N's elements of degree
-    at most d is done, so these elements are a Groebner basis up to
-    degree d of m*N plus the generators recorded so far: a pair among them
+    of `syzygies`).  Proof, for inputs homogeneous in the twists: the
+    degrees popped never fall, as above.  The front block dominates, so
+    an element lies in N exactly when its lead does, and N's elements of
+    the basis form its Groebner basis.  When the first front pair of
+    degree d is popped, every pair of N's elements of degree at most d is
+    done, so these elements are a Groebner basis up to degree d of m*N
+    plus the generators recorded so far: a pair among them
     of degree d has a non-constant multiplier on each side (neither lead
     divides the other), so it lies in m*N, and its remainder lies in m*N
     plus the span of the inputs and recorded elements of degree d.  A
@@ -378,19 +395,12 @@ def _extend(basis, new, top=None, every_pair=True):
     zero-ness and lead as the full normal form would, only its terms below
     the lead are left unreduced, and the proof reads nothing but leads and
     the spans the remainders lie in.
-
-    With a degree bound `top`, no pair is made whose true degree exceeds
-    `top`: for vectors homogeneous in the twists the result is then a
-    Groebner basis up to degree `top`, which decides membership exactly
-    for every vector of degree at most `top`.  The chain criterion stays
-    sound: a lead k dividing lcm(i, j) makes the pairs (i, k) and (j, k)
-    of degree at most that of (i, j), so neither was left out while
-    (i, j) was made.
     """
     G, leads, index = basis.vecs, basis.leads, basis.index
-    if not G and not new:
-        return
-    free = (G[0] if G else new[0][0]).free
+    vecs = G or [g for g, _ in new] or candidates
+    if not vecs:
+        return []
+    free = vecs[0].free
     ring = free.ring
     p = ring.p
     shift = ring.layout.shift
@@ -402,23 +412,24 @@ def _extend(basis, new, top=None, every_pair=True):
     front = basis.order.split
     rank_one = free.rank == 1
     pairs = set()
-    heap = []
-    open_front = 0
+    heap = [(v.degree(), 2, n) for n, v in enumerate(candidates)]
+    heapify(heap)
+    # The open entries a run with `every_pair` false must still pop: the
+    # front-block pairs and the candidates.
+    needed = len(heap)
+    kept = []
 
     def append(g, lead):
-        nonlocal open_front
+        nonlocal needed
         n = len(G)
         comp, mono = lead
         twist = twists[comp]
         block = comp < front
         for k, _, km, _ in index[comp]:
             lcm = lcm_of(km, mono)
-            degree = (lcm >> shift) + twist
-            if top is not None and degree > top:
-                continue
             pairs.add((k, n))
-            heappush(heap, (degree, block, k, n, lcm))
-            open_front += block
+            heappush(heap, ((lcm >> shift) + twist, block, k, n, lcm))
+            needed += block
         basis.append(g, lead)
 
     for g, lead in new:
@@ -427,45 +438,55 @@ def _extend(basis, new, top=None, every_pair=True):
     def done(a, b):
         return (min(a, b), max(a, b)) not in pairs
 
-    while heap and (every_pair or open_front):
-        _, block, i, j, lcm = heappop(heap)
-        open_front -= block
-        pairs.discard((i, j))
-        comp, mi = leads[i]
-        mj = leads[j][1]
-        # The product criterion is for ideals only: in S^2 the leads of
-        # (x, y) and (y, z) are coprime, yet their S-vector reduces to
-        # (y^2 - x*z) e_2.
-        if rank_one and lcm == mi + mj:
-            continue
-        # Chain criterion: a lead k dividing the lcm whose pairs with i
-        # and j are both done makes the pair (i, j) redundant.
-        if any(
-            k != i
-            and k != j
-            and not (lcm - km) & guard
-            and done(i, k)
-            and done(j, k)
-            for k, _, km, _ in index[comp]
-        ):
-            continue
-        qi = lcm - mi
-        qj = lcm - mj
-        s = {(c, m + qi): a for (c, m), a in G[i].terms.items()}
-        for (c, m), b in G[j].terms.items():
-            k = (c, m + qj)
-            d = (s.get(k, 0) - b) % p
-            if d:
-                s[k] = d
-            else:
-                s.pop(k, None)
-        h = _reduce(ModVec(free, s), basis, degree_cap, full=False)
+    while heap and (every_pair or needed):
+        entry = heappop(heap)
+        if len(entry) == 3:
+            needed -= 1
+            candidate = candidates[entry[2]]
+            h = _reduce(candidate, basis)
+        else:
+            _, block, i, j, lcm = entry
+            needed -= block
+            candidate = None
+            pairs.discard((i, j))
+            comp, mi = leads[i]
+            mj = leads[j][1]
+            # The product criterion is for ideals only: in S^2 the leads of
+            # (x, y) and (y, z) are coprime, yet their S-vector reduces to
+            # (y^2 - x*z) e_2.
+            if rank_one and lcm == mi + mj:
+                continue
+            # Chain criterion: a lead k dividing the lcm whose pairs with i
+            # and j are both done makes the pair (i, j) redundant.
+            if any(
+                k != i
+                and k != j
+                and not (lcm - km) & guard
+                and done(i, k)
+                and done(j, k)
+                for k, _, km, _ in index[comp]
+            ):
+                continue
+            qi = lcm - mi
+            qj = lcm - mj
+            s = {(c, m + qi): a for (c, m), a in G[i].terms.items()}
+            for (c, m), b in G[j].terms.items():
+                k = (c, m + qj)
+                d = (s.get(k, 0) - b) % p
+                if d:
+                    s[k] = d
+                else:
+                    s.pop(k, None)
+            h = _reduce(ModVec(free, s), basis, degree_cap, full=False)
         if h.terms:
             lead = next(iter(h.terms))
             g = h.scale(inverse(h.terms[lead]))
-            if comp < front <= lead[0]:
+            if candidate is not None:
+                kept.append(candidate)
+            elif comp < front <= lead[0]:
                 basis.minimal.append(g)
             append(g, lead)
+    return kept
 
 
 def module_groebner(vecs, order=None):
@@ -551,15 +572,13 @@ def minimal_generators(vecs, modulo=()):
     """Minimal generating subset of a list of homogeneous vectors, modulo
     the submodule <modulo> (nothing by default).
 
-    Processes generators by increasing degree and keeps one exactly when it
-    is not in <modulo> + <kept> (graded Nakayama).  One GB, seeded with the
-    relations of degree at most the largest candidate's degree `top` (no
-    other relation reaches a candidate), is extended by each vector kept.
-    Both extensions stop at `top`: a Groebner basis up to degree `top`
-    decides membership exactly for every candidate, so no S-pair above it
-    is made or reduced.  `kept` holds the input vectors themselves.
-    Candidates of one degree are taken in the order of their sorted terms
-    with unpacked monomials, the order of exponent tuples.
+    Takes generators by increasing degree and keeps one exactly when it is
+    not in <modulo> + <kept> (graded Nakayama): one engine run, seeded with
+    the relations and given the vectors as candidates (`_extend`), which
+    ends with the last candidate, so no S-pair above the largest
+    candidate's degree is reduced.  `kept` holds the input vectors
+    themselves.  Candidates of one degree are taken in the order of their
+    sorted terms with unpacked monomials, the order of exponent tuples.
     """
     vecs = [v for v in vecs if not v.is_zero()]
     if not vecs:
@@ -572,20 +591,8 @@ def minimal_generators(vecs, modulo=()):
         )
     )
     order = ModOrder(vecs[0].ring.weights)
-    top = vecs[-1].degree()
-    seeds = [
-        _monic(r, order) for r in modulo if not r.is_zero() and r.degree() <= top
-    ]
-    kept = []
-    basis = _Basis(order)
-    _extend(basis, seeds, top)
-    for v in vecs:
-        h = _reduce(v, basis)
-        if h.is_zero():
-            continue
-        kept.append(v)
-        _extend(basis, [_monic(h, order)], top)
-    return kept
+    seeds = [_monic(r, order) for r in modulo if not r.is_zero()]
+    return _extend(_Basis(order), seeds, every_pair=False, candidates=vecs)
 
 
 class FPModule:

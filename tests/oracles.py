@@ -9,8 +9,9 @@ dividing them out, expanding each quotient over every degree, and
 degree, where `amalgams.series` reads both off the terms alone.
 `minimal_generators_rebuild` builds a new module GB of every relation
 and every kept vector from scratch after each kept vector and reduces by
-`mod_reduce_scan`, where `amalgams.modules.minimal_generators` extends one
-GB, cut at the largest candidate's degree.  `free_resolution_rebuild` and
+`mod_reduce_scan`, where `amalgams.modules.minimal_generators` is one
+engine run that takes the vectors as candidates on its pair heap and ends
+with the last of them.  `free_resolution_rebuild` and
 `ext_module_rebuild` take each stage of a resolution, and the relations
 of Ext, as the minimal generators of a whole syzygy basis found by a
 second basis, where `amalgams.modules.syzygies` returns those its one

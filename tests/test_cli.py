@@ -791,6 +791,17 @@ def test_main_flags(tmp_path):
     assert main(["--prime", "32003", str(f), "classify", "R"]) == 0
 
 
+def test_assume_equidim_does_not_reach_the_next_call(tmp_path, capsys):
+    # The parser is built once; the ring named by one call's
+    # --assume-equidim is not assumed equidimensional by the next call.
+    f = tmp_path / "serre.alg"
+    f.write_text("ring R vars a, b, c, d ideal: a*c, a*d, b*c, b*d\n")
+    assert main(["--assume-equidim", "R", str(f), "classify", "R"]) == 0
+    assert "serre = S1\n" in capsys.readouterr().out
+    assert main([str(f), "classify", "R"]) == 0
+    assert "serre = S1?\n" in capsys.readouterr().out
+
+
 def test_socle_dimension_oracle():
     A0 = make_ring(101, ["x", "y"], ["x^2", "x*y", "y^2"])
     assert socle_dimension(A0) == 2

@@ -1,13 +1,14 @@
-"""The module Groebner engine: minimal generators from one incrementally
-extended module GB, cut at the largest candidate's degree, agree with the
-from-scratch route of `oracles.minimal_generators_rebuild`, with and
-without relations, and reduce no vector above that degree; the minimal
-generators a syzygy basis finds as it is built, which `syzygies` returns
-from a run that stops once they are settled, are element for element
-those of the run of every pair (`_syzygy_basis`), have the degrees of
+"""The module Groebner engine: minimal generators from one engine run that
+takes the vectors as candidates agree with the from-scratch route of
+`oracles.minimal_generators_rebuild`, with and without relations, run the
+engine once and reduce no vector above the largest candidate's degree;
+the minimal generators a syzygy basis finds as it is built, which
+`syzygies` returns from a run that stops once they are settled, are
+element for element those of the run of every pair (`_syzygy_basis`),
+have the degrees of
 those the rebuild finds in that run's whole basis and generate the same
 module, with and without relations; on `classify W_4` no pair is reduced
-after a syzygy run's last front-block pair, and under degree caps a
+after a run's last front-block pair or candidate, and under degree caps a
 stopped run raises or returns its uncapped result; the heap-driven engine
 returns what the scan-driven `oracles.module_groebner_scan` returns,
 element for element and in order, with the same elements born minimal,
@@ -154,24 +155,26 @@ def test_zero_inputs_are_born_minimal_syzygies():
 
 
 def test_no_pair_is_reduced_after_the_last_front_pair():
-    # Every syzygy computation of `classify W_4` (the runs that need not
-    # run every pair) ends once its last front-block pair is popped: the
-    # pairs past the front block still open then can add nothing to the
-    # minimal generators.  Each pair is seen as the engine pops it off its
-    # heap, (degree, block, i, j, lcm) with block true in the front block,
-    # and a reduction belongs to the pair popped last.
+    # Every syzygy computation and minimal generating set of `classify
+    # W_4` (the runs that need not run every pair) ends once its last
+    # front-block pair or candidate is popped: the pairs still open then
+    # can add nothing to the minimal generators or the kept candidates.
+    # Each entry is seen as the engine pops it off its heap, a pair
+    # (degree, block, i, j, lcm) with block true in the front block or a
+    # candidate (degree, 2, position), and a reduction belongs to the
+    # entry popped last.
     runs, inside = [], []
     real_extend, real_pop, real_reduce = (
         modules._extend, modules.heappop, modules._reduce,
     )
 
-    def extend(basis, new, top=None, every_pair=True):
+    def extend(basis, new, every_pair=True, candidates=()):
         if every_pair:
-            return real_extend(basis, new, top, every_pair)
+            return real_extend(basis, new, every_pair, candidates)
         runs.append([])
         inside.append(True)
         try:
-            return real_extend(basis, new, top, every_pair)
+            return real_extend(basis, new, every_pair, candidates)
         finally:
             inside.pop()
 
@@ -179,6 +182,8 @@ def test_no_pair_is_reduced_after_the_last_front_pair():
         item = real_pop(heap)
         if inside and len(item) == 5:
             runs[-1].append([item[1], False])
+        elif inside and len(item) == 3:
+            runs[-1].append([True, False])
         return item
 
     def reduce(v, basis, *args, **kwargs):
@@ -215,6 +220,24 @@ def assert_no_reduction_above_top(R):
             minimal_generators(vecs, modulo=modulo)
         top = max((v.degree() for v in vecs if not v.is_zero()), default=-1)
         assert max(degrees, default=-1) <= top
+
+
+def test_minimal_generators_make_one_engine_run():
+    # A call with a nonzero candidate runs the engine once, however many
+    # candidates it keeps; a call with none does not run it.
+    real_extend = modules._extend
+    for p in (101, 32003):
+        for R in serre_rings(p) + k3_duplications(p):
+            for vecs, modulo in offered_along_resolution(R):
+                calls = []
+
+                def counting(*args, **kwargs):
+                    calls.append(args)
+                    return real_extend(*args, **kwargs)
+
+                with patch.object(modules, "_extend", counting):
+                    minimal_generators(vecs, modulo=modulo)
+                assert len(calls) == (1 if any(not v.is_zero() for v in vecs) else 0)
 
 
 def test_minimal_generators_reduce_nothing_above_the_largest_candidate():
@@ -288,23 +311,36 @@ def scan_engine():
     """A context in which `modules`' own syzygies and minimal_generators
     run on the scan-driven oracle engine, which reads a basis as the two
     lists `vecs` and `leads` and its order, takes the degree cap that the
-    engine reads off the ring, opens no pair above the degree bound `top`,
-    top-reduces as the engine does and runs every pair, whatever
-    `every_pair` says."""
+    engine reads off the ring, top-reduces as the engine does and runs
+    every pair, whatever `every_pair` says.  Candidates take the route of
+    one extension per kept vector: the basis is completed up to the
+    largest candidate's degree `top`, and each candidate by increasing
+    degree is reduced fully and, when its remainder is nonzero, kept and
+    its remainder added, the basis completed again up to `top`."""
 
     def groebner(vecs, order=None):
         cap = vecs[0].ring.degree_cap if vecs else None
         return module_groebner_scan(vecs, order, cap)
 
-    def extend(basis, new, top=None, every_pair=True):
-        G, leads = list(basis.vecs), list(basis.leads)
-        if not G and not new:
-            return
-        cap = (G[0] if G else new[0][0]).ring.degree_cap
-        born = extend_scan(G, leads, new, basis.order, cap, top)
+    def extend(basis, new, every_pair=True, candidates=()):
+        G, leads, order = list(basis.vecs), list(basis.leads), basis.order
+        vecs = G or [g for g, _ in new] or candidates
+        if not vecs:
+            return []
+        cap = vecs[0].ring.degree_cap
+        candidates = sorted(candidates, key=lambda v: v.degree())
+        top = candidates[-1].degree() if candidates else None
+        born = extend_scan(G, leads, new, order, cap, top)
+        kept = []
+        for v in candidates:
+            h = mod_reduce_scan(v, G, leads, order)
+            if not h.is_zero():
+                kept.append(v)
+                born += extend_scan(G, leads, [monic_scan(h, order)], order, cap, top)
         for g, lead in zip(G[len(basis.vecs):], leads[len(basis.leads):]):
             basis.append(g, lead)
         basis.minimal += [G[n] for n in born]
+        return kept
 
     def reduce(v, basis, degree_cap=None, full=True):
         return mod_reduce_scan(
