@@ -182,8 +182,6 @@ def intersect(ring, I, J):
     """The reduced grevlex Groebner basis of the intersection of the ideals
     generated by the polynomials I and J of `ring`: the quotient of (1, 1)
     modulo I+0 and 0+J."""
-    if not I or not J:
-        return GroebnerBasis(ring, _Basis(ModOrder(ring.weights)))
     free = FreeModule(ring, [0, 0])
     zero = ring.zero()
     rels = [free.from_polys([f, zero]) for f in I]

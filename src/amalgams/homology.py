@@ -19,12 +19,12 @@ ring's (`PolyRing.degree_cap`), so no function here takes one.
 Each stage of a resolution is the minimal generating set that its
 syzygy basis finds as it is built (`modules.syzygies`), so no
 stage takes a second Groebner basis to minimalize.  Ext modules are
-kernels into quotient modules, each taken as syzygies modulo the relations
-(`modules.syzygies(modulo=)`), by one rule for every dual map: those of
-the kernel's minimal generators that generate it modulo the image
-(`_ext_generators`) generate Ext minimally, and their syzygies modulo the
-image are its relations.  `classify` counts these generators for ω only
-when HS(ω) = t^a HS(R).
+kernels into quotient modules, by one rule for every dual map: Ext is
+the subquotient (`modules.subquotient`) of the kernel's minimal
+generators modulo the image's columns (`_ext_kernel_image`), so those of
+the generators that generate the kernel modulo the image generate Ext
+minimally, and their syzygies modulo the image are its relations.
+`classify` counts these generators for ω only when HS(ω) = t^a HS(R).
 Hilbert series are read off leading monomials and need no resolution:
 F/U has the series of F/in(U), and a ring keeps its own (`series`); the
 packed leads of a module's basis are unpacked for `monomial_kpoly`.  The
@@ -43,6 +43,7 @@ from .modules import (
     ModVec,
     minimal_generators,
     module_groebner,
+    subquotient,
     syzygies,
 )
 from .ring import IdealHandle, PresentedRing
@@ -181,28 +182,23 @@ def _dual_columns(res, j):
     return [ModVec(target, terms) for terms in cols]
 
 
-def _ext_generators(res, j):
-    """Minimal generators of Ext^j = ker δ_j / im δ_{j-1}, with δ_i the dual
-    of d_{i+1}: a subset of the kernel's minimal generators (`syzygies`)
-    that generates it minimally modulo the image.  Returns them with the
-    image's columns."""
-    image = _dual_columns(res, j - 1)
+def _ext_kernel_image(res, j):
+    """The two halves of Ext^j = ker δ_j / im δ_{j-1}, with δ_i the dual of
+    d_{i+1}: the kernel's minimal generators (`syzygies`) and the image's
+    columns."""
     kernel = syzygies(_dual_columns(res, j), twists=res.dual_twists(j))
-    return minimal_generators(kernel, modulo=image), image
+    return kernel, _dual_columns(res, j - 1)
 
 
 def ext_module(obj, j):
     """Ext^j against the ambient polynomial ring, as a presented module: the
     cohomology of the dual of the resolution of `obj`, by one rule for all
-    j.  Its generators are `_ext_generators`, and its relations the minimal
-    generators of their syzygies modulo the image, so the presentation is
-    minimal."""
+    j, presented minimally as the subquotient of the kernel modulo the
+    image (`_ext_kernel_image`)."""
     res = free_resolution(obj)
     if j < 0 or j > res.ring.nvars:
         raise ValueError("cohomological degree out of range")
-    gens, image = _ext_generators(res, j)
-    twists = [g.degree() for g in gens]
-    return FPModule(res.ring, twists, syzygies(gens, modulo=image))
+    return subquotient(res.ring, *_ext_kernel_image(res, j))
 
 
 def _ext_series(res, j):
@@ -291,9 +287,9 @@ def classify(R):
     codimension is measured by its series (`_ext_series`), and
     quasi-Gorenstein is decided from the type when R is Cohen-Macaulay,
     and otherwise from HS(ω) by the Euler characteristic of the dual
-    complex (`_codim_ext_series`), with ω's generators counted
-    (`_ext_generators`) only when HS(ω) = t^a HS(R).  R keeps the report
-    (`report`).
+    complex (`_codim_ext_series`), with ω's generators counted (the
+    minimal generators of `_ext_kernel_image`) only when HS(ω) =
+    t^a HS(R).  R keeps the report (`report`).
     """
     if R.report is not None:
         return R.report
@@ -330,7 +326,7 @@ def classify(R):
         shifted = lp_mul(lp_monomial(min(ext.num)), R.series.num)
         quasi = (
             ext == HilbertSeries(shifted, R.series.den)
-            and len(_ext_generators(res, codim)[0]) == 1
+            and len(minimal_generators(*_ext_kernel_image(res, codim))) == 1
         )
 
     gcm = all(d <= 0 for d in ext_dims.values())

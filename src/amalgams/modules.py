@@ -19,10 +19,11 @@ block and can add none; only `gb.quotient_ideal` takes a syzygy basis
 whole, from the run of every pair (`_syzygy_basis`).
 `minimal_generators(modulo=)` stays for vectors given from outside a
 syzygy computation, and `subquotient`, built on both, presents every
-module with a unit relation entry; `homology.ext_module` presents Ext the
-same way.
+module with a unit relation entry, and Ext (`homology.ext_module`).
 `amalgams.gb` runs ideals through the same loop (`_extend`) and reducer
-(`_reduce`) as rank-1 submodules.
+(`_reduce`) as rank-1 submodules.  Every caller hands `_extend` vectors
+and an order, and it builds, fills and returns the `_Basis`: it drops
+the zero vectors and makes the rest monic, so no caller does.
 
 A `_Basis` carries the `ModOrder` it was built under, and the loop and the
 reducer read it off the basis: a reduction under another order pops terms
@@ -227,10 +228,10 @@ class _Basis:
     (position, vector, lead monomial, largest monomial degree) of its
     elements in the order of `vecs`.  `append` grows all three, so the
     index is built once per basis, not once per reduction or per S-pair.
-    `minimal` holds the elements `_extend` finds born minimal: with the
-    inputs that lie past the order's front block they minimally generate
-    the part of the module past it.  An empty basis made from no vectors
-    and no order has no order.
+    `minimal` holds the minimal generators the `_extend` run that built
+    the basis found: the kept candidates, or the elements born minimal
+    past the order's front block.  An empty basis made from no vectors and
+    no order has no order.
     """
 
     __slots__ = ("order", "vecs", "leads", "index", "minimal")
@@ -328,18 +329,21 @@ def _monic(v, order):
     return v.scale(v.ring.field.inverse(c)), lead
 
 
-def _extend(basis, new, every_pair=True, candidates=()):
-    """Complete the `_Basis` `basis` after adding `new`, in place, and
-    return the `candidates` that lie outside the module it spans.
+def _extend(order, vecs, every_pair=True, candidates=()):
+    """The `_Basis` under the `ModOrder` `order` that one engine run builds
+    from `vecs`, and in its `minimal` the minimal generators the run
+    found: the kept `candidates`, or the elements born minimal past the
+    order's front block.  A run has candidates or a front block, never
+    both.
 
-    `new` holds (monic vector, leading term) pairs.  Appends them, then
-    runs Buchberger's loop over the pairs that involve them, in true
-    degree: the next pair is the one of least lcm degree plus its
-    component's twist, at equal degree one past the order's front block
-    (components >= `order.split`) before one in it, ties broken by index.
-    Ideals have one component, of twist 0, and no front block, so they
-    take pairs by lcm degree and index alone.  Pairs are made only between
-    leads of one component.  Each pair's lcm and its degree are computed
+    Drops the zero vectors of `vecs`, makes the rest monic and appends
+    them by falling lead, then runs Buchberger's loop in true degree: the
+    next pair is the one of least lcm degree plus its component's twist,
+    at equal degree one past the order's front block (components >=
+    `order.split`) before one in it, ties broken by index.  Ideals have
+    one component, of twist 0, and no front block, so they take pairs by
+    lcm degree and index alone.  Pairs are made only between leads of one
+    component.  Each pair's lcm and its degree are computed
     once, when the pair is made, and the next pair is popped from a heap
     of (degree, block, i, j, lcm); the set `pairs` holds the same open
     pairs for the chain criterion.  A pair is skipped by the chain
@@ -348,31 +352,32 @@ def _extend(basis, new, every_pair=True, candidates=()):
     dict and top-reduced (`_reduce` with `full` false), and a nonzero
     remainder joins the basis with the remainder's first key, its leading
     term, as its lead.  With `every_pair` false the loop ends once no
-    front-block pair and no candidate is open, which leaves
-    `basis.minimal` complete and the rest of the basis a Groebner basis
-    only up to the last front pair or candidate.
+    front-block pair and no candidate is open, which leaves `minimal`
+    complete and the basis a Groebner basis only up to the last front
+    pair or candidate.
 
     `candidates`, homogeneous vectors, wait on the same heap as
     (degree, 2, position): at their own degree, after every pair of that
     degree, and in their given order at equal degree.  A popped candidate
     is reduced fully and without the ring's cap, as a membership test, and
-    when its remainder is nonzero the candidate is kept and its monic
-    remainder joins the basis as an S-vector's would.  The kept candidates
-    are returned in the order popped: each is outside the span of the
-    basis, `new` and the candidates kept before it.  Proof: a new
-    element's lead is divisible by no other lead, so its pairs are of
-    higher degree than it, and the degrees popped never fall.  When a
+    when its remainder is nonzero the candidate is kept, appended to
+    `minimal`, and its monic remainder joins the basis as an S-vector's
+    would.  Each kept candidate is outside the span of `vecs` and the
+    candidates kept before it.  Proof: a new element's lead is divisible
+    by no other lead, so its pairs are of higher degree than it, and the
+    degrees popped never fall.  When a
     candidate of degree d is popped, every pair of degree at most d is
     done, so the basis is a Groebner basis up to degree d of the module it
     spans, which decides membership exactly for a vector of degree d.
     With `every_pair` false no pair of degree past the last candidate's is
     reduced.
 
-    `basis.minimal` records the nonzero remainders of front-block pairs
-    whose lead lies past the front block.  With the inputs whose lead lies
-    past it, when no such input's lead divides another's, they minimally
-    generate N, the part of the module past the front block (the syzygies
-    of `syzygies`).  Proof, for inputs homogeneous in the twists: the
+    In a run without candidates `minimal` records the nonzero remainders
+    of front-block pairs whose lead lies past the front block.  With the
+    inputs whose lead lies past it, when no such input's lead divides
+    another's, they minimally generate N, the part of the module past the
+    front block (the syzygies of `syzygies`).  Proof, for inputs
+    homogeneous in the twists: the
     degrees popped never fall, as above.  The front block dominates, so
     an element lies in N exactly when its lead does, and N's elements of
     the basis form its Groebner basis.  When the first front pair of
@@ -396,11 +401,13 @@ def _extend(basis, new, every_pair=True, candidates=()):
     the lead are left unreduced, and the proof reads nothing but leads and
     the spans the remainders lie in.
     """
+    basis = _Basis(order)
+    new = [_monic(v, order) for v in vecs if not v.is_zero()]
+    new.sort(key=lambda gl: order.key(gl[1]), reverse=True)
+    if not new and not candidates:
+        return basis
     G, leads, index = basis.vecs, basis.leads, basis.index
-    vecs = G or [g for g, _ in new] or candidates
-    if not vecs:
-        return []
-    free = vecs[0].free
+    free = (new[0][0] if new else candidates[0]).free
     ring = free.ring
     p = ring.p
     shift = ring.layout.shift
@@ -409,7 +416,7 @@ def _extend(basis, new, every_pair=True, candidates=()):
     degree_cap = ring.degree_cap
     inverse = ring.field.inverse
     twists = free.twists
-    front = basis.order.split
+    front = order.split
     rank_one = free.rank == 1
     pairs = set()
     heap = [(v.degree(), 2, n) for n, v in enumerate(candidates)]
@@ -417,7 +424,6 @@ def _extend(basis, new, every_pair=True, candidates=()):
     # The open entries a run with `every_pair` false must still pop: the
     # front-block pairs and the candidates.
     needed = len(heap)
-    kept = []
 
     def append(g, lead):
         nonlocal needed
@@ -482,11 +488,11 @@ def _extend(basis, new, every_pair=True, candidates=()):
             lead = next(iter(h.terms))
             g = h.scale(inverse(h.terms[lead]))
             if candidate is not None:
-                kept.append(candidate)
+                basis.minimal.append(candidate)
             elif comp < front <= lead[0]:
                 basis.minimal.append(g)
             append(g, lead)
-    return kept
+    return basis
 
 
 def module_groebner(vecs, order=None):
@@ -496,11 +502,7 @@ def module_groebner(vecs, order=None):
     per-component index."""
     if order is None and vecs:
         order = ModOrder(vecs[0].ring.weights)
-    basis = _Basis(order)
-    new = [_monic(v, order) for v in vecs if not v.is_zero()]
-    new.sort(key=lambda gl: order.key(gl[1]), reverse=True)
-    _extend(basis, new)
-    return basis
+    return _extend(order, vecs)
 
 
 def syzygies(vecs, twists=None, modulo=()):
@@ -545,11 +547,7 @@ def _syzygy_basis(vecs, twists=None, modulo=(), every_pair=True):
         for idx, v in enumerate(vecs)
     ]
     lifted += [ModVec(ext, r.terms) for r in modulo]
-    order = ModOrder(ring.weights, free.rank)
-    gb = _Basis(order)
-    new = [_monic(v, order) for v in lifted if not v.is_zero()]
-    new.sort(key=lambda gl: order.key(gl[1]), reverse=True)
-    _extend(gb, new, every_pair=every_pair)
+    gb = _extend(ModOrder(ring.weights, free.rank), lifted, every_pair)
     syz_free = FreeModule(ring, list(twists))
 
     def tail(g):
@@ -576,9 +574,10 @@ def minimal_generators(vecs, modulo=()):
     not in <modulo> + <kept> (graded Nakayama): one engine run, seeded with
     the relations and given the vectors as candidates (`_extend`), which
     ends with the last candidate, so no S-pair above the largest
-    candidate's degree is reduced.  `kept` holds the input vectors
-    themselves.  Candidates of one degree are taken in the order of their
-    sorted terms with unpacked monomials, the order of exponent tuples.
+    candidate's degree is reduced.  Returns the run's `minimal`, the kept
+    input vectors themselves; the order of the relations does not change
+    it.  Candidates of one degree are taken in the order of their sorted
+    terms with unpacked monomials, the order of exponent tuples.
     """
     vecs = [v for v in vecs if not v.is_zero()]
     if not vecs:
@@ -591,8 +590,7 @@ def minimal_generators(vecs, modulo=()):
         )
     )
     order = ModOrder(vecs[0].ring.weights)
-    seeds = [_monic(r, order) for r in modulo if not r.is_zero()]
-    return _extend(_Basis(order), seeds, every_pair=False, candidates=vecs)
+    return _extend(order, modulo, every_pair=False, candidates=vecs).minimal
 
 
 class FPModule:

@@ -582,27 +582,31 @@ def test_classify_counts_the_generators_of_omega_only_when_the_series_match(
 ):
     # The torus is not Cohen-Macaulay and HS(ω) = t^a HS(R), so classify
     # counts the generators of ω = Ext^4 once; the other rings need no
-    # count.  With each generator taken twice, ω is not cyclic, and the
-    # torus is not quasi-Gorenstein.
-    real = homology._ext_generators
+    # count.  With each generator counted twice, ω is not cyclic, and the
+    # torus is not quasi-Gorenstein.  The doubling patches what
+    # `minimal_generators` returns: doubling the kernel would not do, as
+    # `minimal_generators` drops the copies.
+    real = homology._ext_kernel_image
     counted = []
 
     def counting(res, j):
         counted.append(j)
         return real(res, j)
 
-    monkeypatch.setattr(homology, "_ext_generators", counting)
+    monkeypatch.setattr(homology, "_ext_kernel_image", counting)
     for R in serre_rings() + k3_duplications() + [duplication_along_m(3)]:
         classify(R)
     assert counted == []
     assert classify(torus_ring()).is_quasi_gorenstein
     assert counted == [4]
 
-    def doubled(res, j):
-        gens, image = real(res, j)
-        return gens + gens, image
+    real_minimal = homology.minimal_generators
 
-    monkeypatch.setattr(homology, "_ext_generators", doubled)
+    def doubled(vecs, modulo=()):
+        kept = real_minimal(vecs, modulo)
+        return kept + kept
+
+    monkeypatch.setattr(homology, "minimal_generators", doubled)
     assert not classify(torus_ring()).is_quasi_gorenstein
 
 

@@ -1,7 +1,8 @@
 """The module Groebner engine: minimal generators from one engine run that
 takes the vectors as candidates agree with the from-scratch route of
 `oracles.minimal_generators_rebuild`, with and without relations, run the
-engine once and reduce no vector above the largest candidate's degree;
+engine once, reduce no vector above the largest candidate's degree and
+keep the same list for the relations in any order;
 the minimal generators a syzygy basis finds as it is built, which
 `syzygies` returns from a run that stops once they are settled, are
 element for element those of the run of every pair (`_syzygy_basis`),
@@ -19,6 +20,7 @@ stops at the degree cap; minimal presentations
 of modules with unit relation entries agree with the substitution route of
 `oracles.minimal_presentation_substitute`."""
 
+import random
 from collections import Counter
 from contextlib import ExitStack
 from itertools import product
@@ -31,7 +33,12 @@ from hypothesis import strategies as st
 
 from amalgams import modules
 from amalgams.errors import DegreeCapExceeded
-from amalgams.homology import classify, hilbert_series
+from amalgams.homology import (
+    _ext_kernel_image,
+    classify,
+    free_resolution,
+    hilbert_series,
+)
 from amalgams.modules import (
     FPModule,
     FreeModule,
@@ -94,6 +101,25 @@ def test_minimal_generators_match_rebuild_on_fixtures():
     for p in (101, 32003):
         for R in serre_rings(p) + k3_duplications(p):
             assert_same_kept_along_resolution(R)
+
+
+def test_minimal_generators_do_not_depend_on_the_order_of_the_relations():
+    # The engine sorts the relations by lead before its run, and the kept
+    # set depends only on their span: each dual kernel of a resolution,
+    # modulo the image of the dual map before it, keeps the same list for
+    # the image reversed and shuffled.
+    rng = random.Random(32)
+    shuffled_some = False
+    for p in (101, 32003):
+        for R in serre_rings(p) + k3_duplications(p):
+            res = free_resolution(R)
+            for j in range(res.length + 1):
+                kernel, image = _ext_kernel_image(res, j)
+                kept = minimal_generators(kernel, modulo=image)
+                for moved in (image[::-1], rng.sample(image, len(image))):
+                    assert minimal_generators(kernel, modulo=moved) == kept
+                shuffled_some |= len(image) > 1 and bool(kept)
+    assert shuffled_some
 
 
 @settings(max_examples=25)
@@ -168,13 +194,13 @@ def test_no_pair_is_reduced_after_the_last_front_pair():
         modules._extend, modules.heappop, modules._reduce,
     )
 
-    def extend(basis, new, every_pair=True, candidates=()):
+    def extend(order, vecs, every_pair=True, candidates=()):
         if every_pair:
-            return real_extend(basis, new, every_pair, candidates)
+            return real_extend(order, vecs, every_pair, candidates)
         runs.append([])
         inside.append(True)
         try:
-            return real_extend(basis, new, every_pair, candidates)
+            return real_extend(order, vecs, every_pair, candidates)
         finally:
             inside.pop()
 
@@ -309,25 +335,30 @@ def test_mod_order_ranks_terms_as_the_reference_order(data):
 
 def scan_engine():
     """A context in which `modules`' own syzygies and minimal_generators
-    run on the scan-driven oracle engine, which reads a basis as the two
-    lists `vecs` and `leads` and its order, takes the degree cap that the
+    run on the scan-driven oracle engine, which builds its basis as the two
+    lists `vecs` and `leads` from the monic nonzero inputs, sorted by
+    `_scan_key` on their unpacked leads, takes the degree cap that the
     engine reads off the ring, top-reduces as the engine does and runs
     every pair, whatever `every_pair` says.  Candidates take the route of
     one extension per kept vector: the basis is completed up to the
     largest candidate's degree `top`, and each candidate by increasing
     degree is reduced fully and, when its remainder is nonzero, kept and
-    its remainder added, the basis completed again up to `top`."""
+    its remainder added, the basis completed again up to `top`.  The
+    basis returned holds in `minimal` the kept candidates and the
+    elements born minimal."""
 
     def groebner(vecs, order=None):
         cap = vecs[0].ring.degree_cap if vecs else None
         return module_groebner_scan(vecs, order, cap)
 
-    def extend(basis, new, every_pair=True, candidates=()):
-        G, leads, order = list(basis.vecs), list(basis.leads), basis.order
-        vecs = G or [g for g, _ in new] or candidates
-        if not vecs:
-            return []
-        cap = vecs[0].ring.degree_cap
+    def extend(order, vecs, every_pair=True, candidates=()):
+        new = [monic_scan(v, order) for v in vecs if not v.is_zero()]
+        if not new and not candidates:
+            return _Basis(order)
+        ring = (new[0][0] if new else candidates[0]).ring
+        unpack = ring.layout.unpack
+        new.sort(key=lambda gl: _scan_key(order, (gl[1][0], unpack(gl[1][1]))))
+        G, leads, cap = [], [], ring.degree_cap
         candidates = sorted(candidates, key=lambda v: v.degree())
         top = candidates[-1].degree() if candidates else None
         born = extend_scan(G, leads, new, order, cap, top)
@@ -337,10 +368,9 @@ def scan_engine():
             if not h.is_zero():
                 kept.append(v)
                 born += extend_scan(G, leads, [monic_scan(h, order)], order, cap, top)
-        for g, lead in zip(G[len(basis.vecs):], leads[len(basis.leads):]):
-            basis.append(g, lead)
-        basis.minimal += [G[n] for n in born]
-        return kept
+        basis = _Basis(order, G, leads)
+        basis.minimal = kept + [G[n] for n in born]
+        return basis
 
     def reduce(v, basis, degree_cap=None, full=True):
         return mod_reduce_scan(
@@ -352,7 +382,6 @@ def scan_engine():
         ("module_groebner", groebner),
         ("_extend", extend),
         ("_reduce", reduce),
-        ("_monic", monic_scan),
     ]:
         stack.enter_context(patch.object(modules, name, oracle))
     return stack

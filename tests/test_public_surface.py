@@ -148,6 +148,7 @@ ORDER_PARAMETERS = {
     "modules._Basis.__init__",
     "modules.leading_mod_term",
     "modules._monic",
+    "modules._extend",
     "modules.module_groebner",
     "gb.buchberger",
 }

@@ -52,7 +52,13 @@ def test_intersect_and_colon_match_the_projection_routes(p, data):
     S = R.ambient
     I = R.defining.elements
     J = data.draw(binomial_or_monomial_rings(p)).defining.elements
-    assert terms(intersect(S, I, J)) == terms(intersect_project(S, I, J))
+    # With the zero ideal on either side the meet is GB<0>, still a grevlex
+    # basis.
+    x, y = S.var("x"), S.var("y")
+    for left, right in [(I, J), ([], []), ([x], []), ([], [y * y])]:
+        meet = intersect(S, left, right)
+        assert terms(meet) == terms(intersect_project(S, left, right))
+        assert repr(meet.basis.order) == "grevlex"
     assert terms(colon(S, I, J)) == terms(colon_loop(S, I, J))
     assert terms(colon(S, J, I)) == terms(colon_loop(S, J, I))
 
