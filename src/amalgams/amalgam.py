@@ -127,10 +127,7 @@ def amalgam_present(spec):
     C = A.ambient.with_variables(list(A.names) + z_names, list(A.weights) + z_weights)
 
     # K_A = I_A*C + (z's)
-    K_A = [
-        Polynomial(C, {tuple(mm) + (0,) * m: c for mm, c in g.terms.items()})
-        for g in A.defining.elements
-    ] + [C.var(n) for n in z_names]
+    K_A = [C.embed(g) for g in A.defining.elements] + [C.var(n) for n in z_names]
 
     # K_B = ker(C -> B), x -> f(x), z_t -> j_t
     images = [B.reduce(img) for img in f.images] + jgens
@@ -195,15 +192,12 @@ def trivial_extension(A, M):
     s = len(degs)
     e_names = _fresh_names("e", s, set(A.names))
     amb = A.ambient.with_variables(list(A.names) + e_names, list(A.weights) + degs)
-    lift = lambda g: Polynomial(
-        amb, {tuple(mm) + (0,) * s: c for mm, c in g.terms.items()}
-    )
-    gens = [lift(g) for g in A.defining.elements]
+    gens = [amb.embed(g) for g in A.defining.elements]
     evars = [amb.var(n) for n in e_names]
     for rel in M.relations:
         poly = amb.zero()
         for i in range(s):
-            poly = poly + lift(rel.component_poly(i)) * evars[i]
+            poly = poly + amb.embed(rel.component_poly(i)) * evars[i]
         if not poly.is_zero():
             gens.append(poly)
     for i in range(s):

@@ -21,7 +21,11 @@ verify-paper, which runs the harness in `amalgams.harness`.  This module
 is the parser and the dispatch.  Exit codes: 0 success, 1
 computation/verification failure, 2 parse or usage error (a negative
 --degree-cap or --max-degree, a --prime that is not a prime, or an
-argument after verify-paper).
+argument after verify-paper) or unknown name.
+
+`parse_input` prefixes `line N: ` to every error raised while it reads
+the declaration on line N; the declaration readers never see the line.
+An error raised by a command names no line.
 """
 
 from __future__ import annotations
@@ -97,19 +101,18 @@ class Session:
         self.field = PrimeField(DEFAULT_PRIME if prime is None else prime)
         self.decls = {}  # name -> (kind, object)
 
-    def declare(self, name, kind, obj, line_no):
+    def declare(self, name, kind, obj):
         if name in self.decls:
-            raise ParseError(line_no, f"duplicate name {name!r}")
+            raise ParseError(f"duplicate name {name!r}")
         self.decls[name] = (kind, obj)
 
-    def get(self, name, kind, line_no=None):
-        where = f"line {line_no}: " if line_no is not None else ""
+    def get(self, name, kind):
         if name not in self.decls:
-            raise UnknownReference(f"{where}unknown name {name!r}")
+            raise UnknownReference(f"unknown name {name!r}")
         k, obj = self.decls[name]
         if k != kind:
             article = "an" if k[0] in "aeiou" else "a"
-            raise UnknownReference(f"{where}{name!r} is {article} {k}, expected {kind}")
+            raise UnknownReference(f"{name!r} is {article} {k}, expected {kind}")
         return obj
 
 
@@ -120,49 +123,74 @@ def _split_list(text):
 
 def parse_input(text, prime=None, degree_cap=DEFAULT_DEGREE_CAP):
     session = Session(prime, degree_cap)
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for n, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        word, _, rest = line.partition(" ")
         try:
-            _parse_decl(session, line, line_no)
-        except ParseError as exc:
-            if exc.line:
-                raise
-            raise ParseError(line_no, exc.message)
-        except UnknownReference:
-            raise
-        except (DegreeCapExceeded, ResolutionTooLong) as exc:
-            # A computation that stopped is not a parse error: it keeps its
-            # type, so the CLI exits 1, and names the declaration's line.
-            raise type(exc)(f"line {line_no}: {exc}") from exc
+            if word not in _DECLS:
+                raise ParseError(f"unknown declaration {word!r}")
+            _DECLS[word](session, rest.strip())
+        except (ParseError, UnknownReference, DegreeCapExceeded,
+                ResolutionTooLong) as exc:
+            # Each keeps its type, so an unknown name exits 2 and a
+            # computation that stopped, which is not a parse error, exits 1.
+            raise type(exc)(f"line {n}: {exc}") from exc
         except AlgebraError as exc:
-            raise ParseError(line_no, str(exc))
+            raise ParseError(f"line {n}: {exc}") from exc
     return session
 
 
-def _parse_decl(session, line, n):
-    word, _, rest = line.partition(" ")
-    rest = rest.strip()
-    handler = _DECLS.get(word)
-    if handler is None:
-        raise ParseError(n, f"unknown declaration {word!r}")
-    handler(session, rest, n)
+def _read_arrow(rest, usage):
+    """(name, source, target, body) of `<name> <A> -> <B> : <body>`."""
+    head, sep, body = rest.partition(":")
+    parts = head.split()
+    if not sep or len(parts) != 4 or parts[2] != "->":
+        raise ParseError(f"expected {usage}")
+    return parts[0], parts[1], parts[3], body
 
 
-def _decl_field(session, rest, n):
+def _read_in(rest, usage):
+    """(name, ring, body) of `<name> in <R> : <body>`."""
+    head, sep, body = rest.partition(":")
+    parts = head.split()
+    if not sep or len(parts) != 3 or parts[1] != "in":
+        raise ParseError(f"expected {usage}")
+    return parts[0], parts[2], body
+
+
+def _read_pair(rest, usage):
+    """(name, a, b) of `<name> : <a>, <b>`."""
+    head, sep, body = rest.partition(":")
+    name = head.strip()
+    refs = _split_list(body)
+    if not sep or not name or len(refs) != 2:
+        raise ParseError(f"expected {usage}")
+    return name, refs[0], refs[1]
+
+
+def _read_labels(body, what):
+    """The integer labels of a comma-separated list."""
+    try:
+        return [int(t) for t in _split_list(body)]
+    except ValueError:
+        raise ParseError(f"{what} must be integer labels")
+
+
+def _decl_field(session, rest):
     if not rest.startswith("p=") or not rest[2:].strip().isdecimal():
-        raise ParseError(n, f"expected field p=<prime>, not {rest!r}")
+        raise ParseError(f"expected field p=<prime>, not {rest!r}")
     field = PrimeField(int(rest[2:]))
     if session.prime_override is None:
         session.field = field
 
 
-def _decl_ring(session, rest, n):
+def _decl_ring(session, rest):
     name, _, body = rest.partition(" ")
     body = body.strip()
     if not name or not body.startswith("vars"):
-        raise ParseError(n, "expected ring <Name> vars ...")
+        raise ParseError("expected ring <Name> vars ...")
     body = body[len("vars"):]
     var_part, sep, gen_part = body.partition("ideal:")
     variables = []
@@ -170,14 +198,14 @@ def _decl_ring(session, rest, n):
         vname, _, w = tok.partition(":")
         vname = vname.strip()
         if not is_name(vname):
-            raise ParseError(n, f"bad variable name {vname!r}")
+            raise ParseError(f"bad variable name {vname!r}")
         try:
             weight = int(w) if w else 1
         except ValueError:
-            raise ParseError(n, f"weight of {vname!r} must be an integer")
+            raise ParseError(f"weight of {vname!r} must be an integer")
         variables.append((vname, weight))
     if not variables:
-        raise ParseError(n, "ring needs at least one variable")
+        raise ParseError("ring needs at least one variable")
     ambient = PolyRing(
         session.field,
         [v for v, _ in variables],
@@ -187,89 +215,74 @@ def _decl_ring(session, rest, n):
     gens = [
         parse_poly(ambient, g) for g in _split_list(gen_part if sep else "")
     ]
-    ring = PresentedRing(ambient, gens)
-    session.declare(name, "ring", ring, n)
+    session.declare(name, "ring", PresentedRing(ambient, gens))
 
 
-def _decl_hom(session, rest, n):
-    head, sep, body = rest.partition(":")
-    if not sep:
-        raise ParseError(n, "expected hom <name> <Src> -> <Tgt> : ...")
-    parts = head.split()
-    if len(parts) != 4 or parts[2] != "->":
-        raise ParseError(n, "expected hom <name> <Src> -> <Tgt> : ...")
-    name, src_name, _, tgt_name = parts
-    src = session.get(src_name, "ring", n)
-    tgt = session.get(tgt_name, "ring", n)
+def _decl_hom(session, rest):
+    name, src_name, tgt_name, body = _read_arrow(
+        rest, "hom <name> <Src> -> <Tgt> : ..."
+    )
+    src = session.get(src_name, "ring")
+    tgt = session.get(tgt_name, "ring")
     images = {}
     for item in _split_list(body):
         v, arrow, img = item.partition("->")
         v = v.strip()
         if not arrow or v not in src.names:
-            raise ParseError(n, f"bad image assignment {item!r}")
+            raise ParseError(f"bad image assignment {item!r}")
         if v in images:
-            raise ParseError(n, f"two images for variable {v!r}")
+            raise ParseError(f"two images for variable {v!r}")
         images[v] = parse_poly(tgt.ambient, img.strip())
     missing = [v for v in src.names if v not in images]
     if missing:
-        raise ParseError(n, f"no image for variable(s) {', '.join(missing)}")
+        raise ParseError(f"no image for variable(s) {', '.join(missing)}")
     f = RingHom(src, tgt, [images[v] for v in src.names])
-    session.declare(name, "hom", f, n)
+    session.declare(name, "hom", f)
 
 
-def _decl_ideal(session, rest, n):
-    head, sep, body = rest.partition(":")
-    parts = head.split()
-    if not sep or len(parts) != 3 or parts[1] != "in":
-        raise ParseError(n, "expected ideal <name> in <Ring> : ...")
-    name, _, ring_name = parts
-    ring = session.get(ring_name, "ring", n)
+def _decl_ideal(session, rest):
+    name, ring_name, body = _read_in(rest, "ideal <name> in <Ring> : ...")
+    ring = session.get(ring_name, "ring")
     gens = [parse_poly(ring.ambient, g) for g in _split_list(body)]
-    session.declare(name, "ideal", IdealHandle(ring, gens), n)
+    session.declare(name, "ideal", IdealHandle(ring, gens))
 
 
-def _decl_amalgam(session, rest, n):
-    head, sep, body = rest.partition(":")
-    name = head.strip()
-    refs = _split_list(body)
-    if not sep or not name or len(refs) != 2:
-        raise ParseError(n, "expected amalgam <name> : <hom>, <ideal>")
-    f = session.get(refs[0], "hom", n)
-    J = session.get(refs[1], "ideal", n)
+def _decl_amalgam(session, rest):
+    name, f_name, J_name = _read_pair(rest, "amalgam <name> : <hom>, <ideal>")
+    f = session.get(f_name, "hom")
+    J = session.get(J_name, "ideal")
     if J.ring is not f.target:
-        raise ParseError(n, "ideal must live in the hom's target ring")
-    session.declare(name, "amalgam", AmalgamSpec(f.source, f.target, f, J), n)
+        raise ParseError("ideal must live in the hom's target ring")
+    session.declare(name, "amalgam", AmalgamSpec(f.source, f.target, f, J))
 
 
-def _decl_duplication(session, rest, n):
-    head, sep, body = rest.partition(":")
-    name = head.strip()
-    refs = _split_list(body)
-    if not sep or not name or len(refs) != 2:
-        raise ParseError(n, "expected duplication <name> : <Ring>, <ideal>")
-    A = session.get(refs[0], "ring", n)
-    I = session.get(refs[1], "ideal", n)
+def _decl_duplication(session, rest):
+    name, A_name, I_name = _read_pair(
+        rest, "duplication <name> : <Ring>, <ideal>"
+    )
+    A = session.get(A_name, "ring")
+    I = session.get(I_name, "ideal")
     if I.ring is not A:
-        raise ParseError(n, "ideal must live in the duplicated ring")
-    session.declare(name, "amalgam", duplication(A, I), n)
+        raise ParseError("ideal must live in the duplicated ring")
+    session.declare(name, "amalgam", duplication(A, I))
 
 
-def _parse_module_block(A, body, n):
+def _parse_module_block(A, body):
     body = body.strip()
     if body == "canonical":
         return canonical_module(A)
     if not body.startswith("gens"):
-        raise ParseError(n, "expected module canonical or module gens ...")
+        raise ParseError("expected module canonical or module gens ...")
     gens_part, sep, rel_part = body[len("gens"):].partition("relations")
     try:
         degs = [int(t) for t in _split_list(gens_part)]
     except ValueError:
-        raise ParseError(n, "generator degrees must be integers")
+        raise ParseError("generator degrees must be integers")
     if not degs:
-        raise ParseError(n, "module needs at least one generator")
+        raise ParseError("module needs at least one generator")
     e_names = [f"e{i}" for i in range(1, len(degs) + 1)]
     if set(e_names) & set(A.names):
-        raise ParseError(n, "ambient variables may not be named e1, e2, ...")
+        raise ParseError("ambient variables may not be named e1, e2, ...")
     # Only for parsing, over A's field: weight 1 on the e's admits generator
     # degrees below 1, and FPModule checks homogeneity against the real twists.
     aux = A.ambient.with_variables(
@@ -286,84 +299,68 @@ def _parse_module_block(A, body, n):
         for mono, c in poly.terms.items():
             e_part = mono[nA:]
             if sum(e_part) != 1:
-                raise ParseError(n, f"relation {rel_text!r} is not linear in e's")
+                raise ParseError(f"relation {rel_text!r} is not linear in e's")
             i = e_part.index(1)
             comps[i] = comps[i] + A.ambient.monomial(mono[:nA], c)
         relations.append(comps)
     return FPModule(A.ambient, degs, relations)
 
 
-def _decl_trivext(session, rest, n):
+def _decl_trivext(session, rest):
     head, sep, body = rest.partition(":")
     name = head.strip()
     ring_name, comma, mod_part = body.partition(",")
     mod_part = mod_part.strip()
     if not sep or not name or not comma or not mod_part.startswith("module"):
-        raise ParseError(n, "expected trivext <name> : <Ring>, module ...")
-    A = session.get(ring_name.strip(), "ring", n)
-    M = _parse_module_block(A, mod_part[len("module"):], n)
-    session.declare(name, "amalgam", trivial_extension(A, M), n)
+        raise ParseError("expected trivext <name> : <Ring>, module ...")
+    A = session.get(ring_name.strip(), "ring")
+    M = _parse_module_block(A, mod_part[len("module"):])
+    session.declare(name, "amalgam", trivial_extension(A, M))
 
 
-def _decl_zring(session, rest, n):
+def _decl_zring(session, rest):
     name, _, spec = rest.partition(" ")
     spec = spec.strip()
     if not name or not spec.startswith("n=") or not spec[2:].isdecimal():
-        raise ParseError(n, f"expected zring <name> n=<k>, not {rest!r}")
-    session.declare(name, "fring", zmod(int(spec[2:]), name=name), n)
+        raise ParseError(f"expected zring <name> n=<k>, not {rest!r}")
+    session.declare(name, "fring", zmod(int(spec[2:]), name=name))
 
 
-def _decl_product(session, rest, n):
+def _decl_product(session, rest):
     name, eq, body = rest.partition("=")
     name = name.strip()
     factors = [t.strip() for t in body.split(" x ")]
     if not eq or not name or len(factors) != 2:
-        raise ParseError(n, "expected product <name> = <R1> x <R2>")
-    A = session.get(factors[0], "fring", n)
-    B = session.get(factors[1], "fring", n)
-    session.declare(name, "fring", ProductRing(A, B, name=name), n)
+        raise ParseError("expected product <name> = <R1> x <R2>")
+    A = session.get(factors[0], "fring")
+    B = session.get(factors[1], "fring")
+    session.declare(name, "fring", ProductRing(A, B, name=name))
 
 
-def _decl_fideal(session, rest, n):
-    head, sep, body = rest.partition(":")
-    parts = head.split()
-    if not sep or len(parts) != 3 or parts[1] != "in":
-        raise ParseError(n, "expected fideal <name> in <R> : <elem>, ...")
-    name, _, ring_name = parts
-    R = session.get(ring_name, "fring", n)
-    try:
-        elems = [int(t) for t in _split_list(body)]
-    except ValueError:
-        raise ParseError(n, "ideal elements must be integer labels")
-    session.declare(name, "fideal", FiniteIdeal(R, elems), n)
+def _decl_fideal(session, rest):
+    name, ring_name, body = _read_in(rest, "fideal <name> in <R> : <elem>, ...")
+    R = session.get(ring_name, "fring")
+    elems = _read_labels(body, "ideal elements")
+    session.declare(name, "fideal", FiniteIdeal(R, elems))
 
 
-def _decl_fhom(session, rest, n):
-    head, sep, body = rest.partition(":")
-    parts = head.split()
-    if not sep or len(parts) != 4 or parts[2] != "->":
-        raise ParseError(n, "expected fhom <name> <R1> -> <R2> : <images>")
-    name, src_name, _, tgt_name = parts
-    A = session.get(src_name, "fring", n)
-    B = session.get(tgt_name, "fring", n)
-    try:
-        images = [int(t) for t in _split_list(body)]
-    except ValueError:
-        raise ParseError(n, "images must be integer labels")
-    session.declare(name, "fhom", FiniteHom(A, B, images), n)
+def _decl_fhom(session, rest):
+    name, src_name, tgt_name, body = _read_arrow(
+        rest, "fhom <name> <R1> -> <R2> : <images>"
+    )
+    A = session.get(src_name, "fring")
+    B = session.get(tgt_name, "fring")
+    images = _read_labels(body, "images")
+    session.declare(name, "fhom", FiniteHom(A, B, images))
 
 
-def _decl_famalgam(session, rest, n):
-    head, sep, body = rest.partition(":")
-    name = head.strip()
-    refs = _split_list(body)
-    if not sep or not name or len(refs) != 2:
-        raise ParseError(n, "expected famalgam <name> : <fhom>, <fideal>")
-    f = session.get(refs[0], "fhom", n)
-    J = session.get(refs[1], "fideal", n)
+def _decl_famalgam(session, rest):
+    name, f_name, J_name = _read_pair(rest, "famalgam <name> : <fhom>, <fideal>")
+    f = session.get(f_name, "fhom")
+    J = session.get(J_name, "fideal")
     if J.ring is not f.target:
-        raise ParseError(n, "ideal must live in the hom's target ring")
-    session.declare(name, "famalgam", FiniteAmalgam(f, J), n)
+        raise ParseError("ideal must live in the hom's target ring")
+    session.declare(name, "famalgam", FiniteAmalgam(f, J))
 
 
 _DECLS = {
@@ -477,7 +474,7 @@ def cmd_finite_check(session, name):
 
 def cmd_dispatch(session, command, options):
     if not command:
-        raise ParseError(0, "empty command")
+        raise ParseError("empty command")
     if command[0] == "present" and len(command) == 2:
         return cmd_present(session, command[1], options)
     if command[0] == "classify" and len(command) == 2:
@@ -488,7 +485,7 @@ def cmd_dispatch(session, command, options):
         return cmd_hom_into(session, command[1])
     if command[:2] == ["finite", "check"] and len(command) == 3:
         return cmd_finite_check(session, command[2])
-    raise ParseError(0, f"unknown command {' '.join(command)!r}")
+    raise ParseError(f"unknown command {' '.join(command)!r}")
 
 
 # Built once: `append` copies its default, so no call's list reaches the next.
@@ -525,16 +522,16 @@ def main(argv=None):
     try:
         if args.words[0] == "verify-paper":
             if len(args.words) > 1:
-                raise ParseError(0, "verify-paper takes no arguments")
+                raise ParseError("verify-paper takes no arguments")
             report = harness.verify_paper(args.degree_cap)
         else:
             if len(args.words) < 2:
-                raise ParseError(0, "expected FILE COMMAND")
+                raise ParseError("expected FILE COMMAND")
             with open(args.words[0], encoding="utf-8") as fh:
                 try:
                     text = fh.read()
                 except UnicodeDecodeError as exc:
-                    raise ParseError(0, f"byte {exc.start} is not UTF-8")
+                    raise ParseError(f"byte {exc.start} is not UTF-8")
             session = parse_input(text, prime=args.prime,
                                   degree_cap=args.degree_cap)
             report = cmd_dispatch(session, args.words[1:], options)

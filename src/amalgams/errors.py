@@ -76,11 +76,6 @@ class SizeCap(AlgebraError):
 class ParseError(AlgebraError):
     """Declaration input failed to parse."""
 
-    def __init__(self, line, message):
-        super().__init__(f"line {line}: {message}" if line else message)
-        self.line = line
-        self.message = message
-
 
 class UnknownReference(AlgebraError):
     """A declaration refers to a name that was never declared."""

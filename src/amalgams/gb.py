@@ -246,14 +246,9 @@ def kernel_of_map(source_ring, images, target):
         [f"@{n}" for n in target_ring.names] + list(source_ring.names),
         list(target_ring.weights) + list(source_ring.weights),
     )
-    tail = (0,) * source_ring.nvars
-
-    def lift(f):
-        return Polynomial(joint, {m + tail: c for m, c in f.terms.items()})
-
-    gens = [lift(g) for g in target.elements]
+    gens = [joint.embed(g) for g in target.elements]
     for name, img in zip(source_ring.names, images):
-        gens.append(joint.var(name) - lift(img))
+        gens.append(joint.var(name) - joint.embed(img))
     return eliminate(joint, gens, target_ring.nvars)
 
 

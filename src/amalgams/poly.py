@@ -264,6 +264,12 @@ class PolyRing:
         e[i] = 1
         return Polynomial(self, {tuple(e): 1})
 
+    def embed(self, f):
+        """f, a polynomial of a ring whose variables are this ring's first
+        ones, as a polynomial of this ring: the others get exponent 0."""
+        tail = (0,) * (self.nvars - f.ring.nvars)
+        return Polynomial(self, {m + tail: c for m, c in f.terms.items()})
+
     def monomial(self, expts, coeff=1):
         expts = tuple(int(e) for e in expts)
         if len(expts) != self.nvars or any(e < 0 for e in expts):
@@ -464,7 +470,7 @@ class _PolyTokens:
                 self.toks.append((ch, ch))
                 i += 1
             else:
-                raise ParseError(0, f"bad character {ch!r} in polynomial")
+                raise ParseError(f"bad character {ch!r} in polynomial")
         self.pos = 0
 
     def peek(self):
@@ -486,21 +492,21 @@ def parse_poly(ring, text):
             base = ring.const(val)
         elif kind == "name":
             if val not in ring._index:
-                raise ParseError(0, f"unknown variable {val!r}")
+                raise ParseError(f"unknown variable {val!r}")
             base = ring.var(val)
         elif kind == "(":
             base = expr()
             if toks.next()[0] != ")":
-                raise ParseError(0, "expected ')'")
+                raise ParseError("expected ')'")
         elif kind == "-":
             return -factor()
         else:
-            raise ParseError(0, f"unexpected token {val!r} in polynomial")
+            raise ParseError(f"unexpected token {val!r} in polynomial")
         if toks.peek()[0] == "^":
             toks.next()
             kind, n = toks.next()
             if kind != "int":
-                raise ParseError(0, "expected integer exponent after '^'")
+                raise ParseError("expected integer exponent after '^'")
             # f^n has degree n * deg f; expanding a sum of terms past the
             # cap costs time and memory that no computation may use
             cap = ring.degree_cap
@@ -531,5 +537,5 @@ def parse_poly(ring, text):
 
     result = expr()
     if toks.peek()[0] is not None:
-        raise ParseError(0, f"trailing input in polynomial: {text!r}")
+        raise ParseError(f"trailing input in polynomial: {text!r}")
     return result

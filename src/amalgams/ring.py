@@ -27,6 +27,21 @@ from .poly import DEFAULT_DEGREE_CAP, PolyRing, parse_poly
 from .series import HilbertSeries, monomial_kpoly
 
 
+def _homogeneous(ambient, generators):
+    """The generators as polynomials of `ambient`, strings parsed, each
+    checked to lie in `ambient` and to be homogeneous."""
+    gens = []
+    for g in generators:
+        if isinstance(g, str):
+            g = parse_poly(ambient, g)
+        if g.ring != ambient:
+            raise ContextMismatch("generator in wrong ambient ring")
+        if not g.is_homogeneous():
+            raise NotHomogeneous(f"generator {g} mixes weighted degrees")
+        gens.append(g)
+    return gens
+
+
 class PresentedRing:
     """Quotient of a weighted polynomial ring by a homogeneous ideal.
 
@@ -50,17 +65,7 @@ class PresentedRing:
                 raise ContextMismatch("basis in wrong ambient ring")
             self.defining = generators
         else:
-            gens = []
-            for g in generators:
-                if isinstance(g, str):
-                    g = parse_poly(ambient, g)
-                if g.ring != ambient:
-                    raise ContextMismatch("generator in wrong ambient ring")
-                if g.is_zero():
-                    continue
-                if not g.is_homogeneous():
-                    raise NotHomogeneous(f"generator {g} mixes weighted degrees")
-                gens.append(g)
+            gens = [g for g in _homogeneous(ambient, generators) if not g.is_zero()]
             self.defining = buchberger(IdealBasis(ambient, gens))
         if self.defining.contains_one():
             raise UnitIdeal("1 lies in the defining ideal")
@@ -152,18 +157,8 @@ class IdealHandle:
 
     def __init__(self, ring, generators):
         self.ring = ring
-        gens = []
-        for g in generators:
-            if isinstance(g, str):
-                g = parse_poly(ring.ambient, g)
-            if g.ring != ring.ambient:
-                raise ContextMismatch("generator in wrong ambient ring")
-            if not g.is_homogeneous():
-                raise NotHomogeneous(f"generator {g} mixes weighted degrees")
-            g = ring.reduce(g)
-            if not g.is_zero():
-                gens.append(g)
-        self.generators = gens
+        reduced = map(ring.reduce, _homogeneous(ring.ambient, generators))
+        self.generators = [g for g in reduced if not g.is_zero()]
 
     def is_unit(self):
         """Whether the ideal is the whole ring: for a homogeneous ideal,

@@ -55,15 +55,16 @@ def test_parse_happy_path():
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_input("field p=101\nring A vars x\nring A vars y\n")
-    assert err.value.line == 3
+    assert str(err.value) == "line 3: duplicate name 'A'"
     with pytest.raises(ParseError) as err:
         parse_input("ring A vars x ideal: x + x^2\n")
-    assert err.value.line == 1
-    with pytest.raises(UnknownReference):
+    assert str(err.value) == "line 1: generator x^2 + x mixes weighted degrees"
+    with pytest.raises(UnknownReference) as err:
         parse_input("field p=101\nring A vars x\nhom f A -> Bogus : x -> x\n")
+    assert str(err.value) == "line 3: unknown name 'Bogus'"
     with pytest.raises(ParseError) as err:
         parse_input("ring A vars x ideal: x^\n")
-    assert err.value.line == 1
+    assert str(err.value) == "line 1: expected integer exponent after '^'"
 
 
 def test_present_report():
@@ -538,6 +539,127 @@ def test_present_checks_a_high_max_degree_quickly():
             3,
             "two images for variable 'x'",
         ),
+        # Each declaration's usage message, and the other messages the
+        # declarations raise themselves.
+        ("ring A\n", 1, "expected ring <Name> vars ..."),
+        ("ring A vars\n", 1, "ring needs at least one variable"),
+        (
+            "ring A vars x\nring B vars y\nhom f A B : x -> y\n",
+            3,
+            "expected hom <name> <Src> -> <Tgt> : ...",
+        ),
+        (
+            "ring A vars x\nring B vars y\nhom f A -> B x -> y\n",
+            3,
+            "expected hom <name> <Src> -> <Tgt> : ...",
+        ),
+        (
+            "ring A vars x\nring B vars y\nhom f A -> B : z -> y\n",
+            3,
+            "bad image assignment 'z -> y'",
+        ),
+        (
+            "ring A vars x\nring B vars y\nhom f A -> B : \n",
+            3,
+            "no image for variable(s) x",
+        ),
+        (
+            "ring A vars x\nideal I A : x\n",
+            2,
+            "expected ideal <name> in <Ring> : ...",
+        ),
+        (
+            "ring A vars x\nideal I in A x\n",
+            2,
+            "expected ideal <name> in <Ring> : ...",
+        ),
+        (
+            "ring A vars x\nideal I in A : x\namalgam W : I\n",
+            3,
+            "expected amalgam <name> : <hom>, <ideal>",
+        ),
+        (
+            "ring A vars x\nideal I in A : x\nduplication D : A\n",
+            3,
+            "expected duplication <name> : <Ring>, <ideal>",
+        ),
+        (
+            "ring A vars x\ntrivext T : A, gens 1\n",
+            2,
+            "expected trivext <name> : <Ring>, module ...",
+        ),
+        (
+            "ring A vars x\ntrivext T : A, module gen 1\n",
+            2,
+            "expected module canonical or module gens ...",
+        ),
+        (
+            "ring A vars x\ntrivext T : A, module gens a\n",
+            2,
+            "generator degrees must be integers",
+        ),
+        (
+            "ring A vars x\ntrivext T : A, module gens\n",
+            2,
+            "module needs at least one generator",
+        ),
+        (
+            "ring e1 vars e1\ntrivext T : e1, module gens 1\n",
+            2,
+            "ambient variables may not be named e1, e2, ...",
+        ),
+        (
+            "ring A vars x\ntrivext T : A, module gens 1 relations x^2\n",
+            2,
+            "relation 'x^2' is not linear in e's",
+        ),
+        (
+            "zring Z n=2\nproduct P = Z\n",
+            2,
+            "expected product <name> = <R1> x <R2>",
+        ),
+        (
+            "zring Z n=2\nfideal J Z : 0\n",
+            2,
+            "expected fideal <name> in <R> : <elem>, ...",
+        ),
+        (
+            "zring Z n=2\nfideal J in Z : a\n",
+            2,
+            "ideal elements must be integer labels",
+        ),
+        (
+            "zring Z n=2\nfhom f Z Z : 0, 1\n",
+            2,
+            "expected fhom <name> <R1> -> <R2> : <images>",
+        ),
+        ("zring Z n=2\nfhom f Z -> Z : 0, b\n", 2, "images must be integer labels"),
+        (
+            "zring Z n=2\nfhom f Z -> Z : 0, 1\nfideal J in Z : 0\n"
+            "famalgam W : f\n",
+            4,
+            "expected famalgam <name> : <fhom>, <fideal>",
+        ),
+        (
+            "ring A vars x\nring B vars y\nhom f A -> B : x -> y\n"
+            "ideal I in A : x\namalgam W : f, I\n",
+            5,
+            "ideal must live in the hom's target ring",
+        ),
+        (
+            "ring A vars x\nring B vars y\nideal I in B : y\n"
+            "duplication D : A, I\n",
+            4,
+            "ideal must live in the duplicated ring",
+        ),
+        (
+            "zring Z n=2\nzring Y n=2\nfhom f Z -> Z : 0, 1\n"
+            "fideal J in Y : 0\nfamalgam W : f, J\n",
+            5,
+            "ideal must live in the hom's target ring",
+        ),
+        ("field p=101\n\nbogus X\n", 3, "unknown declaration 'bogus'"),
+        ("ring A vars x\nring A vars y\n", 2, "duplicate name 'A'"),
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, text, line, message):
@@ -769,6 +891,28 @@ def test_unknown_name_in_command(tmp_path, capsys):
     f.write_text("ring A vars x\n")
     assert main([str(f), "present", "T"]) == 2
     assert capsys.readouterr().err == "error: unknown name 'T'\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "ring A vars x\n# B is never declared\nhom f A -> Bogus : x -> x\n",
+            "line 3: unknown name 'Bogus'",
+        ),
+        (
+            "ring A vars x\nideal I in A : x\nhom f A -> I : x -> x\n",
+            "line 3: 'I' is an ideal, expected ring",
+        ),
+    ],
+)
+def test_unknown_name_in_declaration(tmp_path, capsys, text, message):
+    # A reference inside a declaration names its line; one in a command
+    # (above) names none.  Both exit 2.
+    f = tmp_path / "a.alg"
+    f.write_text(text)
+    assert main([str(f), "present", "T"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def never_vanishing_syzygies(vecs):
