@@ -116,6 +116,12 @@ class Session:
         return obj
 
 
+def _split_head(text):
+    """The first word of `text` and the rest, split at any whitespace."""
+    head, *rest = text.split(None, 1) or [""]
+    return head, "".join(rest)
+
+
 def _split_list(text):
     items = [t.strip() for t in text.split(",")]
     return [t for t in items if t]
@@ -127,11 +133,11 @@ def parse_input(text, prime=None, degree_cap=DEFAULT_DEGREE_CAP):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        word, _, rest = line.partition(" ")
+        word, rest = _split_head(line)
         try:
             if word not in _DECLS:
                 raise ParseError(f"unknown declaration {word!r}")
-            _DECLS[word](session, rest.strip())
+            _DECLS[word](session, rest)
         except (ParseError, UnknownReference, DegreeCapExceeded,
                 ResolutionTooLong) as exc:
             # Each keeps its type, so an unknown name exits 2 and a
@@ -187,8 +193,7 @@ def _decl_field(session, rest):
 
 
 def _decl_ring(session, rest):
-    name, _, body = rest.partition(" ")
-    body = body.strip()
+    name, body = _split_head(rest)
     if not name or not body.startswith("vars"):
         raise ParseError("expected ring <Name> vars ...")
     body = body[len("vars"):]
@@ -319,8 +324,7 @@ def _decl_trivext(session, rest):
 
 
 def _decl_zring(session, rest):
-    name, _, spec = rest.partition(" ")
-    spec = spec.strip()
+    name, spec = _split_head(rest)
     if not name or not spec.startswith("n=") or not spec[2:].isdecimal():
         raise ParseError(f"expected zring <name> n=<k>, not {rest!r}")
     session.declare(name, "fring", zmod(int(spec[2:]), name=name))

@@ -19,9 +19,10 @@ subring of `eliminate`, the joint ring of `kernel_of_map`) takes the field
 and the degree cap of the ring it comes from.
 
 Polynomials in and out are exponent tuples; the rank-1 vectors in between
-hold packed monomials (`poly.PackedLayout`).  `leading_monomials` unpacks
-the leads, and `eliminate` unpacks the monomials it keeps and packs their
-cut in the subring's layout.
+hold packed monomials (`poly.PackedLayout`), and the leads a basis keeps
+(`basis.leads`) stay packed for the Hilbert series and the standard
+monomials.  Only `eliminate` unpacks: the monomials it keeps, whose cut
+it packs in the subring's layout.
 """
 
 from __future__ import annotations
@@ -71,11 +72,6 @@ class GroebnerBasis:
 
     def contains_one(self):
         return len(self.elements) == 1 and self.elements[0].degree() == 0
-
-    def leading_monomials(self):
-        """The leading exponent tuples, in the order of `elements`."""
-        unpack = self.ring.layout.unpack
-        return [unpack(m) for _, m in self.basis.leads]
 
     def __repr__(self):
         if not self.elements:

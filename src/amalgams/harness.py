@@ -91,10 +91,12 @@ def socle_dimension(R):
     stacked multiplication-by-variable matrices over GF(p).  The standard
     monomials of every degree come from one pass of
     `PresentedRing.standard_monomials`, which ends after max(weights) empty
-    degrees, so degree d + w is listed for every nonzero degree d.
+    degrees, so degree d + w is listed for every nonzero degree d.  Each
+    degree is unpacked in the order the pass makes it, since a rank does
+    not depend on the order of the columns.
     """
     amb = R.ambient
-    levels = list(R.standard_monomials())
+    levels = [list(map(amb.layout.unpack, level)) for level in R.standard_monomials()]
     total = 0
     for d, basis in enumerate(levels):
         if not basis:

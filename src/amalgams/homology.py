@@ -27,7 +27,7 @@ minimally, and their syzygies modulo the image are its relations.
 `classify` counts these generators for ω only when HS(ω) = t^a HS(R).
 Hilbert series are read off leading monomials and need no resolution:
 F/U has the series of F/in(U), and a ring keeps its own (`series`); the
-packed leads of a module's basis are unpacked for `monomial_kpoly`.  The
+packed leads of a module's basis go to `monomial_kpoly` as they are.  The
 Krull dimension is the order of the series' pole at t = 1, so it is read
 off the same monomials.
 """
@@ -143,16 +143,14 @@ def hilbert_series(obj):
     if isinstance(obj, PresentedRing):
         return obj.series
     if isinstance(obj, FPModule):
-        weights = obj.ring.weights
-        unpack = obj.ring.layout.unpack
         leads = [[] for _ in obj.twists]
         for comp, mono in module_groebner(obj.relations).leads:
-            leads[comp].append(unpack(mono))
+            leads[comp].append(mono)
         num = lp_zero()
         for twist, lead in zip(obj.twists, leads):
-            part = monomial_kpoly(lead, weights)
+            part = monomial_kpoly(lead, obj.ring.layout)
             num = lp_add(num, lp_mul(lp_monomial(twist), part))
-        return HilbertSeries(num, weights=weights)
+        return HilbertSeries(num, weights=obj.ring.weights)
     raise TypeError(f"no Hilbert series for a {type(obj).__name__}")
 
 

@@ -5,8 +5,10 @@ each monomial packed into one int in the ring's `poly.PackedLayout`:
 products and quotients are int sums and differences, divisibility one
 subtraction and a mask, and `ModOrder`'s keys ints.  Polynomials keep
 exponent tuples, and vectors convert only at their edges: `from_polys`
-packs, `ModVec.component_poly` unpacks, and so do the callers that hand
-leading monomials to tuple code (`gb`, `homology.hilbert_series`).
+packs and `ModVec.component_poly` unpacks.  Leads stay packed through
+the Hilbert series (`series.monomial_kpoly`) and the count of standard
+monomials (`ring.PresentedRing.standard_monomials`), so on that path
+tuples remain only at parsing, printing and `component_poly`.
 Syzygies are elimination with a dominant front block of components, and
 syzygies modulo a submodule U lift U's generators with a zero tail, which
 makes them the one kernel primitive of the package.  The engine takes its

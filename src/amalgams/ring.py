@@ -6,14 +6,15 @@ a homogeneous defining ideal stored as a reduced grevlex Groebner basis.
 Local statements are modeled at the irrelevant maximal ideal (all
 variables), where graded and local notions of depth and dimension agree.
 Every computation on a ring runs under its ambient ring's degree cap
-(`PolyRing.degree_cap`), set once when the ambient ring is made.
+(`PolyRing.degree_cap`), set once when the ambient ring is made.  The
+series and the standard monomials are read off the defining basis's
+packed leads, in the ambient ring's `PackedLayout`, and stay packed.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain, count
-from operator import le
 
 from .errors import (
     ContextMismatch,
@@ -23,7 +24,7 @@ from .errors import (
     UnitIdeal,
 )
 from .gb import GroebnerBasis, IdealBasis, buchberger, normal_form
-from .poly import DEFAULT_DEGREE_CAP, PolyRing, parse_poly
+from .poly import DEFAULT_DEGREE_CAP, PolyRing, check_packed_degree, parse_poly
 from .series import HilbertSeries, monomial_kpoly
 
 
@@ -75,7 +76,9 @@ class PresentedRing:
     @cached_property
     def series(self):
         return HilbertSeries(
-            monomial_kpoly(self.defining.leading_monomials(), self.weights),
+            monomial_kpoly(
+                [m for _, m in self.defining.basis.leads], self.ambient.layout
+            ),
             weights=self.weights,
         )
 
@@ -94,7 +97,8 @@ class PresentedRing:
     def standard_monomials(self):
         """Yield the monomial k-basis of each graded piece of the quotient,
         degrees 0, 1, 2, ...: the monomials no leading monomial divides,
-        sorted.
+        packed in the ambient ring's layout, in the order the pass makes
+        them.
 
         Standard monomials form an order ideal, so each degree is built
         from the degrees below it.  A standard monomial c of degree d > 0
@@ -105,28 +109,41 @@ class PresentedRing:
         degrees d - w, so after max(weights) empty degrees in a row every
         later one is empty: the generator ends there, that is, exactly
         when the ring is artinian.
+
+        Packed, the step e_i adds unit_i (field i, and w_i in the degree
+        field), c_i is read off field i, and a lead divides c when c - lead
+        borrows into no guard bit.  Each degree is checked against the
+        packed bound (`check_packed_degree`) before it is built.
         """
         weights = self.weights
-        leads = {}  # (last variable, its exponent) -> leads
-        for g in self.defining.leading_monomials():
-            i = max(j for j, e in enumerate(g) if e)
-            leads.setdefault((i, g[i]), []).append(g)
+        layout = self.ambient.layout
+        field, shift, guard = layout.field, layout.shift, layout.guard
+        mask = (1 << field) - 1
+        leads = [{} for _ in weights]  # last variable -> its exponent -> leads
+        for _, g in self.defining.basis.leads:
+            i = ((g & ((1 << shift) - 1)).bit_length() - 1) // field
+            leads[i].setdefault(g >> i * field & mask, []).append(g)
+        steps = [
+            (i * field, (1 << i * field) + (w << shift), w, leads[i])
+            for i, w in enumerate(weights)
+        ]
         reach = max(weights)
         # degree -> its standard monomials, bucketed by last variable + 1
-        past = {0: [[self.ambient.one_mono()]]}
+        past = {0: [[0]]}
         empty = 0
         for d in count():
+            check_packed_degree(d)
             buckets = past.setdefault(d, [[]])
-            for i, w in enumerate(weights):
+            for i, (at, unit, w, tried) in enumerate(steps):
                 made = []
                 for m in chain.from_iterable(past.get(d - w, ())[: i + 2]):
-                    e = m[i] + 1
-                    c = m[:i] + (e,) + m[i + 1:]
-                    if not any(all(map(le, g, c)) for g in leads.get((i, e), ())):
+                    c = m + unit
+                    tests = tried.get(c >> at & mask)
+                    if tests is None or all((c - g) & guard for g in tests):
                         made.append(c)
                 buckets.append(made)
             past.pop(d - reach, None)
-            level = sorted(chain.from_iterable(buckets))
+            level = list(chain.from_iterable(buckets))
             yield level
             empty = 0 if level else empty + 1
             if empty == reach:

@@ -4,6 +4,9 @@ A series is stored as numerator / product(1 - t^w) with an integer Laurent
 polynomial numerator (dict degree -> coefficient) and a denominator that is
 itself expanded to a Laurent polynomial.  Equality is decided by
 cross-multiplication, so comparisons are exact rational-function identities.
+The numerator of a monomial ideal (`monomial_kpoly`) is read off packed
+monomials (`poly.PackedLayout`), the leads a Groebner basis keeps, with
+no exponent tuple made.
 """
 
 from __future__ import annotations
@@ -93,49 +96,51 @@ def _order_at_one(a):
     return k
 
 
-def _minimal_monomials(gens):
-    """Minimal generators of the monomial ideal spanned by exponent tuples."""
-    out = []
-    for m in sorted(set(gens), key=sum):
-        if not any(all(a <= b for a, b in zip(g, m)) for g in out):
-            out.append(m)
-    return out
-
-
-def monomial_kpoly(gens, weights):
+def monomial_kpoly(gens, layout):
     """Numerator of HS(S/I) over prod(1 - t^w) for a monomial ideal I.
 
-    `gens` are exponent tuples generating I in S = k[x_1..x_n] with the
-    given variable weights.  Bigatti's pivot recursion: for a pivot x_i^e
-    the exact sequence 0 -> S/(I : x_i^e)(-e*w_i) -> S/I -> S/(I + x_i^e)
-    -> 0 gives K(I) = K(I + (x_i^e)) + t^(e*w_i) * K(I : x_i^e).  The pivot
-    variable is one occurring in the most generators and e is the lower
-    median of its positive exponents; with at least two of them e lies
-    below any pure power x_i^b in I, so both ideals grow strictly and the
-    recursion ends.  Once no two generators share a variable, K(I) is
-    prod(1 - t^deg(m)).
+    `gens` are packed monomials (`poly.PackedLayout` `layout`) generating
+    I in S = k[x_1..x_n] with the layout's weights.  Bigatti's pivot
+    recursion: for a pivot x_i^e the exact sequence 0 -> S/(I :
+    x_i^e)(-e*w_i) -> S/I -> S/(I + x_i^e) -> 0 gives K(I) = K(I +
+    (x_i^e)) + t^(e*w_i) * K(I : x_i^e).  The pivot variable is one
+    occurring in the most generators and e is the lower median of its
+    positive exponents; with at least two of them e lies below any pure
+    power x_i^b in I, so both ideals grow strictly and the recursion ends.
+    Once no two generators share a variable, K(I) is prod(1 - t^deg(m)).
+
+    No monomial is unpacked.  The degree sits above the fields, so in
+    ascending order a divisor comes before the monomials it divides, and
+    the minimal generators are kept by one pass of guard-bit tests.  A
+    field is nonzero exactly when adding 2^(field - 1) - 1 to it sets its
+    guard bit, so one sum of those bits counts the generators in every
+    variable at once.  The exponent at i is field i, the colon subtracts
+    min(field i, e) times unit_i = x_i packed, and a degree is m >> shift.
     """
-    gens = _minimal_monomials(gens)
-    n = len(weights)
-    counts = [0] * n
-    for m in gens:
-        for i, e in enumerate(m):
-            if e:
-                counts[i] += 1
-    i = max(range(n), key=counts.__getitem__, default=0)
-    if n == 0 or counts[i] < 2:
+    field, shift, guard = layout.field, layout.shift, layout.guard
+    mask = (1 << field) - 1
+    minimal = []
+    for m in sorted(set(gens)):
+        if all((m - g) & guard for g in minimal):
+            minimal.append(m)
+    half = guard - (guard >> (field - 1))
+    tally = sum(((m + half) & guard) >> (field - 1) for m in minimal)
+    counts = [tally >> at & mask for at in range(0, shift, field)]
+    i = max(range(len(counts)), key=counts.__getitem__, default=0)
+    if not counts or counts[i] < 2:
         out = lp_const(1)
-        for m in gens:
-            deg = sum(e * w for e, w in zip(m, weights))
-            out = lp_mul(out, lp_sub(lp_const(1), lp_monomial(deg)))
+        for m in minimal:
+            out = lp_mul(out, lp_sub(lp_const(1), lp_monomial(m >> shift)))
         return out
-    exps = sorted(m[i] for m in gens if m[i])
+    at = i * field
+    exps = sorted(e for e in (m >> at & mask for m in minimal) if e)
     e = exps[(len(exps) - 1) // 2]
-    pivot = tuple(e if j == i else 0 for j in range(n))
-    colon = [m[:i] + (max(m[i] - e, 0),) + m[i + 1:] for m in gens]
+    w = layout.weights[i]
+    unit = (1 << at) + (w << shift)
+    colon = [m - min(m >> at & mask, e) * unit for m in minimal]
     return lp_add(
-        monomial_kpoly(gens + [pivot], weights),
-        lp_mul(lp_monomial(e * weights[i]), monomial_kpoly(colon, weights)),
+        monomial_kpoly(minimal + [e * unit], layout),
+        lp_mul(lp_monomial(e * w), monomial_kpoly(colon, layout)),
     )
 
 

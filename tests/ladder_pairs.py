@@ -1,4 +1,4 @@
-"""Time `classify` or `canonical` on rungs of the duplication ladder from two
+"""Time `classify`, `canonical` or `present` on rungs of the duplication ladder from two
 source trees, in alternating pairs, and check that both trees print the
 same lines.
 
@@ -10,9 +10,11 @@ PARENT and CHANGE are checkouts of this repository, each with
 variables.  For each rung, each pair runs one fresh subprocess per tree,
 one at a time, and the tree that runs first alternates from pair to pair.
 A subprocess imports the tree's package, parses W_n and then times the
-command (`classify` unless `--command` names `canonical`) in process, by
-wall clock: the presentation of C/K and the command's work on it,
-without start-up, import or parsing.  It prints the seconds and the
+command (`classify` unless `--command` names `canonical` or `present`)
+in process, by wall clock: the presentation of C/K and the command's
+work on it, without start-up, import or parsing.  `present` prints K and
+the certificate, and cross-checks the certified series against counts of
+standard monomials in degrees 0..8.  It prints the seconds and the
 report lines.
 
 Prints one line per pair with both trees' seconds, and exits 1 when a run
@@ -67,7 +69,9 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=3)
     parser.add_argument("--prime", type=int, default=101)
     parser.add_argument(
-        "--command", choices=["classify", "canonical"], default="classify"
+        "--command",
+        choices=["classify", "canonical", "present"],
+        default="classify",
     )
     args = parser.parse_args(argv)
     trees = {"parent": args.parent, "change": args.change}

@@ -64,7 +64,9 @@ the subquotient of the basis modulo the relations.
 `standard_monomials_filter` lists every exponent tuple of the degree from
 a product of exponent ranges and drops those a lead divides, where
 `PresentedRing.standard_monomials` builds each degree from the standard
-monomials of the degrees below it.
+monomials of the degrees below it, packed.
+`monomial_kpoly_tuples` runs Bigatti's recursion on exponent tuples,
+where `amalgams.series.monomial_kpoly` runs it on packed monomials.
 `trivext_module` reads the module M of a trivial extension back off B's
 Groebner basis (the elements linear in the e-variables), where
 `trivial_extension` keeps the M it built as `spec.J_module`.
@@ -200,6 +202,51 @@ def standard_monomials_filter(weights, leads, d):
         if not any(all(a <= b for a, b in zip(g, m)) for g in leads):
             out.append(m)
     return out
+
+
+def _minimal_monomials(gens):
+    """Minimal generators of the monomial ideal spanned by exponent tuples."""
+    out = []
+    for m in sorted(set(gens), key=sum):
+        if not any(all(a <= b for a, b in zip(g, m)) for g in out):
+            out.append(m)
+    return out
+
+
+def monomial_kpoly_tuples(gens, weights):
+    """Numerator of HS(S/I) over prod(1 - t^w) for the monomial ideal I of
+    the exponent tuples `gens`, by Bigatti's pivot recursion on tuples:
+    K(I) = K(I + (x_i^e)) + t^(e*w_i) * K(I : x_i^e), x_i a variable in
+    the most generators and e the lower median of its positive exponents,
+    and prod(1 - t^deg(m)) once no two generators share a variable."""
+    gens = _minimal_monomials(gens)
+    n = len(weights)
+    counts = [0] * n
+    for m in gens:
+        for i, e in enumerate(m):
+            if e:
+                counts[i] += 1
+    i = max(range(n), key=counts.__getitem__, default=0)
+    if n == 0 or counts[i] < 2:
+        out = {0: 1}
+        for m in gens:
+            deg = sum(e * w for e, w in zip(m, weights))
+            out = lp_mul(out, lp_sub({0: 1}, lp_monomial(deg)))
+        return out
+    exps = sorted(m[i] for m in gens if m[i])
+    e = exps[(len(exps) - 1) // 2]
+    pivot = tuple(e if j == i else 0 for j in range(n))
+    colon = [m[:i] + (max(m[i] - e, 0),) + m[i + 1:] for m in gens]
+    return lp_add(
+        monomial_kpoly_tuples(gens + [pivot], weights),
+        lp_mul(lp_monomial(e * weights[i]), monomial_kpoly_tuples(colon, weights)),
+    )
+
+
+def lead_exponents(G):
+    """The leading exponent tuples of the `GroebnerBasis` G, in the order
+    of its elements."""
+    return [G.ring.layout.unpack(m) for _, m in G.basis.leads]
 
 
 def resolution_series(obj):
@@ -879,12 +926,12 @@ def _dim_by_subsets(n, leads):
 
 def krull_dim_subsets(R):
     """dim R for a quotient ring R = S/I, that of S/in(I)."""
-    return _dim_by_subsets(R.ambient.nvars, R.defining.leading_monomials())
+    return _dim_by_subsets(R.ambient.nvars, lead_exponents(R.defining))
 
 
 def krull_dim_annihilator(M):
     """dim S/ann(M), with ann(M) from `annihilator_loop`."""
-    return _dim_by_subsets(M.ring.nvars, annihilator_loop(M).leading_monomials())
+    return _dim_by_subsets(M.ring.nvars, lead_exponents(annihilator_loop(M)))
 
 
 def ext_project(res, j):

@@ -52,6 +52,19 @@ def test_parse_happy_path():
     assert sorted(session.decls) == ["A", "B", "J", "W24", "f"]
 
 
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        ("ring\tA vars x\n", "A"),
+        ("ring A\tvars x\n", "A"),
+        ("zring\tZ n=4\n", "Z"),
+        ("zring Z\tn=4\n", "Z"),
+    ],
+)
+def test_a_tab_separates_words_in_a_declaration_head(text, name):
+    assert list(parse_input(text).decls) == [name]
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_input("field p=101\nring A vars x\nring A vars y\n")
@@ -97,9 +110,9 @@ def bigatti_runs_per_ring(monkeypatch, command, text=INTERSECTION):
         finally:
             reading.pop()
 
-    def bigatti(leads, weights):
+    def bigatti(leads, layout):
         runs.append(reading[-1])
-        return kpoly(leads, weights)
+        return kpoly(leads, layout)
 
     counted_series = functools.cached_property(read)
     counted_series.__set_name__(PresentedRing, "series")

@@ -39,6 +39,7 @@ from oracles import (
     block_rank,
     grevlex_rank,
     kernel_by_elimination,
+    lead_exponents,
     mod_reduce_scan,
 )
 from samples import (
@@ -130,7 +131,7 @@ def test_hilbert_dimension_agreement(kxyz, rng):
         G = buchberger(IdealBasis(kxyz, gens))
         if G.contains_one():
             continue
-        lead = G.leading_monomials()
+        lead = lead_exponents(G)
         for d in range(7):
             monos = monomials_of_degree(kxyz, d)
             std = sum(
@@ -345,7 +346,7 @@ def test_kernel_by_section_equals_elimination(p, data):
     want = kernel_by_elimination(S, images, target)
     assert ker.ring == S
     assert [g.terms for g in ker.elements] == [g.terms for g in want.elements]
-    assert ker.leading_monomials() == want.leading_monomials()
+    assert lead_exponents(ker) == lead_exponents(want)
 
 
 def test_maps_without_a_section_are_eliminated():
@@ -590,7 +591,7 @@ def assert_own_reduced_basis(G):
     )
     assert [g.terms for g in G.elements] == [g.terms for g in again.elements]
     rank = block_rank(block)
-    assert G.leading_monomials() == [leading_term(g, rank)[0] for g in G.elements]
+    assert lead_exponents(G) == [leading_term(g, rank)[0] for g in G.elements]
 
 
 @pytest.mark.parametrize("p", [101, 32003])
@@ -674,7 +675,6 @@ def test_kept_bases_give_the_normal_forms_of_rebuilt_ones(p, data):
         R = G.ring
         leads = [(0, leading_term(g, block_rank(block))[0]) for g in G.elements]
         assert [(c, R.layout.unpack(m)) for c, m in G.basis.leads] == leads
-        assert [(0, m) for m in G.leading_monomials()] == leads
         monos = [
             m for m in product(range(5), repeat=R.nvars) if R.mono_degree(m) <= 4
         ]

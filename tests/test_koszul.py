@@ -40,7 +40,8 @@ def koszul_betti(R, top):
     nonzero value."""
     S = R.ambient
     n, weights, p = S.nvars, S.weights, S.p
-    basis = dict(enumerate(islice(R.standard_monomials(), top + 1)))
+    levels = islice(R.standard_monomials(), top + 1)
+    basis = {d: sorted(map(S.layout.unpack, level)) for d, level in enumerate(levels)}
     products = {}
 
     def times(f, m):

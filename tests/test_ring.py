@@ -1,13 +1,13 @@
-from importlib import resources
 from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from amalgams.cli import parse_input
+from amalgams import poly
 from amalgams.errors import (
     ContextMismatch,
+    DegreeCapExceeded,
     DegreeMismatch,
     NotHomogeneous,
     NotWellDefined,
@@ -22,8 +22,8 @@ from amalgams.ring import (
     make_ring,
 )
 from conftest import ideal_degree_dim, monomials_of_degree
-from oracles import standard_monomials_filter
-from samples import duplication_along_m
+from oracles import lead_exponents, standard_monomials_filter
+from samples import duplication_along_m, fixture_rings
 
 
 def test_make_ring_variants():
@@ -77,7 +77,8 @@ def test_standard_monomials_match_filter(ideal):
     expected = standard_monomials_filter(weights, gens, d)
     if all(any(m) for m in gens):  # the ring needs a proper ideal
         R = PresentedRing(amb, [amb.monomial(m) for m in gens])
-        assert next(islice(R.standard_monomials(), d, None), []) == expected
+        level = next(islice(R.standard_monomials(), d, None), [])
+        assert sorted(map(amb.layout.unpack, level)) == expected
 
 
 @st.composite
@@ -108,7 +109,18 @@ def test_standard_monomials_end_on_an_artinian_ring(ideal):
     assert levels[-reach:] == [[]] * reach and levels[-reach - 1]
     for d in range(len(levels) + reach):
         expected = standard_monomials_filter(weights, gens, d)
-        assert (levels[d] if d < len(levels) else []) == expected
+        level = levels[d] if d < len(levels) else []
+        assert sorted(map(amb.layout.unpack, level)) == expected
+
+
+def test_standard_monomials_check_each_degree_against_the_packed_bound(monkeypatch):
+    """A degree at the packed bound raises before it is built, so no
+    field of a packed standard monomial can overflow into the next."""
+    levels = make_ring(101, ["x", ("y", 4)]).standard_monomials()
+    monkeypatch.setattr(poly, "PACKED_DEGREE_BOUND", 6)
+    assert [len(basis) for basis in islice(levels, 6)] == [1, 1, 1, 1, 2, 2]
+    with pytest.raises(DegreeCapExceeded, match="intermediate degree 6"):
+        next(levels)
 
 
 def test_standard_monomials_do_not_end_on_a_polynomial_ring():
@@ -116,26 +128,27 @@ def test_standard_monomials_do_not_end_on_a_polynomial_ring():
     assert [len(basis) for basis in levels] == list(range(1, 51))
 
 
-def _fixture_rings():
-    rings = []
-    for f in resources.files("amalgams").joinpath("fixtures").iterdir():
-        if f.name.endswith(".alg"):
-            decls = parse_input(f.read_text()).decls.values()
-            rings += [R for kind, R in decls if kind == "ring"]
-    return rings
-
-
 def test_standard_monomials_match_filter_on_fixtures_and_duplications():
-    """Every fixture ring in degrees 0..8, and C/K of k[x1..xn] duplicated
-    along (x1..xn) for n = 2..4 (8 variables at n = 4, so degrees 0..6)."""
-    cases = [(R, 8) for R in _fixture_rings()]
+    """Every fixture ring and the C/K of every fixture amalgam (those of
+    `veronese.alg` weighted 2 and 3) in degrees 0..8, rings with a weight
+    of 4 or more (64-bit packed fields) in degrees 0..12, and C/K of
+    k[x1..xn] duplicated along (x1..xn) for n = 2..4 (8 variables at n = 4,
+    so degrees 0..6)."""
+    cases = [(R, 8) for R in fixture_rings(101)]
+    weighted = [
+        make_ring(101, ["x", ("y", 4), ("z", 5)], ["x^4 - y", "x*z - x^2*y"]),
+        make_ring(101, [("a", 3), ("b", 7)], ["a^7 - b^3"]),
+        make_ring(101, [("u", 4), ("v", 6), "w"], ["u^3 - v^2", "u*w^2", "w^9"]),
+    ]
+    cases += [(R, 12) for R in weighted]
     cases += [(duplication_along_m(n), 8 if n < 4 else 6) for n in (2, 3, 4)]
     for R, top in cases:
-        leads = R.defining.leading_monomials()
+        leads = lead_exponents(R.defining)
         levels = list(islice(R.standard_monomials(), top + 1))
         levels += [[]] * (top + 1 - len(levels))  # an artinian ring ends early
         for d in range(top + 1):
-            assert levels[d] == standard_monomials_filter(R.weights, leads, d)
+            got = sorted(map(R.ambient.layout.unpack, levels[d]))
+            assert got == standard_monomials_filter(R.weights, leads, d)
 
 
 def test_hilbert_function_additive_over_ideal():

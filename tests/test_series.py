@@ -1,7 +1,9 @@
 """Property tests for Hilbert series read off leading monomials.
 
 Monomial ideals are checked against a brute-force count of standard
-monomials, and duplications against the additivity HS(C/K) = HS(A) + HS(J)
+monomials and Bigatti's recursion on packed monomials against the same
+recursion on exponent tuples, on 32-bit and 64-bit packed layouts, and
+duplications against the additivity HS(C/K) = HS(A) + HS(J)
 of the split sequence 0 -> J -> A ⋈ J -> A -> 0.  A series' dimension,
 the order of its pole at t = 1, is checked on numerators with negative
 degrees, on differences over product denominators and on weights above 1.
@@ -13,12 +15,13 @@ polynomials and on the series of every fixture.
 from importlib import resources
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amalgams.amalgam import amalgam_present, duplication
 from amalgams.cli import parse_input
 from amalgams.homology import hilbert_series
+from amalgams.poly import PackedLayout
 from amalgams.ring import IdealHandle, make_ring
 from amalgams.series import (
     HilbertSeries,
@@ -26,7 +29,12 @@ from amalgams.series import (
     lp_mul,
     monomial_kpoly,
 )
-from oracles import first_difference_scan, order_at_one_divide, standard_monomials_filter
+from oracles import (
+    first_difference_scan,
+    monomial_kpoly_tuples,
+    order_at_one_divide,
+    standard_monomials_filter,
+)
 
 TOP = 8
 
@@ -40,22 +48,54 @@ def monomial_ideals(draw):
     return weights, gens
 
 
+def packed_kpoly(gens, weights):
+    """`monomial_kpoly` of the exponent tuples `gens`, packed first."""
+    layout = PackedLayout(weights)
+    return monomial_kpoly(list(map(layout.pack, gens)), layout)
+
+
 @given(monomial_ideals())
 def test_monomial_series_counts_standard_monomials(ideal):
     weights, gens = ideal
-    hs = HilbertSeries(monomial_kpoly(gens, weights), weights=weights)
+    hs = HilbertSeries(packed_kpoly(gens, weights), weights=weights)
     coeffs = hs.coefficients(TOP)
     for d in range(TOP + 1):
         assert coeffs.get(d, 0) == len(standard_monomials_filter(weights, gens, d))
 
 
 def test_monomial_kpoly_small_cases():
-    assert monomial_kpoly([], [1, 1]) == {0: 1}
-    assert monomial_kpoly([(0, 0)], [1, 1]) == {}
+    assert packed_kpoly([], [1, 1]) == {0: 1}
+    assert packed_kpoly([(0, 0)], [1, 1]) == {}
     # (x^2, xy, y^2): 1 - 3t^2 + 2t^3
-    assert monomial_kpoly([(2, 0), (1, 1), (0, 2)], [1, 1]) == {0: 1, 2: -3, 3: 2}
+    assert packed_kpoly([(2, 0), (1, 1), (0, 2)], [1, 1]) == {0: 1, 2: -3, 3: 2}
     # principal ideal (x^3) in k[x:2, y:3]: 1 - t^6
-    assert monomial_kpoly([(3, 0)], [2, 3]) == {0: 1, 6: -1}
+    assert packed_kpoly([(3, 0)], [2, 3]) == {0: 1, 6: -1}
+
+
+@st.composite
+def monomial_ideals_any_width(draw):
+    """(weights, generator exponents) in at most five variables, with
+    every weight at most 3 (32-bit packed fields) or some weight of 4 or
+    more (64-bit fields)."""
+    n = draw(st.integers(1, 5))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        weights[draw(st.integers(0, n - 1))] = draw(st.integers(4, 9))
+    exponent = st.tuples(*[st.integers(0, 4)] * n)
+    return weights, draw(st.lists(exponent, max_size=8))
+
+
+@settings(max_examples=200)
+@given(monomial_ideals_any_width())
+@example(([1, 2, 3], []))  # the zero ideal
+@example(([2, 5], []))
+@example(([1, 2, 3], [(0, 0, 0)]))  # the unit ideal
+@example(([4, 1], [(0, 0), (2, 1)]))
+@example(([1, 1, 1], [(2, 0, 0), (1, 1, 0), (0, 2, 1), (0, 0, 3)]))
+@example(([4, 6, 1], [(3, 0, 0), (0, 2, 0), (1, 0, 2), (0, 0, 9), (1, 1, 1)]))
+def test_packed_kpoly_matches_the_tuple_recursion(ideal):
+    weights, gens = ideal
+    assert packed_kpoly(gens, weights) == monomial_kpoly_tuples(gens, weights)
 
 
 @settings(max_examples=25)
