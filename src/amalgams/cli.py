@@ -19,9 +19,11 @@ Declarations (one per line, `#` starts a comment):
 Commands: present, classify, canonical, hom-into, finite check, and
 verify-paper, which runs the harness in `amalgams.harness`.  This module
 is the parser and the dispatch.  Exit codes: 0 success, 1
-computation/verification failure, 2 parse or usage error (a negative
---degree-cap or --max-degree, a --prime that is not a prime, or an
-argument after verify-paper) or unknown name.
+computation/verification failure (among them a `classify` whose
+resolution disagrees with the ring's Hilbert series, `error:
+SeriesMismatch: ...` naming the first degree that differs), 2 parse or
+usage error (a negative --degree-cap or --max-degree, a --prime that is
+not a prime, or an argument after verify-paper) or unknown name.
 
 `parse_input` prefixes `line N: ` to every error raised while it reads
 the declaration on line N; the declaration readers never see the line.

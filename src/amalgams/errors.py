@@ -57,6 +57,14 @@ class ResolutionTooLong(AlgebraError):
     """
 
 
+class SeriesMismatch(AlgebraError):
+    """A ring's free resolution disagrees with its Hilbert series: the
+    alternating sum of the twists is not the series' numerator.
+
+    Signals a fault in the computation, never a property of the input.
+    """
+
+
 class ZeroModule(AlgebraError):
     """Operation requires a nonzero module."""
 

@@ -111,18 +111,19 @@ def _reduced(ring, G):
     ]
     # Tail-reduce each survivor against all of them, one index for all:
     # no other survivor's lead divides its lead, and its own lead divides
-    # no term below it, so this is its normal form against the others.
-    basis = _Basis(
-        G.order, [vecs[k] for k in minimal], [leads[k] for k in minimal]
-    )
+    # no term below it, so this is its normal form against the others.  A
+    # tail no lead divides is its own normal form, and stays as it is.
+    minimal_leads = [leads[k] for k in minimal]
+    basis = _Basis(G.order, [vecs[k] for k in minimal], minimal_leads)
     free = FreeModule(ring, [0])
     reduced = []
     for idx in minimal:
-        lead = leads[idx]
-        tail = dict(vecs[idx].terms)
+        g, lead = vecs[idx], leads[idx]
+        tail = dict(g.terms)
         c = tail.pop(lead)
-        h = _reduce(ModVec(free, tail), basis)
-        reduced.append((ModVec(free, {lead: c, **h.terms}), lead))
+        if any(divides(km, m) for _, m in tail for _, km in minimal_leads):
+            g = ModVec(free, {lead: c, **_reduce(ModVec(free, tail), basis).terms})
+        reduced.append((g, lead))
     reduced.sort(key=lambda gl: G.order.key(gl[1]))
     return GroebnerBasis(
         ring, _Basis(G.order, [g for g, _ in reduced], [m for _, m in reduced])

@@ -4,7 +4,9 @@ All homological algebra happens over the ambient polynomial ring: depth via
 the Auslander-Buchsbaum identity (#vars - projective dimension), canonical
 modules and the classification predicates via Ext against the ambient ring
 and graded local duality.  `classify` reads the Betti numbers and depth
-through `free_resolution` and `depth_ab`, the dimension of each Ext^j with
+through `free_resolution` and `depth_ab`, once the alternating sum of the
+resolution's twists is found to be the numerator of the ring's series
+(else it raises `SeriesMismatch`), the dimension of each Ext^j with
 j > codim off its series (`_ext_series`), and whether R is
 quasi-Gorenstein off the type, or off HS(ω) from the Euler
 characteristic of the dual complex (`_codim_ext_series`); it presents no
@@ -34,9 +36,10 @@ off the same monomials.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .errors import ResolutionTooLong, ZeroModule
+from .errors import ResolutionTooLong, SeriesMismatch, ZeroModule
 from .modules import (
     FPModule,
     FreeModule,
@@ -287,12 +290,25 @@ def classify(R):
     and otherwise from HS(ω) by the Euler characteristic of the dual
     complex (`_codim_ext_series`), with ω's generators counted (the
     minimal generators of `_ext_kernel_image`) only when HS(ω) =
-    t^a HS(R).  R keeps the report (`report`).
+    t^a HS(R).  R keeps the report (`report`).  A resolution whose
+    twists disagree with R's series (`SeriesMismatch`) reports nothing.
     """
     if R.report is not None:
         return R.report
     n = R.ambient.nvars
     res = free_resolution(R)
+    # Over the same denominator prod(1 - t^w), the alternating sum of the
+    # twists is the numerator of R's series (Hilbert's syzygy theorem).
+    euler = Counter()
+    for i, twists in enumerate(res.twists):
+        for d in twists:
+            euler[d] += (-1) ** i
+    euler = {d: c for d, c in euler.items() if c}
+    if euler != R.series.num:
+        degree = HilbertSeries(euler, R.series.den).first_difference(R.series)
+        raise SeriesMismatch(
+            f"the resolution disagrees with the Hilbert series in degree {degree}"
+        )
     betti = res.betti_numbers()
     dim = krull_dim(R)
     depth = depth_ab(R)

@@ -620,10 +620,9 @@ class FPModule:
 
     @classmethod
     def quotient_ring(cls, presented):
-        """S/I as a module over the ambient polynomial ring S."""
-        return cls(
-            presented.ambient, [0], [[g] for g in presented.defining.elements]
-        )
+        """S/I as a module over the ambient polynomial ring S, related by
+        the rank-1 vectors of I's reduced basis as they are."""
+        return cls(presented.ambient, [0], presented.defining.basis.vecs)
 
     def shift(self, a):
         """M(-a): add a to every generator degree."""

@@ -14,7 +14,8 @@ packed monomials as `grevlex_key` orders tuples.
 
 from __future__ import annotations
 
-from operator import mul
+import re
+from operator import add, mul
 from struct import Struct
 
 from .errors import (
@@ -253,10 +254,7 @@ class PolyRing:
         return self.const(1)
 
     def const(self, c):
-        c = self.field.normalize(c)
-        if c == 0:
-            return self.zero()
-        return Polynomial(self, {self.one_mono(): c})
+        return self.monomial(self.one_mono(), c)
 
     def var(self, name):
         i = self._index[name]
@@ -275,9 +273,7 @@ class PolyRing:
         if len(expts) != self.nvars or any(e < 0 for e in expts):
             raise ValueError("bad exponent vector")
         c = self.field.normalize(coeff)
-        if c == 0:
-            return self.zero()
-        return Polynomial(self, {expts: c})
+        return Polynomial(self, {expts: c} if c else {})
 
 
 class Polynomial:
@@ -327,12 +323,9 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.ring.p
-        return Polynomial(self.ring, {m: p - c for m, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.ring.const(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -435,107 +428,118 @@ def format_poly(f, signed=False):
     return " ".join(pieces)
 
 
-def _name_char(ch):
-    return ch.isalnum() or ch == "_"
+# One token per match, after any whitespace: a run of decimal digits, a
+# word of letters, digits and `_`, an operator, or any other character.
+# `\s`, `\d` and `\w` match what str.isspace, str.isdecimal and
+# (str.isalnum or `_`) accept, so `int` reads every run of digits.
+_TOKEN = re.compile(r"\s*(?:(\d+)|(\w+)|([-+*^()])|(\S))")
 
 
 def is_name(text):
     """Whether `parse_poly` reads `text` as one variable name: a letter or
     `_`, then letters, digits or `_`."""
-    return (text[:1].isalpha() or text[:1] == "_") and all(map(_name_char, text))
+    return (text[:1].isalpha() or text[:1] == "_") and bool(re.fullmatch(r"\w+", text))
 
 
-class _PolyTokens:
-    def __init__(self, text):
-        self.toks = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch.isdecimal():
-                # decimal digits only: `int` rejects other digits, like ²
-                j = i
-                while j < len(text) and text[j].isdecimal():
-                    j += 1
-                self.toks.append(("int", int(text[i:j])))
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and _name_char(text[j]):
-                    j += 1
-                self.toks.append(("name", text[i:j]))
-                i = j
-            elif ch in "+-*^()":
-                self.toks.append((ch, ch))
-                i += 1
+def _tokens(text):
+    """The tokens of `text`, then None: ints, names, and the operators as
+    one-character strings.  A word that starts with a digit `int` cannot
+    read, like `²`, is a bad character."""
+    toks = []
+    for digits, word, op, other in _TOKEN.findall(text):
+        if word and not (word[0].isalpha() or word[0] == "_"):
+            other = word[0]
+        if other:
+            raise ParseError(f"bad character {other!r} in polynomial")
+        toks.append(int(digits) if digits else word or op)
+    toks.append(None)
+    return toks
+
+
+def _power(toks, at):
+    """The exponent after the factor that ends before token `at`, the int
+    after a `^` (None with no `^`), and the index of the token after it."""
+    if toks[at] != "^":
+        return None, at
+    if type(toks[at + 1]) is not int:
+        raise ParseError("expected integer exponent after '^'")
+    return toks[at + 1], at + 2
+
+
+def _sum(ring, toks, at):
+    """The terms of the sum that starts at token `at`, as one dict, and the
+    index of the first token after it.
+
+    A term's numbers and variables, each with its power, multiply into one
+    exponent list and one coefficient, and a minus, unary or between two
+    terms, flips the coefficient's sign; only a parenthesised factor, with
+    its power, is a `Polynomial`, and the factors of a term that has one
+    multiply by its monomial last.  A `+` may open the sum."""
+    p, index, nvars = ring.p, ring._index, ring.nvars
+    terms = {}
+    while True:
+        if toks[at] == "+":
+            at += 1
+        expts, c, factors = [0] * nvars, 1, None
+        while True:
+            tok = toks[at]
+            at += 1
+            if tok == "-":
+                c = -c
+                continue
+            if type(tok) is int:
+                n, at = _power(toks, at)
+                c = c * (tok if n is None else pow(tok, n, p)) % p
+            elif tok == "(":
+                inner, at = _sum(ring, toks, at)
+                if toks[at] != ")":
+                    raise ParseError("expected ')'")
+                n, at = _power(toks, at + 1)
+                f = Polynomial(ring, inner)
+                if n is not None:
+                    # f^n has degree n * deg f; expanding a sum of terms
+                    # past the cap costs time and memory no computation uses
+                    cap = ring.degree_cap
+                    if len(f.terms) > 1 and cap is not None and n * f.degree() > cap:
+                        raise DegreeCapExceeded(
+                            f"intermediate degree {n * f.degree()} exceeds cap {cap}"
+                        )
+                    f = f**n
+                factors = f if factors is None else factors * f
+            elif tok is None or tok in "+*^)":
+                raise ParseError(f"unexpected token {tok!r} in polynomial")
+            elif tok in index:
+                n, at = _power(toks, at)
+                expts[index[tok]] += 1 if n is None else n
             else:
-                raise ParseError(f"bad character {ch!r} in polynomial")
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else (None, None)
-
-    def next(self):
-        t = self.peek()
-        self.pos += 1
-        return t
+                raise ParseError(f"unknown variable {tok!r}")
+            if toks[at] != "*":
+                break
+            at += 1
+        c %= p
+        if not c:
+            product = {}
+        elif factors is None:
+            product = {tuple(expts): c}
+        else:
+            product = {
+                tuple(map(add, m, expts)): v * c % p for m, v in factors.terms.items()
+            }
+        for m, v in product.items():
+            s = (terms.get(m, 0) + v) % p
+            if s:
+                terms[m] = s
+            else:
+                del terms[m]
+        if toks[at] not in ("+", "-"):
+            return terms, at
 
 
 def parse_poly(ring, text):
-    """Parse the display syntax back into a Polynomial of `ring`."""
-    toks = _PolyTokens(text)
-
-    def factor():
-        kind, val = toks.next()
-        if kind == "int":
-            base = ring.const(val)
-        elif kind == "name":
-            if val not in ring._index:
-                raise ParseError(f"unknown variable {val!r}")
-            base = ring.var(val)
-        elif kind == "(":
-            base = expr()
-            if toks.next()[0] != ")":
-                raise ParseError("expected ')'")
-        elif kind == "-":
-            return -factor()
-        else:
-            raise ParseError(f"unexpected token {val!r} in polynomial")
-        if toks.peek()[0] == "^":
-            toks.next()
-            kind, n = toks.next()
-            if kind != "int":
-                raise ParseError("expected integer exponent after '^'")
-            # f^n has degree n * deg f; expanding a sum of terms past the
-            # cap costs time and memory that no computation may use
-            cap = ring.degree_cap
-            if len(base.terms) > 1 and cap is not None and n * base.degree() > cap:
-                raise DegreeCapExceeded(
-                    f"intermediate degree {n * base.degree()} exceeds cap {cap}"
-                )
-            base = base**n
-        return base
-
-    def term():
-        out = factor()
-        while toks.peek()[0] == "*":
-            toks.next()
-            out = out * factor()
-        return out
-
-    def expr():
-        sign = 1
-        if toks.peek()[0] in ("+", "-"):
-            sign = -1 if toks.next()[0] == "-" else 1
-        out = term().scale(sign)
-        while toks.peek()[0] in ("+", "-"):
-            op = toks.next()[0]
-            t = term()
-            out = out + t if op == "+" else out - t
-        return out
-
-    result = expr()
-    if toks.peek()[0] is not None:
+    """Parse the display syntax back into a Polynomial of `ring`, in one
+    pass over the tokens of one regex (`_sum`)."""
+    toks = _tokens(text)
+    terms, at = _sum(ring, toks, 0)
+    if toks[at] is not None:
         raise ParseError(f"trailing input in polynomial: {text!r}")
-    return result
+    return Polynomial(ring, terms)

@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from amalgams.errors import AlgebraError
 from amalgams.finite import FiniteRing
-from amalgams.poly import PolyRing, Polynomial
+from amalgams.poly import PolyRing, Polynomial, parse_poly
 from oracles import (
     check_ring_axioms,
     grevlex_rank,
+    parse_poly_arith,
     relabel_one,
     standard_monomials_filter,
 )
@@ -46,6 +48,26 @@ def from_terms(ring, terms):
         expts = tuple(expts)
         acc[expts] = (acc.get(expts, 0) + c) % ring.p
     return Polynomial(ring, {m: c for m, c in acc.items() if c})
+
+
+def parse_outcome(parse, ring, text):
+    """What `parse` makes of `text`: the polynomial's (monomial, coeff)
+    terms in their order, or the type and message of what it raised (a
+    ValueError from `int` on a number of too many digits included)."""
+    try:
+        return list(parse(ring, text).terms.items())
+    except (AlgebraError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def parse_like_oracle(ring, text):
+    """`parse_poly(ring, text)`, once the arithmetic oracle is seen to give
+    the same terms in the same order, or to raise the same exception with
+    the same message."""
+    assert parse_outcome(parse_poly, ring, text) == parse_outcome(
+        parse_poly_arith, ring, text
+    ), text
+    return parse_poly(ring, text)
 
 
 def random_poly(ring, rng, max_degree=3, terms=4):

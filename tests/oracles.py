@@ -78,6 +78,14 @@ substitutes a section when the map has one.
 `retraction_ideal_identity` checks K + (z's) = I_A*C + (z's) for a
 presentation C/K, an identity that holds for every amalgam because
 I_A*C lies in K; it lifts I_A into C itself.
+`parse_poly_arith` parses a polynomial by recursive descent over a
+character-by-character tokenizer, every factor a `Polynomial` and every
+product and sum `Polynomial` arithmetic, where `amalgams.poly.parse_poly`
+tokenizes with one regex and multiplies the numbers and variables of a
+term into one exponent list and one coefficient.
+`reduce_every_tail` tail-reduces every element of a minimalized basis,
+where `amalgams.gb._reduced` keeps an element whose tail no lead divides
+as it is.
 `krull_dim_subsets` takes the dimension of S/I as the size of the largest
 set of variables no leading monomial of I lives in, found by a search over
 variable subsets, and `krull_dim_annihilator` takes the dimension of a
@@ -99,9 +107,9 @@ from operator import add, le, mul, sub
 
 import numpy as np
 
-from amalgams.errors import DegreeCapExceeded, NotARing
+from amalgams.errors import DegreeCapExceeded, NotARing, ParseError
 from amalgams.finite import FiniteIdeal
-from amalgams.gb import IdealBasis, buchberger, quotient_ideal
+from amalgams.gb import GroebnerBasis, IdealBasis, buchberger, quotient_ideal
 from amalgams.homology import (
     FreeResolution,
     _as_module,
@@ -117,6 +125,7 @@ from amalgams.modules import (
     ModOrder,
     ModVec,
     _Basis,
+    _reduce,
     _syzygy_basis,
     leading_mod_term,
     minimal_generators,
@@ -1073,3 +1082,130 @@ def retraction_ideal_identity(P):
     left = buchberger(IdealBasis(amb, list(P.ring.defining.elements) + zs))
     right = buchberger(IdealBasis(amb, lifted + zs))
     return left.elements == right.elements
+
+
+def _tokens_by_character(text):
+    """The (kind, value) tokens of a polynomial's text, read one character
+    at a time: decimal digits, names (a letter or `_`, then letters,
+    digits or `_`) and the operators."""
+    toks = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch.isdecimal():
+            # decimal digits only: `int` rejects other digits, like ²
+            j = i
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+            toks.append(("int", int(text[i:j])))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(("name", text[i:j]))
+            i = j
+        elif ch in "+-*^()":
+            toks.append((ch, ch))
+            i += 1
+        else:
+            raise ParseError(f"bad character {ch!r} in polynomial")
+    return toks
+
+
+def parse_poly_arith(ring, text):
+    """The polynomial of `text` in `ring`, by recursive descent: every
+    factor is a `Polynomial`, and products, sums and powers are
+    `Polynomial` arithmetic.  Raises what `parse_poly` raises."""
+    toks = _tokens_by_character(text) + [(None, None)]
+    at = 0
+
+    def take():
+        nonlocal at
+        at += 1
+        return toks[at - 1]
+
+    def factor():
+        kind, val = take()
+        if kind == "int":
+            base = ring.const(val)
+        elif kind == "name":
+            if val not in ring.names:
+                raise ParseError(f"unknown variable {val!r}")
+            base = ring.var(val)
+        elif kind == "(":
+            base = expr()
+            if take()[0] != ")":
+                raise ParseError("expected ')'")
+        elif kind == "-":
+            return -factor()
+        else:
+            raise ParseError(f"unexpected token {val!r} in polynomial")
+        if toks[at][0] == "^":
+            take()
+            kind, n = take()
+            if kind != "int":
+                raise ParseError("expected integer exponent after '^'")
+            cap = ring.degree_cap
+            if len(base.terms) > 1 and cap is not None and n * base.degree() > cap:
+                raise DegreeCapExceeded(
+                    f"intermediate degree {n * base.degree()} exceeds cap {cap}"
+                )
+            base = base**n
+        return base
+
+    def term():
+        out = factor()
+        while toks[at][0] == "*":
+            take()
+            out = out * factor()
+        return out
+
+    def expr():
+        negate = toks[at][0] == "-"
+        if toks[at][0] in ("+", "-"):
+            take()
+        out = -term() if negate else term()
+        while toks[at][0] in ("+", "-"):
+            op = take()[0]
+            t = term()
+            out = out + t if op == "+" else out - t
+        return out
+
+    result = expr()
+    if toks[at][0] is not None:
+        raise ParseError(f"trailing input in polynomial: {text!r}")
+    return result
+
+
+def reduce_every_tail(ring, G):
+    """The reduced basis of the ideal whose Groebner basis is the `_Basis`
+    G of monic rank-1 vectors: drop each element whose lead another lead
+    divides (the first of equal leads stays), then reduce the tail of
+    every element left against all of them, and sort by lead."""
+    leads = G.leads
+    unpack = ring.layout.unpack
+    minimal = [
+        k
+        for k, (_, lm) in enumerate(leads)
+        if not any(
+            j != k
+            and _divides_scan(unpack(lj), unpack(lm))
+            and (lj != lm or j < k)
+            for j, (_, lj) in enumerate(leads)
+        )
+    ]
+    basis = _Basis(G.order, [G.vecs[k] for k in minimal], [leads[k] for k in minimal])
+    free = FreeModule(ring, [0])
+    reduced = []
+    for k in minimal:
+        tail = dict(G.vecs[k].terms)
+        c = tail.pop(leads[k])
+        h = _reduce(ModVec(free, tail), basis)
+        reduced.append((ModVec(free, {leads[k]: c, **h.terms}), leads[k]))
+    reduced.sort(key=lambda gl: G.order.key(gl[1]))
+    return GroebnerBasis(
+        ring, _Basis(G.order, [g for g, _ in reduced], [m for _, m in reduced])
+    )

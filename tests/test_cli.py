@@ -16,6 +16,7 @@ from amalgams.errors import (
     NotPrime,
     ParseError,
     ResolutionTooLong,
+    SeriesMismatch,
     UnknownReference,
 )
 from amalgams.amalgam import amalgam_present, duplication
@@ -23,6 +24,7 @@ from amalgams.harness import _j_module, run_harness, socle_dimension, verify_pap
 from amalgams.homology import classify, depth_ab, hilbert_series, krull_dim
 from amalgams.modules import FPModule
 from amalgams.ring import IdealHandle, PresentedRing, make_ring
+from conftest import parse_like_oracle
 
 INTERSECTION = """\
 # comment line
@@ -501,186 +503,203 @@ def test_present_checks_a_high_max_degree_quickly():
     assert done.stdout.decode().splitlines()[-1] == "certificate = Certified"
 
 
-@pytest.mark.parametrize(
-    "text, line, message",
-    [
-        ("ring A vars x:0\n", 1, "weights must be positive"),
-        ("ring A vars x, x\n", 1, "duplicate variable names"),
-        ("ring A vars x:a\n", 1, "weight of 'x' must be an integer"),
-        (
-            "field p=101\nring A vars x\n"
-            "trivext T : A, module gens 1, 2 relations x*e1 + x*e2\n",
-            3,
-            "inhomogeneous module vector",
-        ),
-        (
-            "field p=101\nring A vars x\n"
-            "trivext T : A, module gens 0, 1 relations x*e1 + x*e2\n",
-            3,
-            "inhomogeneous module vector",
-        ),
-        (
-            "zring Z6 n=6\nfhom f Z6 -> Z6 : 0, 1, 2, 3, 4, 9\n",
-            2,
-            "image labels must lie in 0..5",
-        ),
-        ("zring Z6 n=6\nfideal J in Z6 : 0, 9\n", 2, "ideal labels must lie in 0..5"),
-        (
-            "zring Z6 n=6\nfield p=4\nring A vars x\n",
-            2,
-            "4 is not a prime in [2, 2^31)",
-        ),
-        # Finite rings above the cap are refused before a table is built.
-        ("zring Z n=4097\n", 1, "|R| = 4097 exceeds the spectrum cap 4096"),
-        (
-            "zring Z n=65\nproduct P = Z x Z\n",
-            2,
-            "|R| = 4225 exceeds the spectrum cap 4096",
-        ),
-        ("ring A vars :2\n", 1, "bad variable name ''"),
-        ("ring A vars x y\n", 1, "bad variable name 'x y'"),
-        ("ring A vars x y ideal: x^2\n", 1, "bad variable name 'x y'"),
-        ("ring A vars 2x\n", 1, "bad variable name '2x'"),
-        # `²` is a digit to str.isdigit but not to int, nor a letter.
-        ("ring A vars ²\n", 1, "bad variable name '²'"),
-        ("ring A vars x ideal: x^²\n", 1, "bad character '²' in polynomial"),
-        ("ring A vars x ideal: ²*x\n", 1, "bad character '²' in polynomial"),
-        ("field p=²\n", 1, "expected field p=<prime>, not 'p=²'"),
-        ("zring Z n=²\n", 1, "expected zring <name> n=<k>, not 'Z n=²'"),
-        (
-            "ring A vars x\nring B vars x, y\nhom f A -> B : x -> x, x -> y\n",
-            3,
-            "two images for variable 'x'",
-        ),
-        # Each declaration's usage message, and the other messages the
-        # declarations raise themselves.
-        ("ring A\n", 1, "expected ring <Name> vars ..."),
-        ("ring A vars\n", 1, "ring needs at least one variable"),
-        (
-            "ring A vars x\nring B vars y\nhom f A B : x -> y\n",
-            3,
-            "expected hom <name> <Src> -> <Tgt> : ...",
-        ),
-        (
-            "ring A vars x\nring B vars y\nhom f A -> B x -> y\n",
-            3,
-            "expected hom <name> <Src> -> <Tgt> : ...",
-        ),
-        (
-            "ring A vars x\nring B vars y\nhom f A -> B : z -> y\n",
-            3,
-            "bad image assignment 'z -> y'",
-        ),
-        (
-            "ring A vars x\nring B vars y\nhom f A -> B : \n",
-            3,
-            "no image for variable(s) x",
-        ),
-        (
-            "ring A vars x\nideal I A : x\n",
-            2,
-            "expected ideal <name> in <Ring> : ...",
-        ),
-        (
-            "ring A vars x\nideal I in A x\n",
-            2,
-            "expected ideal <name> in <Ring> : ...",
-        ),
-        (
-            "ring A vars x\nideal I in A : x\namalgam W : I\n",
-            3,
-            "expected amalgam <name> : <hom>, <ideal>",
-        ),
-        (
-            "ring A vars x\nideal I in A : x\nduplication D : A\n",
-            3,
-            "expected duplication <name> : <Ring>, <ideal>",
-        ),
-        (
-            "ring A vars x\ntrivext T : A, gens 1\n",
-            2,
-            "expected trivext <name> : <Ring>, module ...",
-        ),
-        (
-            "ring A vars x\ntrivext T : A, module gen 1\n",
-            2,
-            "expected module canonical or module gens ...",
-        ),
-        (
-            "ring A vars x\ntrivext T : A, module gens a\n",
-            2,
-            "generator degrees must be integers",
-        ),
-        (
-            "ring A vars x\ntrivext T : A, module gens\n",
-            2,
-            "module needs at least one generator",
-        ),
-        (
-            "ring e1 vars e1\ntrivext T : e1, module gens 1\n",
-            2,
-            "ambient variables may not be named e1, e2, ...",
-        ),
-        (
-            "ring A vars x\ntrivext T : A, module gens 1 relations x^2\n",
-            2,
-            "relation 'x^2' is not linear in e's",
-        ),
-        (
-            "zring Z n=2\nproduct P = Z\n",
-            2,
-            "expected product <name> = <R1> x <R2>",
-        ),
-        (
-            "zring Z n=2\nfideal J Z : 0\n",
-            2,
-            "expected fideal <name> in <R> : <elem>, ...",
-        ),
-        (
-            "zring Z n=2\nfideal J in Z : a\n",
-            2,
-            "ideal elements must be integer labels",
-        ),
-        (
-            "zring Z n=2\nfhom f Z Z : 0, 1\n",
-            2,
-            "expected fhom <name> <R1> -> <R2> : <images>",
-        ),
-        ("zring Z n=2\nfhom f Z -> Z : 0, b\n", 2, "images must be integer labels"),
-        (
-            "zring Z n=2\nfhom f Z -> Z : 0, 1\nfideal J in Z : 0\n"
-            "famalgam W : f\n",
-            4,
-            "expected famalgam <name> : <fhom>, <fideal>",
-        ),
-        (
-            "ring A vars x\nring B vars y\nhom f A -> B : x -> y\n"
-            "ideal I in A : x\namalgam W : f, I\n",
-            5,
-            "ideal must live in the hom's target ring",
-        ),
-        (
-            "ring A vars x\nring B vars y\nideal I in B : y\n"
-            "duplication D : A, I\n",
-            4,
-            "ideal must live in the duplicated ring",
-        ),
-        (
-            "zring Z n=2\nzring Y n=2\nfhom f Z -> Z : 0, 1\n"
-            "fideal J in Y : 0\nfamalgam W : f, J\n",
-            5,
-            "ideal must live in the hom's target ring",
-        ),
-        ("field p=101\n\nbogus X\n", 3, "unknown declaration 'bogus'"),
-        ("ring A vars x\nring A vars y\n", 2, "duplicate name 'A'"),
-    ],
-)
+# Malformed declaration files: (text, the line of the error, its message).
+MALFORMED_INPUTS = [
+    ("ring A vars x:0\n", 1, "weights must be positive"),
+    ("ring A vars x, x\n", 1, "duplicate variable names"),
+    ("ring A vars x:a\n", 1, "weight of 'x' must be an integer"),
+    (
+        "field p=101\nring A vars x\n"
+        "trivext T : A, module gens 1, 2 relations x*e1 + x*e2\n",
+        3,
+        "inhomogeneous module vector",
+    ),
+    (
+        "field p=101\nring A vars x\n"
+        "trivext T : A, module gens 0, 1 relations x*e1 + x*e2\n",
+        3,
+        "inhomogeneous module vector",
+    ),
+    (
+        "zring Z6 n=6\nfhom f Z6 -> Z6 : 0, 1, 2, 3, 4, 9\n",
+        2,
+        "image labels must lie in 0..5",
+    ),
+    ("zring Z6 n=6\nfideal J in Z6 : 0, 9\n", 2, "ideal labels must lie in 0..5"),
+    (
+        "zring Z6 n=6\nfield p=4\nring A vars x\n",
+        2,
+        "4 is not a prime in [2, 2^31)",
+    ),
+    # Finite rings above the cap are refused before a table is built.
+    ("zring Z n=4097\n", 1, "|R| = 4097 exceeds the spectrum cap 4096"),
+    (
+        "zring Z n=65\nproduct P = Z x Z\n",
+        2,
+        "|R| = 4225 exceeds the spectrum cap 4096",
+    ),
+    ("ring A vars :2\n", 1, "bad variable name ''"),
+    ("ring A vars x y\n", 1, "bad variable name 'x y'"),
+    ("ring A vars x y ideal: x^2\n", 1, "bad variable name 'x y'"),
+    ("ring A vars 2x\n", 1, "bad variable name '2x'"),
+    # `²` is a digit to str.isdigit but not to int, nor a letter.
+    ("ring A vars ²\n", 1, "bad variable name '²'"),
+    ("ring A vars x ideal: x^²\n", 1, "bad character '²' in polynomial"),
+    ("ring A vars x ideal: ²*x\n", 1, "bad character '²' in polynomial"),
+    ("field p=²\n", 1, "expected field p=<prime>, not 'p=²'"),
+    ("zring Z n=²\n", 1, "expected zring <name> n=<k>, not 'Z n=²'"),
+    (
+        "ring A vars x\nring B vars x, y\nhom f A -> B : x -> x, x -> y\n",
+        3,
+        "two images for variable 'x'",
+    ),
+    # Each declaration's usage message, and the other messages the
+    # declarations raise themselves.
+    ("ring A\n", 1, "expected ring <Name> vars ..."),
+    ("ring A vars\n", 1, "ring needs at least one variable"),
+    (
+        "ring A vars x\nring B vars y\nhom f A B : x -> y\n",
+        3,
+        "expected hom <name> <Src> -> <Tgt> : ...",
+    ),
+    (
+        "ring A vars x\nring B vars y\nhom f A -> B x -> y\n",
+        3,
+        "expected hom <name> <Src> -> <Tgt> : ...",
+    ),
+    (
+        "ring A vars x\nring B vars y\nhom f A -> B : z -> y\n",
+        3,
+        "bad image assignment 'z -> y'",
+    ),
+    (
+        "ring A vars x\nring B vars y\nhom f A -> B : \n",
+        3,
+        "no image for variable(s) x",
+    ),
+    (
+        "ring A vars x\nideal I A : x\n",
+        2,
+        "expected ideal <name> in <Ring> : ...",
+    ),
+    (
+        "ring A vars x\nideal I in A x\n",
+        2,
+        "expected ideal <name> in <Ring> : ...",
+    ),
+    (
+        "ring A vars x\nideal I in A : x\namalgam W : I\n",
+        3,
+        "expected amalgam <name> : <hom>, <ideal>",
+    ),
+    (
+        "ring A vars x\nideal I in A : x\nduplication D : A\n",
+        3,
+        "expected duplication <name> : <Ring>, <ideal>",
+    ),
+    (
+        "ring A vars x\ntrivext T : A, gens 1\n",
+        2,
+        "expected trivext <name> : <Ring>, module ...",
+    ),
+    (
+        "ring A vars x\ntrivext T : A, module gen 1\n",
+        2,
+        "expected module canonical or module gens ...",
+    ),
+    (
+        "ring A vars x\ntrivext T : A, module gens a\n",
+        2,
+        "generator degrees must be integers",
+    ),
+    (
+        "ring A vars x\ntrivext T : A, module gens\n",
+        2,
+        "module needs at least one generator",
+    ),
+    (
+        "ring e1 vars e1\ntrivext T : e1, module gens 1\n",
+        2,
+        "ambient variables may not be named e1, e2, ...",
+    ),
+    (
+        "ring A vars x\ntrivext T : A, module gens 1 relations x^2\n",
+        2,
+        "relation 'x^2' is not linear in e's",
+    ),
+    (
+        "zring Z n=2\nproduct P = Z\n",
+        2,
+        "expected product <name> = <R1> x <R2>",
+    ),
+    (
+        "zring Z n=2\nfideal J Z : 0\n",
+        2,
+        "expected fideal <name> in <R> : <elem>, ...",
+    ),
+    (
+        "zring Z n=2\nfideal J in Z : a\n",
+        2,
+        "ideal elements must be integer labels",
+    ),
+    (
+        "zring Z n=2\nfhom f Z Z : 0, 1\n",
+        2,
+        "expected fhom <name> <R1> -> <R2> : <images>",
+    ),
+    ("zring Z n=2\nfhom f Z -> Z : 0, b\n", 2, "images must be integer labels"),
+    (
+        "zring Z n=2\nfhom f Z -> Z : 0, 1\nfideal J in Z : 0\n"
+        "famalgam W : f\n",
+        4,
+        "expected famalgam <name> : <fhom>, <fideal>",
+    ),
+    (
+        "ring A vars x\nring B vars y\nhom f A -> B : x -> y\n"
+        "ideal I in A : x\namalgam W : f, I\n",
+        5,
+        "ideal must live in the hom's target ring",
+    ),
+    (
+        "ring A vars x\nring B vars y\nideal I in B : y\n"
+        "duplication D : A, I\n",
+        4,
+        "ideal must live in the duplicated ring",
+    ),
+    (
+        "zring Z n=2\nzring Y n=2\nfhom f Z -> Z : 0, 1\n"
+        "fideal J in Y : 0\nfamalgam W : f, J\n",
+        5,
+        "ideal must live in the hom's target ring",
+    ),
+    ("field p=101\n\nbogus X\n", 3, "unknown declaration 'bogus'"),
+    ("ring A vars x\nring A vars y\n", 2, "duplicate name 'A'"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", MALFORMED_INPUTS)
 def test_malformed_input_exits_2(tmp_path, capsys, text, line, message):
     bad = tmp_path / "bad.alg"
     bad.write_text(text)
     assert main([str(bad), "present", "T"]) == 2
     err = capsys.readouterr().err
     assert err == f"parse error: line {line}: {message}\n"
+
+
+def test_malformed_polynomials_raise_what_the_arithmetic_parser_raises(monkeypatch):
+    # Every polynomial the malformed files hand the parser, a good one or
+    # a bad one, parses or fails in both parsers alike.
+    seen = []
+
+    def parse_both(ring, text):
+        seen.append(text)
+        return parse_like_oracle(ring, text)
+
+    monkeypatch.setattr(cli, "parse_poly", parse_both)
+    for text, _, _ in MALFORMED_INPUTS:
+        with pytest.raises(ParseError):
+            parse_input(text)
+    assert "x^²" in seen and "²*x" in seen and len(seen) > 10
 
 
 def test_file_that_is_not_utf8_exits_2(tmp_path, capsys):
@@ -944,6 +963,59 @@ def test_resolution_bound_exits_1(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: ResolutionTooLong: ")
     assert err.count("\n") == 1
+
+
+def mutated_resolutions(monkeypatch, mutate):
+    """Make `homology.free_resolution` hand out each new resolution after
+    `mutate` has changed it in place."""
+    real = homology.free_resolution
+
+    def free_resolution(obj):
+        if obj.resolution is None:
+            mutate(real(obj))
+        return real(obj)
+
+    monkeypatch.setattr(homology, "free_resolution", free_resolution)
+
+
+# Betti numbers 1;4;4;1, twists 0; 2,2,2,2; 3,3,3,3; 4.
+FOUR_LINES = "ring R vars a, b, c, d ideal: a*c, a*d, b*c, b*d\n"
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        # one generator of the middle stage F_2 lost, with its column
+        lambda res: (res.twists[2].pop(), res.diffs[1].pop()),
+        # one twist of F_2 shifted by one
+        lambda res: res.twists[2].__setitem__(0, res.twists[2][0] + 1),
+    ],
+    ids=["drop-generator", "shift-twist"],
+)
+def test_classify_exits_1_on_a_resolution_that_disagrees_with_the_series(
+    tmp_path, capsys, monkeypatch, mutate
+):
+    assert issubclass(SeriesMismatch, AlgebraError)
+    f = tmp_path / "r.alg"
+    f.write_text(FOUR_LINES)
+    assert main([str(f), "classify", "R"]) == 0
+    capsys.readouterr()
+    mutated_resolutions(monkeypatch, mutate)
+    assert main([str(f), "classify", "R"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: SeriesMismatch: the resolution disagrees with the Hilbert "
+        "series in degree 3\n",
+    )
+
+
+def test_a_resolution_that_disagrees_with_the_series_fails_the_harness(
+    monkeypatch,
+):
+    mutated_resolutions(
+        monkeypatch, lambda res: res.twists[-1].__setitem__(0, res.twists[-1][0] + 1)
+    )
+    assert not all(ok for _, ok in run_harness(101))
 
 
 GORENSTEIN_TRIVEXT = (

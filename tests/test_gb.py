@@ -41,12 +41,15 @@ from oracles import (
     kernel_by_elimination,
     lead_exponents,
     mod_reduce_scan,
+    reduce_every_tail,
 )
 from samples import (
     binomial_or_monomial_rings,
     duplication_along_m,
+    fixture_rings,
     k3_duplications,
     serre_rings,
+    torus_ring,
 )
 
 
@@ -690,3 +693,50 @@ def test_kept_bases_give_the_normal_forms_of_rebuilt_ones(p, data):
             targets.append(f)
         for f in targets:
             assert normal_form(f, G) == rebuilt_normal_form(f, G.elements, block)
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+def test_reduced_bases_are_those_that_reduce_every_tail(p, monkeypatch):
+    # Every reduced basis `_reduced` makes, with the elements whose tails
+    # no lead divides kept as they are, is the one the oracle makes by
+    # reducing every tail: the same leads in the same order, term for term.
+    # The sample rings are built under the check, so their own bases are
+    # checked too; then each ring's ideal goes through intersect and colon
+    # (quotient_ideal), eliminate, and kernel_of_map by a section and by
+    # elimination.
+    real = gb_module._reduced
+    kept = reduced = 0
+
+    def checked(ring, G):
+        nonlocal kept, reduced
+        ours, oracle = real(ring, G), reduce_every_tail(ring, G)
+        assert ours.basis.leads == oracle.basis.leads
+        assert [g.terms for g in ours.basis] == [g.terms for g in oracle.basis]
+        same = sum(any(g is v for v in G.vecs) for g in ours.basis)
+        kept += same
+        reduced += len(ours.basis) - same
+        return ours
+
+    monkeypatch.setattr(gb_module, "_reduced", checked)
+    # A tail whose first term no lead divides, and whose last term z^2 does.
+    S = PolyRing(p, ["x", "y", "z"])
+    x, y, z = (S.var(n) for n in S.names)
+    G = buchberger(IdealBasis(S, [x**2 + x * y + z**2, z**2]))
+    assert G.elements == [x**2 + x * y, z**2]
+    rings = fixture_rings(p) + serre_rings(p) + k3_duplications(p)
+    for R in rings + [duplication_along_m(3, p), torus_ring(p)]:
+        amb, gens = R.ambient, R.defining.elements
+        half = len(gens) // 2
+        intersect(amb, gens[:half], gens[half:])
+        colon(amb, gens, [amb.var(amb.names[0])])
+        eliminate(amb, gens, 1)
+        permuted = [amb.var(n) for n in amb.names]
+        if len(set(amb.weights)) == 1:
+            permuted.reverse()
+        kernel_of_map(amb, permuted, R.defining)
+        squares = amb.with_variables(
+            [f"{n}_" for n in amb.names], [2 * w for w in amb.weights]
+        )
+        kernel_of_map(squares, [amb.var(n) ** 2 for n in amb.names], R.defining)
+    # both branches run: most tails need no reduction, and some do
+    assert kept > 500 and reduced > 20

@@ -69,6 +69,7 @@ from oracles import (
 from samples import (
     binomial_or_monomial_rings,
     duplication_along_m,
+    fixture_rings,
     k3_duplications,
     serre_rings,
 )
@@ -676,3 +677,14 @@ def test_minimal_presentation_matches_substitution(p, data):
     assert hilbert_series(got) == hilbert_series(M) == hilbert_series(old)
     one = M.ring.layout.pack(M.ring.one_mono())
     assert all(m != one for r in got.relations for (_, m) in r.terms)
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+def test_quotient_ring_relates_by_the_basis_vectors(p):
+    # S/I is related by the rank-1 vectors of I's reduced basis, the same
+    # vectors as its elements packed again, in the same order.
+    for R in fixture_rings(p) + k3_duplications(p):
+        M = FPModule.quotient_ring(R)
+        free = FreeModule(R.ambient, [0])
+        assert M.relations == [free.from_polys([g]) for g in R.defining.elements]
+        assert M.free == free

@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 from itertools import islice
 from operator import add
 
@@ -22,8 +24,13 @@ from amalgams.poly import (
     parse_poly,
 )
 from amalgams.ring import make_ring
-from conftest import leading_term, monomials_of_degree, random_poly
-from oracles import block_rank, grevlex_rank
+from conftest import (
+    leading_term,
+    monomials_of_degree,
+    parse_outcome,
+    random_poly,
+)
+from oracles import block_rank, grevlex_rank, parse_poly_arith
 
 
 class LexOrder:
@@ -190,6 +197,114 @@ def test_a_name_is_what_parse_poly_reads_as_one_variable(text):
     except ParseError:
         reads_as_var = False
     assert is_name(text) == reads_as_var
+
+
+# Names with a non-ASCII letter, a leading `_` and a digit that `int`
+# cannot read (`²`); weights other than 1 and caps that a power of a sum
+# can pass.
+PARSE_NAMES = ["x", "y_1", "_z", "é", "Ω2", "w²"]
+
+
+def _parse_ring(rng):
+    return PolyRing(
+        rng.choice([2, 101, 32003]),
+        PARSE_NAMES,
+        rng.choice([None, [1, 2, 1, 3, 1, 1]]),
+        rng.choice([None, 8, 20]),
+    )
+
+
+def _random_sum(rng, depth=0):
+    """A well-formed polynomial text: a sum with an optional leading sign,
+    whose factors are numbers (0, and at or above every prime used),
+    names, unary minus and parenthesised sums nested two deep, each with
+    an optional `^n`, n = 0 included."""
+    out = rng.choice(["", "", "+", "-", "- "])
+    for k in range(rng.randint(1, 3)):
+        if k:
+            out += rng.choice([" + ", " - ", "+", "-"])
+        factors = [_random_factor(rng, depth) for _ in range(rng.randint(1, 3))]
+        out += rng.choice(["*", " * "]).join(factors)
+    return out
+
+
+def _random_factor(rng, depth):
+    r = rng.random()
+    if r < 0.1:
+        return "-" + _random_factor(rng, depth)
+    if r < 0.35:
+        base = str(rng.choice([0, 1, 2, 7, 100, 101, 102, 32003, 10**30]))
+        powers = [0, 1, 2, 5, 10**6]
+    elif r < 0.8 or depth >= 2:
+        base = rng.choice(PARSE_NAMES)
+        powers = [0, 1, 2, 3, 40]
+    else:
+        base = "(" + _random_sum(rng, depth + 1) + ")"
+        powers = [0, 1, 2, 3, 4] if depth == 0 else [0, 1, 2]
+    if rng.random() < 0.4:
+        base += rng.choice(["^", " ^ ", "^ "]) + str(rng.choice(powers))
+    return base
+
+
+def test_parse_poly_is_the_arithmetic_parser_on_random_inputs():
+    # Same terms in the same order, or the same exception and message: a
+    # power of a sum past the cap raises DegreeCapExceeded in both.
+    rng = random.Random(5)
+    raised = 0
+    for _ in range(1500):
+        ring, text = _parse_ring(rng), _random_sum(rng)
+        ours = parse_outcome(parse_poly, ring, text)
+        assert ours == parse_outcome(parse_poly_arith, ring, text), text
+        raised += isinstance(ours, tuple)
+    assert 50 < raised < 500
+
+
+# One-token edits: operators, a name, an unknown name, numbers, a digit
+# `int` cannot read, a character of no token, and an exponent.
+EDIT_TOKENS = ["+", "-", "*", "^", "(", ")", "x", "q", "3", "0", "²", "@", "^2"]
+
+
+def test_one_token_edits_raise_what_the_arithmetic_parser_raises():
+    rng = random.Random(7)
+    raised = 0
+    for _ in range(2000):
+        ring = _parse_ring(rng)
+        toks = re.findall(r"\d+|\w+|\S", _random_sum(rng))
+        k = rng.randrange(len(toks) + 1)
+        if k < len(toks) and rng.random() < 0.5:
+            del toks[k]
+        else:
+            toks.insert(k, rng.choice(EDIT_TOKENS))
+        text = " ".join(toks)
+        ours = parse_outcome(parse_poly, ring, text)
+        assert ours == parse_outcome(parse_poly_arith, ring, text), text
+        raised += isinstance(ours, tuple)
+    assert raised > 1000
+
+
+def test_parse_poly_errors_name_what_the_arithmetic_parser_names():
+    ring = PolyRing(101, ["x", "y"], degree_cap=4)
+    for text in [
+        "", "x +", "z", "x^", "x^y", "(x", "x**y", "x y", "x)", "-", "+-x",
+        "--x", "x - +y", "x^2^3", "(x + y)^3", "(x + y)^1*x^9", "x*-", "2²",
+        "²x", "x²", "1" * 5000, "x ^ ١٢", "@",
+    ]:
+        ours = parse_outcome(parse_poly, ring, text)
+        assert ours == parse_outcome(parse_poly_arith, ring, text), text
+
+
+def test_the_tokenizer_reads_characters_as_str_methods_do():
+    # The tokenizer's \s, \d and \w are the character tests of the
+    # arithmetic oracle's character loop: str.isspace, str.isdecimal and
+    # (str.isalnum or `_`), on every code point.
+    text = "".join(map(chr, range(sys.maxunicode + 1)))
+    for pattern, test in [
+        (r"\s", str.isspace),
+        (r"\d", str.isdecimal),
+        (r"\w", lambda ch: ch.isalnum() or ch == "_"),
+    ]:
+        found = {m.start() for m in re.finditer(pattern, text)}
+        assert found == {i for i, ch in enumerate(text) if test(ch)}
 
 
 def test_parse_precedence_and_parens():
