@@ -194,12 +194,11 @@ def trivial_extension(A, M):
     amb = A.ambient.with_variables(list(A.names) + e_names, list(A.weights) + degs)
     gens = [amb.embed(g) for g in A.defining.elements]
     evars = [amb.var(n) for n in e_names]
+    unpack = A.ambient.layout.unpack
+    units = [(0,) * i + (1,) + (0,) * (s - 1 - i) for i in range(s)]
     for rel in M.relations:
-        poly = amb.zero()
-        for i in range(s):
-            poly = poly + amb.embed(rel.component_poly(i)) * evars[i]
-        if not poly.is_zero():
-            gens.append(poly)
+        terms = {unpack(m) + units[i]: c for (i, m), c in rel.terms.items()}
+        gens.append(Polynomial(amb, terms))
     for i in range(s):
         for j in range(i, s):
             gens.append(evars[i] * evars[j])

@@ -85,12 +85,18 @@ class ProductRing(FiniteRing):
         _check_order(n)
         # label -> pair code a * |B| + b, which is also pair code -> label
         perm = _unit_first(n, A.one * nB + B.one)
-        a, b = perm // nB, perm % nB
-        ai, ak = a[:, None], a[None, :]
-        bi, bk = b[:, None], b[None, :]
-        add = perm[A.add[ai, ak] * nB + B.add[bi, bk]]
-        mul = perm[A.mul[ai, ak] * nB + B.mul[bi, bk]]
+        add, mul = _pair_tables(A, B, perm // nB, perm % nB, perm)
         super().__init__(add, mul, name=name or f"{A} x {B}")
+
+
+def _pair_tables(A, B, a, b, label):
+    """The tables of the pairs (a[i], b[i]) of A x B, each entry the
+    `label` of its pair code a * |B| + b."""
+    ai, ak = a[:, None], a[None, :]
+    bi, bk = b[:, None], b[None, :]
+    add = label[A.add[ai, ak] * B.n + B.add[bi, bk]]
+    mul = label[A.mul[ai, ak] * B.n + B.mul[bi, bk]]
+    return add, mul
 
 
 class FiniteIdeal:
@@ -232,10 +238,7 @@ class FiniteAmalgam:
         # pair code a * |B| + b -> label, -1 off the subset
         lookup = np.full(A.n * nB, -1, dtype=np.int64)
         lookup[a * nB + b] = np.arange(m)
-        ai, ak = a[:, None], a[None, :]
-        bi, bk = b[:, None], b[None, :]
-        add = lookup[A.add[ai, ak] * nB + B.add[bi, bk]]
-        mul = lookup[A.mul[ai, ak] * nB + B.mul[bi, bk]]
+        add, mul = _pair_tables(A, B, a, b, lookup)
         if (add < 0).any() or (mul < 0).any():
             raise NotARing("amalgam subset is not closed in A x B")
         # A finite subset of the checked ring A x B that holds 0 and 1 and

@@ -90,7 +90,7 @@ def buchberger(basis, order=None):
     `ModOrder` `order` (grevlex by default): the module engine's basis of
     the rank-1 submodule, minimalized and tail-reduced."""
     ring = basis.ring
-    order = order or ModOrder(ring.weights)
+    order = order or ModOrder(ring.layout)
     return _reduced(ring, module_groebner(_rank_one(ring, basis.gens), order))
 
 
@@ -142,7 +142,7 @@ def normal_form(f, G):
 
 def eliminate(ring, gens, k):
     """Contract the ideal of `gens` to the subring on all but the first k
-    variables, from its basis under `ModOrder(weights, block=k)`, the order
+    variables, from its basis under `ModOrder(layout, block=k)`, the order
     that eliminates them.
 
     Returns the reduced grevlex basis over a new ring on the retained
@@ -154,11 +154,11 @@ def eliminate(ring, gens, k):
     are that basis.  The kept monomials are unpacked, cut and packed again
     in the subring's layout.
     """
-    G = buchberger(IdealBasis(ring, gens), ModOrder(ring.weights, block=k)).basis
+    G = buchberger(IdealBasis(ring, gens), ModOrder(ring.layout, block=k)).basis
     sub_ring = ring.with_variables(ring.names[k:], ring.weights[k:])
     unpack, pack = ring.layout.unpack, sub_ring.layout.pack
     free = FreeModule(sub_ring, [0])
-    kept = _Basis(ModOrder(sub_ring.weights))
+    kept = _Basis(ModOrder(sub_ring.layout))
     for g, (_, lead) in zip(G, G.leads):
         lead = unpack(lead)
         if not any(lead[:k]):

@@ -79,8 +79,7 @@ def _j_module(spec):
     S = spec.A.ambient
     F = FreeModule(S, [0])
     gens = [F.from_polys([g]) for g in spec.J.generators]
-    rels = [F.from_polys([g]) for g in spec.A.defining.elements]
-    return subquotient(S, gens, rels)
+    return subquotient(S, gens, spec.A.defining.basis.vecs)
 
 
 def socle_dimension(R):

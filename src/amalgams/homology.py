@@ -122,7 +122,7 @@ def free_resolution(obj):
             )
         diffs.append(current)
         twists.append([v.degree() for v in current])
-        current = syzygies(current)
+        current = syzygies(current, twists=twists[-1])
     obj.resolution = FreeResolution(ring, twists, diffs)
     return obj.resolution
 
@@ -214,17 +214,14 @@ def _ext_series(res, j):
     return res.cokernel_series[j] + res.cokernel_series[j - 1] - free
 
 
-def _codim_ext_series(res, c, higher):
-    """HS(Ext^c) for c the codimension, from the Euler characteristic of the
-    dual complex F_0^* -> ... -> F_pd^*, whose cohomology is Ext^j.  In a
-    polynomial ring grade I = ht I, so Ext^j = 0 for j < c and
-    (-1)^c HS(Ext^c) = sum_j (-1)^j HS(F_j^*) - sum_{j>c} (-1)^j HS(Ext^j).
-    `higher` maps each j > c to HS(Ext^j); no Ext module is presented."""
-    num = lp_zero()
-    for j in range(res.length + 1):
-        for d in res.dual_twists(j):
-            num = lp_add(num, lp_monomial(d, (-1) ** j))
-    euler = HilbertSeries(num, weights=res.ring.weights)
+def _codim_ext_series(R, c, higher):
+    """HS(Ext^c) for c the codimension, from the Euler characteristic
+    N(1/t)/D, HS(R) = N/D, of the dual complex F_0^* -> ... -> F_pd^*,
+    whose cohomology is Ext^j.  In a polynomial ring grade I = ht I, so
+    Ext^j = 0 for j < c and
+    (-1)^c HS(Ext^c) = N(1/t)/D - sum_{j>c} (-1)^j HS(Ext^j).
+    `higher` maps each j > c to HS(Ext^j)."""
+    euler = HilbertSeries({-d: n for d, n in R.series.num.items()}, R.series.den)
     for j, series in higher.items():
         euler = euler - (series if j % 2 == 0 else -series)
     return euler if c % 2 == 0 else -euler
@@ -336,7 +333,7 @@ def classify(R):
     if is_cm:
         quasi = is_gorenstein
     else:
-        ext = _codim_ext_series(res, codim, higher)
+        ext = _codim_ext_series(R, codim, higher)
         shifted = lp_mul(lp_monomial(min(ext.num)), R.series.num)
         quasi = (
             ext == HilbertSeries(shifted, R.series.den)

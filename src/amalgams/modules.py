@@ -5,7 +5,7 @@ each monomial packed into one int in the ring's `poly.PackedLayout`:
 products and quotients are int sums and differences, divisibility one
 subtraction and a mask, and `ModOrder`'s keys ints.  Polynomials keep
 exponent tuples, and vectors convert only at their edges: `from_polys`
-packs and `ModVec.component_poly` unpacks.  Leads stay packed through
+packs and the layout's `unpack` unpacks.  Leads stay packed through
 the Hilbert series (`series.monomial_kpoly`) and the count of standard
 monomials (`ring.PresentedRing.standard_monomials`), so on that path
 tuples remain only at parsing, printing and `component_poly`.
@@ -67,10 +67,8 @@ from heapq import heapify, heappop, heappush
 from .errors import DegreeCapExceeded, NotHomogeneous
 from .poly import (
     PACKED_DEGREE_BOUND,
-    PackedLayout,
     Polynomial,
     check_packed_degree,
-    packed_field_width,
 )
 
 # The monomial 1, packed, in every layout.
@@ -180,15 +178,12 @@ class ModOrder:
     and equal degrees compare the last variable's field first.
     """
 
-    def __init__(self, weights, split=0, block=0):
-        self.weights = weights
+    def __init__(self, layout, split=0, block=0):
         self.split = split
         self.block = block
-        field = packed_field_width(self.weights)
-        self._shift = len(self.weights) * field
-        self._block_bits = block * field
-        if block:
-            self._low_degree = PackedLayout(self.weights).low_degree
+        self._shift = layout.shift
+        self._block_bits = block * layout.field
+        self._low_degree = layout.low_degree
 
     def __repr__(self):
         return f"block({self.block})" if self.block else "grevlex"
@@ -503,7 +498,7 @@ def module_groebner(vecs, order=None):
     Groebner basis with the order, the leading terms and the
     per-component index."""
     if order is None and vecs:
-        order = ModOrder(vecs[0].ring.weights)
+        order = ModOrder(vecs[0].ring.layout)
     return _extend(order, vecs)
 
 
@@ -549,7 +544,7 @@ def _syzygy_basis(vecs, twists=None, modulo=(), every_pair=True):
         for idx, v in enumerate(vecs)
     ]
     lifted += [ModVec(ext, r.terms) for r in modulo]
-    gb = _extend(ModOrder(ring.weights, free.rank), lifted, every_pair)
+    gb = _extend(ModOrder(ring.layout, free.rank), lifted, every_pair)
     syz_free = FreeModule(ring, list(twists))
 
     def tail(g):
@@ -557,7 +552,7 @@ def _syzygy_basis(vecs, twists=None, modulo=(), every_pair=True):
             syz_free, {(i - free.rank, m): c for (i, m), c in g.terms.items()}
         )
 
-    out = _Basis(ModOrder(ring.weights))
+    out = _Basis(ModOrder(ring.layout))
     if every_pair:
         for g, (comp, mono) in zip(gb.vecs, gb.leads):
             if comp >= free.rank:
@@ -591,7 +586,7 @@ def minimal_generators(vecs, modulo=()):
             sorted(((i, unpack(m)), c) for (i, m), c in v.terms.items()),
         )
     )
-    order = ModOrder(vecs[0].ring.weights)
+    order = ModOrder(vecs[0].ring.layout)
     return _extend(order, modulo, every_pair=False, candidates=vecs).minimal
 
 
@@ -656,4 +651,4 @@ def subquotient(ring, gens, rels):
     relation has a unit entry."""
     kept = minimal_generators(gens, modulo=rels)
     twists = [g.degree() for g in kept]
-    return FPModule(ring, twists, syzygies(kept, modulo=rels))
+    return FPModule(ring, twists, syzygies(kept, twists=twists, modulo=rels))

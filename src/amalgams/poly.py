@@ -98,12 +98,6 @@ def check_packed_degree(degree):
         )
 
 
-def packed_field_width(weights):
-    """Bits per variable in the packed layout of a ring with these weights
-    (see `PackedLayout`)."""
-    return 32 if max(weights, default=1) <= 3 else 64
-
-
 class PackedLayout:
     """A ring's monomials packed into one int each, the form every
     `modules.ModVec` stores them in.
@@ -133,7 +127,7 @@ class PackedLayout:
     def __init__(self, weights):
         n = len(weights)
         self.weights = weights
-        self.field = packed_field_width(weights)
+        self.field = 32 if max(weights, default=1) <= 3 else 64
         self._fields = Struct(f"<{n}{'I' if self.field == 32 else 'Q'}")
         self.shift = n * self.field
         self._low = (1 << self.shift) - 1

@@ -38,6 +38,7 @@ def lp_add(a, b):
 def lp_neg(a):
     return {d: -c for d, c in a.items()}
 
+
 def lp_sub(a, b):
     return lp_add(a, lp_neg(b))
 

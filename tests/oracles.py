@@ -2,7 +2,9 @@
 
 `resolution_series` takes Hilbert series from the alternating sum of the
 twists of a minimal free resolution, where
-`amalgams.homology.hilbert_series` reads them off leading monomials.
+`amalgams.homology.hilbert_series` reads them off leading monomials, and
+`dual_euler_series` that of the dual twists, where
+`amalgams.homology._codim_ext_series` reads R's numerator at 1/t.
 `order_at_one_divide` counts the factors 1 - t of a Laurent polynomial by
 dividing them out, expanding each quotient over every degree, and
 `first_difference_scan` expands two series and compares them degree by
@@ -274,6 +276,16 @@ def resolution_series(obj):
     return HilbertSeries(num, weights=res.ring.weights)
 
 
+def dual_euler_series(res):
+    """The Euler characteristic sum_j (-1)^j HS(F_j^*) of the dual of the
+    resolution `res`, summed over every twist of every dual module."""
+    num = lp_zero()
+    for j in range(res.length + 1):
+        for d in res.dual_twists(j):
+            num = lp_add(num, lp_monomial(d, (-1) ** j))
+    return HilbertSeries(num, weights=res.ring.weights)
+
+
 def order_at_one_divide(a):
     """Multiplicity of t = 1 as a root of the nonzero Laurent polynomial a:
     while the coefficients sum to 0, a = (1 - t) * q with q's coefficients
@@ -340,7 +352,7 @@ def minimal_generators_rebuild(vecs, modulo=()):
     gb = module_groebner(rels).vecs
     for v in vecs:
         if gb:
-            order = ModOrder(v.ring.weights)
+            order = ModOrder(v.ring.layout)
             leads = [leading_mod_term(g, order)[0] for g in gb]
             if mod_reduce_scan(v, gb, leads, order).is_zero():
                 continue
@@ -398,13 +410,13 @@ def block_rank(k):
     return rank
 
 
-def _scan_key(order, term):
+def _scan_key(order, weights, term):
     """ModOrder's comparison as a nested tuple, built afresh on every call
-    from the order's split, block and weights alone."""
+    from the order's split and block and the ring's weights alone."""
     comp, mono = term
     return (
         1 if comp < order.split else 0,
-        block_rank(order.block)(mono, order.weights),
+        block_rank(order.block)(mono, weights),
         -comp,
     )
 
@@ -457,7 +469,7 @@ def vec_add(v, w):
 def _monic_scan(v, order):
     """v scaled to leading coefficient 1, with its leading term, by `max`,
     on exponent tuples."""
-    lead = max(v.terms, key=lambda t: _scan_key(order, t))
+    lead = max(v.terms, key=lambda t: _scan_key(order, v.ring.weights, t))
     return v.scale(v.ring.field.inverse(v.terms[lead])), lead
 
 
@@ -495,7 +507,7 @@ def _reduce_scan(v, gens, leads, order, degree_cap=None, full=True):
     h = dict(v.terms)
     rem = {}
     while h:
-        lead = max(h, key=lambda t: _scan_key(order, t))
+        lead = max(h, key=lambda t: _scan_key(order, ring.weights, t))
         comp, mono = lead
         c = h[lead]
         for g, (gc_comp, gm) in zip(gens, leads):
@@ -615,9 +627,9 @@ def module_groebner_scan(vecs, order=None, degree_cap=DEFAULT_DEGREE_CAP):
     tuples, returned as a `_Basis` of packed vectors with its order and the
     leads the scan found."""
     if order is None and vecs:
-        order = ModOrder(vecs[0].ring.weights)
+        order = ModOrder(vecs[0].ring.layout)
     new = [_monic_scan(unpacked(v), order) for v in vecs if not v.is_zero()]
-    new.sort(key=lambda gl: _scan_key(order, gl[1]))
+    new.sort(key=lambda gl: _scan_key(order, gl[0].ring.weights, gl[1]))
     G, leads = [], []
     born = _extend_scan(G, leads, new, order, degree_cap)
     if not G:
@@ -1060,7 +1072,7 @@ def kernel_by_elimination(source_ring, images, target):
         e = [0] * (r + source_ring.nvars)
         e[r + i] = 1
         gens.append(joint.monomial(e) - lift(img))
-    G = buchberger(IdealBasis(joint, gens), ModOrder(joint.weights, block=r))
+    G = buchberger(IdealBasis(joint, gens), ModOrder(joint.layout, block=r))
     kept = [
         Polynomial(source_ring, {m[r:]: c for m, c in g.terms.items()})
         for g in G.elements

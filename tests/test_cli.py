@@ -947,7 +947,7 @@ def test_unknown_name_in_declaration(tmp_path, capsys, text, message):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-def never_vanishing_syzygies(vecs):
+def never_vanishing_syzygies(vecs, twists=None):
     """A stand-in for `syzygies` whose minimal generators are the vectors
     given."""
     return vecs

@@ -31,6 +31,7 @@ from amalgams.series import HilbertSeries, lp_const, lp_monomial, lp_zero
 from amalgams.gb import normal_form
 from oracles import (
     annihilator,
+    dual_euler_series,
     ext_module_rebuild,
     ext_project,
     free_resolution_rebuild,
@@ -549,9 +550,39 @@ def assert_quasi_gorenstein_matches_the_presentation(R):
     res = free_resolution(R)
     c = R.ambient.nvars - rep.dim
     higher = {j: _ext_series(res, j) for j in range(c + 1, res.length + 1)}
-    assert _codim_ext_series(res, c, higher) == hilbert_series(ext_module(R, c))
+    assert _codim_ext_series(R, c, higher) == hilbert_series(ext_module(R, c))
     if rep.is_cm:
         assert len(canonical_module(R).twists) == rep.betti[-1]
+
+
+def assert_dual_euler_is_the_numerator_at_one_over_t(R):
+    """The identity `_codim_ext_series` rests on: the Euler characteristic
+    of the dual of R's resolution, summed twist by twist, is R's numerator
+    at 1/t over R's denominator, as dicts."""
+    euler = dual_euler_series(free_resolution(R))
+    expected = HilbertSeries({-d: c for d, c in R.series.num.items()}, R.series.den)
+    assert (euler.num, euler.den) == (expected.num, expected.den)
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+def test_dual_euler_characteristic_is_the_numerator_at_one_over_t(p):
+    rings = (
+        fixture_rings(p)
+        + serre_rings(p)
+        + k3_duplications(p)
+        + [duplication_along_m(n, p) for n in (2, 3, 4, 5)]
+    )
+    for R in rings:
+        assert_dual_euler_is_the_numerator_at_one_over_t(R)
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_dual_euler_characteristic_of_drawn_rings(p, data):
+    assert_dual_euler_is_the_numerator_at_one_over_t(
+        data.draw(binomial_or_monomial_rings(p))
+    )
 
 
 @pytest.mark.parametrize("p", [101, 32003])

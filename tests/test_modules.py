@@ -290,7 +290,7 @@ def test_product_criterion_is_not_applied_in_rank_two():
         return F.from_polys([parse_poly(S, a), parse_poly(S, b)])
 
     G = module_groebner([vec("x", "y"), vec("y", "z")])
-    order = ModOrder(S.weights)
+    order = ModOrder(S.layout)
     leads = [leading_mod_term(g, order)[0] for g in G]
     assert _reduce(vec("0", "y^2 - x*z"), _Basis(order, G, leads)).is_zero()
 
@@ -301,7 +301,7 @@ def test_reduction_stops_at_the_degree_cap():
     S = PolyRing(101, ["x", "y", "z"])
     F = FreeModule(S, [0])
     g = F.from_polys([parse_poly(S, "x - y^3")])
-    order = ModOrder(S.weights, block=1)
+    order = ModOrder(S.layout, block=1)
     basis = _Basis(order, [g], [leading_mod_term(g, order)[0]])
     v = F.from_polys([parse_poly(S, "x*z")])
     with pytest.raises(DegreeCapExceeded, match="intermediate degree 4 exceeds cap 3"):
@@ -318,19 +318,20 @@ def test_mod_order_ranks_terms_as_the_reference_order(data):
     # tuples from the definitions of grevlex and of the elimination order.
     n = data.draw(st.integers(1, 5))
     w = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
-    order = ModOrder(w, data.draw(st.integers(0, 2)), data.draw(st.integers(0, n)))
+    layout = PackedLayout(w)
+    split, block = data.draw(st.integers(0, 2)), data.draw(st.integers(0, n))
+    order = ModOrder(layout, split, block)
     mono = st.tuples(*[st.integers(0, 3)] * n)
     terms = data.draw(
         st.lists(st.tuples(st.integers(0, 2), mono), min_size=2, unique=True)
     )
-    pack = PackedLayout(w).pack
 
     def key(t):
-        return order.key((t[0], pack(t[1])))
+        return order.key((t[0], layout.pack(t[1])))
 
     assert len({key(t) for t in terms}) == len(terms)
     assert sorted(terms, key=key) == sorted(
-        terms, key=lambda t: _scan_key(order, t), reverse=True
+        terms, key=lambda t: _scan_key(order, w, t), reverse=True
     )
 
 
@@ -358,7 +359,11 @@ def scan_engine():
             return _Basis(order)
         ring = (new[0][0] if new else candidates[0]).ring
         unpack = ring.layout.unpack
-        new.sort(key=lambda gl: _scan_key(order, (gl[1][0], unpack(gl[1][1]))))
+        new.sort(
+            key=lambda gl: _scan_key(
+                order, ring.weights, (gl[1][0], unpack(gl[1][1]))
+            )
+        )
         G, leads, cap = [], [], ring.degree_cap
         candidates = sorted(candidates, key=lambda v: v.degree())
         top = candidates[-1].degree() if candidates else None
@@ -391,12 +396,12 @@ def scan_engine():
 def engine_orders(vecs):
     """Grevlex and a block order, and for rank >= 2 a dominant front block
     of one component under each; fresh instances for every call."""
-    w = vecs[0].ring.weights
-    orders = [lambda: ModOrder(w), lambda: ModOrder(w, block=1)]
+    layout = vecs[0].ring.layout
+    orders = [lambda: ModOrder(layout), lambda: ModOrder(layout, block=1)]
     if vecs[0].free.rank >= 2:
         orders += [
-            lambda: ModOrder(w, split=1),
-            lambda: ModOrder(w, split=1, block=1),
+            lambda: ModOrder(layout, split=1),
+            lambda: ModOrder(layout, split=1, block=1),
         ]
     return orders
 
@@ -474,12 +479,12 @@ def test_engine_and_scan_agree_under_degree_caps(p):
     def groebner(block):
         def heap(cap):
             vecs = inputs(cap)
-            morder = ModOrder(vecs[0].ring.weights, block=block)
+            morder = ModOrder(vecs[0].ring.layout, block=block)
             return terms(module_groebner(vecs, morder))
 
         def scan(cap):
             vecs = inputs(cap)
-            morder = ModOrder(vecs[0].ring.weights, block=block)
+            morder = ModOrder(vecs[0].ring.layout, block=block)
             return terms(module_groebner_scan(vecs, morder, cap))
 
         return heap, scan
@@ -541,7 +546,7 @@ def test_engine_results_carry_their_leading_terms(p, data):
     for order in engine_orders(vecs):
         G = module_groebner(vecs, order())
         assert G.leads == [leading_mod_term(g, order())[0] for g in G]
-    plain = ModOrder(vecs[0].ring.weights)
+    plain = ModOrder(vecs[0].ring.layout)
     for syz in (_syzygy_basis(vecs), _syzygy_basis(vecs[:1], modulo=vecs[1:])):
         assert syz.leads == [leading_mod_term(g, plain)[0] for g in syz]
 

@@ -100,7 +100,7 @@ def test_mod_order_keys_sort_as_grevlex_key(data):
     n = data.draw(st.integers(1, 6))
     w = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
     split, block = data.draw(st.integers(0, 2)), data.draw(st.integers(0, n))
-    order = ModOrder(w, split, block)
+    order = ModOrder(PackedLayout(w), split, block)
     pack = PackedLayout(w).pack
     terms = data.draw(
         st.lists(st.tuples(st.integers(0, 2), monomials(w)), min_size=2, unique=True)
@@ -151,7 +151,7 @@ def test_an_uncapped_reduction_stops_before_a_product_leaves_the_layout():
     S = PolyRing(101, ["x", "y"], degree_cap=None)
     F = FreeModule(S, [0])
     g = F.from_polys([parse_poly(S, f"x - y^{2**28}")])
-    order = ModOrder(S.weights, block=1)
+    order = ModOrder(S.layout, block=1)
     basis = _Basis(order, [g], [leading_mod_term(g, order)[0]])
     v = F.from_polys([parse_poly(S, "x^8")])
     with pytest.raises(DegreeCapExceeded, match=f"degree {2**29 + 6} {PAST_LAYOUT}"):

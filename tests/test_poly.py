@@ -140,7 +140,7 @@ def test_order_well_founded_and_total():
     monos = monomials_of_degree(ring, 4) + monomials_of_degree(ring, 3)
     one = ring.one_mono()
     for block in (0, 1, 2):
-        order = ModOrder(ring.weights, block=block)
+        order = ModOrder(ring.layout, block=block)
 
         def key(m):
             return order.key((0, ring.layout.pack(m)))
