@@ -385,8 +385,11 @@ _DECLS = {
 }
 
 
+DEFAULT_MAX_DEGREE = 8
+
+
 class Options:
-    def __init__(self, assume_equidim=(), max_degree=8):
+    def __init__(self, assume_equidim=(), max_degree=DEFAULT_MAX_DEGREE):
         self.assume_equidim = set(assume_equidim)
         self.max_degree = max_degree
 
@@ -504,7 +507,7 @@ _PARSER.add_argument("--prime", type=int, default=None)
 _PARSER.add_argument(
     "--assume-equidim", action="append", default=[], metavar="RING"
 )
-_PARSER.add_argument("--max-degree", type=int, default=8)
+_PARSER.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
 _PARSER.add_argument(
     "words", nargs="+", metavar="FILE COMMAND | verify-paper"
 )

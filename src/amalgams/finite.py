@@ -126,9 +126,6 @@ class FiniteIdeal:
             and self.elements == other.elements
         )
 
-    def __hash__(self):
-        return hash(self.elements)
-
     def __len__(self):
         return len(self.elements)
 

@@ -172,7 +172,7 @@ def quotient_ideal(v, rels):
     U the submodule generated by `rels`: the syzygies of v modulo U, which
     the engine returns, after running every pair, as a grevlex Groebner
     basis with its leads, so they are only minimalized and tail-reduced."""
-    return _reduced(v.ring, _syzygy_basis([v], modulo=rels))
+    return _reduced(v.ring, _syzygy_basis([v], twists=[0], modulo=rels))
 
 
 def intersect(ring, I, J):

@@ -268,9 +268,6 @@ class ClassifyReport:
             "betti = " + ";".join(str(x) for x in self.betti),
         ]
 
-    def __repr__(self):
-        return "\n".join(self.lines())
-
 
 MAX_SERRE_LEVEL = 4
 

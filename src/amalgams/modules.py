@@ -64,11 +64,11 @@ from __future__ import annotations
 from collections import defaultdict
 from heapq import heapify, heappop, heappush
 
-from .errors import DegreeCapExceeded, NotHomogeneous
+from .errors import NotHomogeneous
 from .poly import (
     PACKED_DEGREE_BOUND,
     Polynomial,
-    check_packed_degree,
+    check_degree,
 )
 
 # The monomial 1, packed, in every layout.
@@ -205,16 +205,6 @@ def leading_mod_term(v, order):
     return k, v.terms[k]
 
 
-def _check_cap(degree, degree_cap):
-    """Raise `DegreeCapExceeded` for a degree past the cap or past the
-    packed layout."""
-    if degree_cap is not None and degree > degree_cap:
-        raise DegreeCapExceeded(
-            f"intermediate degree {degree} exceeds cap {degree_cap}"
-        )
-    check_packed_degree(degree)
-
-
 class _Basis:
     """Monic module vectors, a GB or one being built, with the `ModOrder`
     they were built under and their per-component index: what
@@ -275,7 +265,7 @@ def _reduce(v, basis, degree_cap=None, full=True):
     """
     ring = v.ring
     p = ring.p
-    _check_cap(v.max_mono_degree(), degree_cap)
+    check_degree(v.max_mono_degree(), degree_cap)
     limit = PACKED_DEGREE_BOUND - 1
     if degree_cap is not None:
         limit = min(limit, degree_cap)
@@ -297,7 +287,7 @@ def _reduce(v, basis, degree_cap=None, full=True):
             q = mono - gm
             if not q & guard:
                 if (q >> shift) + g_deg > limit:
-                    _check_cap((q >> shift) + g_deg, degree_cap)
+                    check_degree((q >> shift) + g_deg, degree_cap)
                 for (i, m), gcoef in g.terms.items():
                     k = (i, m + q)
                     old = h.get(k)

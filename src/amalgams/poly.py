@@ -61,9 +61,6 @@ class PrimeField:
     def __repr__(self):
         return f"GF({self.p})"
 
-    def normalize(self, a):
-        return a % self.p
-
     def inverse(self, a):
         a %= self.p
         if a == 0:
@@ -88,9 +85,11 @@ def grevlex_key(expts, weights):
 PACKED_DEGREE_BOUND = 1 << 29
 
 
-def check_packed_degree(degree):
-    """Raise `DegreeCapExceeded` for a weighted degree past the packed
-    layout: a monomial of degree at least `PACKED_DEGREE_BOUND`."""
+def check_degree(degree, cap=None):
+    """Raise `DegreeCapExceeded` for a weighted degree past `cap` (None: no
+    cap), or past the packed layout: at least `PACKED_DEGREE_BOUND`."""
+    if cap is not None and degree > cap:
+        raise DegreeCapExceeded(f"intermediate degree {degree} exceeds cap {cap}")
     if degree >= PACKED_DEGREE_BOUND:
         raise DegreeCapExceeded(
             f"intermediate degree {degree} exceeds the packed exponent bound "
@@ -104,13 +103,15 @@ class PackedLayout:
 
     Variable i takes field i, `field` bits wide, from the low end, and the
     weighted degree sits above all the fields, from bit `shift` on.  The
-    top bit of each field is a guard bit (`guard` has them all).  A packed
-    monomial keeps its weighted degree, hence every exponent, below
-    `PACKED_DEGREE_BOUND` = 2^29: `pack` refuses anything else, and the
-    engine checks every product it forms (`modules._reduce`).  So on the
-    whole int a product is a + b and a quotient b - a, degree included, a
-    sum of two packed monomials leaves every guard bit clear, and a
-    divides b exactly when b - a borrows into no guard bit.
+    top bit of each field is a guard bit (`guard` has them all); `mask`
+    masks one field, `low` all, `half` is 2^(field - 1) - 1 in each, and
+    `units[i]` is x_i packed.  A packed monomial keeps its weighted
+    degree, hence every exponent, below `PACKED_DEGREE_BOUND` = 2^29:
+    `pack` refuses anything else (`check_degree`), and the engine checks
+    every product it forms (`modules._reduce`).  So on the whole int a
+    product is a + b and a quotient b - a, degree included, a sum of two
+    packed monomials leaves every guard bit clear, and a divides b exactly
+    when b - a borrows into no guard bit.
 
     The weighted degree of the lcm of two packed monomials is read by one
     multiply with the weights packed in reverse (`low_degree`), whose
@@ -130,11 +131,15 @@ class PackedLayout:
         self.field = 32 if max(weights, default=1) <= 3 else 64
         self._fields = Struct(f"<{n}{'I' if self.field == 32 else 'Q'}")
         self.shift = n * self.field
-        self._low = (1 << self.shift) - 1
-        self._mask = (1 << self.field) - 1
+        self.low = (1 << self.shift) - 1
+        self.mask = (1 << self.field) - 1
         # one bit at the base of every field, then the top bit of each
-        ones = self._low // self._mask
+        ones = self.low // self.mask
         self.guard = ones << (self.field - 1)
+        self.half = self.guard - ones
+        self.units = tuple(
+            (1 << i * self.field) + (w << self.shift) for i, w in enumerate(weights)
+        )
         light = [w if w < PACKED_DEGREE_BOUND else 0 for w in weights]
         self._reversed_weights = int.from_bytes(
             self._fields.pack(*light[::-1]), "little"
@@ -144,13 +149,13 @@ class PackedLayout:
     def pack(self, expts):
         """The packed form of an exponent tuple."""
         degree = sum(map(mul, expts, self.weights))
-        check_packed_degree(degree)
+        check_degree(degree)
         fields = int.from_bytes(self._fields.pack(*expts), "little")
         return fields | (degree << self.shift)
 
     def unpack(self, mono):
         """The exponent tuple of a packed monomial."""
-        fields = (mono & self._low).to_bytes(self._fields.size, "little")
+        fields = (mono & self.low).to_bytes(self._fields.size, "little")
         return self._fields.unpack(fields)
 
     def divides(self, a, b):
@@ -162,14 +167,14 @@ class PackedLayout:
         whose exponents sum to less than 2^30 (as those of the lcm of two
         packed monomials do): one multiply, read at the last variable's
         field, which no lower field carries into."""
-        return (low * self._reversed_weights >> self._degree_at) & self._mask
+        return (low * self._reversed_weights >> self._degree_at) & self.mask
 
     def lcm(self, a, b):
         """The lcm of two packed monomials: each field of a where it is at
         least b's (its guard bit survives (a | guard) - b), of b elsewhere."""
         ge = ((a | self.guard) - b) & self.guard
         take_a = ge - (ge >> (self.field - 1))
-        low = (b ^ ((a ^ b) & take_a)) & self._low
+        low = (b ^ ((a ^ b) & take_a)) & self.low
         return low | (self.low_degree(low) << self.shift)
 
 
@@ -266,19 +271,18 @@ class PolyRing:
         expts = tuple(int(e) for e in expts)
         if len(expts) != self.nvars or any(e < 0 for e in expts):
             raise ValueError("bad exponent vector")
-        c = self.field.normalize(coeff)
+        c = coeff % self.p
         return Polynomial(self, {expts: c} if c else {})
 
 
 class Polynomial:
     """Sparse polynomial: map from exponent tuple to nonzero residue."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
-        self._hash = None
 
     def __bool__(self):
         return bool(self.terms)
@@ -292,17 +296,13 @@ class Polynomial:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring, frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.ring, frozenset(self.terms.items())))
 
     def _check(self, other):
         if self.ring != other.ring:
             raise ContextMismatch(f"{self.ring} vs {other.ring}")
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = self.ring.const(other)
         self._check(other)
         p = self.ring.p
         terms = dict(self.terms)
@@ -314,20 +314,13 @@ class Polynomial:
                 terms.pop(m, None)
         return Polynomial(self.ring, terms)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return self.ring.const(other) - self
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = self.ring.const(other)
         self._check(other)
         p = self.ring.p
         terms = {}
@@ -340,8 +333,6 @@ class Polynomial:
                 else:
                     terms.pop(m, None)
         return Polynomial(self.ring, terms)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
@@ -356,10 +347,10 @@ class Polynomial:
         return out
 
     def scale(self, c):
-        c = self.ring.field.normalize(c)
+        p = self.ring.p
+        c %= p
         if c == 0:
             return self.ring.zero()
-        p = self.ring.p
         return Polynomial(self.ring, {m: (v * c) % p for m, v in self.terms.items()})
 
     def degree(self):
@@ -371,9 +362,6 @@ class Polynomial:
     def is_homogeneous(self):
         degs = {self.ring.mono_degree(m) for m in self.terms}
         return len(degs) <= 1
-
-    def __str__(self):
-        return format_poly(self)
 
     def __repr__(self):
         return format_poly(self)
@@ -491,13 +479,10 @@ def _sum(ring, toks, at):
                 n, at = _power(toks, at + 1)
                 f = Polynomial(ring, inner)
                 if n is not None:
-                    # f^n has degree n * deg f; expanding a sum of terms
-                    # past the cap costs time and memory no computation uses
-                    cap = ring.degree_cap
-                    if len(f.terms) > 1 and cap is not None and n * f.degree() > cap:
-                        raise DegreeCapExceeded(
-                            f"intermediate degree {n * f.degree()} exceeds cap {cap}"
-                        )
+                    # f^n has degree n * deg f; expanding a sum of terms past
+                    # the cap or the layout costs time and memory for nothing
+                    if len(f.terms) > 1:
+                        check_degree(n * f.degree(), ring.degree_cap)
                     f = f**n
                 factors = f if factors is None else factors * f
             elif tok is None or tok in "+*^)":

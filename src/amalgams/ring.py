@@ -24,7 +24,7 @@ from .errors import (
     UnitIdeal,
 )
 from .gb import GroebnerBasis, IdealBasis, buchberger, normal_form
-from .poly import DEFAULT_DEGREE_CAP, PolyRing, check_packed_degree, parse_poly
+from .poly import DEFAULT_DEGREE_CAP, PolyRing, check_degree, parse_poly
 from .series import HilbertSeries, monomial_kpoly
 
 
@@ -110,29 +110,28 @@ class PresentedRing:
         later one is empty: the generator ends there, that is, exactly
         when the ring is artinian.
 
-        Packed, the step e_i adds unit_i (field i, and w_i in the degree
-        field), c_i is read off field i, and a lead divides c when c - lead
-        borrows into no guard bit.  Each degree is checked against the
-        packed bound (`check_packed_degree`) before it is built.
+        Packed, the step e_i adds `units[i]`, c_i is read off field i, and
+        a lead divides c when c - lead borrows into no guard bit.  Each
+        degree is checked against the packed bound (`check_degree`) before
+        it is built.
         """
         weights = self.weights
         layout = self.ambient.layout
-        field, shift, guard = layout.field, layout.shift, layout.guard
-        mask = (1 << field) - 1
+        field, guard, mask = layout.field, layout.guard, layout.mask
         leads = [{} for _ in weights]  # last variable -> its exponent -> leads
         for _, g in self.defining.basis.leads:
-            i = ((g & ((1 << shift) - 1)).bit_length() - 1) // field
+            i = ((g & layout.low).bit_length() - 1) // field
             leads[i].setdefault(g >> i * field & mask, []).append(g)
         steps = [
-            (i * field, (1 << i * field) + (w << shift), w, leads[i])
-            for i, w in enumerate(weights)
+            (i * field, unit, w, leads[i])
+            for i, (w, unit) in enumerate(zip(weights, layout.units))
         ]
         reach = max(weights)
         # degree -> its standard monomials, bucketed by last variable + 1
         past = {0: [[0]]}
         empty = 0
         for d in count():
-            check_packed_degree(d)
+            check_degree(d)
             buckets = past.setdefault(d, [[]])
             for i, (at, unit, w, tried) in enumerate(steps):
                 made = []

@@ -113,18 +113,17 @@ def monomial_kpoly(gens, layout):
     No monomial is unpacked.  The degree sits above the fields, so in
     ascending order a divisor comes before the monomials it divides, and
     the minimal generators are kept by one pass of guard-bit tests.  A
-    field is nonzero exactly when adding 2^(field - 1) - 1 to it sets its
-    guard bit, so one sum of those bits counts the generators in every
-    variable at once.  The exponent at i is field i, the colon subtracts
-    min(field i, e) times unit_i = x_i packed, and a degree is m >> shift.
+    field is nonzero exactly when adding `half` to it sets its guard bit,
+    so one sum of those bits counts the generators in every variable at
+    once.  The exponent at i is field i, the colon subtracts
+    min(field i, e) times `units[i]`, and a degree is m >> shift.
     """
     field, shift, guard = layout.field, layout.shift, layout.guard
-    mask = (1 << field) - 1
+    mask, half = layout.mask, layout.half
     minimal = []
     for m in sorted(set(gens)):
         if all((m - g) & guard for g in minimal):
             minimal.append(m)
-    half = guard - (guard >> (field - 1))
     tally = sum(((m + half) & guard) >> (field - 1) for m in minimal)
     counts = [tally >> at & mask for at in range(0, shift, field)]
     i = max(range(len(counts)), key=counts.__getitem__, default=0)
@@ -137,7 +136,7 @@ def monomial_kpoly(gens, layout):
     exps = sorted(e for e in (m >> at & mask for m in minimal) if e)
     e = exps[(len(exps) - 1) // 2]
     w = layout.weights[i]
-    unit = (1 << at) + (w << shift)
+    unit = layout.units[i]
     colon = [m - min(m >> at & mask, e) * unit for m in minimal]
     return lp_add(
         monomial_kpoly(minimal + [e * unit], layout),
@@ -179,9 +178,6 @@ class HilbertSeries:
         if not isinstance(other, HilbertSeries):
             return NotImplemented
         return lp_mul(self.num, other.den) == lp_mul(other.num, self.den)
-
-    def __hash__(self):
-        raise TypeError("unhashable")
 
     def coefficients(self, upto):
         """Series coefficients in degrees min_deg..upto as a dict."""

@@ -57,6 +57,20 @@ def quartiles(values):
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+def summary(label, parent, change):
+    """One line on the paired values of a lower-is-better metric: each
+    tree's median and quartiles, the parent's interquartile range and the
+    number of pairs the change wins (a tie wins for neither)."""
+    wins = sum(c < p for p, c in zip(parent, change))
+    (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
+    return (
+        f"{label}: parent median {pm:.4g} (quartiles "
+        f"{p1:.4g} / {p3:.4g}), change median {cm:.4g} (quartiles "
+        f"{c1:.4g} / {c3:.4g}); parent IQR {p3 - p1:.4g}; "
+        f"change wins {wins} of {len(parent)}"
+    )
+
+
 def compare(trees, workload, pairs, seconds, first_seed):
     """Run `pairs` alternating pairs of `workload` and print their lines."""
     values = {(side, m): [] for side in trees for m in METRICS}
@@ -74,16 +88,8 @@ def compare(trees, workload, pairs, seconds, first_seed):
         )
         print(f"pair {k + 1} (seed {seed}, {order[0]} first): {both}", flush=True)
     for m in METRICS:
-        parent, change = values["parent", m], values["change", m]
-        wins = sum(c < p for p, c in zip(parent, change))
-        (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
-        print(
-            f"{workload} {m}: parent median {pm:.4g} (quartiles "
-            f"{p1:.4g} / {p3:.4g}), change median {cm:.4g} (quartiles "
-            f"{c1:.4g} / {c3:.4g}); parent IQR {p3 - p1:.4g}; "
-            f"change wins {wins} of {len(parent)}",
-            flush=True,
-        )
+        print(summary(f"{workload} {m}", values["parent", m], values["change", m]),
+              flush=True)
 
 
 def main(argv=None):

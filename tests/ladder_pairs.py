@@ -19,8 +19,10 @@ report lines.
 
 Prints one line per pair with both trees' seconds, to three significant
 digits, so that a W_6 `present` pair of 0.02-0.06 s shows a 10% change,
-and exits 1 when a run fails or when the two trees print different lines
-on a rung.
+then after each rung the summary `bench_pairs.py` prints per metric: each
+tree's median and quartiles, the parent's IQR and the change's wins.
+Exits 1 when a run fails or when the two trees print different lines on
+a rung.
 """
 
 import argparse
@@ -29,6 +31,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from bench_pairs import summary
 
 CHILD = """
 import json, sys, time
@@ -79,12 +83,15 @@ def main(argv=None):
     trees = {"parent": args.parent, "change": args.change}
     same = True
     for n in args.rungs:
+        seconds = {"parent": [], "change": []}
         for k in range(args.pairs):
             order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
             got = {
                 side: run_once(trees[side], n, args.prime, args.command)
                 for side in order
             }
+            for side in order:
+                seconds[side].append(got[side][0])
             identical = got["parent"][1] == got["change"][1]
             same = same and identical
             print(
@@ -93,6 +100,8 @@ def main(argv=None):
                 + ("" if identical else ", LINES DIFFER"),
                 flush=True,
             )
+        print(summary(f"W_{n} seconds", seconds["parent"], seconds["change"]),
+              flush=True)
     if not same:
         print("the trees printed different lines", file=sys.stderr)
     return 0 if same else 1

@@ -642,6 +642,33 @@ def test_printed_first_term_is_the_engine_lead():
             assert first == format_poly(G.ring.monomial(lead))
 
 
+def test_every_ideal_basis_vector_has_twist_zero_and_its_elements_degree():
+    # A `GroebnerBasis` keeps rank-1 vectors of twist 0, so each vector's
+    # degree is its element's, also for the quotient of the zero vector,
+    # which `colon` takes when J is empty.
+    S = PolyRing(101, ["x", "y"])
+    x, y = S.var("x"), S.var("y")
+    src = PolyRing(101, ["u", "v", "w"], [1, 1, 2])
+    by_section = [x, y.scale(3), x * y]
+    by_elimination = [x + y, x - y, x * y]
+    assert gb_module._section(src, by_section, S) is not None
+    assert gb_module._section(src, by_elimination, S) is None
+    results = [
+        buchberger(IdealBasis(S, [x * y, x * x - y * y])),
+        eliminate(S, [x - y, x * x * y], 1),
+        intersect(S, [x], [y]),
+        colon(S, [x * y], []),
+        colon(S, [x * y], [x]),
+        kernel_of_map(src, by_section, gb(S, [])),
+        kernel_of_map(src, by_elimination, gb(S, [])),
+    ]
+    for G in results:
+        assert G.elements
+        for v, f in zip(G.basis, G.elements):
+            assert v.free.twists == (0,)
+            assert v.degree() == f.degree()
+
+
 def rebuilt_normal_form(f, elements, block):
     """The normal form of f against `elements` as rank-1 vectors, with
     their leads found afresh under the order that eliminates the first

@@ -17,8 +17,12 @@ from amalgams.errors import (
 )
 from amalgams.modules import ModOrder
 from amalgams.poly import (
+    PACKED_DEGREE_BOUND,
+    PackedLayout,
     PolyRing,
+    Polynomial,
     PrimeField,
+    check_degree,
     format_poly,
     is_name,
     parse_poly,
@@ -323,6 +327,29 @@ def test_a_power_of_a_sum_past_the_cap_is_not_expanded():
     # a monomial costs nothing to build; the engine checks its degree
     assert parse_poly(ring, "(x*y)^50") == parse_poly(ring, "x^50*y^50")
     assert parse_poly(PolyRing(101, ["x", "y"], degree_cap=None), "(x + y)^7").degree() == 7
+
+
+def test_one_degree_check_tests_the_cap_then_the_layout(monkeypatch):
+    # `check_degree` raises the cap's message before the packed layout's,
+    # for `pack` and for the parser's power of a sum, which an uncapped
+    # ring refuses before it expands 2^29 + 1 terms.
+    D = PACKED_DEGREE_BOUND
+    past = f"intermediate degree {D} exceeds the packed exponent bound {D - 1}"
+    with pytest.raises(DegreeCapExceeded) as caught:
+        PackedLayout((1, 1)).pack((D, 0))
+    assert str(caught.value) == past
+    uncapped = PolyRing(101, ["x", "y"], degree_cap=None)
+
+    def expand(f, n):
+        raise AssertionError(f"expanded a power {n} of {f}")
+
+    monkeypatch.setattr(Polynomial, "__pow__", expand)
+    with pytest.raises(DegreeCapExceeded) as caught:
+        parse_poly(uncapped, "(x + y)^536870912")
+    assert str(caught.value) == past
+    with pytest.raises(DegreeCapExceeded) as caught:
+        check_degree(D, 3)
+    assert str(caught.value) == f"intermediate degree {D} exceeds cap 3"
 
 
 def test_monomials_of_degree():

@@ -103,8 +103,8 @@ def test_every_definition_is_reached_or_documented():
 
 
 # The degree cap lives on the ring (`PolyRing.degree_cap`).  Only the
-# functions that build rings or pass a cap into them, and the reducer that
-# checks it, take one as a parameter.
+# functions that build rings or pass a cap into them, the reducer and the
+# one check of it, take one as a parameter.
 CAP_PARAMETERS = {
     "poly.PolyRing.__init__",
     "ring.make_ring",
@@ -114,7 +114,7 @@ CAP_PARAMETERS = {
     "harness.run_harness",
     "harness.verify_paper",
     "modules._reduce",
-    "modules._check_cap",
+    "poly.check_degree",
 }
 
 
